@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all help build test test-crash test-server test-compat test-obs test-repl test-failover test-shard test-view race cover bench bench-smoke bench-json benchgate figures experiments fuzz fuzz-smoke clean
+.PHONY: all help build test test-crash test-server test-compat test-obs test-repl test-failover test-shard test-view test-bench race cover bench bench-smoke bench-json benchgate figures experiments fuzz fuzz-smoke clean
 
 all: build test
 
@@ -33,6 +33,9 @@ help:
 	@echo "  test-view    race-mode pass over materialized views and change"
 	@echo "               feeds (differential view-vs-recompute property test,"
 	@echo "               SUBSCRIBE resume + chaos severs, subwire framing)"
+	@echo "  test-bench   vet and test the request-path benchmark (bench/ is a"
+	@echo "               module of its own, so the root build never compiles"
+	@echo "               it and an internal-API break would go unnoticed)"
 	@echo "  race         run the tests under the race detector"
 	@echo "               (includes the concurrency stress suites)"
 	@echo "  cover        coverage summary for internal/..."
@@ -40,8 +43,9 @@ help:
 	@echo "               tests are skipped via -run '^$$')"
 	@echo "  bench-smoke  quick pass over the batch-evaluation and"
 	@echo "               verdict-cache benchmarks only"
-	@echo "  bench-json   machine-readable BENCH_<exp>.json for the planner,"
-	@echo "               protocol, sharding, and view experiments (E9, E12-E15)"
+	@echo "  bench-json   machine-readable BENCH_<exp>.json for the consistency,"
+	@echo "               planner, protocol, sharding, and view experiments"
+	@echo "               (E6, E9, E12-E15)"
 	@echo "  benchgate    regression gate: fresh bench-json numbers vs the"
 	@echo "               checked-in scripts/bench_baseline/ (~3x tolerance)"
 	@echo "  figures      regenerate the paper figures (cmd/hrfigures)"
@@ -84,6 +88,9 @@ test-view:
 	$(GO) test -race -count=1 ./internal/view/ ./internal/subwire/
 	$(GO) test -race -count=1 -run 'TestSubscribe' ./internal/server/
 
+test-bench:
+	cd bench && $(GO) vet . && $(GO) test .
+
 race:
 	$(GO) test -race ./...
 
@@ -100,7 +107,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkHoldsCached' -benchtime=50x .
 
 bench-json:
-	$(GO) run ./cmd/hrbench -json . E9 E12 E13 E14 E15
+	$(GO) run ./cmd/hrbench -json . E6 E9 E12 E13 E14 E15
 
 benchgate:
 	./scripts/benchgate.sh

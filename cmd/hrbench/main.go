@@ -268,25 +268,6 @@ func e5Algebra() {
 	}
 }
 
-// e6Consistency: the ambiguity-constraint checker (§3.1).
-func e6Consistency() {
-	header("E6 — integrity: ambiguity-constraint check cost (paper §3.1)")
-	fmt.Println("| tuples | hierarchy nodes | time/check |")
-	fmt.Println("|---|---|---|")
-	for _, p := range []struct{ nodes, tuples int }{
-		{20, 10}, {40, 20}, {80, 40},
-	} {
-		r, err := workload.RandomConsistent(int64(p.nodes), "R", p.nodes, p.tuples)
-		check(err)
-		ns := timeIt(func() {
-			if err := r.CheckConsistency(); err != nil {
-				log.Fatal(err)
-			}
-		})
-		fmt.Printf("| %d | %d | %s |\n", r.Len(), p.nodes, fmtNs(ns))
-	}
-}
-
 // e8Durability: the storage substrate — logged writes, WAL replay and
 // snapshot loading.
 func e8Durability() {

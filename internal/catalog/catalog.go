@@ -292,18 +292,6 @@ func (db *Database) checkException(r *core.Relation, item core.Item, sign bool) 
 	return nil
 }
 
-// insertLocked performs a policy-checked insert; the caller holds db.mu.
-func (db *Database) insertLocked(rel string, item core.Item, sign bool) error {
-	r, ok := db.relations[rel]
-	if !ok {
-		return fmt.Errorf("%w: relation %q", ErrNotFound, rel)
-	}
-	if err := db.checkException(r, item, sign); err != nil {
-		return err
-	}
-	return r.Insert(item, sign)
-}
-
 // Assert inserts a positive tuple, enforcing the exception policy and the
 // ambiguity constraint: if the insertion creates an unresolved conflict it
 // is rolled back and the InconsistencyError returned (use a transaction to
@@ -320,15 +308,35 @@ func (db *Database) Deny(rel string, values ...string) error {
 func (db *Database) update(rel string, item core.Item, sign bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.insertLocked(rel, item, sign); err != nil {
+	r, ok := db.relations[rel]
+	if !ok {
+		return fmt.Errorf("%w: relation %q", ErrNotFound, rel)
+	}
+	if err := db.checkException(r, item, sign); err != nil {
 		return err
 	}
-	r := db.relations[rel]
-	if err := r.CheckConsistency(); err != nil {
+	verified := r.VerifiedConsistent()
+	if err := r.Insert(item, sign); err != nil {
+		return err
+	}
+	if err := checkAfter(r, verified, item); err != nil {
 		r.Retract(item)
 		return err
 	}
 	return nil
+}
+
+// checkAfter enforces the ambiguity constraint on r after its tuples on the
+// changed items were mutated. verified is r.VerifiedConsistent() as read
+// before the first mutation: from a verified state the check covers only
+// the region the changed items overlap; from any other (first write after a
+// load, hierarchy surgery, a direct Relation mutation, a rolled-back batch)
+// it is the full check. Either one, passing, verifies the new state.
+func checkAfter(r *core.Relation, verified bool, changed ...core.Item) error {
+	if verified {
+		return r.CheckConsistencyUnder(changed)
+	}
+	return r.CheckConsistency()
 }
 
 // Retract removes the tuple on exactly the given item.
@@ -344,10 +352,11 @@ func (db *Database) Retract(rel string, values ...string) (bool, error) {
 	if !present {
 		return false, nil
 	}
+	verified := r.VerifiedConsistent()
 	r.Retract(item)
 	// A retraction can expose a previously resolved conflict (§3.2: a
 	// conflict-resolving tuple cannot simply be removed).
-	if err := r.CheckConsistency(); err != nil {
+	if err := checkAfter(r, verified, item); err != nil {
 		if rerr := r.Insert(old.Item, old.Sign); rerr != nil {
 			return false, rerr
 		}

@@ -140,14 +140,28 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	touched := map[string]bool{}
+	// Per touched relation: whether it was verified consistent before the
+	// batch's first mutation, and the items the batch mutated. order lists
+	// the relations as first touched, so a batch that breaks two of them
+	// always reports the same one.
+	type delta struct {
+		verified bool
+		changed  []core.Item
+	}
+	touched := map[string]*delta{}
+	var order []string
 	for _, o := range tx.ops {
 		r, ok := db.relations[o.rel]
 		if !ok {
 			rollback()
 			return fmt.Errorf("%w: relation %q", ErrNotFound, o.rel)
 		}
-		touched[o.rel] = true
+		d := touched[o.rel]
+		if d == nil {
+			d = &delta{verified: r.VerifiedConsistent()}
+			touched[o.rel] = d
+			order = append(order, o.rel)
+		}
 		switch o.kind {
 		case opInsert:
 			// Within a transaction the exception policy still applies, but
@@ -170,17 +184,20 @@ func (tx *Tx) Commit() error {
 			}
 			it := o.item.Clone()
 			undos = append(undos, undo{rel: o.rel, remove: &it})
+			d.changed = append(d.changed, o.item)
 		case opRetract:
 			if old, present := r.Lookup(o.item); present {
 				r.Retract(o.item)
 				undos = append(undos, undo{rel: o.rel, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
+				d.changed = append(d.changed, o.item)
 			}
 		}
 	}
 
 	// Ambiguity constraint over every touched relation.
-	for rel := range touched {
-		if err := db.relations[rel].CheckConsistency(); err != nil {
+	for _, rel := range order {
+		d := touched[rel]
+		if err := checkAfter(db.relations[rel], d.verified, d.changed...); err != nil {
 			rollback()
 			return err
 		}

@@ -118,7 +118,30 @@ func (r *Relation) CompleteResolutionSet(a, b Item, limit int) ([]Item, error) {
 // evaluates every atomic item of each overlap region, bounded by
 // maxProductNodes per pair.
 func (r *Relation) Conflicts() []*ConflictError {
-	tuples := r.Tuples()
+	metricChecksFull.Inc()
+	return r.conflictsAmong(r.Tuples())
+}
+
+// ConflictsUnder returns what Conflicts would, provided Conflicts was empty
+// before the relation's tuples on the changed items were inserted, retracted
+// or re-signed and nothing else (hierarchies, mode) has changed since. A
+// mutation at δ alters app(y) only for y ⊑ δ, and an item's verdict depends
+// on app(y) alone; so every item the checker would flag now lies under some
+// changed δ — elsewhere verdicts are what they were, and a pair with a new
+// tuple probes only under that tuple's item, itself a δ — and both tuples of
+// the flagging pair subsume the item, hence overlap δ. Pairing only the
+// tuples that overlap a changed item therefore finds the same conflicts, in
+// every preemption mode: the argument never uses minimality
+// (docs/THEORY.md §4, locality corollary).
+func (r *Relation) ConflictsUnder(changed []Item) []*ConflictError {
+	metricChecksDelta.Inc()
+	return r.conflictsAmong(r.overlapping(changed))
+}
+
+// conflictsAmong is the checker: it pairs the given tuples (sorted by item
+// key) and reports the conflicted items their pairs point at.
+func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
+	metricCheckCandidates.Observe(int64(len(tuples)))
 	exhaustive := r.mode != OffPath || !r.fastPathOK()
 
 	var out []*ConflictError
@@ -231,11 +254,36 @@ func (r *Relation) overlapItems(a, b Item) []Item {
 }
 
 // CheckConsistency returns nil when the relation satisfies the ambiguity
-// constraint, or an *InconsistencyError naming every conflict.
+// constraint, or an *InconsistencyError naming every conflict. A nil result
+// is remembered for exactly the state it was computed on (see
+// VerifiedConsistent).
 func (r *Relation) CheckConsistency() error {
-	conflicts := r.Conflicts()
-	if len(conflicts) == 0 {
-		return nil
+	return r.verdictOf(r.Conflicts())
+}
+
+// CheckConsistencyUnder is CheckConsistency for a relation that was
+// VerifiedConsistent before its tuples on the changed items — and nothing
+// else — were mutated: same result, at the cost of the region those items
+// overlap (ConflictsUnder).
+func (r *Relation) CheckConsistencyUnder(changed []Item) error {
+	return r.verdictOf(r.ConflictsUnder(changed))
+}
+
+func (r *Relation) verdictOf(conflicts []*ConflictError) error {
+	if len(conflicts) > 0 {
+		return &InconsistencyError{Relation: r.name, Conflicts: conflicts}
 	}
-	return &InconsistencyError{Relation: r.name, Conflicts: conflicts}
+	s := r.stamp(r.mode)
+	r.verified.Store(&s)
+	return nil
+}
+
+// VerifiedConsistent reports whether a consistency check has passed on
+// exactly the current state: same tuples (epoch), same attribute
+// hierarchies (generations), same preemption mode. Any Insert, Retract,
+// SetMode or hierarchy edit since makes it false — the stamp is compared,
+// never cleared.
+func (r *Relation) VerifiedConsistent() bool {
+	s := r.verified.Load()
+	return s != nil && *s == r.stamp(r.mode)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -250,5 +251,118 @@ func TestNoPreemptionConsistency(t *testing.T) {
 	r.SetMode(OffPath)
 	if err := r.CheckConsistency(); err != nil {
 		t.Fatalf("off-path should be consistent: %v", err)
+	}
+}
+
+// TestConflictsUnderMatchesConflicts: from a conflict-free relation, after
+// a batch of inserts, retractions and sign flips, ConflictsUnder on the
+// touched items reports exactly what Conflicts does — same items, binders
+// and resolutions — in every preemption mode. (The catalog-level twin test,
+// TestPropertyDeltaCheckMatchesFull, covers stamps, rollbacks and hierarchy
+// surgery; this pins the core routine alone.)
+func TestConflictsUnderMatchesConflicts(t *testing.T) {
+	for _, mode := range []Preemption{OffPath, OnPath, NoPreemption} {
+		rng := rand.New(rand.NewSource(101 + int64(mode)))
+		for trial := 0; trial < 60; trial++ {
+			s := randomSchema(rng)
+			r := NewRelation("R", s)
+			r.SetMode(mode)
+			var pools [][]string
+			for i := 0; i < s.Arity(); i++ {
+				pools = append(pools, s.Attr(i).Domain.Nodes())
+			}
+			randomItem := func() Item {
+				item := make(Item, s.Arity())
+				for i := range item {
+					item[i] = pools[i][rng.Intn(len(pools[i]))]
+				}
+				return item
+			}
+			for n := 0; n < 12; n++ { // a conflict-free starting state
+				item := randomItem()
+				if r.Insert(item, rng.Intn(2) == 0) == nil && len(r.Conflicts()) > 0 {
+					r.Retract(item)
+				}
+			}
+			var changed []Item
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				item := randomItem()
+				if old, present := r.Lookup(item); present {
+					r.Retract(item)
+					if rng.Intn(2) == 0 {
+						must(t, r.Insert(item, !old.Sign))
+					}
+				} else {
+					must(t, r.Insert(item, rng.Intn(2) == 0))
+				}
+				changed = append(changed, item)
+			}
+			if got, want := r.ConflictsUnder(changed), r.Conflicts(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("mode %v trial %d: changed %v\ntuples %v\ndelta %v\nfull  %v",
+					mode, trial, changed, r.Tuples(), got, want)
+			}
+		}
+	}
+}
+
+// An item the relation cannot place has no overlap region; the delta check
+// must then fall back to every tuple rather than to none.
+func TestConflictsUnderUnknownItemChecksEverything(t *testing.T) {
+	r := fliesRelation(t)
+	r.SetMode(NoPreemption) // Bird+ and Penguin− now conflict at every penguin
+	want := r.Conflicts()
+	if len(want) == 0 {
+		t.Fatal("fixture has no conflict")
+	}
+	for _, changed := range []Item{{"NoSuchNode"}, {"Bird", "Extra"}} {
+		if got := r.ConflictsUnder([]Item{changed}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ConflictsUnder(%v) = %v, want the full answer %v", changed, got, want)
+		}
+	}
+}
+
+// TestVerifiedConsistentStamp: a passing check verifies exactly the state it
+// ran on; every kind of change since — tuple, mode, hierarchy — unverifies
+// it, and a failing check verifies nothing.
+func TestVerifiedConsistentStamp(t *testing.T) {
+	r := fliesRelation(t)
+	if r.VerifiedConsistent() {
+		t.Fatal("verified before any check")
+	}
+	must(t, r.CheckConsistency())
+	if !r.VerifiedConsistent() {
+		t.Fatal("not verified after a passing check")
+	}
+	must(t, r.Assert("Tweety"))
+	if r.VerifiedConsistent() {
+		t.Fatal("still verified after Insert")
+	}
+	must(t, r.CheckConsistencyUnder([]Item{{"Tweety"}}))
+	if !r.VerifiedConsistent() {
+		t.Fatal("not verified after a passing delta check")
+	}
+	r.Retract(Item{"Tweety"})
+	if r.VerifiedConsistent() {
+		t.Fatal("still verified after Retract")
+	}
+	must(t, r.CheckConsistency())
+	r.SetMode(NoPreemption)
+	if r.VerifiedConsistent() {
+		t.Fatal("still verified after SetMode")
+	}
+	if err := r.CheckConsistency(); err == nil {
+		t.Fatal("Bird+/Penguin− is a conflict without preemption")
+	}
+	if r.VerifiedConsistent() {
+		t.Fatal("a failing check verified the relation")
+	}
+	r.SetMode(OffPath)
+	must(t, r.CheckConsistency())
+	must(t, r.Schema().Attr(0).Domain.AddInstance("Polly", "Canary"))
+	if r.VerifiedConsistent() {
+		t.Fatal("still verified after a hierarchy edit")
+	}
+	if c := r.Clone(); c.VerifiedConsistent() {
+		t.Fatal("a clone inherited the stamp")
 	}
 }

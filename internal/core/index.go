@@ -29,10 +29,27 @@ func (r *Relation) PostingCount(attr int, value string) int {
 
 // OverlapCandidates returns the tuples whose attr-th coordinate overlaps
 // class (one subsumes the other, or they share a descendant), sorted by
-// item key. It probes the secondary index — one Overlaps test per distinct
-// stored value instead of one per tuple — and returns exactly the tuples a
+// item key. It probes the secondary index and returns exactly the tuples a
 // full scan filtered by Overlaps(t.Item[attr], class) would.
 func (r *Relation) OverlapCandidates(attr int, class string) []Tuple {
+	var out []Tuple
+	for _, keys := range r.overlapPostings(attr, class) {
+		for _, k := range keys {
+			out = append(out, r.tuples[k])
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })
+	return out
+}
+
+// overlapPostings returns the posting lists of column attr whose value
+// overlaps class. When fewer nodes sit under class than the column has
+// posting lists, the overlapping values are enumerated from the hierarchy
+// and looked up; otherwise every stored value is tested with Overlaps. A
+// write's delta consistency check on an instance-level item takes the first
+// route, so it costs the item's ancestor chain however many tuples are
+// stored.
+func (r *Relation) overlapPostings(attr int, class string) [][]string {
 	if attr < 0 || attr >= len(r.idx) {
 		return nil
 	}
@@ -40,13 +57,52 @@ func (r *Relation) OverlapCandidates(attr int, class string) []Tuple {
 	if !h.Has(class) {
 		return nil
 	}
-	var out []Tuple
-	for v, keys := range r.idx[attr] {
-		if !h.Overlaps(v, class) {
-			continue
+	var out [][]string
+	if region, ok := h.OverlapRegion(class, len(r.idx[attr])); ok {
+		for _, v := range region {
+			if keys := r.idx[attr][v]; len(keys) > 0 {
+				out = append(out, keys)
+			}
 		}
-		for _, k := range keys {
-			out = append(out, r.tuples[k])
+		return out
+	}
+	for v, keys := range r.idx[attr] {
+		if h.Overlaps(v, class) {
+			out = append(out, keys)
+		}
+	}
+	return out
+}
+
+// overlapping returns the stored tuples that overlap at least one of the
+// items, sorted by item key. Each item probes the column whose overlapping
+// posting lists are shortest and filters on the remaining coordinates.
+func (r *Relation) overlapping(items []Item) []Tuple {
+	seen := map[string]bool{}
+	var out []Tuple
+	for _, it := range items {
+		if r.validateItem(it) != nil {
+			return r.Tuples() // no region to probe: every tuple is a candidate
+		}
+		var best [][]string
+		bestCost := -1
+		for i, v := range it {
+			lists := r.overlapPostings(i, v)
+			cost := 0
+			for _, keys := range lists {
+				cost += len(keys)
+			}
+			if bestCost < 0 || cost < bestCost {
+				best, bestCost = lists, cost
+			}
+		}
+		for _, keys := range best {
+			for _, k := range keys {
+				if t := r.tuples[k]; !seen[k] && r.Overlapping(t.Item, it) {
+					seen[k] = true
+					out = append(out, t)
+				}
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })

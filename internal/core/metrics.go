@@ -22,6 +22,13 @@ var (
 	metricBatches        = obs.Default().Counter("hrdb_core_batches_total")
 	metricBatchSize      = obs.Default().Histogram("hrdb_core_batch_size")
 
+	// One count per run of the consistency checker, by whether it was
+	// handed every tuple or only those overlapping a write; the histogram
+	// is how many tuples it was handed.
+	metricChecksFull      = obs.Default().Counter("hrdb_core_consistency_checks_total", obs.Label{Key: "scope", Value: "full"})
+	metricChecksDelta     = obs.Default().Counter("hrdb_core_consistency_checks_total", obs.Label{Key: "scope", Value: "delta"})
+	metricCheckCandidates = obs.Default().Histogram("hrdb_core_consistency_candidates")
+
 	metricEvals  [3]*obs.Counter
 	metricEvalNS [3]*obs.Histogram
 )

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"hrdb/internal/hierarchy"
 )
@@ -169,6 +170,11 @@ type Relation struct {
 	epoch    uint64
 	cache    *verdictCache
 	cacheOff bool
+
+	// verified is the stamp of the last state a consistency check passed
+	// on; the catalog runs the delta check only from such a state. Atomic
+	// because CheckConsistency is a read as far as callers are concerned.
+	verified atomic.Pointer[cacheStamp]
 }
 
 // NewRelation creates an empty relation with the given name and schema.

@@ -503,6 +503,44 @@ func (h *Hierarchy) Overlaps(a, b string) bool {
 	return len(h.commonDescendantIDs(a, b)) > 0
 }
 
+// OverlapRegion returns every node n with Overlaps(n, name): the nodes at or
+// below name, and every ancestor of one of those. It walks the hierarchy
+// from name instead of testing candidates, so its cost follows the region,
+// not the number of values a caller would otherwise test one by one.
+//
+// ok is false, with nothing enumerated, when more than maxBelow nodes sit at
+// or below name (or name is unknown): the region is at least that large, and
+// a caller holding fewer candidates than that does better calling Overlaps
+// on each.
+func (h *Hierarchy) OverlapRegion(name string, maxBelow int) (region []string, ok bool) {
+	id, err := h.id(name)
+	if err != nil {
+		return nil, false
+	}
+	below, err := h.isa.ReachableSet(id)
+	if err != nil || below.Count() > maxBelow {
+		return nil, false
+	}
+	stack := below.Members()
+	seen := make([]bool, h.isa.MaxID())
+	for _, n := range stack {
+		seen[n] = true
+		region = append(region, h.names[n])
+	}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, p := range h.isa.Pred(n) {
+			if !seen[p] {
+				seen[p] = true
+				region = append(region, h.names[p])
+				stack = append(stack, p)
+			}
+		}
+	}
+	return region, true
+}
+
 // commonDescendantIDs returns ids of nodes subsumed by both a and b
 // (excluding the case where one subsumes the other, which callers handle).
 func (h *Hierarchy) commonDescendantIDs(a, b string) []int {

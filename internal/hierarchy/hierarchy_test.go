@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -422,6 +423,39 @@ func TestMeetsSoundCompleteProperty(t *testing.T) {
 					t.Fatalf("meets not maximal: %q subsumes %q", m1, m2)
 				}
 			}
+		}
+	}
+}
+
+// TestOverlapRegionMatchesOverlaps checks on random hierarchies that the
+// walked region is exactly the set of nodes Overlaps accepts, and that the
+// size cut-off refuses without enumerating.
+func TestOverlapRegionMatchesOverlaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 20; trial++ {
+		h := randomHierarchy(rng, 14)
+		for _, name := range h.Nodes() {
+			below := len(h.Descendants(name)) + 1
+			if region, ok := h.OverlapRegion(name, below-1); ok || region != nil {
+				t.Fatalf("%q has %d nodes at or below it, yet maxBelow=%d enumerated %v", name, below, below-1, region)
+			}
+			region, ok := h.OverlapRegion(name, below)
+			if !ok {
+				t.Fatalf("OverlapRegion(%q, %d) refused", name, below)
+			}
+			sort.Strings(region)
+			var want []string
+			for _, n := range h.Nodes() {
+				if h.Overlaps(n, name) {
+					want = append(want, n)
+				}
+			}
+			if !reflect.DeepEqual(region, want) {
+				t.Fatalf("OverlapRegion(%q) = %v, Overlaps accepts %v", name, region, want)
+			}
+		}
+		if _, ok := h.OverlapRegion("no-such-node", 100); ok {
+			t.Fatal("unknown node enumerated a region")
 		}
 	}
 }

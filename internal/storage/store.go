@@ -82,6 +82,12 @@ type Store struct {
 	// refused with ErrDeposed — accepting any would fork history. Reads and
 	// WAL access stay available (quarantine forensics need them).
 	fenced atomic.Uint64
+	// durable names, under applyMu, the relations the snapshot or the WAL
+	// knows. A derived `… AS name` result is attached to the catalog with
+	// no record, so it is absent here until a checkpoint snapshots it, and
+	// dropping it before then must not be logged: recovery would meet a
+	// drop of a relation it never created.
+	durable map[string]bool
 	// watch is closed and replaced by notify() whenever the durable
 	// replication position advances (commit, checkpoint, close), waking
 	// WaitChange subscribers.
@@ -181,11 +187,15 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		db: db, log: log, dir: dir, fs: fs, opts: opts, epoch: epoch,
 		term: term, takeoverEpoch: takeoverEpoch, takeoverOffset: takeoverOffset,
 		epochEnds: make(map[uint64]int64),
+		durable:   make(map[string]bool),
 		watch:     make(chan struct{}),
 	}
 	if err := s.replay(); err != nil {
 		log.Close()
 		return nil, err
+	}
+	for _, name := range db.Relations() {
+		s.durable[name] = true
 	}
 	metricOpens.Inc()
 	// A crash between checkpoint's snapshot rename and old-log removal can
@@ -441,7 +451,9 @@ func (s *Store) applyTxPerRecord(recs []Record, ops []catalog.TxOp) error {
 // memory, stage the record (under applyMu, so it cannot land inside
 // another committer's bracket), then wait for durability before
 // acknowledging. A failed application stages nothing; a failed stage or
-// sync poisons the store, because memory is now ahead of disk.
+// sync poisons the store, because memory is now ahead of disk. The drop of
+// a relation the durable state does not hold (see Store.durable) is applied
+// and not staged.
 func (s *Store) logged(rec Record, do func() error) error {
 	if err := s.usable(); err != nil {
 		return err
@@ -452,9 +464,14 @@ func (s *Store) logged(rec Record, do func() error) error {
 		return err
 	}
 	log := s.log
+	unlogged := rec.Op == OpDropRelation && !s.durable[rec.Target]
 	if err := do(); err != nil {
 		s.applyMu.Unlock()
 		return err
+	}
+	if unlogged {
+		s.applyMu.Unlock()
+		return nil
 	}
 	mark, err := log.Stage(rec)
 	s.applyMu.Unlock()
@@ -530,14 +547,22 @@ func (s *Store) CreateRelation(name string, attrs ...catalog.AttrSpec) error {
 	}
 	return s.logged(Record{Op: OpCreateRelation, Target: name, Args: args}, func() error {
 		_, err := s.db.CreateRelation(name, attrs...)
+		if err == nil {
+			s.durable[name] = true
+		}
 		return err
 	})
 }
 
-// DropRelation drops and logs.
+// DropRelation drops the relation, and logs the drop if the durable state
+// holds the relation.
 func (s *Store) DropRelation(name string) error {
 	return s.logged(Record{Op: OpDropRelation, Target: name}, func() error {
-		return s.db.DropRelation(name)
+		err := s.db.DropRelation(name)
+		if err == nil {
+			delete(s.durable, name)
+		}
+		return err
 	})
 }
 
@@ -654,6 +679,9 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		s.failed.Store(true)
 		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
+	}
+	for _, r := range spec.Relations {
+		s.durable[r.Name] = true
 	}
 	old, oldEpoch := s.log, s.epoch
 	_, oldEnd := old.StagedMark()

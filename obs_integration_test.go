@@ -185,3 +185,41 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 		t.Errorf("pprof status = %d", resp.StatusCode)
 	}
 }
+
+// TestConsistencyCheckMetrics reads the two series an operator watches to
+// see whether writes are verified by region or by whole relation: the first
+// write to a relation and the first after a hierarchy edit run the full
+// check, every other write the delta check, and the candidates histogram
+// records how many tuples each run was handed.
+func TestConsistencyCheckMetrics(t *testing.T) {
+	const full, delta = `hrdb_core_consistency_checks_total{scope="full"}`, `hrdb_core_consistency_checks_total{scope="delta"}`
+	sess := hrdb.NewSession(hrdb.NewDatabase())
+	step := func(script string, wantFull, wantDelta uint64) {
+		t.Helper()
+		before := hrdb.Metrics()
+		if _, err := sess.Exec(script); err != nil {
+			t.Fatalf("%s: %v", script, err)
+		}
+		last := hrdb.Metrics()
+		if got := last.Counters[full] - before.Counters[full]; got != wantFull {
+			t.Errorf("%s: %d full checks, want %d", script, got, wantFull)
+		}
+		if got := last.Counters[delta] - before.Counters[delta]; got != wantDelta {
+			t.Errorf("%s: %d delta checks, want %d", script, got, wantDelta)
+		}
+		runs := wantFull + wantDelta
+		if got := last.Histograms["hrdb_core_consistency_candidates"].Count - before.Histograms["hrdb_core_consistency_candidates"].Count; got != runs {
+			t.Errorf("%s: candidates histogram took %d observations, want %d", script, got, runs)
+		}
+	}
+	step(`CREATE HIERARCHY Animal; CLASS Bird IN Animal; CLASS Penguin UNDER Bird IN Animal;
+		INSTANCE Tweety UNDER Bird IN Animal; CREATE RELATION Flies (Creature: Animal);`, 0, 0)
+	step("ASSERT Flies (Bird);", 1, 0)  // never verified: full
+	step("DENY Flies (Penguin);", 0, 1) // verified: delta
+	step("BEGIN; ASSERT Flies (Tweety); RETRACT Flies (Penguin); COMMIT;", 0, 1)
+	step("INSTANCE Pingu UNDER Penguin IN Animal; DENY Flies (Pingu);", 1, 0) // hierarchy moved: full
+	step("RETRACT Flies (Pingu);", 0, 1)
+	if !strings.Contains(hrdb.MetricsText(), delta) {
+		t.Errorf("text exposition lacks %s", delta)
+	}
+}

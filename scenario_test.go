@@ -168,3 +168,67 @@ func TestScenarioDurableEvolution(t *testing.T) {
 		t.Fatalf("extension = %d, want 50", n)
 	}
 }
+
+// TestDerivedRelationDropSurvivesReopen: `… AS name` attaches its result to
+// the catalog without a WAL record, so the drop of one must not be logged
+// either — the next open would replay a drop of a relation the log never
+// created and refuse to start. After a checkpoint has snapshotted such a
+// relation its drop is logged like any other.
+func TestDerivedRelationDropSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	store, err := hrdb.OpenStore(dir)
+	must(t, err)
+	sess := hrdb.NewStoreSession(store)
+	exec := func(script string) {
+		t.Helper()
+		if _, err := sess.Exec(script); err != nil {
+			t.Fatalf("%s: %v", script, err)
+		}
+	}
+	exec(`
+		CREATE HIERARCHY Animal;
+		CLASS Bird IN Animal;
+		INSTANCE Tweety UNDER Bird IN Animal;
+		CREATE HIERARCHY Zone;
+		INSTANCE Aviary IN Zone;
+		CREATE RELATION Flies (Creature: Animal);
+		CREATE RELATION Lives (Creature: Animal, Place: Zone);
+		ASSERT Flies (Bird);
+		ASSERT Lives (Bird, Aviary);
+	`)
+	for _, derive := range []string{
+		"JOIN Flies Lives AS J;",
+		"SELECT FROM Flies WHERE Creature UNDER Bird AS J;",
+		"PROJECT Lives ON (Creature) AS J;",
+		"JOIN Flies Lives AS J;", // the name is free again after each drop
+	} {
+		exec(derive)
+		exec("DROP RELATION J;")
+	}
+	exec("ASSERT Flies (Tweety);") // a logged write after the unlogged drops
+	must(t, store.Close())
+
+	store, err = hrdb.OpenStore(dir)
+	if err != nil {
+		t.Fatalf("reopen after dropping derived relations: %v", err)
+	}
+	if got := store.Database().Relations(); len(got) != 2 {
+		t.Fatalf("relations after reopen = %v, want Flies and Lives", got)
+	}
+	if ok, err := store.Database().Holds("Flies", "Tweety"); err != nil || !ok {
+		t.Fatalf("Flies(Tweety) after reopen = %v, %v", ok, err)
+	}
+
+	// Snapshotted by a checkpoint, J is durable, and so is its drop.
+	sess = hrdb.NewStoreSession(store)
+	exec("JOIN Flies Lives AS J;")
+	must(t, store.Checkpoint())
+	exec("DROP RELATION J;")
+	must(t, store.Close())
+	store, err = hrdb.OpenStore(dir)
+	must(t, err)
+	defer store.Close()
+	if _, err := store.Database().Relation("J"); err == nil {
+		t.Fatal("J came back: its drop after the checkpoint was not logged")
+	}
+}
