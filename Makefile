@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all help build test test-crash test-server test-compat test-obs test-repl test-failover test-shard test-view test-bench race cover bench bench-smoke bench-json benchgate figures experiments fuzz fuzz-smoke clean
+.PHONY: all help build test test-crash test-server test-compat test-obs test-repl test-failover test-shard test-view test-bench race cover bench bench-smoke bench-json benchgate figures experiments fuzz fuzz-smoke loc clean
 
 all: build test
 
@@ -52,6 +52,8 @@ help:
 	@echo "  experiments  print the E1-E15 experiment tables (cmd/hrbench)"
 	@echo "  fuzz         run the fuzz targets for FUZZTIME ($(FUZZTIME)) each"
 	@echo "  fuzz-smoke   run the fuzz targets for 15s each (CI)"
+	@echo "  loc          non-test Go lines per package under internal/ and"
+	@echo "               cmd/, and for hrdb.go, with a total"
 
 build:
 	$(GO) build ./...
@@ -129,6 +131,9 @@ fuzz:
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=15s
+
+loc:
+	./scripts/loc.sh
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt

@@ -122,15 +122,17 @@ type (
 	AttrSpec = catalog.AttrSpec
 	// Tx is a transaction whose commit enforces the ambiguity constraint.
 	Tx = catalog.Tx
-	// TxOp describes one transactional update for Store.ApplyTx /
-	// Database.ApplyOps ("assert" | "deny" | "retract").
+	// TxOp is one mutation of any kind — "assert", "deny", "retract",
+	// "add_class", "set_policy", … (DESIGN.md §4b lists them) — for
+	// Target.ApplyTx / Database.ApplyOps. Consecutive assert/deny/retract
+	// ops are one transaction, of one op or many; Bare marks one issued as
+	// a statement of its own, which refuses to flip a stored sign.
 	TxOp = catalog.TxOp
 	// ExceptionPolicy selects how exceptions are treated (§2.1).
 	ExceptionPolicy = catalog.ExceptionPolicy
 	// Store is a durable database: snapshot plus write-ahead log.
 	Store = storage.Store
-	// StoreOptions configures OpenStoreOptions (filesystem seam, fsync
-	// batching).
+	// StoreOptions configures OpenStoreOptions (the filesystem seam).
 	StoreOptions = storage.Options
 	// StoreFS is the filesystem seam a store performs all I/O through;
 	// inject a fault-wrapped implementation to test crash behaviour.
@@ -208,8 +210,7 @@ func NewDatabase() *Database { return catalog.New() }
 func OpenStore(dir string) (*Store, error) { return storage.Open(dir) }
 
 // OpenStoreOptions opens a durable database with explicit options — an
-// injected filesystem (e.g. NewFaultFS for crash testing) or per-record
-// fsync instead of group commit.
+// injected filesystem (e.g. NewFaultFS for crash testing).
 func OpenStoreOptions(dir string, opts StoreOptions) (*Store, error) {
 	return storage.OpenOptions(dir, opts)
 }
@@ -224,12 +225,15 @@ func NewSession(db *Database) *Session { return hql.NewSession(hql.MemTarget{DB:
 // NewStoreSession creates an HQL session over a durable store.
 func NewStoreSession(s *Store) *Session { return hql.NewSession(s) }
 
-// Target is the statement-execution interface HQL sessions and servers
-// drive; *Store implements it directly, and NewMemTarget adapts a Database.
+// Target is what HQL sessions, servers and shard nodes read and write:
+// Database() for queries and ApplyTx([]TxOp) for every mutation, one bare op
+// per statement or a BEGIN…COMMIT bracket's transaction. *Store implements it
+// directly, NewMemTarget adapts a Database, and ReplicaTarget and
+// NewViewTarget wrap another Target's ApplyTx.
 type Target = hql.Target
 
-// NewMemTarget adapts an in-memory database into an HQL execution target
-// (for NewServer over a non-durable database).
+// NewMemTarget adapts an in-memory database into a Target whose ApplyTx is
+// Database.ApplyOps (for NewServer over a non-durable database).
 func NewMemTarget(db *Database) Target { return hql.MemTarget{DB: db} }
 
 // ReadOnlyScript reports whether every statement in an HQL script is free

@@ -29,6 +29,27 @@ func TestApplyOps(t *testing.T) {
 	}
 }
 
+// TestApplyOpsBareVersusTransaction: a bare insert is the statement, which
+// refuses to overwrite the opposite sign; the same op unmarked is a
+// transaction of one, which replaces it.
+func TestApplyOpsBareVersusTransaction(t *testing.T) {
+	db := setupFlies(t)
+	deny := TxOp{Kind: KindDeny, Relation: "Flies", Values: []string{"Patricia"}}
+	must(t, db.ApplyOps([]TxOp{{Kind: KindAssert, Relation: "Flies", Values: []string{"Patricia"}, Bare: true}}))
+	bare := deny
+	bare.Bare = true
+	if err := db.ApplyOps([]TxOp{bare}); !errors.Is(err, core.ErrContradiction) {
+		t.Fatalf("bare deny over the stored assert = %v, want ErrContradiction", err)
+	}
+	if got, err := db.Holds("Flies", "Patricia"); err != nil || !got {
+		t.Fatalf("refused deny changed the tuple: Holds = %v, %v", got, err)
+	}
+	must(t, db.ApplyOps([]TxOp{deny}))
+	if got, err := db.Holds("Flies", "Patricia"); err != nil || got {
+		t.Fatalf("transaction of one did not flip the sign: Holds = %v, %v", got, err)
+	}
+}
+
 // TestAttachDuplicates: attach paths reject duplicates.
 func TestAttachDuplicates(t *testing.T) {
 	db := setupFlies(t)

@@ -6,22 +6,6 @@ import (
 	"hrdb/internal/core"
 )
 
-// opKind is the kind of a staged transaction operation.
-type opKind int
-
-const (
-	opInsert opKind = iota
-	opRetract
-)
-
-// op is one staged update.
-type op struct {
-	kind opKind
-	rel  string
-	item core.Item
-	sign bool
-}
-
 // undo records how to reverse an applied operation.
 type undo struct {
 	rel string
@@ -39,66 +23,27 @@ type undo struct {
 // A Tx is not safe for concurrent use.
 type Tx struct {
 	db   *Database
-	ops  []op
+	ops  []TxOp // assert, deny and retract only
 	done bool
 }
 
 // Begin starts a transaction.
 func (db *Database) Begin() *Tx { return &Tx{db: db} }
 
-// TxOp is a serializable description of one transactional update, used by
-// layers (query language, write-ahead log) that stage operations before
-// applying them through a transaction.
-type TxOp struct {
-	Kind     string // "assert" | "deny" | "retract"
-	Relation string
-	Values   []string
-}
-
-// ApplyOps runs the described operations in one transaction.
-//
-// ApplyOps is the replay contract of the storage layer's write-ahead log:
-// a committed transaction is persisted as its TxOp list and re-applied here
-// during crash recovery. It is deterministic — given equal database states,
-// the same ops yield the same resulting state and the same accept/reject
-// outcome — so replaying a logged commit cannot diverge from the original
-// run. Either every operation takes effect and the ambiguity constraint
-// holds over every touched relation, or the database is unchanged.
-func (db *Database) ApplyOps(ops []TxOp) error {
-	tx := db.Begin()
-	for _, o := range ops {
-		switch o.Kind {
-		case "assert":
-			tx.Assert(o.Relation, o.Values...)
-		case "deny":
-			tx.Deny(o.Relation, o.Values...)
-		case "retract":
-			tx.Retract(o.Relation, o.Values...)
-		default:
-			tx.Rollback()
-			return fmt.Errorf("catalog: unknown tx op %q", o.Kind)
-		}
-	}
-	return tx.Commit()
+// stage appends one tuple update, with its own copy of the values.
+func (tx *Tx) stage(kind, rel string, values []string) *Tx {
+	tx.ops = append(tx.ops, TxOp{Kind: kind, Relation: rel, Values: core.Item(values).Clone()})
+	return tx
 }
 
 // Assert stages a positive tuple insertion.
-func (tx *Tx) Assert(rel string, values ...string) *Tx {
-	tx.ops = append(tx.ops, op{kind: opInsert, rel: rel, item: core.Item(values).Clone(), sign: true})
-	return tx
-}
+func (tx *Tx) Assert(rel string, values ...string) *Tx { return tx.stage(KindAssert, rel, values) }
 
 // Deny stages a negated tuple insertion.
-func (tx *Tx) Deny(rel string, values ...string) *Tx {
-	tx.ops = append(tx.ops, op{kind: opInsert, rel: rel, item: core.Item(values).Clone(), sign: false})
-	return tx
-}
+func (tx *Tx) Deny(rel string, values ...string) *Tx { return tx.stage(KindDeny, rel, values) }
 
 // Retract stages removal of the tuple on exactly the given item.
-func (tx *Tx) Retract(rel string, values ...string) *Tx {
-	tx.ops = append(tx.ops, op{kind: opRetract, rel: rel, item: core.Item(values).Clone()})
-	return tx
-}
+func (tx *Tx) Retract(rel string, values ...string) *Tx { return tx.stage(KindRetract, rel, values) }
 
 // Len returns the number of staged operations.
 func (tx *Tx) Len() int { return len(tx.ops) }
@@ -151,45 +96,45 @@ func (tx *Tx) Commit() error {
 	touched := map[string]*delta{}
 	var order []string
 	for _, o := range tx.ops {
-		r, ok := db.relations[o.rel]
+		r, ok := db.relations[o.Relation]
 		if !ok {
 			rollback()
-			return fmt.Errorf("%w: relation %q", ErrNotFound, o.rel)
+			return fmt.Errorf("%w: relation %q", ErrNotFound, o.Relation)
 		}
-		d := touched[o.rel]
+		d := touched[o.Relation]
 		if d == nil {
 			d = &delta{verified: r.VerifiedConsistent()}
-			touched[o.rel] = d
-			order = append(order, o.rel)
+			touched[o.Relation] = d
+			order = append(order, o.Relation)
 		}
-		switch o.kind {
-		case opInsert:
+		item, sign := core.Item(o.Values), o.Kind == KindAssert
+		switch o.Kind {
+		case KindAssert, KindDeny:
 			// Within a transaction the exception policy still applies, but
 			// tuple-level contradictions (same item, opposite sign) are
 			// treated as a replacement so a transaction can flip a sign.
-			if old, present := r.Lookup(o.item); present {
-				if old.Sign == o.sign {
+			if old, present := r.Lookup(item); present {
+				if old.Sign == sign {
 					continue
 				}
-				r.Retract(o.item)
-				undos = append(undos, undo{rel: o.rel, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
+				r.Retract(item)
+				undos = append(undos, undo{rel: o.Relation, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
 			}
-			if err := db.checkException(r, o.item, o.sign); err != nil {
+			if err := db.checkException(r, item, sign); err != nil {
 				rollback()
 				return err
 			}
-			if err := r.Insert(o.item, o.sign); err != nil {
+			if err := r.Insert(item, sign); err != nil {
 				rollback()
 				return err
 			}
-			it := o.item.Clone()
-			undos = append(undos, undo{rel: o.rel, remove: &it})
-			d.changed = append(d.changed, o.item)
-		case opRetract:
-			if old, present := r.Lookup(o.item); present {
-				r.Retract(o.item)
-				undos = append(undos, undo{rel: o.rel, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
-				d.changed = append(d.changed, o.item)
+			undos = append(undos, undo{rel: o.Relation, remove: &item})
+			d.changed = append(d.changed, item)
+		case KindRetract:
+			if old, present := r.Lookup(item); present {
+				r.Retract(item)
+				undos = append(undos, undo{rel: o.Relation, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
+				d.changed = append(d.changed, item)
 			}
 		}
 	}

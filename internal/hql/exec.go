@@ -27,25 +27,14 @@ var ErrInTx = errors.New("hql: transaction already in progress")
 // storage back ends can implement Target without importing this package).
 type TxOp = catalog.TxOp
 
-// Target abstracts the mutable database a session executes against: either
-// an in-memory catalog (MemTarget) or a durable storage.Store, which
-// satisfies this interface directly.
+// Target abstracts the mutable database a session executes against: an
+// in-memory catalog (MemTarget), a durable storage.Store, or a wrapper
+// around either (a read-only replica, a view-aware target). Every mutation
+// — a single statement or a BEGIN…COMMIT bracket — reaches it as one
+// ApplyTx call; an empty list applies nothing and returns only the target's
+// refusal to be written, if it has one.
 type Target interface {
 	Database() *catalog.Database
-	CreateHierarchy(domain string) error
-	AddClass(domain, name string, parents ...string) error
-	AddInstance(domain, name string, parents ...string) error
-	AddEdge(domain, parent, child string) error
-	Prefer(domain, stronger, weaker string) error
-	CreateRelation(name string, attrs ...catalog.AttrSpec) error
-	DropRelation(name string) error
-	Assert(rel string, values ...string) error
-	Deny(rel string, values ...string) error
-	Retract(rel string, values ...string) error
-	Consolidate(rel string) error
-	Explicate(rel string, attrs ...string) error
-	DropNode(domain, name string) error
-	SetMode(rel string, mode core.Preemption) error
 	ApplyTx(ops []TxOp) error
 }
 
@@ -55,93 +44,7 @@ type MemTarget struct{ DB *catalog.Database }
 // Database returns the wrapped database.
 func (m MemTarget) Database() *catalog.Database { return m.DB }
 
-// CreateHierarchy implements Target.
-func (m MemTarget) CreateHierarchy(domain string) error {
-	_, err := m.DB.CreateHierarchy(domain)
-	return err
-}
-
-func (m MemTarget) hier(domain string) (*hierarchy.Hierarchy, error) {
-	return m.DB.Hierarchy(domain)
-}
-
-// AddClass implements Target.
-func (m MemTarget) AddClass(domain, name string, parents ...string) error {
-	h, err := m.hier(domain)
-	if err != nil {
-		return err
-	}
-	return h.AddClass(name, parents...)
-}
-
-// AddInstance implements Target.
-func (m MemTarget) AddInstance(domain, name string, parents ...string) error {
-	h, err := m.hier(domain)
-	if err != nil {
-		return err
-	}
-	return h.AddInstance(name, parents...)
-}
-
-// AddEdge implements Target.
-func (m MemTarget) AddEdge(domain, parent, child string) error {
-	h, err := m.hier(domain)
-	if err != nil {
-		return err
-	}
-	return h.AddEdge(parent, child)
-}
-
-// Prefer implements Target.
-func (m MemTarget) Prefer(domain, stronger, weaker string) error {
-	h, err := m.hier(domain)
-	if err != nil {
-		return err
-	}
-	return h.Prefer(stronger, weaker)
-}
-
-// CreateRelation implements Target.
-func (m MemTarget) CreateRelation(name string, attrs ...catalog.AttrSpec) error {
-	_, err := m.DB.CreateRelation(name, attrs...)
-	return err
-}
-
-// DropRelation implements Target.
-func (m MemTarget) DropRelation(name string) error { return m.DB.DropRelation(name) }
-
-// Assert implements Target.
-func (m MemTarget) Assert(rel string, values ...string) error { return m.DB.Assert(rel, values...) }
-
-// Deny implements Target.
-func (m MemTarget) Deny(rel string, values ...string) error { return m.DB.Deny(rel, values...) }
-
-// Retract implements Target.
-func (m MemTarget) Retract(rel string, values ...string) error {
-	_, err := m.DB.Retract(rel, values...)
-	return err
-}
-
-// Consolidate implements Target.
-func (m MemTarget) Consolidate(rel string) error {
-	_, err := m.DB.Consolidate(rel)
-	return err
-}
-
-// Explicate implements Target.
-func (m MemTarget) Explicate(rel string, attrs ...string) error {
-	return m.DB.Explicate(rel, attrs...)
-}
-
-// DropNode implements Target.
-func (m MemTarget) DropNode(domain, name string) error { return m.DB.DropNode(domain, name) }
-
-// SetMode implements Target.
-func (m MemTarget) SetMode(rel string, mode core.Preemption) error {
-	return m.DB.SetMode(rel, mode)
-}
-
-// ApplyTx implements Target via a catalog transaction.
+// ApplyTx implements Target.
 func (m MemTarget) ApplyTx(ops []TxOp) error { return m.DB.ApplyOps(ops) }
 
 // ErrSessionBusy reports concurrent use of a Session: a second ExecContext
@@ -273,96 +176,13 @@ func (s *Session) run(ctx context.Context, input string, stages *[]obs.Stage) (s
 
 // exec runs one statement.
 func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
+	if op, ack, err := s.opOf(st); err != nil {
+		return "", err
+	} else if op.Kind != "" {
+		return s.mutate(op, ack)
+	}
 	db := s.target.Database()
 	switch st := st.(type) {
-	case CreateHierarchyStmt:
-		if err := s.target.CreateHierarchy(st.Domain); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("created hierarchy %s", st.Domain), nil
-
-	case ClassStmt:
-		domain, err := s.resolveDomain(st.Domain, st.Parents)
-		if err != nil {
-			return "", err
-		}
-		if err := s.target.AddClass(domain, st.Name, st.Parents...); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("class %s added to %s", st.Name, domain), nil
-
-	case InstanceStmt:
-		domain, err := s.resolveDomain(st.Domain, st.Parents)
-		if err != nil {
-			return "", err
-		}
-		if err := s.target.AddInstance(domain, st.Name, st.Parents...); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("instance %s added to %s", st.Name, domain), nil
-
-	case EdgeStmt:
-		if err := s.target.AddEdge(st.Domain, st.Parent, st.Child); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("edge %s -> %s added in %s", st.Parent, st.Child, st.Domain), nil
-
-	case PreferStmt:
-		if err := s.target.Prefer(st.Domain, st.Stronger, st.Weaker); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("preference %s over %s in %s", st.Stronger, st.Weaker, st.Domain), nil
-
-	case CreateRelationStmt:
-		attrs := make([]catalog.AttrSpec, len(st.Attrs))
-		for i, a := range st.Attrs {
-			attrs[i] = catalog.AttrSpec{Name: a[0], Domain: a[1]}
-		}
-		if err := s.target.CreateRelation(st.Name, attrs...); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("created relation %s", st.Name), nil
-
-	case DropRelationStmt:
-		if err := s.target.DropRelation(st.Name); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("dropped relation %s", st.Name), nil
-
-	case AssertStmt:
-		kind := "assert"
-		if !st.Sign {
-			kind = "deny"
-		}
-		if s.inTx {
-			s.txOps = append(s.txOps, TxOp{Kind: kind, Relation: st.Relation, Values: st.Values})
-			return fmt.Sprintf("staged %s on %s", kind, st.Relation), nil
-		}
-		var err error
-		if st.Sign {
-			err = s.target.Assert(st.Relation, st.Values...)
-		} else {
-			err = s.target.Deny(st.Relation, st.Values...)
-		}
-		if err != nil {
-			return "", err
-		}
-		past := "asserted"
-		if !st.Sign {
-			past = "denied"
-		}
-		return s.renderWarnings(fmt.Sprintf("%s %s(%s)", past, st.Relation, strings.Join(st.Values, ", "))), nil
-
-	case RetractStmt:
-		if s.inTx {
-			s.txOps = append(s.txOps, TxOp{Kind: "retract", Relation: st.Relation, Values: st.Values})
-			return fmt.Sprintf("staged retract on %s", st.Relation), nil
-		}
-		if err := s.target.Retract(st.Relation, st.Values...); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("retracted %s(%s)", st.Relation, strings.Join(st.Values, ", ")), nil
-
 	case HoldsStmt:
 		v, err := s.evaluateOrView(st.Relation, st.Values)
 		if err != nil {
@@ -410,7 +230,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		}
 		res = res.Consolidate()
 		if st.As != "" {
-			if err := db.AttachRelation(res); err != nil {
+			if err := s.attach(res); err != nil {
 				return "", err
 			}
 		}
@@ -466,7 +286,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return b.String(), nil
 
 	case ConsolidateStmt:
-		if err := s.target.Consolidate(st.Relation); err != nil {
+		if _, err := s.mutate(TxOp{Kind: catalog.KindConsolidate, Relation: st.Relation}, ""); err != nil {
 			return "", err
 		}
 		r, err := db.Snapshot(st.Relation)
@@ -476,7 +296,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return fmt.Sprintf("consolidated %s (%d tuples remain)", st.Relation, r.Len()), nil
 
 	case ExplicateStmt:
-		if err := s.target.Explicate(st.Relation, st.Attrs...); err != nil {
+		if _, err := s.mutate(TxOp{Kind: catalog.KindExplicate, Relation: st.Relation, Values: st.Attrs}, ""); err != nil {
 			return "", err
 		}
 		r, err := db.Snapshot(st.Relation)
@@ -508,7 +328,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := db.AttachRelation(res); err != nil {
+		if err := s.attach(res); err != nil {
 			return "", err
 		}
 		return res.Table(), nil
@@ -522,7 +342,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := db.AttachRelation(res); err != nil {
+		if err := s.attach(res); err != nil {
 			return "", err
 		}
 		return res.Table(), nil
@@ -560,42 +380,6 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 
 	case ShowStmt:
 		return s.show(st)
-
-	case SetPolicyStmt:
-		switch st.Policy {
-		case "allow":
-			db.SetPolicy(catalog.AllowExceptions)
-		case "warn":
-			db.SetPolicy(catalog.WarnExceptions)
-		case "forbid":
-			db.SetPolicy(catalog.ForbidExceptions)
-		default:
-			return "", fmt.Errorf("hql: unknown policy %q (want allow|warn|forbid)", st.Policy)
-		}
-		return fmt.Sprintf("policy = %s", st.Policy), nil
-
-	case SetModeStmt:
-		var mode core.Preemption
-		switch st.Mode {
-		case "off_path", "offpath":
-			mode = core.OffPath
-		case "on_path", "onpath":
-			mode = core.OnPath
-		case "none", "no_preemption":
-			mode = core.NoPreemption
-		default:
-			return "", fmt.Errorf("hql: unknown mode %q (want off_path|on_path|none)", st.Mode)
-		}
-		if err := s.target.SetMode(st.Relation, mode); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("mode of %s = %s", st.Relation, mode), nil
-
-	case DropNodeStmt:
-		if err := s.target.DropNode(st.Domain, st.Name); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("dropped node %s from %s", st.Name, st.Domain), nil
 
 	case CreateViewStmt:
 		vc, err := s.viewCatalog()
@@ -649,6 +433,105 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 	default:
 		return "", fmt.Errorf("hql: unhandled statement %T", st)
 	}
+}
+
+// opOf maps a statement that stands for one mutation and needs nothing
+// read back to its op and the line that acknowledges it; any other
+// statement yields the zero op.
+func (s *Session) opOf(st Stmt) (op TxOp, ack string, err error) {
+	mk := func(kind, target string, values ...string) TxOp {
+		return TxOp{Kind: kind, Relation: target, Values: values}
+	}
+	switch st := st.(type) {
+	case CreateHierarchyStmt:
+		return mk(catalog.KindCreateHierarchy, st.Domain), "created hierarchy " + st.Domain, nil
+	case ClassStmt:
+		domain, err := s.resolveDomain(st.Domain, st.Parents)
+		return mk(catalog.KindAddClass, domain, append([]string{st.Name}, st.Parents...)...),
+			fmt.Sprintf("class %s added to %s", st.Name, domain), err
+	case InstanceStmt:
+		domain, err := s.resolveDomain(st.Domain, st.Parents)
+		return mk(catalog.KindAddInstance, domain, append([]string{st.Name}, st.Parents...)...),
+			fmt.Sprintf("instance %s added to %s", st.Name, domain), err
+	case EdgeStmt:
+		return mk(catalog.KindAddEdge, st.Domain, st.Parent, st.Child),
+			fmt.Sprintf("edge %s -> %s added in %s", st.Parent, st.Child, st.Domain), nil
+	case PreferStmt:
+		return mk(catalog.KindPrefer, st.Domain, st.Stronger, st.Weaker),
+			fmt.Sprintf("preference %s over %s in %s", st.Stronger, st.Weaker, st.Domain), nil
+	case DropNodeStmt:
+		return mk(catalog.KindDropNode, st.Domain, st.Name),
+			fmt.Sprintf("dropped node %s from %s", st.Name, st.Domain), nil
+	case CreateRelationStmt:
+		attrs := make([]string, 0, 2*len(st.Attrs))
+		for _, a := range st.Attrs {
+			attrs = append(attrs, a[0], a[1])
+		}
+		return mk(catalog.KindCreateRelation, st.Name, attrs...), "created relation " + st.Name, nil
+	case DropRelationStmt:
+		return mk(catalog.KindDropRelation, st.Name), "dropped relation " + st.Name, nil
+	case AssertStmt:
+		kind, past := catalog.KindAssert, "asserted"
+		if !st.Sign {
+			kind, past = catalog.KindDeny, "denied"
+		}
+		return mk(kind, st.Relation, st.Values...),
+			fmt.Sprintf("%s %s(%s)", past, st.Relation, strings.Join(st.Values, ", ")), nil
+	case RetractStmt:
+		return mk(catalog.KindRetract, st.Relation, st.Values...),
+			fmt.Sprintf("retracted %s(%s)", st.Relation, strings.Join(st.Values, ", ")), nil
+	case SetModeStmt:
+		var mode core.Preemption
+		switch st.Mode {
+		case "off_path", "offpath":
+			mode = core.OffPath
+		case "on_path", "onpath":
+			mode = core.OnPath
+		case "none", "no_preemption":
+			mode = core.NoPreemption
+		default:
+			return op, "", fmt.Errorf("hql: unknown mode %q (want off_path|on_path|none)", st.Mode)
+		}
+		return mk(catalog.KindSetMode, st.Relation, mode.String()),
+			fmt.Sprintf("mode of %s = %s", st.Relation, mode), nil
+	case SetPolicyStmt:
+		switch st.Policy {
+		case "allow", "warn", "forbid":
+		default:
+			return op, "", fmt.Errorf("hql: unknown policy %q (want allow|warn|forbid)", st.Policy)
+		}
+		return mk(catalog.KindSetPolicy, "", st.Policy), "policy = " + st.Policy, nil
+	}
+	return op, "", nil
+}
+
+// mutate is where a statement becomes a write: inside BEGIN…COMMIT a tuple
+// update is staged for the bracket's one ApplyTx, anything else reaches the
+// target as a bare batch of one.
+func (s *Session) mutate(op TxOp, ack string) (string, error) {
+	if s.inTx && catalog.IsTupleOp(op.Kind) {
+		s.txOps = append(s.txOps, op)
+		return fmt.Sprintf("staged %s on %s", op.Kind, op.Relation), nil
+	}
+	op.Bare = true
+	if err := s.target.ApplyTx([]TxOp{op}); err != nil {
+		return "", err
+	}
+	if op.Kind == catalog.KindAssert || op.Kind == catalog.KindDeny {
+		return s.renderWarnings(ack), nil
+	}
+	return ack, nil
+}
+
+// attach registers a derived `… AS name` result in the target's catalog.
+// The relation lives in memory only, so no op carries it; the empty ApplyTx
+// asks the target whether it may be written at all (a read-only replica
+// refuses).
+func (s *Session) attach(res *core.Relation) error {
+	if err := s.target.ApplyTx(nil); err != nil {
+		return err
+	}
+	return s.target.Database().AttachRelation(res)
 }
 
 // renderWarnings appends any pending exception warnings to a result line.

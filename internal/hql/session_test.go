@@ -3,6 +3,7 @@ package hql
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,8 @@ import (
 	"hrdb/internal/catalog"
 )
 
-// slowTarget wraps a MemTarget and parks Assert calls on a gate so a
-// statement can be held mid-execution from a test. Entering Assert is
+// slowTarget wraps a MemTarget and parks a bare assert on a gate so a
+// statement can be held mid-execution from a test. Entering it is
 // announced on entered, making "the session is busy right now" a
 // deterministic observation instead of a spin.
 type slowTarget struct {
@@ -21,10 +22,12 @@ type slowTarget struct {
 	gate    chan struct{}
 }
 
-func (t slowTarget) Assert(rel string, values ...string) error {
-	t.entered <- struct{}{}
-	<-t.gate
-	return t.Target.Assert(rel, values...)
+func (t slowTarget) ApplyTx(ops []TxOp) error {
+	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindAssert {
+		t.entered <- struct{}{}
+		<-t.gate
+	}
+	return t.Target.ApplyTx(ops)
 }
 
 func sessionFixture(t *testing.T) *catalog.Database {
@@ -121,7 +124,7 @@ func TestSessionBusyDoesNotClobberTx(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		// slowTarget only parks direct Asserts; COMMIT goes through ApplyTx,
+		// slowTarget only parks a bare assert; COMMIT's ops are a transaction,
 		// so the script commits the transaction, then parks on the direct
 		// assert that follows it.
 		_, err := sess.ExecContext(context.Background(), "COMMIT; ASSERT Flies (Tweety);")
@@ -186,5 +189,13 @@ func TestReadOnlyClassification(t *testing.T) {
 		if got := ReadOnlyScript(c.input); got != c.want {
 			t.Errorf("ReadOnlyScript(%q) = %v, want %v", c.input, got, c.want)
 		}
+	}
+}
+
+// Target is Database plus the one mutation method.
+func TestTargetIsDatabaseAndApplyTx(t *testing.T) {
+	typ := reflect.TypeOf((*Target)(nil)).Elem()
+	if typ.NumMethod() != 2 || typ.Method(0).Name != "ApplyTx" || typ.Method(1).Name != "Database" {
+		t.Fatalf("Target has %d methods, want exactly ApplyTx and Database", typ.NumMethod())
 	}
 }

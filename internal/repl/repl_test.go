@@ -117,18 +117,19 @@ func TestReplicaMutationsRejectedUntilPromoted(t *testing.T) {
 	waitConverged(t, p.store, rep)
 
 	target := ReplicaTarget{R: rep}
-	if err := target.CreateHierarchy("Plant"); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("CreateHierarchy on replica = %v, want ErrReadOnlyReplica", err)
+	plant := op(catalog.KindCreateHierarchy, "Plant")
+	if err := target.ApplyTx(plant); !errors.Is(err, ErrReadOnlyReplica) {
+		t.Fatalf("create_hierarchy on replica = %v, want ErrReadOnlyReplica", err)
 	}
-	if err := target.Assert("Flies", "Bird"); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("Assert on replica = %v, want ErrReadOnlyReplica", err)
+	if err := target.ApplyTx(op(catalog.KindAssert, "Flies", "Bird")); !errors.Is(err, ErrReadOnlyReplica) {
+		t.Fatalf("assert on replica = %v, want ErrReadOnlyReplica", err)
 	}
 
 	if err := rep.Promote(); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
-	if err := target.CreateHierarchy("Plant"); err != nil {
-		t.Fatalf("CreateHierarchy after promote: %v", err)
+	if err := target.ApplyTx(plant); err != nil {
+		t.Fatalf("create_hierarchy after promote: %v", err)
 	}
 	if staleness, _, _, state := rep.Lag(); staleness != 0 || state != "promoted" {
 		t.Fatalf("Lag after promote = %v/%s, want 0/promoted", staleness, state)

@@ -170,11 +170,13 @@ func (r *Replica) AppliedRecords() uint64 {
 	return r.applied
 }
 
-// Promoted reports whether the replica has been promoted.
+// Promoted reports whether the replica has been promoted and is ready to be
+// written: a durable promotion counts only once its store exists, so no
+// write can land in the in-memory database the store is about to replace.
 func (r *Replica) Promoted() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.promoted
+	return r.promoted && (r.opts.PromoteDir == "" || r.store != nil)
 }
 
 // Term returns the highest fencing term this replica has seen.

@@ -2,14 +2,14 @@ package repl
 
 import (
 	"hrdb/internal/catalog"
-	"hrdb/internal/core"
 	"hrdb/internal/hql"
 )
 
 // ReplicaTarget adapts a Replica to hql.Target so a server can run
-// read-only sessions against it. Mutations fail with ErrReadOnlyReplica
-// until the replica is promoted, after which they execute directly against
-// the replica's in-memory database — the promoted replica is the new
+// read-only sessions against it. It is one ApplyTx: refused with
+// ErrReadOnlyReplica until the replica is promoted — an empty op list
+// included, which is how a session asks before attaching a `… AS` result —
+// and delegated afterwards, when the promoted replica is the new
 // authoritative copy.
 //
 // Database() re-fetches the replica's current database on every call
@@ -20,150 +20,15 @@ type ReplicaTarget struct{ R *Replica }
 // Database returns the replica's current database.
 func (t ReplicaTarget) Database() *catalog.Database { return t.R.Database() }
 
-// writable returns the delegate target when promoted, or nil. A durably
-// promoted replica writes through its store (WAL first, fencing enforced);
-// one promoted without a PromoteDir mutates its in-memory database.
-func (t ReplicaTarget) writable() (hql.Target, bool) {
+// ApplyTx implements hql.Target. A durably promoted replica writes through
+// its store (WAL first, fencing enforced); one promoted without a
+// PromoteDir mutates its in-memory database.
+func (t ReplicaTarget) ApplyTx(ops []hql.TxOp) error {
 	if !t.R.Promoted() {
-		return nil, false
+		return ErrReadOnlyReplica
 	}
 	if st := t.R.Store(); st != nil {
-		return st, true
+		return st.ApplyTx(ops)
 	}
-	return hql.MemTarget{DB: t.R.Database()}, true
-}
-
-// CreateHierarchy implements hql.Target.
-func (t ReplicaTarget) CreateHierarchy(domain string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.CreateHierarchy(domain)
-}
-
-// AddClass implements hql.Target.
-func (t ReplicaTarget) AddClass(domain, name string, parents ...string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.AddClass(domain, name, parents...)
-}
-
-// AddInstance implements hql.Target.
-func (t ReplicaTarget) AddInstance(domain, name string, parents ...string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.AddInstance(domain, name, parents...)
-}
-
-// AddEdge implements hql.Target.
-func (t ReplicaTarget) AddEdge(domain, parent, child string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.AddEdge(domain, parent, child)
-}
-
-// Prefer implements hql.Target.
-func (t ReplicaTarget) Prefer(domain, stronger, weaker string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.Prefer(domain, stronger, weaker)
-}
-
-// CreateRelation implements hql.Target.
-func (t ReplicaTarget) CreateRelation(name string, attrs ...catalog.AttrSpec) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.CreateRelation(name, attrs...)
-}
-
-// DropRelation implements hql.Target.
-func (t ReplicaTarget) DropRelation(name string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.DropRelation(name)
-}
-
-// Assert implements hql.Target.
-func (t ReplicaTarget) Assert(rel string, values ...string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.Assert(rel, values...)
-}
-
-// Deny implements hql.Target.
-func (t ReplicaTarget) Deny(rel string, values ...string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.Deny(rel, values...)
-}
-
-// Retract implements hql.Target.
-func (t ReplicaTarget) Retract(rel string, values ...string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.Retract(rel, values...)
-}
-
-// Consolidate implements hql.Target.
-func (t ReplicaTarget) Consolidate(rel string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.Consolidate(rel)
-}
-
-// Explicate implements hql.Target.
-func (t ReplicaTarget) Explicate(rel string, attrs ...string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.Explicate(rel, attrs...)
-}
-
-// DropNode implements hql.Target.
-func (t ReplicaTarget) DropNode(domain, name string) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.DropNode(domain, name)
-}
-
-// SetMode implements hql.Target.
-func (t ReplicaTarget) SetMode(rel string, mode core.Preemption) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.SetMode(rel, mode)
-}
-
-// ApplyTx implements hql.Target.
-func (t ReplicaTarget) ApplyTx(ops []hql.TxOp) error {
-	w, ok := t.writable()
-	if !ok {
-		return ErrReadOnlyReplica
-	}
-	return w.ApplyTx(ops)
+	return t.R.Database().ApplyOps(ops)
 }

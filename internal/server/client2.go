@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -55,7 +56,12 @@ func (cc *conn2) close() error {
 	cc.wmu.Lock()
 	writeFrame(cc.c, frame{typ: fvGoodbye, id: cc.nextID.Add(1)})
 	cc.wmu.Unlock()
-	return cc.c.Close()
+	// The goodbye can make the server hang up first, and the reader then
+	// closes the socket before this call does; that is still a clean close.
+	if err := cc.c.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 // fail poisons the connection and wakes every waiter. The first terminal

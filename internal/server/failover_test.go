@@ -107,9 +107,7 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 // fenced by a newer primary term.
 type deposedTarget struct{ hql.Target }
 
-func (d deposedTarget) Assert(rel string, values ...string) error {
-	return storage.ErrDeposed
-}
+func (d deposedTarget) ApplyTx([]hql.TxOp) error { return storage.ErrDeposed }
 
 // TestRouterFailsOverOnStale: a write answered with the "stale" code makes
 // the router probe its replicas for whoever reports itself promoted, adopt

@@ -73,18 +73,23 @@ type gateTarget struct {
 	waiting atomic.Int64
 }
 
-func (g *gateTarget) Assert(rel string, values ...string) error {
-	g.waiting.Add(1)
-	defer g.waiting.Add(-1)
-	<-g.gate
-	return g.Target.Assert(rel, values...)
+func (g *gateTarget) ApplyTx(ops []hql.TxOp) error {
+	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindAssert {
+		g.waiting.Add(1)
+		defer g.waiting.Add(-1)
+		<-g.gate
+	}
+	return g.Target.ApplyTx(ops)
 }
 
 // panicTarget panics on Deny.
 type panicTarget struct{ hql.Target }
 
-func (p panicTarget) Deny(rel string, values ...string) error {
-	panic("injected fault: deny exploded")
+func (p panicTarget) ApplyTx(ops []hql.TxOp) error {
+	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindDeny {
+		panic("injected fault: deny exploded")
+	}
+	return p.Target.ApplyTx(ops)
 }
 
 func TestServeBasic(t *testing.T) {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -265,6 +266,38 @@ ROLLBACK;`)
 	if _, err := c.Exec(context.Background(), "ROLLBACK;"); err != nil {
 		t.Fatalf("cleanup rollback: %v", err)
 	}
+}
+
+// TestClusterBracketSliceIsATransaction: a bracket is a transaction on every
+// shard it reaches, however few of its ops land there — a shard handed one op
+// flips a stored sign as the single node does — while the bare statement is
+// refused on both.
+func TestClusterBracketSliceIsATransaction(t *testing.T) {
+	c, _ := newTestCluster(t, 3)
+	ref, refDB := refSession(t)
+	a, b := []string{"Tweety", "h1"}, []string{"Robin", "l1"}
+	if HomeShard("FliesAt", a, 3) == HomeShard("FliesAt", b, 3) {
+		b = []string{"Paul", "l1"}
+	}
+	if HomeShard("FliesAt", a, 3) == HomeShard("FliesAt", b, 3) {
+		t.Fatal("fixture items share a home shard")
+	}
+	item := func(v []string) string { return "FliesAt (" + strings.Join(v, ", ") + ");" }
+	runBoth(t, c, ref, "ASSERT "+item(a)+"\nASSERT "+item(b))
+	runBoth(t, c, ref, "BEGIN;\nDENY "+item(a)+"\nDENY "+item(b)+"\nCOMMIT;")
+	fingerprintsMatch(t, c, refDB)
+	runBoth(t, c, ref, "BEGIN;\nASSERT "+item(a)+"\nCOMMIT;")
+	fingerprintsMatch(t, c, refDB)
+	if out := runBoth(t, c, ref, "HOLDS "+item(a)); !strings.Contains(out, "true") {
+		t.Fatalf("one-statement bracket did not flip the sign: %q", out)
+	}
+	if _, err := ref.Exec("DENY " + item(a)); !errors.Is(err, core.ErrContradiction) {
+		t.Fatalf("bare DENY over the stored assert on the single node = %v, want ErrContradiction", err)
+	}
+	if _, err := c.Exec(context.Background(), "DENY "+item(a)); err == nil {
+		t.Fatal("bare DENY over the stored assert accepted by the cluster")
+	}
+	fingerprintsMatch(t, c, refDB)
 }
 
 func TestClusterExplicateRejected(t *testing.T) {

@@ -1,18 +1,57 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 
 	"hrdb/internal/catalog"
 )
 
+// bracketFold folds a WAL record stream into committed batches: a record
+// outside a bracket is a batch of its own, the records between tx_begin and
+// tx_commit are one batch, and a bracket closed by tx_abort is dropped. It
+// is the one reading of bracket structure, shared by the Applier (recovery,
+// replicas) and the Tailer (view maintenance).
+type bracketFold struct {
+	open []Record // records inside the open bracket
+	inTx bool
+}
+
+// push consumes one record; done reports that it completed a committed
+// batch (empty, for an empty bracket). A bracket marker that does not fit
+// the state — a nested tx_begin, a tx_commit outside a bracket — is
+// ErrCorrupt: no writer produces one.
+func (f *bracketFold) push(rec Record) (batch []Record, done bool, err error) {
+	switch rec.Op {
+	case OpTxBegin:
+		if f.inTx {
+			return nil, false, fmt.Errorf("%w: nested tx bracket", ErrCorrupt)
+		}
+		f.inTx = true
+		return nil, false, nil
+	case OpTxAbort:
+		f.inTx, f.open = false, nil
+		return nil, false, nil
+	case OpTxCommit:
+		if !f.inTx {
+			return nil, false, fmt.Errorf("%w: commit outside bracket", ErrCorrupt)
+		}
+		batch, f.inTx, f.open = f.open, false, nil
+		return batch, true, nil
+	}
+	if f.inTx {
+		f.open = append(f.open, rec)
+		return nil, false, nil
+	}
+	return []Record{rec}, true, nil
+}
+
 // Applier consumes a WAL record stream in log order and applies the
-// committed state to a catalog database. It owns the transaction-bracket
-// semantics of the log: records inside a tx_begin bracket — DML and
-// otherwise — are buffered and applied only when the bracket closes with
-// tx_commit, as one catalog transaction per DML run (an individual record
-// of a batch may be inconsistent on its own, §3.1's whole point); a
-// tx_abort bracket is discarded wholesale.
+// committed state to a catalog database, one committed batch at a time
+// through catalog.ApplyOps — a record logged outside a bracket as the bare
+// op it was, a bracket's tuple updates as one transaction (an individual
+// record of a batch may be inconsistent on its own, §3.1's whole point) —
+// and an aborted bracket leaves no trace.
 //
 // The Applier is the single replay semantics of the system: Store recovery
 // and the replication follower (internal/repl) both feed records through
@@ -20,8 +59,7 @@ import (
 // primary would produce. An Applier is not safe for concurrent use.
 type Applier struct {
 	db   *catalog.Database
-	tx   []Record
-	inTx bool
+	fold bracketFold
 }
 
 // NewApplier creates an applier over db.
@@ -31,153 +69,34 @@ func NewApplier(db *catalog.Database) *Applier { return &Applier{db: db} }
 // Positions inside a bracket are not resumable: a replication follower
 // acknowledges (and resumes from) only record boundaries where InTx is
 // false.
-func (a *Applier) InTx() bool { return a.inTx }
+func (a *Applier) InTx() bool { return a.fold.inTx }
 
 // Pending returns the number of records buffered inside the open bracket —
 // received but not yet applied (they apply at tx_commit or vanish at
 // tx_abort).
-func (a *Applier) Pending() int { return len(a.tx) }
+func (a *Applier) Pending() int { return len(a.fold.open) }
 
 // Apply consumes one record. Bracketed records are buffered; everything
 // else (and a closing tx_commit's buffered batch) is applied immediately.
 func (a *Applier) Apply(rec Record) error {
-	switch rec.Op {
-	case OpTxBegin:
-		a.inTx = true
-		a.tx = nil
-		return nil
-	case OpTxAbort:
-		a.inTx = false
-		a.tx = nil
-		return nil
-	case OpTxCommit:
-		a.inTx = false
-		recs := a.tx
-		a.tx = nil
-		return a.applyCommitted(recs)
-	}
-	if a.inTx {
-		a.tx = append(a.tx, rec)
-		return nil
-	}
-	return applyRecord(a.db, rec)
-}
-
-// applyCommitted applies the records of one committed bracket in order:
-// consecutive DML records form one catalog transaction; any other record
-// (not produced by this writer, but tolerated from foreign or legacy logs)
-// is applied at its position.
-func (a *Applier) applyCommitted(recs []Record) error {
-	var ops []catalog.TxOp
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		err := a.db.ApplyOps(ops)
-		ops = nil
+	batch, done, err := a.fold.push(rec)
+	if err != nil || !done {
 		return err
 	}
-	for _, rec := range recs {
-		switch rec.Op {
-		case OpAssert, OpDeny, OpRetract:
-			kind := map[Op]string{OpAssert: "assert", OpDeny: "deny", OpRetract: "retract"}[rec.Op]
-			ops = append(ops, catalog.TxOp{Kind: kind, Relation: rec.Target, Values: rec.Args})
-		default:
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := applyRecord(a.db, rec); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
-// applyRecord executes one standalone record against the catalog.
-func applyRecord(db *catalog.Database, rec Record) error {
-	switch rec.Op {
-	case OpCreateHierarchy:
-		_, err := db.CreateHierarchy(rec.Target)
-		return err
-	case OpAddClass, OpAddInstance:
-		h, err := db.Hierarchy(rec.Target)
-		if err != nil {
-			return err
-		}
-		if len(rec.Args) == 0 {
-			return fmt.Errorf("%w: %s without a name", ErrCorrupt, rec.Op)
-		}
-		name, parents := rec.Args[0], rec.Args[1:]
-		if rec.Op == OpAddInstance {
-			return h.AddInstance(name, parents...)
-		}
-		return h.AddClass(name, parents...)
-	case OpAddEdge:
-		h, err := db.Hierarchy(rec.Target)
-		if err != nil {
-			return err
-		}
-		if len(rec.Args) != 2 {
-			return fmt.Errorf("%w: add_edge wants 2 args", ErrCorrupt)
-		}
-		return h.AddEdge(rec.Args[0], rec.Args[1])
-	case OpPrefer:
-		h, err := db.Hierarchy(rec.Target)
-		if err != nil {
-			return err
-		}
-		if len(rec.Args) != 2 {
-			return fmt.Errorf("%w: prefer wants 2 args", ErrCorrupt)
-		}
-		return h.Prefer(rec.Args[0], rec.Args[1])
-	case OpCreateRelation:
-		if len(rec.Args)%2 != 0 {
-			return fmt.Errorf("%w: create_relation wants attr/domain pairs", ErrCorrupt)
-		}
-		attrs := make([]catalog.AttrSpec, 0, len(rec.Args)/2)
-		for i := 0; i+1 < len(rec.Args); i += 2 {
-			attrs = append(attrs, catalog.AttrSpec{Name: rec.Args[i], Domain: rec.Args[i+1]})
-		}
-		_, err := db.CreateRelation(rec.Target, attrs...)
-		return err
-	case OpDropRelation:
-		return db.DropRelation(rec.Target)
-	case OpAssert:
-		return db.Assert(rec.Target, rec.Args...)
-	case OpDeny:
-		return db.Deny(rec.Target, rec.Args...)
-	case OpRetract:
-		_, err := db.Retract(rec.Target, rec.Args...)
-		return err
-	case OpConsolidate:
-		_, err := db.Consolidate(rec.Target)
-		return err
-	case OpExplicate:
-		return db.Explicate(rec.Target, rec.Args...)
-	case OpDropNode:
-		if len(rec.Args) != 1 {
-			return fmt.Errorf("%w: drop_node wants 1 arg", ErrCorrupt)
-		}
-		return db.DropNode(rec.Target, rec.Args[0])
-	case OpSetMode:
-		if len(rec.Args) != 1 {
-			return fmt.Errorf("%w: set_mode wants 1 arg", ErrCorrupt)
-		}
-		mode, err := parseMode(rec.Args[0])
-		if err != nil {
-			return err
-		}
-		return db.SetMode(rec.Target, mode)
-	case OpTxBegin, OpTxCommit, OpTxAbort:
-		// Brackets are interpreted by the Applier; standalone ones are inert.
-		return nil
-	case OpNewTerm:
+	bare := rec.Op != OpTxCommit
+	ops := make([]catalog.TxOp, 0, len(batch))
+	for _, rec := range batch {
 		// Fencing metadata, not catalog state: Store recovery reads the term
 		// out of the record stream itself; replicas learn terms from stream
 		// frames. Either way the catalog is untouched.
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown op %q", ErrCorrupt, rec.Op)
+		if rec.Op == OpNewTerm {
+			continue
+		}
+		ops = append(ops, catalog.TxOp{Kind: string(rec.Op), Relation: rec.Target, Values: rec.Args, Bare: bare})
 	}
+	err = a.db.ApplyOps(ops)
+	if errors.Is(err, catalog.ErrBadOp) {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return err
 }

@@ -283,25 +283,3 @@ func TestStoreConcurrentApplyTxGroupCommit(t *testing.T) {
 		}
 	}
 }
-
-// TestPerRecordSyncBaseline: the E10 baseline mode still commits and
-// recovers correctly.
-func TestPerRecordSyncBaseline(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{PerRecordSync: true})
-	must(t, err)
-	must(t, s.CreateHierarchy("D"))
-	must(t, s.CreateRelation("R", catalog.AttrSpec{Name: "X", Domain: "D"}))
-	must(t, s.AddInstance("D", "i1", "D"))
-	must(t, s.ApplyTx([]catalog.TxOp{{Kind: "assert", Relation: "R", Values: []string{"i1"}}}))
-	must(t, s.Close())
-
-	s2, err := Open(dir)
-	must(t, err)
-	defer s2.Close()
-	got, err := s2.Database().Holds("R", "i1")
-	must(t, err)
-	if !got {
-		t.Fatal("per-record-sync tx lost")
-	}
-}

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"errors"
 	"testing"
+
+	"hrdb/internal/catalog"
 )
 
 // TestBuildHierarchyBadSpec: broken specs are rejected with context.
@@ -65,26 +68,59 @@ func TestBuildDatabaseBadSpecs(t *testing.T) {
 	}
 }
 
-// TestApplyCorruptRecords: the store rejects malformed WAL records with
-// ErrCorrupt-wrapped context.
-func TestApplyCorruptRecords(t *testing.T) {
+// TestMalformedOpsRejected: an op of unknown kind or with a malformed
+// argument list is refused — on the write path with nothing applied and
+// nothing staged, on the replay path as ErrCorrupt.
+func TestMalformedOpsRejected(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	must(t, err)
 	defer s.Close()
 	must(t, s.CreateHierarchy("D"))
+	must(t, s.CreateRelation("R", catalog.AttrSpec{Name: "X", Domain: "D"}))
 
 	bad := []Record{
 		{Op: OpAddClass, Target: "D"},                       // missing name
 		{Op: OpAddEdge, Target: "D", Args: []string{"one"}}, // wants 2
 		{Op: OpPrefer, Target: "D", Args: []string{"one"}},  // wants 2
-		{Op: OpCreateRelation, Target: "R", Args: []string{"odd"}},
+		{Op: OpCreateRelation, Target: "Q", Args: []string{"odd"}},
+		{Op: OpDropNode, Target: "D"},
+		{Op: OpSetMode, Target: "R", Args: []string{"sideways"}},
+		{Op: Op(catalog.KindSetPolicy), Args: []string{"maybe"}},
+		{Op: OpTxBegin}, // a WAL record, but not a mutation
 		{Op: Op("nonsense")},
 	}
+	want := fingerprint(s.Database())
+	size, err := s.LogSize()
+	must(t, err)
 	for _, rec := range bad {
-		if err := applyRecord(s.Database(), rec); err == nil {
-			t.Errorf("record %+v accepted", rec)
+		op := catalog.TxOp{Kind: string(rec.Op), Relation: rec.Target, Values: rec.Args}
+		if err := s.ApplyTx([]catalog.TxOp{op}); !errors.Is(err, catalog.ErrBadOp) {
+			t.Errorf("op %+v = %v, want ErrBadOp", op, err)
 		}
+		if rec.Op == OpTxBegin {
+			continue
+		}
+		if err := NewApplier(s.Database()).Apply(rec); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("replayed record %+v = %v, want ErrCorrupt", rec, err)
+		}
+	}
+	// A batch of several ops is checked as a whole before any of it is
+	// staged: the log can make only one transaction's tuple updates atomic,
+	// so the store refuses the mixes a bare database applies in order.
+	for _, second := range []catalog.TxOp{
+		{Kind: "create_hierarchy", Relation: "E"},
+		{Kind: "deny", Relation: "R", Values: []string{"D"}, Bare: true},
+	} {
+		if err := s.ApplyTx([]catalog.TxOp{{Kind: "assert", Relation: "R", Values: []string{"D"}}, second}); err == nil {
+			t.Errorf("batch of an assert and %+v accepted", second)
+		}
+	}
+	if got := fingerprint(s.Database()); got != want {
+		t.Errorf("rejected ops changed the database:\n got: %s\nwant: %s", got, want)
+	}
+	if after, err := s.LogSize(); err != nil || after != size {
+		t.Errorf("rejected ops staged records: log %d -> %d (%v)", size, after, err)
 	}
 }
 

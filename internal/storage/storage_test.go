@@ -330,3 +330,22 @@ func TestAddEdgeLogged(t *testing.T) {
 		t.Fatal("redundant edge lost in recovery")
 	}
 }
+
+// TestOpensStoreWrittenBeforeTxOpBatches: testdata/pr12_store was written by
+// the commit before every mutation became a TxOp batch (f264896): a
+// checkpoint, then every op kind of that writer, a committed bracket, a
+// one-statement bracket that flips a stored sign, and a rejected bracket
+// closed by tx_abort. fingerprint.txt is that writer's Fingerprint of the
+// state it acknowledged.
+func TestOpensStoreWrittenBeforeTxOpBatches(t *testing.T) {
+	dir := t.TempDir()
+	copyDirFiles(t, filepath.Join("testdata", "pr12_store"), dir)
+	want, err := os.ReadFile(filepath.Join(dir, "fingerprint.txt"))
+	must(t, err)
+	s, err := Open(dir)
+	must(t, err)
+	defer s.Close()
+	if got := fingerprint(s.Database()); got != string(want) {
+		t.Fatalf("recovered a different state\n got: %s\nwant: %s", got, want)
+	}
+}

@@ -20,15 +20,18 @@ import (
 //
 // Durability contract:
 //
-//   - Transactions (ApplyTx) are write-ahead: the operation records are
-//     staged to the WAL inside a tx_begin bracket before the in-memory
-//     apply, and the call acknowledges only after the closing tx_commit
-//     record is fsynced. A transaction whose in-memory apply is rejected
-//     closes its bracket with a tx_abort record; recovery discards it.
-//   - Single operations (Assert, AddClass, …) validate by applying in
-//     memory, then append one record and acknowledge only after it is
-//     fsynced. Either way nothing is acknowledged before it is durable,
-//     and recovery restores exactly the acknowledged prefix.
+//   - Every mutation is an ApplyTx of catalog.TxOps; the typed methods
+//     (Assert, AddClass, …) only spell a bare batch of one.
+//   - A transaction (assert/deny/retract ops not marked Bare) is
+//     write-ahead: the operation records are staged to the WAL inside a
+//     tx_begin bracket before the in-memory apply, and the call acknowledges
+//     only after the closing tx_commit record is fsynced. A transaction
+//     whose in-memory apply is rejected closes its bracket with a tx_abort
+//     record; recovery discards it.
+//   - Any other single op validates by applying in memory, then appends one
+//     bare record and acknowledges only after it is fsynced. Either way
+//     nothing is acknowledged before it is durable, and recovery restores
+//     exactly the acknowledged prefix.
 //   - Concurrent committers coalesce into shared fsyncs (group commit);
 //     a store-level mutex keeps WAL order identical to apply order.
 //   - A WAL write or sync error poisons the store: memory may be ahead of
@@ -43,7 +46,6 @@ type Store struct {
 	log   *Log
 	dir   string
 	fs    FS
-	opts  Options
 	epoch uint64
 	// applyMu serializes WAL staging with the in-memory apply so that log
 	// order equals apply order, and keeps transaction brackets contiguous
@@ -85,8 +87,8 @@ type Store struct {
 	// durable names, under applyMu, the relations the snapshot or the WAL
 	// knows. A derived `… AS name` result is attached to the catalog with
 	// no record, so it is absent here until a checkpoint snapshots it, and
-	// dropping it before then must not be logged: recovery would meet a
-	// drop of a relation it never created.
+	// an op on it before then must not be logged: recovery would meet a
+	// write to (or a drop of) a relation it never created.
 	durable map[string]bool
 	// watch is closed and replaced by notify() whenever the durable
 	// replication position advances (commit, checkpoint, close), waking
@@ -100,11 +102,6 @@ type Options struct {
 	// FS is the file-system seam; nil selects the operating system.
 	// Tests inject a FaultFS to program write, fsync, and crash faults.
 	FS FS
-	// PerRecordSync disables group commit: every record is appended and
-	// fsynced individually, serialized across committers. This is the
-	// pre-group-commit behavior, kept as the measurable baseline for the
-	// E10 experiment; production callers should leave it false.
-	PerRecordSync bool
 }
 
 // ErrStoreFailed indicates a store whose WAL write or sync failed at a
@@ -184,7 +181,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		db: db, log: log, dir: dir, fs: fs, opts: opts, epoch: epoch,
+		db: db, log: log, dir: dir, fs: fs, epoch: epoch,
 		term: term, takeoverEpoch: takeoverEpoch, takeoverOffset: takeoverOffset,
 		epochEnds: make(map[uint64]int64),
 		durable:   make(map[string]bool),
@@ -277,13 +274,18 @@ func (s *Store) Term() uint64 {
 // under an older term. Adopting the current term again is a no-op append;
 // adopting a lower term is an error.
 func (s *Store) AdoptTerm(term uint64) error {
-	return s.logged(Record{Op: OpNewTerm, Args: []string{strconv.FormatUint(term, 10)}}, func() error {
-		if term < s.term {
-			return fmt.Errorf("storage: cannot adopt term %d below current term %d", term, s.term)
-		}
-		s.term = term
-		return nil
-	})
+	if err := s.lockUsable(); err != nil {
+		return err
+	}
+	if term < s.term {
+		defer s.applyMu.Unlock()
+		return fmt.Errorf("storage: cannot adopt term %d below current term %d", term, s.term)
+	}
+	s.term = term
+	log := s.log
+	mark, err := log.Stage(Record{Op: OpNewTerm, Args: []string{strconv.FormatUint(term, 10)}})
+	s.applyMu.Unlock()
+	return s.acknowledge(log, mark, err)
 }
 
 // Fence marks the store deposed by a higher term: every subsequent mutation
@@ -357,186 +359,145 @@ func (s *Store) replay() error {
 	})
 }
 
-// txRecordOps maps TxOp kinds to their WAL record ops.
-var txRecordOps = map[string]Op{"assert": OpAssert, "deny": OpDeny, "retract": OpRetract}
-
-// ApplyTx applies the operations of one transaction write-ahead: the
-// records are staged to the WAL first (bracketed by tx_begin), then applied
-// to memory, and the call returns success only after the closing tx_commit
-// record is durable. If the in-memory apply rejects the transaction, the
-// bracket is closed with tx_abort so recovery discards it, and the apply
-// error is returned.
-func (s *Store) ApplyTx(ops []catalog.TxOp) error {
+// lockUsable takes applyMu on a store that accepts mutations; on error the
+// lock is not held. The unlocked check is a fast path, the locked one
+// orders the caller against a concurrent Close.
+func (s *Store) lockUsable() error {
 	if err := s.usable(); err != nil {
 		return err
 	}
-	recs := make([]Record, 0, len(ops)+2)
-	recs = append(recs, Record{Op: OpTxBegin})
-	for _, o := range ops {
-		op, ok := txRecordOps[o.Kind]
-		if !ok {
-			return fmt.Errorf("storage: unknown tx op %q", o.Kind)
-		}
-		recs = append(recs, Record{Op: op, Target: o.Relation, Args: o.Values})
-	}
-	if s.opts.PerRecordSync {
-		return s.applyTxPerRecord(recs, ops)
-	}
-
 	s.applyMu.Lock()
 	if err := s.usable(); err != nil {
 		s.applyMu.Unlock()
+		return err
+	}
+	return nil
+}
+
+// acknowledge finishes a mutation after applyMu is released: it waits until
+// the records staged up to mark are durable, then wakes WaitChange
+// subscribers. Concurrent committers waiting here share one flush (group
+// commit). err is the outcome of the final Stage call; a stage or sync
+// failure poisons the store, because memory is now ahead of disk.
+func (s *Store) acknowledge(log *Log, mark int64, err error) error {
+	if err == nil {
+		err = log.Sync(mark)
+	}
+	if err != nil {
+		s.failed.Store(true)
+		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
+	}
+	s.notify()
+	return nil
+}
+
+// ApplyTx is the store's one write path: it applies the ops through
+// catalog.ApplyOps and acknowledges only once their records are fsynced.
+//
+//   - A single op other than a transaction's — a bare tuple update or any
+//     other kind — validates by applying in memory, then stages its one bare
+//     record; a failed application stages nothing.
+//   - A transaction (one or more assert/deny/retract ops not marked Bare) is
+//     write-ahead: its records are staged inside a tx_begin bracket, then
+//     applied, and the bracket is closed with tx_commit — or, if the apply
+//     rejects the transaction, with tx_abort so recovery discards it. No
+//     other op can share its batch: the log could not make the mix atomic.
+//   - An op on a relation the durable state does not hold (see
+//     Store.durable) is applied and not staged, alone or in a transaction.
+//   - An empty list changes and stages nothing; it reports only whether the
+//     store accepts writes.
+func (s *Store) ApplyTx(ops []catalog.TxOp) error {
+	if len(ops) > 1 {
+		for _, o := range ops {
+			if !o.InTx() {
+				return fmt.Errorf("storage: %s cannot share a batch; only the assert, deny and retract ops of one transaction can", o.Kind)
+			}
+		}
+	}
+	bracket := len(ops) > 0 && ops[0].InTx()
+	if err := s.lockUsable(); err != nil {
 		return err
 	}
 	// Capture the log while holding applyMu: Checkpoint may rotate s.log,
 	// and a mark is only meaningful against the log that issued it.
 	log := s.log
-	if _, err := log.Stage(recs...); err != nil {
-		s.failed.Store(true)
-		s.applyMu.Unlock()
-		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
+	recs := make([]Record, 0, len(ops)+1)
+	for _, o := range ops {
+		switch o.Kind {
+		case catalog.KindDropRelation, catalog.KindAssert, catalog.KindDeny, catalog.KindRetract,
+			catalog.KindConsolidate, catalog.KindExplicate, catalog.KindSetMode:
+			if !s.durable[o.Relation] {
+				continue
+			}
+		}
+		recs = append(recs, Record{Op: Op(o.Kind), Target: o.Relation, Args: o.Values})
+	}
+	// A transaction's records go out ahead of the apply, leaving its
+	// tx_commit to stage afterwards where a bare op stages its record.
+	bracket = bracket && len(recs) > 0
+	if bracket {
+		if _, err := log.Stage(append([]Record{{Op: OpTxBegin}}, recs...)...); err != nil {
+			s.applyMu.Unlock()
+			return s.acknowledge(log, 0, err)
+		}
+		recs = []Record{{Op: OpTxCommit}}
 	}
 	if err := s.db.ApplyOps(ops); err != nil {
-		// The staged bracket must not commit: close it with an abort so
-		// recovery discards it. The abort need not be fsynced here — if it
-		// is lost to a crash, the bracket is unterminated and OpenLog
-		// discards it anyway.
-		if _, aerr := log.Stage(Record{Op: OpTxAbort}); aerr != nil {
-			s.failed.Store(true)
+		if bracket {
+			// The staged bracket must not commit. The abort need not be
+			// fsynced here — if it is lost to a crash, the bracket is
+			// unterminated and OpenLog discards it anyway.
+			if _, aerr := log.Stage(Record{Op: OpTxAbort}); aerr != nil {
+				s.failed.Store(true)
+			}
 		}
 		s.applyMu.Unlock()
 		return err
 	}
-	mark, err := log.Stage(Record{Op: OpTxCommit})
-	s.applyMu.Unlock()
-	if err != nil {
-		s.failed.Store(true)
-		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-	}
-	// Group commit: concurrent committers waiting here share one flush.
-	if err := log.Sync(mark); err != nil {
-		s.failed.Store(true)
-		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-	}
-	s.notify()
-	return nil
-}
-
-// applyTxPerRecord is the E10 baseline: one write and one fsync per record,
-// fully serialized, with the pre-group-commit apply-then-log order.
-func (s *Store) applyTxPerRecord(recs []Record, ops []catalog.TxOp) error {
-	s.applyMu.Lock()
-	defer s.applyMu.Unlock()
-	if err := s.usable(); err != nil {
-		return err
-	}
-	if err := s.db.ApplyOps(ops); err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		if err := s.log.Append(rec); err != nil {
-			s.failed.Store(true)
-			return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-		}
-	}
-	if err := s.log.Append(Record{Op: OpTxCommit}); err != nil {
-		s.failed.Store(true)
-		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-	}
-	s.notify()
-	return nil
-}
-
-// logged performs one single-record mutation: validate by applying in
-// memory, stage the record (under applyMu, so it cannot land inside
-// another committer's bracket), then wait for durability before
-// acknowledging. A failed application stages nothing; a failed stage or
-// sync poisons the store, because memory is now ahead of disk. The drop of
-// a relation the durable state does not hold (see Store.durable) is applied
-// and not staged.
-func (s *Store) logged(rec Record, do func() error) error {
-	if err := s.usable(); err != nil {
-		return err
-	}
-	s.applyMu.Lock()
-	if err := s.usable(); err != nil {
-		s.applyMu.Unlock()
-		return err
-	}
-	log := s.log
-	unlogged := rec.Op == OpDropRelation && !s.durable[rec.Target]
-	if err := do(); err != nil {
-		s.applyMu.Unlock()
-		return err
-	}
-	if unlogged {
+	if len(recs) == 0 {
 		s.applyMu.Unlock()
 		return nil
 	}
-	mark, err := log.Stage(rec)
+	switch recs[0].Op {
+	case OpCreateRelation:
+		s.durable[recs[0].Target] = true
+	case OpDropRelation:
+		delete(s.durable, recs[0].Target)
+	}
+	mark, err := log.Stage(recs...)
 	s.applyMu.Unlock()
-	if err != nil {
-		s.failed.Store(true)
-		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-	}
-	if err := log.Sync(mark); err != nil {
-		s.failed.Store(true)
-		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-	}
-	s.notify()
-	return nil
+	return s.acknowledge(log, mark, err)
+}
+
+// apply is ApplyTx of one bare op; the typed methods below are spelled with
+// it.
+func (s *Store) apply(kind, target string, values ...string) error {
+	return s.ApplyTx([]catalog.TxOp{{Kind: kind, Relation: target, Values: values, Bare: true}})
 }
 
 // CreateHierarchy creates and logs a hierarchy.
 func (s *Store) CreateHierarchy(domain string) error {
-	return s.logged(Record{Op: OpCreateHierarchy, Target: domain}, func() error {
-		_, err := s.db.CreateHierarchy(domain)
-		return err
-	})
+	return s.apply(catalog.KindCreateHierarchy, domain)
 }
 
 // AddClass adds and logs a class.
 func (s *Store) AddClass(domain, name string, parents ...string) error {
-	return s.logged(Record{Op: OpAddClass, Target: domain, Args: append([]string{name}, parents...)}, func() error {
-		h, err := s.db.Hierarchy(domain)
-		if err != nil {
-			return err
-		}
-		return h.AddClass(name, parents...)
-	})
+	return s.apply(catalog.KindAddClass, domain, append([]string{name}, parents...)...)
 }
 
 // AddInstance adds and logs an instance.
 func (s *Store) AddInstance(domain, name string, parents ...string) error {
-	return s.logged(Record{Op: OpAddInstance, Target: domain, Args: append([]string{name}, parents...)}, func() error {
-		h, err := s.db.Hierarchy(domain)
-		if err != nil {
-			return err
-		}
-		return h.AddInstance(name, parents...)
-	})
+	return s.apply(catalog.KindAddInstance, domain, append([]string{name}, parents...)...)
 }
 
 // AddEdge adds and logs an extra is-a edge.
 func (s *Store) AddEdge(domain, parent, child string) error {
-	return s.logged(Record{Op: OpAddEdge, Target: domain, Args: []string{parent, child}}, func() error {
-		h, err := s.db.Hierarchy(domain)
-		if err != nil {
-			return err
-		}
-		return h.AddEdge(parent, child)
-	})
+	return s.apply(catalog.KindAddEdge, domain, parent, child)
 }
 
 // Prefer adds and logs a preference edge.
 func (s *Store) Prefer(domain, stronger, weaker string) error {
-	return s.logged(Record{Op: OpPrefer, Target: domain, Args: []string{stronger, weaker}}, func() error {
-		h, err := s.db.Hierarchy(domain)
-		if err != nil {
-			return err
-		}
-		return h.Prefer(stronger, weaker)
-	})
+	return s.apply(catalog.KindPrefer, domain, stronger, weaker)
 }
 
 // CreateRelation creates and logs a relation.
@@ -545,90 +506,44 @@ func (s *Store) CreateRelation(name string, attrs ...catalog.AttrSpec) error {
 	for _, a := range attrs {
 		args = append(args, a.Name, a.Domain)
 	}
-	return s.logged(Record{Op: OpCreateRelation, Target: name, Args: args}, func() error {
-		_, err := s.db.CreateRelation(name, attrs...)
-		if err == nil {
-			s.durable[name] = true
-		}
-		return err
-	})
+	return s.apply(catalog.KindCreateRelation, name, args...)
 }
 
 // DropRelation drops the relation, and logs the drop if the durable state
 // holds the relation.
-func (s *Store) DropRelation(name string) error {
-	return s.logged(Record{Op: OpDropRelation, Target: name}, func() error {
-		err := s.db.DropRelation(name)
-		if err == nil {
-			delete(s.durable, name)
-		}
-		return err
-	})
-}
+func (s *Store) DropRelation(name string) error { return s.apply(catalog.KindDropRelation, name) }
 
 // Assert inserts and logs a positive tuple.
 func (s *Store) Assert(rel string, values ...string) error {
-	return s.logged(Record{Op: OpAssert, Target: rel, Args: values}, func() error {
-		return s.db.Assert(rel, values...)
-	})
+	return s.apply(catalog.KindAssert, rel, values...)
 }
 
 // Deny inserts and logs a negated tuple.
 func (s *Store) Deny(rel string, values ...string) error {
-	return s.logged(Record{Op: OpDeny, Target: rel, Args: values}, func() error {
-		return s.db.Deny(rel, values...)
-	})
+	return s.apply(catalog.KindDeny, rel, values...)
 }
 
 // Retract removes and logs.
 func (s *Store) Retract(rel string, values ...string) error {
-	return s.logged(Record{Op: OpRetract, Target: rel, Args: values}, func() error {
-		_, err := s.db.Retract(rel, values...)
-		return err
-	})
+	return s.apply(catalog.KindRetract, rel, values...)
 }
 
 // Consolidate consolidates and logs.
-func (s *Store) Consolidate(rel string) error {
-	return s.logged(Record{Op: OpConsolidate, Target: rel}, func() error {
-		_, err := s.db.Consolidate(rel)
-		return err
-	})
-}
+func (s *Store) Consolidate(rel string) error { return s.apply(catalog.KindConsolidate, rel) }
 
 // Explicate explicates and logs.
 func (s *Store) Explicate(rel string, attrs ...string) error {
-	return s.logged(Record{Op: OpExplicate, Target: rel, Args: attrs}, func() error {
-		return s.db.Explicate(rel, attrs...)
-	})
+	return s.apply(catalog.KindExplicate, rel, attrs...)
 }
 
 // DropNode removes a childless, unreferenced hierarchy node and logs it.
 func (s *Store) DropNode(domain, name string) error {
-	return s.logged(Record{Op: OpDropNode, Target: domain, Args: []string{name}}, func() error {
-		return s.db.DropNode(domain, name)
-	})
+	return s.apply(catalog.KindDropNode, domain, name)
 }
 
 // SetMode switches a relation's preemption semantics and logs it.
 func (s *Store) SetMode(rel string, mode core.Preemption) error {
-	return s.logged(Record{Op: OpSetMode, Target: rel, Args: []string{mode.String()}}, func() error {
-		return s.db.SetMode(rel, mode)
-	})
-}
-
-// parseMode decodes a Preemption from its String form.
-func parseMode(v string) (core.Preemption, error) {
-	switch v {
-	case "off-path":
-		return core.OffPath, nil
-	case "on-path":
-		return core.OnPath, nil
-	case "none":
-		return core.NoPreemption, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown mode %q", ErrCorrupt, v)
-	}
+	return s.apply(catalog.KindSetMode, rel, mode.String())
 }
 
 // Checkpoint writes a snapshot of the current database and rotates to a
@@ -652,14 +567,10 @@ func parseMode(v string) (core.Preemption, error) {
 // it is reported (wrapped in ErrCheckpointGC) so callers know the
 // superseded WAL may still be on disk.
 func (s *Store) Checkpoint() error {
-	if err := s.usable(); err != nil {
+	if err := s.lockUsable(); err != nil {
 		return err
 	}
-	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
-	if err := s.usable(); err != nil {
-		return err
-	}
 	start := time.Now()
 	newEpoch := s.epoch + 1
 	spec := SnapshotDatabase(s.db)
@@ -722,9 +633,8 @@ func (s *Store) LogStats() (records, syncs uint64) {
 	return log.Stats()
 }
 
-// usable rejects mutations on a closed or poisoned store. Callers invoke
-// it twice: once lock-free as a fast path, and once under applyMu, where
-// it orders the check against a concurrent Close.
+// usable rejects mutations on a closed, poisoned or fenced store (see
+// lockUsable).
 func (s *Store) usable() error {
 	if s.closed.Load() {
 		return ErrStoreClosed

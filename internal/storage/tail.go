@@ -6,9 +6,8 @@ import (
 )
 
 // Tailer follows a Store's committed WAL stream and yields whole committed
-// batches: either a single out-of-bracket record or the records of one
-// committed transaction bracket (OpTxBegin..OpTxCommit, bracket markers
-// stripped, aborted brackets dropped). Each batch carries the resumable
+// batches (see bracketFold): either a single out-of-bracket record or the
+// records of one committed transaction bracket, empty brackets skipped. Each batch carries the resumable
 // position just past it — always an out-of-bracket record boundary, so a
 // new Tailer started there observes exactly the suffix.
 //
@@ -22,8 +21,7 @@ type Tailer struct {
 	read  int64  // bytes of s's epoch WAL consumed into dec
 	base  int64  // epoch offset corresponding to dec's first byte
 	dec   *StreamDecoder
-	open  []Record // records inside the currently open bracket
-	inTx  bool
+	fold  bracketFold
 }
 
 // NewTailer returns a Tailer positioned at the store's current durable
@@ -73,33 +71,12 @@ func (t *Tailer) Next(ctx context.Context) ([]Record, uint64, int64, error) {
 			if !ok {
 				break
 			}
-			end := t.base + t.dec.Consumed()
-			switch rec.Op {
-			case OpTxBegin:
-				if t.inTx {
-					return nil, 0, 0, fmt.Errorf("%w: nested tx bracket at %d/%d", ErrCorrupt, t.epoch, end)
-				}
-				t.inTx = true
-				t.open = nil
-			case OpTxCommit:
-				if !t.inTx {
-					return nil, 0, 0, fmt.Errorf("%w: commit outside bracket at %d/%d", ErrCorrupt, t.epoch, end)
-				}
-				t.inTx = false
-				batch := t.open
-				t.open = nil
-				if len(batch) > 0 {
-					return batch, t.epoch, end, nil
-				}
-			case OpTxAbort:
-				t.inTx = false
-				t.open = nil
-			default:
-				if t.inTx {
-					t.open = append(t.open, rec)
-					continue
-				}
-				return []Record{rec}, t.epoch, end, nil
+			batch, done, err := t.fold.push(rec)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("%w at %d/%d", err, t.epoch, t.base+t.dec.Consumed())
+			}
+			if done && len(batch) > 0 {
+				return batch, t.epoch, t.base + t.dec.Consumed(), nil
 			}
 		}
 
@@ -123,7 +100,7 @@ func (t *Tailer) Next(ctx context.Context) ([]Record, uint64, int64, error) {
 			if t.read < end {
 				continue // more bytes to read before the rotation point
 			}
-			if t.dec.Buffered() != 0 || t.inTx {
+			if t.dec.Buffered() != 0 || t.fold.inTx {
 				return nil, 0, 0, fmt.Errorf("%w: epoch %d ends mid-frame", ErrCorrupt, t.epoch)
 			}
 			t.epoch++

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hrdb/internal/catalog"
 )
 
 // Tests for the primary fencing-term machinery: AdoptTerm durability,
@@ -89,6 +91,10 @@ func TestFenceRejectsMutations(t *testing.T) {
 	}
 	if err := s.Assert("R", "x"); !errors.Is(err, ErrDeposed) {
 		t.Fatalf("assert on fenced store = %v, want ErrDeposed", err)
+	}
+	setPolicy := []catalog.TxOp{{Kind: catalog.KindSetPolicy, Values: []string{"forbid"}}}
+	if err := s.ApplyTx(setPolicy); !errors.Is(err, ErrDeposed) || s.Database().Policy() != catalog.AllowExceptions {
+		t.Fatalf("set_policy on fenced store = %v (policy %v), want ErrDeposed", err, s.Database().Policy())
 	}
 	// The rejected mutation left no trace: the hierarchy list is unchanged
 	// and the WAL position did not move.

@@ -11,7 +11,7 @@ import (
 // Target wraps any hql.Target with a view Manager, implementing the
 // optional hql.ViewCatalog interface so sessions over it can run
 // CREATE MATERIALIZED VIEW / DROP VIEW / SHOW VIEWS and read views as
-// relations. Everything else passes through to the wrapped target.
+// relations. Mutations pass through its ApplyTx to the wrapped target.
 type Target struct {
 	hql.Target
 	Views *Manager
@@ -24,13 +24,16 @@ func NewTarget(base hql.Target, m *Manager) Target {
 
 var _ hql.ViewCatalog = Target{}
 
-// CreateRelation refuses names already taken by a view — views are read
-// through the relation namespace, so the two must not collide.
-func (t Target) CreateRelation(name string, attrs ...catalog.AttrSpec) error {
-	if t.Views.Has(name) {
-		return fmt.Errorf("view: %q is a materialized view; drop it first", name)
+// ApplyTx refuses to create a relation under a name already taken by a
+// view — views are read through the relation namespace, so the two must not
+// collide.
+func (t Target) ApplyTx(ops []hql.TxOp) error {
+	for _, o := range ops {
+		if o.Kind == catalog.KindCreateRelation && t.Views.Has(o.Relation) {
+			return fmt.Errorf("view: %q is a materialized view; drop it first", o.Relation)
+		}
 	}
-	return t.Target.CreateRelation(name, attrs...)
+	return t.Target.ApplyTx(ops)
 }
 
 // CreateView implements hql.ViewCatalog.

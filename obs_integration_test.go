@@ -24,11 +24,13 @@ type obsGateTarget struct {
 	waiting atomic.Int64
 }
 
-func (g *obsGateTarget) Assert(rel string, values ...string) error {
-	g.waiting.Add(1)
-	defer g.waiting.Add(-1)
-	<-g.gate
-	return g.Target.Assert(rel, values...)
+func (g *obsGateTarget) ApplyTx(ops []hrdb.TxOp) error {
+	if len(ops) == 1 && ops[0].Kind == "assert" {
+		g.waiting.Add(1)
+		defer g.waiting.Add(-1)
+		<-g.gate
+	}
+	return g.Target.ApplyTx(ops)
 }
 
 // promValue extracts an unlabeled series value from Prometheus text.

@@ -170,10 +170,10 @@ func TestScenarioDurableEvolution(t *testing.T) {
 }
 
 // TestDerivedRelationDropSurvivesReopen: `… AS name` attaches its result to
-// the catalog without a WAL record, so the drop of one must not be logged
-// either — the next open would replay a drop of a relation the log never
-// created and refuse to start. After a checkpoint has snapshotted such a
-// relation its drop is logged like any other.
+// the catalog without a WAL record, so a drop of it or a write to it must
+// not be logged either — the next open would replay an op on a relation the
+// log never created and refuse to start. After a checkpoint has snapshotted
+// such a relation its drop is logged like any other.
 func TestDerivedRelationDropSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	store, err := hrdb.OpenStore(dir)
@@ -205,7 +205,24 @@ func TestDerivedRelationDropSurvivesReopen(t *testing.T) {
 		exec(derive)
 		exec("DROP RELATION J;")
 	}
-	exec("ASSERT Flies (Tweety);") // a logged write after the unlogged drops
+	// A write to such a relation is applied and not logged either — alone,
+	// or in a bracket, whose durable writes alone are logged.
+	exec("JOIN Flies Lives AS J;")
+	for _, write := range []string{
+		"ASSERT J (Tweety, Aviary);",
+		"RETRACT J (Tweety, Aviary);",
+		"DENY J (Tweety, Aviary);",
+		"CONSOLIDATE J;",
+		"EXPLICATE J;",
+		"SET MODE J on_path;",
+		"BEGIN; ASSERT J (Bird, Aviary); DENY J (Tweety, Aviary); COMMIT;",
+		// The one durable write of this bracket flips a stored sign, which
+		// only a transaction may do: it is logged as a bracket, not bare.
+		"DENY Flies (Tweety);",
+		"BEGIN; RETRACT J (Tweety, Aviary); ASSERT Flies (Tweety); COMMIT;",
+	} {
+		exec(write)
+	}
 	must(t, store.Close())
 
 	store, err = hrdb.OpenStore(dir)
