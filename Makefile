@@ -126,8 +126,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzOpenLog -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzCrashOffset -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/storage/
-	$(GO) test -fuzz=FuzzStreamDecoder -fuzztime=$(FUZZTIME) ./internal/storage/
+	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzSubscribeFrameDecode -fuzztime=$(FUZZTIME) ./internal/subwire/
+	$(GO) test -fuzz=FuzzShardOpDecode -fuzztime=$(FUZZTIME) ./internal/shard/
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=15s

@@ -44,31 +44,29 @@ func countWALRecords(t *testing.T, st *storage.Store) uint64 {
 	if epoch != 0 {
 		t.Fatalf("workload unexpectedly checkpointed: epoch %d", epoch)
 	}
-	dec := storage.NewStreamDecoder()
+	rd := storage.NewReader(storage.Position{})
 	var off int64
 	for off < end {
 		chunk, err := st.ReadWAL(0, off, 64<<10)
 		if err != nil {
 			t.Fatalf("ReadWAL(%d): %v", off, err)
 		}
-		dec.Feed(chunk)
+		rd.Feed(chunk)
 		off += int64(len(chunk))
 	}
-	var n uint64
 	for {
-		_, ok, err := dec.Next()
+		_, ok, err := rd.Next()
 		if err != nil {
 			t.Fatalf("decode WAL: %v", err)
 		}
 		if !ok {
 			break
 		}
-		n++
 	}
-	if dec.Buffered() != 0 {
-		t.Fatalf("durable WAL ends mid-frame (%d bytes buffered)", dec.Buffered())
+	if rd.Position().Offset != end {
+		t.Fatalf("durable WAL ends mid-frame or mid-bracket (read to %d of %d)", rd.Position().Offset, end)
 	}
-	return n
+	return rd.Records()
 }
 
 // TestChaosSeveredStreamConverges is the headline acceptance test: a

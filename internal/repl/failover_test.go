@@ -328,18 +328,20 @@ func TestDeposedPrimaryQuarantinesAndRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read quarantine: %v", err)
 	}
-	dec := storage.NewStreamDecoder()
-	dec.Feed(raw)
+	rd := storage.NewReader(storage.Position{})
+	rd.Feed(raw)
 	var names []string
 	for {
-		rec, ok, err := dec.Next()
+		c, ok, err := rd.Next()
 		if err != nil {
 			t.Fatalf("decode quarantine: %v", err)
 		}
 		if !ok {
 			break
 		}
-		names = append(names, strings.Join(rec.Args, " "))
+		for _, op := range c.Ops {
+			names = append(names, strings.Join(op.Values, " "))
+		}
 	}
 	joined := strings.Join(names, "\n")
 	if !strings.Contains(joined, "Lost1") || !strings.Contains(joined, "Lost2") {
@@ -449,18 +451,18 @@ func TestReplicaStateGaugeAndLagUnknown(t *testing.T) {
 	// Unknown lag: the high-water mark moves to another epoch while the
 	// applied position stays behind — no byte distance exists.
 	rep.mu.Lock()
-	rep.pos = position{epoch: 0, offset: 10}
-	rep.highWater = position{epoch: 0, offset: 10}
+	rep.pos = storage.Position{Epoch: 0, Offset: 10}
+	rep.highWater = storage.Position{Epoch: 0, Offset: 10}
 	rep.mu.Unlock()
-	rep.observe(position{epoch: 2, offset: 4}, storage.NewApplier(catalog.New()))
+	rep.observe(storage.Position{Epoch: 2, Offset: 4}, 0)
 	if metricLagBytes.Value() != -1 {
 		t.Fatalf("cross-epoch lag gauge = %d, want -1 (unknown)", metricLagBytes.Value())
 	}
 	// Same epoch: a real byte distance.
 	rep.mu.Lock()
-	rep.highWater = position{epoch: 0, offset: 10}
+	rep.highWater = storage.Position{Epoch: 0, Offset: 10}
 	rep.mu.Unlock()
-	rep.observe(position{epoch: 0, offset: 25}, storage.NewApplier(catalog.New()))
+	rep.observe(storage.Position{Epoch: 0, Offset: 25}, 0)
 	if metricLagBytes.Value() != 15 {
 		t.Fatalf("same-epoch lag gauge = %d, want 15", metricLagBytes.Value())
 	}

@@ -44,7 +44,7 @@ type Primary struct {
 	opts  PrimaryOptions
 
 	mu    sync.Mutex
-	acked position // highest position any follower has acknowledged
+	acked storage.Position // highest position any follower has acknowledged
 }
 
 // NewPrimary creates a replication source over an open store.
@@ -73,16 +73,16 @@ func (p *Primary) Snapshot() ([]byte, error) {
 func (p *Primary) AckedPosition() (epoch uint64, offset int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.acked.epoch, p.acked.offset
+	return p.acked.Epoch, p.acked.Offset
 }
 
-func (p *Primary) recordAck(pos position) {
+func (p *Primary) recordAck(pos storage.Position) {
 	metricAcks.Inc()
 	p.mu.Lock()
-	if p.acked.before(pos) {
+	if p.acked.Before(pos) {
 		p.acked = pos
-		metricAckedEpoch.Set(int64(pos.epoch))
-		metricAckedOffset.Set(pos.offset)
+		metricAckedEpoch.Set(int64(pos.Epoch))
+		metricAckedOffset.Set(pos.Offset)
 	}
 	p.mu.Unlock()
 }
@@ -126,96 +126,46 @@ func (p *Primary) ServeStream(r *bufio.Reader, w *bufio.Writer, epoch uint64, of
 	}()
 	defer ackWG.Wait()
 
-	pos := position{epoch: epoch, offset: offset}
+	// The follower walks the log; what is left here is fencing, heartbeats
+	// and framing. Its chunks go out verbatim.
+	f := p.store.Follow(storage.Position{Epoch: epoch, Offset: offset}, p.opts.ChunkBytes)
 	lastHB := time.Time{}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if f := p.store.FencedBy(); f != 0 {
-			return writeStale(w, fmt.Sprintf("deposed by term %d", f))
+		if by := p.store.FencedBy(); by != 0 {
+			return writeStale(w, fmt.Sprintf("deposed by term %d", by))
 		}
 		term := p.store.Term()
-		curEpoch, curOff := p.store.Position()
+		// Bound the wait at the durable end by the heartbeat interval, so
+		// liveness keeps flowing.
+		waitCtx, waitCancel := context.WithTimeout(ctx, p.opts.HeartbeatInterval)
+		step, err := f.Next(waitCtx)
+		waitCancel()
 		switch {
-		case pos.epoch == curEpoch:
-			if pos.offset > curOff {
-				// A position from this epoch's future: the follower streamed
-				// from a different primary (or the directory was restored
-				// from an older backup). Unservable.
-				return writeStale(w, fmt.Sprintf("offset %d beyond durable end %d of epoch %d", pos.offset, curOff, pos.epoch))
+		case errors.Is(err, storage.ErrWALUnavailable):
+			// Retired and reclaimed before this follower caught up, or not a
+			// position of this log at all: it must re-bootstrap.
+			return writeStale(w, err.Error())
+		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
+			step.At = f.Position() // still caught up: time for the next heartbeat
+		case err != nil:
+			return err // connection gone, or store closed
+		}
+		switch {
+		case len(step.Chunk) > 0:
+			if err = writeShip(w, term, step.At, step.Chunk); err == nil {
+				metricShippedBytes.Add(uint64(len(step.Chunk)))
 			}
-			if pos.offset < curOff {
-				chunk, err := p.store.ReadWAL(pos.epoch, pos.offset, p.opts.ChunkBytes)
-				if err != nil {
-					if errors.Is(err, storage.ErrWALUnavailable) {
-						return writeStale(w, err.Error())
-					}
-					return err
-				}
-				if len(chunk) > 0 {
-					if err := writeShip(w, term, pos, chunk); err != nil {
-						return err
-					}
-					metricShippedBytes.Add(uint64(len(chunk)))
-					pos.offset += int64(len(chunk))
-				}
-				continue
-			}
-			// Caught up: heartbeat, then wait for the position to advance
-			// (bounded by the heartbeat interval so liveness keeps flowing).
-			if time.Since(lastHB) >= p.opts.HeartbeatInterval {
-				if err := writeHB(w, term, pos); err != nil {
-					return err
-				}
-				lastHB = time.Now()
-			}
-			waitCtx, waitCancel := context.WithTimeout(ctx, p.opts.HeartbeatInterval)
-			err := p.store.WaitChange(waitCtx, pos.epoch, pos.offset)
-			waitCancel()
-			switch {
-			case err == nil, errors.Is(err, context.DeadlineExceeded):
-				// Advanced, or time for the next heartbeat.
-			case errors.Is(err, context.Canceled):
-				return ctx.Err()
-			default:
-				return err // store closed
-			}
-		case pos.epoch < curEpoch:
-			end, known := p.store.EpochEnd(pos.epoch)
-			if !known {
-				return writeStale(w, fmt.Sprintf("epoch %d predates this primary", pos.epoch))
-			}
-			switch {
-			case pos.offset > end:
-				return writeStale(w, fmt.Sprintf("offset %d beyond end %d of retired epoch %d", pos.offset, end, pos.epoch))
-			case pos.offset == end:
-				// The retired epoch is fully shipped: continue in the next
-				// one. Epochs advance by one per checkpoint, so +1 either is
-				// the current epoch or another fully retired one.
-				next := pos.epoch + 1
-				if err := writeRotate(w, term, next); err != nil {
-					return err
-				}
-				pos = position{epoch: next}
-			default:
-				chunk, err := p.store.ReadWAL(pos.epoch, pos.offset, p.opts.ChunkBytes)
-				if err != nil {
-					if errors.Is(err, storage.ErrWALUnavailable) {
-						// Checkpoint GC removed the file before this follower
-						// caught up; it must re-bootstrap.
-						return writeStale(w, err.Error())
-					}
-					return err
-				}
-				if err := writeShip(w, term, pos, chunk); err != nil {
-					return err
-				}
-				metricShippedBytes.Add(uint64(len(chunk)))
-				pos.offset += int64(len(chunk))
-			}
-		default: // pos.epoch > curEpoch
-			return writeStale(w, fmt.Sprintf("epoch %d is ahead of primary epoch %d", pos.epoch, curEpoch))
+		case step.Rotated:
+			err = writeRotate(w, term, step.At.Epoch)
+		case time.Since(lastHB) >= p.opts.HeartbeatInterval:
+			err = writeHB(w, term, step.At)
+			lastHB = time.Now()
+		}
+		if err != nil {
+			return err
 		}
 	}
 }

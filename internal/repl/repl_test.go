@@ -1,12 +1,19 @@
 package repl
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"hrdb/internal/catalog"
+	"hrdb/internal/obs"
 	"hrdb/internal/server"
 	"hrdb/internal/storage"
 )
@@ -83,14 +90,54 @@ func waitConverged(t *testing.T, st *storage.Store, rep *Replica) {
 	}
 }
 
+// seriesMark reads the replication series whose values the one change
+// stream must not move; since returns how far each counter has advanced.
+type seriesMark struct{ shipped, appliedRecs, appliedBytes uint64 }
+
+func markSeries() seriesMark {
+	return seriesMark{metricShippedBytes.Value(), metricAppliedRecs.Value(), metricAppliedBytes.Value()}
+}
+
+func (m seriesMark) since() seriesMark {
+	now := markSeries()
+	return seriesMark{now.shipped - m.shipped, now.appliedRecs - m.appliedRecs, now.appliedBytes - m.appliedBytes}
+}
+
+// lagGaugesSettle waits for the caught-up replica's lag gauges to read zero
+// (they are set by the frame after the one that moves the position).
+func lagGaugesSettle(t *testing.T) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); metricLagBytes.Value() != 0 || metricLagRecords.Value() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("caught up, but lag gauges read %d bytes / %d records", metricLagBytes.Value(), metricLagRecords.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// replayedOnReopen closes the primary's store, reopens its directory and
+// returns how far hrdb_storage_replay_records_total moved.
+func replayedOnReopen(t *testing.T, st *storage.Store) uint64 {
+	t.Helper()
+	replay := obs.Default().Counter("hrdb_storage_replay_records_total")
+	must(t, st.Close())
+	before := replay.Value()
+	st2, err := storage.Open(st.Dir())
+	must(t, err)
+	defer st2.Close()
+	return replay.Value() - before
+}
+
 func TestReplicaBootstrapAndStream(t *testing.T) {
 	p := startPrimary(t, PrimaryOptions{HeartbeatInterval: 20 * time.Millisecond})
 	must(t, p.store.CreateHierarchy("Animal"))
 	must(t, p.store.AddClass("Animal", "Bird"))
 	must(t, p.store.AddInstance("Animal", "Tweety", "Bird"))
 
+	series := markSeries()
 	rep := startReplica(t, p.srv.Addr())
 	waitConverged(t, p.store, rep)
+	_, bootOffset := p.store.Position()
 
 	// Writes after the bootstrap arrive via the live stream.
 	must(t, p.store.AddClass("Animal", "Penguin", "Bird"))
@@ -107,6 +154,19 @@ func TestReplicaBootstrapAndStream(t *testing.T) {
 
 	if n := rep.AppliedRecords(); n == 0 {
 		t.Fatal("replica applied no records over the stream")
+	}
+
+	// The series read what they always read on this input: records count
+	// bracket markers (3 bare + tx_begin, 2 ops, tx_commit after the
+	// bootstrap), bytes are the log's, and a reopen replays all ten records.
+	_, end := p.store.Position()
+	want := seriesMark{shipped: uint64(end - bootOffset), appliedRecs: 7, appliedBytes: uint64(end - bootOffset)}
+	if got := series.since(); got != want || rep.AppliedRecords() != 7 {
+		t.Fatalf("series moved by %+v (replica counts %d records), want %+v", got, rep.AppliedRecords(), want)
+	}
+	lagGaugesSettle(t)
+	if n := replayedOnReopen(t, p.store); n != 10 {
+		t.Fatalf("reopen replayed %d records, want 10", n)
 	}
 }
 
@@ -145,10 +205,12 @@ func TestReplicaRotatesAcrossCheckpoint(t *testing.T) {
 
 	// Checkpoint while the replica is caught up: the stream crosses the
 	// epoch boundary with a ROTATE, no re-bootstrap.
+	series := markSeries()
 	boots := rep.bootstraps()
 	must(t, p.store.Checkpoint())
 	must(t, p.store.AddInstance("Animal", "Tweety", "Bird"))
 	waitConverged(t, p.store, rep)
+	_, end1 := p.store.Position()
 	if e, _ := p.store.Position(); e != 1 {
 		t.Fatalf("primary epoch = %d, want 1", e)
 	}
@@ -160,6 +222,52 @@ func TestReplicaRotatesAcrossCheckpoint(t *testing.T) {
 	must(t, p.store.Checkpoint())
 	must(t, p.store.AddInstance("Animal", "Robin", "Bird"))
 	waitConverged(t, p.store, rep)
+
+	// A rotation ships and applies no bytes of its own: the series moved by
+	// the two one-record epochs, and a reopen replays the last one.
+	_, end2 := p.store.Position()
+	want := seriesMark{shipped: uint64(end1 + end2), appliedRecs: 2, appliedBytes: uint64(end1 + end2)}
+	if got := series.since(); got != want {
+		t.Fatalf("series moved by %+v, want %+v", got, want)
+	}
+	lagGaugesSettle(t)
+	if n := replayedOnReopen(t, p.store); n != 1 {
+		t.Fatalf("reopen replayed %d records, want 1", n)
+	}
+}
+
+// TestReplicaAppliesParentPrimaryStream: testdata/pr15_primary_stream.bin is
+// every byte the primary of commit 8332a0f wrote to a follower that asked
+// for 0/0 — SHIP frames cut mid-record, heartbeats, a term change, a ROTATE —
+// over a log holding bare records, a committed bracket, a one-op flip, an
+// aborted bracket and a new_term. A replica fed it reaches the fingerprint
+// and position that primary recorded (pr15_primary_stream.txt).
+func TestReplicaAppliesParentPrimaryStream(t *testing.T) {
+	raw, err := os.ReadFile("testdata/pr15_primary_stream.bin")
+	must(t, err)
+	recorded, err := os.ReadFile("testdata/pr15_primary_stream.txt")
+	must(t, err)
+	var want storage.Position
+	pos, fingerprint, _ := strings.Cut(strings.TrimSpace(string(recorded)), "\n")
+	if _, err := fmt.Sscanf(pos, "%d %d", &want.Epoch, &want.Offset); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := &Replica{db: catalog.New()}
+	var acks bytes.Buffer
+	err = rep.applyStream(bufio.NewReader(bytes.NewReader(raw)), bufio.NewWriter(&acks), rep.db, storage.Position{})
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("applyStream = %v, want EOF at the end of the capture", err)
+	}
+	if rep.pos != want || rep.term != 2 {
+		t.Fatalf("replica at %+v term %d, want %+v term 2", rep.pos, rep.term, want)
+	}
+	if got := storage.Fingerprint(rep.db); got != fingerprint {
+		t.Fatalf("replica diverged from the recorded primary:\n got: %s\nwant: %s", got, fingerprint)
+	}
+	if last := acks.String(); !strings.HasSuffix(last, fmt.Sprintf("ACK 2 %d %d\n", want.Epoch, want.Offset)) {
+		t.Fatalf("last ACK = %q", last[max(0, len(last)-40):])
+	}
 }
 
 // bootstraps returns how many snapshot bootstraps this replica has done

@@ -96,11 +96,11 @@ type Replica struct {
 	id          string
 	advertise   string
 	db          *catalog.Database
-	booted      bool     // db came from a snapshot (not the empty placeholder)
-	needSnap    bool     // position rejected as stale (or upstream changed); re-bootstrap
-	pos         position // applied position (always an out-of-bracket record boundary)
-	highWater   position // primary's durable position, from SHIP/HB frames
-	term        uint64   // highest fencing term seen (frames, bootstraps, elections)
+	booted      bool             // db came from a snapshot (not the empty placeholder)
+	needSnap    bool             // position rejected as stale (or upstream changed); re-bootstrap
+	pos         storage.Position // applied position (always an out-of-bracket record boundary)
+	highWater   storage.Position // primary's durable position, from SHIP/HB frames
+	term        uint64           // highest fencing term seen (frames, bootstraps, elections)
 	syncedAt    time.Time
 	everSync    bool
 	lastFrame   time.Time // last accepted frame or bootstrap: the election silence clock
@@ -232,8 +232,8 @@ func (r *Replica) Status() Status {
 	defer r.mu.Unlock()
 	st := Status{
 		Staleness: -1,
-		Epoch:     r.pos.epoch,
-		Offset:    r.pos.offset,
+		Epoch:     r.pos.Epoch,
+		Offset:    r.pos.Offset,
 		State:     r.state,
 		Term:      r.term,
 		ID:        r.id,
@@ -304,9 +304,9 @@ func (r *Replica) promoteWithTerm(term uint64) error {
 
 	if r.opts.PromoteDir != "" {
 		spec := storage.SnapshotDatabase(r.Database())
-		spec.LogEpoch = takeover.epoch + 1
+		spec.LogEpoch = takeover.Epoch + 1
 		spec.PrimaryTerm = term
-		spec.TakeoverEpoch, spec.TakeoverOffset = takeover.epoch, takeover.offset
+		spec.TakeoverEpoch, spec.TakeoverOffset = takeover.Epoch, takeover.Offset
 		st, err := storage.Create(r.opts.PromoteDir, spec, storage.Options{})
 		if err != nil {
 			return fmt.Errorf("repl: durable promotion: %w", err)
@@ -505,8 +505,8 @@ func (r *Replica) campaign() {
 			r.retarget(st.Source)
 			return
 		}
-		peerPos := position{epoch: st.Epoch, offset: st.Offset}
-		if myPos.before(peerPos) || (peerPos == myPos && st.ID != "" && st.ID < myID) {
+		peerPos := storage.Position{Epoch: st.Epoch, Offset: st.Offset}
+		if myPos.Before(peerPos) || (peerPos == myPos && st.ID != "" && st.ID < myID) {
 			return
 		}
 	}
@@ -562,7 +562,7 @@ func (r *Replica) streamOnce() error {
 
 	// The REPL line announces our highest term: a deposed primary answering
 	// it learns of its deposition and fences itself.
-	if _, err := fmt.Fprintf(bw, "REPL %d %d %d\n", start.epoch, start.offset, term); err != nil {
+	if _, err := fmt.Fprintf(bw, "REPL %d %d %d\n", start.Epoch, start.Offset, term); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -612,7 +612,7 @@ func (r *Replica) bootstrap(br *bufio.Reader, bw *bufio.Writer) error {
 	r.booted = true
 	r.needSnap = false
 	r.term = boot.Term
-	r.pos = position{epoch: boot.Epoch, offset: boot.Offset}
+	r.pos = storage.Position{Epoch: boot.Epoch, Offset: boot.Offset}
 	r.highWater = r.pos
 	r.everSync = false // not synced until the stream proves it
 	r.lastFrame = time.Now()
@@ -638,19 +638,19 @@ func (r *Replica) adoptFrameTerm(term uint64) error {
 	return nil
 }
 
-// applyStream consumes stream frames on one connection. start is the
-// position the primary was asked to resume from; every byte that arrives is
-// accounted against it, so any gap or overlap in what the primary sends is
-// detected as a hard desync rather than silently applied.
-func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Database, start position) error {
-	applier := storage.NewApplier(db)
-	dec := storage.NewStreamDecoder()
+// applyStream consumes stream frames on one connection: SHIP payloads go to
+// a storage.Reader and every committed change it yields is applied. start
+// is the position the primary was asked to resume from; every byte that
+// arrives is accounted against it, so any gap or overlap in what the
+// primary sends is detected as a hard desync rather than silently applied.
+func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Database, start storage.Position) error {
+	rd := storage.NewReader(start)
 	feed := start // position of the next byte expected from the wire
-	// pending counts records fed to the applier but not yet covered by the
-	// resume position: a reconnect re-feeds them (they were inside an open
-	// bracket), so they count toward r.applied only when the resume
-	// position moves past them — exactly-once accounting.
-	var pending uint64
+	// counted is how many of rd's records r.applied already includes.
+	// Records count when the resume position moves past them, and a
+	// reconnect starts a new reader there, so the ones inside a bracket open
+	// at a sever are counted once — exactly-once accounting.
+	var counted uint64
 
 	for {
 		frame, err := readStreamFrame(br)
@@ -666,47 +666,57 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Da
 		case "SHIP":
 			if frame.pos != feed {
 				return fmt.Errorf("%w: SHIP at %d/%d, expected %d/%d",
-					errProto, frame.pos.epoch, frame.pos.offset, feed.epoch, feed.offset)
+					errProto, frame.pos.Epoch, frame.pos.Offset, feed.Epoch, feed.Offset)
 			}
-			dec.Feed(frame.payload)
-			feed.offset += int64(len(frame.payload))
-			if err := r.drain(applier, dec, start, &pending); err != nil {
-				return err
+			rd.Feed(frame.payload)
+			feed.Offset += int64(len(frame.payload))
+			for {
+				c, ok, err := rd.Next()
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break
+				}
+				if err := c.Apply(db); err != nil {
+					return fmt.Errorf("repl: apply at %d/%d: %w", c.Pos.Epoch, c.Pos.Offset, err)
+				}
 			}
-			r.observe(feed, applier)
-			if err := r.ack(bw); err != nil {
-				return err
-			}
-		case "HB":
-			if frame.pos.epoch == feed.epoch && frame.pos.offset < feed.offset {
-				return fmt.Errorf("%w: HB at %d/%d behind stream position %d/%d",
-					errProto, frame.pos.epoch, frame.pos.offset, feed.epoch, feed.offset)
-			}
-			r.observe(frame.pos, applier)
-			if err := r.ack(bw); err != nil {
-				return err
-			}
-		case "ROTATE":
-			// A rotation is only legal at a clean point: no partial frame
-			// buffered, no open transaction bracket (the primary never
-			// checkpoints mid-bracket, so anything else is a desync).
-			if dec.Buffered() != 0 || applier.InTx() {
-				return fmt.Errorf("%w: ROTATE to epoch %d mid-record", errProto, frame.pos.epoch)
-			}
-			start = position{epoch: frame.pos.epoch}
-			feed = start
-			dec = storage.NewStreamDecoder()
+			// The resume position is the reader's: it advances only at
+			// out-of-bracket boundaries, past state the stream may resume
+			// after.
 			r.mu.Lock()
-			r.pos = start
-			if !r.highWater.before(start) {
-				// Rotation supersedes any high-water mark from the old epoch.
-				r.highWater = start
+			if resume := rd.Position(); r.pos.Before(resume) {
+				metricAppliedBytes.Add(uint64(resume.Offset - r.pos.Offset))
+				n := rd.Records()
+				r.applied += n - counted
+				metricAppliedRecs.Add(n - counted)
+				counted = n
+				r.pos = resume
 			}
 			r.mu.Unlock()
-			r.observe(start, applier)
-			if err := r.ack(bw); err != nil {
-				return err
+			r.observe(feed, rd.Pending())
+		case "HB":
+			if frame.pos.Epoch == feed.Epoch && frame.pos.Offset < feed.Offset {
+				return fmt.Errorf("%w: HB at %d/%d behind stream position %d/%d",
+					errProto, frame.pos.Epoch, frame.pos.Offset, feed.Epoch, feed.Offset)
 			}
+			r.observe(frame.pos, rd.Pending())
+		case "ROTATE":
+			// A rotation is only legal at a clean point; anything else is a
+			// desync.
+			if err := rd.Rotate(frame.pos.Epoch); err != nil {
+				return fmt.Errorf("%w: ROTATE: %v", errProto, err)
+			}
+			feed = rd.Position()
+			r.mu.Lock()
+			r.pos = feed
+			if !r.highWater.Before(feed) {
+				// Rotation supersedes any high-water mark from the old epoch.
+				r.highWater = feed
+			}
+			r.mu.Unlock()
+			r.observe(feed, 0)
 		case "ERR":
 			if frame.code == "stale" {
 				r.mu.Lock()
@@ -716,41 +726,10 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Da
 			}
 			return fmt.Errorf("%w: stream error %s: %s", errProto, frame.code, frame.msg)
 		}
-	}
-}
-
-// drain applies every complete record the decoder holds. The resume
-// position advances only at out-of-bracket boundaries: after draining, if
-// no bracket is open, everything consumed so far is durable state the
-// stream may resume after, and the pending records become part of the
-// applied count.
-func (r *Replica) drain(applier *storage.Applier, dec *storage.StreamDecoder, start position, pending *uint64) error {
-	for {
-		rec, ok, err := dec.Next()
-		if err != nil {
+		if err := r.ack(bw); err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		if err := applier.Apply(rec); err != nil {
-			return fmt.Errorf("repl: apply %s: %w", rec.Op, err)
-		}
-		*pending++
 	}
-	if !applier.InTx() {
-		resume := position{epoch: start.epoch, offset: start.offset + dec.Consumed()}
-		r.mu.Lock()
-		if r.pos.before(resume) {
-			metricAppliedBytes.Add(uint64(resume.offset - r.pos.offset))
-			r.applied += *pending
-			metricAppliedRecs.Add(*pending)
-			r.pos = resume
-		}
-		r.mu.Unlock()
-		*pending = 0
-	}
-	return nil
 }
 
 // observe folds a frame's durability information into the lag accounting:
@@ -758,23 +737,23 @@ func (r *Replica) drain(applier *storage.Applier, dec *storage.StreamDecoder, st
 // gauge distinguishes unknown (-1: the high-water mark is in another epoch,
 // so no byte distance exists) from caught up (0) — conflating them made an
 // arbitrarily stale replica indistinguishable from a current one.
-func (r *Replica) observe(durable position, applier *storage.Applier) {
+func (r *Replica) observe(durable storage.Position, pending int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.highWater.before(durable) {
+	if r.highWater.Before(durable) {
 		r.highWater = durable
 	}
-	if !r.pos.before(r.highWater) {
+	if !r.pos.Before(r.highWater) {
 		// Applied everything the primary has made durable: caught up.
 		r.syncedAt = time.Now()
 		r.everSync = true
 		metricLagBytes.Set(0)
-	} else if r.highWater.epoch == r.pos.epoch {
-		metricLagBytes.Set(r.highWater.offset - r.pos.offset)
+	} else if r.highWater.Epoch == r.pos.Epoch {
+		metricLagBytes.Set(r.highWater.Offset - r.pos.Offset)
 	} else {
 		metricLagBytes.Set(-1)
 	}
-	metricLagRecords.Set(int64(applier.Pending()))
+	metricLagRecords.Set(int64(pending))
 }
 
 // ack reports the current resume position (and our term) to the primary.

@@ -34,8 +34,9 @@ import (
 // Pre-term peers are interoperable: a REPL line without the term field and
 // term-less frame parses are rejected only where stated.
 //
-// SHIP payloads are raw WAL frame bytes and split without regard for frame
-// boundaries; the follower reassembles them with storage.StreamDecoder.
+// SHIP payloads are raw WAL frame bytes — a storage.Follower's chunks,
+// verbatim — and split without regard for frame boundaries; the follower
+// feeds them to a storage.Reader.
 // Offsets in SHIP/HB/ACK are absolute byte offsets within the named
 // epoch's WAL. ACK offsets only ever name record boundaries outside
 // transaction brackets, which is what makes reconnect-with-resume
@@ -60,17 +61,6 @@ const maxShipChunk = 1 << 20
 
 // maxSnapshotBytes bounds a SNAP bootstrap payload on the follower side.
 const maxSnapshotBytes = 1 << 30
-
-// position is a global replication position.
-type position struct {
-	epoch  uint64
-	offset int64
-}
-
-// before reports strict stream order.
-func (p position) before(q position) bool {
-	return p.epoch < q.epoch || (p.epoch == q.epoch && p.offset < q.offset)
-}
 
 // bootstrap is the SNAP payload. Term and the takeover fields were added
 // for failover; gob leaves them zero when decoding a pre-term payload.
@@ -107,8 +97,8 @@ func decodeBootstrap(p []byte) (bootstrap, error) {
 }
 
 // writeShip emits one SHIP frame and flushes.
-func writeShip(w *bufio.Writer, term uint64, pos position, chunk []byte) error {
-	if _, err := fmt.Fprintf(w, "SHIP %d %d %d %d\n", term, pos.epoch, pos.offset, len(chunk)); err != nil {
+func writeShip(w *bufio.Writer, term uint64, pos storage.Position, chunk []byte) error {
+	if _, err := fmt.Fprintf(w, "SHIP %d %d %d %d\n", term, pos.Epoch, pos.Offset, len(chunk)); err != nil {
 		return err
 	}
 	if _, err := w.Write(chunk); err != nil {
@@ -121,8 +111,8 @@ func writeShip(w *bufio.Writer, term uint64, pos position, chunk []byte) error {
 }
 
 // writeHB emits one heartbeat frame and flushes.
-func writeHB(w *bufio.Writer, term uint64, pos position) error {
-	if _, err := fmt.Fprintf(w, "HB %d %d %d\n", term, pos.epoch, pos.offset); err != nil {
+func writeHB(w *bufio.Writer, term uint64, pos storage.Position) error {
+	if _, err := fmt.Fprintf(w, "HB %d %d %d\n", term, pos.Epoch, pos.Offset); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -146,43 +136,43 @@ func writeStale(w *bufio.Writer, msg string) error {
 }
 
 // writeAck emits one follower ACK line and flushes.
-func writeAck(w *bufio.Writer, term uint64, pos position) error {
-	if _, err := fmt.Fprintf(w, "ACK %d %d %d\n", term, pos.epoch, pos.offset); err != nil {
+func writeAck(w *bufio.Writer, term uint64, pos storage.Position) error {
+	if _, err := fmt.Fprintf(w, "ACK %d %d %d\n", term, pos.Epoch, pos.Offset); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
 // readAck parses one follower ACK line.
-func readAck(br *bufio.Reader) (uint64, position, error) {
+func readAck(br *bufio.Reader) (uint64, storage.Position, error) {
 	line, err := br.ReadString('\n')
 	if err != nil {
-		return 0, position{}, err
+		return 0, storage.Position{}, err
 	}
 	fields := strings.Fields(strings.TrimRight(line, "\r\n"))
 	if len(fields) != 4 || fields[0] != "ACK" {
-		return 0, position{}, fmt.Errorf("%w: bad ack line %q", errProto, line)
+		return 0, storage.Position{}, fmt.Errorf("%w: bad ack line %q", errProto, line)
 	}
 	term, err := strconv.ParseUint(fields[1], 10, 64)
 	if err != nil {
-		return 0, position{}, fmt.Errorf("%w: bad ack term %q", errProto, fields[1])
+		return 0, storage.Position{}, fmt.Errorf("%w: bad ack term %q", errProto, fields[1])
 	}
 	epoch, err := strconv.ParseUint(fields[2], 10, 64)
 	if err != nil {
-		return 0, position{}, fmt.Errorf("%w: bad ack epoch %q", errProto, fields[2])
+		return 0, storage.Position{}, fmt.Errorf("%w: bad ack epoch %q", errProto, fields[2])
 	}
 	off, err := strconv.ParseInt(fields[3], 10, 64)
 	if err != nil || off < 0 {
-		return 0, position{}, fmt.Errorf("%w: bad ack offset %q", errProto, fields[3])
+		return 0, storage.Position{}, fmt.Errorf("%w: bad ack offset %q", errProto, fields[3])
 	}
-	return term, position{epoch: epoch, offset: off}, nil
+	return term, storage.Position{Epoch: epoch, Offset: off}, nil
 }
 
 // streamFrame is one decoded primary→follower frame.
 type streamFrame struct {
 	kind    string // "SHIP" | "HB" | "ROTATE" | "ERR"
 	term    uint64 // sender's fencing term (SHIP/HB/ROTATE)
-	pos     position
+	pos     storage.Position
 	payload []byte // SHIP only
 	code    string // ERR only
 	msg     string // ERR only
@@ -225,7 +215,7 @@ func readStreamFrame(br *bufio.Reader) (streamFrame, error) {
 		if payload[n] != '\n' {
 			return streamFrame{}, fmt.Errorf("%w: missing SHIP terminator", errProto)
 		}
-		return streamFrame{kind: "SHIP", term: term, pos: position{epoch, off}, payload: payload[:n]}, nil
+		return streamFrame{kind: "SHIP", term: term, pos: storage.Position{Epoch: epoch, Offset: off}, payload: payload[:n]}, nil
 	case "HB":
 		if len(fields) != 4 {
 			return streamFrame{}, fmt.Errorf("%w: bad HB line %q", errProto, line)
@@ -236,7 +226,7 @@ func readStreamFrame(br *bufio.Reader) (streamFrame, error) {
 		if err0 != nil || err1 != nil || err2 != nil {
 			return streamFrame{}, fmt.Errorf("%w: bad HB header %q", errProto, line)
 		}
-		return streamFrame{kind: "HB", term: term, pos: position{epoch, off}}, nil
+		return streamFrame{kind: "HB", term: term, pos: storage.Position{Epoch: epoch, Offset: off}}, nil
 	case "ROTATE":
 		if len(fields) != 3 {
 			return streamFrame{}, fmt.Errorf("%w: bad ROTATE line %q", errProto, line)
@@ -246,7 +236,7 @@ func readStreamFrame(br *bufio.Reader) (streamFrame, error) {
 		if err0 != nil || err != nil {
 			return streamFrame{}, fmt.Errorf("%w: bad ROTATE line %q", errProto, line)
 		}
-		return streamFrame{kind: "ROTATE", term: term, pos: position{epoch: epoch}}, nil
+		return streamFrame{kind: "ROTATE", term: term, pos: storage.Position{Epoch: epoch}}, nil
 	case "ERR":
 		// Standard ERR framing: ERR <code> <retry_ms> <n>\n<msg>\n
 		if len(fields) != 4 {

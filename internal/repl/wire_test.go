@@ -17,18 +17,18 @@ func frameReader(s string) *bufio.Reader { return bufio.NewReader(strings.NewRea
 
 func TestPositionBefore(t *testing.T) {
 	cases := []struct {
-		p, q position
+		p, q storage.Position
 		want bool
 	}{
-		{position{0, 0}, position{0, 1}, true},
-		{position{0, 99}, position{1, 0}, true},
-		{position{1, 0}, position{0, 99}, false},
-		{position{2, 5}, position{2, 5}, false},
-		{position{2, 6}, position{2, 5}, false},
+		{storage.Position{Epoch: 0, Offset: 0}, storage.Position{Epoch: 0, Offset: 1}, true},
+		{storage.Position{Epoch: 0, Offset: 99}, storage.Position{Epoch: 1, Offset: 0}, true},
+		{storage.Position{Epoch: 1, Offset: 0}, storage.Position{Epoch: 0, Offset: 99}, false},
+		{storage.Position{Epoch: 2, Offset: 5}, storage.Position{Epoch: 2, Offset: 5}, false},
+		{storage.Position{Epoch: 2, Offset: 6}, storage.Position{Epoch: 2, Offset: 5}, false},
 	}
 	for _, c := range cases {
-		if got := c.p.before(c.q); got != c.want {
-			t.Errorf("%v.before(%v) = %v, want %v", c.p, c.q, got, c.want)
+		if got := c.p.Before(c.q); got != c.want {
+			t.Errorf("%v.Before(%v) = %v, want %v", c.p, c.q, got, c.want)
 		}
 	}
 }
@@ -36,10 +36,10 @@ func TestPositionBefore(t *testing.T) {
 func TestStreamFrameRoundTrips(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	pos := position{epoch: 3, offset: 1024}
+	pos := storage.Position{Epoch: 3, Offset: 1024}
 	chunk := []byte("raw wal bytes\nwith a newline inside")
 	must(t, writeShip(w, 7, pos, chunk))
-	must(t, writeHB(w, 7, position{epoch: 3, offset: 2048}))
+	must(t, writeHB(w, 7, storage.Position{Epoch: 3, Offset: 2048}))
 	must(t, writeRotate(w, 7, 4))
 	must(t, writeStale(w, "epoch 3 was checkpointed away"))
 
@@ -51,12 +51,12 @@ func TestStreamFrameRoundTrips(t *testing.T) {
 	}
 	f, err = readStreamFrame(br)
 	must(t, err)
-	if f.kind != "HB" || f.term != 7 || f.pos != (position{epoch: 3, offset: 2048}) {
+	if f.kind != "HB" || f.term != 7 || f.pos != (storage.Position{Epoch: 3, Offset: 2048}) {
 		t.Fatalf("HB round trip = %+v", f)
 	}
 	f, err = readStreamFrame(br)
 	must(t, err)
-	if f.kind != "ROTATE" || f.term != 7 || f.pos.epoch != 4 {
+	if f.kind != "ROTATE" || f.term != 7 || f.pos.Epoch != 4 {
 		t.Fatalf("ROTATE round trip = %+v", f)
 	}
 	f, err = readStreamFrame(br)
@@ -69,10 +69,10 @@ func TestStreamFrameRoundTrips(t *testing.T) {
 func TestAckRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	must(t, writeAck(w, 9, position{epoch: 7, offset: 4096}))
+	must(t, writeAck(w, 9, storage.Position{Epoch: 7, Offset: 4096}))
 	term, got, err := readAck(bufio.NewReader(&buf))
 	must(t, err)
-	if term != 9 || got != (position{epoch: 7, offset: 4096}) {
+	if term != 9 || got != (storage.Position{Epoch: 7, Offset: 4096}) {
 		t.Fatalf("ACK round trip = term %d pos %+v", term, got)
 	}
 

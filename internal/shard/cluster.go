@@ -234,7 +234,7 @@ func (c *Cluster) keyed(ctx context.Context, st hql.Stmt, info hql.ShardInfo) (s
 			c.txOps = append(c.txOps, catalog.TxOp{Kind: kind, Relation: st.Relation, Values: st.Values})
 			return fmt.Sprintf("staged %s on %s", kind, st.Relation), nil
 		}
-		return c.keyedWrite(ctx, rendered, catalog.TxOp{Kind: kind, Relation: st.Relation, Values: st.Values},
+		return c.keyedWrite(ctx, rendered, catalog.TxOp{Kind: kind, Relation: st.Relation, Values: st.Values, Bare: true},
 			func() string {
 				past := "asserted"
 				if !st.Sign {
@@ -248,7 +248,7 @@ func (c *Cluster) keyed(ctx context.Context, st hql.Stmt, info hql.ShardInfo) (s
 			c.txOps = append(c.txOps, catalog.TxOp{Kind: "retract", Relation: st.Relation, Values: st.Values})
 			return fmt.Sprintf("staged retract on %s", st.Relation), nil
 		}
-		return c.keyedWrite(ctx, rendered, catalog.TxOp{Kind: "retract", Relation: st.Relation, Values: st.Values},
+		return c.keyedWrite(ctx, rendered, catalog.TxOp{Kind: "retract", Relation: st.Relation, Values: st.Values, Bare: true},
 			func() string {
 				return fmt.Sprintf("retracted %s(%s)", st.Relation, strings.Join(st.Values, ", "))
 			})
@@ -258,10 +258,12 @@ func (c *Cluster) keyed(ctx context.Context, st hql.Stmt, info hql.ShardInfo) (s
 	}
 }
 
-// keyedWrite applies one autocommit write: local tuples execute as plain
-// HQL on their home shard (whose response carries any policy warnings);
-// global tuples commit everywhere via 2PC, with the success line built
-// locally (per-shard warnings are not aggregated — documented caveat).
+// keyedWrite applies one autocommit write — op is marked Bare: local tuples
+// execute as plain HQL on their home shard (whose response carries any
+// policy warnings); global tuples commit everywhere via 2PC, where the flag
+// makes every shard refuse to flip a stored sign as the single node does,
+// with the success line built locally (per-shard warnings are not
+// aggregated — documented caveat).
 func (c *Cluster) keyedWrite(ctx context.Context, rendered string, op catalog.TxOp, okLine func() string) (string, error) {
 	local, err := Placement(c.mirror, op.Relation, op.Values)
 	if err != nil {
@@ -525,7 +527,8 @@ func (c *Cluster) withRules(ctx context.Context, db *catalog.Database, final str
 // commitOps commits a buffered transaction across the cluster. Each local
 // op goes to its home shard, each global op to every shard, order
 // preserved per shard. One involved shard is a fast path — a rendered
-// BEGIN…COMMIT script, atomic under the shard's own WAL bracket. Multiple
+// BEGIN…COMMIT script, atomic under the shard's own WAL bracket, or for a
+// Bare op the bare statement it was. Multiple
 // shards run 2PC: PREPARE everywhere (validate + journal, nothing
 // applied), then COMMIT everywhere; a participant that lost its journal
 // (crash, failover to a promoted replica) answers "unknown" and is
@@ -559,13 +562,15 @@ func (c *Cluster) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 	case 1:
 		s := involved[0]
 		var b strings.Builder
-		b.WriteString("BEGIN;\n")
 		for _, o := range perShard[s] {
 			b.WriteString(renderOp(o))
 			b.WriteString(";\n")
 		}
-		b.WriteString("COMMIT;")
-		_, err := c.conns[s].Exec(ctx, b.String())
+		script := "BEGIN;\n" + b.String() + "COMMIT;"
+		if perShard[s][0].Bare {
+			script = b.String()
+		}
+		_, err := c.conns[s].Exec(ctx, script)
 		return err
 	}
 

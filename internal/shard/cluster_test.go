@@ -194,30 +194,38 @@ func TestClusterKeyedPlacement(t *testing.T) {
 }
 
 func TestClusterMatchesReference(t *testing.T) {
-	c, _ := newTestCluster(t, 3)
-	ref, refDB := refSession(t)
-	script := `ASSERT Flies (Bird);
+	for _, shards := range []int{1, 3} {
+		c, _ := newTestCluster(t, shards)
+		ref, refDB := refSession(t)
+		script := `ASSERT Flies (Bird);
 DENY Flies (Penguin);
 ASSERT FliesAt (Robin, h1);
 ASSERT FliesAt (Tweety, l1);
 ASSERT FliesAt (Bird, low);`
-	runBoth(t, c, ref, script)
+		runBoth(t, c, ref, script)
 
-	for _, q := range []string{
-		"HOLDS Flies (Tweety);",
-		"HOLDS Flies (Paul);",
-		"WHY Flies (Paul);",
-		"SELECT FROM Flies WHERE Creature UNDER Bird;",
-		"SELECT FROM FliesAt WHERE Creature UNDER Bird AND Alt UNDER low;",
-		"EXTENSION Flies;",
-		"COUNT FliesAt BY (Alt);",
-		"SHOW RELATION FliesAt;",
-		"SHOW RELATIONS;",
-		"SHOW HIERARCHY Animal;",
-	} {
-		runBoth(t, c, ref, q)
+		for _, q := range []string{
+			"HOLDS Flies (Tweety);",
+			"HOLDS Flies (Paul);",
+			"WHY Flies (Paul);",
+			"SELECT FROM Flies WHERE Creature UNDER Bird;",
+			"SELECT FROM FliesAt WHERE Creature UNDER Bird AND Alt UNDER low;",
+			"EXTENSION Flies;",
+			"COUNT FliesAt BY (Alt);",
+			"SHOW RELATION FliesAt;",
+			"SHOW RELATIONS;",
+			"SHOW HIERARCHY Animal;",
+			// A bare write over a stored tuple of the opposite sign is refused,
+			// whether the tuple is GLOBAL (a class: replicated by 2PC) or
+			// local (an instance: its home shard's own session).
+			"RETRACT Flies (Penguin);\nDENY Flies (Bird);",
+			"DENY FliesAt (Robin, h1);",
+			"HOLDS Flies (Tweety);",
+		} {
+			runBoth(t, c, ref, q)
+		}
+		fingerprintsMatch(t, c, refDB)
 	}
-	fingerprintsMatch(t, c, refDB)
 }
 
 func TestClusterCoordinatorAlgebra(t *testing.T) {

@@ -22,8 +22,11 @@ import (
 //	ABORT <gid>                          → "aborted"
 //	APPLY <gid>  + op lines              → "applied"
 //
-// An op line is "<kind>␟<rel>␟<v1>␟<v2>…" with kind one of the catalog.TxOp
-// kinds. Values therefore must not contain 0x1f or newline — the same
+// An op line is "<kind>␟<flag>␟<rel>␟<v1>␟<v2>…": kind is assert, deny or
+// retract, and flag is "tx" for an op of a transaction or "bare" for
+// catalog.TxOp.Bare — the autocommit statement, which unlike a transaction
+// refuses to replace a stored tuple of the opposite sign. Values therefore
+// must not contain 0x1f or newline — the same
 // constraint core.Item.Key and the HQL dump already impose on node names.
 // Encoders reject offending values; the decoders are strict so a corrupted
 // frame fails loudly instead of applying a mangled operation.
@@ -116,6 +119,12 @@ func EncodeApply(gid string, ops []catalog.TxOp) (string, error) {
 	return encodeWithOps("APPLY", gid, ops)
 }
 
+// The op line's flag field: TxOp.Bare, spelled out.
+const (
+	flagTx   = "tx"
+	flagBare = "bare"
+)
+
 func encodeWithOps(verb, gid string, ops []catalog.TxOp) (string, error) {
 	if err := checkWireSafe([]string{gid}); err != nil {
 		return "", err
@@ -123,11 +132,18 @@ func encodeWithOps(verb, gid string, ops []catalog.TxOp) (string, error) {
 	var b strings.Builder
 	b.WriteString(verb + sep + gid)
 	for _, o := range ops {
-		if err := checkWireSafe(append([]string{o.Kind, o.Relation}, o.Values...)); err != nil {
+		if !catalog.IsTupleOp(o.Kind) {
+			return "", fmt.Errorf("shard: %s is not an assert, deny or retract", o.Kind)
+		}
+		if err := checkWireSafe(append([]string{o.Relation}, o.Values...)); err != nil {
 			return "", err
 		}
+		flag := flagTx
+		if o.Bare {
+			flag = flagBare
+		}
 		b.WriteString("\n")
-		b.WriteString(o.Kind + sep + o.Relation)
+		b.WriteString(o.Kind + sep + flag + sep + o.Relation)
 		for _, v := range o.Values {
 			b.WriteString(sep)
 			b.WriteString(v)
@@ -228,15 +244,16 @@ func decodeOps(lines []string) ([]catalog.TxOp, error) {
 			continue
 		}
 		f := strings.Split(ln, sep)
-		if len(f) < 2 {
+		if len(f) < 3 {
 			return nil, fmt.Errorf("shard: malformed op line %q", ln)
 		}
-		switch f[0] {
-		case "assert", "deny", "retract":
-		default:
+		if !catalog.IsTupleOp(f[0]) {
 			return nil, fmt.Errorf("shard: unknown op kind %q", f[0])
 		}
-		ops = append(ops, catalog.TxOp{Kind: f[0], Relation: f[1], Values: f[2:]})
+		if f[1] != flagTx && f[1] != flagBare {
+			return nil, fmt.Errorf("shard: unknown op flag %q", f[1])
+		}
+		ops = append(ops, catalog.TxOp{Kind: f[0], Relation: f[2], Values: f[3:], Bare: f[1] == flagBare})
 	}
 	return ops, nil
 }

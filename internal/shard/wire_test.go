@@ -67,6 +67,7 @@ func TestEncodePrepareRoundTrip(t *testing.T) {
 		{Kind: "assert", Relation: "Flies", Values: []string{"Bird"}},
 		{Kind: "deny", Relation: "Flies", Values: []string{"Penguin"}},
 		{Kind: "retract", Relation: "Eats", Values: []string{"Paul", "fish"}},
+		{Kind: "deny", Relation: "Flies", Values: []string{"Bird"}, Bare: true},
 	}
 	op, err := EncodePrepare("g1.7", ops)
 	if err != nil {
@@ -89,11 +90,17 @@ func TestEncodePrepareRoundTrip(t *testing.T) {
 }
 
 func TestDecodeOpsRejectsUnknownKind(t *testing.T) {
-	if _, err := decodeOps([]string{"upsert\x1fFlies\x1fBird"}); err == nil {
+	if _, err := decodeOps([]string{"upsert\x1ftx\x1fFlies\x1fBird"}); err == nil {
 		t.Fatal("unknown kind must fail")
 	}
-	if _, err := decodeOps([]string{"assert"}); err == nil {
+	if _, err := decodeOps([]string{"assert\x1fFlies\x1fBird"}); err == nil {
+		t.Fatal("unknown flag (the pre-flag line) must fail")
+	}
+	if _, err := decodeOps([]string{"assert\x1fbare"}); err == nil {
 		t.Fatal("op without relation must fail")
+	}
+	if _, err := EncodeApply("g", []catalog.TxOp{{Kind: "add_class", Relation: "D", Values: []string{"C"}}}); err == nil {
+		t.Fatal("the encoder must refuse a kind the decoder does")
 	}
 }
 
@@ -142,4 +149,48 @@ func TestParseOpRejectsEmpty(t *testing.T) {
 	if _, err := parseOp(strings.Repeat("\x1f", 3)); err == nil {
 		t.Fatal("empty verb must fail")
 	}
+}
+
+// FuzzShardOpDecode: the shard op decoders never panic on arbitrary input,
+// and an op list survives encode → parse → decode for every kind, with and
+// without Bare.
+func FuzzShardOpDecode(f *testing.F) {
+	prep, _ := EncodePrepare("g1.7", []catalog.TxOp{
+		{Kind: "assert", Relation: "Flies", Values: []string{"Bird"}},
+		{Kind: "deny", Relation: "Flies", Values: []string{"Bird"}, Bare: true},
+	})
+	f.Add(prep, "Flies", "Bird")
+	f.Add("APPLY\x1fg\nretract\x1ftx\x1fR", "R", "")
+	f.Add("+a\x1fb\n-c", "r", "x\x1fy")
+	f.Add("true\nfalse\n", "", "a\nb")
+	f.Add("", "", "")
+	f.Fuzz(func(t *testing.T, input, rel, value string) {
+		if p, err := parseOp(input); err == nil {
+			_, _ = decodeOps(p.lines)
+			_ = decodeItems(p.lines)
+		}
+		_, _ = DecodeTuples(input)
+		_, _ = DecodeBools(input)
+
+		var ops []catalog.TxOp
+		for _, kind := range []string{"assert", "deny", "retract"} {
+			for _, bare := range []bool{false, true} {
+				ops = append(ops, catalog.TxOp{Kind: kind, Relation: rel, Values: []string{value, kind}, Bare: bare})
+			}
+		}
+		enc, err := EncodeApply("gid", ops)
+		if err != nil {
+			if checkWireSafe([]string{rel, value}) == nil {
+				t.Fatalf("wire-safe ops refused: %v", err)
+			}
+			return
+		}
+		p, err := parseOp(enc)
+		if err != nil || p.verb != "APPLY" || gidOf(p) != "gid" {
+			t.Fatalf("parseOp(%q) = %+v, %v", enc, p, err)
+		}
+		if got, err := decodeOps(p.lines); err != nil || !reflect.DeepEqual(got, ops) {
+			t.Fatalf("round trip of %+v = %+v, %v", ops, got, err)
+		}
+	})
 }

@@ -199,8 +199,8 @@ func TestCrashBetweenTxBeginAndCommit(t *testing.T) {
 	l, err := OpenLog(filepath.Join(dir, walFile))
 	must(t, err)
 	must(t, l.Append(Record{Op: OpTxBegin}))
-	must(t, l.Append(Record{Op: OpAssert, Target: "Flies", Args: []string{"GP"}}))
-	must(t, l.Append(Record{Op: OpSetMode, Target: "Flies", Args: []string{"on-path"}}))
+	must(t, l.Append(Record{Op: "assert", Target: "Flies", Args: []string{"GP"}}))
+	must(t, l.Append(Record{Op: "set_mode", Target: "Flies", Args: []string{"on-path"}}))
 	must(t, l.Close())
 
 	s2, err := Open(dir)

@@ -14,24 +14,21 @@ import (
 // and missing directory fsyncs deterministic.
 
 // TestLogFsyncErrorPoisons: a failed fsync poisons the log — later Append
-// and Replay calls return an error instead of writing records whose
-// durability would be unknowable, even though the "device" recovered.
+// calls return an error instead of writing records whose durability would
+// be unknowable, even though the "device" recovered.
 func TestLogFsyncErrorPoisons(t *testing.T) {
 	ffs := NewFaultFS(nil)
-	l, err := OpenLogFS(ffs, filepath.Join(t.TempDir(), "wal.log"))
+	l, err := OpenLogFS(ffs, filepath.Join(t.TempDir(), "wal.log"), NewReader(Position{}), func(Change) error { return nil })
 	must(t, err)
-	must(t, l.Append(Record{Op: OpCreateHierarchy, Target: "D"}))
+	must(t, l.Append(Record{Op: "create_hierarchy", Target: "D"}))
 
 	ffs.FailSyncAfter(0)
-	if err := l.Append(Record{Op: OpCreateHierarchy, Target: "E"}); !errors.Is(err, ErrLogFailed) {
+	if err := l.Append(Record{Op: "create_hierarchy", Target: "E"}); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("append with failing fsync: got %v, want ErrLogFailed", err)
 	}
 	// The fault was one-shot; the log must stay poisoned regardless.
-	if err := l.Append(Record{Op: OpCreateHierarchy, Target: "F"}); !errors.Is(err, ErrLogFailed) {
+	if err := l.Append(Record{Op: "create_hierarchy", Target: "F"}); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("append after poison: got %v, want ErrLogFailed", err)
-	}
-	if err := l.Replay(func(Record) error { return nil }); !errors.Is(err, ErrLogFailed) {
-		t.Fatalf("replay after poison: got %v, want ErrLogFailed", err)
 	}
 	l.Close()
 }
@@ -43,16 +40,16 @@ func TestLogShortWritePoisonsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wal.log")
 	ffs := NewFaultFS(nil)
-	l, err := OpenLogFS(ffs, path)
+	l, err := OpenLogFS(ffs, path, NewReader(Position{}), func(Change) error { return nil })
 	must(t, err)
-	must(t, l.Append(Record{Op: OpCreateHierarchy, Target: "D"}))
-	must(t, l.Append(Record{Op: OpAssert, Target: "R", Args: []string{"a"}}))
+	must(t, l.Append(Record{Op: "create_hierarchy", Target: "D"}))
+	must(t, l.Append(Record{Op: "assert", Target: "R", Args: []string{"a"}}))
 
 	ffs.FailWriteAfter(0, 5) // tear the next frame after 5 bytes
-	if err := l.Append(Record{Op: OpAssert, Target: "R", Args: []string{"b"}}); !errors.Is(err, ErrLogFailed) {
+	if err := l.Append(Record{Op: "assert", Target: "R", Args: []string{"b"}}); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("torn append: got %v, want ErrLogFailed", err)
 	}
-	if err := l.Append(Record{Op: OpAssert, Target: "R", Args: []string{"c"}}); !errors.Is(err, ErrLogFailed) {
+	if err := l.Append(Record{Op: "assert", Target: "R", Args: []string{"c"}}); !errors.Is(err, ErrLogFailed) {
 		t.Fatalf("append after torn write: got %v, want ErrLogFailed", err)
 	}
 	l.Close()
@@ -62,15 +59,11 @@ func TestLogShortWritePoisonsAndRecovers(t *testing.T) {
 	l2, err := OpenLog(path)
 	must(t, err)
 	defer l2.Close()
-	n := 0
-	must(t, l2.Replay(func(Record) error { n++; return nil }))
-	if n != 2 {
+	if n := logRecords(t, path); n != 2 {
 		t.Fatalf("recovered %d records, want 2", n)
 	}
-	must(t, l2.Append(Record{Op: OpAssert, Target: "R", Args: []string{"d"}}))
-	n = 0
-	must(t, l2.Replay(func(Record) error { n++; return nil }))
-	if n != 3 {
+	must(t, l2.Append(Record{Op: "assert", Target: "R", Args: []string{"d"}}))
+	if n := logRecords(t, path); n != 3 {
 		t.Fatalf("after re-append: %d records, want 3", n)
 	}
 }

@@ -14,16 +14,14 @@ import (
 // primary needs to serve it — read raw WAL bytes by position, wait for the
 // position to advance, and cut a snapshot consistent with a position.
 //
-// A replication position is the pair (checkpoint epoch, absolute WAL byte
-// offset). Offsets are meaningful only within one epoch's log file;
-// checkpoint rotation retires an epoch at a recorded end offset, and the
-// stream continues at (epoch+1, 0). Positions are exchanged at record
-// boundaries only, so a resumed stream never starts mid-frame.
+// A replication position is a Position (reader.go); Follower (tail.go) is
+// the one loop over these primitives.
 
 // ErrWALUnavailable reports a replication read whose WAL segment this
 // process cannot serve: the epoch was retired (and its file removed) before
-// the requested offset could be read, or the epoch predates this process.
-// The follower's recourse is a fresh snapshot bootstrap.
+// the requested offset could be read, the epoch predates this process, or
+// the position lies in this log's future. The follower's recourse is a
+// fresh snapshot bootstrap.
 var ErrWALUnavailable = errors.New("storage: wal segment unavailable (superseded by a checkpoint)")
 
 // Position returns the durable replication position: the current checkpoint
@@ -82,7 +80,9 @@ func (s *Store) ReadWAL(epoch uint64, from int64, max int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: epoch %d not served by this process", ErrWALUnavailable, epoch)
 	}
 	if from > limit {
-		return nil, fmt.Errorf("storage: ReadWAL: offset %d beyond end %d of epoch %d", from, limit, epoch)
+		// A position from this epoch's future: the reader followed a different
+		// store, or the directory was restored from an older backup.
+		return nil, fmt.Errorf("%w: offset %d beyond end %d of epoch %d", ErrWALUnavailable, from, limit, epoch)
 	}
 	if from == limit {
 		return nil, nil
@@ -179,8 +179,9 @@ func (s *Store) ReplicationSnapshot() (DatabaseSpec, uint64, int64, error) {
 // An empty suffix (the divergence point is the end of the log: nothing was
 // lost) writes no file and returns an empty path. Epochs superseded by a
 // checkpoint before the divergence point can no longer be read as raw
-// records and are skipped; the returned byte count covers what was actually
-// preserved.
+// records and are skipped, as is an epoch that ends before the divergence
+// point (it holds nothing past it); the returned byte count covers what was
+// actually preserved.
 //
 // The store may be fenced — quarantine is exactly the post-deposition flow —
 // but must not be closed yet.

@@ -205,34 +205,10 @@ func TestReplicationSnapshotConsistent(t *testing.T) {
 	_, size := s.Position()
 	tail, err := s.ReadWAL(epoch, off, int(size-off))
 	must(t, err)
-	a := NewApplier(db)
-	if err := decodeFrames(t, tail, func(rec Record) error { return a.Apply(rec) }); err != nil {
-		t.Fatal(err)
+	for _, c := range readChanges(t, Position{Epoch: epoch, Offset: off}, tail) {
+		must(t, c.Apply(db))
 	}
 	if got, want := fingerprint(db), fingerprint(s.Database()); got != want {
 		t.Fatalf("bootstrap + tail replay diverges from primary\n got: %s\nwant: %s", got, want)
 	}
-}
-
-// decodeFrames decodes a contiguous run of complete WAL frames.
-func decodeFrames(t testing.TB, buf []byte, fn func(Record) error) error {
-	t.Helper()
-	d := NewStreamDecoder()
-	d.Feed(buf)
-	for {
-		rec, ok, err := d.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
-	if n := d.Buffered(); n != 0 {
-		t.Fatalf("%d undecoded bytes left", n)
-	}
-	return nil
 }

@@ -80,12 +80,12 @@ func TestMalformedOpsRejected(t *testing.T) {
 	must(t, s.CreateRelation("R", catalog.AttrSpec{Name: "X", Domain: "D"}))
 
 	bad := []Record{
-		{Op: OpAddClass, Target: "D"},                       // missing name
-		{Op: OpAddEdge, Target: "D", Args: []string{"one"}}, // wants 2
-		{Op: OpPrefer, Target: "D", Args: []string{"one"}},  // wants 2
-		{Op: OpCreateRelation, Target: "Q", Args: []string{"odd"}},
-		{Op: OpDropNode, Target: "D"},
-		{Op: OpSetMode, Target: "R", Args: []string{"sideways"}},
+		{Op: "add_class", Target: "D"},                       // missing name
+		{Op: "add_edge", Target: "D", Args: []string{"one"}}, // wants 2
+		{Op: "prefer", Target: "D", Args: []string{"one"}},   // wants 2
+		{Op: "create_relation", Target: "Q", Args: []string{"odd"}},
+		{Op: "drop_node", Target: "D"},
+		{Op: "set_mode", Target: "R", Args: []string{"sideways"}},
 		{Op: Op(catalog.KindSetPolicy), Args: []string{"maybe"}},
 		{Op: OpTxBegin}, // a WAL record, but not a mutation
 		{Op: Op("nonsense")},
@@ -101,7 +101,8 @@ func TestMalformedOpsRejected(t *testing.T) {
 		if rec.Op == OpTxBegin {
 			continue
 		}
-		if err := NewApplier(s.Database()).Apply(rec); !errors.Is(err, ErrCorrupt) {
+		op.Bare = true // as a Reader yields a record logged outside a bracket
+		if err := (Change{Ops: []catalog.TxOp{op}}).Apply(s.Database()); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("replayed record %+v = %v, want ErrCorrupt", rec, err)
 		}
 	}

@@ -176,20 +176,27 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	} else {
 		db = catalog.New()
 	}
-	log, err := OpenLogFS(fs, filepath.Join(dir, walName(epoch)))
+	// Recovery is one pass of a Reader over the log: each committed change
+	// applies to the freshly loaded database, a term adopted after the last
+	// checkpoint (it exists only as a new_term record) folds into the
+	// recovered term, and the log ends at the reader's last clean position.
+	start := time.Now()
+	rd := NewReader(Position{Epoch: epoch})
+	log, err := OpenLogFS(fs, filepath.Join(dir, walName(epoch)), rd, func(c Change) error {
+		term = max(term, c.Term)
+		return c.Apply(db)
+	})
 	if err != nil {
 		return nil, err
 	}
+	metricReplayNS.ObserveDuration(time.Since(start))
+	metricReplayRecords.Add(rd.Records())
 	s := &Store{
 		db: db, log: log, dir: dir, fs: fs, epoch: epoch,
 		term: term, takeoverEpoch: takeoverEpoch, takeoverOffset: takeoverOffset,
 		epochEnds: make(map[uint64]int64),
 		durable:   make(map[string]bool),
 		watch:     make(chan struct{}),
-	}
-	if err := s.replay(); err != nil {
-		log.Close()
-		return nil, err
 	}
 	for _, name := range db.Relations() {
 		s.durable[name] = true
@@ -338,27 +345,6 @@ func (s *Store) ReadLocked(fn func(db *catalog.Database) error) error {
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// replay applies every durable log record to the freshly loaded database
-// through an Applier, which owns the transaction-bracket semantics (commit
-// applies, abort discards). An unterminated bracket cannot reach here:
-// OpenLog truncates it with the torn tail.
-func (s *Store) replay() error {
-	start := time.Now()
-	defer func() { metricReplayNS.ObserveDuration(time.Since(start)) }()
-	a := NewApplier(s.db)
-	return s.log.Replay(func(rec Record) error {
-		metricReplayRecords.Inc()
-		// Fold term adoptions into the recovered term: a term asserted after
-		// the last checkpoint exists only as an OpNewTerm record.
-		if rec.Op == OpNewTerm && len(rec.Args) == 1 {
-			if t, err := strconv.ParseUint(rec.Args[0], 10, 64); err == nil && t > s.term {
-				s.term = t
-			}
-		}
-		return a.Apply(rec)
-	})
-}
-
 // lockUsable takes applyMu on a store that accepts mutations; on error the
 // lock is not held. The unlocked check is a fast path, the locked one
 // orders the caller against a concurrent Close.
@@ -459,9 +445,9 @@ func (s *Store) ApplyTx(ops []catalog.TxOp) error {
 		return nil
 	}
 	switch recs[0].Op {
-	case OpCreateRelation:
+	case catalog.KindCreateRelation:
 		s.durable[recs[0].Target] = true
-	case OpDropRelation:
+	case catalog.KindDropRelation:
 		delete(s.durable, recs[0].Target)
 	}
 	mark, err := log.Stage(recs...)

@@ -20,15 +20,15 @@ func tailStore(t *testing.T) *Store {
 	return s
 }
 
-func nextBatch(t *testing.T, tl *Tailer) ([]Record, uint64, int64) {
+func nextBatch(t *testing.T, tl *Tailer) ([]catalog.TxOp, uint64, int64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	recs, epoch, off, err := tl.Next(ctx)
+	c, err := tl.Next(ctx)
 	if err != nil {
 		t.Fatalf("Tailer.Next: %v", err)
 	}
-	return recs, epoch, off
+	return c.Ops, c.Pos.Epoch, c.Pos.Offset
 }
 
 func seedRelation(t *testing.T, s *Store) {
@@ -54,17 +54,17 @@ func TestTailerSingleRecords(t *testing.T) {
 	tl := NewTailer(s)
 	seedRelation(t, s)
 
-	var ops []Op
+	var ops []string
 	var positions [][2]int64
 	for i := 0; i < 4; i++ {
 		recs, epoch, off := nextBatch(t, tl)
 		if len(recs) != 1 {
 			t.Fatalf("batch %d: %d records, want 1", i, len(recs))
 		}
-		ops = append(ops, recs[0].Op)
+		ops = append(ops, recs[0].Kind)
 		positions = append(positions, [2]int64{int64(epoch), off})
 	}
-	want := []Op{OpCreateHierarchy, OpAddInstance, OpAddInstance, OpCreateRelation}
+	want := []string{"create_hierarchy", "add_instance", "add_instance", "create_relation"}
 	for i := range want {
 		if ops[i] != want[i] {
 			t.Fatalf("ops = %v, want %v", ops, want)
@@ -72,9 +72,9 @@ func TestTailerSingleRecords(t *testing.T) {
 	}
 
 	// Resuming from an intermediate boundary replays exactly the suffix.
-	tl2 := TailFrom(s, uint64(positions[1][0]), positions[1][1])
+	tl2 := TailFrom(s, Position{Epoch: uint64(positions[1][0]), Offset: positions[1][1]})
 	recs, _, _ := nextBatch(t, tl2)
-	if recs[0].Op != OpAddInstance || recs[0].Target != "d" || recs[0].Args[0] != "b" {
+	if recs[0].Kind != "add_instance" || recs[0].Relation != "d" || recs[0].Values[0] != "b" {
 		t.Fatalf("resumed batch = %+v, want AddInstance b", recs[0])
 	}
 }
@@ -98,7 +98,7 @@ func TestTailerBrackets(t *testing.T) {
 		t.Fatalf("bracket batch = %+v, want 2 records", recs)
 	}
 	for _, r := range recs {
-		if r.Op != OpAssert {
+		if r.Kind != "assert" {
 			t.Fatalf("bracket record %+v, want assert", r)
 		}
 	}
@@ -115,7 +115,7 @@ func TestTailerBrackets(t *testing.T) {
 		t.Fatalf("Retract: %v", err)
 	}
 	recs, _, off2 := nextBatch(t, tl)
-	if len(recs) != 1 || recs[0].Op != OpRetract || recs[0].Target != "r" {
+	if len(recs) != 1 || recs[0].Kind != "retract" || recs[0].Relation != "r" {
 		t.Fatalf("post-abort batch = %+v, want single retract", recs)
 	}
 	if off2 <= off {
@@ -134,7 +134,7 @@ func TestTailerRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, epoch0, _ := nextBatch(t, tl)
-	if recs[0].Op != OpAssert {
+	if recs[0].Kind != "assert" {
 		t.Fatalf("got %+v", recs)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -144,7 +144,7 @@ func TestTailerRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, epoch1, _ := nextBatch(t, tl)
-	if recs[0].Op != OpAssert || recs[0].Args[0] != "b" {
+	if recs[0].Kind != "assert" || recs[0].Values[0] != "b" {
 		t.Fatalf("post-rotation batch = %+v", recs)
 	}
 	if epoch1 != epoch0+1 {
@@ -164,10 +164,10 @@ func TestTailerRetiredEpoch(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	tl := TailFrom(s, epoch, off)
+	tl := TailFrom(s, Position{Epoch: epoch, Offset: off})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if _, _, _, err := tl.Next(ctx); !errors.Is(err, ErrWALUnavailable) && err != nil {
+	if _, err := tl.Next(ctx); !errors.Is(err, ErrWALUnavailable) && err != nil {
 		// Either the epoch file survived (rotation keeps it) and Next
 		// blocks until timeout, or the read fails with ErrWALUnavailable.
 		if !errors.Is(err, context.DeadlineExceeded) {
@@ -182,7 +182,7 @@ func TestTailerCancel(t *testing.T) {
 	tl := NewTailer(s)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, _, _, err := tl.Next(ctx); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := tl.Next(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Next = %v, want deadline exceeded", err)
 	}
 }
@@ -196,7 +196,7 @@ func TestTailerStoreClose(t *testing.T) {
 	tl := NewTailer(s)
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := tl.Next(context.Background())
+		_, err := tl.Next(context.Background())
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

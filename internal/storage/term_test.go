@@ -187,18 +187,9 @@ func TestQuarantineSuffix(t *testing.T) {
 	}
 	raw, err := os.ReadFile(path)
 	must(t, err)
-	dec := NewStreamDecoder()
-	dec.Feed(raw)
 	var ops []string
-	for {
-		rec, ok, err := dec.Next()
-		must(t, err)
-		if !ok {
-			break
-		}
-		if len(rec.Args) > 0 {
-			ops = append(ops, rec.Args[0])
-		}
+	for _, c := range readChanges(t, Position{Epoch: epoch, Offset: divergence}, raw) {
+		ops = append(ops, c.Ops[0].Values[0])
 	}
 	if len(ops) != 2 || ops[0] != "Lost1" || ops[1] != "Lost2" {
 		t.Fatalf("quarantine decoded to %v, want the two lost classes", ops)

@@ -191,3 +191,61 @@ func TestStoreTxWithRetractReplay(t *testing.T) {
 		t.Fatal("assert in tx not replayed")
 	}
 }
+
+// TestLogBytesPerStatement: the log's bytes do not move. Every op kind, a
+// committed bracket and a rejected one add exactly the bytes they added when
+// commit 8332a0f wrote them (the deltas below were recorded there).
+func TestLogBytesPerStatement(t *testing.T) {
+	s, err := Open(t.TempDir())
+	must(t, err)
+	defer s.Close()
+	bare := func(kind, target string, values ...string) []catalog.TxOp {
+		return []catalog.TxOp{{Kind: kind, Relation: target, Values: values, Bare: true}}
+	}
+	tx := func(pairs ...string) (ops []catalog.TxOp) {
+		for i := 0; i < len(pairs); i += 3 {
+			ops = append(ops, catalog.TxOp{Kind: pairs[i], Relation: pairs[i+1], Values: []string{pairs[i+2]}})
+		}
+		return ops
+	}
+	for i, step := range []struct {
+		ops      []catalog.TxOp
+		rejected bool
+		want     int64
+	}{
+		{ops: bare("create_hierarchy", "D"), want: 104},
+		{ops: bare("add_class", "D", "C1"), want: 102},
+		{ops: bare("add_class", "D", "C2", "C1"), want: 105},
+		{ops: bare("add_instance", "D", "i1", "C2"), want: 108},
+		{ops: bare("add_instance", "D", "i2", "C1"), want: 108},
+		{ops: bare("add_class", "D", "K"), want: 101},
+		{ops: bare("add_edge", "D", "K", "i2"), want: 103},
+		{ops: bare("prefer", "D", "C2", "K"), want: 101},
+		{ops: bare("create_relation", "R", "X", "D"), want: 109},
+		{ops: bare("assert", "R", "C1"), want: 99},
+		{ops: bare("deny", "R", "C2"), want: 97},
+		{ops: bare("retract", "R", "C2"), want: 100},
+		{ops: bare("deny", "R", "C1"), rejected: true, want: 0}, // bare flip: refused, nothing logged
+		{ops: tx("deny", "R", "C2", "assert", "R", "i1"), want: 383},
+		{ops: tx("deny", "R", "C1"), want: 284},                                           // one-op bracket: flips
+		{ops: tx("assert", "R", "i2", "assert", "Nope", "i2"), rejected: true, want: 285}, // tx_abort
+		{ops: bare("set_mode", "R", "on-path"), want: 106},
+		{ops: bare("set_policy", "", "warn"), want: 102},
+		{ops: bare("consolidate", "R"), want: 99},
+		{ops: bare("explicate", "R", "X"), want: 101},
+		{ops: bare("add_instance", "D", "doomed", "C1"), want: 112},
+		{ops: bare("drop_node", "D", "doomed"), want: 106},
+		{ops: bare("drop_relation", "R"), want: 101},
+	} {
+		// Staged, not durable, bytes: a rejected bracket's tx_abort waits for
+		// the next statement's fsync.
+		_, before := s.log.StagedMark()
+		if err := s.ApplyTx(step.ops); (err != nil) != step.rejected {
+			t.Fatalf("step %d %+v: %v", i, step.ops, err)
+		}
+		_, after := s.log.StagedMark()
+		if after-before != step.want {
+			t.Errorf("step %d %+v logged %d bytes, want %d", i, step.ops, after-before, step.want)
+		}
+	}
+}

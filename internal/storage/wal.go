@@ -12,32 +12,19 @@ import (
 	"sync"
 )
 
-// Op identifies a logged operation.
+// Op names a logged record. A mutation is logged under its catalog.Kind*
+// name (Record{Op: Op(o.Kind), Target: o.Relation, Args: o.Values} is the
+// whole mapping); the four names below are the log's own.
 type Op string
 
-// The logged operation kinds.
 const (
-	OpCreateHierarchy Op = "create_hierarchy"
-	OpAddClass        Op = "add_class"
-	OpAddInstance     Op = "add_instance"
-	OpAddEdge         Op = "add_edge"
-	OpPrefer          Op = "prefer"
-	OpCreateRelation  Op = "create_relation"
-	OpDropRelation    Op = "drop_relation"
-	OpAssert          Op = "assert"
-	OpDeny            Op = "deny"
-	OpRetract         Op = "retract"
-	OpConsolidate     Op = "consolidate"
-	OpExplicate       Op = "explicate"
-	OpTxBegin         Op = "tx_begin"
-	OpTxCommit        Op = "tx_commit"
-	OpTxAbort         Op = "tx_abort"
-	OpDropNode        Op = "drop_node"
-	OpSetMode         Op = "set_mode"
+	OpTxBegin  Op = "tx_begin"
+	OpTxCommit Op = "tx_commit"
+	OpTxAbort  Op = "tx_abort"
 	// OpNewTerm records a primary fencing-term adoption (Args[0] = decimal
-	// term). It carries no catalog state — the Applier treats it as inert —
-	// but recovery folds it into Store.Term, so a term asserted after the
-	// last checkpoint survives a restart.
+	// term). It carries no catalog state — a Reader reports it as a Change's
+	// Term — and recovery folds it into Store.Term, so a term asserted after
+	// the last checkpoint survives a restart.
 	OpNewTerm Op = "new_term"
 )
 
@@ -75,8 +62,8 @@ type Record struct {
 // earlier crash left open.
 
 // ErrLogFailed indicates a log that has been poisoned by a write or sync
-// error: the durable tail is unknown, so every later Append, Commit, or
-// Replay refuses until the log is reopened (which rescans and truncates).
+// error: the durable tail is unknown, so every later Append or Commit
+// refuses until the log is reopened (which rescans and truncates).
 var ErrLogFailed = errors.New("storage: log failed (write or sync error); reopen to recover")
 
 // errLogClosed poisons a cleanly closed log against accidental reuse.
@@ -108,34 +95,67 @@ type Log struct {
 	pendingRecs uint64
 }
 
-// OpenLog opens (or creates) the log at path on the real file system.
-func OpenLog(path string) (*Log, error) { return OpenLogFS(OsFS{}, path) }
+// OpenLog opens (or creates) the log at path on the real file system,
+// discarding the changes it reads.
+func OpenLog(path string) (*Log, error) {
+	return OpenLogFS(OsFS{}, path, NewReader(Position{}), func(Change) error { return nil })
+}
 
-// OpenLogFS opens (or creates) the log at path on fs, validating existing
-// records and truncating both a torn tail and an unterminated transaction
-// bracket.
-func OpenLogFS(fs FS, path string) (*Log, error) {
+// OpenLogFS opens (or creates) the log at path on fs and reads it, once,
+// through rd, handing fn each committed change. What follows rd's last clean
+// position is then truncated: a torn or corrupt tail, and an unterminated
+// transaction bracket even when its records are well-formed — it never
+// committed, and leaving it would strand later appends inside it. Any other
+// corruption, or an error from fn, fails the open with the file untouched.
+func OpenLogFS(fs FS, path string, rd *Reader, fn func(Change) error) (*Log, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	l := &Log{fs: fs, f: f, path: path}
 	l.cond = sync.NewCond(&l.mu)
-	valid, err := l.scanValid()
+	if err = scan(f, rd, fn); err == nil {
+		l.base = rd.Position().Offset
+		if err = f.Truncate(l.base); err == nil {
+			_, err = f.Seek(l.base, io.SeekStart)
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	l.base = valid
 	return l, nil
+}
+
+// scan feeds f to rd chunk by chunk until the file or its decodable prefix
+// ends, handing fn each change.
+func scan(f File, rd *Reader, fn func(Change) error) error {
+	buf := make([]byte, readChunk)
+	for {
+		n, rerr := f.Read(buf)
+		rd.Feed(buf[:n])
+		for {
+			c, ok, err := rd.Next()
+			if errors.Is(err, errBadFrame) {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if err := fn(c); err != nil {
+				return err
+			}
+		}
+		if rerr == io.EOF {
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+	}
 }
 
 // createLog creates (or truncates) an empty log at path, fsyncing the file
@@ -159,54 +179,16 @@ func createLog(fs FS, dir, path string) (*Log, error) {
 	return l, nil
 }
 
-// scanValid returns the byte offset after the last valid record that leaves
-// the log outside an open transaction bracket. Records of an unterminated
-// bracket are excluded even when individually well-formed: they belong to a
-// transaction that never committed, and leaving them in place would strand
-// post-crash appends behind an open bracket.
-func (l *Log) scanValid() (int64, error) {
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return 0, err
-	}
-	var offset, lastClosed int64
-	var hdr [8]byte
-	inTx := false
-	for {
-		if _, err := io.ReadFull(l.f, hdr[:]); err != nil {
-			return lastClosed, nil // clean EOF or torn header: stop here
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(l.f, payload); err != nil {
-			return lastClosed, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return lastClosed, nil // corrupt tail
-		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return lastClosed, nil
-		}
-		offset += 8 + int64(n)
-		switch rec.Op {
-		case OpTxBegin:
-			inTx = true
-		case OpTxCommit, OpTxAbort:
-			inTx = false
-		}
-		if !inTx {
-			lastClosed = offset
-		}
-	}
-}
-
 // encodeFrame appends rec's frame (header + payload, one contiguous buffer)
-// to dst and returns the extended slice.
+// to dst and returns the extended slice. It refuses a payload no Reader
+// would accept.
 func encodeFrame(dst []byte, rec Record) ([]byte, error) {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
 		return nil, err
+	}
+	if payload.Len() > maxStreamFrame {
+		return nil, fmt.Errorf("storage: %s record of %d bytes exceeds the %d-byte frame limit", rec.Op, payload.Len(), maxStreamFrame)
 	}
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
@@ -311,54 +293,6 @@ func (l *Log) Commit(recs []Record) error {
 		return err
 	}
 	return l.Sync(mark)
-}
-
-// Replay invokes fn for every durable record from the start. Staged but
-// unflushed frames are not visited. The write position is restored
-// afterwards. Replay refuses on a poisoned log.
-func (l *Log) Replay(fn func(Record) error) error {
-	l.mu.Lock()
-	for l.writing {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	end := l.base + l.durable
-	// Hold the quiescent log for the whole scan: replay is rare (recovery,
-	// tests) and the file offset is shared with appends.
-	defer l.mu.Unlock()
-
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	defer l.f.Seek(end, io.SeekStart)
-	var hdr [8]byte
-	var read int64
-	for read < end {
-		if _, err := io.ReadFull(l.f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil
-			}
-			return err
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(l.f, payload); err != nil {
-			return fmt.Errorf("%w: torn record during replay", ErrCorrupt)
-		}
-		var rec Record
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		read += 8 + int64(n)
-	}
-	return nil
 }
 
 // Size returns the durable log size in bytes: the valid prefix found at

@@ -25,21 +25,11 @@ import (
 	"hrdb/internal/subwire"
 )
 
-// position is a WAL position (checkpoint epoch, byte offset).
-type position struct {
-	epoch  uint64
-	offset int64
-}
-
-func (p position) less(q position) bool {
-	return p.epoch < q.epoch || (p.epoch == q.epoch && p.offset < q.offset)
-}
-
 // entry is one journaled row change: applying added/removed to the rows as
 // of the previous entry yields the rows as of pos. Entries are diffs of the
 // view's own row set, so replaying a contiguous suffix is exact.
 type entry struct {
-	pos            position
+	pos            storage.Position
 	added, removed []string // sorted
 }
 
@@ -65,8 +55,8 @@ type view struct {
 	// domains the last successful evaluation depended on.
 	domains map[string]bool
 
-	pos     position // WAL position the rows reflect
-	floor   position // journal covers (floor, pos]; resume below floor is stale
+	pos     storage.Position // WAL position the rows reflect
+	floor   storage.Position // journal covers (floor, pos]; resume below floor is stale
 	journal []entry
 	jbytes  int
 
@@ -150,7 +140,7 @@ type Manager struct {
 	mu      sync.Mutex
 	views   map[string]*view // user views, by name
 	mirrors map[string]*view // relation feeds, by relation name
-	pos     position         // last applied batch position
+	pos     storage.Position // last applied batch position
 	change  chan struct{}    // closed and replaced on every state change
 
 	ctx    context.Context
@@ -173,7 +163,7 @@ func Open(store *storage.Store, opts Options) (*Manager, error) {
 		opts:    opts.withDefaults(),
 		views:   map[string]*view{},
 		mirrors: map[string]*view{},
-		pos:     position{epoch, off},
+		pos:     storage.Position{Epoch: epoch, Offset: off},
 		change:  make(chan struct{}),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -215,15 +205,15 @@ func (m *Manager) bumpLocked() {
 	metricRows.Set(total)
 }
 
-// run is the maintenance loop: one committed batch at a time, folded into
-// every view under the manager lock.
+// run is the maintenance loop: one committed change at a time — a Tailer's,
+// so a bracket arrives whole — folded into every view under the manager lock.
 func (m *Manager) run() {
 	defer close(m.done)
 	m.mu.Lock()
-	tl := storage.TailFrom(m.store, m.pos.epoch, m.pos.offset)
+	tl := storage.TailFrom(m.store, m.pos)
 	m.mu.Unlock()
 	for {
-		recs, epoch, off, err := tl.Next(m.ctx)
+		c, err := tl.Next(m.ctx)
 		if err != nil {
 			if m.ctx.Err() != nil || errors.Is(err, storage.ErrStoreClosed) {
 				return
@@ -235,7 +225,7 @@ func (m *Manager) run() {
 			continue
 		}
 		start := time.Now()
-		m.apply(recs, position{epoch, off})
+		m.apply(c.Ops, c.Pos)
 		metricLagNS.Observe(int64(time.Since(start)))
 	}
 }
@@ -247,8 +237,7 @@ func (m *Manager) resync() *storage.Tailer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tl := storage.NewTailer(m.store)
-	epoch, off := tl.Position()
-	m.pos = position{epoch, off}
+	m.pos = tl.Position()
 	for _, v := range m.views {
 		m.recomputeLocked(v, m.pos)
 	}
@@ -260,14 +249,14 @@ func (m *Manager) resync() *storage.Tailer {
 }
 
 // apply folds one committed batch into every view.
-func (m *Manager) apply(recs []storage.Record, pos position) {
+func (m *Manager) apply(ops []catalog.TxOp, pos storage.Position) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, v := range m.views {
-		m.applyViewLocked(v, recs, pos)
+		m.applyViewLocked(v, ops, pos)
 	}
 	for _, v := range m.mirrors {
-		m.applyViewLocked(v, recs, pos)
+		m.applyViewLocked(v, ops, pos)
 	}
 	m.pos = pos
 	m.bumpLocked()
@@ -281,25 +270,25 @@ const (
 )
 
 // classify decides what a committed batch demands of one view.
-func (v *view) classify(recs []storage.Record) int {
+func (v *view) classify(ops []catalog.TxOp) int {
 	act := actNone
-	for _, rec := range recs {
-		switch rec.Op {
-		case storage.OpAssert, storage.OpDeny, storage.OpRetract:
-			if rec.Target == v.def.source && act < actDelta {
+	for _, op := range ops {
+		switch op.Kind {
+		case catalog.KindAssert, catalog.KindDeny, catalog.KindRetract:
+			if op.Relation == v.def.source && act < actDelta {
 				act = actDelta
 			}
-		case storage.OpConsolidate, storage.OpExplicate, storage.OpSetMode,
-			storage.OpCreateRelation, storage.OpDropRelation:
-			if rec.Target == v.def.source {
+		case catalog.KindConsolidate, catalog.KindExplicate, catalog.KindSetMode,
+			catalog.KindCreateRelation, catalog.KindDropRelation:
+			if op.Relation == v.def.source {
 				return actRecompute
 			}
-		case storage.OpCreateHierarchy, storage.OpAddClass, storage.OpAddInstance,
-			storage.OpAddEdge, storage.OpPrefer, storage.OpDropNode:
+		case catalog.KindCreateHierarchy, catalog.KindAddClass, catalog.KindAddInstance,
+			catalog.KindAddEdge, catalog.KindPrefer, catalog.KindDropNode:
 			// A hierarchy mutation shifts subsumption under the view's
 			// domains: incremental math is invalid, recompute. Mirrors are
 			// exempt — stored tuples do not move with the hierarchy.
-			if v.def.kind != kindMirror && v.domains[rec.Target] {
+			if v.def.kind != kindMirror && v.domains[op.Relation] {
 				return actRecompute
 			}
 		}
@@ -307,8 +296,8 @@ func (v *view) classify(recs []storage.Record) int {
 	return act
 }
 
-func (m *Manager) applyViewLocked(v *view, recs []storage.Record, pos position) {
-	switch v.classify(recs) {
+func (m *Manager) applyViewLocked(v *view, ops []catalog.TxOp, pos storage.Position) {
+	switch v.classify(ops) {
 	case actNone:
 		v.pos = pos
 		return
@@ -317,9 +306,9 @@ func (m *Manager) applyViewLocked(v *view, recs []storage.Record, pos position) 
 		var ok bool
 		switch v.def.kind {
 		case kindExtension:
-			added, removed, ok = m.deltaExtensionLocked(v, recs)
+			added, removed, ok = m.deltaExtensionLocked(v, ops)
 		case kindMirror:
-			added, removed, ok = v.deltaMirror(recs)
+			added, removed, ok = v.deltaMirror(ops)
 		default:
 			// SELECT and COUNT views have no sound tuple-local fold.
 			ok = false
@@ -347,7 +336,7 @@ func (v *view) appendJournal(m *Manager, e entry) {
 	}
 }
 
-func (m *Manager) commitView(v *view, pos position, added, removed []string) {
+func (m *Manager) commitView(v *view, pos storage.Position, added, removed []string) {
 	if len(added) > 0 || len(removed) > 0 {
 		v.appendJournal(m, entry{pos: pos, added: added, removed: removed})
 	}
@@ -358,7 +347,7 @@ func (m *Manager) commitView(v *view, pos position, added, removed []string) {
 // state and journals the diff as one entry at pos. Evaluation failure (for
 // example a dropped source relation) empties the view and records the
 // error; a later batch that recreates the source revives it.
-func (m *Manager) recomputeLocked(v *view, pos position) {
+func (m *Manager) recomputeLocked(v *view, pos storage.Position) {
 	v.recomputes++
 	metricRecomputes.Inc()
 	var res evalResult
@@ -391,12 +380,12 @@ func (m *Manager) recomputeLocked(v *view, pos position) {
 // an applicable-tuple change nor a preemptor change, and keep their
 // verdicts. Reports ok=false (caller recomputes) when the affected-atom
 // set exceeds the cap or evaluation fails.
-func (m *Manager) deltaExtensionLocked(v *view, recs []storage.Record) (added, removed []string, ok bool) {
+func (m *Manager) deltaExtensionLocked(v *view, ops []catalog.TxOp) (added, removed []string, ok bool) {
 	if v.rel == nil || v.lastErr != "" {
 		return nil, nil, false
 	}
 	err := m.store.ReadLocked(func(db *catalog.Database) error {
-		added, removed, ok = m.deltaExtensionUnderLock(db, v, recs)
+		added, removed, ok = m.deltaExtensionUnderLock(db, v, ops)
 		return nil
 	})
 	if err != nil {
@@ -407,7 +396,7 @@ func (m *Manager) deltaExtensionLocked(v *view, recs []storage.Record) (added, r
 
 // deltaExtensionUnderLock is the fold body; the caller holds both the
 // manager lock and the store's apply lock (no concurrent mutation).
-func (m *Manager) deltaExtensionUnderLock(db *catalog.Database, v *view, recs []storage.Record) (added, removed []string, ok bool) {
+func (m *Manager) deltaExtensionUnderLock(db *catalog.Database, v *view, ops []catalog.TxOp) (added, removed []string, ok bool) {
 	src, err := db.Snapshot(v.def.source)
 	if err != nil {
 		return nil, nil, false
@@ -471,23 +460,18 @@ func (m *Manager) deltaExtensionUnderLock(db *catalog.Database, v *view, recs []
 		}
 		return true
 	}
-	for _, rec := range recs {
-		switch rec.Op {
-		case storage.OpAssert, storage.OpDeny, storage.OpRetract:
-		default:
+	for _, op := range ops {
+		if !catalog.IsTupleOp(op.Kind) || op.Relation != v.def.source {
 			continue
 		}
-		if rec.Target != v.def.source {
-			continue
-		}
-		if len(rec.Args) != schema.Arity() {
+		if len(op.Values) != schema.Arity() {
 			return nil, nil, false
 		}
-		if !addAtoms(rec.Args) {
+		if !addAtoms(op.Values) {
 			return nil, nil, false
 		}
 		for _, t := range stored {
-			if subsumesItem(t.Item, rec.Args) && !addAtoms(t.Item) {
+			if subsumesItem(t.Item, op.Values) && !addAtoms(t.Item) {
 				return nil, nil, false
 			}
 		}
@@ -526,21 +510,21 @@ func (m *Manager) deltaExtensionUnderLock(db *catalog.Database, v *view, recs []
 // its item's stored-tuple state absolutely (assert -> "+", deny -> "-",
 // retract -> absent), so replay converges even when the mirror was
 // bootstrapped ahead of the tail position.
-func (v *view) deltaMirror(recs []storage.Record) (added, removed []string, ok bool) {
-	for _, rec := range recs {
-		if rec.Target != v.def.source {
+func (v *view) deltaMirror(ops []catalog.TxOp) (added, removed []string, ok bool) {
+	for _, op := range ops {
+		if op.Relation != v.def.source {
 			continue
 		}
-		it := core.Item(rec.Args)
+		it := core.Item(op.Values)
 		plus := core.Tuple{Item: it, Sign: true}.String()
 		minus := core.Tuple{Item: it, Sign: false}.String()
 		var want string
-		switch rec.Op {
-		case storage.OpAssert:
+		switch op.Kind {
+		case catalog.KindAssert:
 			want = plus
-		case storage.OpDeny:
+		case catalog.KindDeny:
 			want = minus
-		case storage.OpRetract:
+		case catalog.KindRetract:
 			want = ""
 		default:
 			continue
@@ -686,7 +670,7 @@ func (m *Manager) Status(name string) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", v.name, v.query)
 	fmt.Fprintf(&b, "  rows=%d position=%d/%d deltas=%d recomputes=%d journal=%d",
-		len(v.rows), v.pos.epoch, v.pos.offset, v.deltas, v.recomputes, len(v.journal))
+		len(v.rows), v.pos.Epoch, v.pos.Offset, v.deltas, v.recomputes, len(v.journal))
 	if v.lastErr != "" {
 		fmt.Fprintf(&b, "\n  error: %s", v.lastErr)
 	}
@@ -708,12 +692,12 @@ func (m *Manager) Stats(name string) (deltas, recomputes uint64, err error) {
 // into all views — the test and benchmark quiescence point.
 func (m *Manager) Wait(ctx context.Context) error {
 	epoch, off := m.store.Position()
-	target := position{epoch, off}
+	target := storage.Position{Epoch: epoch, Offset: off}
 	for {
 		m.mu.Lock()
 		cur, ch := m.pos, m.change
 		m.mu.Unlock()
-		if !cur.less(target) {
+		if !cur.Before(target) {
 			return nil
 		}
 		select {
@@ -781,7 +765,7 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 		return nil
 	}
 
-	var cur position
+	var cur storage.Position
 	m.mu.Lock()
 	v, err := m.feedViewLocked(name)
 	if err != nil {
@@ -789,8 +773,8 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 		return fail("notfound", fmt.Sprintf("no view or relation %q", name))
 	}
 	if resume {
-		cur = position{epoch, offset}
-		if cur.less(v.floor) || v.pos.less(cur) {
+		cur = storage.Position{Epoch: epoch, Offset: offset}
+		if cur.Before(v.floor) || v.pos.Before(cur) {
 			m.mu.Unlock()
 			return fail("stale", "resume position outside the retained journal; resubscribe without resume")
 		}
@@ -799,8 +783,8 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 		cur = v.pos
 		snap := subwire.Frame{
 			Kind:   subwire.KindSnap,
-			Epoch:  cur.epoch,
-			Offset: cur.offset,
+			Epoch:  cur.Epoch,
+			Offset: cur.Offset,
 			Rows:   append([]string(nil), v.sortedRows()...),
 		}
 		m.mu.Unlock()
@@ -820,7 +804,7 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 		}
 		var pending []entry
 		for _, e := range v.journal {
-			if cur.less(e.pos) {
+			if cur.Before(e.pos) {
 				pending = append(pending, e)
 			}
 		}
@@ -832,8 +816,8 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 			for _, e := range pending {
 				f := subwire.Frame{
 					Kind:    subwire.KindDelta,
-					Epoch:   e.pos.epoch,
-					Offset:  e.pos.offset,
+					Epoch:   e.pos.Epoch,
+					Offset:  e.pos.Offset,
 					Added:   e.added,
 					Removed: e.removed,
 				}
@@ -844,7 +828,7 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 			}
 			continue
 		}
-		if cur.less(vpos) {
+		if cur.Before(vpos) {
 			cur = vpos // nothing journaled in between: safe to fast-forward
 		}
 
@@ -855,7 +839,7 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 			return fail("shutdown", "view manager closing")
 		case <-ch:
 		case <-hb.C:
-			if err := writeFrame(subwire.Frame{Kind: subwire.KindHB, Epoch: cur.epoch, Offset: cur.offset}); err != nil {
+			if err := writeFrame(subwire.Frame{Kind: subwire.KindHB, Epoch: cur.Epoch, Offset: cur.Offset}); err != nil {
 				return err
 			}
 		}

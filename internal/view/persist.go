@@ -42,8 +42,8 @@ func (m *Manager) saveLocked() error {
 		sv := savedView{
 			Name:   v.name,
 			Query:  v.query,
-			Epoch:  v.pos.epoch,
-			Offset: v.pos.offset,
+			Epoch:  v.pos.Epoch,
+			Offset: v.pos.Offset,
 			Rows:   append([]string(nil), v.sortedRows()...),
 		}
 		if v.rel != nil {
@@ -99,7 +99,7 @@ func (m *Manager) load() error {
 			pos:   m.pos,
 			floor: m.pos,
 		}
-		if sv.Epoch == m.pos.epoch && sv.Offset == m.pos.offset && m.adopt(v, sv) {
+		if sv.Epoch == m.pos.Epoch && sv.Offset == m.pos.Offset && m.adopt(v, sv) {
 			m.views[sv.Name] = v
 			continue
 		}
