@@ -31,8 +31,9 @@ help:
 	@echo "               failover through a shard's replica set);"
 	@echo "               CHAOS_ROUNDS=<n> soaks the 2PC chaos loop"
 	@echo "  test-view    race-mode pass over materialized views and change"
-	@echo "               feeds (differential view-vs-recompute property test,"
-	@echo "               SUBSCRIBE resume + chaos severs, subwire framing)"
+	@echo "               feeds (differential view-vs-recompute property tests,"
+	@echo "               SUBSCRIBE resume + chaos severs, subwire framing) and"
+	@echo "               the reference tests of the kernels the folds stand on"
 	@echo "  test-bench   vet and test the request-path benchmark (bench/ is a"
 	@echo "               module of its own, so the root build never compiles"
 	@echo "               it and an internal-API break would go unnoticed)"
@@ -89,6 +90,7 @@ test-shard:
 test-view:
 	$(GO) test -race -count=1 ./internal/view/ ./internal/subwire/
 	$(GO) test -race -count=1 -run 'TestSubscribe' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestAncestors|TestOverlaps|TestOverlapRegion|TestConflictsSignPartition|TestPropertyReconsolidate' ./internal/dag/ ./internal/hierarchy/ ./internal/core/
 
 test-bench:
 	cd bench && $(GO) vet . && $(GO) test .

@@ -53,48 +53,46 @@ type batchEval func(ctx context.Context, items []core.Item) ([]bool, error)
 // argument relations at that item, computed in bulk by eval.
 func combine(ctx context.Context, name string, s *core.Schema, cand []core.Item, eval batchEval) (*core.Relation, error) {
 	out := core.NewRelation(name, s)
-	seen := map[string]bool{}
-	todo := make([]core.Item, 0, len(cand))
-	for _, m := range cand {
-		if seen[m.Key()] {
-			continue
-		}
-		seen[m.Key()] = true
-		todo = append(todo, m)
-	}
-	signs, err := eval(ctx, todo)
-	if err != nil {
-		return nil, err
-	}
-	for i, m := range todo {
-		if err := out.Insert(m, signs[i]); err != nil {
-			return nil, err
-		}
-	}
-	// Repair: resolve residual ambiguity with pointwise-correct tuples.
+	_, err := fill(ctx, out, cand, eval, out.Conflicts)
+	return out, err
+}
+
+// fill places a pointwise-signed tuple in out at every candidate item it has
+// none on, then repairs until conflicts() is empty, and returns the items it
+// placed tuples on.
+func fill(ctx context.Context, out *core.Relation, cand []core.Item, eval batchEval, conflicts func() []*core.ConflictError) ([]core.Item, error) {
+	var placed []core.Item
 	for round := 0; ; round++ {
-		conflicts := out.Conflicts()
-		if len(conflicts) == 0 {
-			return out, nil
-		}
-		if round >= maxRepairRounds {
-			return nil, fmt.Errorf("%w: %s after %d rounds", ErrRepairDiverged, name, maxRepairRounds)
-		}
-		var fixes []core.Item
-		for _, c := range conflicts {
-			if _, present := out.Lookup(c.Item); present {
+		seen := map[string]bool{}
+		var todo []core.Item
+		for _, m := range cand {
+			if _, present := out.Lookup(m); present || seen[m.Key()] {
 				continue
 			}
-			fixes = append(fixes, c.Item)
+			seen[m.Key()] = true
+			todo = append(todo, m)
 		}
-		signs, err := eval(ctx, fixes)
+		signs, err := eval(ctx, todo)
 		if err != nil {
-			return nil, err
+			return placed, err
 		}
-		for i, m := range fixes {
+		for i, m := range todo {
 			if err := out.Insert(m, signs[i]); err != nil {
-				return nil, err
+				return placed, err
 			}
+		}
+		placed = append(placed, todo...)
+		// Repair: resolve residual ambiguity with pointwise-correct tuples.
+		cs := conflicts()
+		if len(cs) == 0 {
+			return placed, nil
+		}
+		if round >= maxRepairRounds {
+			return placed, fmt.Errorf("%w: %s after %d rounds", ErrRepairDiverged, out.Name(), maxRepairRounds)
+		}
+		cand = nil
+		for _, c := range cs {
+			cand = append(cand, c.Item)
 		}
 	}
 }
@@ -204,61 +202,100 @@ func Select(name string, r *core.Relation, conds ...Condition) (*core.Relation, 
 // otherwise the stored tuples are scanned. Both paths enumerate the same
 // candidate set; WithForceScan pins the scan for reference runs.
 func SelectContext(ctx context.Context, name string, r *core.Relation, conds ...Condition) (*core.Relation, error) {
-	s := r.Schema()
 	region, err := selectRegion(r, conds)
 	if err != nil {
 		return nil, err
 	}
-
-	// The region acts as a one-tuple positive relation ANDed with r.
-	regionRel := core.NewRelation("σ-region", s)
-	if err := regionRel.Insert(region, true); err != nil {
-		return nil, err
-	}
-	// Candidates that do not overlap the region contribute nothing: every
-	// positive result tuple lies under the region, so a non-overlapping
-	// candidate can never sit below a positive one. The two access paths
-	// enumerate exactly the overlapping tuples, the region item, and the
-	// pairwise meets of the two.
 	plan := planSelect(r, region)
-	var kept []core.Item
+	var tuples []core.Tuple
 	if plan.Access == IndexProbe && !scanForced(ctx) {
-		var overlapping []core.Tuple
-		for _, t := range r.OverlapCandidates(plan.attr, region[plan.attr]) {
-			if r.Overlapping(t.Item, region) {
-				overlapping = append(overlapping, t)
-			}
-		}
-		for _, t := range overlapping {
-			kept = append(kept, t.Item)
-		}
-		kept = append(kept, region)
-		for _, t := range overlapping {
-			kept = append(kept, r.MinimalResolutionSet(t.Item, region)...)
-		}
+		tuples = r.OverlapCandidates(plan.attr, region[plan.attr])
 	} else {
-		for _, m := range binaryCandidates(r, regionRel) {
-			if r.Overlapping(m, region) {
-				kept = append(kept, m)
-			}
+		tuples = r.Tuples()
+	}
+	return combine(ctx, name, r.Schema(), selectCandidates(r, region, tuples), selectEval(r, region))
+}
+
+// selectCandidates returns where a selection places tuples: the region item
+// (it acts as a one-tuple positive relation ANDed with r), the items of those
+// of the given tuples that overlap it, and their meets with it. A tuple that
+// does not overlap the region contributes nothing: every positive result
+// tuple lies under the region, so it can never sit below a positive one.
+func selectCandidates(r *core.Relation, region core.Item, tuples []core.Tuple) []core.Item {
+	kept := []core.Item{region}
+	for _, t := range tuples {
+		if r.Overlapping(t.Item, region) {
+			kept = append(append(kept, t.Item), r.MinimalResolutionSet(t.Item, region)...)
 		}
 	}
-	eval := func(ctx context.Context, items []core.Item) ([]bool, error) {
-		xs, err := r.HoldsBatch(ctx, items)
+	return kept
+}
+
+// selectEval signs a selection's tuples: r holds at the item and the region
+// subsumes it.
+func selectEval(r *core.Relation, region core.Item) batchEval {
+	return func(ctx context.Context, items []core.Item) ([]bool, error) {
+		out, err := r.HoldsBatch(ctx, items)
 		if err != nil {
 			return nil, fmt.Errorf("algebra: select: %w", err)
 		}
-		ys, err := regionRel.HoldsBatch(ctx, items)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]bool, len(items))
-		for i := range items {
-			out[i] = xs[i] && ys[i]
+		for i, m := range items {
+			out[i] = out[i] && r.Subsumes(region, m)
 		}
 		return out, nil
 	}
-	return combine(ctx, name, s, kept, eval)
+}
+
+// Reselect brings sel — what SelectContext returned for r before r's tuples
+// on the changed items were inserted, retracted or re-signed — to what it
+// returns now, rewriting only the tuples at or under a changed item that
+// overlaps the region: candidates, signs and repairs can differ nowhere else
+// (docs/THEORY.md §4, view corollary). It returns the items it dropped or
+// placed a tuple on, each once; none means the change is disjoint from the
+// region.
+func Reselect(ctx context.Context, sel, r *core.Relation, changed []core.Item, conds ...Condition) ([]core.Item, error) {
+	region, err := selectRegion(r, conds)
+	if err != nil {
+		return nil, err
+	}
+	var live []core.Item
+	for _, d := range changed {
+		if r.Overlapping(d, region) {
+			live = append(live, d)
+		}
+	}
+	if len(live) == 0 {
+		return nil, nil
+	}
+	under := func(m core.Item) bool {
+		for _, d := range live {
+			if r.Subsumes(d, m) {
+				return true
+			}
+		}
+		return false
+	}
+	var touched, cand []core.Item
+	dropped := map[string]bool{}
+	for _, t := range sel.TuplesOverlapping(live) {
+		if under(t.Item) {
+			sel.Retract(t.Item)
+			touched = append(touched, t.Item)
+			dropped[t.Item.Key()] = true
+		}
+	}
+	for _, m := range selectCandidates(r, region, r.TuplesOverlapping(live)) {
+		if under(m) {
+			cand = append(cand, m)
+		}
+	}
+	placed, err := fill(ctx, sel, cand, selectEval(r, region), func() []*core.ConflictError { return sel.ConflictsUnder(live) })
+	for _, m := range placed {
+		if !dropped[m.Key()] {
+			touched = append(touched, m)
+		}
+	}
+	return touched, err
 }
 
 // Rename returns a copy of the relation with attributes renamed according

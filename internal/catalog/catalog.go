@@ -316,11 +316,14 @@ func (db *Database) update(rel string, item core.Item, sign bool) error {
 		return err
 	}
 	verified := r.VerifiedConsistent()
+	_, restated := r.Lookup(item) // Insert admits only the stored sign: a no-op, with nothing to undo
 	if err := r.Insert(item, sign); err != nil {
 		return err
 	}
 	if err := checkAfter(r, verified, item); err != nil {
-		r.Retract(item)
+		if !restated {
+			r.Retract(item)
+		}
 		return err
 	}
 	return nil

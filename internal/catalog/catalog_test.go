@@ -361,3 +361,43 @@ func TestIndexStatsAndWarmIndexes(t *testing.T) {
 		t.Fatal("WarmIndexes did not warm the label index")
 	}
 }
+
+// TestRejectedRestatementKeepsTuple: re-asserting a stored tuple on a
+// relation that hierarchy surgery has left inconsistent is refused by the
+// full check — and the refusal must undo nothing, because the insert placed
+// nothing. It used to retract the stored tuple, in memory only: the WAL, the
+// replicas and the views kept it.
+func TestRejectedRestatementKeepsTuple(t *testing.T) {
+	db := New()
+	h, err := db.CreateHierarchy("D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []string{"a", "b"} {
+		if err := h.AddClass(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.AddInstance("x", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation("R", AttrSpec{Name: "X", Domain: "D"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{db.Assert("R", "a"), db.Deny("R", "b"), db.Assert("R", "a")} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.AddEdge("b", "x"); err != nil { // x now inherits + from a and − from b
+		t.Fatal(err)
+	}
+	var ie *core.InconsistencyError
+	if err := db.Assert("R", "a"); !errors.As(err, &ie) {
+		t.Fatalf("restating + (a) on the inconsistent relation = %v, want the inconsistency", err)
+	}
+	r, _ := db.Relation("R")
+	if _, ok := r.Lookup(core.Item{"a"}); !ok {
+		t.Fatal("the refused restatement retracted the stored tuple")
+	}
+}

@@ -32,18 +32,7 @@ func (r *Relation) MinimalResolutionSet(a, b Item) []Item {
 		}
 		perAttr[i] = m
 	}
-	var out []Item
-	var rec func(prefix Item, i int)
-	rec = func(prefix Item, i int) {
-		if i == k {
-			out = append(out, prefix.Clone())
-			return
-		}
-		for _, n := range perAttr[i] {
-			rec(append(prefix, n), i+1)
-		}
-	}
-	rec(make(Item, 0, k), 0)
+	out := Product(perAttr)
 	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
@@ -135,11 +124,11 @@ func (r *Relation) Conflicts() []*ConflictError {
 // (docs/THEORY.md §4, locality corollary).
 func (r *Relation) ConflictsUnder(changed []Item) []*ConflictError {
 	metricChecksDelta.Inc()
-	return r.conflictsAmong(r.overlapping(changed))
+	return r.conflictsAmong(r.TuplesOverlapping(changed))
 }
 
-// conflictsAmong is the checker: it pairs the given tuples (sorted by item
-// key) and reports the conflicted items their pairs point at.
+// conflictsAmong is the checker: it pairs the given tuples across signs and
+// reports the conflicted items their pairs point at, sorted by item key.
 func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 	metricCheckCandidates.Observe(int64(len(tuples)))
 	exhaustive := r.mode != OffPath || !r.fastPathOK()
@@ -159,12 +148,17 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 		}
 	}
 
-	for i := 0; i < len(tuples); i++ {
-		for j := i + 1; j < len(tuples); j++ {
-			t1, t2 := tuples[i], tuples[j]
-			if t1.Sign == t2.Sign {
-				continue
-			}
+	// Only opposite-sign pairs can conflict: pair positives with negatives.
+	var pos, neg []Tuple
+	for _, t := range tuples {
+		if t.Sign {
+			pos = append(pos, t)
+		} else {
+			neg = append(neg, t)
+		}
+	}
+	for _, t1 := range pos {
+		for _, t2 := range neg {
 			comparable := r.Subsumes(t1.Item, t2.Item) || r.Subsumes(t2.Item, t1.Item)
 			if comparable && !exhaustive {
 				continue // an exception, not a conflict, under off-path
@@ -238,19 +232,7 @@ func (r *Relation) overlapItems(a, b Item) []Item {
 			return nil // give up on exhaustive enumeration for this pair
 		}
 	}
-	var out []Item
-	var rec func(prefix Item, i int)
-	rec = func(prefix Item, i int) {
-		if i == k {
-			out = append(out, prefix.Clone())
-			return
-		}
-		for _, n := range perAttr[i] {
-			rec(append(prefix, n), i+1)
-		}
-	}
-	rec(make(Item, 0, k), 0)
-	return out
+	return Product(perAttr)
 }
 
 // CheckConsistency returns nil when the relation satisfies the ambiguity

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -261,6 +262,19 @@ func TestNoPreemptionConsistency(t *testing.T) {
 // TestPropertyDeltaCheckMatchesFull, covers stamps, rollbacks and hierarchy
 // surgery; this pins the core routine alone.)
 func TestConflictsUnderMatchesConflicts(t *testing.T) {
+	conflictCorpus(t, func(mode Preemption, trial int, r *Relation, changed []Item) {
+		if got, want := r.ConflictsUnder(changed), r.Conflicts(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mode %v trial %d: changed %v\ntuples %v\ndelta %v\nfull  %v",
+				mode, trial, changed, r.Tuples(), got, want)
+		}
+	})
+}
+
+// conflictCorpus builds, per preemption mode, 60 random relations in a
+// conflict-free state, applies a batch of inserts, retractions and sign
+// flips to each, and hands the result and the touched items to check.
+func conflictCorpus(t *testing.T, check func(mode Preemption, trial int, r *Relation, changed []Item)) {
+	t.Helper()
 	for _, mode := range []Preemption{OffPath, OnPath, NoPreemption} {
 		rng := rand.New(rand.NewSource(101 + int64(mode)))
 		for trial := 0; trial < 60; trial++ {
@@ -297,11 +311,76 @@ func TestConflictsUnderMatchesConflicts(t *testing.T) {
 				}
 				changed = append(changed, item)
 			}
-			if got, want := r.ConflictsUnder(changed), r.Conflicts(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("mode %v trial %d: changed %v\ntuples %v\ndelta %v\nfull  %v",
-					mode, trial, changed, r.Tuples(), got, want)
+			check(mode, trial, r, changed)
+		}
+	}
+}
+
+// conflictsAllPairs is the checker's loop as it was before it partitioned
+// the tuples by sign: every i<j pair, skipping the same-sign ones. Kept as
+// the reference the partitioned loop is compared against.
+func conflictsAllPairs(r *Relation, tuples []Tuple) []*ConflictError {
+	exhaustive := r.mode != OffPath || !r.fastPathOK()
+	var out []*ConflictError
+	seen := map[string]bool{}
+	record := func(item Item) {
+		if seen[item.Key()] {
+			return
+		}
+		if _, err := r.Evaluate(item); err != nil {
+			if ce, ok := err.(*ConflictError); ok {
+				seen[item.Key()] = true
+				ce.Resolution = r.resolutionFor(ce)
+				out = append(out, ce)
 			}
 		}
+	}
+	for i := 0; i < len(tuples); i++ {
+		for j := i + 1; j < len(tuples); j++ {
+			t1, t2 := tuples[i], tuples[j]
+			if t1.Sign == t2.Sign {
+				continue
+			}
+			comparable := r.Subsumes(t1.Item, t2.Item) || r.Subsumes(t2.Item, t1.Item)
+			if comparable && !exhaustive {
+				continue
+			}
+			if !r.Overlapping(t1.Item, t2.Item) {
+				continue
+			}
+			if !comparable {
+				for _, m := range r.MinimalResolutionSet(t1.Item, t2.Item) {
+					record(m)
+				}
+			}
+			if exhaustive {
+				for _, it := range r.overlapItems(t1.Item, t2.Item) {
+					record(it)
+				}
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })
+	return out
+}
+
+// TestConflictsSignPartitionMatchesAllPairs: pairing positives with
+// negatives reports the identical conflicts — items, binders, resolutions,
+// order — as walking every pair, on the delta-vs-full corpus, for the full
+// tuple set and for the overlap region of the touched items.
+func TestConflictsSignPartitionMatchesAllPairs(t *testing.T) {
+	conflicted := 0
+	conflictCorpus(t, func(mode Preemption, trial int, r *Relation, changed []Item) {
+		for _, tuples := range [][]Tuple{r.Tuples(), r.TuplesOverlapping(changed)} {
+			got, want := r.conflictsAmong(tuples), conflictsAllPairs(r, tuples)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mode %v trial %d: tuples %v\npartitioned %v\nall pairs   %v", mode, trial, tuples, got, want)
+			}
+			conflicted += len(want)
+		}
+	})
+	if conflicted == 0 {
+		t.Fatal("the corpus produced no conflict to compare")
 	}
 }
 

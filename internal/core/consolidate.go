@@ -138,6 +138,37 @@ func (r *Relation) Consolidate() *Relation {
 	return out
 }
 
+// Reconsolidate brings c, which was r.Consolidate() before r's tuples on the
+// touched items (listed once each) were inserted, retracted or re-signed, up
+// to date in place. Whether a tuple survives consolidation is decided by the
+// survivors above it alone, so only tuples under a touched item can change.
+// The caller guarantees that every such tuple of r is itself touched (true of
+// any down-closed rewrite) and that no attribute has preference edges, so the
+// tuples above one are its Applicable set.
+func (r *Relation) Reconsolidate(c *Relation, touched []Item) error {
+	var ts []Tuple
+	for _, d := range touched {
+		c.Retract(d)
+		if t, ok := r.Lookup(d); ok {
+			ts = append(ts, t)
+		}
+	}
+	for _, t := range r.sortGeneralFirst(ts) {
+		var above []Tuple
+		for _, u := range r.Applicable(t.Item) {
+			if _, live := c.Lookup(u.Item); live {
+				above = append(above, u)
+			}
+		}
+		if !r.isRedundant(t, above) {
+			if err := c.Insert(t.Item, t.Sign); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // sortInts sorts a small int slice ascending (insertion sort; frontiers are
 // tiny).
 func sortInts(xs []int) {

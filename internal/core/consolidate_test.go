@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -218,6 +219,58 @@ func TestSubsumptionGraphFig6a(t *testing.T) {
 	for _, w := range want {
 		if !got[w] {
 			t.Errorf("missing edge %v", w)
+		}
+	}
+}
+
+// TestPropertyReconsolidateMatchesConsolidate: after a down-closed rewrite —
+// every tuple at or under some chosen items dropped, re-signed or added —
+// Reconsolidate patches the old consolidation into exactly what Consolidate
+// computes from scratch. (Consolidation never looks at consistency, so the
+// rewrites are arbitrary.)
+func TestPropertyReconsolidateMatchesConsolidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		s := randomSchema(rng)
+		var pools [][]string
+		for i := 0; i < s.Arity(); i++ {
+			pools = append(pools, s.Attr(i).Domain.Nodes())
+		}
+		randomItem := func() Item {
+			item := make(Item, s.Arity())
+			for i := range item {
+				item[i] = pools[i][rng.Intn(len(pools[i]))]
+			}
+			return item
+		}
+		r := NewRelation("R", s)
+		for n := 2 + rng.Intn(12); n > 0; n-- {
+			_ = r.Insert(randomItem(), rng.Intn(2) == 0) // a contradiction just places nothing
+		}
+		c := r.Consolidate()
+		for round := 0; round < 3; round++ {
+			top := []Item{randomItem(), randomItem()}
+			var touched []Item
+			for _, tu := range r.Tuples() {
+				if r.Subsumes(top[0], tu.Item) || r.Subsumes(top[1], tu.Item) {
+					r.Retract(tu.Item)
+					touched = append(touched, tu.Item)
+					if rng.Intn(3) > 0 {
+						must(t, r.Insert(tu.Item, rng.Intn(2) == 0))
+					}
+				}
+			}
+			for n := rng.Intn(4); n > 0; n-- {
+				if item := randomItem(); r.Subsumes(top[0], item) || r.Subsumes(top[1], item) {
+					if r.Insert(item, rng.Intn(2) == 0) == nil {
+						touched = append(touched, item)
+					}
+				}
+			}
+			must(t, r.Reconsolidate(c, touched))
+			if got, want := c.Tuples(), r.Consolidate().Tuples(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d round %d: touched %v\nsource %v\npatched %v\nfresh   %v", trial, round, touched, r.Tuples(), got, want)
+			}
 		}
 	}
 }

@@ -268,6 +268,22 @@ func TestAppendixPreference(t *testing.T) {
 	if got {
 		t.Error("Paul should still not fly")
 	}
+	// Explication flattens by the same binding order: the preferred tuple
+	// writes Patricia first, so the extension agrees with Holds.
+	ext, err := r.Extension()
+	must(t, err)
+	for _, want := range []struct {
+		who   string
+		flies bool
+	}{{"Patricia", true}, {"Paul", false}} {
+		in := false
+		for _, it := range ext {
+			in = in || it.Equal(Item{want.who})
+		}
+		if in != want.flies {
+			t.Errorf("Extension has %s: %v, Holds says %v", want.who, in, want.flies)
+		}
+	}
 }
 
 // TestFastPathMatchesElimination: on the paper's own fixtures, the fast

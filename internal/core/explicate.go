@@ -140,19 +140,7 @@ func (r *Relation) AtomicItems() ([]Item, error) {
 				ErrTooLarge, r.name, maxProductNodes)
 		}
 	}
-	out := make([]Item, 0, size)
-	var rec func(prefix Item, i int)
-	rec = func(prefix Item, i int) {
-		if i == k {
-			out = append(out, prefix.Clone())
-			return
-		}
-		for _, n := range perAttr[i] {
-			rec(append(prefix, n), i+1)
-		}
-	}
-	rec(make(Item, 0, k), 0)
-	return out, nil
+	return Product(perAttr), nil
 }
 
 // ExtensionByEvaluation computes the extension by bulk-evaluating every

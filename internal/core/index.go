@@ -74,10 +74,10 @@ func (r *Relation) overlapPostings(attr int, class string) [][]string {
 	return out
 }
 
-// overlapping returns the stored tuples that overlap at least one of the
-// items, sorted by item key. Each item probes the column whose overlapping
+// TuplesOverlapping returns the stored tuples that overlap at least one of
+// the items, sorted by item key. Each item probes the column whose overlapping
 // posting lists are shortest and filters on the remaining coordinates.
-func (r *Relation) overlapping(items []Item) []Tuple {
+func (r *Relation) TuplesOverlapping(items []Item) []Tuple {
 	seen := map[string]bool{}
 	var out []Tuple
 	for _, it := range items {

@@ -130,6 +130,24 @@ func (it Item) Equal(o Item) bool {
 // Clone returns a copy of the item.
 func (it Item) Clone() Item { return append(Item(nil), it...) }
 
+// Product returns every item whose i-th coordinate is drawn from perAttr[i],
+// the last coordinate varying fastest; none when some coordinate has no value.
+func Product(perAttr [][]string) []Item {
+	var out []Item
+	var rec func(prefix Item, i int)
+	rec = func(prefix Item, i int) {
+		if i == len(perAttr) {
+			out = append(out, prefix.Clone())
+			return
+		}
+		for _, n := range perAttr[i] {
+			rec(append(prefix, n), i+1)
+		}
+	}
+	rec(make(Item, 0, len(perAttr)), 0)
+	return out
+}
+
 // String renders the item as (a, b, …).
 func (it Item) String() string { return "(" + strings.Join(it, ", ") + ")" }
 
@@ -461,9 +479,11 @@ func (r *Relation) sortMostSpecificFirst(ts []Tuple) []Tuple {
 }
 
 // sortGeneralFirst orders tuples so that a tuple always precedes any tuple
-// it strictly subsumes (a linear extension of the subsumption order — the
-// topological order over the subsumption graph used by Consolidate), with a
-// deterministic tie-break by item key.
+// it strictly subsumes in the binding order (is-a plus preference edges: a
+// linear extension of the subsumption order — the topological order over the
+// subsumption graph used by Consolidate — in which a dispreferred tuple also
+// precedes the one preferred to it), with a deterministic tie-break by item
+// key.
 func (r *Relation) sortGeneralFirst(ts []Tuple) []Tuple {
 	n := len(ts)
 	// Kahn's algorithm over the strict-subsumption relation.
@@ -471,7 +491,7 @@ func (r *Relation) sortGeneralFirst(ts []Tuple) []Tuple {
 	indeg := make([]int, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j && r.StrictlySubsumes(ts[i].Item, ts[j].Item) {
+			if i != j && !ts[i].Item.Equal(ts[j].Item) && r.BindSubsumes(ts[i].Item, ts[j].Item) {
 				adj[i] = append(adj[i], j)
 				indeg[j]++
 			}

@@ -76,6 +76,16 @@ func (b Bitset) And(other Bitset) {
 	}
 }
 
+// Intersects reports whether b and other share a member.
+func (b Bitset) Intersects(other Bitset) bool {
+	for i := 0; i < len(b) && i < len(other); i++ {
+		if b[i]&other[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0

@@ -15,6 +15,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -416,27 +417,94 @@ func (g *Graph) Descendants(id int) []int {
 }
 
 // Ancestors returns every node from which id is reachable, excluding id
-// itself, in ascending order. Implemented as an upward DFS so the cost is
-// proportional to the ancestor region, not the whole graph.
+// itself, in ascending order. It walks pred upward with the result as the
+// work list, so cost and memory follow the ancestor region, not the graph.
 func (g *Graph) Ancestors(id int) []int {
 	if !g.Has(id) {
 		return nil
 	}
-	seen := make([]bool, len(g.alive))
-	stack := []int{id}
 	var out []int
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	seen := map[int]struct{}{}
+	for i, n := -1, id; i < len(out); i++ {
+		if i >= 0 {
+			n = out[i]
+		}
 		for p := range g.pred[n] {
-			if !seen[p] {
-				seen[p] = true
+			if _, ok := seen[p]; !ok {
+				seen[p] = struct{}{}
 				out = append(out, p)
-				stack = append(stack, p)
 			}
 		}
 	}
 	sort.Ints(out)
+	return out
+}
+
+// Overlap reports whether some node is reachable from both a and b (each
+// reaches itself). Comparable nodes answer from the label index; in a forest
+// nothing else overlaps; otherwise it is a word-wise test of the memoized
+// reach sets. It never allocates on a warm graph.
+func (g *Graph) Overlap(a, b int) bool {
+	if g.HasPath(a, b) || g.HasPath(b, a) {
+		return true
+	}
+	if !g.Has(a) || !g.Has(b) {
+		return false
+	}
+	if l := g.labelMemo.Load(); l != nil && l.treeOnly {
+		return false
+	}
+	reach, err := g.ensureReach()
+	return err == nil && reach[a].Intersects(reach[b])
+}
+
+// OverlapRegion returns every node n with Overlap(n, id): the nodes reachable
+// from id, then each ancestor of one of those. It walks pred from the
+// reachable set, so its cost follows the region; ok is false, with nothing
+// enumerated, when more than maxBelow nodes are reachable from id.
+func (g *Graph) OverlapRegion(id, maxBelow int) (region []int, ok bool) {
+	below, err := g.ReachableSet(id)
+	if err != nil || below.Count() > maxBelow {
+		return nil, false
+	}
+	region = below.Members()
+	above := map[int]struct{}{}
+	for i := 0; i < len(region); i++ {
+		for p := range g.pred[region[i]] {
+			if _, seen := above[p]; !seen && !below.Get(p) {
+				above[p] = struct{}{}
+				region = append(region, p)
+			}
+		}
+	}
+	return region, true
+}
+
+// MaximalCommon returns, ascending, the nodes reachable from both a and b
+// that no other such node reaches. The common set is closed downward, so a
+// member is maximal iff none of its direct predecessors is a member.
+func (g *Graph) MaximalCommon(a, b int) []int {
+	if !g.Has(a) || !g.Has(b) {
+		return nil
+	}
+	reach, err := g.ensureReach()
+	if err != nil {
+		return nil
+	}
+	ra, rb := reach[a], reach[b]
+	var out []int
+	for w := range ra {
+	next:
+		for x := ra[w] & rb[w]; x != 0; x &= x - 1 {
+			c := w*64 + bits.TrailingZeros64(x)
+			for p := range g.pred[c] {
+				if ra.Get(p) && rb.Get(p) {
+					continue next
+				}
+			}
+			out = append(out, c)
+		}
+	}
 	return out
 }
 

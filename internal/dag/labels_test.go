@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -266,5 +267,72 @@ func TestBitsetOrGrow(t *testing.T) {
 	}
 	if !same.Get(7) || !same.Get(200) {
 		t.Fatal("in-place OrGrow lost bits")
+	}
+}
+
+// TestAncestorsMatchesReach checks the upward walk against reachability on
+// random layered DAGs, multi-parent nodes and wide ancestor sets included.
+func TestAncestorsMatchesReach(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		g := New()
+		n := 20 + rng.Intn(200)
+		for i := 0; i < n; i++ {
+			id := g.AddNode()
+			for e := rng.Intn(4); e > 0 && id > 0; e-- {
+				if err := g.AddEdge(rng.Intn(id), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for id := 0; id < n; id++ {
+			var want []int
+			for p := 0; p < n; p++ {
+				if p != id && g.HasPath(p, id) {
+					want = append(want, p)
+				}
+			}
+			if got := g.Ancestors(id); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: Ancestors(%d) = %v, want %v", trial, id, got, want)
+			}
+		}
+	}
+}
+
+// TestAncestorsCostFollowsRegion pins what the scratch []bool of len(alive)
+// used to break: the walk's allocation depends on the ancestor region, not on
+// how many other nodes the graph holds.
+func TestAncestorsCostFollowsRegion(t *testing.T) {
+	bytesPerOp := func(n int) int64 {
+		g := New()
+		root := g.AddNode()
+		leaf := root
+		for d := 0; d < 8; d++ { // the region: a chain of 8 with one diamond
+			next := g.AddNode()
+			if err := g.AddEdge(leaf, next); err != nil {
+				t.Fatal(err)
+			}
+			leaf = next
+		}
+		if err := g.AddEdge(root, leaf); err != nil {
+			t.Fatal(err)
+		}
+		for g.Len() < n { // everything else: unrelated siblings
+			if err := g.AddEdge(root, g.AddNode()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(g.Ancestors(leaf)); got != 8 {
+			t.Fatalf("n=%d: %d ancestors, want 8", n, got)
+		}
+		return testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Ancestors(leaf)
+			}
+		}).AllocedBytesPerOp()
+	}
+	if small, large := bytesPerOp(1<<10), bytesPerOp(1<<14); small != large {
+		t.Fatalf("Ancestors allocates %d B/op at 1k nodes and %d B/op at 16k, want equal", small, large)
 	}
 }

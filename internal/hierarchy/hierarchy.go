@@ -497,10 +497,12 @@ func (h *Hierarchy) IsLeaf(name string) bool {
 // "optimistic" overlap evidence of §3.1 — two classes are assumed disjoint
 // unless the hierarchy proves otherwise.
 func (h *Hierarchy) Overlaps(a, b string) bool {
-	if h.Subsumes(a, b) || h.Subsumes(b, a) {
-		return true
+	aid, ok := h.ids[a]
+	if !ok {
+		return false
 	}
-	return len(h.commonDescendantIDs(a, b)) > 0
+	bid, ok := h.ids[b]
+	return ok && h.isa.Overlap(aid, bid)
 }
 
 // OverlapRegion returns every node n with Overlaps(n, name): the nodes at or
@@ -517,56 +519,15 @@ func (h *Hierarchy) OverlapRegion(name string, maxBelow int) (region []string, o
 	if err != nil {
 		return nil, false
 	}
-	below, err := h.isa.ReachableSet(id)
-	if err != nil || below.Count() > maxBelow {
+	ids, ok := h.isa.OverlapRegion(id, maxBelow)
+	if !ok {
 		return nil, false
 	}
-	stack := below.Members()
-	seen := make([]bool, h.isa.MaxID())
-	for _, n := range stack {
-		seen[n] = true
-		region = append(region, h.names[n])
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range h.isa.Pred(n) {
-			if !seen[p] {
-				seen[p] = true
-				region = append(region, h.names[p])
-				stack = append(stack, p)
-			}
-		}
+	region = make([]string, len(ids))
+	for i, n := range ids {
+		region[i] = h.names[n]
 	}
 	return region, true
-}
-
-// commonDescendantIDs returns ids of nodes subsumed by both a and b
-// (excluding the case where one subsumes the other, which callers handle).
-func (h *Hierarchy) commonDescendantIDs(a, b string) []int {
-	aid, ok := h.ids[a]
-	if !ok {
-		return nil
-	}
-	bid, ok := h.ids[b]
-	if !ok {
-		return nil
-	}
-	ra, err := h.isa.ReachableSet(aid)
-	if err != nil {
-		return nil
-	}
-	rb, err := h.isa.ReachableSet(bid)
-	if err != nil {
-		return nil
-	}
-	var out []int
-	for _, n := range ra.Members() {
-		if rb.Get(n) {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Meets returns the maximal common descendants of a and b: if one subsumes
@@ -581,29 +542,19 @@ func (h *Hierarchy) Meets(a, b string) []string {
 	if h.Subsumes(b, a) {
 		return []string{a}
 	}
-	common := h.commonDescendantIDs(a, b)
+	aid, ok := h.ids[a]
+	if !ok {
+		return nil
+	}
+	bid, ok := h.ids[b]
+	if !ok {
+		return nil
+	}
+	common := h.isa.MaximalCommon(aid, bid)
 	if len(common) == 0 {
 		return nil
 	}
-	inCommon := make(map[int]bool, len(common))
-	for _, c := range common {
-		inCommon[c] = true
-	}
-	var out []string
-	for _, c := range common {
-		maximal := true
-		for _, p := range h.isa.Ancestors(c) {
-			if inCommon[p] {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, h.names[c])
-		}
-	}
-	sort.Strings(out)
-	return out
+	return h.namesOf(common)
 }
 
 // Irredundant reports whether the is-a graph is a transitive reduction

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -66,6 +68,45 @@ func refSubsumes(h *Hierarchy, children func(string) []string, a, b string) bool
 	return false
 }
 
+// randomEdit applies one random mutation — a class (sometimes with a second
+// parent), an instance, an is-a edge, a preference edge, a dropped leaf — or
+// warms the indexes. Edits may be rejected (cycle, instance parent,
+// duplicate): the point is that accepted ones are indexed correctly.
+func randomEdit(t *testing.T, h *Hierarchy, rng *rand.Rand, step int, names, classes *[]string) {
+	t.Helper()
+	pick := func(pool []string) string { return pool[rng.Intn(len(pool))] }
+	switch op := rng.Intn(12); {
+	case op < 3 && len(*classes) < 50:
+		name := fmt.Sprintf("c%03d", step)
+		parents := []string{pick(*classes)}
+		if rng.Intn(3) == 0 {
+			if p2 := pick(*classes); p2 != parents[0] {
+				parents = append(parents, p2)
+			}
+		}
+		if err := h.AddClass(name, parents...); err == nil {
+			*names = append(*names, name)
+			*classes = append(*classes, name)
+		}
+	case op < 6:
+		name := fmt.Sprintf("i%03d", step)
+		if err := h.AddInstance(name, pick(*classes)); err == nil {
+			*names = append(*names, name)
+		}
+	case op < 8:
+		_ = h.AddEdge(pick(*classes), pick(*names))
+	case op < 9:
+		_ = h.Prefer(pick(*names), pick(*names))
+	case op < 10:
+		_ = h.RemoveLeaf(pick(*names))
+	default:
+		h.Warm()
+		if !h.IndexWarm() {
+			t.Fatalf("step %d: Warm left the label index cold", step)
+		}
+	}
+}
+
 // TestLabelIndexMatchesDFSProperty interleaves every mutating operation with
 // warm-ups and checks that Subsumes/BindSubsumes — answered by the interval-
 // label index when warm, by DFS when cold — always agree with an independent
@@ -94,38 +135,7 @@ func TestLabelIndexMatchesDFSProperty(t *testing.T) {
 		}
 
 		for step := 0; step < 140; step++ {
-			switch op := rng.Intn(12); {
-			case op < 3 && len(classes) < 50:
-				name := fmt.Sprintf("c%03d", step)
-				parents := []string{pick(classes)}
-				if rng.Intn(3) == 0 {
-					if p2 := pick(classes); p2 != parents[0] {
-						parents = append(parents, p2)
-					}
-				}
-				if err := h.AddClass(name, parents...); err == nil {
-					names = append(names, name)
-					classes = append(classes, name)
-				}
-			case op < 6:
-				name := fmt.Sprintf("i%03d", step)
-				if err := h.AddInstance(name, pick(classes)); err == nil {
-					names = append(names, name)
-				}
-			case op < 8:
-				// May be rejected (cycle, instance parent, duplicate): the
-				// point is that accepted edges are indexed correctly.
-				_ = h.AddEdge(pick(classes), pick(names))
-			case op < 9:
-				_ = h.Prefer(pick(names), pick(names))
-			case op < 10:
-				_ = h.RemoveLeaf(pick(names))
-			default:
-				h.Warm()
-				if !h.IndexWarm() {
-					t.Fatalf("trial %d step %d: Warm left the label index cold", trial, step)
-				}
-			}
+			randomEdit(t, h, rng, step, &names, &classes)
 			if step%35 == 34 {
 				check(step)
 			}
@@ -185,5 +195,110 @@ func TestSubsumesWarmNoAllocs(t *testing.T) {
 		h.BindSubsumes("D", "i19")
 	}); avg != 0 {
 		t.Fatalf("warm Subsumes allocates %.1f per run, want 0", avg)
+	}
+}
+
+// refBelow is the set of nodes a subsumes, by BFS over Children.
+func refBelow(h *Hierarchy, a string) map[string]bool {
+	below := map[string]bool{}
+	if !h.Has(a) {
+		return below
+	}
+	below[a] = true
+	for queue := []string{a}; len(queue) > 0; queue = queue[1:] {
+		for _, c := range h.Children(queue[0]) {
+			if !below[c] {
+				below[c] = true
+				queue = append(queue, c)
+			}
+		}
+	}
+	return below
+}
+
+// refMeets is the enumeration Overlaps and Meets replaced: list the common
+// descendants, keep those no other common descendant subsumes.
+func refMeets(h *Hierarchy, a, b string) []string {
+	ba, bb := refBelow(h, a), refBelow(h, b)
+	var common, out []string
+	for n := range ba {
+		if bb[n] {
+			common = append(common, n)
+		}
+	}
+	for _, c := range common {
+		maximal := true
+		for _, d := range common {
+			if d != c && refBelow(h, d)[c] {
+				maximal = false
+			}
+		}
+		if maximal {
+			out = append(out, c)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestOverlapsMeetsMatchReference interleaves the same random edits — second
+// parents, preference edges, dropped leaves, warm-ups — with checks that the
+// bitset Overlaps and the predecessor-tested Meets agree with enumerating
+// the common descendants, cold and warm.
+func TestOverlapsMeetsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 6; trial++ {
+		h := New(fmt.Sprintf("D%d", trial))
+		names := []string{h.Domain()}
+		classes := []string{h.Domain()}
+		check := func(step int) {
+			t.Helper()
+			for q := 0; q < 120; q++ {
+				a, b := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+				want := refMeets(h, a, b)
+				if got := h.Meets(a, b); strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("trial %d step %d: Meets(%q,%q) = %v, want %v", trial, step, a, b, got, want)
+				}
+				if got := h.Overlaps(a, b); got != (len(want) > 0) {
+					t.Fatalf("trial %d step %d: Overlaps(%q,%q) = %v, meets %v (warm=%v)", trial, step, a, b, got, want, h.IndexWarm())
+				}
+			}
+		}
+		for step := 0; step < 140; step++ {
+			randomEdit(t, h, rng, step, &names, &classes)
+			if step%20 == 19 {
+				check(step)
+			}
+		}
+		h.Warm()
+		check(-1)
+	}
+}
+
+// TestOverlapsWarmNoAllocs: a warm Overlaps is a label compare or, for
+// incomparable classes, a word-wise pass over two memoized reach sets.
+func TestOverlapsWarmNoAllocs(t *testing.T) {
+	h := New("D")
+	for c := 0; c < 20; c++ {
+		if err := h.AddClass(fmt.Sprintf("c%02d", c)); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.AddInstance(fmt.Sprintf("i%02d", c), fmt.Sprintf("c%02d", c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.AddEdge("c04", "i03"); err != nil { // i03 ∈ c03 ∩ c04: not a forest
+		t.Fatal(err)
+	}
+	h.Warm()
+	if !h.Overlaps("c03", "c04") || h.Overlaps("c03", "c05") || !h.Overlaps("D", "i19") {
+		t.Fatal("Overlaps answers wrongly")
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		h.Overlaps("c03", "c04")
+		h.Overlaps("c03", "c05")
+		h.Overlaps("D", "i19")
+	}); avg != 0 {
+		t.Fatalf("warm Overlaps allocates %.1f per run, want 0", avg)
 	}
 }

@@ -6,38 +6,44 @@ import (
 	"testing"
 )
 
-// TestDeltaAtomCapFallsBack: a committed batch whose affected-atom closure
-// exceeds MaxDeltaAtoms abandons the incremental fold and recomputes, and
-// the fallback is visible in the view's recompute counter.
+// TestDeltaAtomCapFallsBack: a committed batch whose changed item has more
+// leaves under it than MaxDeltaAtoms abandons the incremental fold and
+// recomputes, and the fallback is visible in the view's recompute counter.
 func TestDeltaAtomCapFallsBack(t *testing.T) {
-	_, m, sess := openView(t, Options{MaxDeltaAtoms: 1})
+	_, m, sess := openView(t, Options{MaxDeltaAtoms: 2})
 	mustExec(t, sess, seedDDL)
-	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
 	mustExec(t, sess, "INSTANCE a UNDER mammal; INSTANCE b UNDER mammal;")
+	// The tail passes the seed before the view exists, so none of it
+	// replays into the fresh view as a delta.
 	quiesce(t, m)
-	_, rec0, err := m.Stats("flat")
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
 
-	// One tuple change, three affected atoms (rex, a, b) — over the cap.
+	stats := func() (deltas, recomputes uint64) {
+		t.Helper()
+		quiesce(t, m)
+		deltas, recomputes, err := m.Stats("flat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return deltas, recomputes
+	}
+	deltas0, rec0 := stats()
+
+	// One atom: inside the cap.
+	mustExec(t, sess, "DENY flies (tweety);")
+	if deltas, rec := stats(); deltas != deltas0+1 || rec != rec0 {
+		t.Fatalf("an in-cap write: deltas %d -> %d, recomputes %d -> %d; want one delta", deltas0, deltas, rec0, rec)
+	}
+	// mammal's own leaf product is rex, a and b: three atoms, over the cap.
 	mustExec(t, sess, "ASSERT flies (mammal);")
-	quiesce(t, m)
-	deltas1, rec1, err := m.Stats("flat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec1 != rec0+1 {
-		t.Fatalf("recomputes %d -> %d; the atom cap never forced a fallback", rec0, rec1)
-	}
-	if deltas1 != 0 {
-		t.Fatalf("deltas = %d; the over-cap batch must not take the delta path", deltas1)
+	if deltas, rec := stats(); deltas != deltas0+1 || rec != rec0+1 {
+		t.Fatalf("an over-cap write: deltas %d -> %d, recomputes %d -> %d; want one recompute and no delta", deltas0+1, deltas, rec0, rec)
 	}
 	rows, err := m.Rows("flat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(rows, ","); got != "(a),(b),(rex),(tweety)" {
+	if got := strings.Join(rows, ","); got != "(a),(b),(rex)" {
 		t.Fatalf("rows after fallback = %q", got)
 	}
 }

@@ -21,11 +21,12 @@ const (
 	// maintenance is O(delta) — a changed tuple re-evaluates only the
 	// atoms it subsumes.
 	kindExtension defKind = iota
-	// kindSelect — SELECT FROM <rel> [WHERE ...]: recomputed on source
-	// change (consolidation is a whole-relation operation, so there is no
-	// sound tuple-local fold).
+	// kindSelect — SELECT FROM <rel> [WHERE ...], consolidated: a change
+	// disjoint from the WHERE region is skipped, any other re-derives the
+	// rows at or under the changed items (foldSelect).
 	kindSelect
-	// kindCount — COUNT <rel> [BY ...]: recomputed on source change.
+	// kindCount — COUNT <rel> [BY ...]: keeps the extension like
+	// kindExtension and folds its atom delta into per-group counters.
 	kindCount
 	// kindMirror — an internal feed over a base relation's stored tuples,
 	// backing SUBSCRIBE <relation>. Never user-created.
@@ -71,9 +72,13 @@ func compile(query string) (*def, error) {
 // evalResult is one full evaluation of a view's defining query.
 type evalResult struct {
 	rows []string // sorted, newline-free
-	// rel is the view's relation form (extension and select views); nil
-	// for count views and mirrors.
+	// rel is the view's relation form: the extension atoms (extension and
+	// count views) or the consolidated selection; nil for mirrors.
 	rel *core.Relation
+	// pre is a select view's selection before consolidation.
+	pre *core.Relation
+	// counts is a count view's atoms per rendered group.
+	counts map[string]int
 	// domains names the hierarchies the result depends on; a mutation of
 	// any of them invalidates incremental maintenance.
 	domains map[string]bool
@@ -94,45 +99,45 @@ func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalR
 	res := evalResult{domains: domains}
 
 	switch d.kind {
-	case kindExtension:
+	case kindExtension, kindCount:
 		ext, err := src.ExtensionContext(ctx)
 		if err != nil {
 			return evalResult{}, err
 		}
-		rel := core.NewRelation(name, schema)
-		rows := make([]string, 0, len(ext))
+		res.rel = core.NewRelation(name, schema)
 		for _, it := range ext {
-			if err := rel.Insert(it, true); err != nil {
+			if err := res.rel.Insert(it, true); err != nil {
 				return evalResult{}, err
 			}
-			rows = append(rows, it.String())
 		}
-		sort.Strings(rows)
-		res.rows, res.rel = rows, rel
+		if d.kind == kindExtension {
+			for _, it := range ext {
+				res.rows = append(res.rows, it.String())
+			}
+			break
+		}
+		group, err := d.grouper(src)
+		if err != nil {
+			return evalResult{}, err
+		}
+		res.counts = map[string]int{}
+		if len(d.by) == 0 {
+			res.counts[group(nil)] = 0 // an ungrouped count has a row even at zero
+		}
+		for _, it := range ext {
+			res.counts[group(it)]++
+		}
+		for g, n := range res.counts {
+			res.rows = append(res.rows, countRow(g, n))
+		}
 
 	case kindSelect:
 		sel, err := algebra.SelectContext(ctx, name, src, d.conds...)
 		if err != nil {
 			return evalResult{}, err
 		}
-		sel = sel.Consolidate()
-		res.rows, res.rel = tupleRows(sel), sel
-
-	case kindCount:
-		counts, err := algebra.Count(src, d.by...)
-		if err != nil {
-			return evalResult{}, err
-		}
-		rows := make([]string, 0, len(counts))
-		for _, gc := range counts {
-			if len(gc.Group) == 0 {
-				rows = append(rows, fmt.Sprintf("count = %d", gc.N))
-				continue
-			}
-			rows = append(rows, fmt.Sprintf("%s = %d", gc.Group, gc.N))
-		}
-		sort.Strings(rows)
-		res.rows = rows
+		res.pre, res.rel = sel, sel.Consolidate()
+		res.rows = tupleRows(res.rel)
 
 	case kindMirror:
 		res.rows = tupleRows(src)
@@ -140,10 +145,36 @@ func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalR
 	default:
 		return evalResult{}, fmt.Errorf("view: unknown kind %d", d.kind)
 	}
+	sort.Strings(res.rows)
 	return res, nil
 }
 
-// tupleRows renders a relation's stored tuples as sorted row strings
+// grouper returns the function rendering the group an atom of src counts
+// toward: its BY coordinates as an item, or "count" when ungrouped.
+func (d *def) grouper(src *core.Relation) (func(core.Item) string, error) {
+	cols := make([]int, len(d.by))
+	for i, a := range d.by {
+		j, ok := src.Schema().Index(a)
+		if !ok {
+			return nil, fmt.Errorf("%w: count: no attribute %q in %q", core.ErrUnknownAttribute, a, src.Name())
+		}
+		cols[i] = j
+	}
+	return func(it core.Item) string {
+		if len(cols) == 0 {
+			return "count"
+		}
+		g := make(core.Item, len(cols))
+		for i, c := range cols {
+			g[i] = it[c]
+		}
+		return g.String()
+	}, nil
+}
+
+func countRow(group string, n int) string { return fmt.Sprintf("%s = %d", group, n) }
+
+// tupleRows renders a relation's stored tuples as row strings
 // ("+ (a, b)" / "- (a, b)").
 func tupleRows(r *core.Relation) []string {
 	ts := r.Tuples()
@@ -151,6 +182,5 @@ func tupleRows(r *core.Relation) []string {
 	for _, t := range ts {
 		rows = append(rows, t.String())
 	}
-	sort.Strings(rows)
 	return rows
 }

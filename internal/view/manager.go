@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"hrdb/internal/algebra"
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
 	"hrdb/internal/storage"
@@ -51,7 +52,11 @@ type view struct {
 	def    *def
 	rows   map[string]struct{}
 	sorted []string // cache of sorted rows; nil = dirty
-	rel    *core.Relation
+	// rel, pre and counts are the maintained forms of the last evaluation
+	// (evalResult); the folds patch them in place, so readers get pub — a
+	// copy of rel made once per version, nil while rel has changed since.
+	rel, pre, pub *core.Relation
+	counts        map[string]int
 	// domains the last successful evaluation depended on.
 	domains map[string]bool
 
@@ -60,8 +65,10 @@ type view struct {
 	journal []entry
 	jbytes  int
 
-	deltas, recomputes uint64
-	lastErr            string
+	// Batches of source tuple operations folded in, found disjoint from a
+	// SELECT's region (nothing to do), and answered by a full recompute.
+	deltas, skipped, recomputes uint64
+	lastErr                     string
 }
 
 func (v *view) sortedRows() []string {
@@ -96,14 +103,42 @@ func (v *view) setRows(rows []string) (added, removed []string) {
 	return added, removed
 }
 
+// patchRows applies a fold's row changes — the rows it dropped and the rows
+// it derived, each without duplicates — and returns them net and sorted: a
+// row dropped and derived again is no change.
+func (v *view) patchRows(added, removed []string) (netAdded, netRemoved []string) {
+	gone := make(map[string]bool, len(removed))
+	for _, r := range removed {
+		gone[r] = true
+	}
+	for _, r := range added {
+		if gone[r] {
+			delete(gone, r)
+			continue
+		}
+		v.rows[r] = struct{}{}
+		netAdded = append(netAdded, r)
+	}
+	for r := range gone {
+		delete(v.rows, r)
+		netRemoved = append(netRemoved, r)
+	}
+	if len(netAdded)+len(netRemoved) > 0 {
+		v.sorted, v.pub = nil, nil // the rows moved, and rel with them
+	}
+	sort.Strings(netAdded)
+	sort.Strings(netRemoved)
+	return netAdded, netRemoved
+}
+
 // Options configures a Manager.
 type Options struct {
 	// Dir, when set, persists view definitions (and a clean-shutdown row
 	// snapshot) to Dir/views.json so views survive restarts.
 	Dir string
-	// MaxDeltaAtoms caps how many atoms one committed batch may force an
-	// extension view to re-evaluate before falling back to a full
-	// recompute. Default 4096.
+	// MaxDeltaAtoms caps how many atoms — the leaf products of its changed
+	// items — one committed batch may force an extension or count view to
+	// re-evaluate before falling back to a full recompute. Default 4096.
 	MaxDeltaAtoms int
 	// MaxJournalEntries / MaxJournalBytes bound each view's change
 	// journal; resuming below the trimmed floor yields a stale error.
@@ -303,22 +338,22 @@ func (m *Manager) applyViewLocked(v *view, ops []catalog.TxOp, pos storage.Posit
 		return
 	case actDelta:
 		var added, removed []string
-		var ok bool
-		switch v.def.kind {
-		case kindExtension:
-			added, removed, ok = m.deltaExtensionLocked(v, ops)
-		case kindMirror:
-			added, removed, ok = v.deltaMirror(ops)
-		default:
-			// SELECT and COUNT views have no sound tuple-local fold.
-			ok = false
+		n, ok := 1, true
+		if v.def.kind == kindMirror {
+			added, removed = v.deltaMirror(ops)
+		} else {
+			added, removed, n, ok = m.foldLocked(v, ops)
 		}
-		if !ok {
+		switch {
+		case !ok:
 			m.recomputeLocked(v, pos)
 			return
+		case n == 0:
+			v.skipped++
+		default:
+			v.deltas++
+			metricDeltas.Inc()
 		}
-		v.deltas++
-		metricDeltas.Inc()
 		m.commitView(v, pos, added, removed)
 	case actRecompute:
 		m.recomputeLocked(v, pos)
@@ -363,154 +398,168 @@ func (m *Manager) recomputeLocked(v *view, pos storage.Position) {
 		v.lastErr = ""
 	}
 	added, removed := v.setRows(res.rows)
-	v.rel = res.rel
+	v.rel, v.pre, v.pub, v.counts = res.rel, res.pre, nil, res.counts
 	if res.domains != nil {
 		v.domains = res.domains
 	}
 	m.commitView(v, pos, added, removed)
 }
 
-// deltaExtensionLocked applies DML records to an extension view by
-// re-evaluating only the atoms a change at item J can reach: the atoms
-// under J itself, plus the atoms under every stored tuple item K that
-// subsumes J. The second set is what makes this sound under the paper's
-// preemption semantics — a tuple at J can preempt (or stop preempting) a
-// tuple at an ancestor item K for atoms under K that are NOT under J, so
-// tuple-locality alone is not enough. Atoms outside both sets see neither
-// an applicable-tuple change nor a preemptor change, and keep their
-// verdicts. Reports ok=false (caller recomputes) when the affected-atom
-// set exceeds the cap or evaluation fails.
-func (m *Manager) deltaExtensionLocked(v *view, ops []catalog.TxOp) (added, removed []string, ok bool) {
+// foldLocked folds a batch's tuple operations on the view's source into its
+// rows. A mutation at δ changes app(y), hence any verdict, only for y ⊑ δ
+// (docs/THEORY.md §4, view corollary): an extension or count view
+// re-evaluates the atoms under the changed items, a select view re-derives
+// the tuples at or under them. n is how many items it re-evaluated — zero
+// when the batch cannot touch the view; ok=false asks for a recompute.
+func (m *Manager) foldLocked(v *view, ops []catalog.TxOp) (added, removed []string, n int, ok bool) {
 	if v.rel == nil || v.lastErr != "" {
-		return nil, nil, false
+		return nil, nil, 0, false
 	}
-	err := m.store.ReadLocked(func(db *catalog.Database) error {
-		added, removed, ok = m.deltaExtensionUnderLock(db, v, ops)
+	arity := v.rel.Schema().Arity()
+	var changed []core.Item
+	for _, op := range ops {
+		if catalog.IsTupleOp(op.Kind) && op.Relation == v.def.source {
+			if len(op.Values) != arity {
+				return nil, nil, 0, false
+			}
+			changed = append(changed, core.Item(op.Values))
+		}
+	}
+	// The apply lock keeps the live source still while the fold reads it.
+	_ = m.store.ReadLocked(func(db *catalog.Database) error {
+		src, err := db.Relation(v.def.source)
+		if err != nil || src.Schema().Arity() != arity {
+			return nil
+		}
+		if v.def.kind == kindSelect {
+			added, removed, n, ok = m.foldSelect(src, v, changed)
+		} else {
+			added, removed, n, ok = m.foldAtoms(src, v, changed)
+		}
 		return nil
 	})
-	if err != nil {
-		return nil, nil, false
+	if !ok {
+		return nil, nil, 0, false
 	}
-	return added, removed, ok
+	if n > 0 {
+		metricDeltaAtoms.Observe(int64(n))
+	}
+	added, removed = v.patchRows(added, removed)
+	return added, removed, n, true
 }
 
-// deltaExtensionUnderLock is the fold body; the caller holds both the
-// manager lock and the store's apply lock (no concurrent mutation).
-func (m *Manager) deltaExtensionUnderLock(db *catalog.Database, v *view, ops []catalog.TxOp) (added, removed []string, ok bool) {
-	src, err := db.Snapshot(v.def.source)
-	if err != nil {
-		return nil, nil, false
+// foldSelect re-derives a select view's tuples at or under the changed items
+// that overlap its region, then their consolidation; a batch disjoint from
+// the region is a no-op. With preference edges "above" in the subsumption
+// graph is no longer Applicable, so the whole region is re-selected instead.
+func (m *Manager) foldSelect(src *core.Relation, v *view, changed []core.Item) (added, removed []string, n int, ok bool) {
+	if v.pre == nil {
+		return nil, nil, 0, false // adopted from a snapshot, which holds only the consolidated form
 	}
-	schema := v.rel.Schema()
-	if src.Schema().Arity() != schema.Arity() {
-		return nil, nil, false
+	touched, err := algebra.Reselect(m.ctx, v.pre, src, changed, v.def.conds...)
+	if err != nil || len(touched) == 0 {
+		return nil, nil, 0, err == nil
 	}
-	stored := src.Tuples()
+	for i := 0; i < src.Schema().Arity(); i++ {
+		if len(src.Schema().Attr(i).Domain.Preferences()) > 0 {
+			return nil, nil, 0, false
+		}
+	}
+	rows := func() (out []string) {
+		for _, it := range touched {
+			if t, ok := v.rel.Lookup(it); ok {
+				out = append(out, t.String())
+			}
+		}
+		return out
+	}
+	removed = rows()
+	if err := v.pre.Reconsolidate(v.rel, touched); err != nil {
+		return nil, nil, 0, false
+	}
+	return rows(), removed, len(touched), true
+}
 
+// foldAtoms re-evaluates the atoms under the changed items against the
+// source and patches the view's extension; a count view then moves the
+// counters of the groups those atoms fall in. It asks for a recompute when the
+// items' leaf products exceed MaxDeltaAtoms or evaluation fails.
+func (m *Manager) foldAtoms(src *core.Relation, v *view, changed []core.Item) (added, removed []string, n int, ok bool) {
+	schema := v.rel.Schema()
 	var atoms []core.Item
-	seen := map[string]core.Item{}
-	// addAtoms expands an item to its leaf product, deduplicated and
-	// capped; false means "too big, recompute instead".
-	addAtoms := func(item []string) bool {
+	seen := map[string]bool{}
+	for _, item := range changed {
 		leaves := make([][]string, schema.Arity())
 		total := 1
 		for i := range leaves {
-			ls := schema.Attr(i).Domain.Leaves(item[i])
-			if len(ls) == 0 {
-				return false
-			}
-			leaves[i] = ls
-			total *= len(ls)
-			if total > m.opts.MaxDeltaAtoms {
-				return false
+			leaves[i] = schema.Attr(i).Domain.Leaves(item[i])
+			total *= len(leaves[i])
+			if total == 0 || len(atoms)+total > m.opts.MaxDeltaAtoms {
+				return nil, nil, 0, false
 			}
 		}
-		if len(atoms)+total > m.opts.MaxDeltaAtoms {
-			return false
-		}
-		idx := make([]int, len(leaves))
-		for {
-			atom := make(core.Item, len(leaves))
-			for i, j := range idx {
-				atom[i] = leaves[i][j]
-			}
-			if k := atom.Key(); seen[k] == nil {
-				seen[k] = atom
+		for _, atom := range core.Product(leaves) {
+			if k := atom.Key(); !seen[k] {
+				seen[k] = true
 				atoms = append(atoms, atom)
 			}
-			i := len(idx) - 1
-			for ; i >= 0; i-- {
-				idx[i]++
-				if idx[i] < len(leaves[i]) {
-					break
-				}
-				idx[i] = 0
-			}
-			if i < 0 {
-				break
-			}
 		}
-		return true
 	}
-	subsumesItem := func(upper, lower []string) bool {
-		for i := range upper {
-			if upper[i] != lower[i] && !schema.Attr(i).Domain.Subsumes(upper[i], lower[i]) {
-				return false
-			}
+	flags, err := src.HoldsBatch(m.ctx, atoms)
+	if err != nil {
+		return nil, nil, 0, false
+	}
+	var group func(core.Item) string
+	if v.def.kind == kindCount {
+		if group, err = v.def.grouper(src); err != nil {
+			return nil, nil, 0, false
 		}
-		return true
 	}
-	for _, op := range ops {
-		if !catalog.IsTupleOp(op.Kind) || op.Relation != v.def.source {
+	before := map[string]int{} // a touched group's count as the batch found it
+	for i, atom := range atoms {
+		_, present := v.rel.Lookup(atom)
+		if flags[i] == present {
 			continue
 		}
-		if len(op.Values) != schema.Arity() {
-			return nil, nil, false
-		}
-		if !addAtoms(op.Values) {
-			return nil, nil, false
-		}
-		for _, t := range stored {
-			if subsumesItem(t.Item, op.Values) && !addAtoms(t.Item) {
-				return nil, nil, false
-			}
-		}
-	}
-	if len(atoms) == 0 {
-		return nil, nil, true
-	}
-	flags, err := db.HoldsBatch(m.ctx, v.def.source, atoms)
-	if err != nil {
-		return nil, nil, false
-	}
-	for i, atom := range atoms {
-		row := atom.String()
-		_, present := v.rows[row]
-		switch {
-		case flags[i] && !present:
-			if err := v.rel.Insert(atom, true); err != nil {
-				return nil, nil, false
-			}
-			v.rows[row] = struct{}{}
-			v.sorted = nil
-			added = append(added, row)
-		case !flags[i] && present:
+		step := 1
+		if present {
+			step = -1
 			v.rel.Retract(atom)
-			delete(v.rows, row)
-			v.sorted = nil
-			removed = append(removed, row)
+		} else if err := v.rel.Insert(atom, true); err != nil {
+			return nil, nil, 0, false
+		}
+		switch {
+		case group != nil:
+			g := group(atom)
+			if _, ok := before[g]; !ok {
+				before[g] = v.counts[g]
+			}
+			v.counts[g] += step
+		case present:
+			removed = append(removed, atom.String())
+		default:
+			added = append(added, atom.String())
 		}
 	}
-	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed, true
+	for g, was := range before {
+		now := v.counts[g]
+		if was > 0 || len(v.def.by) == 0 {
+			removed = append(removed, countRow(g, was))
+		}
+		if now > 0 || len(v.def.by) == 0 {
+			added = append(added, countRow(g, now))
+		} else {
+			delete(v.counts, g)
+		}
+	}
+	return added, removed, len(atoms), true
 }
 
 // deltaMirror folds DML records into a relation mirror: each record sets
 // its item's stored-tuple state absolutely (assert -> "+", deny -> "-",
 // retract -> absent), so replay converges even when the mirror was
 // bootstrapped ahead of the tail position.
-func (v *view) deltaMirror(ops []catalog.TxOp) (added, removed []string, ok bool) {
+func (v *view) deltaMirror(ops []catalog.TxOp) (added, removed []string) {
 	for _, op := range ops {
 		if op.Relation != v.def.source {
 			continue
@@ -549,7 +598,7 @@ func (v *view) deltaMirror(ops []catalog.TxOp) (added, removed []string, ok bool
 	}
 	sort.Strings(added)
 	sort.Strings(removed)
-	return added, removed, true
+	return added, removed
 }
 
 // Create registers a materialized view: the defining query (canonical HQL,
@@ -591,9 +640,8 @@ func (m *Manager) Create(name, query string) error {
 		pos:     m.pos,
 		floor:   m.pos,
 	}
-	added, _ := v.setRows(res.rows)
-	_ = added // initial rows are the snapshot, not a journal entry
-	v.rel = res.rel
+	v.setRows(res.rows) // the initial rows are the snapshot, not a journal entry
+	v.rel, v.pre, v.counts = res.rel, res.pre, res.counts
 	m.views[name] = v
 	m.bumpLocked()
 	return m.saveLocked()
@@ -642,7 +690,8 @@ func (m *Manager) Rows(name string) ([]string, error) {
 	return append([]string(nil), v.sortedRows()...), nil
 }
 
-// Snapshot returns the view's relation form for catalog-style reads.
+// Snapshot returns the view's relation form for catalog-style reads: one
+// immutable copy per version of the view, shared by every reader of it.
 func (m *Manager) Snapshot(name string) (*core.Relation, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -650,13 +699,16 @@ func (m *Manager) Snapshot(name string) (*core.Relation, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if v.rel == nil {
+	if v.rel == nil || v.def.kind == kindCount {
 		if v.lastErr != "" {
 			return nil, fmt.Errorf("view: %q is broken: %s", name, v.lastErr)
 		}
 		return nil, fmt.Errorf("view: %q has no relation form", name)
 	}
-	return v.rel.Clone(), nil
+	if v.pub == nil {
+		v.pub = v.rel.Clone()
+	}
+	return v.pub, nil
 }
 
 // Status renders one view's definition and maintenance state.
@@ -669,8 +721,8 @@ func (m *Manager) Status(name string) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", v.name, v.query)
-	fmt.Fprintf(&b, "  rows=%d position=%d/%d deltas=%d recomputes=%d journal=%d",
-		len(v.rows), v.pos.Epoch, v.pos.Offset, v.deltas, v.recomputes, len(v.journal))
+	fmt.Fprintf(&b, "  rows=%d position=%d/%d deltas=%d skipped=%d recomputes=%d journal=%d",
+		len(v.rows), v.pos.Epoch, v.pos.Offset, v.deltas, v.skipped, v.recomputes, len(v.journal))
 	if v.lastErr != "" {
 		fmt.Fprintf(&b, "\n  error: %s", v.lastErr)
 	}

@@ -149,7 +149,7 @@ func TestViewKinds(t *testing.T) {
 		t.Fatalf("tally rows = %q, want two groups", rows)
 	}
 
-	// Both maintain through recompute on further writes.
+	// Both fold further writes.
 	mustExec(t, sess, "RETRACT flies (rex);")
 	quiesce(t, m)
 	rows, _ = m.Rows("tally")
@@ -451,5 +451,62 @@ func TestViewMetrics(t *testing.T) {
 	rows, _ := m.Rows("flat")
 	if got := metricRows.Value(); got != int64(len(rows)) {
 		t.Errorf("hrdb_view_rows = %d, want %d", got, len(rows))
+	}
+}
+
+// TestSnapshotOncePerVersion: readers of one version of a view share one
+// relation, a fold publishes a new one, and the one already handed out never
+// changes under its reader.
+func TestSnapshotOncePerVersion(t *testing.T) {
+	_, m, sess := openView(t, Options{})
+	mustExec(t, sess, seedDDL)
+	quiesce(t, m)
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
+	first, err := m.Snapshot("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := m.Snapshot("flat"); again != first {
+		t.Fatal("two reads of one version got two copies")
+	}
+	mustExec(t, sess, "ASSERT flies (rex);")
+	quiesce(t, m)
+	second, _ := m.Snapshot("flat")
+	if second == first {
+		t.Fatal("a fold did not publish a new relation")
+	}
+	if _, held := first.Lookup([]string{"rex"}); held || first.Len() != 1 {
+		t.Fatalf("the published relation changed under its reader: %v", first.Tuples())
+	}
+	if _, held := second.Lookup([]string{"rex"}); !held {
+		t.Fatalf("the new version lacks the folded row: %v", second.Tuples())
+	}
+}
+
+// TestDeltaAtomsAndSkipped: hrdb_view_delta_atoms observes, per folded batch,
+// the leaves under what was written — three under a class, one under an
+// instance — and a write outside a select view's region is counted as
+// skipped on SHOW VIEW, not as a delta or a recompute.
+func TestDeltaAtomsAndSkipped(t *testing.T) {
+	_, m, sess := openView(t, Options{})
+	mustExec(t, sess, seedDDL)
+	mustExec(t, sess, "INSTANCE a UNDER mammal; INSTANCE b UNDER mammal;")
+	quiesce(t, m)
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW birds AS SELECT FROM flies WHERE who UNDER bird;")
+
+	before := metricDeltaAtoms.Snapshot()
+	mustExec(t, sess, "ASSERT flies (mammal);") // rex, a, b; outside birds
+	mustExec(t, sess, "DENY flies (tweety);")   // one atom; one tuple of birds
+	quiesce(t, m)
+	after := metricDeltaAtoms.Snapshot()
+	if n, sum := after.Count-before.Count, after.Sum-before.Sum; n != 3 || sum < 3+1+1 {
+		t.Errorf("hrdb_view_delta_atoms moved by %d observations summing %d, want 3 summing at least 5", n, sum)
+	}
+	if status := mustExec(t, sess, "SHOW VIEW birds;"); !strings.Contains(status, "deltas=1 skipped=1 recomputes=0") {
+		t.Errorf("SHOW VIEW birds = %q, want one delta, one skipped batch and no recompute", status)
+	}
+	if rows, _ := m.Rows("birds"); strings.Join(rows, ",") != "+ (bird),- (tweety)" {
+		t.Errorf("birds rows = %q", rows)
 	}
 }

@@ -8,9 +8,12 @@ var (
 	// metricDeltas counts committed batches folded incrementally into a
 	// view (the O(delta) path).
 	metricDeltas = obs.Default().Counter("hrdb_view_deltas_applied")
+	// metricDeltaAtoms observes how many items a folded batch re-evaluated:
+	// atoms of an extension or count view, tuples of a select view.
+	metricDeltaAtoms = obs.Default().Histogram("hrdb_view_delta_atoms")
 	// metricRecomputes counts full from-scratch recomputations: hierarchy
 	// mutations, whole-relation rewrites (CONSOLIDATE/EXPLICATE/SET MODE),
-	// source drops/creates, non-incremental view kinds, delta-cap
+	// source drops/creates, select views over preference edges, delta-cap
 	// overflows, and WAL resyncs.
 	metricRecomputes = obs.Default().Counter("hrdb_view_recomputes")
 	// metricLagNS observes the duration of each maintenance pass: the time

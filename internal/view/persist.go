@@ -46,7 +46,7 @@ func (m *Manager) saveLocked() error {
 			Offset: v.pos.Offset,
 			Rows:   append([]string(nil), v.sortedRows()...),
 		}
-		if v.rel != nil {
+		if v.rel != nil && v.def.kind != kindCount {
 			for _, t := range v.rel.Tuples() {
 				sv.Items = append(sv.Items, append([]string(nil), t.Item...))
 				sv.Signs = append(sv.Signs, t.Sign)
