@@ -44,9 +44,9 @@ help:
 	@echo "               tests are skipped via -run '^$$')"
 	@echo "  bench-smoke  quick pass over the batch-evaluation and"
 	@echo "               verdict-cache benchmarks only"
-	@echo "  bench-json   machine-readable BENCH_<exp>.json for the consistency,"
-	@echo "               planner, protocol, sharding, and view experiments"
-	@echo "               (E6, E9, E12-E15)"
+	@echo "  bench-json   machine-readable BENCH_<exp>.json for the consolidate,"
+	@echo "               explicate, consistency, planner, protocol, sharding,"
+	@echo "               and view experiments (E3, E4, E6, E9, E12-E15)"
 	@echo "  benchgate    regression gate: fresh bench-json numbers vs the"
 	@echo "               checked-in scripts/bench_baseline/ (~3x tolerance)"
 	@echo "  figures      regenerate the paper figures (cmd/hrfigures)"
@@ -90,7 +90,7 @@ test-shard:
 test-view:
 	$(GO) test -race -count=1 ./internal/view/ ./internal/subwire/
 	$(GO) test -race -count=1 -run 'TestSubscribe' ./internal/server/
-	$(GO) test -race -count=1 -run 'TestAncestors|TestOverlaps|TestOverlapRegion|TestConflictsSignPartition|TestPropertyReconsolidate' ./internal/dag/ ./internal/hierarchy/ ./internal/core/
+	$(GO) test -race -count=1 -run 'TestAncestors|TestOverlaps|TestOverlapRegion|TestConflictsSignPartition|TestPropertyReconsolidate|TestKernel' ./internal/dag/ ./internal/hierarchy/ ./internal/core/
 
 test-bench:
 	cd bench && $(GO) vet . && $(GO) test .
@@ -111,7 +111,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkHoldsCached' -benchtime=50x .
 
 bench-json:
-	$(GO) run ./cmd/hrbench -json . E6 E9 E12 E13 E14 E15
+	$(GO) run ./cmd/hrbench -json . E3 E4 E6 E9 E12 E13 E14 E15
 
 benchgate:
 	./scripts/benchgate.sh

@@ -167,8 +167,16 @@ func e2Joins() {
 // e3Consolidate: consolidation cost and reduction (§3.3.1).
 func e3Consolidate() {
 	header("E3 — consolidate: cost and tuple reduction (paper §3.3.1)")
-	fmt.Println("| classes | redundant/class | tuples before | tuples after | time |")
+	fmt.Println("| classes | redundant/class | tuples before | tuples after | time (median [q1–q3]) |")
 	fmt.Println("|---|---|---|---|---|")
+	type e3Row struct {
+		Classes     int  `json:"classes"`
+		Redundant   int  `json:"redundant_per_class"`
+		Before      int  `json:"tuples_before"`
+		After       int  `json:"tuples_after"`
+		Consolidate dist `json:"consolidate"`
+	}
+	var rows []e3Row
 	for _, p := range []struct{ classes, redundant int }{
 		{10, 10}, {20, 20}, {40, 40},
 	} {
@@ -176,36 +184,71 @@ func e3Consolidate() {
 		check(err)
 		r, err := workload.RedundantRelation("R", h, p.classes, p.redundant)
 		check(err)
-		var after int
-		ns := timeIt(func() {
-			after = r.Consolidate().Len()
-		})
-		fmt.Printf("| %d | %d | %d | %d | %s |\n", p.classes, p.redundant, r.Len(), after, fmtNs(ns))
+		row := e3Row{Classes: p.classes, Redundant: p.redundant, Before: r.Len()}
+		row.Consolidate = sampleNs(func() { row.After = r.Consolidate().Len() })
+		fmt.Printf("| %d | %d | %d | %d | %s |\n", row.Classes, row.Redundant, row.Before, row.After, row.Consolidate)
+		rows = append(rows, row)
 	}
+	emitJSON("E3", struct {
+		machine
+		Rows []e3Row `json:"rows"`
+	}{thisMachine(), rows})
 }
 
-// e4Explicate: explication cost scales with the extension (§3.3.2).
+// e4Explicate: explication cost scales with the extension (§3.3.2), and the
+// two reads built on it — EXTENSION and COUNT BY — cost about the same. The
+// relation pairs a taxonomy of classes×fanout instances with four hue
+// classes of four hues, one hue class per creature class, like the Likes
+// relation of the request-path benchmark.
 func e4Explicate() {
 	header("E4 — explicate: cost vs extension size (paper §3.3.2)")
-	fmt.Println("| classes | fanout | stored tuples | extension | time |")
-	fmt.Println("|---|---|---|---|---|")
+	fmt.Println("| classes | fanout | stored tuples | extension | explicate | EXTENSION | COUNT BY (Hue) |")
+	fmt.Println("|---|---|---|---|---|---|---|")
+	type e4Row struct {
+		Classes   int  `json:"classes"`
+		Fanout    int  `json:"fanout"`
+		Stored    int  `json:"stored_tuples"`
+		Extension int  `json:"extension"`
+		Explicate dist `json:"explicate"`
+		Ext       dist `json:"extension_read"`
+		CountBy   dist `json:"count_by"`
+	}
+	var rows []e4Row
 	for _, p := range []struct{ classes, fanout int }{
 		{10, 10}, {10, 100}, {10, 1000}, {100, 100},
 	} {
-		h, err := workload.Taxonomy("D", p.classes, p.fanout)
+		creatures, err := workload.Taxonomy("D", p.classes, p.fanout)
 		check(err)
-		r, err := workload.ClassRelation("R", h, p.classes)
+		hues, err := workload.Taxonomy("Hue", 4, 4)
 		check(err)
-		var ext int
-		ns := timeIt(func() {
+		s, err := core.NewSchema(core.Attribute{Name: "X", Domain: creatures}, core.Attribute{Name: "Hue", Domain: hues})
+		check(err)
+		r := core.NewRelation("R", s)
+		for c := 0; c < p.classes; c++ {
+			check(r.Assert(fmt.Sprintf("class%04d", c), fmt.Sprintf("class%04d", c%4)))
+		}
+		row := e4Row{Classes: p.classes, Fanout: p.fanout, Stored: r.Len()}
+		row.Explicate = sampleNs(func() {
 			flatRel, err := r.Explicate()
-			if err != nil {
-				log.Fatal(err)
-			}
-			ext = flatRel.Len()
+			check(err)
+			row.Extension = flatRel.Len()
 		})
-		fmt.Printf("| %d | %d | %d | %d | %s |\n", p.classes, p.fanout, r.Len(), ext, fmtNs(ns))
+		row.Ext = sampleNs(func() {
+			_, err := r.Extension()
+			check(err)
+		})
+		row.CountBy = sampleNs(func() {
+			_, err := algebra.Count(r, "Hue")
+			check(err)
+		})
+		fmt.Printf("| %d | %d | %d | %d | %s | %s | %s |\n", row.Classes, row.Fanout, row.Stored, row.Extension,
+			row.Explicate, row.Ext, row.CountBy)
+		rows = append(rows, row)
 	}
+	emitJSON("E4", struct {
+		machine
+		Rows []e4Row `json:"rows"`
+	}{thisMachine(), rows})
 }
 
 // e5Algebra: operator costs on compact relations (§3.4).

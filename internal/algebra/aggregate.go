@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,8 +20,16 @@ type GroupCount struct {
 // by attributes. This is the statistical use the paper gives for Explicate
 // (§3.3.2): counts are taken over the unique flat extension, never over the
 // stored (compact, possibly redundant) tuples. With no group-by attributes
-// the result is a single group with the empty item.
+// the result is a single group with the empty item. Groups come sorted by
+// their item key.
 func Count(r *core.Relation, groupBy ...string) ([]GroupCount, error) {
+	return CountContext(context.Background(), r, groupBy...)
+}
+
+// CountContext is Count with cancellation. It folds the extension's atoms,
+// as node ids, straight into one counter per group: nothing is named or
+// allocated per atom.
+func CountContext(ctx context.Context, r *core.Relation, groupBy ...string) ([]GroupCount, error) {
 	s := r.Schema()
 	cols := make([]int, len(groupBy))
 	for i, a := range groupBy {
@@ -29,70 +39,33 @@ func Count(r *core.Relation, groupBy ...string) ([]GroupCount, error) {
 		}
 		cols[i] = j
 	}
-	ext, err := r.Extension()
-	if err != nil {
-		return nil, err
-	}
-	counts := map[string]*GroupCount{}
-	for _, it := range ext {
-		g := make(core.Item, len(cols))
-		for i, c := range cols {
-			g[i] = it[c]
+	groups := map[string]*GroupCount{}
+	var key []byte
+	err := r.VisitExtension(ctx, func(atom []int) {
+		key = key[:0]
+		for _, c := range cols {
+			key = binary.AppendUvarint(key, uint64(atom[c]))
 		}
-		k := g.Key()
-		gc, ok := counts[k]
+		gc, ok := groups[string(key)]
 		if !ok {
-			gc = &GroupCount{Group: g}
-			counts[k] = gc
+			gc = &GroupCount{Group: make(core.Item, len(cols))}
+			for i, c := range cols {
+				gc.Group[i] = s.Attr(c).Domain.NameOf(atom[c])
+			}
+			groups[string(key)] = gc
 		}
 		gc.N++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]GroupCount, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, *counts[k])
-	}
-	if len(groupBy) == 0 && len(out) == 0 {
-		out = append(out, GroupCount{Group: core.Item{}})
-	}
-	return out, nil
-}
-
-// CountByClass counts the extension grouped by membership in the given
-// classes of one attribute: for each class, how many extension atoms fall
-// under it. Classes may overlap (an atom can count toward several) — this
-// is counting over the taxonomy, which a flat system would need one join
-// per class to answer.
-func CountByClass(r *core.Relation, attr string, classes ...string) (map[string]int, error) {
-	s := r.Schema()
-	i, ok := s.Index(attr)
-	if !ok {
-		return nil, fmt.Errorf("%w: count: no attribute %q in %q", core.ErrUnknownAttribute, attr, r.Name())
-	}
-	h := s.Attr(i).Domain
-	for _, c := range classes {
-		if !h.Has(c) {
-			return nil, fmt.Errorf("%w: count: %q not in domain %q", core.ErrUnknownValue, c, h.Domain())
-		}
-	}
-	ext, err := r.Extension()
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]int, len(classes))
-	for _, c := range classes {
-		out[c] = 0
+	out := make([]GroupCount, 0, len(groups))
+	for _, gc := range groups {
+		out = append(out, *gc)
 	}
-	for _, it := range ext {
-		for _, c := range classes {
-			if h.Subsumes(c, it[i]) {
-				out[c]++
-			}
-		}
+	sort.Slice(out, func(i, j int) bool { return out[i].Group.Key() < out[j].Group.Key() })
+	if len(groupBy) == 0 && len(out) == 0 {
+		out = append(out, GroupCount{Group: core.Item{}})
 	}
 	return out, nil
 }

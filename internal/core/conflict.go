@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -42,52 +43,41 @@ func (r *Relation) MinimalResolutionSet(a, b Item) []Item {
 // caps the number of items returned (0 means no cap), with ErrTooLarge when
 // exceeded.
 func (r *Relation) CompleteResolutionSet(a, b Item, limit int) ([]Item, error) {
-	k := r.schema.Arity()
-	perAttr := make([][]string, k)
-	for i := 0; i < k; i++ {
+	perAttr, size := r.commonNodes(a, b)
+	if perAttr == nil {
+		return nil, nil
+	}
+	if limit > 0 && size > limit {
+		return nil, fmt.Errorf("%w: complete resolution set exceeds %d items", ErrTooLarge, limit)
+	}
+	out := Product(perAttr)
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	return out, nil
+}
+
+// commonNodes returns, per attribute and sorted, every node subsumed by both
+// coordinates — their meets and all below them — and how many items those
+// combine into (saturating). perAttr is nil when the items do not overlap.
+func (r *Relation) commonNodes(a, b Item) (perAttr [][]string, size int) {
+	perAttr, size = make([][]string, len(a)), 1
+	for i := range a {
 		h := r.schema.attrs[i].Domain
 		seen := map[string]bool{}
-		var nodes []string
 		for _, m := range h.Meets(a[i], b[i]) {
-			if !seen[m] {
-				seen[m] = true
-				nodes = append(nodes, m)
-			}
-			for _, d := range h.Descendants(m) {
+			for _, d := range append([]string{m}, h.Descendants(m)...) {
 				if !seen[d] {
 					seen[d] = true
-					nodes = append(nodes, d)
+					perAttr[i] = append(perAttr[i], d)
 				}
 			}
 		}
-		if len(nodes) == 0 {
-			return nil, nil
+		if len(perAttr[i]) == 0 {
+			return nil, 0
 		}
-		sort.Strings(nodes)
-		perAttr[i] = nodes
+		sort.Strings(perAttr[i])
+		size = min(size, math.MaxInt/len(perAttr[i])) * len(perAttr[i])
 	}
-	var out []Item
-	var rec func(prefix Item, i int) error
-	rec = func(prefix Item, i int) error {
-		if i == k {
-			if limit > 0 && len(out) >= limit {
-				return fmt.Errorf("%w: complete resolution set exceeds %d items", ErrTooLarge, limit)
-			}
-			out = append(out, prefix.Clone())
-			return nil
-		}
-		for _, n := range perAttr[i] {
-			if err := rec(append(prefix, n), i+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(make(Item, 0, k), 0); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out, nil
+	return perAttr, size
 }
 
 // Conflicts returns every ambiguity-constraint violation in the relation.
@@ -148,7 +138,8 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 		}
 	}
 
-	// Only opposite-sign pairs can conflict: pair positives with negatives.
+	// Only opposite-sign pairs can conflict: pair positives with negatives,
+	// each interned once so a pair is tested on node ids.
 	var pos, neg []Tuple
 	for _, t := range tuples {
 		if t.Sign {
@@ -157,13 +148,17 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 			neg = append(neg, t)
 		}
 	}
-	for _, t1 := range pos {
-		for _, t2 := range neg {
-			comparable := r.Subsumes(t1.Item, t2.Item) || r.Subsumes(t2.Item, t1.Item)
+	k := r.schema.Arity()
+	posIDs, negIDs := r.internTuples(pos), r.internTuples(neg)
+	for p, t1 := range pos {
+		a := posIDs[p*k : (p+1)*k]
+		for q, t2 := range neg {
+			b := negIDs[q*k : (q+1)*k]
+			comparable := r.subsumesIDs(a, b) || r.subsumesIDs(b, a)
 			if comparable && !exhaustive {
 				continue // an exception, not a conflict, under off-path
 			}
-			if !r.Overlapping(t1.Item, t2.Item) {
+			if !r.overlapsIDs(a, b) {
 				continue
 			}
 			if !comparable {
@@ -201,36 +196,11 @@ func (r *Relation) resolutionFor(ce *ConflictError) []Item {
 
 // overlapItems enumerates every item (composite or atomic) in the
 // intersection of two items: the componentwise combinations of all nodes
-// subsumed by both coordinates. Capped at maxProductNodes combinations.
+// subsumed by both coordinates. Nothing when that exceeds maxProductNodes.
 func (r *Relation) overlapItems(a, b Item) []Item {
-	k := r.schema.Arity()
-	perAttr := make([][]string, k)
-	size := 1
-	for i := 0; i < k; i++ {
-		h := r.schema.attrs[i].Domain
-		seen := map[string]bool{}
-		var nodes []string
-		for _, m := range h.Meets(a[i], b[i]) {
-			if !seen[m] {
-				seen[m] = true
-				nodes = append(nodes, m)
-			}
-			for _, d := range h.Descendants(m) {
-				if !seen[d] {
-					seen[d] = true
-					nodes = append(nodes, d)
-				}
-			}
-		}
-		if len(nodes) == 0 {
-			return nil
-		}
-		sort.Strings(nodes)
-		perAttr[i] = nodes
-		size *= len(nodes)
-		if size > maxProductNodes {
-			return nil // give up on exhaustive enumeration for this pair
-		}
+	perAttr, size := r.commonNodes(a, b)
+	if perAttr == nil || size > maxProductNodes {
+		return nil
 	}
 	return Product(perAttr)
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+
+	"hrdb/internal/dag"
 )
 
 // This file implements the paper's first new relational operator,
@@ -23,32 +26,27 @@ import (
 // can make another, previously irredundant tuple redundant — Consolidate
 // handles the cascade.
 func (r *Relation) RedundantTuples() []Tuple {
+	ts := r.Tuples()
+	sub := r.bindMatrix(ts)
 	var out []Tuple
-	for _, t := range r.Tuples() {
-		if r.isRedundant(t, r.Tuples()) {
+	for i, t := range ts {
+		if redundantAt(ts, sub, i, nil) {
 			out = append(out, t)
 		}
 	}
 	return out
 }
 
-// isRedundant reports whether t has the same sign as all its immediate
-// predecessors among the given tuple set (the universal negated tuple if it
-// has none).
-func (r *Relation) isRedundant(t Tuple, tuples []Tuple) bool {
-	var above []Tuple
-	for _, u := range tuples {
-		if !u.Item.Equal(t.Item) && r.BindSubsumes(u.Item, t.Item) {
-			above = append(above, u)
-		}
+// redundantAt reports whether ts[i] has the sign of every immediate
+// predecessor it has in the subsumption graph sub among the tuples not gone
+// — of the universal negated tuple when it has none.
+func redundantAt(ts []Tuple, sub []dag.Bitset, i int, gone []bool) bool {
+	preds := predecessors(sub, i, gone)
+	if len(preds) == 0 {
+		return !ts[i].Sign
 	}
-	if len(above) == 0 {
-		// Immediate predecessor is the universal negated tuple.
-		return !t.Sign
-	}
-	// Immediate predecessors: minimal elements of the tuples strictly above.
-	for _, u := range r.minimalTuples(above) {
-		if u.Sign != t.Sign {
+	for _, j := range preds {
+		if ts[j].Sign != ts[i].Sign {
 			return false
 		}
 	}
@@ -62,75 +60,10 @@ func (r *Relation) isRedundant(t Tuple, tuples []Tuple) bool {
 func (r *Relation) Consolidate() *Relation {
 	out := r.Clone()
 	tuples := r.Tuples()
-	n := len(tuples)
-
-	// Precompute the strict-binding-subsumption matrix with interned node
-	// ids so the O(n²) scans below avoid per-pair string-map lookups.
-	sub := r.subsumptionMatrix(tuples)
-
-	// Topologically order the tuples general-first (Kahn over the matrix;
-	// Tuples() is already key-sorted, giving a deterministic tie-break).
-	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if sub[i][j] {
-				indeg[j]++
-			}
-		}
-	}
-	var frontier []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, i)
-		}
-	}
-	orderedIdx := make([]int, 0, n)
-	for len(frontier) > 0 {
-		i := frontier[0]
-		frontier = frontier[1:]
-		orderedIdx = append(orderedIdx, i)
-		for j := 0; j < n; j++ {
-			if sub[i][j] {
-				indeg[j]--
-				if indeg[j] == 0 {
-					frontier = append(frontier, j)
-				}
-			}
-		}
-		sortInts(frontier)
-	}
-
-	removed := make([]bool, n)
-	for oi := 0; oi < n; oi++ {
-		i := orderedIdx[oi]
-		// Immediate predecessors of i among the survivors: the minimal
-		// elements of {j live : sub[j][i]}.
-		var above []int
-		for j := 0; j < n; j++ {
-			if !removed[j] && j != i && sub[j][i] {
-				above = append(above, j)
-			}
-		}
-		redundant := true
-		if len(above) == 0 {
-			// The universal negated tuple is the only predecessor.
-			redundant = !tuples[i].Sign
-		} else {
-			for _, a := range above {
-				minimal := true
-				for _, b := range above {
-					if b != a && sub[a][b] {
-						minimal = false
-						break
-					}
-				}
-				if minimal && tuples[a].Sign != tuples[i].Sign {
-					redundant = false
-					break
-				}
-			}
-		}
-		if redundant {
+	order, sub := r.bindOrder(tuples)
+	removed := make([]bool, len(tuples))
+	for _, i := range order {
+		if redundantAt(tuples, sub, i, removed) {
 			out.Retract(tuples[i].Item)
 			removed[i] = true
 		}
@@ -153,78 +86,22 @@ func (r *Relation) Reconsolidate(c *Relation, touched []Item) error {
 			ts = append(ts, t)
 		}
 	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Item.Key() < ts[j].Item.Key() })
 	for _, t := range r.sortGeneralFirst(ts) {
-		var above []Tuple
+		var group []Tuple
 		for _, u := range r.Applicable(t.Item) {
 			if _, live := c.Lookup(u.Item); live {
-				above = append(above, u)
+				group = append(group, u)
 			}
 		}
-		if !r.isRedundant(t, above) {
+		group = append(group, t)
+		if !redundantAt(group, r.bindMatrix(group), len(group)-1, nil) {
 			if err := c.Insert(t.Item, t.Sign); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// sortInts sorts a small int slice ascending (insertion sort; frontiers are
-// tiny).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// subsumptionMatrix returns sub[i][j] = ordered[i].Item strictly
-// bind-subsumes ordered[j].Item, computed via reachability bitsets.
-func (r *Relation) subsumptionMatrix(ordered []Tuple) [][]bool {
-	n := len(ordered)
-	k := r.schema.Arity()
-	// Intern every coordinate id once.
-	ids := make([][]int, n)
-	for i, t := range ordered {
-		ids[i] = make([]int, k)
-		for a := 0; a < k; a++ {
-			ids[i][a] = r.schema.attrs[a].Domain.MustID(t.Item[a])
-		}
-	}
-	sub := make([][]bool, n)
-	for i := 0; i < n; i++ {
-		sub[i] = make([]bool, n)
-		// Reach sets for i's coordinates.
-		reaches := make([]func(int) bool, k)
-		for a := 0; a < k; a++ {
-			set, ok := r.schema.attrs[a].Domain.BindReachSet(ordered[i].Item[a])
-			if !ok {
-				reaches[a] = func(int) bool { return false }
-				continue
-			}
-			s := set
-			reaches[a] = s.Get
-		}
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			all := true
-			equal := true
-			for a := 0; a < k; a++ {
-				if !reaches[a](ids[j][a]) {
-					all = false
-					break
-				}
-				if ids[i][a] != ids[j][a] {
-					equal = false
-				}
-			}
-			sub[i][j] = all && !equal
-		}
-	}
-	return sub
 }
 
 // SubsumptionEdge is an edge of the relation's subsumption graph. From is
@@ -261,21 +138,15 @@ func (r *Relation) SubsumptionDOT() string {
 // with edges from each tuple's immediate predecessors.
 func (r *Relation) SubsumptionGraph() []SubsumptionEdge {
 	tuples := r.Tuples()
+	sub := r.bindMatrix(tuples)
 	var out []SubsumptionEdge
-	for _, t := range tuples {
-		var above []Tuple
-		for _, u := range tuples {
-			if !u.Item.Equal(t.Item) && r.BindSubsumes(u.Item, t.Item) {
-				above = append(above, u)
-			}
-		}
-		if len(above) == 0 {
+	for i, t := range tuples {
+		preds := predecessors(sub, i, nil)
+		if len(preds) == 0 {
 			out = append(out, SubsumptionEdge{From: nil, To: t})
-			continue
 		}
-		for _, u := range r.minimalTuples(above) {
-			u := u
-			out = append(out, SubsumptionEdge{From: &u, To: t})
+		for _, j := range preds {
+			out = append(out, SubsumptionEdge{From: &tuples[j], To: t})
 		}
 	}
 	return out

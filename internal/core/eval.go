@@ -256,21 +256,10 @@ func (r *Relation) bindersByElimination(item Item, applicable []Tuple, keepRedun
 	// single-coordinate binding-graph edge.
 	g := dag.New()
 	index := map[string]int{}
-	var vectors []Item
-	var rec func(prefix Item, i int)
-	rec = func(prefix Item, i int) {
-		if i == k {
-			v := prefix.Clone()
-			index[v.Key()] = g.AddNode()
-			vectors = append(vectors, v)
-			return
-		}
-		for _, n := range relevant[i] {
-			rec(append(prefix, n), i+1)
-		}
+	vectors := Product(relevant)
+	for _, v := range vectors {
+		index[v.Key()] = g.AddNode()
 	}
-	rec(make(Item, 0, k), 0)
-
 	for _, v := range vectors {
 		from := index[v.Key()]
 		for i := 0; i < k; i++ {
@@ -380,28 +369,16 @@ func (r *Relation) TupleBindingGraph(item Item) (*BindingGraph, error) {
 
 	// Edges among tuples: the transitive reduction of the binding order on
 	// the applicable tuples, plus edges from each binder to the item (-1).
-	for i, a := range applicable {
-		for j, b := range applicable {
-			if i == j || !r.BindSubsumes(a.Item, b.Item) || a.Item.Equal(b.Item) {
-				continue
-			}
-			// immediate: no c strictly between a and b
-			immediate := true
-			for l, c := range applicable {
-				if l == i || l == j {
-					continue
-				}
-				if r.BindSubsumes(a.Item, c.Item) && !a.Item.Equal(c.Item) &&
-					r.BindSubsumes(c.Item, b.Item) && !c.Item.Equal(b.Item) {
-					immediate = false
-					break
-				}
-			}
-			if immediate {
-				bg.Edges = append(bg.Edges, [2]int{i, j})
-			}
+	sub := r.bindMatrix(applicable)
+	for j := range applicable {
+		for _, i := range predecessors(sub, j, nil) {
+			bg.Edges = append(bg.Edges, [2]int{i, j})
 		}
 	}
+	sort.Slice(bg.Edges, func(x, y int) bool {
+		a, b := bg.Edges[x], bg.Edges[y]
+		return a[0] < b[0] || a[0] == b[0] && a[1] < b[1]
+	})
 	for _, b := range bg.Binders {
 		bg.Edges = append(bg.Edges, [2]int{b, -1})
 	}

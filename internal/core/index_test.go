@@ -168,3 +168,15 @@ func TestApplicableChoosesCheapestColumn(t *testing.T) {
 		}
 	}
 }
+
+// applicableByScan is the index-free reference implementation of
+// Applicable, kept for tests and the ablation benchmark.
+func (r *Relation) applicableByScan(item Item) []Tuple {
+	var out []Tuple
+	for _, t := range r.Tuples() {
+		if r.Subsumes(t.Item, item) {
+			out = append(out, t)
+		}
+	}
+	return out
+}

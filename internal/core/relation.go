@@ -14,10 +14,13 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 
+	"hrdb/internal/dag"
 	"hrdb/internal/hierarchy"
 )
 
@@ -196,7 +199,10 @@ type Relation struct {
 }
 
 // NewRelation creates an empty relation with the given name and schema.
-func NewRelation(name string, schema *Schema) *Relation {
+func NewRelation(name string, schema *Schema) *Relation { return newRelation(name, schema, 0) }
+
+// newRelation is NewRelation with room for n tuples.
+func newRelation(name string, schema *Schema, n int) *Relation {
 	idx := make([]map[string][]string, schema.Arity())
 	for i := range idx {
 		idx[i] = map[string][]string{}
@@ -204,7 +210,7 @@ func NewRelation(name string, schema *Schema) *Relation {
 	return &Relation{
 		name:   name,
 		schema: schema,
-		tuples: map[string]Tuple{},
+		tuples: make(map[string]Tuple, n),
 		mode:   OffPath,
 		idx:    idx,
 		cache:  newVerdictCache(defaultCacheCap),
@@ -291,12 +297,17 @@ func (r *Relation) Insert(item Item, sign bool) error {
 		return fmt.Errorf("%w: item %v is already asserted with sign %v in %q",
 			ErrContradiction, item, old.Sign, r.name)
 	}
-	r.tuples[k] = Tuple{Item: item.Clone(), Sign: sign}
-	for i, v := range item {
+	r.put(k, Tuple{Item: item.Clone(), Sign: sign})
+	return nil
+}
+
+// put stores t under its item key k, which the relation must not hold yet.
+func (r *Relation) put(k string, t Tuple) {
+	r.tuples[k] = t
+	for i, v := range t.Item {
 		r.idx[i][v] = append(r.idx[i][v], k)
 	}
 	r.epoch++
-	return nil
 }
 
 // Assert inserts a positive tuple (the relation holds for every element of
@@ -356,13 +367,20 @@ func (r *Relation) Tuples() []Tuple {
 // hierarchies, which are treated as immutable by convention once relations
 // are populated).
 func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.name, r.schema)
+	c := newRelation(r.name, r.schema, len(r.tuples))
 	c.mode = r.mode
 	c.cacheOff = r.cacheOff
-	for k, t := range r.tuples {
-		c.tuples[k] = Tuple{Item: t.Item.Clone(), Sign: t.Sign}
-		for i, v := range t.Item {
-			c.idx[i][v] = append(c.idx[i][v], k)
+	k := r.schema.Arity()
+	names := make([]string, 0, len(r.tuples)*k)
+	for key, t := range r.tuples {
+		names = append(names, t.Item...)
+		n := len(names)
+		c.tuples[key] = Tuple{Item: names[n-k : n : n], Sign: t.Sign}
+	}
+	for i, postings := range r.idx {
+		c.idx[i] = make(map[string][]string, len(postings))
+		for v, keys := range postings {
+			c.idx[i][v] = slices.Clone(keys)
 		}
 	}
 	return c
@@ -455,72 +473,153 @@ func (r *Relation) Applicable(item Item) []Tuple {
 	return out
 }
 
-// applicableByScan is the index-free reference implementation of
-// Applicable, kept for tests and the ablation benchmark.
-func (r *Relation) applicableByScan(item Item) []Tuple {
-	var out []Tuple
-	for _, t := range r.Tuples() {
-		if r.Subsumes(t.Item, item) {
-			out = append(out, t)
+// internTuples returns the node ids of the tuples' coordinates: ids[i*k+a]
+// for attribute a of tuple i, -1 where a hierarchy no longer has the name.
+func (r *Relation) internTuples(ts []Tuple) []int {
+	k := r.schema.Arity()
+	ids := make([]int, len(ts)*k)
+	for i, t := range ts {
+		for a, v := range t.Item {
+			ids[i*k+a] = r.schema.attrs[a].Domain.IDOf(v)
 		}
 	}
-	return out
+	return ids
 }
 
-// sortMostSpecificFirst orders tuples so that a tuple always precedes any
-// tuple that strictly subsumes it (a reverse linear extension of the
-// subsumption order), with a deterministic tie-break.
-func (r *Relation) sortMostSpecificFirst(ts []Tuple) []Tuple {
-	ordered := r.sortGeneralFirst(ts)
-	for i, j := 0, len(ordered)-1; i < j; i, j = i+1, j-1 {
-		ordered[i], ordered[j] = ordered[j], ordered[i]
+// subsumesIDs is Subsumes on interned items.
+func (r *Relation) subsumesIDs(a, b []int) bool {
+	for i := range a {
+		if !r.schema.attrs[i].Domain.SubsumesID(a[i], b[i]) {
+			return false
+		}
 	}
-	return ordered
+	return true
 }
 
-// sortGeneralFirst orders tuples so that a tuple always precedes any tuple
-// it strictly subsumes in the binding order (is-a plus preference edges: a
-// linear extension of the subsumption order — the topological order over the
-// subsumption graph used by Consolidate — in which a dispreferred tuple also
-// precedes the one preferred to it), with a deterministic tie-break by item
-// key.
-func (r *Relation) sortGeneralFirst(ts []Tuple) []Tuple {
+// overlapsIDs is Overlapping on interned items.
+func (r *Relation) overlapsIDs(a, b []int) bool {
+	for i := range a {
+		if !r.schema.attrs[i].Domain.OverlapsID(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// bindMatrix returns the tuples' subsumption graph in the binding order
+// (is-a plus preference edges) as a bit matrix on interned node ids:
+// sub[i].Get(j) iff ts[i] strictly bind-subsumes ts[j].
+func (r *Relation) bindMatrix(ts []Tuple) []dag.Bitset {
+	n, k := len(ts), r.schema.Arity()
+	ids := r.internTuples(ts)
+	words := (n + 63) / 64
+	matrix := make([]uint64, n*words)
+	sub := make([]dag.Bitset, n)
+	reach := make([]dag.Bitset, k)
+	for i := range ts {
+		sub[i] = matrix[i*words : (i+1)*words : (i+1)*words]
+		for a := range reach {
+			reach[a] = r.schema.attrs[a].Domain.BindReach(ids[i*k+a])
+		}
+	pairs:
+		for j := range ts {
+			equal := true
+			for a, set := range reach {
+				if !set.Get(ids[j*k+a]) {
+					continue pairs
+				}
+				equal = equal && ids[i*k+a] == ids[j*k+a]
+			}
+			if !equal {
+				sub[i].Set(j)
+			}
+		}
+	}
+	return sub
+}
+
+// predecessors returns, ascending, the immediate predecessors of tuple i in
+// the subsumption graph sub — the minimal tuples strictly above it — leaving
+// out every j with gone[j] (gone may be short or nil).
+func predecessors(sub []dag.Bitset, i int, gone []bool) []int {
+	var above, preds []int
+	for j := range sub {
+		if sub[j].Get(i) && !(j < len(gone) && gone[j]) {
+			above = append(above, j)
+		}
+	}
+next:
+	for _, a := range above {
+		for _, b := range above {
+			if sub[a].Get(b) {
+				continue next
+			}
+		}
+		preds = append(preds, a)
+	}
+	return preds
+}
+
+// bindOrder is Kahn's algorithm over the tuples' subsumption graph. It
+// returns the positions of ts, which must be sorted by item key, general
+// first — a tuple precedes every tuple it strictly bind-subsumes, so a
+// dispreferred tuple also precedes the one preferred to it, and among the
+// tuples free to go next the smallest key goes first — together with the
+// graph it ordered. Explicate walks the order backwards (most specific
+// first), Table and Reconsolidate forwards, and Consolidate also reads the
+// graph.
+func (r *Relation) bindOrder(ts []Tuple) (order []int, sub []dag.Bitset) {
 	n := len(ts)
-	// Kahn's algorithm over the strict-subsumption relation.
-	adj := make([][]int, n) // adj[i] = indices strictly subsumed by i
+	sub = r.bindMatrix(ts)
 	indeg := make([]int, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j && !ts[i].Item.Equal(ts[j].Item) && r.BindSubsumes(ts[i].Item, ts[j].Item) {
-				adj[i] = append(adj[i], j)
-				indeg[j]++
+	for i := range sub {
+		for w, word := range sub[i] {
+			for ; word != 0; word &= word - 1 {
+				indeg[w*64+bits.TrailingZeros64(word)]++
 			}
 		}
 	}
 	frontier := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			frontier = append(frontier, i)
+	for j := range ts {
+		if indeg[j] == 0 {
+			frontier = append(frontier, j)
 		}
 	}
-	byKey := func(a, b int) bool { return ts[a].Item.Key() < ts[b].Item.Key() }
-	sort.Slice(frontier, func(x, y int) bool { return byKey(frontier[x], frontier[y]) })
-	out := make([]Tuple, 0, n)
+	order = make([]int, 0, n)
 	for len(frontier) > 0 {
 		i := frontier[0]
 		frontier = frontier[1:]
-		out = append(out, ts[i])
-		added := false
-		for _, j := range adj[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				frontier = append(frontier, j)
-				added = true
+		order = append(order, i)
+		for w, word := range sub[i] {
+			for ; word != 0; word &= word - 1 {
+				j := w*64 + bits.TrailingZeros64(word)
+				if indeg[j]--; indeg[j] == 0 {
+					frontier = append(frontier, j)
+				}
 			}
 		}
-		if added {
-			sort.Slice(frontier, func(x, y int) bool { return byKey(frontier[x], frontier[y]) })
-		}
+		sortInts(frontier)
+	}
+	return order, sub
+}
+
+// sortGeneralFirst returns ts, which must be sorted by item key, in
+// bindOrder.
+func (r *Relation) sortGeneralFirst(ts []Tuple) []Tuple {
+	order, _ := r.bindOrder(ts)
+	out := make([]Tuple, len(order))
+	for n, i := range order {
+		out[n] = ts[i]
 	}
 	return out
+}
+
+// sortInts sorts a small int slice ascending (insertion sort: a Kahn
+// frontier is sorted but for the few ids just appended).
+func sortInts(xs []int) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }

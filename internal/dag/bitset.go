@@ -24,10 +24,11 @@ func (b Bitset) Clear(i int) {
 	b[i/64] &^= 1 << (uint(i) % 64)
 }
 
-// Get reports whether i is in the set. Out-of-range values report false.
+// Get reports whether i is in the set. Out-of-range values, negative ones
+// included, report false.
 func (b Bitset) Get(i int) bool {
 	w := i / 64
-	if w >= len(b) {
+	if i < 0 || w >= len(b) {
 		return false
 	}
 	return b[w]&(1<<(uint(i)%64)) != 0

@@ -158,6 +158,9 @@ func (g *Graph) Pred(id int) []int {
 	return sortedKeys(g.pred[id])
 }
 
+// IsLeaf reports whether id is a live node with no successors.
+func (g *Graph) IsLeaf(id int) bool { return g.Has(id) && len(g.succ[id]) == 0 }
+
 // Nodes returns all live node ids in ascending order.
 func (g *Graph) Nodes() []int {
 	out := make([]int, 0, g.nodes)
@@ -414,6 +417,20 @@ func (g *Graph) Descendants(id int) []int {
 		}
 	}
 	return out
+}
+
+// LeavesUnder appends to dst, ascending, every leaf reachable from id
+// (id itself when it is a leaf) and returns the extended slice.
+func (g *Graph) LeavesUnder(id int, dst []int) []int {
+	reach, err := g.ReachableSet(id)
+	for w := 0; err == nil && w < len(reach); w++ {
+		for word := reach[w]; word != 0; word &= word - 1 {
+			if n := w*64 + bits.TrailingZeros64(word); len(g.succ[n]) == 0 {
+				dst = append(dst, n)
+			}
+		}
+	}
+	return dst
 }
 
 // Ancestors returns every node from which id is reachable, excluding id

@@ -323,15 +323,17 @@ func (h *Hierarchy) BindParents(name string) []string {
 // binding graph (including name itself), for bulk subsumption checks. The
 // returned bitset must not be modified and is invalidated by mutation.
 func (h *Hierarchy) BindReachSet(name string) (dag.Bitset, bool) {
-	id, ok := h.ids[name]
-	if !ok {
-		return nil, false
-	}
+	set := h.BindReach(h.IDOf(name))
+	return set, set != nil
+}
+
+// BindReach is BindReachSet by node id; nil when id names no live node.
+func (h *Hierarchy) BindReach(id int) dag.Bitset {
 	set, err := h.bindGraph().ReachableSet(id)
 	if err != nil {
-		return nil, false
+		return nil
 	}
-	return set, true
+	return set
 }
 
 // BindingIrredundant reports whether the binding graph (is-a plus preference
@@ -379,6 +381,20 @@ func (h *Hierarchy) MustID(name string) int {
 	return id
 }
 
+// IDOf returns the node id of name, or -1 when name is not a node. The
+// id-level methods (SubsumesID, OverlapsID, LeafIDs, BindReach) treat -1 as
+// the string methods treat an unknown name: it never subsumes, overlaps or
+// expands to anything.
+func (h *Hierarchy) IDOf(name string) int {
+	if id, ok := h.ids[name]; ok {
+		return id
+	}
+	return -1
+}
+
+// IDLimit returns one more than the largest node id ever allocated.
+func (h *Hierarchy) IDLimit() int { return h.isa.MaxID() }
+
 // NameOf returns the name of a node id (inverse of MustID). Ids that do not
 // name a live node — negative, never allocated, or removed — return "",
 // matching the "unknown names never subsume" convention used elsewhere.
@@ -393,15 +409,12 @@ func (h *Hierarchy) NameOf(id int) string {
 // there is a directed is-a path ancestor → descendant. Unknown names never
 // subsume anything.
 func (h *Hierarchy) Subsumes(ancestor, descendant string) bool {
-	aid, ok := h.ids[ancestor]
-	if !ok {
-		return false
-	}
-	did, ok := h.ids[descendant]
-	if !ok {
-		return false
-	}
-	return h.isa.HasPath(aid, did)
+	return h.SubsumesID(h.IDOf(ancestor), h.IDOf(descendant))
+}
+
+// SubsumesID is Subsumes by node id.
+func (h *Hierarchy) SubsumesID(ancestor, descendant int) bool {
+	return h.isa.HasPath(ancestor, descendant)
 }
 
 // StrictlySubsumes reports ancestor ⊐ descendant (subsumes and not equal).
@@ -463,47 +476,31 @@ func (h *Hierarchy) Descendants(name string) []string {
 // leaf), sorted. These are the atomic elements the class expands to under
 // explication (§3.3.2).
 func (h *Hierarchy) Leaves(name string) []string {
-	id, err := h.id(name)
-	if err != nil {
+	leaves := h.LeafIDs(h.IDOf(name), nil)
+	if len(leaves) == 0 {
 		return nil
 	}
-	var out []string
-	if len(h.isa.Succ(id)) == 0 {
-		out = append(out, h.names[id])
-	}
-	for _, d := range h.isa.Descendants(id) {
-		if len(h.isa.Succ(d)) == 0 {
-			out = append(out, h.names[d])
-		}
-	}
-	sort.Strings(out)
-	return out
+	return h.namesOf(leaves)
 }
+
+// LeafIDs is Leaves by node id: it appends the ids of the leaves under id to
+// dst, ascending, and returns the extended slice.
+func (h *Hierarchy) LeafIDs(id int, dst []int) []int { return h.isa.LeavesUnder(id, dst) }
 
 // AllLeaves returns every leaf of the hierarchy, sorted.
 func (h *Hierarchy) AllLeaves() []string { return h.Leaves(h.domain) }
 
 // IsLeaf reports whether name has no is-a children.
-func (h *Hierarchy) IsLeaf(name string) bool {
-	id, err := h.id(name)
-	if err != nil {
-		return false
-	}
-	return len(h.isa.Succ(id)) == 0
-}
+func (h *Hierarchy) IsLeaf(name string) bool { return h.isa.IsLeaf(h.IDOf(name)) }
 
 // Overlaps reports whether the classes a and b can share members: one
 // subsumes the other, or they have a common descendant. This is the
 // "optimistic" overlap evidence of §3.1 — two classes are assumed disjoint
 // unless the hierarchy proves otherwise.
-func (h *Hierarchy) Overlaps(a, b string) bool {
-	aid, ok := h.ids[a]
-	if !ok {
-		return false
-	}
-	bid, ok := h.ids[b]
-	return ok && h.isa.Overlap(aid, bid)
-}
+func (h *Hierarchy) Overlaps(a, b string) bool { return h.OverlapsID(h.IDOf(a), h.IDOf(b)) }
+
+// OverlapsID is Overlaps by node id.
+func (h *Hierarchy) OverlapsID(a, b int) bool { return h.isa.Overlap(a, b) }
 
 // OverlapRegion returns every node n with Overlaps(n, name): the nodes at or
 // below name, and every ancestor of one of those. It walks the hierarchy

@@ -115,9 +115,9 @@ func (s *Session) Exec(input string) (string, error) {
 }
 
 // ExecContext is Exec with cancellation: long-running query statements
-// (SELECT, EXTENSION, set operations, JOIN, PROJECT) observe ctx and abort
-// with its error. Cancellation is checked between statements too, so a
-// multi-statement script stops at the first uncompleted statement.
+// (SELECT, EXTENSION, COUNT, set operations, JOIN, PROJECT) observe ctx and
+// abort with its error. Cancellation is checked between statements too, so
+// a multi-statement script stops at the first uncompleted statement.
 func (s *Session) ExecContext(ctx context.Context, input string) (string, error) {
 	if !s.busy.CompareAndSwap(false, true) {
 		return "", ErrSessionBusy
@@ -369,7 +369,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		counts, err := algebra.Count(r, st.By...)
+		counts, err := algebra.CountContext(ctx, r, st.By...)
 		if err != nil {
 			return "", err
 		}

@@ -126,32 +126,12 @@ func (r *Relation) HoldsSome(values ...string) (tvl.Truth, error) {
 		}
 	}
 	allFalse := true
-	var scan func(prefix core.Item, i int) (tvl.Truth, error)
-	scan = func(prefix core.Item, i int) (tvl.Truth, error) {
-		if i == s.Arity() {
-			v, err := tvl.Evaluate(r.base, prefix.Clone())
-			if err != nil {
-				return tvl.Unknown, err
-			}
-			if v == tvl.True {
-				return tvl.True, nil
-			}
-			if v != tvl.False {
-				allFalse = false
-			}
-			return tvl.Unknown, nil
+	for _, atom := range core.Product(pools) {
+		v, err := tvl.Evaluate(r.base, atom)
+		if err != nil || v == tvl.True {
+			return v, err
 		}
-		for _, n := range pools[i] {
-			v, err := scan(append(prefix, n), i+1)
-			if err != nil || v == tvl.True {
-				return v, err
-			}
-		}
-		return tvl.Unknown, nil
-	}
-	v, err := scan(make(core.Item, 0, s.Arity()), 0)
-	if err != nil || v == tvl.True {
-		return v, err
+		allFalse = allFalse && v == tvl.False
 	}
 
 	if allFalse {

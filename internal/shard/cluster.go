@@ -345,7 +345,7 @@ func (c *Cluster) scatter(ctx context.Context, st hql.Stmt) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		counts, err := algebra.Count(r, st.By...)
+		counts, err := algebra.CountContext(ctx, r, st.By...)
 		if err != nil {
 			return "", err
 		}

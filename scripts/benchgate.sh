@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-exps="E6 E9 E12 E13 E14 E15"
+exps="E3 E4 E6 E9 E12 E13 E14 E15"
 missing=0
 for exp in $exps; do
     [ -f "BENCH_${exp}.json" ] || missing=1
