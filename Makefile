@@ -15,9 +15,10 @@ help:
 	@echo "  test-crash   crash the WAL at every byte offset and verify"
 	@echo "               recovery of the exact committed prefix"
 	@echo "  test-server  race-mode pass over the network service layer"
-	@echo "               (overload shedding, drain, chaos proxy, v2 mux)"
-	@echo "  test-compat  cross-version wire-protocol matrix: v2 server with"
-	@echo "               v1 clients, v1-only server with auto/v2 clients"
+	@echo "               (overload shedding, drain, chaos proxy, stream mux)"
+	@echo "  test-compat  wire compatibility: replay the recorded framed-client"
+	@echo "               transcript byte for byte, refuse line-protocol"
+	@echo "               requests with one ERR proto, version/tenant matrix"
 	@echo "  test-obs     race-mode pass over the observability layer"
 	@echo "               (metrics registry, histograms, slow-query log)"
 	@echo "  test-repl    race-mode pass over the replication subsystem"
@@ -63,7 +64,7 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/ ./internal/subwire/
+	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/wire/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/ ./internal/subwire/
 
 test-crash:
 	$(GO) test -run 'TestCrash' -count=1 -v ./internal/storage/
@@ -72,7 +73,7 @@ test-server:
 	$(GO) test -race -count=1 ./internal/server/
 
 test-compat:
-	$(GO) test -race -count=1 -run 'TestCrossVersionMatrix|TestTenantNamespaceIsolation|TestUnknownTenantFailsDial' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestWireTranscript|TestV1LineRefused|TestCrossVersionMatrix|TestTenantNamespaceIsolation|TestUnknownTenantFailsDial' ./internal/server/
 
 test-obs:
 	$(GO) test -race -count=1 ./internal/obs/
@@ -124,7 +125,7 @@ experiments:
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/hql/
-	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz=FuzzOpenLog -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzCrashOffset -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/storage/

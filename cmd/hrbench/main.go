@@ -583,24 +583,27 @@ func (t e12Target) ApplyTx(ops []hrdb.TxOp) error {
 	return t.Target.ApplyTx(ops)
 }
 
-// e12Pipelining drives one client with 64 interleaved request streams —
-// stream 0 runs the slow flattening statement, the other 63 issue point
-// HOLDS probes — and reports the probes' latency quantiles. On the v1 line
-// protocol every probe queues behind the flattening statement on the
-// single in-order connection; on v2 the probes pipeline past it on the
-// same socket.
-func e12Pipelining(addr string, forceV1 bool) (slow time.Duration, lat []time.Duration) {
-	opts := []hrdb.Option{hrdb.WithMaxRetries(0)}
-	proto := hrdb.ProtocolAuto
-	if forceV1 {
-		proto = hrdb.ProtocolV1
-	}
-	c, err := hrdb.Dial(addr, append(opts, hrdb.WithProtocol(proto))...)
+// e12Pipelining drives one client with 64 interleaved callers — one runs
+// the slow flattening statement, the other 63 issue point HOLDS probes —
+// and reports the probes' latency quantiles. In the in-order lane every
+// call shares the slow statement's Stream, so each probe queues behind the
+// flattening statement exactly as on an in-order connection; pipelined,
+// each call is its own stream and the probes overtake it on the same
+// socket.
+func e12Pipelining(addr string, lane bool) (slow time.Duration, lat []time.Duration) {
+	c, err := hrdb.Dial(addr, hrdb.WithMaxRetries(0))
 	check(err)
 	defer c.Close()
 	ctx := context.Background()
+	exec := c.Exec
+	if lane {
+		st, err := c.Stream()
+		check(err)
+		defer st.Close()
+		exec = st.Exec
+	}
 
-	if _, err := c.Exec(ctx, "HOLDS R (i0_0);"); err != nil { // warm the connection
+	if _, err := exec(ctx, "HOLDS R (i0_0);"); err != nil { // warm the connection
 		log.Fatal(err)
 	}
 
@@ -614,12 +617,12 @@ func e12Pipelining(addr string, forceV1 bool) (slow time.Duration, lat []time.Du
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		if _, err := c.Exec(ctx, "EXPLICATE R;"); err != nil {
+		if _, err := exec(ctx, "EXPLICATE R;"); err != nil {
 			log.Fatal(err)
 		}
 	}()
 	// Give the flattening statement a head start so every probe measured
-	// genuinely contends with it, on the wire (v1) or not (v2).
+	// genuinely contends with it, in the lane or not.
 	time.Sleep(10 * time.Millisecond)
 	for s := 1; s < 64; s++ {
 		wg.Add(1)
@@ -632,7 +635,7 @@ func e12Pipelining(addr string, forceV1 bool) (slow time.Duration, lat []time.Du
 				default:
 				}
 				t0 := time.Now()
-				if _, err := c.Exec(ctx, "HOLDS R (i0_0);"); err != nil {
+				if _, err := exec(ctx, "HOLDS R (i0_0);"); err != nil {
 					log.Fatal(err)
 				}
 				d := time.Since(t0)
@@ -650,12 +653,12 @@ func e12Pipelining(addr string, forceV1 bool) (slow time.Duration, lat []time.Du
 	return slow, probeNs
 }
 
-// e12Multiplexing: the framed multiplexed wire protocol v2 — fast streams
+// e12Multiplexing: the framed multiplexed wire protocol — fast streams
 // overtake a slow one on a shared connection, and per-tenant admission
 // quotas shed a flooding tenant without touching its neighbor, verified by
 // the tenant-labeled series in a metrics scrape.
 func e12Multiplexing() {
-	header("E12 — wire protocol v2: pipelining and tenant isolation")
+	header("E12 — wire protocol: pipelining and tenant isolation")
 
 	db := e12Fixture(10, 100)
 	quiet := hrdb.NewDatabase()
@@ -676,41 +679,42 @@ func e12Multiplexing() {
 		check(srv.Shutdown(ctx))
 	}()
 
-	fmt.Println("64 interleaved streams on one connection; stream 0 flattens the relation")
-	fmt.Println("(EXPLICATE against a store with 150ms of injected scan latency), 63 issue point probes.")
+	fmt.Println("64 interleaved callers on one connection; one flattens the relation")
+	fmt.Println("(EXPLICATE against a store with 150ms of injected scan latency), 63 issue point probes,")
+	fmt.Println("either all in one in-order lane (one Stream) or each on its own stream.")
 	fmt.Println()
-	fmt.Println("| protocol | slow query | probes | probe p50 | probe p99 |")
+	fmt.Println("| requests | slow query | probes | probe p50 | probe p99 |")
 	fmt.Println("|---|---|---|---|---|")
-	type e12Proto struct {
-		Protocol string  `json:"protocol"`
+	type e12Row struct {
+		Requests string  `json:"requests"`
 		SlowNs   float64 `json:"slow_query_ns"`
 		Probes   int     `json:"probes"`
 		P50Ns    float64 `json:"probe_p50_ns"`
 		P99Ns    float64 `json:"probe_p99_ns"`
 	}
-	var protoRows []e12Proto
+	var rows []e12Row
 	var p50 [2]time.Duration
-	for i, forceV1 := range []bool{true, false} {
-		slow, lat := e12Pipelining(srv.Addr(), forceV1)
+	for i, lane := range []bool{true, false} {
+		slow, lat := e12Pipelining(srv.Addr(), lane)
 		if len(lat) == 0 {
 			log.Fatal("E12: no probes completed")
 		}
 		p50[i] = lat[len(lat)/2]
-		name := "v2 (framed)"
-		if forceV1 {
-			name = "v1 (line)"
+		name := "pipelined (own streams)"
+		if lane {
+			name = "in-order lane (one Stream)"
 		}
 		p99 := lat[len(lat)*99/100]
 		fmt.Printf("| %s | %s | %d | %s | %s |\n", name,
 			fmtNs(float64(slow.Nanoseconds())), len(lat),
 			fmtNs(float64(p50[i].Nanoseconds())),
 			fmtNs(float64(p99.Nanoseconds())))
-		protoRows = append(protoRows, e12Proto{
-			Protocol: name, SlowNs: float64(slow.Nanoseconds()), Probes: len(lat),
+		rows = append(rows, e12Row{
+			Requests: name, SlowNs: float64(slow.Nanoseconds()), Probes: len(lat),
 			P50Ns: float64(p50[i].Nanoseconds()), P99Ns: float64(p99.Nanoseconds()),
 		})
 	}
-	fmt.Printf("\nprobe p50 improvement, v2 over v1: %.1f×\n", float64(p50[0])/float64(p50[1]))
+	fmt.Printf("\nprobe p50 improvement, pipelined over the in-order lane: %.1f×\n", float64(p50[0])/float64(p50[1]))
 
 	// Tenant isolation: flood "noisy" past its quota while "quiet" runs a
 	// steady probe load; the scrape's labeled series carry the verdict.
@@ -798,12 +802,12 @@ func e12Multiplexing() {
 		log.Fatalf("E12: quiet tenant shed %s statements during a neighbor's flood", shed)
 	}
 	emitJSON("E12", struct {
-		Pipelining       []e12Proto `json:"pipelining"`
-		FloodStatements  int        `json:"flood_statements"`
-		FloodShed        int64      `json:"flood_shed"`
-		QuietP50BeforeNs float64    `json:"quiet_p50_before_ns"`
-		QuietP50DuringNs float64    `json:"quiet_p50_during_ns"`
-	}{protoRows, floodN, floodShed,
+		Pipelining       []e12Row `json:"pipelining"`
+		FloodStatements  int      `json:"flood_statements"`
+		FloodShed        int64    `json:"flood_shed"`
+		QuietP50BeforeNs float64  `json:"quiet_p50_before_ns"`
+		QuietP50DuringNs float64  `json:"quiet_p50_during_ns"`
+	}{rows, floodN, floodShed,
 		float64(baseline[len(baseline)/2].Nanoseconds()),
 		float64(quietLat[len(quietLat)/2].Nanoseconds())})
 }

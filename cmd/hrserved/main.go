@@ -1,6 +1,6 @@
 // Command hrserved serves a hierarchical relational database over TCP
-// using the HQL wire protocol — framed multiplexed v2 with a line-protocol
-// v1 fallback (see docs/HQL.md, "Wire protocol").
+// using the HQL wire protocol: a HELLO line, then multiplexed binary frames
+// (see docs/HQL.md, "Wire protocol").
 //
 //	hrserved -data ./mydb                 # durable database in ./mydb
 //	hrserved -addr :7583                  # in-memory database
@@ -13,9 +13,8 @@
 //	hrserved -tenant acme -tenant "beta:max-inflight=4,rate=100,burst=200"
 //
 // Each -tenant declares a named in-memory namespace with its own admission
-// quota and rate limit; clients select one at connect time (HELLO on v2,
-// USE on v1). Limits on the default namespace: -tenant "default:rate=500".
-// -disable-v2 serves only the v1 line protocol (compatibility testing).
+// quota and rate limit; clients select one in their HELLO. Limits on the
+// default namespace: -tenant "default:rate=500".
 //
 // Materialized views (see docs/VIEWS.md):
 //
@@ -24,7 +23,7 @@
 // -views enables CREATE MATERIALIZED VIEW (registered views are computed
 // once, persisted next to the store, and maintained incrementally from the
 // committed WAL) and the SUBSCRIBE verb, which streams view and relation
-// change feeds to clients with resumable positions on both protocols.
+// change feeds to clients with resumable positions.
 //
 // Replication (see docs/REPLICATION.md):
 //
@@ -34,8 +33,8 @@
 // A primary with -repl-addr serves snapshots (SNAP) and WAL streams (REPL)
 // to followers on a dedicated listener, so bulk shipping never competes
 // with client admission control. A replica keeps a copy in sync over TCP,
-// answers read-only HQL plus the LAG verb, rejects writes, and flips
-// writable when told PROMOTE (manual failover) or — with -auto-failover —
+// answers read-only HQL plus LAG, rejects writes, and flips writable when
+// told PROMOTE (manual failover) or — with -auto-failover —
 // when it wins an election after the primary falls silent.
 //
 // Self-healing failover (see docs/REPLICATION.md):
@@ -67,7 +66,7 @@
 // The server sheds load beyond its queue with "overloaded" replies,
 // enforces per-request deadlines, and on SIGINT/SIGTERM drains in-flight
 // statements (bounded by -drain) before closing the store. Process metrics
-// are also available over the wire protocol's STATS verb regardless of
+// are also available over the wire protocol's STATS request regardless of
 // -metrics-addr; see docs/OBSERVABILITY.md.
 package main
 
@@ -122,7 +121,6 @@ func main() {
 	id := flag.String("id", "", "replica election identity (required with -auto-failover; equally caught-up candidates tiebreak lexicographically)")
 	autoFailover := flag.Bool("auto-failover", false, "self-promote after -election-timeout of replication silence (replica mode)")
 	electionTimeout := flag.Duration("election-timeout", 0, "replication silence that triggers an election campaign (0 = 2s)")
-	disableV2 := flag.Bool("disable-v2", false, "serve only the v1 line protocol (reject HELLO upgrades)")
 	views := flag.Bool("views", false, "enable materialized views and SUBSCRIBE change feeds (requires -data)")
 	shardID := flag.Int("shard-id", -1, "this node's shard index (requires -shard-peers; -1 = not a shard)")
 	shardPeers := flag.String("shard-peers", "", "comma-separated client addresses of every shard, in shard-id order (fixes the shard count)")
@@ -139,7 +137,6 @@ func main() {
 		IdleTimeout: *idle,
 		MaxDeadline: *maxDeadline,
 		Tenants:     tenants.configs,
-		DisableV2:   *disableV2,
 	}
 	if *slowQuery > 0 {
 		opts.SlowQuery = hrdb.NewSlowQueryLog(os.Stderr, *slowQuery)
@@ -234,18 +231,7 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 		})
 		defer replica.Close()
 		target = hrdb.ReplicaTarget{R: replica}
-		opts.LagProbe = func() hrdb.LagInfo {
-			st := replica.Status()
-			return hrdb.LagInfo{
-				Staleness: st.Staleness,
-				Epoch:     st.Epoch,
-				Offset:    st.Offset,
-				State:     st.State,
-				Term:      st.Term,
-				ID:        st.ID,
-				Source:    st.Source,
-			}
-		}
+		opts.LagProbe = replica.Status
 		opts.Promote = func() error {
 			err := replica.Promote()
 			if err == nil && cfg.dataDir != "" {

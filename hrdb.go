@@ -240,9 +240,9 @@ func NewMemTarget(db *Database) Target { return hql.MemTarget{DB: db} }
 // of side effects — the client's idempotency test for automatic retries.
 func ReadOnlyScript(input string) bool { return hql.ReadOnlyScript(input) }
 
-// Service layer: a multiplexed HQL server over TCP (framed protocol v2
-// with a line-protocol v1 fallback), its client, multi-tenant namespaces,
-// and a fault-injecting proxy for resilience tests.
+// Service layer: a multiplexed HQL server over TCP (one framed protocol,
+// internal/wire), its client, multi-tenant namespaces, and a
+// fault-injecting proxy for resilience tests.
 type (
 	// Server is a TCP front end over one Target with admission control,
 	// per-request deadlines, panic isolation, multi-tenant namespaces, and
@@ -256,12 +256,12 @@ type (
 	// TenantLimits bounds one tenant's admission (max in-flight statements,
 	// sustained statements/second, burst).
 	TenantLimits = server.TenantLimits
-	// Client is a connection to a Server with protocol negotiation,
-	// reconnect, deadline plumbing, and idempotency-aware retries with
-	// exponential backoff. On protocol v2, concurrent Execs pipeline over
-	// one connection and complete out of order.
+	// Client is a connection to a Server with reconnect, deadline
+	// plumbing, and idempotency-aware retries with exponential backoff.
+	// Concurrent Execs pipeline over one connection and complete out of
+	// order.
 	Client = server.Client
-	// Stream is a logical sub-connection of a v2 Client: its statements
+	// Stream is a logical sub-connection of a Client: its statements
 	// execute in order on one server-side session (so transactions span
 	// Exec calls) while other streams proceed concurrently.
 	Stream = server.Stream
@@ -281,16 +281,9 @@ type (
 	ChaosProxy = server.ChaosProxy
 )
 
-// Wire protocol versions for WithProtocol.
-const (
-	// ProtocolAuto negotiates: offer v2, fall back to v1. The default.
-	ProtocolAuto = server.ProtocolAuto
-	// ProtocolV1 forces the sequential line protocol.
-	ProtocolV1 = server.ProtocolV1
-	// ProtocolV2 requires the framed multiplexed protocol; dialing a server
-	// without it fails instead of falling back.
-	ProtocolV2 = server.ProtocolV2
-)
+// ProtocolV2 names the framed protocol, the only one clients and servers
+// speak. It exists for WithProtocol.
+const ProtocolV2 = server.ProtocolV2
 
 // DefaultTenant is the namespace served to connections that never name one.
 const DefaultTenant = server.DefaultTenant
@@ -325,8 +318,8 @@ func WithRetryNonIdempotent(enabled bool) Option {
 // in (resolved during the handshake; unknown tenants fail the dial).
 func WithTenant(name string) Option { return server.WithTenant(name) }
 
-// WithProtocol pins the wire protocol: ProtocolAuto (default), ProtocolV1,
-// or ProtocolV2.
+// WithProtocol is a no-op kept for source compatibility: every connection
+// speaks the framed protocol (ProtocolV2).
 func WithProtocol(v int) Option { return server.WithProtocol(v) }
 
 // Materialized views: CREATE MATERIALIZED VIEW registers a read-only HQL
@@ -382,7 +375,8 @@ type (
 	// ReplicaStatus is a replica's full replication status: position,
 	// state, fencing term, election identity, and streamable source.
 	ReplicaStatus = repl.Status
-	// LagInfo is a replica's replication state (the LAG verb).
+	// LagInfo is a replica's replication state as its LAG answer carries
+	// it; the same type as ReplicaStatus.
 	LagInfo = server.LagInfo
 	// Deposition is the verdict of CheckDeposed: the higher fencing term
 	// that deposed this node and where the new primary streams from.

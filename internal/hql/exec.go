@@ -64,11 +64,10 @@ var ErrSessionBusy = errors.New("hql: session is single-goroutine; concurrent Ex
 // while another is in flight returns ErrSessionBusy without touching any
 // state.
 //
-// Ownership model for servers: one Session per logical stream. The v1 line
-// protocol runs one stream per connection, so the connection handler owns
-// the session; the v2 multiplexed protocol runs many streams per
-// connection, each owning a private session, with per-stream FIFO
-// dispatch guaranteeing the single-goroutine contract. A session whose
+// Ownership model for servers: one Session per logical stream. The wire
+// protocol runs many streams per connection, each owning a private
+// session, with per-stream FIFO dispatch guaranteeing the single-goroutine
+// contract. A session whose
 // stream is abandoned mid-statement must be retired (the statement may
 // still be running); a session whose stream ended cleanly may be reused
 // after Reset.

@@ -157,11 +157,8 @@ func TestChaosFailoverPromote(t *testing.T) {
 
 	// The replica serves read-only HQL sessions through its own server.
 	repSrv := server.New(ReplicaTarget{R: rep}, server.Options{
-		LagProbe: func() server.LagInfo {
-			staleness, epoch, offset, state := rep.Lag()
-			return server.LagInfo{Staleness: staleness, Epoch: epoch, Offset: offset, State: state}
-		},
-		Promote: rep.Promote,
+		LagProbe: rep.Status,
+		Promote:  rep.Promote,
 	})
 	if err := repSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("Start replica server: %v", err)

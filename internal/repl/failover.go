@@ -1,113 +1,54 @@
 package repl
 
 import (
-	"bufio"
 	"fmt"
-	"net"
-	"strconv"
-	"strings"
 	"time"
 
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // Failover-side helpers: probing peers for their replication status,
 // fencing a deposed primary, and the deposed primary's own rejoin flow
 // (CheckDeposed + Demote). Like the rest of this package they speak the
-// server's wire contract directly rather than importing internal/server —
-// the dependency points from the daemon down into both packages, never
-// between them.
+// wire contract (internal/wire) through dialPeer rather than importing
+// internal/server — the dependency points from the daemon down into both
+// packages, never between them.
 
-// probePeer asks one peer (by client address) for its replication status
-// via the LAG verb. Peers running older builds answer with the short
-// 4-field payload; term, ID, and source then stay zero-valued.
+// probePeer asks one peer (by client address) for its replication status.
 func probePeer(addr string, timeout time.Duration) (Status, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	p, err := dialPeer(addr, timeout)
 	if err != nil {
 		return Status{}, err
 	}
-	defer conn.Close()
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
-	}
-	bw := bufio.NewWriter(conn)
-	if _, err := fmt.Fprintln(bw, "LAG"); err != nil {
-		return Status{}, err
-	}
-	if err := bw.Flush(); err != nil {
-		return Status{}, err
-	}
-	ok, code, payload, err := readResponseFrame(bufio.NewReader(conn), 4096)
+	defer p.Close()
+	payload, err := p.call(wire.TypeLag, 4096)
 	if err != nil {
-		return Status{}, err
+		return Status{}, fmt.Errorf("repl: LAG from %s: %w", addr, err)
 	}
-	if !ok {
-		return Status{}, fmt.Errorf("repl: LAG refused by %s: %s: %s", addr, code, payload)
-	}
-	return parseStatusPayload(payload)
-}
-
-// parseStatusPayload decodes a LAG payload: either the legacy 4-field form
-// `<ms> <epoch> <offset> <state>` or the extended 7-field form with
-// `<term> <id> <source>` appended ("-" encodes an empty id/source).
-func parseStatusPayload(payload string) (Status, error) {
-	fields := strings.Fields(payload)
-	if len(fields) != 4 && len(fields) != 7 {
-		return Status{}, fmt.Errorf("%w: bad LAG payload %q", errProto, payload)
-	}
-	ms, err1 := strconv.ParseInt(fields[0], 10, 64)
-	epoch, err2 := strconv.ParseUint(fields[1], 10, 64)
-	off, err3 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return Status{}, fmt.Errorf("%w: bad LAG payload %q", errProto, payload)
-	}
-	st := Status{Staleness: -1, Epoch: epoch, Offset: off, State: fields[3]}
-	if ms >= 0 {
-		st.Staleness = time.Duration(ms) * time.Millisecond
-	}
-	if len(fields) == 7 {
-		term, err := strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return Status{}, fmt.Errorf("%w: bad LAG term %q", errProto, fields[4])
-		}
-		st.Term = term
-		if fields[5] != "-" {
-			st.ID = fields[5]
-		}
-		if fields[6] != "-" {
-			st.Source = fields[6]
-		}
-	}
-	return st, nil
+	return wire.ParseLag(string(payload))
 }
 
 // fenceRemote tells the node at addr (a replication address) that term has
 // been asserted, by opening a stream request that announces it: a primary
-// answering `REPL 0 0 <term>` with term above its own fences itself before
+// answering a REPL whose term is above its own fences itself before
 // replying. Best effort — the node being unreachable is the normal case
 // (that's why there was a failover).
 func fenceRemote(addr string, term uint64, timeout time.Duration) {
 	if addr == "" {
 		return
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	p, err := dialPeer(addr, timeout)
 	if err != nil {
 		return
 	}
-	defer conn.Close()
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
-	}
-	bw := bufio.NewWriter(conn)
-	if _, err := fmt.Fprintf(bw, "REPL 0 0 %d\n", term); err != nil {
-		return
-	}
-	if err := bw.Flush(); err != nil {
+	defer p.Close()
+	if p.send(wire.TypeRepl, wire.AppendStreamPos(nil, wire.StreamPos{Term: term})) != nil {
 		return
 	}
 	// Read whatever the node answers (a stale frame, typically) just so the
 	// request is known delivered before the connection drops.
-	_, _ = readStreamFrame(bufio.NewReader(conn))
+	_, _ = wire.ReadFrame(p.br, maxStreamFrame)
 }
 
 // Deposition is CheckDeposed's verdict: the fencing term that supersedes
@@ -196,27 +137,14 @@ func Demote(st *storage.Store, dep *Deposition, timeout time.Duration) (quaranti
 // fetchBootstrap retrieves and decodes a SNAP payload from a replication
 // address, without installing it anywhere — Demote only needs the metadata.
 func fetchBootstrap(addr string, timeout time.Duration) (bootstrap, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	p, err := dialPeer(addr, timeout)
 	if err != nil {
 		return bootstrap{}, err
 	}
-	defer conn.Close()
-	if timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(timeout))
-	}
-	bw := bufio.NewWriter(conn)
-	if _, err := fmt.Fprintln(bw, "SNAP"); err != nil {
-		return bootstrap{}, err
-	}
-	if err := bw.Flush(); err != nil {
-		return bootstrap{}, err
-	}
-	ok, code, payload, err := readResponseFrame(bufio.NewReader(conn), maxSnapshotBytes)
+	defer p.Close()
+	payload, err := p.call(wire.TypeSnap, maxSnapshotBytes)
 	if err != nil {
-		return bootstrap{}, err
+		return bootstrap{}, fmt.Errorf("SNAP from %s: %w", addr, err)
 	}
-	if !ok {
-		return bootstrap{}, fmt.Errorf("SNAP refused by %s: %s: %s", addr, code, payload)
-	}
-	return decodeBootstrap([]byte(payload))
+	return decodeBootstrap(payload)
 }

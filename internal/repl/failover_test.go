@@ -30,22 +30,6 @@ type failoverNode struct {
 	replSrv *server.Server // replication address — what followers stream from
 }
 
-// lagProbeFor adapts a replica's Status to the server's LAG hook.
-func lagProbeFor(rep *Replica) func() server.LagInfo {
-	return func() server.LagInfo {
-		st := rep.Status()
-		return server.LagInfo{
-			Staleness: st.Staleness,
-			Epoch:     st.Epoch,
-			Offset:    st.Offset,
-			State:     st.State,
-			Term:      st.Term,
-			ID:        st.ID,
-			Source:    st.Source,
-		}
-	}
-}
-
 // startNode builds a replica node following upstream. Peers are wired
 // afterwards with SetPeers (their addresses don't exist yet).
 func startNode(t *testing.T, upstream, id string, opts ReplicaOptions) *failoverNode {
@@ -75,7 +59,7 @@ func startNode(t *testing.T, upstream, id string, opts ReplicaOptions) *failover
 	rep.SetAdvertise(replSrv.Addr())
 
 	srv := server.New(ReplicaTarget{R: rep}, server.Options{
-		LagProbe: lagProbeFor(rep),
+		LagProbe: rep.Status,
 		Promote:  rep.Promote,
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {

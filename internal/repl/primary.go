@@ -5,16 +5,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // PrimaryOptions tune a Primary. The zero value gets defaults.
 type PrimaryOptions struct {
-	// ChunkBytes bounds one SHIP frame's payload. Default 256 KiB,
-	// capped at the wire protocol's maxShipChunk.
+	// ChunkBytes bounds the WAL bytes of one SHIP frame. Default 256 KiB,
+	// capped at maxShipChunk.
 	ChunkBytes int
 	// HeartbeatInterval is how often a caught-up stream emits HB frames.
 	// Heartbeats double as liveness probes and carry the durable
@@ -37,7 +39,7 @@ func (o *PrimaryOptions) defaults() {
 // internal/server; a daemon wires a Primary into server.Options.Repl.
 //
 // A Primary holds no per-follower state beyond the serving goroutine the
-// server runs per REPL connection; any number of followers may stream
+// server runs per REPL request; any number of followers may stream
 // concurrently.
 type Primary struct {
 	store *storage.Store
@@ -87,28 +89,29 @@ func (p *Primary) recordAck(pos storage.Position) {
 	p.mu.Unlock()
 }
 
-// ServeStream streams WAL bytes from (epoch, offset) to a follower until
-// the connection drops, the store closes, or the position turns out to be
-// unservable (answered with an ERR stale frame — the follower re-bootstraps
-// via SNAP). Resume positions always name record boundaries, so the raw
-// byte stream picks up exactly where the previous connection left off.
+// ServeStream streams WAL bytes from (from.Epoch, from.Offset) to a
+// follower, in frames carrying the REPL request's id, until the connection
+// drops, the store closes, or the position turns out to be unservable
+// (answered with an ERR stale frame — the follower re-bootstraps via SNAP).
+// Resume positions always name record boundaries, so the raw byte stream
+// picks up exactly where the previous connection left off.
 //
-// followerTerm is the highest fencing term the follower has seen (zero from
-// pre-term followers). A follower ahead of this primary's own term is proof
-// of deposition: a newer primary was elected while we were partitioned away.
-// The store is fenced immediately — before a single frame is shipped — and
-// the follower is turned away stale, so a deposed primary can neither
-// accept writes nor feed followers divergent history.
-func (p *Primary) ServeStream(r *bufio.Reader, w *bufio.Writer, epoch uint64, offset int64, followerTerm uint64) error {
-	if p.store.Fence(followerTerm) {
-		return writeStale(w, fmt.Sprintf("deposed: follower announced term %d beyond ours", followerTerm))
+// from.Term is the highest fencing term the follower has seen. A follower
+// ahead of this primary's own term is proof of deposition: a newer primary
+// was elected while we were partitioned away. The store is fenced
+// immediately — before a single frame is shipped — and the follower is
+// turned away stale, so a deposed primary can neither accept writes nor
+// feed followers divergent history.
+func (p *Primary) ServeStream(r *bufio.Reader, w io.Writer, id uint64, from wire.StreamPos) error {
+	if p.store.Fence(from.Term) {
+		return writeStale(w, id, fmt.Sprintf("deposed: follower announced term %d beyond ours", from.Term))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	// Drain follower ACKs concurrently; a read error means the connection
 	// is gone, which also unblocks a ship loop parked in WaitChange. An ACK
-	// carrying a higher term fences the store exactly like the REPL line
+	// carrying a higher term fences the store exactly like the REPL request
 	// above; the ship loop notices on its next pass.
 	var ackWG sync.WaitGroup
 	ackWG.Add(1)
@@ -116,26 +119,29 @@ func (p *Primary) ServeStream(r *bufio.Reader, w *bufio.Writer, epoch uint64, of
 		defer ackWG.Done()
 		defer cancel()
 		for {
-			term, ack, err := readAck(r)
+			ack, err := nextAck(r)
 			if err != nil {
 				return
 			}
-			p.store.Fence(term)
-			p.recordAck(ack)
+			p.store.Fence(ack.Term)
+			p.recordAck(storage.Position{Epoch: ack.Epoch, Offset: ack.Offset})
 		}
 	}()
 	defer ackWG.Wait()
 
+	send := func(typ byte, payload []byte) error {
+		return wire.WriteFrame(w, wire.Frame{Type: typ, ID: id, Payload: payload})
+	}
 	// The follower walks the log; what is left here is fencing, heartbeats
 	// and framing. Its chunks go out verbatim.
-	f := p.store.Follow(storage.Position{Epoch: epoch, Offset: offset}, p.opts.ChunkBytes)
+	f := p.store.Follow(storage.Position{Epoch: from.Epoch, Offset: from.Offset}, p.opts.ChunkBytes)
 	lastHB := time.Time{}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if by := p.store.FencedBy(); by != 0 {
-			return writeStale(w, fmt.Sprintf("deposed by term %d", by))
+			return writeStale(w, id, fmt.Sprintf("deposed by term %d", by))
 		}
 		term := p.store.Term()
 		// Bound the wait at the durable end by the heartbeat interval, so
@@ -147,21 +153,22 @@ func (p *Primary) ServeStream(r *bufio.Reader, w *bufio.Writer, epoch uint64, of
 		case errors.Is(err, storage.ErrWALUnavailable):
 			// Retired and reclaimed before this follower caught up, or not a
 			// position of this log at all: it must re-bootstrap.
-			return writeStale(w, err.Error())
+			return writeStale(w, id, err.Error())
 		case errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil:
 			step.At = f.Position() // still caught up: time for the next heartbeat
 		case err != nil:
 			return err // connection gone, or store closed
 		}
+		at := streamPos(term, step.At)
 		switch {
 		case len(step.Chunk) > 0:
-			if err = writeShip(w, term, step.At, step.Chunk); err == nil {
+			if err = send(wire.TypeShip, wire.ShipPayload(at, step.Chunk)); err == nil {
 				metricShippedBytes.Add(uint64(len(step.Chunk)))
 			}
 		case step.Rotated:
-			err = writeRotate(w, term, step.At.Epoch)
+			err = send(wire.TypeRotate, wire.AppendStreamPos(nil, streamPos(term, storage.Position{Epoch: step.At.Epoch})))
 		case time.Since(lastHB) >= p.opts.HeartbeatInterval:
-			err = writeHB(w, term, step.At)
+			err = send(wire.TypeHB, wire.AppendStreamPos(nil, at))
 			lastHB = time.Now()
 		}
 		if err != nil {

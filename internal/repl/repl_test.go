@@ -16,6 +16,7 @@ import (
 	"hrdb/internal/obs"
 	"hrdb/internal/server"
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // This file is the replication test harness plus the streaming unit tests;
@@ -237,11 +238,14 @@ func TestReplicaRotatesAcrossCheckpoint(t *testing.T) {
 }
 
 // TestReplicaAppliesParentPrimaryStream: testdata/pr15_primary_stream.bin is
-// every byte the primary of commit 8332a0f wrote to a follower that asked
+// the stream the primary of commit 8332a0f wrote to a follower that asked
 // for 0/0 — SHIP frames cut mid-record, heartbeats, a term change, a ROTATE —
 // over a log holding bare records, a committed bracket, a one-op flip, an
-// aborted bracket and a new_term. A replica fed it reaches the fingerprint
-// and position that primary recorded (pr15_primary_stream.txt).
+// aborted bracket and a new_term. That primary spoke the text stream
+// framing; the fixture re-frames each of its frames, in order, as the
+// binary frame of the same kind carrying the same term, position and WAL
+// bytes (REPL request id 1). A replica fed it reaches the fingerprint and
+// position that primary recorded (pr15_primary_stream.txt).
 func TestReplicaAppliesParentPrimaryStream(t *testing.T) {
 	raw, err := os.ReadFile("testdata/pr15_primary_stream.bin")
 	must(t, err)
@@ -255,7 +259,7 @@ func TestReplicaAppliesParentPrimaryStream(t *testing.T) {
 
 	rep := &Replica{db: catalog.New()}
 	var acks bytes.Buffer
-	err = rep.applyStream(bufio.NewReader(bytes.NewReader(raw)), bufio.NewWriter(&acks), rep.db, storage.Position{})
+	err = rep.applyStream(bufio.NewReader(bytes.NewReader(raw)), &acks, rep.db, storage.Position{})
 	if !errors.Is(err, io.EOF) {
 		t.Fatalf("applyStream = %v, want EOF at the end of the capture", err)
 	}
@@ -265,8 +269,12 @@ func TestReplicaAppliesParentPrimaryStream(t *testing.T) {
 	if got := storage.Fingerprint(rep.db); got != fingerprint {
 		t.Fatalf("replica diverged from the recorded primary:\n got: %s\nwant: %s", got, fingerprint)
 	}
-	if last := acks.String(); !strings.HasSuffix(last, fmt.Sprintf("ACK 2 %d %d\n", want.Epoch, want.Offset)) {
-		t.Fatalf("last ACK = %q", last[max(0, len(last)-40):])
+	// One ACK per frame, on the stream's request id; the last acknowledges
+	// the recorded position under term 2.
+	ackFrame := wire.AppendFrame(nil, wire.Frame{Type: wire.TypeAck, ID: 1,
+		Payload: wire.AppendStreamPos(nil, wire.StreamPos{Term: 2, Epoch: want.Epoch, Offset: want.Offset})})
+	if !bytes.HasSuffix(acks.Bytes(), ackFrame) || acks.Len() != 49*len(ackFrame) {
+		t.Fatalf("ACKs = %d bytes ending %x, want 49 frames ending %x", acks.Len(), acks.Bytes()[max(0, acks.Len()-len(ackFrame)):], ackFrame)
 	}
 }
 
@@ -373,19 +381,15 @@ func TestPrimaryAckTracking(t *testing.T) {
 }
 
 func TestLagVerbOverClient(t *testing.T) {
-	// The LAG verb end-to-end: replica server exposes its probe; a client
-	// parses it. Also pins the wire format both ways.
+	// LAG end-to-end: replica server exposes its probe; a client parses it.
 	p := startPrimary(t, PrimaryOptions{HeartbeatInterval: 10 * time.Millisecond})
 	must(t, p.store.CreateHierarchy("Animal"))
 	rep := startReplica(t, p.srv.Addr())
 	waitConverged(t, p.store, rep)
 
 	repSrv := server.New(ReplicaTarget{R: rep}, server.Options{
-		LagProbe: func() server.LagInfo {
-			staleness, epoch, offset, state := rep.Lag()
-			return server.LagInfo{Staleness: staleness, Epoch: epoch, Offset: offset, State: state}
-		},
-		Promote: rep.Promote,
+		LagProbe: rep.Status,
+		Promote:  rep.Promote,
 	})
 	if err := repSrv.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("Start replica server: %v", err)
@@ -416,6 +420,9 @@ func TestLagVerbOverClient(t *testing.T) {
 	pe, po := p.store.Position()
 	if li.Epoch != pe || li.Offset != po {
 		t.Fatalf("Lag position = %d/%d, want %d/%d", li.Epoch, li.Offset, pe, po)
+	}
+	if li.Source != p.srv.Addr() {
+		t.Fatalf("Lag source = %q, want the upstream %q", li.Source, p.srv.Addr())
 	}
 
 	// PROMOTE over the wire flips the replica writable.

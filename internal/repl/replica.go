@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"hrdb/internal/backoff"
 	"hrdb/internal/catalog"
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // ReplicaOptions tune a Replica. The zero value gets defaults.
@@ -31,8 +33,8 @@ type ReplicaOptions struct {
 	// deployments must give every replica a distinct ID.
 	ID string
 	// Peers lists the client addresses of the other replicas. A campaign
-	// probes them (the LAG verb) to find who is most caught up and whether
-	// someone already won.
+	// probes them (LAG) to find who is most caught up and whether someone
+	// already won.
 	Peers []string
 	// AutoFailover starts the elector: after ElectionTimeout of stream
 	// silence, a booted replica campaigns to promote itself.
@@ -211,21 +213,12 @@ func (r *Replica) setStateLocked(state string) {
 	setStateGauge(state)
 }
 
-// Status is a replica's full replication status: the Lag fields plus the
-// failover identity (term, ID, and the address to follow it at).
-type Status struct {
-	Staleness time.Duration
-	Epoch     uint64
-	Offset    int64
-	State     string
-	Term      uint64
-	ID        string
-	// Source is where to stream from this node: the advertised replication
-	// address once promoted, the upstream it follows otherwise.
-	Source string
-}
+// Status is a replica's full replication status — exactly what its LAG
+// answer carries: the Lag fields plus the failover identity (term, ID, and
+// the address to follow it at).
+type Status = wire.LagInfo
 
-// Status reports the replica's replication status for the LAG verb, for
+// Status reports the replica's replication status for LAG answers, for
 // lag-bounded routing, and for election probes.
 func (r *Replica) Status() Status {
 	r.mu.Lock()
@@ -342,14 +335,14 @@ func (r *Replica) Snapshot() ([]byte, error) {
 
 // ServeStream implements the server's ReplSource hook (structurally); see
 // Snapshot.
-func (r *Replica) ServeStream(br *bufio.Reader, bw *bufio.Writer, epoch uint64, offset int64, followerTerm uint64) error {
+func (r *Replica) ServeStream(br *bufio.Reader, w io.Writer, id uint64, from wire.StreamPos) error {
 	r.mu.Lock()
 	prim := r.prim
 	r.mu.Unlock()
 	if prim == nil {
-		return writeStale(bw, "not promoted: no replication source here")
+		return writeStale(w, id, "not promoted: no replication source here")
 	}
-	return prim.ServeStream(br, bw, epoch, offset, followerTerm)
+	return prim.ServeStream(br, w, id, from)
 }
 
 // Close stops the replica (and, if it was durably promoted, closes its
@@ -524,33 +517,31 @@ func (r *Replica) streamOnce() error {
 	r.mu.Lock()
 	addr := r.addr
 	r.mu.Unlock()
-	conn, err := net.DialTimeout("tcp", addr, r.opts.DialTimeout)
+	p, err := dialPeer(addr, r.opts.DialTimeout)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
+	defer p.Close()
+	p.SetDeadline(time.Time{}) // a stream has no end to bound
 
 	r.mu.Lock()
 	if r.closed || r.promoted {
 		r.mu.Unlock()
 		return ErrReplicaClosed
 	}
-	r.conn = conn
+	r.conn = p.Conn
 	needSnap := !r.booted || r.needSnap
 	r.mu.Unlock()
 	defer func() {
 		r.mu.Lock()
-		if r.conn == conn {
+		if r.conn == p.Conn {
 			r.conn = nil
 		}
 		r.mu.Unlock()
 	}()
 
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-
 	if needSnap {
-		if err := r.bootstrap(br, bw); err != nil {
+		if err := r.bootstrap(p); err != nil {
 			return err
 		}
 	}
@@ -560,40 +551,30 @@ func (r *Replica) streamOnce() error {
 	r.setStateLocked("streaming")
 	r.mu.Unlock()
 
-	// The REPL line announces our highest term: a deposed primary answering
-	// it learns of its deposition and fences itself.
-	if _, err := fmt.Fprintf(bw, "REPL %d %d %d\n", start.Epoch, start.Offset, term); err != nil {
+	// The REPL request announces our highest term: a deposed primary
+	// answering it learns of its deposition and fences itself.
+	if err := p.send(wire.TypeRepl, wire.AppendStreamPos(nil, streamPos(term, start))); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	return r.applyStream(br, bw, db, start)
+	return r.applyStream(p.br, p, db, start)
 }
 
 // bootstrap fetches a SNAP snapshot over the open connection and installs
 // it as the replica's database and resume position.
-func (r *Replica) bootstrap(br *bufio.Reader, bw *bufio.Writer) error {
+func (r *Replica) bootstrap(p *peer) error {
 	begin := time.Now()
-	if _, err := fmt.Fprintln(bw, "SNAP"); err != nil {
-		return err
+	payload, err := p.call(wire.TypeSnap, maxSnapshotBytes)
+	var refused *wire.Error
+	if errors.As(err, &refused) {
+		// A "stale" refusal means the upstream is itself an unpromoted
+		// replica (a mid-election retarget raced the winner's promotion);
+		// the run loop tries again later.
+		return fmt.Errorf("repl: SNAP refused: %w", err)
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	ok, code, payload, err := readResponseFrame(br, maxSnapshotBytes)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		if code == "stale" {
-			// The upstream is itself an unpromoted replica (mid-election
-			// retarget raced the winner's promotion); try again later.
-			return fmt.Errorf("repl: SNAP refused: %s", payload)
-		}
-		return fmt.Errorf("repl: SNAP refused: %s: %s", code, payload)
-	}
-	boot, err := decodeBootstrap([]byte(payload))
+	boot, err := decodeBootstrap(payload)
 	if err != nil {
 		return err
 	}
@@ -639,11 +620,12 @@ func (r *Replica) adoptFrameTerm(term uint64) error {
 }
 
 // applyStream consumes stream frames on one connection: SHIP payloads go to
-// a storage.Reader and every committed change it yields is applied. start
-// is the position the primary was asked to resume from; every byte that
-// arrives is accounted against it, so any gap or overlap in what the
-// primary sends is detected as a hard desync rather than silently applied.
-func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Database, start storage.Position) error {
+// a storage.Reader and every committed change it yields is applied; each
+// frame is acknowledged on w. start is the position the primary was asked
+// to resume from; every byte that arrives is accounted against it, so any
+// gap or overlap in what the primary sends is detected as a hard desync
+// rather than silently applied.
+func (r *Replica) applyStream(br *bufio.Reader, w io.Writer, db *catalog.Database, start storage.Position) error {
 	rd := storage.NewReader(start)
 	feed := start // position of the next byte expected from the wire
 	// counted is how many of rd's records r.applied already includes.
@@ -653,23 +635,33 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Da
 	var counted uint64
 
 	for {
-		frame, err := readStreamFrame(br)
+		f, err := wire.ReadFrame(br, maxStreamFrame)
 		if err != nil {
 			return err
 		}
-		if frame.kind != "ERR" {
-			if err := r.adoptFrameTerm(frame.term); err != nil {
-				return err
-			}
+		frame, err := decodeStreamFrame(f)
+		var refused *wire.Error
+		if errors.As(err, &refused) && refused.Code == "stale" {
+			r.mu.Lock()
+			r.needSnap = true
+			r.mu.Unlock()
+			return fmt.Errorf("%w: %s", errStale, refused.Msg)
 		}
-		switch frame.kind {
-		case "SHIP":
-			if frame.pos != feed {
+		if err != nil {
+			return fmt.Errorf("repl: stream: %w", err)
+		}
+		if err := r.adoptFrameTerm(frame.at.Term); err != nil {
+			return err
+		}
+		at := storage.Position{Epoch: frame.at.Epoch, Offset: frame.at.Offset}
+		switch frame.typ {
+		case wire.TypeShip:
+			if at != feed {
 				return fmt.Errorf("%w: SHIP at %d/%d, expected %d/%d",
-					errProto, frame.pos.Epoch, frame.pos.Offset, feed.Epoch, feed.Offset)
+					wire.ErrProtocol, at.Epoch, at.Offset, feed.Epoch, feed.Offset)
 			}
-			rd.Feed(frame.payload)
-			feed.Offset += int64(len(frame.payload))
+			rd.Feed(frame.chunk)
+			feed.Offset += int64(len(frame.chunk))
 			for {
 				c, ok, err := rd.Next()
 				if err != nil {
@@ -696,17 +688,17 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Da
 			}
 			r.mu.Unlock()
 			r.observe(feed, rd.Pending())
-		case "HB":
-			if frame.pos.Epoch == feed.Epoch && frame.pos.Offset < feed.Offset {
+		case wire.TypeHB:
+			if at.Epoch == feed.Epoch && at.Offset < feed.Offset {
 				return fmt.Errorf("%w: HB at %d/%d behind stream position %d/%d",
-					errProto, frame.pos.Epoch, frame.pos.Offset, feed.Epoch, feed.Offset)
+					wire.ErrProtocol, at.Epoch, at.Offset, feed.Epoch, feed.Offset)
 			}
-			r.observe(frame.pos, rd.Pending())
-		case "ROTATE":
+			r.observe(at, rd.Pending())
+		case wire.TypeRotate:
 			// A rotation is only legal at a clean point; anything else is a
 			// desync.
-			if err := rd.Rotate(frame.pos.Epoch); err != nil {
-				return fmt.Errorf("%w: ROTATE: %v", errProto, err)
+			if err := rd.Rotate(at.Epoch); err != nil {
+				return fmt.Errorf("%w: ROTATE: %v", wire.ErrProtocol, err)
 			}
 			feed = rd.Position()
 			r.mu.Lock()
@@ -717,16 +709,8 @@ func (r *Replica) applyStream(br *bufio.Reader, bw *bufio.Writer, db *catalog.Da
 			}
 			r.mu.Unlock()
 			r.observe(feed, 0)
-		case "ERR":
-			if frame.code == "stale" {
-				r.mu.Lock()
-				r.needSnap = true
-				r.mu.Unlock()
-				return fmt.Errorf("%w: %s", errStale, frame.msg)
-			}
-			return fmt.Errorf("%w: stream error %s: %s", errProto, frame.code, frame.msg)
 		}
-		if err := r.ack(bw); err != nil {
+		if err := r.ack(w, f.ID); err != nil {
 			return err
 		}
 	}
@@ -756,10 +740,11 @@ func (r *Replica) observe(durable storage.Position, pending int) {
 	metricLagRecords.Set(int64(pending))
 }
 
-// ack reports the current resume position (and our term) to the primary.
-func (r *Replica) ack(bw *bufio.Writer) error {
+// ack reports the current resume position (and our term) to the primary
+// on the stream with request id.
+func (r *Replica) ack(w io.Writer, id uint64) error {
 	r.mu.Lock()
 	pos, term := r.pos, r.term
 	r.mu.Unlock()
-	return writeAck(bw, term, pos)
+	return writeAck(w, id, term, pos)
 }

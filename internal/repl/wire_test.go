@@ -4,16 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
-	"strings"
+	"net"
 	"testing"
+	"time"
 
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // Frame-level round trips and malformed-input rejection for the stream
 // protocol, independent of any live primary/replica.
-
-func frameReader(s string) *bufio.Reader { return bufio.NewReader(strings.NewReader(s)) }
 
 func TestPositionBefore(t *testing.T) {
 	cases := []struct {
@@ -33,117 +33,140 @@ func TestPositionBefore(t *testing.T) {
 	}
 }
 
+// readStream decodes the next stream frame off br.
+func readStream(t *testing.T, br *bufio.Reader) (wire.Frame, streamFrame, error) {
+	t.Helper()
+	f, err := wire.ReadFrame(br, maxStreamFrame)
+	if err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+	sf, err := decodeStreamFrame(f)
+	return f, sf, err
+}
+
 func TestStreamFrameRoundTrips(t *testing.T) {
+	// What ServeStream writes, decoded the way applyStream reads it.
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	pos := storage.Position{Epoch: 3, Offset: 1024}
+	at := wire.StreamPos{Term: 7, Epoch: 3, Offset: 1024}
 	chunk := []byte("raw wal bytes\nwith a newline inside")
-	must(t, writeShip(w, 7, pos, chunk))
-	must(t, writeHB(w, 7, storage.Position{Epoch: 3, Offset: 2048}))
-	must(t, writeRotate(w, 7, 4))
-	must(t, writeStale(w, "epoch 3 was checkpointed away"))
+	send := func(typ byte, payload []byte) {
+		must(t, wire.WriteFrame(&buf, wire.Frame{Type: typ, ID: 5, Payload: payload}))
+	}
+	send(wire.TypeShip, wire.ShipPayload(at, chunk))
+	send(wire.TypeHB, wire.AppendStreamPos(nil, wire.StreamPos{Term: 7, Epoch: 3, Offset: 2048}))
+	send(wire.TypeRotate, wire.AppendStreamPos(nil, wire.StreamPos{Term: 7, Epoch: 4}))
+	must(t, writeStale(&buf, 5, "epoch 3 was checkpointed away"))
 
 	br := bufio.NewReader(&buf)
-	f, err := readStreamFrame(br)
-	must(t, err)
-	if f.kind != "SHIP" || f.term != 7 || f.pos != pos || !bytes.Equal(f.payload, chunk) {
-		t.Fatalf("SHIP round trip = %+v", f)
+	f, sf, err := readStream(t, br)
+	if err != nil || f.ID != 5 || sf.typ != wire.TypeShip || sf.at != at || !bytes.Equal(sf.chunk, chunk) {
+		t.Fatalf("SHIP round trip = %+v, %v", sf, err)
 	}
-	f, err = readStreamFrame(br)
-	must(t, err)
-	if f.kind != "HB" || f.term != 7 || f.pos != (storage.Position{Epoch: 3, Offset: 2048}) {
-		t.Fatalf("HB round trip = %+v", f)
+	if _, sf, err = readStream(t, br); err != nil || sf.typ != wire.TypeHB || sf.at != (wire.StreamPos{Term: 7, Epoch: 3, Offset: 2048}) {
+		t.Fatalf("HB round trip = %+v, %v", sf, err)
 	}
-	f, err = readStreamFrame(br)
-	must(t, err)
-	if f.kind != "ROTATE" || f.term != 7 || f.pos.Epoch != 4 {
-		t.Fatalf("ROTATE round trip = %+v", f)
+	if _, sf, err = readStream(t, br); err != nil || sf.typ != wire.TypeRotate || sf.at != (wire.StreamPos{Term: 7, Epoch: 4}) {
+		t.Fatalf("ROTATE round trip = %+v, %v", sf, err)
 	}
-	f, err = readStreamFrame(br)
-	must(t, err)
-	if f.kind != "ERR" || f.code != "stale" || f.msg != "epoch 3 was checkpointed away" {
-		t.Fatalf("ERR round trip = %+v", f)
+	f, _, err = readStream(t, br)
+	var stale *wire.Error
+	if f.ID != 5 || !errors.As(err, &stale) || stale.Code != "stale" || stale.Msg != "epoch 3 was checkpointed away" {
+		t.Fatalf("stale round trip = %+v, %v", f, err)
 	}
 }
 
 func TestAckRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	must(t, writeAck(w, 9, storage.Position{Epoch: 7, Offset: 4096}))
-	term, got, err := readAck(bufio.NewReader(&buf))
-	must(t, err)
-	if term != 9 || got != (storage.Position{Epoch: 7, Offset: 4096}) {
-		t.Fatalf("ACK round trip = term %d pos %+v", term, got)
+	must(t, writeAck(&buf, 2, 9, storage.Position{Epoch: 7, Offset: 4096}))
+	got, err := nextAck(bufio.NewReader(&buf))
+	if err != nil || got != (wire.StreamPos{Term: 9, Epoch: 7, Offset: 4096}) {
+		t.Fatalf("ACK round trip = %+v, %v", got, err)
 	}
 
-	for _, bad := range []string{
-		"ACK 1 2\n", "NAK 1 2 3\n", "ACK x 2 3\n", "ACK 1 x 3\n", "ACK 1 2 x\n",
-		"ACK 1 2 -3\n", "ACK 1 2 3 4\n", "\n",
+	frame := func(typ byte, payload []byte) []byte {
+		return wire.AppendFrame(nil, wire.Frame{Type: typ, ID: 2, Payload: payload})
+	}
+	pos := wire.AppendStreamPos(nil, wire.StreamPos{Term: 1, Epoch: 2, Offset: 3})
+	negative := wire.AppendStreamPos(nil, wire.StreamPos{Offset: -3})
+	for name, bad := range map[string][]byte{
+		"not an ACK":      frame(wire.TypeHB, pos),
+		"short position":  frame(wire.TypeAck, pos[:23]),
+		"trailing bytes":  frame(wire.TypeAck, append(pos, 0)),
+		"negative offset": frame(wire.TypeAck, negative),
+		"oversized frame": frame(wire.TypeAck, make([]byte, 100)),
 	} {
-		if _, _, err := readAck(frameReader(bad)); !errors.Is(err, errProto) {
-			t.Errorf("readAck(%q) = %v, want protocol error", bad, err)
+		if _, err := nextAck(bufio.NewReader(bytes.NewReader(bad))); !errors.Is(err, wire.ErrProtocol) && !errors.Is(err, wire.ErrTooLarge) {
+			t.Errorf("nextAck(%s) = %v, want a protocol error", name, err)
 		}
 	}
 }
 
 func TestReadStreamFrameRejectsMalformed(t *testing.T) {
-	protoErrs := []string{
-		"\n",
-		"NOPE 1 2\n",
-		"SHIP 1 2 3\n", // term-less header
-		"SHIP x 0 0 0\n\n",
-		"SHIP 0 x 0 0\n\n",
-		"SHIP 0 0 -1 0\n\n",
-		"SHIP 0 0 0 9999999999\n", // beyond maxShipChunk
-		"HB 1 2\n",                // term-less header
-		"HB x 1 2\n",
-		"HB 0 x 2\n",
-		"HB 0 1 -2\n",
-		"ROTATE\n",
-		"ROTATE 1\n", // term-less header
-		"ROTATE x 1\n",
-		"ROTATE 1 x\n",
-		"ERR stale 0\n",
-		"ERR stale 0 99999999\n", // beyond maxShipChunk
-	}
-	for _, bad := range protoErrs {
-		if _, err := readStreamFrame(frameReader(bad)); !errors.Is(err, errProto) {
-			t.Errorf("readStreamFrame(%q) = %v, want protocol error", bad, err)
+	pos := wire.AppendStreamPos(nil, wire.StreamPos{Term: 1, Epoch: 2, Offset: 3})
+	negative := wire.AppendStreamPos(nil, wire.StreamPos{Term: 1, Offset: -1})
+	for name, f := range map[string]wire.Frame{
+		"unknown type":       {Type: wire.TypeAck, Payload: pos},
+		"OK on a stream":     {Type: wire.TypeOK},
+		"SHIP without head":  {Type: wire.TypeShip, Payload: pos[:10]},
+		"SHIP negative":      {Type: wire.TypeShip, Payload: negative},
+		"SHIP over a chunk":  {Type: wire.TypeShip, Payload: wire.ShipPayload(wire.StreamPos{}, make([]byte, maxShipChunk+1))},
+		"HB short":           {Type: wire.TypeHB, Payload: pos[:23]},
+		"HB negative":        {Type: wire.TypeHB, Payload: negative},
+		"ROTATE with extras": {Type: wire.TypeRotate, Payload: append(pos, 1)},
+		"ERR truncated":      {Type: wire.TypeErr, Payload: []byte{5, 's'}},
+	} {
+		if _, err := decodeStreamFrame(f); !errors.Is(err, wire.ErrProtocol) {
+			t.Errorf("decodeStreamFrame(%s) = %v, want a protocol error", name, err)
 		}
 	}
-	// A SHIP whose payload is cut short or unterminated fails, but as an IO
-	// or framing error rather than silent truncation.
-	if _, err := readStreamFrame(frameReader("SHIP 0 0 0 5\nab")); err == nil {
-		t.Error("short SHIP payload accepted")
-	}
-	if _, err := readStreamFrame(frameReader("SHIP 0 0 0 2\nabX")); !errors.Is(err, errProto) {
-		t.Error("unterminated SHIP payload accepted")
+	// A frame announcing more than a SHIP can hold is refused before its
+	// body is read.
+	huge := wire.AppendFrame(nil, wire.Frame{Type: wire.TypeShip, Payload: make([]byte, maxStreamFrame+1)})
+	if _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader(huge)), maxStreamFrame); !errors.Is(err, wire.ErrTooLarge) {
+		t.Errorf("oversized stream frame = %v, want ErrTooLarge", err)
 	}
 }
 
+// TestReadResponseFrame pins how a follower reads the answer to SNAP or
+// LAG: an OK payload, an ERR as *wire.Error, and a protocol error for an
+// answer to some other request or a frame that is no answer at all.
 func TestReadResponseFrame(t *testing.T) {
-	ok, code, payload, err := readResponseFrame(frameReader("OK 5\nhello\n"), 1<<20)
-	must(t, err)
-	if !ok || code != "" || payload != "hello" {
-		t.Fatalf("OK frame = ok=%v code=%q payload=%q", ok, code, payload)
+	answer := func(reply func(req wire.Frame) wire.Frame) ([]byte, error) {
+		client, server := net.Pipe()
+		defer client.Close()
+		go func() {
+			defer server.Close()
+			req, err := wire.ReadFrame(bufio.NewReader(server), 64)
+			if err == nil {
+				wire.WriteFrame(server, reply(req))
+			}
+		}()
+		client.SetDeadline(time.Now().Add(5 * time.Second))
+		p := &peer{Conn: client, br: bufio.NewReader(client)}
+		return p.call(wire.TypeSnap, 16)
 	}
-	ok, code, payload, err = readResponseFrame(frameReader("ERR stale 0 4\ngone\n"), 1<<20)
-	must(t, err)
-	if ok || code != "stale" || payload != "gone" {
-		t.Fatalf("ERR frame = ok=%v code=%q payload=%q", ok, code, payload)
+	got, err := answer(func(req wire.Frame) wire.Frame {
+		return wire.Frame{Type: wire.TypeOK, ID: req.ID, Payload: []byte("hello")}
+	})
+	if err != nil || string(got) != "hello" {
+		t.Fatalf("OK answer = %q, %v", got, err)
 	}
-
-	for _, bad := range []string{
-		"\n", "OK\n", "OK x\n", "OK -1\n", "OK 999\nhi\n", "ERR exec 0\n", "WAT 1\nx\n",
-		"OK 2\nhiX", // bad terminator
+	_, err = answer(func(req wire.Frame) wire.Frame { return wire.ErrFrame(req.ID, 0, "stale", 0, "gone") })
+	var refused *wire.Error
+	if !errors.As(err, &refused) || refused.Code != "stale" || refused.Msg != "gone" {
+		t.Fatalf("ERR answer = %v", err)
+	}
+	for name, reply := range map[string]func(wire.Frame) wire.Frame{
+		"wrong id":  func(req wire.Frame) wire.Frame { return wire.Frame{Type: wire.TypeOK, ID: req.ID + 1} },
+		"not an OK": func(req wire.Frame) wire.Frame { return wire.Frame{Type: wire.TypeHB, ID: req.ID} },
+		"bad ERR":   func(req wire.Frame) wire.Frame { return wire.Frame{Type: wire.TypeErr, ID: req.ID, Payload: []byte{9}} },
+		"over bound": func(req wire.Frame) wire.Frame {
+			return wire.Frame{Type: wire.TypeOK, ID: req.ID, Payload: make([]byte, 17)}
+		},
 	} {
-		if _, _, _, err := readResponseFrame(frameReader(bad), 16); !errors.Is(err, errProto) {
-			t.Errorf("readResponseFrame(%q) = %v, want protocol error", bad, err)
+		if _, err := answer(reply); !errors.Is(err, wire.ErrProtocol) && !errors.Is(err, wire.ErrTooLarge) {
+			t.Errorf("%s: %v, want a protocol error", name, err)
 		}
-	}
-	// Truncated payload is an IO error.
-	if _, _, _, err := readResponseFrame(frameReader("OK 5\nab"), 16); err == nil {
-		t.Error("truncated payload accepted")
 	}
 }
 
@@ -158,7 +181,7 @@ func TestBootstrapRoundTrip(t *testing.T) {
 		got.TakeoverEpoch != 1 || got.TakeoverOffset != 333 {
 		t.Fatalf("bootstrap round trip = %+v", got)
 	}
-	if _, err := decodeBootstrap([]byte("not gob at all")); !errors.Is(err, errProto) {
+	if _, err := decodeBootstrap([]byte("not gob at all")); !errors.Is(err, wire.ErrProtocol) {
 		t.Fatalf("decodeBootstrap(garbage) = %v, want protocol error", err)
 	}
 }

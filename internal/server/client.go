@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -15,10 +13,11 @@ import (
 	"hrdb/internal/backoff"
 	"hrdb/internal/hql"
 	"hrdb/internal/shard"
+	"hrdb/internal/wire"
 )
 
-// ServerError is a failure the server reported in an ERR frame (either
-// protocol version).
+// ServerError is a failure the server reported in an ERR frame, or in the
+// text ERR that refused a HELLO.
 type ServerError struct {
 	Code       Code          // wire error code ("exec", "overloaded", …)
 	Msg        string        // server-side error text
@@ -38,17 +37,19 @@ func (e *ServerError) Is(target error) bool {
 	return s != nil && errors.Is(s, target)
 }
 
-// Protocol versions for WithProtocol.
-const (
-	// ProtocolAuto negotiates: offer v2, fall back to v1 against servers
-	// that don't speak it. The default.
-	ProtocolAuto = 0
-	// ProtocolV1 forces the sequential line protocol.
-	ProtocolV1 = 1
-	// ProtocolV2 requires the framed multiplexed protocol; dialing a
-	// server without it fails instead of falling back.
-	ProtocolV2 = 2
-)
+// serverError lifts an ERR decoded by the wire layer into the
+// *ServerError callers match with errors.Is; other errors pass through.
+func serverError(err error) error {
+	var we *wire.Error
+	if errors.As(err, &we) {
+		return &ServerError{Code: Code(we.Code), Msg: we.Msg, RetryAfter: we.RetryAfter}
+	}
+	return err
+}
+
+// ProtocolV2 names the framed protocol, the only one this package speaks.
+// It exists for WithProtocol.
+const ProtocolV2 = 2
 
 // Option configures Dial and DialRouter: one functional-options surface
 // for every client-side knob.
@@ -73,7 +74,6 @@ type dialConfig struct {
 	retryAll    bool
 	maxResponse int
 	tenant      string
-	protocol    int
 	// Router-only knobs (ignored by plain Dial).
 	maxStale time.Duration
 	probeTTL time.Duration
@@ -128,53 +128,37 @@ func WithRetryNonIdempotent(enabled bool) Option {
 }
 
 // WithTenant names the server-side namespace this client's statements run
-// in. Resolved during the handshake: protocol v2 carries it in HELLO, the
-// v1 fallback sends USE after connecting. Dialing a server that does not
-// know the tenant fails with ErrUnknownTenant.
+// in, resolved by the HELLO exchange. Dialing a server that does not know
+// the tenant fails with ErrUnknownTenant.
 func WithTenant(name string) Option {
 	return func(o *dialConfig) { o.tenant = name }
 }
 
-// WithProtocol pins the wire protocol: ProtocolAuto (default, negotiate
-// with fallback), ProtocolV1, or ProtocolV2 (fail rather than fall back).
-func WithProtocol(v int) Option {
-	return func(o *dialConfig) {
-		if v == ProtocolV1 || v == ProtocolV2 {
-			o.protocol = v
-		} else {
-			o.protocol = ProtocolAuto
-		}
-	}
-}
+// WithProtocol is a no-op kept for source compatibility: every connection
+// speaks the framed protocol (ProtocolV2).
+func WithProtocol(int) Option { return func(*dialConfig) {} }
 
-// Client is a connection to a Server with automatic protocol negotiation,
-// reconnect, deadline plumbing, and retry with exponential backoff. A
-// Client is safe for concurrent use: on protocol v2, concurrent requests
-// pipeline over one connection and complete out of order; on v1 they
-// serialize. Close may be called at any time, including with requests in
+// Client is a connection to a Server with reconnect, deadline plumbing,
+// and retry with exponential backoff. A Client is safe for concurrent use:
+// concurrent requests pipeline over one connection and complete out of
+// order. Close may be called at any time, including with requests in
 // flight — they fail with ErrClientClosed rather than delaying Close.
 type Client struct {
 	addr string
 	o    dialConfig
 
-	// reqMu serializes v1 round trips (the line protocol admits one
-	// request at a time); v2 requests bypass it. connMu guards connection
-	// state and is never held across network I/O, so Close can always
-	// acquire it.
-	reqMu sync.Mutex
-
+	// connMu guards connection state and is never held across network
+	// I/O, so Close can always acquire it.
 	connMu sync.Mutex
 	closed bool
-	conn   net.Conn      // v1 mode
-	br     *bufio.Reader // v1 mode
-	c2     *conn2        // v2 mode (exactly one of conn/c2 is set)
-	tenant string        // namespace confirmed by the server ("" = default)
+	cc     *conn2
+	tenant string // namespace confirmed by the server
 }
 
-// Dial connects to a server. The initial connection — including the
-// protocol handshake and tenant resolution — is established eagerly so
-// configuration errors surface immediately; later disconnects repair
-// themselves on the next call.
+// Dial connects to a server. The initial connection — including the HELLO
+// exchange and tenant resolution — is established eagerly so configuration
+// errors surface immediately; later disconnects repair themselves on the
+// next call.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	o := defaultDialConfig()
 	for _, opt := range opts {
@@ -190,105 +174,28 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-func (c *Client) dial() (net.Conn, error) {
-	return net.DialTimeout("tcp", c.addr, c.o.dialTimeout)
-}
-
 // Tenant returns the namespace the server confirmed for this client
-// ("default" once connected with no tenant requested; empty before any
-// tenant-aware handshake, e.g. plain v1 without USE).
+// ("default" when none was requested).
 func (c *Client) Tenant() string {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	return c.tenant
 }
 
-// connectLocked dials and negotiates. Callers hold c.connMu. On return
-// either c.c2 (v2) or c.conn/c.br (v1) is live.
+// connectLocked dials and runs the HELLO exchange. Callers hold c.connMu.
 func (c *Client) connectLocked() error {
-	if c.o.protocol == ProtocolV1 {
-		conn, err := c.dial()
-		if err != nil {
-			return err
-		}
-		return c.setupV1(conn)
-	}
-	conn, err := c.dial()
+	conn, br, tenant, err := wire.Dial(context.Background(), c.addr, c.o.dialTimeout, c.o.tenant)
 	if err != nil {
-		return err
+		return serverError(err)
 	}
-	br := bufio.NewReader(conn)
-	// The upgrade offer rides v1 text framing so a pre-v2 server parses it
-	// as an unknown verb and answers ERR proto before closing.
-	hello := "HELLO 2\n"
-	if c.o.tenant != "" {
-		hello = "HELLO 2 " + c.o.tenant + "\n"
-	}
-	if _, err := io.WriteString(conn, hello); err != nil {
-		conn.Close()
-		return err
-	}
-	resp, err := readResponse(br, c.o.maxResponse)
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	if resp.ok {
-		fields := strings.Fields(resp.payload)
-		if len(fields) == 0 || fields[0] != "v2" {
-			conn.Close()
-			return fmt.Errorf("%w: unexpected HELLO reply %q", ErrProtocol, resp.payload)
-		}
-		c.tenant = c.o.tenant
-		for _, f := range fields[1:] {
-			if t, ok := strings.CutPrefix(f, "tenant="); ok {
-				c.tenant = t
-			}
-		}
-		c.c2 = newConn2(conn, br, c.o.maxResponse)
-		return nil
-	}
-	conn.Close()
-	if resp.code == codeProto && c.o.protocol == ProtocolAuto {
-		// Pre-v2 server: redial and speak the line protocol.
-		v1conn, err := c.dial()
-		if err != nil {
-			return err
-		}
-		return c.setupV1(v1conn)
-	}
-	return &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
-}
-
-// setupV1 finishes a v1 connection: resolve the tenant with USE when one
-// was requested (a server too old for USE answers ERR proto, which
-// surfaces — the namespace cannot be silently ignored).
-func (c *Client) setupV1(conn net.Conn) error {
-	br := bufio.NewReader(conn)
-	if c.o.tenant != "" {
-		if _, err := io.WriteString(conn, "USE "+c.o.tenant+"\n"); err != nil {
-			conn.Close()
-			return err
-		}
-		resp, err := readResponse(br, c.o.maxResponse)
-		if err != nil {
-			conn.Close()
-			return err
-		}
-		if !resp.ok {
-			conn.Close()
-			return &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
-		}
-		c.tenant = strings.TrimPrefix(resp.payload, "tenant=")
-	}
-	c.conn = conn
-	c.br = br
+	c.tenant = tenant
+	c.cc = newConn2(conn, br, c.o.maxResponse)
 	return nil
 }
 
 // Close closes the connection and marks the client unusable. In-flight
-// requests — pipelined v2 waiters and any v1 round trip — fail with
-// ErrClientClosed instead of delaying Close or leaking their goroutines.
+// requests fail with ErrClientClosed instead of delaying Close or leaking
+// their goroutines.
 func (c *Client) Close() error {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
@@ -296,18 +203,11 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	var err error
-	if c.c2 != nil {
-		err = c.c2.close()
-		c.c2 = nil
+	if c.cc == nil {
+		return nil
 	}
-	if c.conn != nil {
-		if cerr := c.conn.Close(); err == nil {
-			err = cerr
-		}
-		c.conn = nil
-		c.br = nil
-	}
+	err := c.cc.close()
+	c.cc = nil
 	return err
 }
 
@@ -318,41 +218,21 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// ensure returns the live connection in exactly one mode: (c2, nil, nil)
-// for v2, (nil, conn, br) for v1; dialing and negotiating if needed.
-func (c *Client) ensure() (*conn2, net.Conn, *bufio.Reader, error) {
+// ensure returns the live connection, dialing if needed.
+func (c *Client) ensure() (*conn2, error) {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	if c.closed {
-		return nil, nil, nil, ErrClientClosed
+		return nil, ErrClientClosed
 	}
-	if c.c2 != nil {
-		if c.c2.alive() {
-			return c.c2, nil, nil, nil
-		}
-		c.c2 = nil
+	if c.cc != nil && c.cc.alive() {
+		return c.cc, nil
 	}
-	if c.conn != nil {
-		return nil, c.conn, c.br, nil
-	}
+	c.cc = nil
 	if err := c.connectLocked(); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if c.c2 != nil {
-		return c.c2, nil, nil, nil
-	}
-	return nil, c.conn, c.br, nil
-}
-
-// discardConn drops a v1 connection whose stream state is unknown.
-func (c *Client) discardConn() {
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.br = nil
-	}
+	return c.cc, nil
 }
 
 // Exec executes an HQL script and returns its output. The ctx deadline is
@@ -366,24 +246,24 @@ func (c *Client) discardConn() {
 // client was built WithRetryNonIdempotent. Definitive statement failures
 // ("exec", "deadline", "panic", …) are never retried.
 func (c *Client) Exec(ctx context.Context, input string) (string, error) {
-	return c.execRetry(ctx, "EXEC", fvExec, input, hql.ReadOnlyScript(input))
+	return c.execRetry(ctx, wire.TypeExec, input, hql.ReadOnlyScript(input))
 }
 
 // ExecShard runs one encoded shard operation (internal/shard wire format)
 // and returns its response. The transport, deadline, and retry machinery is
-// Exec's; only the verb differs (EXECSHARD / the EXECSHARD frame) and the
-// idempotence predicate is shard.OpIdempotent instead of hql.ReadOnlyScript
-// — every shard operation is retry-safe (reads are pure, 2PC verbs are
-// gid-guarded on the participant).
+// Exec's; only the frame type differs (EXECSHARD) and the idempotence
+// predicate is shard.OpIdempotent instead of hql.ReadOnlyScript — every
+// shard operation is retry-safe (reads are pure, 2PC verbs are gid-guarded
+// on the participant).
 func (c *Client) ExecShard(ctx context.Context, op string) (string, error) {
-	return c.execRetry(ctx, "EXECSHARD", fvExecShard, op, shard.OpIdempotent(op))
+	return c.execRetry(ctx, wire.TypeExecShard, op, shard.OpIdempotent(op))
 }
 
 // ShardMap asks the server for its shard identity. Answered inline (like
 // PING), so it works against a saturated admission queue. Servers without a
 // shard node answer ErrUnsupported.
 func (c *Client) ShardMap(ctx context.Context) (id, count int, err error) {
-	out, err := c.inlineVerb(ctx, "SHARDMAP")
+	out, err := c.inline(ctx, wire.TypeShardMap)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -404,13 +284,12 @@ func parseShardMap(out string) (id, count int, err error) {
 	return id, count, nil
 }
 
-// execRetry is the shared retry loop behind Exec and ExecShard: verb and typ
-// name the request in each protocol, idempotent gates retry after ambiguous
-// transport failures.
-func (c *Client) execRetry(ctx context.Context, verb string, typ byte, input string, idempotent bool) (string, error) {
+// execRetry is the shared retry loop behind Exec and ExecShard: typ names
+// the request, idempotent gates retry after ambiguous transport failures.
+func (c *Client) execRetry(ctx context.Context, typ byte, input string, idempotent bool) (string, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		out, err := c.roundTrip(ctx, verb, typ, input)
+		out, err := c.execOnce(ctx, typ, input)
 		if err == nil {
 			return out, nil
 		}
@@ -426,205 +305,41 @@ func (c *Client) execRetry(ctx context.Context, verb string, typ byte, input str
 	}
 }
 
-// roundTrip performs one request/response exchange on whichever protocol
-// the connection negotiated.
-func (c *Client) roundTrip(ctx context.Context, verb string, typ byte, input string) (string, error) {
+// execOnce runs one statement as a throwaway stream: a fresh stream id,
+// end-of-stream flagged on the single request, the response correlated by
+// id. Concurrent callers pipeline on the shared connection.
+func (c *Client) execOnce(ctx context.Context, typ byte, input string) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	for {
-		cc, conn, br, err := c.ensure()
-		if err != nil {
-			return "", err
-		}
-		if cc != nil {
-			return c.execV2(ctx, cc, typ, input)
-		}
-		out, err, stale := c.execV1(ctx, conn, br, verb, input)
-		if !stale {
-			return out, err
-		}
-		// The connection changed hands while we waited for the v1 turn
-		// (another goroutine hit a transport error and redialed): re-ensure.
-	}
-}
-
-// execV2 runs one statement as a throwaway v2 stream: a fresh stream id,
-// end-of-stream flagged on the single EXEC, responses correlated by id.
-// Concurrent callers pipeline on the shared connection.
-func (c *Client) execV2(ctx context.Context, cc *conn2, typ byte, input string) (string, error) {
-	var timeout time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
-		if timeout <= 0 {
-			return "", context.DeadlineExceeded
-		}
-	}
-	resp, err := cc.do(ctx, typ, flagEndStream, cc.nextStream.Add(1), execPayload(timeout, input))
+	cc, err := c.ensure()
 	if err != nil {
 		return "", err
 	}
-	if !resp.ok {
-		return "", &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
-	}
-	return resp.payload, nil
-}
-
-// execV1 performs one line-protocol round trip. stale=true means the
-// connection identity changed before the turn came up; the caller should
-// re-ensure and try again.
-func (c *Client) execV1(ctx context.Context, conn net.Conn, br *bufio.Reader, verb, input string) (out string, err error, stale bool) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	c.connMu.Lock()
-	switch {
-	case c.closed:
-		c.connMu.Unlock()
-		return "", ErrClientClosed, false
-	case c.conn != conn:
-		c.connMu.Unlock()
-		return "", nil, true
-	}
-	c.connMu.Unlock()
-
-	// Deadline plumbing: the remaining ctx budget rides in the EXEC header
-	// so the server enforces it during execution; the socket deadline and
-	// the AfterFunc below cover the transport.
-	var timeoutMS int64
-	if dl, ok := ctx.Deadline(); ok {
-		remain := time.Until(dl)
-		if remain <= 0 {
-			return "", context.DeadlineExceeded, false
-		}
-		timeoutMS = int64(remain / time.Millisecond)
-		if timeoutMS == 0 {
-			timeoutMS = 1
-		}
-		conn.SetDeadline(dl.Add(100 * time.Millisecond))
-	} else {
-		conn.SetDeadline(time.Time{})
-	}
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-
-	if _, err := fmt.Fprintf(conn, "%s %d %d\n%s\n", verb, timeoutMS, len(input), input); err != nil {
-		c.discardConn()
-		return "", c.transportErr(ctx, err), false
-	}
-	resp, err := readResponse(br, c.o.maxResponse)
-	if err != nil {
-		c.discardConn()
-		return "", c.transportErr(ctx, err), false
-	}
-	if !resp.ok {
-		// The v1 server retires the connection after these codes; drop ours
-		// in lockstep so the next request redials instead of desyncing.
-		switch resp.code {
-		case codePanic, codeDeadline, codeCanceled, codeShutdown, codeProto, codeTooLarge:
-			c.discardConn()
-		}
-		return "", &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}, false
-	}
-	return resp.payload, nil, false
+	return cc.exec(ctx, typ, wire.FlagEndStream, cc.nextStream.Add(1), input)
 }
 
 // Ping performs a liveness round trip.
 func (c *Client) Ping(ctx context.Context) error {
-	_, err := c.inlineVerb(ctx, "PING")
+	_, err := c.inline(ctx, wire.TypePing)
 	return err
 }
 
 // Stats fetches the server process's metrics in Prometheus text exposition
-// format (the STATS verb). It is answered inline by the connection handler,
-// so it works even when the server's admission queue is saturated.
+// format (the STATS request). It is answered inline by the connection's
+// reader, so it works even when the server's admission queue is saturated.
 func (c *Client) Stats(ctx context.Context) (string, error) {
-	return c.inlineVerb(ctx, "STATS")
+	return c.inline(ctx, wire.TypeStats)
 }
 
-// inlineVerb performs one argument-less request/response exchange (the
-// PING/STATS/LAG/PROMOTE/SHARDMAP family, answered inline by the
-// connection handler) on whichever protocol the connection negotiated.
-func (c *Client) inlineVerb(ctx context.Context, verb string) (string, error) {
-	for {
-		cc, conn, br, err := c.ensure()
-		if err != nil {
-			return "", err
-		}
-		if cc != nil {
-			var typ byte
-			switch verb {
-			case "PING":
-				typ = fvPing
-			case "STATS":
-				typ = fvStats
-			case "LAG":
-				typ = fvLag
-			case "PROMOTE":
-				typ = fvPromote
-			case "SHARDMAP":
-				typ = fvShardMap
-			default:
-				return "", fmt.Errorf("%w: no v2 frame for verb %s", ErrProtocol, verb)
-			}
-			resp, err := cc.do(ctx, typ, 0, 0, nil)
-			if err != nil {
-				return "", err
-			}
-			if !resp.ok {
-				return "", &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
-			}
-			return resp.payload, nil
-		}
-		out, err, stale := c.inlineVerbV1(ctx, conn, br, verb)
-		if !stale {
-			return out, err
-		}
-	}
-}
-
-// inlineVerbV1 is the line-protocol leg of inlineVerb.
-func (c *Client) inlineVerbV1(ctx context.Context, conn net.Conn, br *bufio.Reader, verb string) (out string, err error, stale bool) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	c.connMu.Lock()
-	switch {
-	case c.closed:
-		c.connMu.Unlock()
-		return "", ErrClientClosed, false
-	case c.conn != conn:
-		c.connMu.Unlock()
-		return "", nil, true
-	}
-	c.connMu.Unlock()
-
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	if _, err := io.WriteString(conn, verb+"\n"); err != nil {
-		c.discardConn()
-		return "", c.transportErr(ctx, err), false
-	}
-	resp, err := readResponse(br, c.o.maxResponse)
+// inline performs one payload-less request answered inline by the server
+// (PING, STATS, LAG, PROMOTE, SHARDMAP).
+func (c *Client) inline(ctx context.Context, typ byte) (string, error) {
+	cc, err := c.ensure()
 	if err != nil {
-		c.discardConn()
-		return "", c.transportErr(ctx, err), false
+		return "", err
 	}
-	if !resp.ok {
-		return "", &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}, false
-	}
-	return resp.payload, nil, false
-}
-
-// transportErr maps a transport failure to its real cause: the context's
-// error when the AfterFunc severed the connection, ErrClientClosed when a
-// concurrent Close did.
-func (c *Client) transportErr(ctx context.Context, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return ctxErr
-	}
-	if c.isClosed() {
-		return ErrClientClosed
-	}
-	return err
+	return cc.do(ctx, typ, 0, 0, nil)
 }
 
 // classify decides whether an error may be retried and extracts the

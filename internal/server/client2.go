@@ -9,9 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hrdb/internal/wire"
 )
 
-// conn2 is one negotiated protocol v2 connection: a writer shared by all
+// conn2 is one client connection after its HELLO: a writer shared by all
 // requests (frame-at-a-time), a reader goroutine that routes response
 // frames to waiters by request id, and the waiter table itself. Callers
 // pipeline freely; responses arrive in completion order.
@@ -26,13 +28,13 @@ type conn2 struct {
 
 	mu      sync.Mutex
 	err     error // terminal failure; nil while healthy
-	closed  bool  // Close() ran locally
-	waiters map[uint64]chan response
+	closed  bool  // close() ran locally
+	waiters map[uint64]chan wire.Frame
 }
 
-// newConn2 wraps a negotiated connection and starts its reader.
+// newConn2 wraps a connection whose HELLO succeeded and starts its reader.
 func newConn2(c net.Conn, br *bufio.Reader, maxResponse int) *conn2 {
-	cc := &conn2{c: c, br: br, maxResponse: maxResponse, waiters: make(map[uint64]chan response)}
+	cc := &conn2{c: c, br: br, maxResponse: maxResponse, waiters: make(map[uint64]chan wire.Frame)}
 	go cc.readLoop()
 	return cc
 }
@@ -53,9 +55,7 @@ func (cc *conn2) close() error {
 	cc.mu.Unlock()
 	// Best-effort goodbye so the server tears the connection down without
 	// logging a read error; the close below is what actually ends things.
-	cc.wmu.Lock()
-	writeFrame(cc.c, frame{typ: fvGoodbye, id: cc.nextID.Add(1)})
-	cc.wmu.Unlock()
+	cc.write(wire.Frame{Type: wire.TypeGoodbye, ID: cc.nextID.Add(1)})
 	// The goodbye can make the server hang up first, and the reader then
 	// closes the socket before this call does; that is still a clean close.
 	if err := cc.c.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
@@ -75,7 +75,7 @@ func (cc *conn2) fail(err error) {
 		cc.err = err
 	}
 	ws := cc.waiters
-	cc.waiters = make(map[uint64]chan response)
+	cc.waiters = make(map[uint64]chan wire.Frame)
 	cc.mu.Unlock()
 	cc.c.Close()
 	for _, ch := range ws {
@@ -84,7 +84,7 @@ func (cc *conn2) fail(err error) {
 }
 
 // lastErr returns the terminal error (ErrClientClosed after a local
-// Close).
+// close).
 func (cc *conn2) lastErr() error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -95,25 +95,24 @@ func (cc *conn2) lastErr() error {
 }
 
 // readLoop routes response frames to their waiters until the connection
-// dies. Responses for forgotten ids (canceled requests) are dropped.
+// dies. Responses for forgotten ids (canceled requests) are dropped; a
+// frame that is not a response desyncs the connection.
 func (cc *conn2) readLoop() {
 	for {
-		f, err := readFrame(cc.br, cc.maxResponse)
-		if err != nil {
-			cc.fail(err)
-			return
+		f, err := wire.ReadFrame(cc.br, cc.maxResponse)
+		if err == nil && f.Type != wire.TypeOK && f.Type != wire.TypeErr {
+			err = fmt.Errorf("%w: unexpected response frame type 0x%02x", ErrProtocol, f.Type)
 		}
-		resp, err := frameResponse(f)
 		if err != nil {
 			cc.fail(err)
 			return
 		}
 		cc.mu.Lock()
-		ch := cc.waiters[f.id]
-		delete(cc.waiters, f.id)
+		ch := cc.waiters[f.ID]
+		delete(cc.waiters, f.ID)
 		cc.mu.Unlock()
 		if ch != nil {
-			ch <- resp // buffered; never blocks the reader
+			ch <- f // buffered; never blocks the reader
 		}
 	}
 }
@@ -130,52 +129,67 @@ func (cc *conn2) forget(id uint64) bool {
 }
 
 // write sends one frame.
-func (cc *conn2) write(f frame) error {
+func (cc *conn2) write(f wire.Frame) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	return writeFrame(cc.c, f)
+	return wire.WriteFrame(cc.c, f)
 }
 
 // do performs one pipelined round trip: register a waiter, send the frame,
-// wait for the correlated response. On ctx expiry it deregisters, fires a
+// wait for the correlated response, and return its OK payload or the
+// *ServerError it carries. On ctx expiry it deregisters, fires a
 // best-effort CANCEL, and returns the ctx error — the connection stays
 // usable for everyone else.
-func (cc *conn2) do(ctx context.Context, typ, flags byte, stream uint32, payload []byte) (response, error) {
+func (cc *conn2) do(ctx context.Context, typ, flags byte, stream uint32, payload []byte) (string, error) {
 	if err := ctx.Err(); err != nil {
-		return response{}, err
+		return "", err
 	}
 	id := cc.nextID.Add(1)
-	ch := make(chan response, 1)
+	ch := make(chan wire.Frame, 1)
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
 		cc.mu.Unlock()
-		return response{}, err
+		return "", err
 	}
 	cc.waiters[id] = ch
 	cc.mu.Unlock()
 
-	if err := cc.write(frame{typ: typ, flags: flags, id: id, stream: stream, payload: payload}); err != nil {
+	if err := cc.write(wire.Frame{Type: typ, Flags: flags, ID: id, Stream: stream, Payload: payload}); err != nil {
 		cc.forget(id)
 		cc.fail(err)
-		return response{}, cc.lastErr()
+		return "", cc.lastErr()
 	}
 	select {
-	case resp, ok := <-ch:
+	case f, ok := <-ch:
 		if !ok {
-			return response{}, cc.lastErr()
+			return "", cc.lastErr()
 		}
-		return resp, nil
+		out, err := wire.Reply(f)
+		return string(out), serverError(err)
 	case <-ctx.Done():
 		if cc.forget(id) {
-			cc.write(frame{typ: fvCancel, id: id, stream: stream})
+			cc.write(wire.Frame{Type: wire.TypeCancel, ID: id, Stream: stream})
 		}
-		return response{}, ctx.Err()
+		return "", ctx.Err()
 	}
 }
 
-// Stream is a logical sub-connection multiplexed over a protocol v2
-// client: statements on one Stream execute in order on one server-side
+// exec runs one EXEC or EXECSHARD request on stream, carrying the ctx
+// deadline to the server (which enforces it during execution).
+func (cc *conn2) exec(ctx context.Context, typ, flags byte, stream uint32, input string) (string, error) {
+	var timeout time.Duration
+	if dl, ok := ctx.Deadline(); ok {
+		timeout = time.Until(dl)
+		if timeout <= 0 {
+			return "", context.DeadlineExceeded
+		}
+	}
+	return cc.do(ctx, typ, flags, stream, execPayload(timeout, input))
+}
+
+// Stream is a logical sub-connection multiplexed over a Client's
+// connection: statements on one Stream execute in order on one server-side
 // session — so a transaction can span Exec calls — while other Streams
 // (and plain Client.Exec calls) proceed concurrently on the same socket.
 //
@@ -193,15 +207,11 @@ type Stream struct {
 	closed bool
 }
 
-// Stream opens a new logical stream. Requires protocol v2; on a v1
-// connection it fails with ErrUnsupported.
+// Stream opens a new logical stream on the client's connection.
 func (c *Client) Stream() (*Stream, error) {
-	cc, _, _, err := c.ensure()
+	cc, err := c.ensure()
 	if err != nil {
 		return nil, err
-	}
-	if cc == nil {
-		return nil, fmt.Errorf("%w: streams require protocol v2", ErrUnsupported)
 	}
 	return &Stream{cc: cc, id: cc.nextStream.Add(1)}, nil
 }
@@ -215,21 +225,7 @@ func (st *Stream) Exec(ctx context.Context, input string) (string, error) {
 	if st.closed {
 		return "", ErrClientClosed
 	}
-	var timeout time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
-		if timeout <= 0 {
-			return "", context.DeadlineExceeded
-		}
-	}
-	resp, err := st.cc.do(ctx, fvExec, 0, st.id, execPayload(timeout, input))
-	if err != nil {
-		return "", err
-	}
-	if !resp.ok {
-		return "", &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
-	}
-	return resp.payload, nil
+	return st.cc.exec(ctx, wire.TypeExec, 0, st.id, input)
 }
 
 // Close disposes the stream's server-side session (fire-and-forget
@@ -241,5 +237,5 @@ func (st *Stream) Close() error {
 		return nil
 	}
 	st.closed = true
-	return st.cc.write(frame{typ: fvEndStream, id: st.cc.nextID.Add(1), stream: st.id})
+	return st.cc.write(wire.Frame{Type: wire.TypeEndStream, ID: st.cc.nextID.Add(1), Stream: st.id})
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hrdb/internal/wire"
 )
 
 // fakeServer speaks the wire protocol from a canned reply script so tests
@@ -17,10 +19,13 @@ import (
 type fakeServer struct {
 	ln       net.Listener
 	attempts atomic.Int64
-	replies  []func(net.Conn, *bufio.Writer) bool
+	replies  []reply
 }
 
-func newFakeServer(t *testing.T, replies ...func(net.Conn, *bufio.Writer) bool) *fakeServer {
+// reply answers one EXEC frame on c.
+type reply func(c net.Conn, req wire.Frame) bool
+
+func newFakeServer(t *testing.T, replies ...reply) *fakeServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,28 +45,23 @@ func (f *fakeServer) loop() {
 		if err != nil {
 			return
 		}
-		f.serve(c) // one client at a time; the Client serializes anyway
+		f.serve(c) // one client at a time; the tests issue one request at a time
 	}
 }
 
 func (f *fakeServer) serve(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
+	if _, err := wire.ReadHello(br); err != nil || wire.WriteHelloOK(c, "v2 tenant=default") != nil {
+		return
+	}
 	for {
-		req, err := readRequest(br, 1<<20)
+		req, err := wire.ReadFrame(br, 1<<20)
 		if err != nil {
 			return
 		}
-		if req.verb == "HELLO" {
-			// Emulate a pre-v2 server: reject the upgrade offer as an
-			// unknown verb and drop the connection, so these tests cover
-			// the client's v1 fallback path on every dial.
-			writeErr(bw, codeProto, 0, `protocol error: unknown verb "HELLO"`)
-			return
-		}
-		if req.verb != "EXEC" {
-			if writeOK(bw, "pong") != nil {
+		if req.Type != wire.TypeExec {
+			if wire.WriteFrame(c, okFrame(req.ID, req.Stream, "pong")) != nil {
 				return
 			}
 			continue
@@ -70,26 +70,28 @@ func (f *fakeServer) serve(c net.Conn) {
 		if i >= len(f.replies) {
 			i = len(f.replies) - 1
 		}
-		if !f.replies[i](c, bw) {
+		if !f.replies[i](c, req) {
 			return
 		}
 	}
 }
 
 // Canned replies.
-func okReply(payload string) func(net.Conn, *bufio.Writer) bool {
-	return func(_ net.Conn, bw *bufio.Writer) bool { return writeOK(bw, payload) == nil }
+func okReply(payload string) reply {
+	return func(c net.Conn, req wire.Frame) bool {
+		return wire.WriteFrame(c, okFrame(req.ID, req.Stream, payload)) == nil
+	}
 }
 
-func errReply(code Code, hint time.Duration) func(net.Conn, *bufio.Writer) bool {
-	return func(_ net.Conn, bw *bufio.Writer) bool {
-		return writeErr(bw, code, hint, "injected "+string(code)) == nil
+func errReply(code Code, hint time.Duration) reply {
+	return func(c net.Conn, req wire.Frame) bool {
+		return wire.WriteFrame(c, errFrame(req.ID, req.Stream, code, hint, "injected "+string(code))) == nil
 	}
 }
 
 // severReply drops the connection without answering: the client cannot
 // know whether the statement executed.
-func severReply(c net.Conn, _ *bufio.Writer) bool {
+func severReply(c net.Conn, _ wire.Frame) bool {
 	c.Close()
 	return false
 }
@@ -107,7 +109,7 @@ func TestClientRetryPolicy(t *testing.T) {
 	cases := []struct {
 		name         string
 		script       string
-		replies      []func(net.Conn, *bufio.Writer) bool
+		replies      []reply
 		opts         []ClientOption
 		wantAttempts int64
 		wantErr      bool
@@ -115,7 +117,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		{
 			name:         "mutation never auto-retried after severed reply",
 			script:       mutation,
-			replies:      []func(net.Conn, *bufio.Writer) bool{severReply, okReply("late")},
+			replies:      []reply{severReply, okReply("late")},
 			opts:         []ClientOption{WithMaxRetries(3), fast},
 			wantAttempts: 1,
 			wantErr:      true,
@@ -123,21 +125,21 @@ func TestClientRetryPolicy(t *testing.T) {
 		{
 			name:         "read-only retried after severed reply",
 			script:       readOnly,
-			replies:      []func(net.Conn, *bufio.Writer) bool{severReply, okReply("true")},
+			replies:      []reply{severReply, okReply("true")},
 			opts:         []ClientOption{WithMaxRetries(3), fast},
 			wantAttempts: 2,
 		},
 		{
 			name:         "mutation retried after severed reply when opted in",
 			script:       mutation,
-			replies:      []func(net.Conn, *bufio.Writer) bool{severReply, okReply("done")},
+			replies:      []reply{severReply, okReply("done")},
 			opts:         []ClientOption{WithMaxRetries(3), WithRetryNonIdempotent(true), fast},
 			wantAttempts: 2,
 		},
 		{
 			name:   "mutation retried after overloaded: definitively not executed",
 			script: mutation,
-			replies: []func(net.Conn, *bufio.Writer) bool{
+			replies: []reply{
 				errReply(codeOverloaded, time.Millisecond), okReply("done"),
 			},
 			opts:         []ClientOption{WithMaxRetries(3), fast},
@@ -146,7 +148,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		{
 			name:   "mutation retried after shutdown: definitively not executed",
 			script: mutation,
-			replies: []func(net.Conn, *bufio.Writer) bool{
+			replies: []reply{
 				errReply(codeShutdown, 0), okReply("done"),
 			},
 			opts:         []ClientOption{WithMaxRetries(3), fast},
@@ -155,7 +157,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		{
 			name:         "exec error never retried",
 			script:       readOnly,
-			replies:      []func(net.Conn, *bufio.Writer) bool{errReply(codeExec, 0), okReply("true")},
+			replies:      []reply{errReply(codeExec, 0), okReply("true")},
 			opts:         []ClientOption{WithMaxRetries(3), fast},
 			wantAttempts: 1,
 			wantErr:      true,
@@ -163,7 +165,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		{
 			name:         "retry budget bounds attempts",
 			script:       readOnly,
-			replies:      []func(net.Conn, *bufio.Writer) bool{severReply},
+			replies:      []reply{severReply},
 			opts:         []ClientOption{WithMaxRetries(2), fast},
 			wantAttempts: 3, // initial + 2 retries
 			wantErr:      true,

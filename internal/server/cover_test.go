@@ -1,19 +1,18 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"io"
-	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hrdb/internal/wire"
 )
 
 // This file pins surfaces the behavioral suites reach only incidentally:
-// error formatting, the code-table init guards, the v2 replication verbs,
+// error formatting, the code-table init guards, the replication requests,
 // and raw-frame edge traffic a well-behaved client never emits.
 
 func TestServerErrorString(t *testing.T) {
@@ -43,9 +42,9 @@ func TestDefineCodeGuards(t *testing.T) {
 	}
 }
 
-// TestV2ReplVerbs: LAG and PROMOTE over v2 frames — unsupported on a
-// plain server, proxied to the hooks on a replica, and a failing promote
-// hook surfaces as an exec failure.
+// TestV2ReplVerbs: LAG and PROMOTE frames — unsupported on a plain server,
+// proxied to the hooks on a replica, and a failing promote hook surfaces
+// as an exec failure carrying the hook's error.
 func TestV2ReplVerbs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -91,90 +90,11 @@ func TestV2ReplVerbs(t *testing.T) {
 		if err := c.Promote(ctx); err != nil {
 			t.Fatalf("Promote: %v", err)
 		}
-		if err := c.Promote(ctx); !errors.Is(err, ErrExecFailed) {
-			t.Fatalf("failing Promote hook: %v, want ErrExecFailed", err)
+		var se *ServerError
+		if err := c.Promote(ctx); !errors.Is(err, ErrExecFailed) || !errors.As(err, &se) || se.Msg != promoteErr.Error() {
+			t.Fatalf("failing Promote hook: %v, want ErrExecFailed carrying %q", err, promoteErr)
 		}
 	})
-}
-
-// TestV1ForcedPaths keeps the v1 legs exercised now that clients upgrade
-// to v2 by default: statement execution and failure, the inline verb
-// family, panic retirement, and deadlines, all over the line protocol.
-func TestV1ForcedPaths(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	srv := startServer(t, panicTarget{newMemTarget(t)}, Options{})
-	c, err := Dial(srv.Addr(), WithProtocol(ProtocolV1), WithMaxRetries(0))
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-
-	if out, err := c.Exec(ctx, "HOLDS Flies (Tweety);"); err != nil || strings.TrimSpace(out) != "true" {
-		t.Fatalf("v1 Exec = %q, %v", out, err)
-	}
-	if _, err := c.Exec(ctx, "HOLDS Nope (X);"); !errors.Is(err, ErrExecFailed) {
-		t.Fatalf("v1 exec failure: %v, want ErrExecFailed", err)
-	}
-	if err := c.Ping(ctx); err != nil {
-		t.Fatalf("v1 Ping: %v", err)
-	}
-	if out, err := c.Stats(ctx); err != nil || !strings.Contains(out, "hrdb_") {
-		t.Fatalf("v1 Stats = %v (%d bytes)", err, len(out))
-	}
-	if _, err := c.Lag(ctx); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("v1 Lag on non-replica: %v, want ErrUnsupported", err)
-	}
-	if err := c.Promote(ctx); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("v1 Promote on non-replica: %v, want ErrUnsupported", err)
-	}
-	// A panicking statement answers, retires its connection, and the
-	// client's next statement transparently redials.
-	if _, err := c.Exec(ctx, "DENY Flies (Tweety);"); !errors.Is(err, ErrStatementPanicked) {
-		t.Fatalf("v1 panic: %v, want ErrStatementPanicked", err)
-	}
-	if out, err := c.Exec(ctx, "HOLDS Flies (Tweety);"); err != nil || strings.TrimSpace(out) != "true" {
-		t.Fatalf("v1 Exec after panic = %q, %v", out, err)
-	}
-
-	// Deadline on a parked statement, line protocol.
-	gate := &gateTarget{Target: newMemTarget(t), gate: make(chan struct{})}
-	srv2 := startServer(t, gate, Options{Workers: 1})
-	release := sync.OnceFunc(func() { close(gate.gate) })
-	t.Cleanup(release)
-	c2, err := Dial(srv2.Addr(), WithProtocol(ProtocolV1), WithMaxRetries(0))
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c2.Close()
-	dctx, dcancel := context.WithTimeout(ctx, 100*time.Millisecond)
-	defer dcancel()
-	if _, err := c2.Exec(dctx, "ASSERT Flies (Tweety);"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("v1 deadline: %v, want DeadlineExceeded", err)
-	}
-	release()
-}
-
-// rawHello dials addr, upgrades to v2 by hand, and returns the connection
-// with the reader that owns its buffered bytes.
-func rawHello(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	c, err := netDial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if _, err := io.WriteString(c, "HELLO 2\n"); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	resp, err := readResponse(br, 1<<20)
-	if err != nil || !resp.ok || !strings.HasPrefix(resp.payload, "v2 tenant=") {
-		t.Fatalf("hello reply = %+v, %v", resp, err)
-	}
-	return c, br
 }
 
 // TestRawV2EdgeFrames drives the mux with hand-built frames: canceling a
@@ -187,73 +107,41 @@ func TestRawV2EdgeFrames(t *testing.T) {
 	release := sync.OnceFunc(func() { close(gate.gate) })
 	t.Cleanup(release)
 
-	c, br := rawHello(t, srv.Addr())
-	send := func(f frame) {
-		t.Helper()
-		c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-		if err := writeFrame(c, f); err != nil {
-			t.Fatalf("writeFrame(type %#x): %v", f.typ, err)
-		}
-	}
-	recv := func() frame {
-		t.Helper()
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		f, err := readFrame(br, 1<<20)
-		if err != nil {
-			t.Fatalf("readFrame: %v", err)
-		}
-		return f
-	}
+	rc := rawHello(t, srv.Addr())
 
 	// id 1 parks on the gate; id 2 queues behind it on the same stream.
 	// The read loop enqueues id 2 before it sees the CANCEL, so the
 	// cancel deterministically hits a queued-not-started statement.
-	send(frame{typ: fvExec, id: 1, stream: 1, payload: execPayload(0, "ASSERT Flies (Tweety);")})
+	rc.send(wire.Frame{Type: wire.TypeExec, ID: 1, Stream: 1, Payload: execPayload(0, "ASSERT Flies (Tweety);")})
 	waitParked(t, gate, 1)
-	send(frame{typ: fvExec, id: 2, stream: 1, payload: execPayload(0, "HOLDS Flies (Tweety);")})
-	send(frame{typ: fvCancel, id: 2})
-	f := recv()
-	code, _, msg, err := parseErrFramePayload(f.payload)
-	if f.typ != fvErr || f.id != 2 || err != nil || code != codeCanceled {
-		t.Fatalf("canceled-while-queued reply = %+v (%s %q %v)", f, code, msg, err)
-	}
-	if !strings.Contains(msg, "before execution") {
-		t.Fatalf("queued cancel msg = %q", msg)
+	rc.send(wire.Frame{Type: wire.TypeExec, ID: 2, Stream: 1, Payload: execPayload(0, "HOLDS Flies (Tweety);")})
+	rc.send(wire.Frame{Type: wire.TypeCancel, ID: 2})
+	if code, msg := rc.recvErr(2); code != codeCanceled || !strings.Contains(msg, "before execution") {
+		t.Fatalf("canceled-while-queued reply = %s %q", code, msg)
 	}
 
 	// Unknown IDs are no-ops: the stream above must still complete.
-	send(frame{typ: fvCancel, id: 77})
-	send(frame{typ: fvEndStream, stream: 99})
+	rc.send(wire.Frame{Type: wire.TypeCancel, ID: 77})
+	rc.send(wire.Frame{Type: wire.TypeEndStream, Stream: 99})
 	release()
-	if f := recv(); f.typ != fvOK || f.id != 1 {
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 1 {
 		t.Fatalf("gated statement reply = %+v", f)
 	}
 	// Retiring the now-idle stream recycles its session silently.
-	send(frame{typ: fvEndStream, stream: 1})
+	rc.send(wire.Frame{Type: wire.TypeEndStream, Stream: 1})
 
 	// An unrecognized frame type is answered and ends the connection.
-	send(frame{typ: 0x7f, id: 9})
-	f = recv()
-	code, _, _, err = parseErrFramePayload(f.payload)
-	if f.typ != fvErr || f.id != 9 || err != nil || code != codeProto {
-		t.Fatalf("unknown-type reply = %+v (%s %v)", f, code, err)
+	rc.send(wire.Frame{Type: 0x7f, ID: 9})
+	if code, _ := rc.recvErr(9); code != codeProto {
+		t.Fatalf("unknown-type reply code = %s", code)
 	}
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(br, 1<<20); err != io.EOF {
-		t.Fatalf("after protocol error: %v, want EOF", err)
-	}
+	rc.closed()
 }
 
 // TestRawV2Goodbye: GOODBYE closes the connection cleanly, no reply.
 func TestRawV2Goodbye(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{})
-	c, br := rawHello(t, srv.Addr())
-	c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	if err := writeFrame(c, frame{typ: fvGoodbye}); err != nil {
-		t.Fatalf("goodbye: %v", err)
-	}
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(br, 1<<20); err != io.EOF {
-		t.Fatalf("after GOODBYE: %v, want EOF", err)
-	}
+	rc := rawHello(t, srv.Addr())
+	rc.send(wire.Frame{Type: wire.TypeGoodbye})
+	rc.closed()
 }

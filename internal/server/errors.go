@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+
+	"hrdb/internal/wire"
 )
 
 // This file is the single source of truth for the wire error-code table.
@@ -26,23 +28,22 @@ var (
 	// safe to retry, but backing off harder is the only cure — the budget
 	// is the tenant's own, not the server's.
 	ErrQuotaExceeded = errors.New("server: tenant quota exceeded")
-	// ErrProtocol: a malformed frame (either direction); the connection —
-	// or on protocol v2, sometimes just the stream — cannot continue.
-	ErrProtocol = errors.New("server: protocol error")
+	// ErrProtocol: a malformed frame or opening exchange (either
+	// direction); the connection cannot continue.
+	ErrProtocol = wire.ErrProtocol
 	// ErrStatementTooLarge: the statement exceeds MaxStatementBytes.
-	ErrStatementTooLarge = errors.New("server: statement too large")
+	ErrStatementTooLarge = wire.ErrTooLarge
 	// ErrExecFailed: the statement itself failed (parse or execution
 	// error). The failure is definitive; retrying re-runs the same script.
 	ErrExecFailed = errors.New("server: statement failed")
 	// ErrStatementPanicked: the statement panicked inside the engine. The
 	// panic was isolated; the session that ran it is retired.
 	ErrStatementPanicked = errors.New("server: statement panicked")
-	// ErrUnsupported: the verb is not enabled on this server (REPL/SNAP
-	// without a replication source, PROMOTE/LAG on a primary, streams on a
-	// v1 connection).
+	// ErrUnsupported: the request is not enabled on this server (REPL/SNAP
+	// without a replication source, PROMOTE/LAG on a primary, SUBSCRIBE
+	// without a feed source).
 	ErrUnsupported = errors.New("server: verb not supported")
-	// ErrUnknownTenant: HELLO or USE named a tenant this server does not
-	// serve. Hard failure — there is no point retrying the same name.
+	// ErrUnknownTenant: HELLO named a tenant this server does not serve. Hard failure — there is no point retrying the same name.
 	ErrUnknownTenant = errors.New("server: unknown tenant")
 	// ErrStaleReplica: a REPL position this server can no longer serve
 	// (the WAL was superseded by a checkpoint); re-bootstrap via SNAP.
@@ -55,8 +56,8 @@ var (
 // client-side condition, not a wire code.
 var ErrClientClosed = errors.New("hrdb: client closed")
 
-// Code is a wire protocol error code: the <code> field of a v1 ERR frame
-// and the code string of a v2 ERR payload. Codes compare like strings.
+// Code is a wire protocol error code: the code string of an ERR payload
+// (and of the text ERR that refuses a HELLO). Codes compare like strings.
 type Code string
 
 // codeSentinels maps every defined Code to its errors.Is sentinel.

@@ -11,6 +11,7 @@ import (
 
 	"hrdb/internal/hql"
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // Server-side failover machinery tested with stubs: the Shutdown drain gate
@@ -43,18 +44,11 @@ func TestShutdownRefusesNewReplicationWork(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return gate.waiting.Load() == 1 }, "statement never parked")
 
-	// Raw connections opened before the listener closes: one per verb,
-	// since a refused replication verb retires the connection.
-	snapConn, err := netDial(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer snapConn.Close()
-	replConn, err := netDial(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer replConn.Close()
+	// Connections whose HELLO completed before Shutdown: a connection still
+	// in the listen backlog when the listener closes would be reset, not
+	// served.
+	snapConn := rawHello(t, srv.Addr())
+	replConn := rawHello(t, srv.Addr())
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -64,21 +58,13 @@ func TestShutdownRefusesNewReplicationWork(t *testing.T) {
 	}()
 	waitFor(t, srv.drainingNow, "Shutdown never marked the server draining")
 
-	fmt.Fprintln(snapConn, "SNAP")
-	resp, err := readResponseConn(snapConn)
-	if err != nil {
-		t.Fatalf("SNAP during drain: %v", err)
+	snapConn.send(wire.Frame{Type: wire.TypeSnap, ID: 1})
+	if code, _ := snapConn.recvErr(1); code != codeShutdown {
+		t.Fatalf("SNAP during drain = ERR %s, want %s", code, codeShutdown)
 	}
-	if resp.ok || resp.code != codeShutdown {
-		t.Fatalf("SNAP during drain = ok=%v code=%q, want ERR %s", resp.ok, resp.code, codeShutdown)
-	}
-	fmt.Fprintln(replConn, "REPL 0 0 1")
-	resp, err = readResponseConn(replConn)
-	if err != nil {
-		t.Fatalf("REPL during drain: %v", err)
-	}
-	if resp.ok || resp.code != codeShutdown {
-		t.Fatalf("REPL during drain = ok=%v code=%q, want ERR %s", resp.ok, resp.code, codeShutdown)
+	replConn.send(replFrame(1, wire.StreamPos{Term: 1}))
+	if code, _ := replConn.recvErr(1); code != codeShutdown {
+		t.Fatalf("REPL during drain = ERR %s, want %s", code, codeShutdown)
 	}
 
 	// Release the parked statement: the drain finishes and the in-flight

@@ -26,8 +26,7 @@ var (
 	metricReplSnapshots = obs.Default().Counter("hrdb_server_repl_snapshots_served_total")
 
 	// Subscription front-end: live SUBSCRIBE feeds and feeds ever started
-	// (both protocols; the per-frame delta/lag series live in
-	// internal/view).
+	// (the per-frame delta/lag series live in internal/view).
 	metricSubStreams = obs.Default().Gauge("hrdb_server_subscribe_streams_active")
 	metricSubStarted = obs.Default().Counter("hrdb_server_subscribe_streams_total")
 

@@ -12,11 +12,12 @@ import (
 	"hrdb/internal/hql"
 	"hrdb/internal/obs"
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
-// This file is the protocol v2 server path: after a HELLO handshake
-// accepts the upgrade, serveMux owns the connection and multiplexes many
-// logical streams over it. The concurrency model:
+// This file is the server's connection loop: after the HELLO exchange,
+// serveMux owns the connection and multiplexes many logical streams over
+// it. The concurrency model:
 //
 //   - The reader goroutine (serveMux's loop) decodes frames and never
 //     blocks on execution: EXEC frames are queued per stream.
@@ -32,21 +33,22 @@ import (
 //     call, so responses interleave at frame granularity in completion
 //     order.
 //
-// Deadline semantics diverge from v1 deliberately: when a deadline or
-// cancellation abandons a statement that may still be executing, v1 must
-// retire the whole connection (its one session is poisoned); v2 retires
-// only the stream — queued statements behind it answer "canceled", other
-// streams never notice.
+// When a deadline or cancellation abandons a statement that may still be
+// executing, only its stream is retired — queued statements behind it
+// answer "canceled", other streams never notice.
 
 // maxFreeSessions caps a connection's pool of reusable sessions from
 // cleanly ended one-shot streams.
 const maxFreeSessions = 8
 
-// muxTask is one EXEC frame travelling through a stream's FIFO.
+// muxTask is one outstanding request id: an EXEC frame travelling through
+// its stream's FIFO, or — with t nil — a live SUBSCRIBE feed.
 type muxTask struct {
 	id     uint64
 	stream uint32
-	end    bool // flagEndStream: dispose the stream after this reply
+	// cancel aborts the statement or ends the feed (CANCEL, teardown).
+	cancel context.CancelFunc
+	end    bool // FlagEndStream: dispose the stream after this reply
 	// started flips (under muxConn.mu) when the task leaves the FIFO for
 	// submission; CANCEL uses it to tell "still queued" from "in the pool".
 	started bool
@@ -66,7 +68,7 @@ type muxStream struct {
 	dead    bool
 }
 
-// muxConn is the per-connection state of the v2 protocol.
+// muxConn is the per-connection state.
 type muxConn struct {
 	srv *Server
 	tn  *tenantState
@@ -76,17 +78,18 @@ type muxConn struct {
 
 	mu      sync.Mutex
 	streams map[uint32]*muxStream
-	byID    map[uint64]*muxTask
-	free    []*hql.Session // reusable sessions from ended one-shot streams
+	// byID is the connection's one table of outstanding request ids —
+	// statements and feeds alike — so a reused id is refused whatever it
+	// named, and CANCEL reaches exactly what the id was issued for.
+	byID map[uint64]*muxTask
+	free []*hql.Session // reusable sessions from ended one-shot streams
 
-	// subs tracks live SUBSCRIBE feeds by request id so CANCEL and
-	// teardown can end them; subWG lets teardown wait for their
-	// goroutines (they exit promptly once canceled).
-	subs  map[uint64]context.CancelFunc
-	subWG sync.WaitGroup
+	// feeds lets teardown wait for feed goroutines (they exit promptly
+	// once canceled).
+	feeds sync.WaitGroup
 }
 
-// serveMux serves a negotiated v2 connection until it ends. The caller
+// serveMux serves a connection after its HELLO until it ends. The caller
 // (handleConn) closes the socket afterwards.
 func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 	m := &muxConn{
@@ -101,112 +104,143 @@ func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 		if s.opts.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		f, err := readFrame(br, s.opts.MaxStatementBytes+64)
+		f, err := wire.ReadFrame(br, s.opts.MaxStatementBytes+64)
 		if err != nil {
 			// Best-effort diagnosis; framing is lost either way, so close.
 			switch {
-			case errors.Is(err, errTooLarge):
+			case errors.Is(err, wire.ErrTooLarge):
 				m.send(errFrame(0, 0, codeTooLarge, 0, err.Error()))
-			case errors.Is(err, errProto):
+			case errors.Is(err, wire.ErrProtocol):
 				m.send(errFrame(0, 0, codeProto, 0, err.Error()))
 			}
 			return
 		}
 		c.SetReadDeadline(time.Time{})
 
-		switch f.typ {
-		case fvPing:
-			if m.send(okFrame(f.id, f.stream, "pong")) != nil {
+		switch f.Type {
+		case wire.TypePing:
+			if m.send(okFrame(f.ID, f.Stream, "pong")) != nil {
 				return
 			}
-		case fvStats:
-			if m.send(okFrame(f.id, f.stream, obs.Default().RenderText())) != nil {
+		case wire.TypeStats:
+			if m.send(okFrame(f.ID, f.Stream, obs.Default().RenderText())) != nil {
 				return
 			}
-		case fvLag:
+		case wire.TypeLag:
 			if s.opts.LagProbe == nil {
-				m.send(errFrame(f.id, f.stream, codeUnsupported, 0, "not a replica"))
-			} else if m.send(okFrame(f.id, f.stream, lagPayload(s.opts.LagProbe()))) != nil {
+				m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "not a replica"))
+			} else if m.send(okFrame(f.ID, f.Stream, wire.LagPayload(s.opts.LagProbe()))) != nil {
 				return
 			}
-		case fvPromote:
-			switch {
-			case s.opts.Promote == nil:
-				m.send(errFrame(f.id, f.stream, codeUnsupported, 0, "not a replica"))
-			case s.opts.Promote() != nil:
-				m.send(errFrame(f.id, f.stream, codeExec, 0, "promote failed"))
-			default:
-				if m.send(okFrame(f.id, f.stream, "promoted")) != nil {
-					return
-				}
+		case wire.TypePromote:
+			if s.opts.Promote == nil {
+				m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "not a replica"))
+			} else if err := s.opts.Promote(); err != nil {
+				m.send(errFrame(f.ID, f.Stream, codeExec, 0, err.Error()))
+			} else if m.send(okFrame(f.ID, f.Stream, "promoted")) != nil {
+				return
 			}
-		case fvShardMap:
+		case wire.TypeShardMap:
 			if s.opts.Shard == nil {
-				m.send(errFrame(f.id, f.stream, codeUnsupported, 0, "this server is not a shard"))
-			} else if m.send(okFrame(f.id, f.stream,
+				m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "this server is not a shard"))
+			} else if m.send(okFrame(f.ID, f.Stream,
 				fmt.Sprintf("%d %d", s.opts.Shard.ID, s.opts.Shard.Count))) != nil {
 				return
 			}
-		case fvGoodbye:
+		case wire.TypeGoodbye:
 			return
-		case fvCancel:
-			m.cancelID(f.id)
-		case fvEndStream:
-			m.endStream(f.stream)
-		case fvSubscribe:
+		case wire.TypeCancel:
+			m.cancelID(f.ID)
+		case wire.TypeEndStream:
+			m.endStream(f.Stream)
+		case wire.TypeSubscribe:
 			if !m.subscribe(f) {
 				return
 			}
-		case fvExec, fvExecShard:
-			if f.typ == fvExecShard && s.opts.Shard == nil {
-				m.send(errFrame(f.id, f.stream, codeUnsupported, 0, "this server is not a shard"))
+		case wire.TypeSnap:
+			m.snap(f)
+		case wire.TypeRepl:
+			if !m.repl(f, br) {
+				return
+			}
+		case wire.TypeExec, wire.TypeExecShard:
+			if f.Type == wire.TypeExecShard && s.opts.Shard == nil {
+				m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "this server is not a shard"))
 				continue
 			}
 			if !m.exec(f) {
 				return
 			}
 		default:
-			m.send(errFrame(f.id, f.stream, codeProto, 0, "unknown frame type"))
+			m.send(errFrame(f.ID, f.Stream, codeProto, 0, "unknown frame type"))
 			return
 		}
 	}
 }
 
-// teardown cancels every outstanding task when the connection ends, so
+// teardown cancels every outstanding request when the connection ends, so
 // abandoned statements release their workers promptly instead of running
-// to completion for a reader that is gone.
+// to completion for a reader that is gone, and feeds stop.
 func (m *muxConn) teardown() {
 	m.mu.Lock()
-	tasks := make([]*muxTask, 0, len(m.byID))
+	cancels := make([]context.CancelFunc, 0, len(m.byID))
 	for _, mt := range m.byID {
-		tasks = append(tasks, mt)
-	}
-	subs := make([]context.CancelFunc, 0, len(m.subs))
-	for _, cancel := range m.subs {
-		subs = append(subs, cancel)
+		cancels = append(cancels, mt.cancel)
 	}
 	m.mu.Unlock()
-	for _, mt := range tasks {
-		mt.t.cancel()
-	}
-	for _, cancel := range subs {
+	for _, cancel := range cancels {
 		cancel()
 	}
-	m.subWG.Wait()
+	m.feeds.Wait()
 }
 
-// send writes one frame. Whoever completes a request writes its reply;
-// wmu keeps frames whole. Write errors mean the connection is going away —
-// callers on the reply path ignore them (teardown handles the rest).
-func (m *muxConn) send(f frame) error {
+// Write writes p to the connection under the write lock. Every caller
+// writes whole frames, one per call, so frames never interleave.
+func (m *muxConn) Write(p []byte) (int, error) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	return writeFrame(m.c, f)
+	return m.c.Write(p)
+}
+
+// send writes one frame. Whoever completes a request writes its reply.
+// Write errors mean the connection is going away — callers on the reply
+// path ignore them (teardown handles the rest).
+func (m *muxConn) send(f wire.Frame) error { return wire.WriteFrame(m, f) }
+
+// okFrame builds a success response frame.
+func okFrame(id uint64, stream uint32, payload string) wire.Frame {
+	return wire.Frame{Type: wire.TypeOK, ID: id, Stream: stream, Payload: []byte(payload)}
+}
+
+// errFrame builds a failure response frame.
+func errFrame(id uint64, stream uint32, code Code, retryAfter time.Duration, msg string) wire.Frame {
+	return wire.ErrFrame(id, stream, string(code), retryAfter, msg)
+}
+
+// failCode maps why a statement failed — its error, or the context error
+// of a deadline or cancel that abandoned it — to the code it is answered
+// with.
+func failCode(err error) Code {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		metricDeadline.Inc()
+		return codeDeadline
+	case errors.Is(err, context.Canceled):
+		return codeCanceled
+	case errors.Is(err, storage.ErrDeposed):
+		// This node was fenced by a newer primary. The fence check runs
+		// before any staging or apply, so the write definitively did not
+		// execute — "stale" tells a router to re-discover the primary and
+		// retry there.
+		return codeStale
+	default:
+		return codeExec
+	}
 }
 
 // reply answers one EXEC task and records its latency (received → reply)
 // in the global and tenant histograms.
-func (m *muxConn) reply(mt *muxTask, f frame) {
+func (m *muxConn) reply(mt *muxTask, f wire.Frame) {
 	d := time.Since(mt.start)
 	metricRequestNS.ObserveDuration(d)
 	m.tn.mLatency.ObserveDuration(d)
@@ -216,10 +250,10 @@ func (m *muxConn) reply(mt *muxTask, f frame) {
 // exec enqueues one EXEC frame on its stream, starting the stream if it is
 // idle. It reports whether the connection may continue (a malformed or
 // duplicate frame desyncs the conversation and closes it).
-func (m *muxConn) exec(f frame) bool {
-	timeout, input, err := parseExecPayload(f.payload)
+func (m *muxConn) exec(f wire.Frame) bool {
+	timeout, input, err := parseExecPayload(f.Payload)
 	if err != nil {
-		m.send(errFrame(f.id, f.stream, codeProto, 0, err.Error()))
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, err.Error()))
 		return false
 	}
 	s := m.srv
@@ -238,33 +272,33 @@ func (m *muxConn) exec(f frame) bool {
 	}
 
 	m.mu.Lock()
-	if _, dup := m.byID[f.id]; dup {
+	if _, dup := m.byID[f.ID]; dup {
 		m.mu.Unlock()
 		cancel()
-		m.send(errFrame(f.id, f.stream, codeProto, 0, "duplicate request id"))
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, "duplicate request id"))
 		return false
 	}
-	st := m.streams[f.stream]
+	st := m.streams[f.Stream]
 	if st == nil {
-		st = &muxStream{id: f.stream, sess: m.takeSession()}
-		m.streams[f.stream] = st
+		st = &muxStream{id: f.Stream, sess: m.takeSession()}
+		m.streams[f.Stream] = st
 	}
 	if st.dead {
 		m.mu.Unlock()
 		cancel()
-		m.send(errFrame(f.id, f.stream, codeCanceled, 0, "stream retired after an abandoned statement"))
+		m.send(errFrame(f.ID, f.Stream, codeCanceled, 0, "stream retired after an abandoned statement"))
 		return true
 	}
 	mt := &muxTask{
-		id: f.id, stream: f.stream, end: f.flags&flagEndStream != 0, start: time.Now(),
+		id: f.ID, stream: f.Stream, cancel: cancel, end: f.Flags&wire.FlagEndStream != 0, start: time.Now(),
 		t: &task{sess: st.sess, input: input, ctx: ctx, cancel: cancel, tn: m.tn, done: make(chan taskResult, 1)},
 	}
-	if f.typ == fvExecShard {
+	if f.Type == wire.TypeExecShard {
 		// Guarded at the dispatch switch: opts.Shard is non-nil here.
 		node := s.opts.Shard
 		mt.t.run = func(ctx context.Context) (string, error) { return node.Execute(ctx, input) }
 	}
-	m.byID[f.id] = mt
+	m.byID[f.ID] = mt
 	if st.running {
 		st.queue = append(st.queue, mt)
 		m.mu.Unlock()
@@ -315,16 +349,14 @@ func (m *muxConn) startTask(mt *muxTask, st *muxStream) bool {
 		// Expired or canceled while waiting in the stream FIFO: the
 		// statement never ran, so the stream itself is fine.
 		t.cancel()
-		code := codeDeadline
-		if errors.Is(err, context.Canceled) {
-			code = codeCanceled
-		} else {
-			metricDeadline.Inc()
-		}
-		m.reply(mt, errFrame(mt.id, mt.stream, code, 0, err.Error()))
+		m.reply(mt, errFrame(mt.id, mt.stream, failCode(err), 0, err.Error()))
 		return false
 	}
+	// The reply is owed from before the task can reach a worker, so a drain
+	// that has seen the statement finish also sees its reply outstanding.
+	s.replyWG.Add(1)
 	if code, err := s.submit(t); err != nil {
+		s.replyWG.Done()
 		t.cancel()
 		var hint time.Duration
 		if code == codeOverloaded || code == codeQuota {
@@ -333,7 +365,6 @@ func (m *muxConn) startTask(mt *muxTask, st *muxStream) bool {
 		m.reply(mt, errFrame(mt.id, mt.stream, code, hint, err.Error()))
 		return false
 	}
-	s.replyWG.Add(1)
 	go m.await(mt, st)
 	return true
 }
@@ -356,19 +387,7 @@ func (m *muxConn) await(mt *muxTask, st *muxStream) {
 			m.reply(mt, errFrame(mt.id, mt.stream, codePanic, 0, res.err.Error()))
 			retire = true
 		case res.err != nil:
-			code := codeExec
-			if errors.Is(res.err, context.DeadlineExceeded) {
-				code = codeDeadline
-				metricDeadline.Inc()
-			} else if errors.Is(res.err, context.Canceled) {
-				code = codeCanceled
-			} else if errors.Is(res.err, storage.ErrDeposed) {
-				// This node was fenced by a newer primary; the write
-				// definitively did not execute — "stale" tells a router to
-				// re-discover the primary and retry there.
-				code = codeStale
-			}
-			m.reply(mt, errFrame(mt.id, mt.stream, code, 0, res.err.Error()))
+			m.reply(mt, errFrame(mt.id, mt.stream, failCode(res.err), 0, res.err.Error()))
 		default:
 			m.reply(mt, okFrame(mt.id, mt.stream, res.out))
 		}
@@ -377,15 +396,8 @@ func (m *muxConn) await(mt *muxTask, st *muxStream) {
 		// running. Answer now — the server always answers or sheds — and
 		// retire only this stream: its session may still be executing, so
 		// it must never run another statement, but the connection and every
-		// other stream keep going (v1 had to retire the whole connection
-		// here).
-		code := codeDeadline
-		if errors.Is(t.ctx.Err(), context.Canceled) {
-			code = codeCanceled
-		} else {
-			metricDeadline.Inc()
-		}
-		m.reply(mt, errFrame(mt.id, mt.stream, code, 0, t.ctx.Err().Error()))
+		// other stream keep going.
+		m.reply(mt, errFrame(mt.id, mt.stream, failCode(t.ctx.Err()), 0, t.ctx.Err().Error()))
 		retire = true
 	}
 	if next := m.afterTask(mt, st, retire); next != nil {
@@ -442,17 +454,13 @@ func (m *muxConn) afterTask(mt *muxTask, st *muxStream, retire bool) *muxTask {
 // cancelID handles a CANCEL frame: best effort, no reply of its own. A
 // still-queued request is answered "canceled" immediately; a request in
 // the worker pool gets its context canceled and answers through the normal
-// await path; an unknown id (already answered, never seen) is a no-op.
+// await path; a feed ends, and its goroutine answers and deregisters it;
+// an unknown id (already answered, never seen) is a no-op.
 func (m *muxConn) cancelID(id uint64) {
 	m.mu.Lock()
-	if cancel := m.subs[id]; cancel != nil {
-		m.mu.Unlock()
-		cancel() // the feed goroutine answers and deregisters itself
-		return
-	}
 	mt := m.byID[id]
 	queued := false
-	if mt != nil && !mt.started {
+	if mt != nil && mt.t != nil && !mt.started {
 		if st := m.streams[mt.stream]; st != nil {
 			for i, q := range st.queue {
 				if q == mt {
@@ -470,7 +478,7 @@ func (m *muxConn) cancelID(id uint64) {
 	if mt == nil {
 		return
 	}
-	mt.t.cancel()
+	mt.cancel()
 	if queued {
 		m.reply(mt, errFrame(mt.id, mt.stream, codeCanceled, 0, "canceled before execution"))
 	}

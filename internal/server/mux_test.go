@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"hrdb/internal/wire"
 )
 
 // waitParked blocks until n statements are parked on the gate.
@@ -24,7 +28,7 @@ func waitParked(t *testing.T, gate *gateTarget, n int64) {
 
 // waitAnswered blocks until the server has recorded more request latencies
 // than before — i.e. it has written at least one more reply. The latency
-// histogram is observed at reply time on both protocols, so this is the
+// histogram is observed at reply time, so this is the
 // reliable "the server answered" synchronization point (the client can
 // return earlier off its own local ctx timer).
 func waitAnswered(t *testing.T, before uint64) {
@@ -38,10 +42,9 @@ func waitAnswered(t *testing.T, before uint64) {
 	}
 }
 
-// TestMuxPipeliningOutOfOrder is the point of protocol v2: two requests
-// pipelined on ONE connection complete out of order — a fast read overtakes
-// a slow mutation instead of queueing behind it the way v1's one-at-a-time
-// line protocol forces.
+// TestMuxPipeliningOutOfOrder is the point of the framed protocol: two
+// requests pipelined on ONE connection complete out of order — a fast read
+// overtakes a slow mutation instead of queueing behind it.
 func TestMuxPipeliningOutOfOrder(t *testing.T) {
 	gate := &gateTarget{Target: newMemTarget(t), gate: make(chan struct{})}
 	srv := startServer(t, gate, Options{Workers: 2, QueueDepth: 8})
@@ -53,12 +56,6 @@ func TestMuxPipeliningOutOfOrder(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	c.connMu.Lock()
-	v2 := c.c2 != nil
-	c.connMu.Unlock()
-	if !v2 {
-		t.Fatal("auto-negotiation did not land on protocol v2")
-	}
 	ctx := context.Background()
 
 	order := make(chan string, 2)
@@ -134,23 +131,12 @@ func TestStreamTransactionAcrossExecs(t *testing.T) {
 	if _, err := st.Exec(ctx, "HOLDS Flies (Bird);"); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Exec on closed stream: %v, want ErrClientClosed", err)
 	}
-
-	// Streams are a v2 construct; a v1 connection says so explicitly.
-	c1, err := Dial(srv.Addr(), WithProtocol(ProtocolV1))
-	if err != nil {
-		t.Fatalf("Dial v1: %v", err)
-	}
-	defer c1.Close()
-	if _, err := c1.Stream(); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Stream on v1: %v, want ErrUnsupported", err)
-	}
 }
 
 // TestCancelFrameLeavesConnectionUsable: canceling a pipelined request
 // kills that request (the server answers "canceled" promptly, while the
 // statement is still parked) and nothing else — the same connection keeps
-// serving other requests, unlike v1 where abandoning a statement retired
-// the whole connection.
+// serving other requests.
 func TestCancelFrameLeavesConnectionUsable(t *testing.T) {
 	gate := &gateTarget{Target: newMemTarget(t), gate: make(chan struct{})}
 	srv := startServer(t, gate, Options{Workers: 2, QueueDepth: 8})
@@ -227,71 +213,63 @@ func TestDeadlineRetiresStreamNotConnection(t *testing.T) {
 }
 
 // TestTenantNamespaceIsolation: a named tenant is its own catalog, resolved
-// at HELLO on v2 and via USE on v1; statements in one namespace are
-// invisible in the other.
+// at HELLO; statements in one namespace are invisible in the other.
 func TestTenantNamespaceIsolation(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{
 		Tenants: []TenantConfig{{Name: "mux-iso-acme"}},
 	})
 	ctx := context.Background()
 
-	for _, proto := range []struct {
-		name string
-		opt  Option
-	}{
-		{"v2-hello", WithProtocol(ProtocolAuto)},
-		{"v1-use", WithProtocol(ProtocolV1)},
-	} {
-		t.Run(proto.name, func(t *testing.T) {
-			ct, err := Dial(srv.Addr(), proto.opt, WithTenant("mux-iso-acme"))
-			if err != nil {
-				t.Fatalf("Dial tenant: %v", err)
-			}
-			defer ct.Close()
-			if got := ct.Tenant(); got != "mux-iso-acme" {
-				t.Fatalf("Tenant() = %q", got)
-			}
-			cd, err := Dial(srv.Addr(), proto.opt)
-			if err != nil {
-				t.Fatalf("Dial default: %v", err)
-			}
-			defer cd.Close()
+	t.Run("v2-hello", func(t *testing.T) {
+		ct, err := Dial(srv.Addr(), WithTenant("mux-iso-acme"))
+		if err != nil {
+			t.Fatalf("Dial tenant: %v", err)
+		}
+		defer ct.Close()
+		if got := ct.Tenant(); got != "mux-iso-acme" {
+			t.Fatalf("Tenant() = %q", got)
+		}
+		cd, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatalf("Dial default: %v", err)
+		}
+		defer cd.Close()
+		if got := cd.Tenant(); got != DefaultTenant {
+			t.Fatalf("default Tenant() = %q", got)
+		}
 
-			// The fixture relation lives only in the default namespace.
-			out, err := ct.Exec(ctx, "SHOW RELATIONS;")
-			if err != nil {
-				t.Fatalf("tenant SHOW RELATIONS: %v", err)
-			}
-			if strings.Contains(out, "Flies") {
-				t.Fatalf("tenant namespace sees the default catalog: %q", out)
-			}
-			out, err = cd.Exec(ctx, "SHOW RELATIONS;")
-			if err != nil || !strings.Contains(out, "Flies") {
-				t.Fatalf("default SHOW RELATIONS = %q, %v", out, err)
-			}
+		// The fixture relation lives only in the default namespace.
+		out, err := ct.Exec(ctx, "SHOW RELATIONS;")
+		if err != nil {
+			t.Fatalf("tenant SHOW RELATIONS: %v", err)
+		}
+		if strings.Contains(out, "Flies") {
+			t.Fatalf("tenant namespace sees the default catalog: %q", out)
+		}
+		out, err = cd.Exec(ctx, "SHOW RELATIONS;")
+		if err != nil || !strings.Contains(out, "Flies") {
+			t.Fatalf("default SHOW RELATIONS = %q, %v", out, err)
+		}
 
-			// And writes go the other way: a hierarchy created in the tenant
-			// namespace never shows up in the default one.
-			zoo := "Zoo" + strings.ReplaceAll(proto.name, "-", "")
-			if _, err := ct.Exec(ctx, "CREATE HIERARCHY "+zoo+";"); err != nil {
-				t.Fatalf("tenant CREATE HIERARCHY: %v", err)
-			}
-			out, err = cd.Exec(ctx, "SHOW HIERARCHIES;")
-			if err != nil || strings.Contains(out, zoo) {
-				t.Fatalf("default namespace sees tenant hierarchy: %q, %v", out, err)
-			}
-		})
-	}
+		// And writes go the other way: a hierarchy created in the tenant
+		// namespace never shows up in the default one.
+		zoo := "Zoov2hello"
+		if _, err := ct.Exec(ctx, "CREATE HIERARCHY "+zoo+";"); err != nil {
+			t.Fatalf("tenant CREATE HIERARCHY: %v", err)
+		}
+		out, err = cd.Exec(ctx, "SHOW HIERARCHIES;")
+		if err != nil || strings.Contains(out, zoo) {
+			t.Fatalf("default namespace sees tenant hierarchy: %q, %v", out, err)
+		}
+	})
 }
 
 // TestUnknownTenantFailsDial: naming a tenant the server does not serve is
-// a hard, typed failure at Dial on both protocols.
+// a hard, typed failure at Dial.
 func TestUnknownTenantFailsDial(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{})
-	for _, proto := range []Option{WithProtocol(ProtocolAuto), WithProtocol(ProtocolV1)} {
-		if _, err := Dial(srv.Addr(), proto, WithTenant("mux-no-such-tenant")); !errors.Is(err, ErrUnknownTenant) {
-			t.Errorf("Dial unknown tenant: %v, want ErrUnknownTenant", err)
-		}
+	if _, err := Dial(srv.Addr(), WithTenant("mux-no-such-tenant")); !errors.Is(err, ErrUnknownTenant) {
+		t.Errorf("Dial unknown tenant: %v, want ErrUnknownTenant", err)
 	}
 }
 
@@ -448,20 +426,22 @@ func TestClientCloseFailsInflightPipelined(t *testing.T) {
 	}
 }
 
-// TestCrossVersionMatrix pins both directions of compatibility: a v2
-// server serves forced-v1 clients; a v1-only server downgrades auto
-// clients through the HELLO rejection; and a client that insists on v2
-// against a v1-only server fails with a typed protocol error.
+// TestCrossVersionMatrix pins what each side of a version mismatch sees now
+// that the framed protocol is the only one: a current client against a
+// current server works end to end; against a server that predates the
+// framed protocol (it answers HELLO as an unknown verb) Dial fails with a
+// typed protocol error instead of falling back; and a line-protocol client
+// gets exactly one ERR proto before the server hangs up.
 func TestCrossVersionMatrix(t *testing.T) {
 	ctx := context.Background()
-	check := func(t *testing.T, c *Client, wantV2 bool) {
-		t.Helper()
-		c.connMu.Lock()
-		v2 := c.c2 != nil
-		c.connMu.Unlock()
-		if v2 != wantV2 {
-			t.Fatalf("negotiated v2=%v, want %v", v2, wantV2)
+
+	t.Run("v2-server", func(t *testing.T) {
+		srv := startServer(t, newMemTarget(t), Options{})
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
 		}
+		defer c.Close()
 		if err := c.Ping(ctx); err != nil {
 			t.Fatalf("Ping: %v", err)
 		}
@@ -472,36 +452,34 @@ func TestCrossVersionMatrix(t *testing.T) {
 		if _, err := c.Stats(ctx); err != nil {
 			t.Fatalf("Stats: %v", err)
 		}
-	}
-
-	t.Run("v2-server", func(t *testing.T) {
-		srv := startServer(t, newMemTarget(t), Options{})
-		auto, err := Dial(srv.Addr())
-		if err != nil {
-			t.Fatalf("Dial auto: %v", err)
-		}
-		defer auto.Close()
-		check(t, auto, true)
-
-		v1, err := Dial(srv.Addr(), WithProtocol(ProtocolV1))
-		if err != nil {
-			t.Fatalf("Dial v1: %v", err)
-		}
-		defer v1.Close()
-		check(t, v1, false)
 	})
 
 	t.Run("v1-only-server", func(t *testing.T) {
-		srv := startServer(t, newMemTarget(t), Options{DisableV2: true})
-		auto, err := Dial(srv.Addr())
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatalf("Dial auto: %v", err)
+			t.Fatal(err)
 		}
-		defer auto.Close()
-		check(t, auto, false)
+		defer ln.Close()
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				bufio.NewReader(c).ReadString('\n')
+				wire.WriteHelloErr(c, "proto", 0, `protocol error: unknown verb "HELLO"`)
+				c.Close()
+			}
+		}()
+		if _, err := Dial(ln.Addr().String()); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("Dial against a pre-v2 server: %v, want ErrProtocol", err)
+		}
+	})
 
-		if _, err := Dial(srv.Addr(), WithProtocol(ProtocolV2)); !errors.Is(err, ErrProtocol) {
-			t.Fatalf("forced v2 against v1-only server: %v, want ErrProtocol", err)
+	t.Run("v1-client", func(t *testing.T) {
+		srv := startServer(t, newMemTarget(t), Options{})
+		if got := v1Exchange(t, srv.Addr(), "EXEC 0 5\nPING;\n"); !strings.HasPrefix(got, "ERR proto 0 ") {
+			t.Fatalf("v1 EXEC answered %q, want one ERR proto", got)
 		}
 	})
 }

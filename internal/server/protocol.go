@@ -5,365 +5,129 @@
 // quotas, and graceful drain — plus the matching client (Dial) and a
 // fault-injecting ChaosProxy for tests.
 //
-// Two wire protocols share the port. Protocol v1 is the original textual
-// line protocol: strictly sequential per connection, one statement at a
-// time. Protocol v2 is a framed binary protocol: a connection carries many
-// logical streams, clients pipeline requests, and the server replies out
-// of order from its worker pool. docs/HQL.md holds the full reference for
-// both; the summary below is the contract this package implements.
+// # Wire protocol
 //
-// # Protocol v1 (line protocol)
-//
-// Textual frames with length-prefixed payloads. Requests are strictly
-// sequential per connection (no pipelining), which is what lets one
-// hql.Session — single-goroutine by contract — serve the whole connection:
-//
-//	client → server:
-//	  EXEC <timeout_ms> <n>\n<n payload bytes>\n   execute HQL script
-//	  PING\n                                       liveness probe
-//	  STATS\n                                      process metrics snapshot
-//	  USE <tenant>\n                               switch namespace
-//	  QUIT\n                                       close the connection
-//	  HELLO <version> [tenant]\n                   offer a protocol upgrade
-//	  SNAP\n                                       replication snapshot bootstrap
-//	  REPL <epoch> <offset> [term]\n               subscribe to the WAL stream
-//	  PROMOTE\n                                    promote a replica to writable
-//	  LAG\n                                        replication lag probe
-//	  SHARDMAP\n                                   shard identity probe
-//	  EXECSHARD <timeout_ms> <n>\n<payload>\n      execute a shard operation
-//	  SUBSCRIBE <name> [<epoch> <offset>]\n        follow a view change feed
-//
-//	server → client:
-//	  OK <n>\n<n payload bytes>\n                  statement output
-//	  ERR <code> <retry_ms> <n>\n<n bytes>\n       failure, payload = message
-//
-// STATS answers with an OK frame whose payload is the process's metrics in
-// Prometheus text exposition format (the same text the optional HTTP
-// /metrics endpoint serves); it is answered inline, without consuming a
-// worker, so it works even when the admission queue is saturated.
-//
-// timeout_ms is the client's deadline for the request in milliseconds
-// (0 = none); the server caps it at its MaxDeadline. retry_ms is a
-// backoff hint, nonzero for "overloaded" and "quota".
-//
-// # Handshake
-//
-// A v2-capable client opens every connection with `HELLO 2 [tenant]` in v1
-// text framing. A v2-capable server answers `OK` with payload
-// `v2 tenant=<resolved>` and the connection switches to binary framing; a
-// pre-v2 server rejects HELLO as an unknown verb (`ERR proto`) and closes,
-// and the client redials in v1 mode (sending `USE <tenant>` first when a
-// tenant was requested). An unknown tenant answers `ERR tenant` and is a
-// hard failure — no fallback, since no protocol serves that namespace.
-//
-// # Protocol v2 (framed binary)
-//
-// After the handshake every message is one length-prefixed frame:
+// Every connection speaks one framing, defined in internal/wire (the full
+// reference is docs/HQL.md, "Wire protocol"). The client opens with the
+// text line `HELLO 2 [tenant]`; the server answers `OK` with payload
+// `v2 tenant=<resolved>`, and from then on both directions carry
+// length-prefixed binary frames:
 //
 //	u32 length | u8 type | u8 flags | u64 id | u32 stream | payload
 //
-// (big-endian; length counts everything after itself, minimum 14). The id
-// correlates a response to its request; the stream groups requests into
+// Any other opening line is answered with one text `ERR proto` and the
+// connection is closed; so are an unknown tenant (`ERR tenant`), a
+// connection beyond MaxConns (`ERR overloaded`) and one arriving during
+// drain (`ERR shutdown`).
+//
+// The id correlates a response with its request and must be unique among
+// the connection's outstanding requests: statements, change feeds and a
+// replication stream share one id table, and a duplicate is a protocol
+// error that closes the connection. The stream groups requests into
 // logical sub-connections. Requests on one stream execute in order on one
 // server-side session (so transactions work); distinct streams execute
-// concurrently on the worker pool, and responses come back in completion
-// order, not submission order. CANCEL aborts a request by id; a deadline
-// or cancellation that catches a statement mid-execution retires only its
-// stream — the connection and every other stream keep going (under v1 the
-// same condition retires the whole connection). Frame types and payloads
-// are defined in protocol2.go; error frames carry the same codes as v1.
+// concurrently on the worker pool and are answered in completion order.
+// CANCEL aborts a request by id; a deadline or cancellation that catches a
+// statement mid-execution retires only its stream.
+//
+//	EXEC       u32 timeout_ms | HQL script   → OK output | ERR
+//	EXECSHARD  u32 timeout_ms | shard op     → OK | ERR          (Options.Shard)
+//	PING                                     → OK "pong"
+//	STATS                                    → OK Prometheus text
+//	LAG                                      → OK lag payload    (Options.LagProbe)
+//	PROMOTE                                  → OK "promoted"     (Options.Promote)
+//	SHARDMAP                                 → OK "<id> <count>" (Options.Shard)
+//	SUBSCRIBE  u8 resume | u64 epoch | u64 offset | name → SUB frames (Options.Subscribe)
+//	SNAP                                     → OK bootstrap      (Options.Repl)
+//	REPL       u64 term | u64 epoch | u64 offset → the stream    (Options.Repl)
+//	CANCEL, ENDSTREAM, GOODBYE               → no reply
+//
+// A request whose hook is not configured answers ERR "unsupported". EXEC
+// and EXECSHARD run on the worker pool under admission control; everything
+// else is answered inline by the connection's reader, so PING, STATS and
+// LAG work even when the admission queue is saturated. timeout_ms is the
+// client's deadline in milliseconds (0 = none), capped at MaxDeadline.
 //
 // # Error codes
 //
-// Shared by both protocol versions. Each code maps to exactly one exported
-// sentinel via errors.Is (see errors.go):
+// ERR payloads carry a code, a backoff hint and a message. Each code maps
+// to exactly one exported sentinel via errors.Is (see errors.go):
 //
-//	proto       malformed frame; the connection is closed
-//	toolarge    statement exceeds MaxStatementBytes; connection closed
+//	proto       malformed frame, duplicate id, or a REPL that is not the
+//	            connection's only outstanding request; connection closed
+//	toolarge    frame exceeds MaxStatementBytes; connection closed
 //	exec        the statement failed (parse or execution error)
 //	overloaded  admission queue full — not executed, safe to retry
 //	quota       tenant over its admission quota or rate limit — not
 //	            executed, safe to retry after backoff
-//	tenant      unknown namespace in HELLO or USE
+//	tenant      unknown namespace in HELLO
 //	deadline    the deadline expired; if the statement was already
-//	            running its effects may still apply (v1 closes the
-//	            connection then; v2 retires only the stream)
+//	            running its effects may still apply (the stream is retired)
 //	canceled    the request was canceled (CANCEL frame, stream teardown,
-//	            or server drain deadline)
-//	panic       the statement panicked; isolated; the session is retired
-//	            (v1: connection closed; v2: stream retired)
+//	            server drain deadline, or the end of a feed)
+//	panic       the statement panicked; isolated; the stream is retired
 //	shutdown    server is draining — not executed, retry elsewhere/later
-//	unsupported the verb is not enabled on this server (e.g. REPL/SNAP on
-//	            a server without a replication source, PROMOTE on a
-//	            primary, LAG on a non-replica)
-//	stale       a REPL position this server can no longer serve (the WAL
-//	            was superseded by a checkpoint); re-bootstrap via SNAP
+//	unsupported the request is not enabled on this server (e.g. REPL/SNAP
+//	            without a replication source, PROMOTE on a primary, LAG on
+//	            a non-replica)
+//	stale       a write on a node fenced by a newer primary, or a REPL
+//	            position this server can no longer serve; re-bootstrap via
+//	            SNAP (replication) or re-route to the new primary (client)
 //
-// # Multi-tenancy
-//
-// A server may host named namespaces (Options.Tenants), each an
-// independent hql.Target with its own admission quota, rate limit, and
-// labeled metrics. Connections resolve their namespace at HELLO (v2) or
-// via USE (v1); the default namespace is the server's main target.
-//
-// # Replication verbs
+// # Replication
 //
 // SNAP answers with an OK frame whose payload is a gob-encoded bootstrap
-// (database spec + the replication position it corresponds to). REPL does
-// not answer with an OK frame at all: on success the server takes the
-// connection over and emits stream frames (see internal/repl for the
-// framing: SHIP/HB/ROTATE lines, ACK lines flowing back) until either side
-// closes; on failure it answers ERR ("unsupported" or "stale") and closes.
-// LAG answers "<staleness_ms> <epoch> <offset> <state> <term> <id>
-// <source>" (staleness_ms = -1 when unknown, e.g. while the replica has
-// never been caught up; "-" encodes an empty id or source; pre-failover
-// servers emit only the first four fields). PROMOTE flips a replica
-// writable and answers "promoted".
+// (database spec plus the replication position it corresponds to). REPL
+// must be the connection's only outstanding request: the server hands the
+// connection to Options.Repl.ServeStream, which writes SHIP, HB and ROTATE
+// frames carrying the request's id and reads the follower's ACK frames
+// until either side closes; an unservable position is answered with an
+// ordinary ERR "stale" frame. LAG answers "<staleness_ms> <epoch> <offset>
+// <state> <term> <id> <source>" (see wire.LagPayload).
 //
-// # Subscription verb
+// # Subscriptions
 //
-// Servers with a change-feed source attached (Options.Subscribe, typically
-// a view.Manager) answer SUBSCRIBE. On success the server replies with an
-// empty OK frame and then takes the connection over, pushing subwire
-// frames (SNAP/DELTA/HB/ERR — see internal/subwire) until the client
-// closes the connection or the feed ends with an in-band ERR frame. With
-// the optional position the feed resumes: it replays exactly the committed
-// deltas after (epoch, offset), gap- and duplicate-free, or answers an
-// in-band ERR "stale" when that position fell out of the retained journal
-// (resubscribe without a position for a fresh snapshot). Protocol v2
-// carries the same feed in SUB frames (see protocol2.go). Like REPL, a
-// draining server refuses new subscriptions with "shutdown", and running
-// feeds end when their connections are retired.
+// SUBSCRIBE opens a change feed over Options.Subscribe (typically a
+// view.Manager): each subwire frame (SNAP/DELTA/HB/ERR, see
+// internal/subwire) arrives wrapped in a SUB frame carrying the request's
+// id, until the client cancels the id or the feed ends, which is answered
+// with ERR "canceled". With resume the feed replays exactly the committed
+// deltas after (epoch, offset), or reports an in-band ERR "stale" when that
+// position fell out of the retained journal.
 //
-// # Shard verbs
+// # Shards
 //
-// Servers started as cluster members (Options.Shard) additionally answer
-// SHARDMAP — inline, with "<shard_id> <shard_count>" — and EXECSHARD, which
-// is framed exactly like EXEC (and has a matching v2 frame type) but whose
-// payload is a shard operation in internal/shard's wire format (TUPLES,
-// SELECT, EVAL, and the two-phase-commit verbs PREPARE/COMMIT/ABORT/APPLY)
-// instead of an HQL script. EXECSHARD runs on the worker pool under the
-// same admission control and deadlines as EXEC. Both verbs answer ERR
-// "unsupported" on a server with no shard node attached.
+// Servers started as cluster members (Options.Shard) answer SHARDMAP with
+// "<shard_id> <shard_count>" and EXECSHARD, whose payload is a shard
+// operation in internal/shard's wire format (TUPLES, SELECT, EVAL, and the
+// two-phase-commit verbs PREPARE/COMMIT/ABORT/APPLY) instead of an HQL
+// script.
 package server
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
+	"math"
 	"time"
+
+	"hrdb/internal/wire"
 )
 
-// errProto reports a malformed frame. It is the unexported spelling of
-// ErrProtocol (the code table in errors.go owns the exported sentinel).
-var errProto = ErrProtocol
-
-// request is one decoded client frame.
-type request struct {
-	verb    string // "EXEC" | "EXECSHARD" | "PING" | "STATS" | "QUIT" | "HELLO" | "USE" | "SNAP" | "REPL" | "PROMOTE" | "LAG" | "SHARDMAP" | "SUBSCRIBE"
-	timeout time.Duration
-	input   string
-	epoch   uint64 // REPL and SUBSCRIBE: stream position
-	offset  int64  // REPL and SUBSCRIBE: stream position
-	term    uint64 // REPL only: follower's highest fencing term (0 = pre-term)
-	resume  bool   // SUBSCRIBE only: a position was supplied
-	proto   int    // HELLO only: requested protocol version
-	tenant  string // HELLO and USE: requested namespace ("" = default)
+// execPayload encodes an EXEC or EXECSHARD payload: u32 timeout_ms |
+// script. Negative timeouts clamp to zero (no deadline), overflow to the
+// field's maximum.
+func execPayload(timeout time.Duration, input string) []byte {
+	ms := min(max(timeout.Milliseconds(), 0), math.MaxUint32)
+	p := make([]byte, 4, 4+len(input))
+	binary.BigEndian.PutUint32(p, uint32(ms))
+	return append(p, input...)
 }
 
-// readRequest decodes one request frame. maxBytes bounds the payload; a
-// larger announced length fails with errProto-wrapped "toolarge" handling
-// at the caller.
-func readRequest(br *bufio.Reader, maxBytes int) (request, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return request{}, err
+// parseExecPayload decodes an EXEC or EXECSHARD payload.
+func parseExecPayload(p []byte) (timeout time.Duration, input string, err error) {
+	if len(p) < 4 {
+		return 0, "", fmt.Errorf("%w: EXEC payload %d bytes, want ≥ 4", wire.ErrProtocol, len(p))
 	}
-	line = strings.TrimRight(line, "\r\n")
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return request{}, fmt.Errorf("%w: empty request line", errProto)
-	}
-	switch fields[0] {
-	case "PING", "STATS", "QUIT", "SNAP", "PROMOTE", "LAG", "SHARDMAP":
-		if len(fields) != 1 {
-			return request{}, fmt.Errorf("%w: %s takes no arguments", errProto, fields[0])
-		}
-		return request{verb: fields[0]}, nil
-	case "HELLO":
-		// HELLO <version> [tenant] — protocol upgrade offer. It rides the v1
-		// text framing so a pre-v2 server rejects it as an unknown verb and
-		// the client falls back (see the package doc).
-		if len(fields) != 2 && len(fields) != 3 {
-			return request{}, fmt.Errorf("%w: want HELLO <version> [tenant]", errProto)
-		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil || v < 1 {
-			return request{}, fmt.Errorf("%w: bad protocol version %q", errProto, fields[1])
-		}
-		req := request{verb: "HELLO", proto: v}
-		if len(fields) == 3 {
-			req.tenant = fields[2]
-		}
-		return req, nil
-	case "USE":
-		// USE <tenant> — switch this v1 connection's namespace.
-		if len(fields) != 2 {
-			return request{}, fmt.Errorf("%w: want USE <tenant>", errProto)
-		}
-		return request{verb: "USE", tenant: fields[1]}, nil
-	case "REPL":
-		// REPL <epoch> <offset> [term] — the optional term announces the
-		// follower's highest fencing term (absent from pre-term followers).
-		if len(fields) != 3 && len(fields) != 4 {
-			return request{}, fmt.Errorf("%w: want REPL <epoch> <offset> [term]", errProto)
-		}
-		epoch, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return request{}, fmt.Errorf("%w: bad epoch %q", errProto, fields[1])
-		}
-		offset, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || offset < 0 {
-			return request{}, fmt.Errorf("%w: bad offset %q", errProto, fields[2])
-		}
-		req := request{verb: "REPL", epoch: epoch, offset: offset}
-		if len(fields) == 4 {
-			term, err := strconv.ParseUint(fields[3], 10, 64)
-			if err != nil {
-				return request{}, fmt.Errorf("%w: bad term %q", errProto, fields[3])
-			}
-			req.term = term
-		}
-		return req, nil
-	case "SUBSCRIBE":
-		// SUBSCRIBE <name> [<epoch> <offset>] — follow a view or relation
-		// change feed, optionally resuming after a position.
-		if len(fields) != 2 && len(fields) != 4 {
-			return request{}, fmt.Errorf("%w: want SUBSCRIBE <name> [<epoch> <offset>]", errProto)
-		}
-		req := request{verb: "SUBSCRIBE", input: fields[1]}
-		if len(fields) == 4 {
-			epoch, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				return request{}, fmt.Errorf("%w: bad epoch %q", errProto, fields[2])
-			}
-			offset, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil || offset < 0 {
-				return request{}, fmt.Errorf("%w: bad offset %q", errProto, fields[3])
-			}
-			req.epoch, req.offset, req.resume = epoch, offset, true
-		}
-		return req, nil
-	case "EXEC", "EXECSHARD":
-		// EXECSHARD is framed exactly like EXEC; only the payload's
-		// interpretation differs (shard operation vs HQL script).
-		if len(fields) != 3 {
-			return request{}, fmt.Errorf("%w: want %s <timeout_ms> <n>", errProto, fields[0])
-		}
-		ms, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil || ms < 0 {
-			return request{}, fmt.Errorf("%w: bad timeout %q", errProto, fields[1])
-		}
-		n, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || n < 0 {
-			return request{}, fmt.Errorf("%w: bad length %q", errProto, fields[2])
-		}
-		if n > int64(maxBytes) {
-			return request{}, errTooLarge
-		}
-		payload := make([]byte, n+1)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return request{}, fmt.Errorf("%w: truncated payload: %v", errProto, err)
-		}
-		if payload[n] != '\n' {
-			return request{}, fmt.Errorf("%w: missing payload terminator", errProto)
-		}
-		return request{
-			verb:    fields[0],
-			timeout: time.Duration(ms) * time.Millisecond,
-			input:   string(payload[:n]),
-		}, nil
-	default:
-		return request{}, fmt.Errorf("%w: unknown verb %q", errProto, fields[0])
-	}
-}
-
-// errTooLarge marks a statement over the size limit (alias of the exported
-// sentinel; see errors.go).
-var errTooLarge = ErrStatementTooLarge
-
-// writeOK emits an OK frame.
-func writeOK(bw *bufio.Writer, payload string) error {
-	if _, err := fmt.Fprintf(bw, "OK %d\n%s\n", len(payload), payload); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// writeErr emits an ERR frame.
-func writeErr(bw *bufio.Writer, code Code, retryAfter time.Duration, msg string) error {
-	if _, err := fmt.Fprintf(bw, "ERR %s %d %d\n%s\n",
-		code, retryAfter.Milliseconds(), len(msg), msg); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// response is one decoded server frame (client side), shared by both
-// protocol versions: v1 parses it from a text frame, v2 from a binary one.
-type response struct {
-	ok         bool
-	code       Code
-	retryAfter time.Duration
-	payload    string
-}
-
-// readResponse decodes one response frame.
-func readResponse(br *bufio.Reader, maxBytes int) (response, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return response{}, err
-	}
-	line = strings.TrimRight(line, "\r\n")
-	fields := strings.Fields(line)
-	read := func(lenField string) (string, error) {
-		n, err := strconv.ParseInt(lenField, 10, 64)
-		if err != nil || n < 0 || n > int64(maxBytes) {
-			return "", fmt.Errorf("%w: bad response length %q", errProto, lenField)
-		}
-		payload := make([]byte, n+1)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return "", err
-		}
-		if payload[n] != '\n' {
-			return "", fmt.Errorf("%w: missing response terminator", errProto)
-		}
-		return string(payload[:n]), nil
-	}
-	switch {
-	case len(fields) == 2 && fields[0] == "OK":
-		payload, err := read(fields[1])
-		if err != nil {
-			return response{}, err
-		}
-		return response{ok: true, payload: payload}, nil
-	case len(fields) == 4 && fields[0] == "ERR":
-		ms, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || ms < 0 {
-			return response{}, fmt.Errorf("%w: bad retry hint %q", errProto, fields[2])
-		}
-		payload, err := read(fields[3])
-		if err != nil {
-			return response{}, err
-		}
-		return response{
-			code:       Code(fields[1]),
-			retryAfter: time.Duration(ms) * time.Millisecond,
-			payload:    payload,
-		}, nil
-	default:
-		return response{}, fmt.Errorf("%w: bad response line %q", errProto, line)
-	}
+	ms := binary.BigEndian.Uint32(p)
+	return time.Duration(ms) * time.Millisecond, string(p[4:]), nil
 }

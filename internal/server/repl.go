@@ -3,193 +3,114 @@ package server
 import (
 	"bufio"
 	"context"
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
+	"io"
+
+	"hrdb/internal/wire"
 )
 
 // This file is the server's replication surface. The server itself knows
-// nothing about WAL shipping: it decodes the replication verbs and
+// nothing about WAL shipping: it decodes the replication requests and
 // delegates to pluggable hooks (Options.Repl, Options.Promote,
 // Options.LagProbe), so the dependency points from internal/repl — which
-// implements them — into this package's wire contract, never back.
+// implements them — into the wire contract, never back.
 
 // ReplSource serves replication to followers. Implemented by repl.Primary
 // (and by repl.Replica once durably promoted).
 type ReplSource interface {
 	// Snapshot returns an opaque bootstrap payload: the database spec plus
 	// the replication position it corresponds to (the follower decodes it
-	// with the matching repl code). Served as a normal OK frame.
+	// with the matching repl code). Served as an OK frame answering SNAP.
 	Snapshot() ([]byte, error)
-	// ServeStream takes over a connection after a `REPL <epoch> <offset>
-	// [term]` request: it writes stream frames to w and consumes ACK lines
-	// from r until the stream ends (connection severed, source closed, or
-	// the position unservable). term is the follower's highest fencing term
-	// (zero from pre-term followers); a source holding a lower term has
-	// been deposed and must fence itself rather than serve. The server
-	// closes the connection afterwards.
-	ServeStream(r *bufio.Reader, w *bufio.Writer, epoch uint64, offset int64, term uint64) error
+	// ServeStream takes over a connection after the REPL request id asked
+	// for the stream at (from.Epoch, from.Offset): it writes SHIP, HB and
+	// ROTATE frames carrying id to w, one frame per Write, and consumes
+	// the follower's ACK frames from r until the stream ends (connection
+	// severed, source closed, or the position unservable — answered with
+	// an ERR "stale" frame). from.Term is the follower's highest fencing
+	// term; a source holding a lower term has been deposed and must fence
+	// itself rather than serve. The server closes the connection
+	// afterwards.
+	ServeStream(r *bufio.Reader, w io.Writer, id uint64, from wire.StreamPos) error
 }
 
-// LagInfo is a replica's replication state, served by the LAG verb and
-// consumed by lag-bounded read routing.
-type LagInfo struct {
-	// Staleness is the wall-clock age of the replica's view: how long ago
-	// it was last known to be caught up with the primary's durable
-	// position. Negative means unknown (never caught up, or disconnected
-	// with no bound) — routing must treat it as infinitely stale.
-	Staleness time.Duration
-	// Epoch and Offset are the replica's applied replication position.
-	Epoch  uint64
-	Offset int64
-	// State names the replica's phase: "streaming", "catchup",
-	// "connecting", "promoted", "stopped".
-	State string
-	// Term is the node's highest fencing term (zero from pre-term peers).
-	Term uint64
-	// ID is the node's election identity ("" when unset).
-	ID string
-	// Source is the address to stream from this node: its advertised
-	// replication address once promoted, its upstream otherwise.
-	Source string
-}
+// LagInfo is a replica's replication state, served by the LAG request and
+// consumed by lag-bounded read routing (see wire.LagInfo).
+type LagInfo = wire.LagInfo
 
-// lagPayload renders a LagInfo as the LAG verb's payload:
-// `<ms> <epoch> <offset> <state> <term> <id> <source>`, with "-" encoding
-// an empty id or source. Pre-failover clients read only the first four
-// fields... which is why the extension appends rather than reorders.
-func lagPayload(li LagInfo) string {
-	ms := int64(-1)
-	if li.Staleness >= 0 {
-		ms = li.Staleness.Milliseconds()
-	}
-	state := li.State
-	if state == "" {
-		state = "unknown"
-	}
-	id, source := li.ID, li.Source
-	if id == "" {
-		id = "-"
-	}
-	if source == "" {
-		source = "-"
-	}
-	return fmt.Sprintf("%d %d %d %s %d %s %s", ms, li.Epoch, li.Offset, state, li.Term, id, source)
-}
-
-// parseLagPayload decodes a LAG payload (client side): the legacy 4-field
-// form or the extended 7-field form with term/id/source appended.
-func parseLagPayload(payload string) (LagInfo, error) {
-	fields := strings.Fields(payload)
-	if len(fields) != 4 && len(fields) != 7 {
-		return LagInfo{}, fmt.Errorf("%w: bad LAG payload %q", errProto, payload)
-	}
-	ms, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return LagInfo{}, fmt.Errorf("%w: bad staleness %q", errProto, fields[0])
-	}
-	epoch, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return LagInfo{}, fmt.Errorf("%w: bad epoch %q", errProto, fields[1])
-	}
-	off, err := strconv.ParseInt(fields[2], 10, 64)
-	if err != nil {
-		return LagInfo{}, fmt.Errorf("%w: bad offset %q", errProto, fields[2])
-	}
-	staleness := time.Duration(-1)
-	if ms >= 0 {
-		staleness = time.Duration(ms) * time.Millisecond
-	}
-	li := LagInfo{Staleness: staleness, Epoch: epoch, Offset: off, State: fields[3]}
-	if len(fields) == 7 {
-		term, err := strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return LagInfo{}, fmt.Errorf("%w: bad LAG term %q", errProto, fields[4])
-		}
-		li.Term = term
-		if fields[5] != "-" {
-			li.ID = fields[5]
-		}
-		if fields[6] != "-" {
-			li.Source = fields[6]
-		}
-	}
-	return li, nil
-}
-
-// serveRepl dispatches the replication verbs. It reports whether the
-// connection may continue to the next request (REPL never continues: the
-// stream owns the connection until it ends).
-//
 // A draining server refuses to START a snapshot or stream: Shutdown closes
 // the store after the drain, and a follower bootstrap admitted during the
 // drain would race that close — it gets a retryable shutdown error and
 // bootstraps elsewhere (or later) instead. Streams already running are
-// unaffected; they end when the store closes under them.
-func (s *Server) serveRepl(bw *bufio.Writer, br *bufio.Reader, req request) bool {
-	switch req.verb {
-	case "SNAP":
-		if s.opts.Repl == nil {
-			return writeErr(bw, codeUnsupported, 0, "replication not enabled") == nil
-		}
-		if s.drainingNow() {
-			writeErr(bw, codeShutdown, 0, "server draining")
-			return false
-		}
-		payload, err := s.opts.Repl.Snapshot()
-		if err != nil {
-			return writeErr(bw, codeExec, 0, err.Error()) == nil
-		}
-		metricReplSnapshots.Inc()
-		return writeOK(bw, string(payload)) == nil
-	case "REPL":
-		if s.opts.Repl == nil {
-			writeErr(bw, codeUnsupported, 0, "replication not enabled")
-			return false
-		}
-		if s.drainingNow() {
-			writeErr(bw, codeShutdown, 0, "server draining")
-			return false
-		}
-		metricReplStreams.Inc()
-		defer metricReplStreams.Dec()
-		_ = s.opts.Repl.ServeStream(br, bw, req.epoch, req.offset, req.term)
-		return false
-	case "PROMOTE":
-		if s.opts.Promote == nil {
-			return writeErr(bw, codeUnsupported, 0, "not a replica") == nil
-		}
-		if err := s.opts.Promote(); err != nil {
-			return writeErr(bw, codeExec, 0, err.Error()) == nil
-		}
-		return writeOK(bw, "promoted") == nil
-	case "LAG":
-		if s.opts.LagProbe == nil {
-			return writeErr(bw, codeUnsupported, 0, "not a replica") == nil
-		}
-		return writeOK(bw, lagPayload(s.opts.LagProbe())) == nil
+// unaffected; they end when Shutdown retires their connections.
+
+// snap answers a SNAP frame.
+func (m *muxConn) snap(f wire.Frame) {
+	s := m.srv
+	if s.opts.Repl == nil {
+		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "replication not enabled"))
+		return
 	}
-	writeErr(bw, codeProto, 0, "unknown replication verb")
+	if s.drainingNow() {
+		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
+		return
+	}
+	payload, err := s.opts.Repl.Snapshot()
+	if err != nil {
+		m.send(errFrame(f.ID, f.Stream, codeExec, 0, err.Error()))
+		return
+	}
+	metricReplSnapshots.Inc()
+	m.send(wire.Frame{Type: wire.TypeOK, ID: f.ID, Stream: f.Stream, Payload: payload})
+}
+
+// repl answers a REPL frame by handing the connection to the replication
+// stream, which must be its only outstanding request: once the stream owns
+// the connection nothing else can be answered on it. It reports whether
+// the connection may continue — only after a refusal.
+func (m *muxConn) repl(f wire.Frame, br *bufio.Reader) bool {
+	s := m.srv
+	from, err := wire.ParseStreamPos(f.Payload)
+	if err != nil {
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, err.Error()))
+		return false
+	}
+	if s.opts.Repl == nil {
+		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "replication not enabled"))
+		return true
+	}
+	if s.drainingNow() {
+		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
+		return true
+	}
+	m.mu.Lock()
+	busy := len(m.byID) > 0
+	m.mu.Unlock()
+	if busy {
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, "REPL must be the connection's only outstanding request"))
+		return false
+	}
+	metricReplStreams.Inc()
+	defer metricReplStreams.Dec()
+	_ = s.opts.Repl.ServeStream(br, m, f.ID, from)
 	return false
 }
 
-// Lag queries a replica server's replication state (the LAG verb). Servers
-// without a lag probe answer with an "unsupported" ServerError.
+// Lag queries a replica server's replication state (the LAG request).
+// Servers without a lag probe answer with an "unsupported" ServerError.
 func (c *Client) Lag(ctx context.Context) (LagInfo, error) {
-	payload, err := c.inlineVerb(ctx, "LAG")
+	payload, err := c.inline(ctx, wire.TypeLag)
 	if err != nil {
 		return LagInfo{}, err
 	}
-	return parseLagPayload(payload)
+	return wire.ParseLag(payload)
 }
 
 // Promote asks a replica server to stop following and accept writes (the
-// PROMOTE verb). It is manual failover: the caller decides the old primary
-// is gone; the replica finishes applying whatever it has and flips
-// writable. Like Lag, it dispatches per protocol: a frame on v2, a text
-// line on v1 (see Client.inlineVerb).
+// PROMOTE request). It is manual failover: the caller decides the old
+// primary is gone; the replica finishes applying whatever it has and
+// flips writable. A failing promotion surfaces as an "exec" ServerError
+// carrying the cause.
 func (c *Client) Promote(ctx context.Context) error {
-	_, err := c.inlineVerb(ctx, "PROMOTE")
+	_, err := c.inline(ctx, wire.TypePromote)
 	return err
 }

@@ -4,13 +4,15 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
+	"io"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hrdb/internal/wire"
 )
 
-// The replication verbs at the protocol level, against stub hooks — the
+// The replication requests at the protocol level, against stub hooks — the
 // full stack (real Primary/Replica) is exercised by internal/repl's tests;
 // here the server's dispatch, framing, and client surface are pinned in
 // isolation.
@@ -19,158 +21,102 @@ import (
 type stubRepl struct {
 	snapshot []byte
 	snapErr  error
-	streamed chan [3]int64 // (epoch, offset, term) each ServeStream received
+	streamed chan wire.StreamPos // the position each ServeStream received
 }
 
 func (s *stubRepl) Snapshot() ([]byte, error) { return s.snapshot, s.snapErr }
 
-func (s *stubRepl) ServeStream(r *bufio.Reader, w *bufio.Writer, epoch uint64, offset int64, term uint64) error {
+func (s *stubRepl) ServeStream(r *bufio.Reader, w io.Writer, id uint64, from wire.StreamPos) error {
 	if s.streamed != nil {
-		s.streamed <- [3]int64{int64(epoch), offset, int64(term)}
+		s.streamed <- from
 	}
 	// Emit one heartbeat so the follower side has something to read, then
 	// end the stream.
-	fmt.Fprintf(w, "HB %d %d\n", epoch, offset)
-	return w.Flush()
+	return wire.WriteFrame(w, wire.Frame{Type: wire.TypeHB, ID: id, Payload: wire.AppendStreamPos(nil, from)})
 }
 
-func TestLagPayloadRoundTrip(t *testing.T) {
-	cases := []LagInfo{
-		{Staleness: 0, Epoch: 0, Offset: 0, State: "streaming"},
-		{Staleness: 1500 * time.Millisecond, Epoch: 3, Offset: 12345, State: "catchup"},
-		{Staleness: -1, Epoch: 0, Offset: 0, State: "connecting"},
-		{Staleness: 0, Epoch: 9, Offset: 7, State: "promoted", Term: 4, ID: "r1", Source: "10.0.0.9:7584"},
-	}
-	for _, want := range cases {
-		got, err := parseLagPayload(lagPayload(want))
-		if err != nil {
-			t.Fatalf("parse(%q): %v", lagPayload(want), err)
-		}
-		if want.Staleness < 0 {
-			if got.Staleness >= 0 {
-				t.Fatalf("unknown staleness round-tripped to %v", got.Staleness)
-			}
-			got.Staleness = want.Staleness
-		}
-		if got != want {
-			t.Fatalf("round trip: got %+v, want %+v", got, want)
-		}
-	}
-	// Empty id/source render as "-" so the payload stays field-splittable.
-	if li := (LagInfo{Staleness: -1}); lagPayload(li) != "-1 0 0 unknown 0 - -" {
-		t.Fatalf("empty-state payload = %q", lagPayload(li))
-	}
-	// The legacy 4-field payload (pre-failover peers) still parses.
-	legacy, err := parseLagPayload("250 1 42 streaming")
-	if err != nil || legacy.State != "streaming" || legacy.Term != 0 || legacy.ID != "" {
-		t.Fatalf("legacy payload = %+v, %v", legacy, err)
-	}
-	for _, bad := range []string{"", "1 2 3", "x 2 3 s", "1 x 3 s", "1 2 x s", "1 2 3 s extra",
-		"1 2 3 s x id src", "1 2 3 s 4 id src extra"} {
-		if _, err := parseLagPayload(bad); err == nil {
-			t.Fatalf("parseLagPayload(%q) accepted", bad)
-		}
-	}
+// replFrame builds a REPL request for the given position.
+func replFrame(id uint64, from wire.StreamPos) wire.Frame {
+	return wire.Frame{Type: wire.TypeRepl, ID: id, Payload: wire.AppendStreamPos(nil, from)}
 }
 
 func TestReplVerbsUnsupportedWithoutHooks(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{})
-	for _, verb := range []string{"SNAP", "LAG", "PROMOTE"} {
-		c, err := netDial(srv.Addr())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		fmt.Fprintf(c, "%s\n", verb)
-		resp, err := readResponseConn(c)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", verb, err)
-		}
-		if resp.ok || resp.code != codeUnsupported {
-			t.Fatalf("%s = ok=%v code=%q, want ERR %s", verb, resp.ok, resp.code, codeUnsupported)
+	rc := rawHello(t, srv.Addr())
+	for i, f := range []wire.Frame{
+		{Type: wire.TypeSnap}, {Type: wire.TypeLag}, {Type: wire.TypePromote}, replFrame(0, wire.StreamPos{}),
+	} {
+		f.ID = uint64(i + 1)
+		rc.send(f)
+		if code, _ := rc.recvErr(f.ID); code != codeUnsupported {
+			t.Fatalf("type %#x = ERR %s, want %s", f.Type, code, codeUnsupported)
 		}
 	}
 }
 
 func TestSnapServesSnapshotPayload(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{Repl: &stubRepl{snapshot: []byte("opaque-bootstrap-bytes")}})
-	c, err := netDial(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer c.Close()
-	fmt.Fprintln(c, "SNAP")
-	resp, err := readResponseConn(c)
-	if err != nil {
-		t.Fatalf("SNAP: %v", err)
-	}
-	if !resp.ok || resp.payload != "opaque-bootstrap-bytes" {
-		t.Fatalf("SNAP = ok=%v payload=%q", resp.ok, resp.payload)
+	rc := rawHello(t, srv.Addr())
+	rc.send(wire.Frame{Type: wire.TypeSnap, ID: 4})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 4 || string(f.Payload) != "opaque-bootstrap-bytes" {
+		t.Fatalf("SNAP = %+v", f)
 	}
 
-	// Snapshot failures surface as exec errors.
+	// Snapshot failures surface as exec errors; the connection carries on.
 	broken := startServer(t, newMemTarget(t), Options{Repl: &stubRepl{snapErr: errors.New("store busted")}})
-	c2, err := netDial(broken.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	rc = rawHello(t, broken.Addr())
+	rc.send(wire.Frame{Type: wire.TypeSnap, ID: 1})
+	if code, msg := rc.recvErr(1); code != codeExec || msg != "store busted" {
+		t.Fatalf("SNAP with failing source = %s %q", code, msg)
 	}
-	defer c2.Close()
-	fmt.Fprintln(c2, "SNAP")
-	resp, err = readResponseConn(c2)
-	if err != nil {
-		t.Fatalf("SNAP(err): %v", err)
-	}
-	if resp.ok || resp.code != codeExec {
-		t.Fatalf("SNAP with failing source = ok=%v code=%q", resp.ok, resp.code)
+	rc.send(wire.Frame{Type: wire.TypePing, ID: 2})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 2 {
+		t.Fatalf("PING after a failed SNAP = %+v", f)
 	}
 }
 
 func TestReplHandsConnectionToStream(t *testing.T) {
-	repl := &stubRepl{streamed: make(chan [3]int64, 1)}
+	repl := &stubRepl{streamed: make(chan wire.StreamPos, 1)}
 	srv := startServer(t, newMemTarget(t), Options{Repl: repl})
-	c, err := netDial(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	rc := rawHello(t, srv.Addr())
+	// The position's term is the follower's fencing term.
+	want := wire.StreamPos{Term: 7, Epoch: 2, Offset: 99}
+	rc.send(replFrame(3, want))
+	if got := <-repl.streamed; got != want {
+		t.Fatalf("ServeStream got %+v, want %+v", got, want)
 	}
-	defer c.Close()
-	// The optional third field is the follower's fencing term.
-	fmt.Fprintln(c, "REPL 2 99 7")
-	got := <-repl.streamed
-	if got != [3]int64{2, 99, 7} {
-		t.Fatalf("ServeStream got %v, want [2 99 7]", got)
+	// The stream's frames carry the REPL id (no OK envelope), then the
+	// server closes the connection.
+	if f := rc.recv(); f.Type != wire.TypeHB || f.ID != 3 {
+		t.Fatalf("stream frame = %+v", f)
 	}
-	// The stream's frame arrives raw (no OK envelope), then the server
-	// closes the connection.
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("read stream frame: %v", err)
-	}
-	if line != "HB 2 99\n" {
-		t.Fatalf("stream frame = %q", line)
-	}
-	if _, err := br.ReadString('\n'); err == nil {
-		t.Fatal("connection stayed open after the stream ended")
-	}
+	rc.closed()
 }
 
 func TestReplRejectsBadPositions(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{Repl: &stubRepl{}})
-	for _, req := range []string{"REPL", "REPL 1", "REPL x 0", "REPL 1 -5", "REPL 1 0 badterm", "REPL 1 0 7 extra"} {
-		c, err := netDial(srv.Addr())
-		if err != nil {
-			t.Fatalf("dial: %v", err)
+	negative := wire.AppendStreamPos(nil, wire.StreamPos{Epoch: 1, Offset: -5})
+	for _, payload := range [][]byte{nil, negative[:16], append(negative[:24:24], 7), negative} {
+		rc := rawHello(t, srv.Addr())
+		rc.send(wire.Frame{Type: wire.TypeRepl, ID: 1, Payload: payload})
+		if code, _ := rc.recvErr(1); code != codeProto {
+			t.Fatalf("REPL payload %x = ERR %s, want %s", payload, code, codeProto)
 		}
-		fmt.Fprintf(c, "%s\n", req)
-		resp, err := readResponseConn(c)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%q: %v", req, err)
-		}
-		if resp.ok || resp.code != codeProto {
-			t.Fatalf("%q = ok=%v code=%q, want ERR %s", req, resp.ok, resp.code, codeProto)
-		}
+		rc.closed()
+	}
+
+	// REPL must be the connection's only outstanding request: with a feed
+	// or a statement still open there would be two conversations on one
+	// socket.
+	gate := &gateTarget{Target: newMemTarget(t), gate: make(chan struct{})}
+	defer close(gate.gate)
+	busy := startServer(t, gate, Options{Repl: &stubRepl{}})
+	rc := rawHello(t, busy.Addr())
+	rc.send(wire.Frame{Type: wire.TypeExec, ID: 1, Stream: 1, Payload: execPayload(0, "ASSERT Flies (Tweety);")})
+	waitParked(t, gate, 1)
+	rc.send(replFrame(2, wire.StreamPos{}))
+	if code, _ := rc.recvErr(2); code != codeProto {
+		t.Fatalf("REPL beside an outstanding EXEC = ERR %s, want %s", code, codeProto)
 	}
 }
 
@@ -210,9 +156,9 @@ func TestClientLagAndPromote(t *testing.T) {
 	if !promoted.Load() {
 		t.Fatal("promote hook not called")
 	}
-	// A failing hook surfaces as a ServerError.
+	// A failing hook surfaces as an exec ServerError carrying its cause.
 	var se *ServerError
-	if err := cli.Promote(ctx); !errors.As(err, &se) || se.Code != codeExec {
-		t.Fatalf("second Promote = %v, want exec ServerError", err)
+	if err := cli.Promote(ctx); !errors.As(err, &se) || se.Code != codeExec || se.Msg != "already promoted" {
+		t.Fatalf("second Promote = %v, want exec ServerError %q", err, "already promoted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"hrdb/internal/hql"
 	"hrdb/internal/shard"
+	"hrdb/internal/wire"
 )
 
 // Router is a lag-bounded read/write splitter over one primary and any
@@ -18,7 +19,7 @@ import (
 // reads when no replica is fresh enough or every eligible replica fails at
 // the transport level.
 //
-// Freshness comes from the replicas' LAG verb, cached per replica for a
+// Freshness comes from the replicas' LAG answers, cached per replica for a
 // short interval so routing doesn't pay a round trip per request. The
 // classification predicate is compile-time exhaustive (every statement
 // kind declares itself), so a newly added statement can't silently start
@@ -186,7 +187,7 @@ func (r *Router) ExecShard(ctx context.Context, op string) (string, error) {
 // any primary-bound request; always transport-retryable (pure read).
 func (r *Router) ShardMap(ctx context.Context) (id, count int, err error) {
 	out, err := r.execOnPrimary(ctx, true, func(c *Client) (string, error) {
-		return c.inlineVerb(ctx, "SHARDMAP")
+		return c.inline(ctx, wire.TypeShardMap)
 	})
 	if err != nil {
 		return 0, 0, err

@@ -14,7 +14,7 @@ import (
 	"hrdb/internal/hql"
 	"hrdb/internal/obs"
 	"hrdb/internal/shard"
-	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // ErrServerClosed is returned by Start and Shutdown on a server that is
@@ -67,23 +67,19 @@ type Options struct {
 	LagProbe func() LagInfo
 	// Tenants declares named namespaces this server hosts besides the
 	// default one (the main target). Connections resolve a namespace at
-	// HELLO (protocol v2) or with USE (protocol v1); each tenant carries
-	// its own admission quota, rate limit, and labeled metric series. A
-	// config named DefaultTenant attaches limits to the default namespace.
+	// HELLO; each tenant carries its own admission quota, rate limit, and
+	// labeled metric series. A config named DefaultTenant attaches limits
+	// to the default namespace.
 	Tenants []TenantConfig
-	// DisableV2 makes the server reject the HELLO upgrade exactly like a
-	// pre-v2 build (ERR proto, connection closed), serving only the v1
-	// line protocol. For cross-version compatibility testing.
-	DisableV2 bool
 	// Shard, when non-nil, marks this server a cluster member: it enables
 	// the SHARDMAP verb (shard identity probe, answered inline) and the
 	// EXECSHARD verb (shard operations — scatter reads and two-phase-commit
 	// participation — executed on the worker pool like EXEC).
 	Shard *shard.Node
-	// Subscribe, when non-nil, enables the SUBSCRIBE verb on both
-	// protocols: clients follow materialized-view (and relation) change
-	// feeds with resumable positions. Typically a view.Manager over the
-	// same store the server executes against.
+	// Subscribe, when non-nil, enables the SUBSCRIBE verb: clients follow
+	// materialized-view (and relation) change feeds with resumable
+	// positions. Typically a view.Manager over the same store the server
+	// executes against.
 	Subscribe SubscribeSource
 }
 
@@ -137,11 +133,11 @@ type task struct {
 	done chan taskResult
 }
 
-// Server is a TCP front end over one hql.Target. Each connection gets its
-// own hql.Session (sessions are single-goroutine; the protocol admits one
-// request at a time per connection), writes are serialized by the target
-// itself, and statement execution runs on a fixed worker pool behind a
-// bounded admission queue.
+// Server is a TCP front end over one hql.Target. Each stream of a
+// connection gets its own hql.Session (sessions are single-goroutine; a
+// stream runs one statement at a time), writes are serialized by the
+// target itself, and statement execution runs on a fixed worker pool
+// behind a bounded admission queue.
 type Server struct {
 	target  hql.Target
 	opts    Options
@@ -247,11 +243,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// refuse answers a connection with one error frame and closes it.
+// refuse answers a connection with one text ERR — what the client reads as
+// the reply to its HELLO — and closes it.
 func (s *Server) refuse(c net.Conn, code Code, retryAfter time.Duration, msg string) {
 	c.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	bw := bufio.NewWriter(c)
-	writeErr(bw, code, retryAfter, msg)
+	wire.WriteHelloErr(c, string(code), retryAfter, msg)
 	c.Close()
 }
 
@@ -266,9 +262,10 @@ func (s *Server) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// handleConn serves one connection: a strictly sequential read-execute-
-// reply loop over the connection's private session. A panic anywhere in
-// the handler is confined to this connection.
+// handleConn serves one connection: the HELLO exchange resolves its
+// namespace, then serveMux owns it until it ends. Any other opening line
+// is answered with one ERR proto. A panic anywhere in the handler is
+// confined to this connection.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.connWG.Done()
 	defer s.dropConn(c)
@@ -280,109 +277,27 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 	}()
 
-	tn := s.tenants[DefaultTenant]
-	sess := s.newSession(tn)
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	for {
-		if s.opts.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		req, err := readRequest(br, s.opts.MaxStatementBytes)
-		if err != nil {
-			switch {
-			case errors.Is(err, errTooLarge):
-				writeErr(bw, codeTooLarge, 0, err.Error())
-			case errors.Is(err, errProto):
-				writeErr(bw, codeProto, 0, err.Error())
-			}
-			return // EOF, idle timeout, or desync: close
-		}
-		c.SetReadDeadline(time.Time{})
-
-		switch req.verb {
-		case "PING":
-			if writeOK(bw, "pong") != nil {
-				return
-			}
-			continue
-		case "STATS":
-			if writeOK(bw, obs.Default().RenderText()) != nil {
-				return
-			}
-			continue
-		case "QUIT":
-			return
-		case "HELLO":
-			if s.opts.DisableV2 {
-				// Byte-identical to what a pre-v2 build answers, so clients
-				// exercise the same fallback against both.
-				writeErr(bw, codeProto, 0, `protocol error: unknown verb "HELLO"`)
-				return
-			}
-			if req.proto < 2 {
-				writeErr(bw, codeProto, 0, "unsupported protocol version")
-				return
-			}
-			htn, ok := s.resolveTenant(req.tenant)
-			if !ok {
-				writeErr(bw, codeTenant, 0, "unknown tenant "+strconv.Quote(req.tenant))
-				return
-			}
-			// Accept: confirm in v1 text framing, then the connection
-			// switches to binary frames. serveMux owns it until it ends.
-			if writeOK(bw, "v2 tenant="+htn.name) != nil {
-				return
-			}
-			s.serveMux(c, br, htn)
-			return
-		case "USE":
-			utn, ok := s.resolveTenant(req.tenant)
-			if !ok {
-				// Recoverable: the connection keeps its current namespace.
-				if writeErr(bw, codeTenant, 0, "unknown tenant "+strconv.Quote(req.tenant)) != nil {
-					return
-				}
-				continue
-			}
-			tn = utn
-			sess = s.newSession(tn)
-			if writeOK(bw, "tenant="+tn.name) != nil {
-				return
-			}
-			continue
-		case "SHARDMAP":
-			if s.opts.Shard == nil {
-				if writeErr(bw, codeUnsupported, 0, "this server is not a shard") != nil {
-					return
-				}
-				continue
-			}
-			if writeOK(bw, fmt.Sprintf("%d %d", s.opts.Shard.ID, s.opts.Shard.Count)) != nil {
-				return
-			}
-			continue
-		case "SNAP", "REPL", "PROMOTE", "LAG":
-			// REPL hands the whole connection to the stream until it ends
-			// (the read deadline is already cleared above; the stream
-			// heartbeats on its own cadence).
-			if !s.serveRepl(bw, br, req) {
-				return
-			}
-			continue
-		case "SUBSCRIBE":
-			// Like REPL, an accepted subscription owns the connection until
-			// the feed ends.
-			if !s.serveSubscribe(bw, br, req) {
-				return
-			}
-			continue
-		}
-
-		if !s.serveExec(bw, sess, req, tn) {
-			return
-		}
+	if s.opts.IdleTimeout > 0 {
+		c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
+	tenant, err := wire.ReadHello(br)
+	if err != nil {
+		if errors.Is(err, wire.ErrProtocol) {
+			wire.WriteHelloErr(c, string(codeProto), 0, err.Error())
+		}
+		return // EOF, idle timeout, or not a HELLO: close
+	}
+	tn, ok := s.resolveTenant(tenant)
+	if !ok {
+		wire.WriteHelloErr(c, string(codeTenant), 0, "unknown tenant "+strconv.Quote(tenant))
+		return
+	}
+	if wire.WriteHelloOK(c, "v2 tenant="+tn.name) != nil {
+		return
+	}
+	c.SetReadDeadline(time.Time{})
+	s.serveMux(c, br, tn)
 }
 
 // newSession builds a session over a tenant's target with the server's
@@ -394,108 +309,19 @@ func (s *Server) newSession(tn *tenantState) *hql.Session {
 	return sess
 }
 
-// serveExec admits, executes, and answers one EXEC request. It reports
-// whether the connection may continue to the next request.
-func (s *Server) serveExec(bw *bufio.Writer, sess *hql.Session, req request, tn *tenantState) bool {
-	// replyWG spans the whole request/reply cycle so a graceful drain keeps
-	// the connection open until the answer has been written — the worker
-	// marks the statement done before the handler flushes the reply.
-	s.replyWG.Add(1)
-	defer s.replyWG.Done()
-	metricRequests.Inc()
-	tn.mRequests.Inc()
-	reqStart := time.Now()
-	defer func() {
-		d := time.Since(reqStart)
-		metricRequestNS.ObserveDuration(d)
-		tn.mLatency.ObserveDuration(d)
-	}()
-	ctx, cancel := context.WithCancel(context.Background())
-	timeout := req.timeout
-	if s.opts.MaxDeadline > 0 && (timeout <= 0 || timeout > s.opts.MaxDeadline) {
-		timeout = s.opts.MaxDeadline
-	}
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(context.Background(), timeout)
-	}
-	t := &task{sess: sess, input: req.input, ctx: ctx, cancel: cancel, tn: tn, done: make(chan taskResult, 1)}
-	if req.verb == "EXECSHARD" {
-		if s.opts.Shard == nil {
-			cancel()
-			return writeErr(bw, codeUnsupported, 0, "this server is not a shard") == nil
-		}
-		node, input := s.opts.Shard, req.input
-		t.run = func(ctx context.Context) (string, error) { return node.Execute(ctx, input) }
-	}
-
-	if code, err := s.submit(t); err != nil {
-		cancel()
-		switch code {
-		case codeOverloaded, codeQuota:
-			return writeErr(bw, code, s.opts.RetryAfter, err.Error()) == nil
-		default: // shutdown
-			writeErr(bw, codeShutdown, 0, err.Error())
-			return false
-		}
-	}
-
-	select {
-	case res := <-t.done:
-		cancel()
-		switch {
-		case res.panicked:
-			// The session may hold arbitrarily corrupt state: answer, then
-			// retire the connection. The server stays up.
-			metricPanics.Inc()
-			writeErr(bw, codePanic, 0, res.err.Error())
-			return false
-		case res.err != nil:
-			code := codeExec
-			if errors.Is(res.err, context.DeadlineExceeded) {
-				code = codeDeadline
-				metricDeadline.Inc()
-			} else if errors.Is(res.err, context.Canceled) {
-				code = codeCanceled
-			} else if errors.Is(res.err, storage.ErrDeposed) {
-				// This node was fenced by a newer primary. The fence check
-				// runs before any staging or apply, so the write definitively
-				// did not execute — "stale" tells a router to re-discover the
-				// primary and retry there.
-				code = codeStale
-			}
-			return writeErr(bw, code, 0, res.err.Error()) == nil
-		default:
-			return writeOK(bw, res.out) == nil
-		}
-	case <-ctx.Done():
-		// Deadline or drain-cancel fired while the statement was queued or
-		// still running. Answer now — the server always answers or sheds —
-		// and retire the connection: its session may still be executing, so
-		// it must never be handed another statement.
-		code := codeDeadline
-		if errors.Is(ctx.Err(), context.Canceled) {
-			code = codeCanceled
-		} else {
-			metricDeadline.Inc()
-		}
-		writeErr(bw, code, 0, ctx.Err().Error())
-		return false
-	}
-}
-
-// submit offers a task to the bounded admission queue without blocking:
-// a full queue sheds the request with "overloaded", a tenant over its own
-// quota or rate limit is shed with "quota". The inflight count is raised
-// before the queue send so drain never misses an admitted task.
-// drainingNow reports whether Shutdown has begun. Replication verbs check
-// it so no new bootstrap or stream starts once the store's close is
-// scheduled.
+// drainingNow reports whether Shutdown has begun. Replication and
+// subscription requests check it so no new bootstrap, stream or feed
+// starts once the store's close is scheduled.
 func (s *Server) drainingNow() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.draining
 }
 
+// submit offers a task to the bounded admission queue without blocking:
+// a full queue sheds the request with "overloaded", a tenant over its own
+// quota or rate limit is shed with "quota". The inflight count is raised
+// before the queue send so drain never misses an admitted task.
 func (s *Server) submit(t *task) (code Code, err error) {
 	s.mu.Lock()
 	if s.draining {

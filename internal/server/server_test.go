@@ -4,7 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -15,17 +15,67 @@ import (
 
 	"hrdb/internal/catalog"
 	"hrdb/internal/hql"
+	"hrdb/internal/wire"
 )
 
-// netDial opens a raw TCP connection to the server for protocol-level tests.
-func netDial(addr string) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, 2*time.Second)
+// rawConn is a hand-driven connection for protocol-level tests: the HELLO
+// exchange is done, then frames go out and come back one at a time.
+type rawConn struct {
+	t  *testing.T
+	c  net.Conn
+	br *bufio.Reader
 }
 
-// readResponseConn reads one response frame off a raw connection.
-func readResponseConn(c net.Conn) (response, error) {
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	return readResponse(bufio.NewReader(c), 1<<20)
+// rawHello dials addr and completes the HELLO exchange.
+func rawHello(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, br, _, err := wire.Dial(context.Background(), addr, 2*time.Second, "")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &rawConn{t: t, c: c, br: br}
+}
+
+// send writes one frame.
+func (rc *rawConn) send(f wire.Frame) {
+	rc.t.Helper()
+	rc.c.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	if err := wire.WriteFrame(rc.c, f); err != nil {
+		rc.t.Fatalf("write frame type %#x: %v", f.Type, err)
+	}
+}
+
+// recv reads one frame.
+func (rc *rawConn) recv() wire.Frame {
+	rc.t.Helper()
+	rc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	f, err := wire.ReadFrame(rc.br, 1<<20)
+	if err != nil {
+		rc.t.Fatalf("read frame: %v", err)
+	}
+	return f
+}
+
+// recvErr reads one frame that must be an ERR answering id, and returns its
+// code and message.
+func (rc *rawConn) recvErr(id uint64) (Code, string) {
+	rc.t.Helper()
+	f := rc.recv()
+	code, _, msg, err := wire.ParseErr(f.Payload)
+	if f.Type != wire.TypeErr || f.ID != id || err != nil {
+		rc.t.Fatalf("want ERR for id %d, got %+v (%v)", id, f, err)
+	}
+	return Code(code), msg
+}
+
+// closed asserts the server hung up.
+func (rc *rawConn) closed() {
+	rc.t.Helper()
+	rc.c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := rc.br.ReadByte(); err != io.EOF {
+		rc.t.Fatalf("connection still open (read: %v), want EOF", err)
+	}
 }
 
 // newMemTarget builds a synchronized in-memory target preloaded with the
@@ -573,8 +623,7 @@ func TestConnectionLimit(t *testing.T) {
 		keep[i] = c
 	}
 	// The handshake reads the server's refusal during Dial, so the error
-	// surfaces eagerly there; a v1-pinned client wouldn't notice until the
-	// first round trip. Either way the connection is answered, not hung.
+	// surfaces eagerly there: the connection is answered, not hung.
 	c, err := Dial(srv.Addr(), WithMaxRetries(0))
 	if err == nil {
 		defer c.Close()
@@ -611,34 +660,31 @@ func TestIdleTimeout(t *testing.T) {
 }
 
 // TestProtocolErrors: malformed frames are answered with proto errors and
-// oversized statements with toolarge; the server survives both.
+// oversized statements with toolarge, each closing its connection; the
+// server survives all of them.
 func TestProtocolErrors(t *testing.T) {
 	srv := startServer(t, newMemTarget(t), Options{MaxStatementBytes: 64})
-	raw := func(payload string) response {
-		t.Helper()
-		conn, err := netDial(srv.Addr())
-		if err != nil {
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want Code
+	}{
+		{"short EXEC payload", wire.AppendFrame(nil, wire.Frame{Type: wire.TypeExec, ID: 1, Payload: []byte{1, 2}}), codeProto},
+		{"undersized length", []byte{0, 0, 0, wire.HeaderSize - 1}, codeProto},
+		{"oversized statement", wire.AppendFrame(nil, wire.Frame{Type: wire.TypeExec, ID: 1, Payload: execPayload(0, strings.Repeat("x", 200))}), codeTooLarge},
+		{"unknown frame type", wire.AppendFrame(nil, wire.Frame{Type: 0x7f, ID: 1}), codeProto},
+		{"bad SUBSCRIBE payload", wire.AppendFrame(nil, wire.Frame{Type: wire.TypeSubscribe, ID: 1, Payload: []byte("short")}), codeProto},
+	} {
+		rc := rawHello(t, srv.Addr())
+		if _, err := rc.c.Write(tc.raw); err != nil {
 			t.Fatal(err)
 		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte(payload)); err != nil {
-			t.Fatal(err)
+		f := rc.recv()
+		code, _, _, err := wire.ParseErr(f.Payload)
+		if f.Type != wire.TypeErr || err != nil || Code(code) != tc.want {
+			t.Fatalf("%s: reply %+v (%q, %v), want ERR %s", tc.name, f, code, err, tc.want)
 		}
-		resp, err := readResponseConn(conn)
-		if err != nil {
-			t.Fatalf("no reply to %q: %v", payload, err)
-		}
-		return resp
-	}
-	if resp := raw("BOGUS\n"); resp.code != codeProto {
-		t.Fatalf("BOGUS: %+v", resp)
-	}
-	if resp := raw("EXEC 0 nope\n"); resp.code != codeProto {
-		t.Fatalf("bad length: %+v", resp)
-	}
-	big := fmt.Sprintf("EXEC 0 %d\n%s\n", 100, strings.Repeat("x", 100))
-	if resp := raw(big); resp.code != codeTooLarge {
-		t.Fatalf("oversized: %+v", resp)
+		rc.closed()
 	}
 	// Server is still healthy.
 	c, err := Dial(srv.Addr())

@@ -10,8 +10,8 @@ import (
 	"hrdb/internal/shard"
 )
 
-// The shard verbs (SHARDMAP inline, EXECSHARD on the worker pool) across
-// both wire protocols, plus the Router's shard-aware plumbing. The full
+// The shard verbs (SHARDMAP inline, EXECSHARD on the worker pool) over the
+// wire, plus the Router's shard-aware plumbing. The full
 // coordinator stack over these verbs lives in the root-level
 // shard_integration_test.go; here we pin the per-verb wire behavior.
 
@@ -26,77 +26,61 @@ func TestShardVerbsBothProtocols(t *testing.T) {
 	defer cancel()
 	srv := shardServer(t, 1, 3)
 
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"v2", nil},
-		{"v1", []Option{WithProtocol(ProtocolV1)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := Dial(srv.Addr(), tc.opts...)
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			defer c.Close()
+	t.Run("v2", func(t *testing.T) {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
 
-			id, count, err := c.ShardMap(ctx)
-			if err != nil || id != 1 || count != 3 {
-				t.Fatalf("ShardMap = %d/%d, %v; want 1/3", id, count, err)
-			}
+		id, count, err := c.ShardMap(ctx)
+		if err != nil || id != 1 || count != 3 {
+			t.Fatalf("ShardMap = %d/%d, %v; want 1/3", id, count, err)
+		}
 
-			// A pure shard read: the fixture stores Flies(Bird)+ and
-			// Flies(Penguin)-.
-			op, err := shard.EncodeTuples("Flies")
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := c.ExecShard(ctx, op)
-			if err != nil {
-				t.Fatalf("ExecShard: %v", err)
-			}
-			tuples, err := shard.DecodeTuples(out)
-			if err != nil || len(tuples) != 2 {
-				t.Fatalf("TUPLES = %q (%v), want 2 tuples", out, err)
-			}
+		// A pure shard read: the fixture stores Flies(Bird)+ and
+		// Flies(Penguin)-.
+		op, err := shard.EncodeTuples("Flies")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.ExecShard(ctx, op)
+		if err != nil {
+			t.Fatalf("ExecShard: %v", err)
+		}
+		tuples, err := shard.DecodeTuples(out)
+		if err != nil || len(tuples) != 2 {
+			t.Fatalf("TUPLES = %q (%v), want 2 tuples", out, err)
+		}
 
-			// A malformed op is a server-side exec failure, not a hangup.
-			if _, err := c.ExecShard(ctx, "FROBNICATE"); err == nil {
-				t.Fatal("malformed shard op must fail")
-			}
-			if _, _, err := c.ShardMap(ctx); err != nil {
-				t.Fatalf("connection unusable after failed shard op: %v", err)
-			}
-		})
-	}
+		// A malformed op is a server-side exec failure, not a hangup.
+		if _, err := c.ExecShard(ctx, "FROBNICATE"); err == nil {
+			t.Fatal("malformed shard op must fail")
+		}
+		if _, _, err := c.ShardMap(ctx); err != nil {
+			t.Fatalf("connection unusable after failed shard op: %v", err)
+		}
+	})
 }
 
 func TestShardVerbsUnsupportedOnPlainServer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv := startServer(t, newMemTarget(t), Options{})
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"v2", nil},
-		{"v1", []Option{WithProtocol(ProtocolV1)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := Dial(srv.Addr(), tc.opts...)
-			if err != nil {
-				t.Fatalf("Dial: %v", err)
-			}
-			defer c.Close()
-			if _, _, err := c.ShardMap(ctx); !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("SHARDMAP on plain server = %v, want ErrUnsupported", err)
-			}
-			op, _ := shard.EncodeTuples("Flies")
-			if _, err := c.ExecShard(ctx, op); !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("EXECSHARD on plain server = %v, want ErrUnsupported", err)
-			}
-		})
-	}
+	t.Run("v2", func(t *testing.T) {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		if _, _, err := c.ShardMap(ctx); !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("SHARDMAP on plain server = %v, want ErrUnsupported", err)
+		}
+		op, _ := shard.EncodeTuples("Flies")
+		if _, err := c.ExecShard(ctx, op); !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("EXECSHARD on plain server = %v, want ErrUnsupported", err)
+		}
+	})
 }
 
 func TestParseShardMapRejectsGarbage(t *testing.T) {

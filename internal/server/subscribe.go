@@ -13,15 +13,15 @@ import (
 
 	"hrdb/internal/backoff"
 	"hrdb/internal/subwire"
+	"hrdb/internal/wire"
 )
 
 // This file is the server's change-feed surface and its client. The server
-// knows nothing about view maintenance: it decodes the SUBSCRIBE verb and
-// delegates to a pluggable hook (Options.Subscribe), so the dependency
+// knows nothing about view maintenance: it decodes the SUBSCRIBE request
+// and delegates to a pluggable hook (Options.Subscribe), so the dependency
 // points from internal/view — which implements it — into this package's
-// wire contract, never back. The feed itself is encoded by internal/subwire
-// on both protocols: v1 streams the frames raw after an empty OK accept,
-// v2 wraps each one in a SUB frame correlated by request id.
+// wire contract, never back. The feed itself is encoded by internal/subwire;
+// each of its frames rides in a SUB frame correlated by request id.
 
 // SubscribeSource serves change feeds to subscribers. Implemented by
 // view.Manager.
@@ -35,55 +35,7 @@ type SubscribeSource interface {
 	ServeFeed(ctx context.Context, w io.Writer, name string, epoch uint64, offset int64, resume bool) error
 }
 
-// serveSubscribe dispatches one v1 SUBSCRIBE request. It reports whether
-// the connection may continue to the next request (an accepted feed never
-// continues: it owns the connection until it ends).
-//
-// A draining server refuses to start a feed — Shutdown closes the store
-// (and the view manager) after the drain, and a feed admitted during it
-// would race that close. Feeds already running end when Shutdown retires
-// their connections: the watchdog below sees the close and cancels the
-// feed context, so the drain is never held up by an idle subscriber.
-func (s *Server) serveSubscribe(bw *bufio.Writer, br *bufio.Reader, req request) bool {
-	if s.opts.Subscribe == nil {
-		return writeErr(bw, codeUnsupported, 0, "subscriptions not enabled") == nil
-	}
-	if s.drainingNow() {
-		writeErr(bw, codeShutdown, 0, "server draining")
-		return false
-	}
-	// Accept, then the subwire stream owns the connection.
-	if writeOK(bw, "") != nil {
-		return false
-	}
-	metricSubStarted.Inc()
-	metricSubStreams.Inc()
-	defer metricSubStreams.Dec()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		// The client sends nothing during a feed: any byte — or the EOF of
-		// a closed or drained connection — ends it.
-		br.ReadByte()
-		cancel()
-	}()
-	s.opts.Subscribe.ServeFeed(ctx, flushWriter{bw}, req.input, req.epoch, req.offset, req.resume)
-	return false
-}
-
-// flushWriter flushes after every Write so each feed frame reaches the
-// socket as soon as the source emits it.
-type flushWriter struct{ bw *bufio.Writer }
-
-func (w flushWriter) Write(p []byte) (int, error) {
-	if _, err := w.bw.Write(p); err != nil {
-		return 0, err
-	}
-	return len(p), w.bw.Flush()
-}
-
-// subscribePayload encodes a v2 SUBSCRIBE frame payload:
+// subscribePayload encodes a SUBSCRIBE frame payload:
 // u8 resume | u64 epoch | u64 offset | name bytes.
 func subscribePayload(name string, epoch uint64, offset int64, resume bool) []byte {
 	p := make([]byte, 0, 17+len(name))
@@ -97,14 +49,14 @@ func subscribePayload(name string, epoch uint64, offset int64, resume bool) []by
 	return append(p, name...)
 }
 
-// parseSubscribePayload decodes a v2 SUBSCRIBE frame payload.
+// parseSubscribePayload decodes a SUBSCRIBE frame payload.
 func parseSubscribePayload(p []byte) (name string, epoch uint64, offset int64, resume bool, err error) {
 	if len(p) < 17 {
-		return "", 0, 0, false, fmt.Errorf("%w: SUBSCRIBE payload %d bytes, want ≥ 17", errProto, len(p))
+		return "", 0, 0, false, fmt.Errorf("%w: SUBSCRIBE payload %d bytes, want ≥ 17", ErrProtocol, len(p))
 	}
 	offset = int64(binary.BigEndian.Uint64(p[9:17]))
 	if offset < 0 {
-		return "", 0, 0, false, fmt.Errorf("%w: negative SUBSCRIBE offset", errProto)
+		return "", 0, 0, false, fmt.Errorf("%w: negative SUBSCRIBE offset", ErrProtocol)
 	}
 	return string(p[17:]), binary.BigEndian.Uint64(p[1:9]), offset, p[0] != 0, nil
 }
@@ -119,62 +71,63 @@ type subFrameWriter struct {
 
 func (w subFrameWriter) Write(p []byte) (int, error) {
 	payload := append([]byte(nil), p...)
-	if err := w.m.send(frame{typ: fvSub, id: w.id, stream: w.stream, payload: payload}); err != nil {
+	if err := w.m.send(wire.Frame{Type: wire.TypeSub, ID: w.id, Stream: w.stream, Payload: payload}); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
-// subscribe handles one v2 SUBSCRIBE frame: the feed runs in its own
+// subscribe handles one SUBSCRIBE frame: the feed runs in its own
 // goroutine, pushing SUB frames through the shared writer, so the reader
 // loop (and every other stream) keeps going. It reports whether the
 // connection may continue (a malformed payload or duplicate id desyncs the
 // conversation and closes it).
-func (m *muxConn) subscribe(f frame) bool {
+//
+// A draining server refuses to start a feed — Shutdown closes the store
+// (and the view manager) after the drain, and a feed admitted during it
+// would race that close. Feeds already running end when Shutdown retires
+// their connections (teardown cancels them), so the drain is never held up
+// by an idle subscriber.
+func (m *muxConn) subscribe(f wire.Frame) bool {
 	s := m.srv
-	name, epoch, offset, resume, err := parseSubscribePayload(f.payload)
+	name, epoch, offset, resume, err := parseSubscribePayload(f.Payload)
 	if err != nil {
-		m.send(errFrame(f.id, f.stream, codeProto, 0, err.Error()))
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, err.Error()))
 		return false
 	}
 	if s.opts.Subscribe == nil {
-		m.send(errFrame(f.id, f.stream, codeUnsupported, 0, "subscriptions not enabled"))
+		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "subscriptions not enabled"))
 		return true
 	}
 	if s.drainingNow() {
-		m.send(errFrame(f.id, f.stream, codeShutdown, 0, "server draining"))
+		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
 		return true
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m.mu.Lock()
-	_, dupTask := m.byID[f.id]
-	_, dupSub := m.subs[f.id]
-	if dupTask || dupSub {
+	if _, dup := m.byID[f.ID]; dup {
 		m.mu.Unlock()
 		cancel()
-		m.send(errFrame(f.id, f.stream, codeProto, 0, "duplicate request id"))
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, "duplicate request id"))
 		return false
 	}
-	if m.subs == nil {
-		m.subs = make(map[uint64]context.CancelFunc)
-	}
-	m.subs[f.id] = cancel
+	m.byID[f.ID] = &muxTask{id: f.ID, stream: f.Stream, cancel: cancel}
 	m.mu.Unlock()
 
 	metricSubStarted.Inc()
 	metricSubStreams.Inc()
-	m.subWG.Add(1)
+	m.feeds.Add(1)
 	go func() {
-		defer m.subWG.Done()
+		defer m.feeds.Done()
 		defer metricSubStreams.Dec()
-		s.opts.Subscribe.ServeFeed(ctx, subFrameWriter{m, f.id, f.stream}, name, epoch, offset, resume)
+		s.opts.Subscribe.ServeFeed(ctx, subFrameWriter{m, f.ID, f.Stream}, name, epoch, offset, resume)
 		cancel()
 		m.mu.Lock()
-		delete(m.subs, f.id)
+		delete(m.byID, f.ID)
 		m.mu.Unlock()
 		// The terminating frame unblocks a client reader deterministically
 		// even when the feed ended without an in-band subwire ERR.
-		m.send(errFrame(f.id, f.stream, codeCanceled, 0, "subscription ended"))
+		m.send(errFrame(f.ID, f.Stream, codeCanceled, 0, "subscription ended"))
 	}()
 	return true
 }
@@ -192,8 +145,8 @@ type SubChange struct {
 }
 
 // Subscription is a client-side change feed over its own dedicated
-// connection (feeds are long-lived streams; sharing the request connection
-// would head-of-line block it). It reconnects automatically: after a
+// connection (feeds are long-lived; a dedicated connection keeps their
+// frames from queueing behind, or ahead of, the client's replies). It reconnects automatically: after a
 // severed connection or a server restart, Next resumes from the last
 // delivered position, so the caller sees exactly the committed changes,
 // gap- and duplicate-free. When the server can no longer serve that
@@ -214,10 +167,8 @@ type Subscription struct {
 	closed bool
 
 	// Connection-epoch state, used only under reqMu.
-	br      *bufio.Reader
-	v2      bool
-	dec     subwire.Decoder
-	scratch []byte
+	br  *bufio.Reader
+	dec subwire.Decoder
 
 	havePos bool
 	epoch   uint64
@@ -227,8 +178,8 @@ type Subscription struct {
 
 // Subscribe opens a change feed over the named view (or relation),
 // starting with a full snapshot. The feed uses a dedicated connection,
-// negotiated like the client's own (protocol pinning applies); it is lazy —
-// the first Next dials.
+// opened with the client's own HELLO (tenant included); it is lazy — the
+// first Next dials.
 func (c *Client) Subscribe(name string) (*Subscription, error) {
 	return c.subscribe(name, 0, 0, false)
 }
@@ -409,107 +360,35 @@ func (sub *Subscription) setback(ctx context.Context, err error) (terminal bool,
 	return false, nil
 }
 
-// connect dials a fresh connection, negotiates the protocol like the
-// owning client would, and sends the SUBSCRIBE request (resuming from the
-// last delivered position when one is known).
+// connect dials a fresh connection and sends the SUBSCRIBE request
+// (resuming from the last delivered position when one is known).
+// Acceptance is implicit: the first frame back is either SUB (feed
+// running) or ERR (refused), handled by readFeedFrame.
 func (sub *Subscription) connect(ctx context.Context) error {
-	conn, v2, br, err := sub.negotiate(ctx)
+	conn, br, _, err := wire.Dial(ctx, sub.addr, sub.o.dialTimeout, sub.o.tenant)
 	if err != nil {
-		return err
+		return serverError(err)
 	}
 	if err := sub.install(conn); err != nil {
 		return err
 	}
 	sub.br = br
-	sub.v2 = v2
 	sub.dec = subwire.Decoder{}
 
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	if v2 {
-		f := frame{typ: fvSubscribe, id: 1, stream: 1,
-			payload: subscribePayload(sub.name, sub.epoch, sub.offset, sub.havePos)}
-		if err := writeFrame(conn, f); err != nil {
-			sub.drop()
-			return err
-		}
-		// Acceptance is implicit: the first frame back is either SUB (feed
-		// running) or ERR (refused), handled by readFeedFrame.
-		return nil
-	}
-	reqLine := "SUBSCRIBE " + sub.name + "\n"
-	if sub.havePos {
-		reqLine = fmt.Sprintf("SUBSCRIBE %s %d %d\n", sub.name, sub.epoch, sub.offset)
-	}
-	if _, err := io.WriteString(conn, reqLine); err != nil {
+	f := wire.Frame{Type: wire.TypeSubscribe, ID: 1, Stream: 1,
+		Payload: subscribePayload(sub.name, sub.epoch, sub.offset, sub.havePos)}
+	if err := wire.WriteFrame(conn, f); err != nil {
 		sub.drop()
 		return err
-	}
-	resp, err := readResponse(br, sub.o.maxResponse)
-	if err != nil {
-		sub.drop()
-		return err
-	}
-	if !resp.ok {
-		sub.drop()
-		return &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
 	}
 	return nil
 }
 
-// negotiate dials and runs the protocol handshake, mirroring
-// Client.connectLocked: offer v2 unless pinned to v1, fall back to v1 when
-// the server rejects the upgrade (unless pinned to v2).
-func (sub *Subscription) negotiate(ctx context.Context) (net.Conn, bool, *bufio.Reader, error) {
-	dial := func() (net.Conn, error) {
-		d := net.Dialer{Timeout: sub.o.dialTimeout}
-		return d.DialContext(ctx, "tcp", sub.addr)
-	}
-	conn, err := dial()
-	if err != nil {
-		return nil, false, nil, err
-	}
-	if sub.o.protocol == ProtocolV1 {
-		return conn, false, bufio.NewReader(conn), nil
-	}
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	br := bufio.NewReader(conn)
-	hello := "HELLO 2\n"
-	if sub.o.tenant != "" {
-		hello = "HELLO 2 " + sub.o.tenant + "\n"
-	}
-	if _, err := io.WriteString(conn, hello); err != nil {
-		conn.Close()
-		return nil, false, nil, err
-	}
-	resp, err := readResponse(br, sub.o.maxResponse)
-	if err != nil {
-		conn.Close()
-		return nil, false, nil, err
-	}
-	if resp.ok {
-		if !strings.HasPrefix(resp.payload, "v2") {
-			conn.Close()
-			return nil, false, nil, fmt.Errorf("%w: unexpected HELLO reply %q", ErrProtocol, resp.payload)
-		}
-		return conn, true, br, nil
-	}
-	conn.Close()
-	if resp.code == codeProto && sub.o.protocol == ProtocolAuto {
-		v1conn, err := dial()
-		if err != nil {
-			return nil, false, nil, err
-		}
-		return v1conn, false, bufio.NewReader(v1conn), nil
-	}
-	return nil, false, nil, &ServerError{Code: resp.code, Msg: resp.payload, RetryAfter: resp.retryAfter}
-}
-
 // readFeedFrame returns the next subwire frame from the current
-// connection, unwrapping v2 SUB frames when the feed rides protocol v2. A
-// ctx expiry severs the connection (the next call reconnects and resumes,
-// so nothing is lost).
+// connection, unwrapping SUB frames. A ctx expiry severs the connection
+// (the next call reconnects and resumes, so nothing is lost).
 func (sub *Subscription) readFeedFrame(ctx context.Context) (subwire.Frame, error) {
 	conn := sub.current()
 	if conn == nil {
@@ -523,35 +402,17 @@ func (sub *Subscription) readFeedFrame(ctx context.Context) (subwire.Frame, erro
 		} else if ok {
 			return f, nil
 		}
-		if sub.v2 {
-			fr, err := readFrame(sub.br, sub.o.maxResponse)
-			if err != nil {
-				return subwire.Frame{}, err
-			}
-			switch fr.typ {
-			case fvSub:
-				sub.dec.Feed(fr.payload)
-			case fvErr:
-				code, retryAfter, msg, perr := parseErrFramePayload(fr.payload)
-				if perr != nil {
-					return subwire.Frame{}, perr
-				}
-				return subwire.Frame{}, &ServerError{Code: code, Msg: msg, RetryAfter: retryAfter}
-			default:
-				return subwire.Frame{}, fmt.Errorf("%w: unexpected frame type 0x%02x on a feed", ErrProtocol, fr.typ)
-			}
-			continue
-		}
-		if sub.scratch == nil {
-			sub.scratch = make([]byte, 4096)
-		}
-		n, err := sub.br.Read(sub.scratch)
-		if n > 0 {
-			sub.dec.Feed(sub.scratch[:n])
-			continue // drain the decoder before surfacing a read error
-		}
+		fr, err := wire.ReadFrame(sub.br, sub.o.maxResponse)
 		if err != nil {
 			return subwire.Frame{}, err
 		}
+		if fr.Type != wire.TypeSub {
+			_, err := wire.Reply(fr)
+			if err == nil {
+				err = fmt.Errorf("%w: unexpected OK frame on a feed", ErrProtocol)
+			}
+			return subwire.Frame{}, serverError(err)
+		}
+		sub.dec.Feed(fr.Payload)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"hrdb/internal/storage"
 	"hrdb/internal/view"
+	"hrdb/internal/wire"
 )
 
 // newSubscribeServer starts a server whose target carries a view manager
@@ -73,12 +74,12 @@ func nextChange(t *testing.T, sub *Subscription) SubChange {
 	return ch
 }
 
-// testSubscribeFeed is the end-to-end feed contract, run on each protocol:
-// snapshot first, then exactly the committed deltas, then resume from a
-// recorded position without gaps or duplicates.
-func testSubscribeFeed(t *testing.T, proto int) {
+// TestSubscribeV2 is the end-to-end feed contract: snapshot first, then
+// exactly the committed deltas, then resume from a recorded position
+// without gaps or duplicates.
+func TestSubscribeV2(t *testing.T) {
 	srv, _ := newSubscribeServer(t, Options{})
-	c, err := Dial(srv.Addr(), WithProtocol(proto))
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +153,6 @@ func grepMetric(stats, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-func TestSubscribeV1(t *testing.T) { testSubscribeFeed(t, ProtocolV1) }
-func TestSubscribeV2(t *testing.T) { testSubscribeFeed(t, ProtocolV2) }
-
 // TestSubscribeErrors covers the refusal paths: no source configured,
 // unknown feed name.
 func TestSubscribeErrors(t *testing.T) {
@@ -209,54 +207,58 @@ func TestSubscribeErrors(t *testing.T) {
 	}
 }
 
-// TestSubscribeNegotiate pins the handshake matrix the subscription's own
-// dialer must mirror: auto-negotiation falling back to v1 on a v1-only
-// server, a pinned-v2 client refusing that same server, and a tenant
-// subscription riding the tenant HELLO.
+// TestSubscribeNegotiate pins the feed's own connection: it opens with the
+// client's HELLO, so a server that predates the framed protocol refuses it
+// with a typed protocol error, an unknown tenant with ErrUnknownTenant, and
+// a tenant subscription rides the tenant HELLO.
 func TestSubscribeNegotiate(t *testing.T) {
-	v1only, _ := newSubscribeServer(t, Options{DisableV2: true})
-	c, err := Dial(v1only.Addr())
+	srv, _ := newSubscribeServer(t, Options{Tenants: []TenantConfig{{Name: "acme"}}})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	// A server that answers HELLO as an unknown verb.
+	old, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	sub, err := c.Subscribe("flat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if ch := nextChange(t, sub); ch.Kind != "snapshot" || strings.Join(ch.Rows, ",") != "(tweety)" {
-		t.Fatalf("fallback feed snapshot = %+v", ch)
+	defer old.Close()
+	go func() {
+		for {
+			conn, err := old.Accept()
+			if err != nil {
+				return
+			}
+			bufio.NewReader(conn).ReadString('\n')
+			wire.WriteHelloErr(conn, "proto", 0, `protocol error: unknown verb "HELLO"`)
+			conn.Close()
+		}
+	}()
+	for _, tc := range []struct {
+		addr, tenant string
+		want         error
+	}{
+		{old.Addr().String(), "", ErrProtocol},
+		{srv.Addr(), "nosuch", ErrUnknownTenant},
+	} {
+		o := defaultDialConfig()
+		o.tenant = tc.tenant
+		sub := &Subscription{addr: tc.addr, name: "flat", o: o}
+		if _, err := sub.Next(ctx); !errors.Is(err, tc.want) {
+			t.Fatalf("Next (addr %s, tenant %q) = %v, want %v", tc.addr, tc.tenant, err, tc.want)
+		}
 	}
 
-	cv2, err := Dial(v1only.Addr(), WithProtocol(ProtocolV2))
-	if err == nil {
-		defer cv2.Close()
-		sub2, err := cv2.Subscribe("flat")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sub2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		var se *ServerError
-		if _, err := sub2.Next(ctx); !errors.As(err, &se) || se.Code != "proto" {
-			t.Fatalf("pinned-v2 Next on a v1-only server = %v, want proto ServerError", err)
-		}
-	}
-
-	tsrv, _ := newSubscribeServer(t, Options{Tenants: []TenantConfig{{Name: "acme"}}})
-	ct, err := Dial(tsrv.Addr(), WithTenant("acme"))
+	ct, err := Dial(srv.Addr(), WithTenant("acme"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ct.Close()
-	sub3, err := ct.Subscribe("flat")
+	sub, err := ct.Subscribe("flat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sub3.Close()
-	if ch := nextChange(t, sub3); ch.Kind != "snapshot" {
+	defer sub.Close()
+	if ch := nextChange(t, sub); ch.Kind != "snapshot" {
 		t.Fatalf("tenant feed first change = %q, want snapshot", ch.Kind)
 	}
 }
@@ -266,154 +268,112 @@ func TestSubscribeNegotiate(t *testing.T) {
 // subscription — the server reports it stale, and the client restarts with
 // a fresh snapshot that resets consumer state.
 func TestSubscribeStaleResume(t *testing.T) {
-	for _, proto := range []int{ProtocolV1, ProtocolV2} {
-		srv, _ := newSubscribeServer(t, Options{})
-		c, err := Dial(srv.Addr(), WithProtocol(proto))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		sub, err := c.SubscribeFrom("flat", 99, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sub.Close()
-		if ch := nextChange(t, sub); ch.Kind != "snapshot" || strings.Join(ch.Rows, ",") != "(tweety)" {
-			t.Fatalf("proto %d: stale resume delivered %+v, want a fresh snapshot", proto, ch)
-		}
-	}
-}
-
-// TestSubscribeV1WireErrors drives the raw v1 verb with malformed lines:
-// each must produce a protocol error, not a hung or hijacked connection.
-func TestSubscribeV1WireErrors(t *testing.T) {
 	srv, _ := newSubscribeServer(t, Options{})
-	for _, line := range []string{
-		"SUBSCRIBE\n",                // missing name
-		"SUBSCRIBE flat 1\n",         // position needs both fields
-		"SUBSCRIBE flat x 0\n",       // bad epoch
-		"SUBSCRIBE flat 1 -5\n",      // negative offset
-		"SUBSCRIBE flat 1 0 extra\n", // trailing field
-	} {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.WriteString(conn, line); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readResponse(bufio.NewReader(conn), 1<<20)
-		if err != nil {
-			t.Fatalf("%q: read response: %v", line, err)
-		}
-		if resp.ok || resp.code != codeProto {
-			t.Fatalf("%q: response ok=%v code=%q, want proto error", line, resp.ok, resp.code)
-		}
-		conn.Close()
-	}
-}
-
-// TestSubscribeV1Unsupported: the v1 verb on a server without a subscribe
-// source refuses with "unsupported" and keeps the connection usable.
-func TestSubscribeV1Unsupported(t *testing.T) {
-	st, err := storage.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bare := New(st, Options{CloseTarget: true})
-	if err := bare.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		bare.Shutdown(ctx)
-	})
-	c, err := Dial(bare.Addr(), WithProtocol(ProtocolV1))
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	sub, err := c.Subscribe("flat")
+	sub, err := c.SubscribeFrom("flat", 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := sub.Next(ctx); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("v1 Next without a source = %v, want ErrUnsupported", err)
+	if ch := nextChange(t, sub); ch.Kind != "snapshot" || strings.Join(ch.Rows, ",") != "(tweety)" {
+		t.Fatalf("stale resume delivered %+v, want a fresh snapshot", ch)
 	}
 }
 
-// TestSubscribeV2WireErrors drives raw v2 SUBSCRIBE frames that must desync
+// TestSubscribeV1WireErrors drives the line-protocol SUBSCRIBE requests
+// earlier releases served, well-formed or not: each is refused with one
+// ERR proto and a hang-up, never a hung or hijacked connection.
+func TestSubscribeV1WireErrors(t *testing.T) {
+	srv, _ := newSubscribeServer(t, Options{})
+	for _, line := range []string{
+		"SUBSCRIBE flat\n",           // what a line client sent
+		"SUBSCRIBE flat 0 0\n",       // with a resume position
+		"SUBSCRIBE\n",                // missing name
+		"SUBSCRIBE flat 1 -5\n",      // negative offset
+		"SUBSCRIBE flat 1 0 extra\n", // trailing field
+	} {
+		if got := v1Exchange(t, srv.Addr(), line); !strings.HasPrefix(got, "ERR proto 0 ") || strings.Count(got, "\n") != 2 {
+			t.Fatalf("%q answered %q, want one ERR proto", line, got)
+		}
+	}
+}
+
+// TestSubscribeV2WireErrors drives raw SUBSCRIBE frames that must desync
 // the conversation: a truncated payload and a duplicate request id.
 func TestSubscribeV2WireErrors(t *testing.T) {
 	srv, _ := newSubscribeServer(t, Options{})
 
-	dialV2 := func() (net.Conn, *bufio.Reader) {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		br := bufio.NewReader(conn)
-		if _, err := io.WriteString(conn, "HELLO 2\n"); err != nil {
-			t.Fatal(err)
-		}
-		if resp, err := readResponse(br, 1<<20); err != nil || !resp.ok {
-			t.Fatalf("HELLO = %+v, %v", resp, err)
-		}
-		return conn, br
+	// Truncated payload: ERR proto, then the server hangs up.
+	rc := rawHello(t, srv.Addr())
+	rc.send(wire.Frame{Type: wire.TypeSubscribe, ID: 1, Stream: 1, Payload: []byte("short")})
+	if code, _ := rc.recvErr(1); code != codeProto {
+		t.Fatalf("short payload error code = %q, want proto", code)
 	}
-
-	// Truncated payload: fvErr proto, then the server hangs up.
-	conn, br := dialV2()
-	if err := writeFrame(conn, frame{typ: fvSubscribe, id: 1, stream: 1, payload: []byte("short")}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := readFrame(br, 1<<20)
-	if err != nil || f.typ != fvErr {
-		t.Fatalf("short payload reply = %+v, %v (want ERR frame)", f, err)
-	}
-	if code, _, _, err := parseErrFramePayload(f.payload); err != nil || code != codeProto {
-		t.Fatalf("short payload error code = %q, %v, want proto", code, err)
-	}
-	if _, err := readFrame(br, 1<<20); err == nil {
-		t.Fatal("connection survived a malformed SUBSCRIBE")
-	}
-	conn.Close()
+	rc.closed()
 
 	// Duplicate id: the second SUBSCRIBE reusing a live feed's id desyncs.
-	conn, br = dialV2()
-	defer conn.Close()
-	sub := frame{typ: fvSubscribe, id: 7, stream: 1, payload: subscribePayload("flat", 0, 0, false)}
-	if err := writeFrame(conn, sub); err != nil {
-		t.Fatal(err)
+	rc = rawHello(t, srv.Addr())
+	sub := wire.Frame{Type: wire.TypeSubscribe, ID: 7, Stream: 1, Payload: subscribePayload("flat", 0, 0, false)}
+	rc.send(sub)
+	if f := rc.recv(); f.Type != wire.TypeSub {
+		t.Fatalf("first feed frame = %+v (want SUB)", f)
 	}
-	if f, err := readFrame(br, 1<<20); err != nil || f.typ != fvSub {
-		t.Fatalf("first feed frame = %+v, %v (want SUB)", f, err)
+	rc.send(sub)
+	expectProtoThenClose(t, rc, 7)
+}
+
+// TestExecReusingFeedIDIsRefused: statements and feeds share one id table.
+// An EXEC reusing a live SUBSCRIBE's id is a duplicate — were it accepted,
+// a later CANCEL of that id would end the feed instead of the statement.
+func TestExecReusingFeedIDIsRefused(t *testing.T) {
+	srv, _ := newSubscribeServer(t, Options{})
+	rc := rawHello(t, srv.Addr())
+	rc.send(wire.Frame{Type: wire.TypeSubscribe, ID: 7, Stream: 1, Payload: subscribePayload("flat", 0, 0, false)})
+	if f := rc.recv(); f.Type != wire.TypeSub || f.ID != 7 {
+		t.Fatalf("first feed frame = %+v (want SUB)", f)
 	}
-	if err := writeFrame(conn, sub); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
+	rc.send(wire.Frame{Type: wire.TypeExec, ID: 7, Stream: 2, Payload: execPayload(0, "HOLDS flies (tweety);")})
+	expectProtoThenClose(t, rc, 7)
+}
+
+// expectProtoThenClose reads to the ERR proto answering id and then the
+// server's hang-up, skipping the feed's own frames (its SUB frames and the
+// ERR canceled that ends it may come before or after).
+func expectProtoThenClose(t *testing.T, rc *rawConn, id uint64) {
+	t.Helper()
+	sawProto := false
 	for {
-		f, err := readFrame(br, 1<<20)
+		rc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		f, err := wire.ReadFrame(rc.br, 1<<20)
+		if errors.Is(err, io.EOF) && sawProto {
+			return
+		}
 		if err != nil {
-			break // server hung up after the proto error
+			t.Fatalf("read: %v (proto error seen: %v)", err, sawProto)
 		}
-		if f.typ == fvErr {
-			if code, _, _, perr := parseErrFramePayload(f.payload); perr == nil && code == codeProto {
-				break
+		switch f.Type {
+		case wire.TypeSub:
+		case wire.TypeErr:
+			code, _, msg, _ := wire.ParseErr(f.Payload)
+			switch {
+			case f.ID != id:
+				t.Fatalf("ERR for id %d: %s %q", f.ID, code, msg)
+			case Code(code) == codeProto:
+				sawProto = true
+			case Code(code) != codeCanceled:
+				t.Fatalf("ERR %s %q, want proto", code, msg)
 			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("duplicate id never produced a proto error")
+		default:
+			t.Fatalf("unexpected frame %+v: the duplicate id was accepted", f)
 		}
 	}
 }
 
-// TestSubscribePayloadRoundTrip pins the v2 SUBSCRIBE payload encoding and
+// TestSubscribePayloadRoundTrip pins the SUBSCRIBE payload encoding and
 // its decoder's rejection of truncated or negative-offset payloads.
 func TestSubscribePayloadRoundTrip(t *testing.T) {
 	p := subscribePayload("feed", 3, 99, true)

@@ -10,9 +10,8 @@ import (
 	"hrdb/internal/obs"
 )
 
-// DefaultTenant is the namespace served to connections that never name one
-// (HELLO without a tenant, or the v1 protocol without USE). It is always
-// backed by the server's main target.
+// DefaultTenant is the namespace served to connections whose HELLO names
+// none. It is always backed by the server's main target.
 const DefaultTenant = "default"
 
 // TenantLimits bounds one tenant's demand on the shared worker pool. Limits

@@ -8,9 +8,8 @@ import (
 	"hrdb/internal/core"
 )
 
-// The shard operation wire format rides inside the server protocols' opaque
-// payload (the EXECSHARD verb on v1, the EXECSHARD frame on v2), so it only
-// needs to be a string. The first line is the operation header — fields
+// The shard operation wire format rides inside the server protocol's opaque
+// payload (the EXECSHARD frame), so it only needs to be a string. The first line is the operation header — fields
 // joined by the same 0x1f separator core.Item.Key uses — and every
 // following line is one record, its fields 0x1f-joined:
 //

@@ -2,8 +2,8 @@
 // frames a server pushes to a subscribed client, carrying a view's initial
 // snapshot and its subsequent deltas with resumable WAL positions.
 //
-// The encoding is line-oriented, like protocol v1, so a feed is readable
-// with netcat and embeds unchanged as v2 frame payloads:
+// The encoding is line-oriented, so a feed is readable as text, and each
+// frame rides unchanged as the payload of one SUB frame (internal/wire):
 //
 //	SNAP <epoch> <offset> <n>\n<payload>\n   full row set (payload = rows,
 //	                                         one per line, n payload bytes)
