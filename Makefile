@@ -33,7 +33,7 @@ help:
 	@echo "               CHAOS_ROUNDS=<n> soaks the 2PC chaos loop"
 	@echo "  test-view    race-mode pass over materialized views and change"
 	@echo "               feeds (differential view-vs-recompute property tests,"
-	@echo "               SUBSCRIBE resume + chaos severs, subwire framing) and"
+	@echo "               SUBSCRIBE resume, feed endings and chaos severs) and"
 	@echo "               the reference tests of the kernels the folds stand on"
 	@echo "  test-bench   vet and test the request-path benchmark (bench/ is a"
 	@echo "               module of its own, so the root build never compiles"
@@ -64,7 +64,7 @@ build:
 test:
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/wire/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/ ./internal/subwire/
+	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/wire/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/
 
 test-crash:
 	$(GO) test -run 'TestCrash' -count=1 -v ./internal/storage/
@@ -89,8 +89,8 @@ test-shard:
 	$(GO) test -race -count=1 -run 'TestShard|TestDialCluster' .
 
 test-view:
-	$(GO) test -race -count=1 ./internal/view/ ./internal/subwire/
-	$(GO) test -race -count=1 -run 'TestSubscribe' ./internal/server/
+	$(GO) test -race -count=1 ./internal/view/
+	$(GO) test -race -count=1 -run 'TestSubscribe|TestFeedEnds|TestTenantHooks' ./internal/server/
 	$(GO) test -race -count=1 -run 'TestAncestors|TestOverlaps|TestOverlapRegion|TestConflictsSignPartition|TestPropertyReconsolidate|TestKernel' ./internal/dag/ ./internal/hierarchy/ ./internal/core/
 
 test-bench:
@@ -130,8 +130,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzCrashOffset -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/storage/
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/storage/
-	$(GO) test -fuzz=FuzzSubscribeFrameDecode -fuzztime=$(FUZZTIME) ./internal/subwire/
-	$(GO) test -fuzz=FuzzShardOpDecode -fuzztime=$(FUZZTIME) ./internal/shard/
 
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=15s

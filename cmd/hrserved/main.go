@@ -27,27 +27,26 @@
 //
 // Replication (see docs/REPLICATION.md):
 //
-//	hrserved -data ./mydb -repl-addr :7584   # primary: serve WAL shipping on :7584
-//	hrserved -replica-of host:7584           # read replica following a primary
+//	hrserved -data ./mydb -addr :7583        # primary: also serves WAL shipping on :7583
+//	hrserved -replica-of host:7583           # read replica following a primary
 //
-// A primary with -repl-addr serves snapshots (SNAP) and WAL streams (REPL)
-// to followers on a dedicated listener, so bulk shipping never competes
-// with client admission control. A replica keeps a copy in sync over TCP,
-// answers read-only HQL plus LAG, rejects writes, and flips writable when
-// told PROMOTE (manual failover) or — with -auto-failover —
-// when it wins an election after the primary falls silent.
+// Every node has one address. A durable primary serves snapshots (SNAP) and
+// WAL streams (REPL) to followers on its client listener, beside HQL. A
+// replica keeps a copy in sync over TCP, answers read-only HQL plus LAG,
+// rejects writes, and flips writable when told PROMOTE (manual failover) or
+// — with -auto-failover — when it wins an election after the primary falls
+// silent.
 //
 // Self-healing failover (see docs/REPLICATION.md):
 //
-//	hrserved -replica-of host:7584 -id r1 -peer hostB:7583 \
-//	    -auto-failover -election-timeout 2s \
-//	    -data ./r1db -repl-addr :7584
+//	hrserved -replica-of host:7583 -id r1 -peer hostB:7583 \
+//	    -auto-failover -election-timeout 2s -data ./r1db
 //
 // -id names the replica for deterministic election tiebreaks; -peer (one
-// per peer replica, client address) is who it consults before
-// self-promoting. With -data, promotion is durable: the applied state is
-// materialized as a store under a fresh fencing term and the node serves
-// replication on -repl-addr to the surviving replicas. A deposed primary
+// per peer node) is who it consults before self-promoting. With -data,
+// promotion is durable: the applied state is materialized as a store under
+// a fresh fencing term and the node serves replication on its own address
+// to the surviving replicas, which retarget to it. A deposed primary
 // restarted with -peer flags detects the newer term, quarantines its
 // unreplicated WAL suffix to a sidecar file, and rejoins as a replica of
 // whoever won.
@@ -59,7 +58,7 @@
 // -shard-id/-shard-peers declare this node one shard of a hash-partitioned
 // cluster: it answers SHARDMAP with its identity and EXECSHARD with
 // shard-local reads and two-phase-commit participation. Combine with
-// -replica-of/-repl-addr to give each shard a replica set; coordinators
+// -replica-of to give each shard a replica set; coordinators
 // (hrdb.DialCluster) ride shard failovers through the same Router machinery
 // as any client.
 //
@@ -94,7 +93,6 @@ type serveConfig struct {
 	addr            string
 	dataDir         string
 	metricsAddr     string
-	replAddr        string
 	replicaOf       string
 	id              string
 	peers           []string
@@ -116,8 +114,7 @@ func main() {
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP address serving /metrics (Prometheus) and /debug/pprof (empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "log statements at least this slow to stderr (0 = disabled)")
-	replAddr := flag.String("repl-addr", "", "replication listen address (primary, or replica once promoted)")
-	replicaOf := flag.String("replica-of", "", "primary replication address to follow (replica mode)")
+	replicaOf := flag.String("replica-of", "", "address of the primary to follow (replica mode)")
 	id := flag.String("id", "", "replica election identity (required with -auto-failover; equally caught-up candidates tiebreak lexicographically)")
 	autoFailover := flag.Bool("auto-failover", false, "self-promote after -election-timeout of replication silence (replica mode)")
 	electionTimeout := flag.Duration("election-timeout", 0, "replication silence that triggers an election campaign (0 = 2s)")
@@ -146,7 +143,6 @@ func main() {
 		addr:            *addr,
 		dataDir:         *dataDir,
 		metricsAddr:     *metricsAddr,
-		replAddr:        *replAddr,
 		replicaOf:       *replicaOf,
 		id:              *id,
 		peers:           peers.addrs,
@@ -165,9 +161,6 @@ func main() {
 }
 
 func run(cfg serveConfig, opts hrdb.ServerOptions) error {
-	if cfg.replAddr != "" && cfg.dataDir == "" && cfg.replicaOf == "" {
-		return errors.New("-repl-addr requires -data or -replica-of: only a durable store or a promotable replica has a WAL to ship")
-	}
 	if cfg.autoFailover && cfg.replicaOf == "" {
 		return errors.New("-auto-failover is a replica flag; it requires -replica-of")
 	}
@@ -210,15 +203,14 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 				} else {
 					fmt.Fprintf(os.Stderr, "hrserved: deposed by term %d — no divergent WAL suffix\n", dep.Term)
 				}
-				fmt.Fprintf(os.Stderr, "hrserved: rejoining as replica of %s\n", dep.Source)
+				fmt.Fprintf(os.Stderr, "hrserved: rejoining as replica of %s\n", dep.Primary)
 				store = nil
-				cfg.replicaOf = dep.Source
+				cfg.replicaOf = dep.Primary
 			}
 		}
 	}
 
 	var target hrdb.Target
-	var replSrv *hrdb.Server
 	switch {
 	case cfg.replicaOf != "":
 		replica := hrdb.NewReplica(cfg.replicaOf, hrdb.ReplicaOptions{
@@ -227,10 +219,12 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 			AutoFailover:    cfg.autoFailover,
 			ElectionTimeout: cfg.electionTimeout,
 			PromoteDir:      cfg.dataDir,
-			Advertise:       cfg.replAddr,
 		})
 		defer replica.Close()
 		target = hrdb.ReplicaTarget{R: replica}
+		// SNAP/REPL answer "not promoted" until this node wins an election
+		// or is promoted; then surviving peers follow this address.
+		opts.Repl = replica
 		opts.LagProbe = replica.Status
 		opts.Promote = func() error {
 			err := replica.Promote()
@@ -240,17 +234,6 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 				fmt.Fprintf(os.Stderr, "hrserved: promoted (term %d) — accepting writes (in-memory; state dies with the process)\n", replica.Term())
 			}
 			return err
-		}
-		if cfg.replAddr != "" {
-			// The replication listener is up from the start so surviving
-			// peers can retarget the moment this node wins an election; it
-			// answers "not promoted" until then.
-			replSrv = hrdb.NewServer(target, hrdb.ServerOptions{Repl: replica})
-			if err := replSrv.Start(cfg.replAddr); err != nil {
-				return fmt.Errorf("replication listener: %w", err)
-			}
-			replica.SetAdvertise(replSrv.Addr())
-			fmt.Fprintf(os.Stderr, "hrserved: serving replication on %s (once promoted)\n", replSrv.Addr())
 		}
 		mode := "in-memory copy"
 		if cfg.dataDir != "" {
@@ -262,7 +245,8 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 		// once after the drain, so acknowledged statements are durable.
 		opts.CloseTarget = true
 		target = store
-		fmt.Fprintf(os.Stderr, "hrserved: durable database at %s\n", cfg.dataDir)
+		opts.Repl = hrdb.NewPrimary(store, hrdb.PrimaryOptions{})
+		fmt.Fprintf(os.Stderr, "hrserved: durable database at %s (serving replication)\n", cfg.dataDir)
 		if cfg.views {
 			// Views persist next to the store and are maintained from its
 			// committed WAL stream; the manager closes after the drain (its
@@ -276,18 +260,6 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 			target = hrdb.NewViewTarget(store, vm)
 			opts.Subscribe = vm
 			fmt.Fprintf(os.Stderr, "hrserved: materialized views enabled (%d restored)\n", len(vm.Names()))
-		}
-		if cfg.replAddr != "" {
-			// Replication rides a dedicated listener sharing the store, so
-			// snapshot fetches and WAL streams never occupy the client
-			// listener's admission slots.
-			primary := hrdb.NewPrimary(store, hrdb.PrimaryOptions{})
-			replSrv = hrdb.NewServer(store, hrdb.ServerOptions{Repl: primary})
-			if err := replSrv.Start(cfg.replAddr); err != nil {
-				store.Close()
-				return fmt.Errorf("replication listener: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "hrserved: serving replication on %s\n", replSrv.Addr())
 		}
 	default:
 		target = hrdb.NewMemTarget(hrdb.NewDatabase())
@@ -304,11 +276,6 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 
 	srv := hrdb.NewServer(target, opts)
 	if err := srv.Start(cfg.addr); err != nil {
-		if replSrv != nil {
-			ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-			defer cancel()
-			replSrv.Shutdown(ctx)
-		}
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "hrserved: serving HQL on %s\n", srv.Addr())
@@ -319,9 +286,6 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 			shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 			defer cancel()
 			srv.Shutdown(shutdownCtx)
-			if replSrv != nil {
-				replSrv.Shutdown(shutdownCtx)
-			}
 			return fmt.Errorf("metrics listener: %w", err)
 		}
 		defer ms.Close()
@@ -335,11 +299,6 @@ func run(cfg serveConfig, opts hrdb.ServerOptions) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
 	defer cancel()
-	if replSrv != nil {
-		// Stop feeding followers first; the client listener (which owns
-		// the store) drains and closes after.
-		replSrv.Shutdown(ctx)
-	}
 	if err := srv.Shutdown(ctx); err != nil {
 		return fmt.Errorf("drain incomplete: %w", err)
 	}

@@ -691,6 +691,11 @@ var (
 	// ErrStaleReplica indicates a read rejected because the replica knows
 	// it is too far behind.
 	ErrStaleReplica = server.ErrStaleReplica
+	// ErrFeedNotFound ends a subscription to a name that is no view or
+	// relation (Subscription.Next).
+	ErrFeedNotFound = server.ErrFeedNotFound
+	// ErrFeedDropped ends a subscription whose view was dropped.
+	ErrFeedDropped = server.ErrFeedDropped
 )
 
 // Observability: process-wide metrics, tracing hooks, and the slow-query

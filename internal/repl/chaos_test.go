@@ -157,6 +157,7 @@ func TestChaosFailoverPromote(t *testing.T) {
 
 	// The replica serves read-only HQL sessions through its own server.
 	repSrv := server.New(ReplicaTarget{R: rep}, server.Options{
+		Repl:     rep,
 		LagProbe: rep.Status,
 		Promote:  rep.Promote,
 	})
@@ -216,7 +217,7 @@ func TestChaosFailoverPromote(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lag: %v", err)
 	}
-	if li.State != "promoted" || li.Staleness != 0 {
-		t.Fatalf("Lag after promote = %v/%q, want 0/promoted", li.Staleness, li.State)
+	if li.State != "promoted" || li.Staleness != 0 || li.Source != "" {
+		t.Fatalf("Lag after promote = %v/%q from %q, want 0/promoted with no upstream", li.Staleness, li.State, li.Source)
 	}
 }

@@ -29,8 +29,8 @@ func probePeer(addr string, timeout time.Duration) (Status, error) {
 	return wire.ParseLag(string(payload))
 }
 
-// fenceRemote tells the node at addr (a replication address) that term has
-// been asserted, by opening a stream request that announces it: a primary
+// fenceRemote tells the node at addr (its upstream) that term has been
+// asserted, by opening a stream request that announces it: a primary
 // answering a REPL whose term is above its own fences itself before
 // replying. Best effort — the node being unreachable is the normal case
 // (that's why there was a failover).
@@ -56,11 +56,10 @@ func fenceRemote(addr string, term uint64, timeout time.Duration) {
 type Deposition struct {
 	// Term is the highest fencing term found among the peers.
 	Term uint64
-	// Primary is the client address of the peer reporting itself promoted,
-	// if any ("" when the peers only relayed a higher term).
+	// Primary is the address of the peer reporting itself promoted, if any
+	// ("" when the peers only relayed a higher term) — the address to
+	// rejoin and stream from.
 	Primary string
-	// Source is that peer's advertised replication address to stream from.
-	Source string
 }
 
 // CheckDeposed probes peers for a fencing term above the store's own. A
@@ -82,7 +81,6 @@ func CheckDeposed(st *storage.Store, peers []string, timeout time.Duration) *Dep
 		}
 		if status.Term == dep.Term && status.State == "promoted" {
 			dep.Primary = peer
-			dep.Source = status.Source
 		}
 	}
 	if dep != nil {
@@ -94,7 +92,7 @@ func CheckDeposed(st *storage.Store, peers []string, timeout time.Duration) *Dep
 // Demote executes a deposed primary's divergence-aware rejoin, given the
 // fenced store and the Deposition that fenced it:
 //
-//  1. The new primary's bootstrap is fetched (from dep.Source) to learn the
+//  1. The new primary's bootstrap is fetched (from dep.Primary) to learn the
 //     takeover divergence point — the position in THIS store's lineage up
 //     to which the promoting replica had applied.
 //  2. The store's WAL suffix past that point — committed here, never
@@ -107,15 +105,15 @@ func CheckDeposed(st *storage.Store, peers []string, timeout time.Duration) *Dep
 // caller then starts a NewReplica against the new primary, typically with
 // PromoteDir pointing back at the same directory.
 func Demote(st *storage.Store, dep *Deposition, timeout time.Duration) (quarantine string, err error) {
-	if dep == nil || dep.Source == "" {
-		return "", fmt.Errorf("repl: demote: no replication source to rejoin")
+	if dep == nil || dep.Primary == "" {
+		return "", fmt.Errorf("repl: demote: no promoted peer to rejoin")
 	}
-	boot, err := fetchBootstrap(dep.Source, timeout)
+	boot, err := fetchBootstrap(dep.Primary, timeout)
 	if err != nil {
 		return "", fmt.Errorf("repl: demote: %w", err)
 	}
 	if boot.Term < dep.Term {
-		return "", fmt.Errorf("repl: demote: source %s is behind the deposing term (%d < %d)", dep.Source, boot.Term, dep.Term)
+		return "", fmt.Errorf("repl: demote: primary %s is behind the deposing term (%d < %d)", dep.Primary, boot.Term, dep.Term)
 	}
 	quarantine, n, err := st.QuarantineSuffix(boot.TakeoverEpoch, boot.TakeoverOffset)
 	if err != nil {
@@ -134,8 +132,8 @@ func Demote(st *storage.Store, dep *Deposition, timeout time.Duration) (quaranti
 	return quarantine, nil
 }
 
-// fetchBootstrap retrieves and decodes a SNAP payload from a replication
-// address, without installing it anywhere — Demote only needs the metadata.
+// fetchBootstrap retrieves and decodes a SNAP payload from a node, without
+// installing it anywhere — Demote only needs the metadata.
 func fetchBootstrap(addr string, timeout time.Duration) (bootstrap, error) {
 	p, err := dialPeer(addr, timeout)
 	if err != nil {

@@ -21,13 +21,12 @@ import (
 // the properties under test (at-most-one-writable, acked-write survival,
 // quarantined divergence) are properties of the integration.
 
-// failoverNode is one replica node wired the way hrserved wires it: a
-// client-facing server (EXEC/LAG/PROMOTE), a replication listener
-// (SNAP/REPL once promoted), and the replica itself.
+// failoverNode is one replica node wired the way hrserved wires it: the
+// replica itself and its one server — EXEC/LAG/PROMOTE for clients, and
+// SNAP/REPL once promoted, so peers probe and follow the same address.
 type failoverNode struct {
-	rep     *Replica
-	srv     *server.Server // client address — what peers probe with LAG
-	replSrv *server.Server // replication address — what followers stream from
+	rep *Replica
+	srv *server.Server
 }
 
 // startNode builds a replica node following upstream. Peers are wired
@@ -47,30 +46,20 @@ func startNode(t *testing.T, upstream, id string, opts ReplicaOptions) *failover
 	rep := NewReplica(upstream, opts)
 	t.Cleanup(func() { rep.Close() })
 
-	replSrv := server.New(ReplicaTarget{R: rep}, server.Options{Repl: rep})
-	if err := replSrv.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("start repl listener: %v", err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		replSrv.Shutdown(ctx)
-	})
-	rep.SetAdvertise(replSrv.Addr())
-
 	srv := server.New(ReplicaTarget{R: rep}, server.Options{
+		Repl:     rep,
 		LagProbe: rep.Status,
 		Promote:  rep.Promote,
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("start client listener: %v", err)
+		t.Fatalf("start node server: %v", err)
 	}
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return &failoverNode{rep: rep, srv: srv, replSrv: replSrv}
+	return &failoverNode{rep: rep, srv: srv}
 }
 
 // TestAutoFailoverElectsExactlyOne is acceptance test (a): kill the primary
@@ -188,7 +177,7 @@ func TestFencedPrimaryRejectsWritesStale(t *testing.T) {
 	waitConverged(t, p.store, n1.rep)
 
 	// Manual promotion while the primary is alive. The promote path sends
-	// the fencing probe to the old primary's replication endpoint.
+	// the fencing probe to the old primary's address.
 	if err := n1.rep.Promote(); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
@@ -289,8 +278,8 @@ func TestDeposedPrimaryQuarantinesAndRejoins(t *testing.T) {
 	if dep.Term != n1.rep.Term() {
 		t.Fatalf("deposition term = %d, want %d", dep.Term, n1.rep.Term())
 	}
-	if dep.Source != n1.replSrv.Addr() {
-		t.Fatalf("deposition source = %q, want %q", dep.Source, n1.replSrv.Addr())
+	if dep.Primary != n1.srv.Addr() {
+		t.Fatalf("deposition primary = %q, want %q", dep.Primary, n1.srv.Addr())
 	}
 	// CheckDeposed fences immediately: no more commits on the loser.
 	if err := st.AddInstance("Animal", "Lost3", "Bird"); !errors.Is(err, storage.ErrDeposed) {
@@ -350,7 +339,7 @@ func TestDeposedPrimaryQuarantinesAndRejoins(t *testing.T) {
 	// Rejoin as a replica of the winner and converge to its fingerprint —
 	// which includes the post-failover write and excludes the quarantined
 	// suffix.
-	rejoined := startReplica(t, dep.Source)
+	rejoined := startReplica(t, dep.Primary)
 	waitConverged(t, winSt, rejoined)
 	if _, err := rejoined.Database().Hierarchy("Animal"); err != nil {
 		t.Fatalf("rejoined replica state: %v", err)

@@ -388,6 +388,7 @@ func TestLagVerbOverClient(t *testing.T) {
 	waitConverged(t, p.store, rep)
 
 	repSrv := server.New(ReplicaTarget{R: rep}, server.Options{
+		Repl:     rep,
 		LagProbe: rep.Status,
 		Promote:  rep.Promote,
 	})
@@ -425,12 +426,16 @@ func TestLagVerbOverClient(t *testing.T) {
 		t.Fatalf("Lag source = %q, want the upstream %q", li.Source, p.srv.Addr())
 	}
 
-	// PROMOTE over the wire flips the replica writable.
+	// PROMOTE over the wire flips the replica writable; it has no upstream
+	// any more, and its own address is the one to follow.
 	if err := cli.Promote(ctx); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
 	if !rep.Promoted() {
 		t.Fatal("replica not promoted after PROMOTE verb")
+	}
+	if li, err := cli.Lag(ctx); err != nil || li.Source != "" {
+		t.Fatalf("Lag after promote = %+v, %v; want no source", li, err)
 	}
 }
 

@@ -47,14 +47,9 @@ type ReplicaOptions struct {
 	// state is materialized as a storage.Store rooted there (snapshot plus
 	// a fresh WAL lineage one epoch past the takeover point), writes go
 	// through that store's WAL, and the promoted replica serves SNAP/REPL
-	// to followers. Empty keeps the in-memory promotion of earlier
-	// releases: writable, but nothing outlives the process.
+	// to followers on its one address. Empty keeps the in-memory promotion
+	// of earlier releases: writable, but nothing outlives the process.
 	PromoteDir string
-	// Advertise is the replication address other nodes should dial to
-	// follow this replica once it is promoted; it is published through the
-	// LAG payload so campaigning peers can retarget. SetAdvertise can fill
-	// it in later, once the listener is actually up.
-	Advertise string
 }
 
 func (o *ReplicaOptions) defaults() {
@@ -96,7 +91,6 @@ type Replica struct {
 	mu          sync.Mutex
 	addr        string // current upstream; elections retarget it
 	id          string
-	advertise   string
 	db          *catalog.Database
 	booted      bool             // db came from a snapshot (not the empty placeholder)
 	needSnap    bool             // position rejected as stale (or upstream changed); re-bootstrap
@@ -128,15 +122,14 @@ func NewReplica(addr string, opts ReplicaOptions) *Replica {
 	opts.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
-		addr:      addr,
-		id:        opts.ID,
-		advertise: opts.Advertise,
-		opts:      opts,
-		db:        catalog.New(),
-		state:     "connecting",
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
+		addr:   addr,
+		id:     opts.ID,
+		opts:   opts,
+		db:     catalog.New(),
+		state:  "connecting",
+		ctx:    ctx,
+		cancel: cancel,
+		done:   make(chan struct{}),
 	}
 	setStateGauge(r.state)
 	go r.run()
@@ -188,18 +181,9 @@ func (r *Replica) Term() uint64 {
 	return r.term
 }
 
-// SetAdvertise publishes the replication address other nodes should dial to
-// follow this node once promoted (daemons call it after their repl listener
-// is actually accepting).
-func (r *Replica) SetAdvertise(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.advertise = addr
-}
-
-// SetPeers replaces the peer list election campaigns consult. Like
-// SetAdvertise it solves a wiring-order problem: a peer's address is often
-// only known once its listener is up, after this replica was created.
+// SetPeers replaces the peer list election campaigns consult. It solves a
+// wiring-order problem: a peer's address is often only known once its
+// listener is up, after this replica was created.
 func (r *Replica) SetPeers(peers []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -215,7 +199,7 @@ func (r *Replica) setStateLocked(state string) {
 
 // Status is a replica's full replication status — exactly what its LAG
 // answer carries: the Lag fields plus the failover identity (term, ID, and
-// the address to follow it at).
+// its upstream).
 type Status = wire.LagInfo
 
 // Status reports the replica's replication status for LAG answers, for
@@ -233,9 +217,10 @@ func (r *Replica) Status() Status {
 		Source:    r.addr,
 	}
 	if r.promoted {
-		// A promoted replica is the authoritative copy: nothing to lag behind.
+		// A promoted replica is the authoritative copy: nothing to lag
+		// behind, no upstream.
 		st.Staleness = 0
-		st.Source = r.advertise
+		st.Source = ""
 	} else if r.everSync {
 		st.Staleness = time.Since(r.syncedAt)
 	}
@@ -473,12 +458,12 @@ func (r *Replica) quiet(et time.Duration) bool {
 
 // campaign decides this replica's move after election-timeout silence:
 // stand down if any reachable peer is better positioned (or equally
-// positioned with a smaller ID — the deterministic tiebreak), retarget if a
-// peer already won a term at or past ours, otherwise self-promote with a
-// term one past the highest seen anywhere. Unreachable peers don't vote:
-// in a partition, the reachable side elects from the candidates it can
-// compare, and fencing terms resolve any collision when the partition
-// heals.
+// positioned with a smaller ID — the deterministic tiebreak), retarget to a
+// peer that already won a term at or past ours (its client address is the
+// one to follow), otherwise self-promote with a term one past the highest
+// seen anywhere. Unreachable peers don't vote: in a partition, the
+// reachable side elects from the candidates it can compare, and fencing
+// terms resolve any collision when the partition heals.
 func (r *Replica) campaign() {
 	r.mu.Lock()
 	myPos, myTerm, myID := r.pos, r.term, r.id
@@ -495,7 +480,7 @@ func (r *Replica) campaign() {
 			maxTerm = st.Term
 		}
 		if st.State == "promoted" && st.Term >= myTerm {
-			r.retarget(st.Source)
+			r.retarget(peer)
 			return
 		}
 		peerPos := storage.Position{Epoch: st.Epoch, Offset: st.Offset}

@@ -10,11 +10,12 @@ import (
 	"hrdb/internal/server"
 )
 
-// startReplicaServer serves HQL (read-only) plus LAG/PROMOTE over a
-// replica, the way hrserved -replica-of wires it.
+// startReplicaServer serves HQL (read-only) plus LAG/PROMOTE and, once
+// promoted, SNAP/REPL over a replica, the way hrserved -replica-of wires it.
 func startReplicaServer(t *testing.T, rep *Replica) *server.Server {
 	t.Helper()
 	srv := server.New(ReplicaTarget{R: rep}, server.Options{
+		Repl: rep,
 		LagProbe: func() server.LagInfo {
 			staleness, epoch, offset, state := rep.Lag()
 			return server.LagInfo{Staleness: staleness, Epoch: epoch, Offset: offset, State: state}

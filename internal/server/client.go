@@ -12,7 +12,6 @@ import (
 
 	"hrdb/internal/backoff"
 	"hrdb/internal/hql"
-	"hrdb/internal/shard"
 	"hrdb/internal/wire"
 )
 
@@ -249,14 +248,17 @@ func (c *Client) Exec(ctx context.Context, input string) (string, error) {
 	return c.execRetry(ctx, wire.TypeExec, input, hql.ReadOnlyScript(input))
 }
 
-// ExecShard runs one encoded shard operation (internal/shard wire format)
-// and returns its response. The transport, deadline, and retry machinery is
-// Exec's; only the frame type differs (EXECSHARD) and the idempotence
-// predicate is shard.OpIdempotent instead of hql.ReadOnlyScript — every
-// shard operation is retry-safe (reads are pure, 2PC verbs are gid-guarded
-// on the participant).
-func (c *Client) ExecShard(ctx context.Context, op string) (string, error) {
-	return c.execRetry(ctx, wire.TypeExecShard, op, shard.OpIdempotent(op))
+// ExecShard runs one shard operation and returns the shard's reply. The
+// transport, deadline, and retry machinery is Exec's; only the frame type
+// differs (EXECSHARD), and every shard operation is retried after a
+// transport failure — reads are pure, and the 2PC verbs are gid-guarded on
+// the participant.
+func (c *Client) ExecShard(ctx context.Context, op wire.ShardOp) (wire.ShardReply, error) {
+	out, err := c.execRetry(ctx, wire.TypeExecShard, string(wire.AppendShardOp(nil, op)), true)
+	if err != nil {
+		return wire.ShardReply{}, err
+	}
+	return wire.ParseShardReply([]byte(out))
 }
 
 // ShardMap asks the server for its shard identity. Answered inline (like

@@ -41,13 +41,20 @@ var (
 	ErrStatementPanicked = errors.New("server: statement panicked")
 	// ErrUnsupported: the request is not enabled on this server (REPL/SNAP
 	// without a replication source, PROMOTE/LAG on a primary, SUBSCRIBE
-	// without a feed source).
+	// without a feed source), or not for this connection's tenant (SNAP,
+	// REPL, SUBSCRIBE and EXECSHARD serve the default namespace only).
 	ErrUnsupported = errors.New("server: verb not supported")
 	// ErrUnknownTenant: HELLO named a tenant this server does not serve. Hard failure — there is no point retrying the same name.
 	ErrUnknownTenant = errors.New("server: unknown tenant")
 	// ErrStaleReplica: a REPL position this server can no longer serve
 	// (the WAL was superseded by a checkpoint); re-bootstrap via SNAP.
 	ErrStaleReplica = errors.New("server: replication position not servable")
+	// ErrFeedNotFound: SUBSCRIBE named no view or relation. The feed ends;
+	// Subscription.Next returns it.
+	ErrFeedNotFound = wire.ErrFeedNotFound
+	// ErrFeedDropped: the view a feed followed was dropped. The feed ends;
+	// Subscription.Next returns it.
+	ErrFeedDropped = wire.ErrFeedDropped
 )
 
 // ErrClientClosed is returned by every call on a Client after Close,
@@ -78,8 +85,8 @@ func defineCode(name string, sentinel error) Code {
 	return c
 }
 
-// Error codes carried by ERR frames. See the protocol documentation in
-// protocol.go (and docs/HQL.md) for the semantics of each.
+// Error codes carried by ERR frames. docs/HQL.md, "Error codes", gives the
+// semantics of each.
 var (
 	codeProto       = defineCode("proto", ErrProtocol)
 	codeTooLarge    = defineCode("toolarge", ErrStatementTooLarge)
@@ -93,6 +100,8 @@ var (
 	codeQuota       = defineCode("quota", ErrQuotaExceeded)
 	codeTenant      = defineCode("tenant", ErrUnknownTenant)
 	codeStale       = defineCode("stale", ErrStaleReplica)
+	codeNotFound    = defineCode("notfound", ErrFeedNotFound)
+	codeDropped     = defineCode("dropped", ErrFeedDropped)
 )
 
 // sentinelFor returns the sentinel for a code, nil for codes this build

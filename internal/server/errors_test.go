@@ -25,6 +25,8 @@ func TestErrorCodeTableExhaustive(t *testing.T) {
 		codeQuota:       ErrQuotaExceeded,
 		codeTenant:      ErrUnknownTenant,
 		codeStale:       ErrStaleReplica,
+		codeNotFound:    ErrFeedNotFound,
+		codeDropped:     ErrFeedDropped,
 	}
 	if got, want := len(codeSentinels), len(documented); got != want {
 		t.Errorf("registry has %d codes, documentation lists %d", got, want)
@@ -65,6 +67,8 @@ func TestServerErrorIs(t *testing.T) {
 		{codePanic, ErrStatementPanicked},
 		{codeUnsupported, ErrUnsupported},
 		{codeStale, ErrStaleReplica},
+		{codeNotFound, ErrFeedNotFound},
+		{codeDropped, ErrFeedDropped},
 	}
 	for _, tc := range cases {
 		err := error(&ServerError{Code: tc.code, Msg: "x"})

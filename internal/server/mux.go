@@ -168,6 +168,9 @@ func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 				m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "this server is not a shard"))
 				continue
 			}
+			if f.Type == wire.TypeExecShard && !m.defaultOnly(f, "EXECSHARD") {
+				continue
+			}
 			if !m.exec(f) {
 				return
 			}
@@ -200,6 +203,18 @@ func (m *muxConn) Write(p []byte) (int, error) {
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
 	return m.c.Write(p)
+}
+
+// defaultOnly reports whether the connection is in the default namespace,
+// answering f with ERR unsupported when it is not. The shard node, the
+// replication source and the feed source all act on the server's main
+// target, so a tenant connection must not reach them.
+func (m *muxConn) defaultOnly(f wire.Frame, verb string) bool {
+	if m.tn.name == DefaultTenant {
+		return true
+	}
+	m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, verb+" serves the default namespace only"))
+	return false
 }
 
 // send writes one frame. Whoever completes a request writes its reply.
@@ -296,7 +311,17 @@ func (m *muxConn) exec(f wire.Frame) bool {
 	if f.Type == wire.TypeExecShard {
 		// Guarded at the dispatch switch: opts.Shard is non-nil here.
 		node := s.opts.Shard
-		mt.t.run = func(ctx context.Context) (string, error) { return node.Execute(ctx, input) }
+		mt.t.run = func(ctx context.Context) (string, error) {
+			op, err := wire.ParseShardOp([]byte(input))
+			if err != nil {
+				return "", err
+			}
+			rep, err := node.Execute(ctx, op)
+			if err != nil {
+				return "", err
+			}
+			return string(wire.ShardReplyPayload(rep)), nil
+		}
 	}
 	m.byID[f.ID] = mt
 	if st.running {

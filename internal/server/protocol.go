@@ -31,7 +31,7 @@
 // statement mid-execution retires only its stream.
 //
 //	EXEC       u32 timeout_ms | HQL script   → OK output | ERR
-//	EXECSHARD  u32 timeout_ms | shard op     → OK | ERR          (Options.Shard)
+//	EXECSHARD  u32 timeout_ms | shard op     → OK shard reply | ERR (Options.Shard)
 //	PING                                     → OK "pong"
 //	STATS                                    → OK Prometheus text
 //	LAG                                      → OK lag payload    (Options.LagProbe)
@@ -42,37 +42,21 @@
 //	REPL       u64 term | u64 epoch | u64 offset → the stream    (Options.Repl)
 //	CANCEL, ENDSTREAM, GOODBYE               → no reply
 //
-// A request whose hook is not configured answers ERR "unsupported". EXEC
-// and EXECSHARD run on the worker pool under admission control; everything
-// else is answered inline by the connection's reader, so PING, STATS and
-// LAG work even when the admission queue is saturated. timeout_ms is the
-// client's deadline in milliseconds (0 = none), capped at MaxDeadline.
+// A request whose hook is not configured answers ERR "unsupported", and so
+// do EXECSHARD, SUBSCRIBE, SNAP and REPL on a tenant connection: their
+// hooks act on the default namespace only. EXEC and EXECSHARD run on the
+// worker pool under admission control; everything else is answered inline
+// by the connection's reader, so PING, STATS and LAG work even when the
+// admission queue is saturated. timeout_ms is the client's deadline in
+// milliseconds (0 = none), capped at MaxDeadline.
 //
 // # Error codes
 //
-// ERR payloads carry a code, a backoff hint and a message. Each code maps
-// to exactly one exported sentinel via errors.Is (see errors.go):
-//
-//	proto       malformed frame, duplicate id, or a REPL that is not the
-//	            connection's only outstanding request; connection closed
-//	toolarge    frame exceeds MaxStatementBytes; connection closed
-//	exec        the statement failed (parse or execution error)
-//	overloaded  admission queue full — not executed, safe to retry
-//	quota       tenant over its admission quota or rate limit — not
-//	            executed, safe to retry after backoff
-//	tenant      unknown namespace in HELLO
-//	deadline    the deadline expired; if the statement was already
-//	            running its effects may still apply (the stream is retired)
-//	canceled    the request was canceled (CANCEL frame, stream teardown,
-//	            server drain deadline, or the end of a feed)
-//	panic       the statement panicked; isolated; the stream is retired
-//	shutdown    server is draining — not executed, retry elsewhere/later
-//	unsupported the request is not enabled on this server (e.g. REPL/SNAP
-//	            without a replication source, PROMOTE on a primary, LAG on
-//	            a non-replica)
-//	stale       a write on a node fenced by a newer primary, or a REPL
-//	            position this server can no longer serve; re-bootstrap via
-//	            SNAP (replication) or re-route to the new primary (client)
+// ERR payloads carry a code, a backoff hint and a message. The codes are a
+// closed vocabulary minted in errors.go, each bound to the one exported
+// sentinel errors.Is matches for it; docs/HQL.md, "Error codes", says when
+// each is sent and whether the request executed. Only proto and toolarge
+// close the connection.
 //
 // # Replication
 //
@@ -88,20 +72,21 @@
 // # Subscriptions
 //
 // SUBSCRIBE opens a change feed over Options.Subscribe (typically a
-// view.Manager): each subwire frame (SNAP/DELTA/HB/ERR, see
-// internal/subwire) arrives wrapped in a SUB frame carrying the request's
-// id, until the client cancels the id or the feed ends, which is answered
-// with ERR "canceled". With resume the feed replays exactly the committed
-// deltas after (epoch, offset), or reports an in-band ERR "stale" when that
-// position fell out of the retained journal.
+// view.Manager): each change — snapshot, delta or heartbeat, see
+// wire.Change — arrives as one SUB frame carrying the request's id, and
+// exactly one ERR frame on that id ends the feed: "canceled" when the
+// client cancels it, else "notfound", "stale", "dropped" or "shutdown".
+// With resume the feed replays exactly the committed deltas after (epoch,
+// offset), or ends "stale" when that position fell out of the retained
+// journal.
 //
 // # Shards
 //
 // Servers started as cluster members (Options.Shard) answer SHARDMAP with
-// "<shard_id> <shard_count>" and EXECSHARD, whose payload is a shard
-// operation in internal/shard's wire format (TUPLES, SELECT, EVAL, and the
-// two-phase-commit verbs PREPARE/COMMIT/ABORT/APPLY) instead of an HQL
-// script.
+// "<shard_id> <shard_count>" and EXECSHARD, whose payload is a binary shard
+// operation (wire.ShardOp: TUPLES, SELECT, EVAL, and the two-phase-commit
+// verbs PREPARE/COMMIT/ABORT/APPLY) instead of an HQL script, answered with
+// a binary wire.ShardReply.
 package server
 
 import (

@@ -50,6 +50,9 @@ func (m *muxConn) snap(f wire.Frame) {
 		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "replication not enabled"))
 		return
 	}
+	if !m.defaultOnly(f, "SNAP") {
+		return
+	}
 	if s.drainingNow() {
 		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
 		return
@@ -76,6 +79,9 @@ func (m *muxConn) repl(f wire.Frame, br *bufio.Reader) bool {
 	}
 	if s.opts.Repl == nil {
 		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "replication not enabled"))
+		return true
+	}
+	if !m.defaultOnly(f, "REPL") {
 		return true
 	}
 	if s.drainingNow() {

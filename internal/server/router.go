@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hrdb/internal/hql"
-	"hrdb/internal/shard"
 	"hrdb/internal/wire"
 )
 
@@ -164,20 +163,19 @@ func (r *Router) Exec(ctx context.Context, input string) (string, error) {
 // read-only input.
 func (r *Router) execPrimary(ctx context.Context, input string) (string, error) {
 	retryTransport := r.retryAll || hql.ReadOnlyScript(input)
-	return r.execOnPrimary(ctx, retryTransport, func(c *Client) (string, error) {
+	return execOnPrimary(ctx, r, retryTransport, func(c *Client) (string, error) {
 		return c.Exec(ctx, input)
 	})
 }
 
-// ExecShard routes one encoded shard operation to the current primary with
-// the same failover re-routing as Exec. Shard operations are idempotent by
+// ExecShard routes one shard operation to the current primary with the
+// same failover re-routing as Exec. Shard operations are idempotent by
 // construction (reads are pure, 2PC verbs are gid-guarded), so transport
 // failures always re-route — this is what lets a coordinator's COMMIT
 // survive a shard primary dying mid-2PC: the retry lands on the promoted
 // replica, which answers "unknown" and triggers the APPLY fallback.
-func (r *Router) ExecShard(ctx context.Context, op string) (string, error) {
-	retryTransport := r.retryAll || shard.OpIdempotent(op)
-	return r.execOnPrimary(ctx, retryTransport, func(c *Client) (string, error) {
+func (r *Router) ExecShard(ctx context.Context, op wire.ShardOp) (wire.ShardReply, error) {
+	return execOnPrimary(ctx, r, true, func(c *Client) (wire.ShardReply, error) {
 		return c.ExecShard(ctx, op)
 	})
 }
@@ -186,7 +184,7 @@ func (r *Router) ExecShard(ctx context.Context, op string) (string, error) {
 // of a shard's replica set reports the same identity). Failover-aware like
 // any primary-bound request; always transport-retryable (pure read).
 func (r *Router) ShardMap(ctx context.Context) (id, count int, err error) {
-	out, err := r.execOnPrimary(ctx, true, func(c *Client) (string, error) {
+	out, err := execOnPrimary(ctx, r, true, func(c *Client) (string, error) {
 		return c.inline(ctx, wire.TypeShardMap)
 	})
 	if err != nil {
@@ -202,7 +200,7 @@ func (r *Router) ShardMap(ctx context.Context) (id, count int, err error) {
 //     did not execute — always safe to retry on the real primary.
 //   - A transport error, only when retryTransport says the request is safe
 //     to re-issue after an ambiguous outcome.
-func (r *Router) execOnPrimary(ctx context.Context, retryTransport bool, do func(*Client) (string, error)) (string, error) {
+func execOnPrimary[T any](ctx context.Context, r *Router, retryTransport bool, do func(*Client) (T, error)) (T, error) {
 	r.mu.Lock()
 	primary := r.primary
 	r.mu.Unlock()

@@ -56,7 +56,9 @@ type Options struct {
 	Tracer obs.Tracer
 	// Repl, when non-nil, enables the SNAP and REPL verbs: this server can
 	// bootstrap and stream WAL records to follower processes. Typically a
-	// repl.Primary over the same store the server executes against.
+	// repl.Primary over the same store the server executes against, or the
+	// repl.Replica a replica server fronts. Repl, Shard and Subscribe act on
+	// the main target, so they answer default-namespace connections only.
 	Repl ReplSource
 	// Promote, when non-nil, enables the PROMOTE verb (manual failover):
 	// it must flip the serving target writable and is typically wired to a

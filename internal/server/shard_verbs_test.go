@@ -3,17 +3,22 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"hrdb/internal/shard"
+	"hrdb/internal/wire"
 )
 
 // The shard verbs (SHARDMAP inline, EXECSHARD on the worker pool) over the
 // wire, plus the Router's shard-aware plumbing. The full
 // coordinator stack over these verbs lives in the root-level
 // shard_integration_test.go; here we pin the per-verb wire behavior.
+
+// tuplesOp reads the fixture's Flies tuples.
+var tuplesOp = wire.ShardOp{Verb: wire.ShardTuples, Relation: "Flies"}
 
 func shardServer(t *testing.T, id, count int) *Server {
 	t.Helper()
@@ -40,22 +45,21 @@ func TestShardVerbsBothProtocols(t *testing.T) {
 
 		// A pure shard read: the fixture stores Flies(Bird)+ and
 		// Flies(Penguin)-.
-		op, err := shard.EncodeTuples("Flies")
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := c.ExecShard(ctx, op)
+		rep, err := c.ExecShard(ctx, tuplesOp)
 		if err != nil {
 			t.Fatalf("ExecShard: %v", err)
 		}
-		tuples, err := shard.DecodeTuples(out)
-		if err != nil || len(tuples) != 2 {
-			t.Fatalf("TUPLES = %q (%v), want 2 tuples", out, err)
+		if len(rep.Tuples) != 2 {
+			t.Fatalf("TUPLES = %+v, want 2 tuples", rep)
 		}
 
-		// A malformed op is a server-side exec failure, not a hangup.
-		if _, err := c.ExecShard(ctx, "FROBNICATE"); err == nil {
-			t.Fatal("malformed shard op must fail")
+		// A failing op is a server-side exec failure, not a hangup; so is a
+		// payload that does not decode.
+		if _, err := c.ExecShard(ctx, wire.ShardOp{Verb: "FROBNICATE"}); !errors.Is(err, ErrExecFailed) {
+			t.Fatalf("unknown shard verb = %v, want ErrExecFailed", err)
+		}
+		if _, err := c.execOnce(ctx, wire.TypeExecShard, "not a shard op"); !errors.Is(err, ErrExecFailed) {
+			t.Fatalf("undecodable shard op = %v, want ErrExecFailed", err)
 		}
 		if _, _, err := c.ShardMap(ctx); err != nil {
 			t.Fatalf("connection unusable after failed shard op: %v", err)
@@ -76,8 +80,7 @@ func TestShardVerbsUnsupportedOnPlainServer(t *testing.T) {
 		if _, _, err := c.ShardMap(ctx); !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("SHARDMAP on plain server = %v, want ErrUnsupported", err)
 		}
-		op, _ := shard.EncodeTuples("Flies")
-		if _, err := c.ExecShard(ctx, op); !errors.Is(err, ErrUnsupported) {
+		if _, err := c.ExecShard(ctx, tuplesOp); !errors.Is(err, ErrUnsupported) {
 			t.Fatalf("EXECSHARD on plain server = %v, want ErrUnsupported", err)
 		}
 	})
@@ -114,13 +117,12 @@ func TestRouterShardVerbs(t *testing.T) {
 	if err != nil || id != 0 || count != 1 {
 		t.Fatalf("ShardMap = %d/%d, %v; want 0/1", id, count, err)
 	}
-	op, _ := shard.EncodeTuples("Flies")
-	out, err := router.ExecShard(ctx, op)
+	rep, err := router.ExecShard(ctx, tuplesOp)
 	if err != nil {
 		t.Fatalf("ExecShard: %v", err)
 	}
-	if tuples, err := shard.DecodeTuples(out); err != nil || len(tuples) != 2 {
-		t.Fatalf("TUPLES via router = %q (%v)", out, err)
+	if len(rep.Tuples) != 2 {
+		t.Fatalf("TUPLES via router = %+v", rep)
 	}
 }
 
@@ -140,8 +142,7 @@ func TestRouterShardFailsOverOnStale(t *testing.T) {
 
 	// The old node is not even a shard (unsupported is NOT a failover
 	// trigger — it's a topology error the caller must see).
-	op, _ := shard.EncodeTuples("Flies")
-	if _, err := router.ExecShard(ctx, op); !errors.Is(err, ErrUnsupported) {
+	if _, err := router.ExecShard(ctx, tuplesOp); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("ExecShard on non-shard primary = %v, want ErrUnsupported", err)
 	}
 
@@ -150,12 +151,12 @@ func TestRouterShardFailsOverOnStale(t *testing.T) {
 	if _, err := router.Exec(ctx, "ASSERT Flies (Tweety);"); err != nil {
 		t.Fatalf("write during failover: %v", err)
 	}
-	out, err := router.ExecShard(ctx, op)
+	rep, err := router.ExecShard(ctx, tuplesOp)
 	if err != nil {
 		t.Fatalf("ExecShard after failover: %v", err)
 	}
-	if !strings.Contains(out, "Bird") {
-		t.Fatalf("shard read after failover = %q", out)
+	if !strings.Contains(fmt.Sprint(rep.Tuples), "Bird") {
+		t.Fatalf("shard read after failover = %+v", rep)
 	}
 }
 

@@ -4,35 +4,35 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
 	"time"
 
 	"hrdb/internal/backoff"
-	"hrdb/internal/subwire"
 	"hrdb/internal/wire"
 )
 
 // This file is the server's change-feed surface and its client. The server
 // knows nothing about view maintenance: it decodes the SUBSCRIBE request
 // and delegates to a pluggable hook (Options.Subscribe), so the dependency
-// points from internal/view — which implements it — into this package's
-// wire contract, never back. The feed itself is encoded by internal/subwire;
-// each of its frames rides in a SUB frame correlated by request id.
+// points from internal/view — which implements it — into the wire contract,
+// never back. Each change of a feed rides in one SUB frame correlated by
+// request id (wire.Change), and one ERR frame ends the feed.
 
 // SubscribeSource serves change feeds to subscribers. Implemented by
 // view.Manager.
 type SubscribeSource interface {
-	// ServeFeed streams the named view's (or relation's) feed to w in
-	// subwire frames, one frame per Write call. Without resume it opens
-	// with a full snapshot; with resume it replays exactly the committed
-	// deltas after (epoch, offset) or reports an in-band ERR "stale". It
-	// returns when ctx is canceled (nil), w fails (the write error), or
-	// the feed ends server-side after an in-band ERR frame (nil).
-	ServeFeed(ctx context.Context, w io.Writer, name string, epoch uint64, offset int64, resume bool) error
+	// ServeFeed streams the named view's (or relation's) feed through
+	// send, one change per call. Without resume it opens with a full
+	// snapshot; with resume it replays exactly the committed deltas after
+	// (epoch, offset). It returns nil when ctx is canceled, send's error
+	// when a send fails, and otherwise why the feed ended — an error
+	// wrapping wire.ErrFeedNotFound, ErrFeedStale, ErrFeedDropped or
+	// ErrFeedClosed.
+	ServeFeed(ctx context.Context, name string, epoch uint64, offset int64, resume bool, send func(wire.Change) error) error
 }
 
 // subscribePayload encodes a SUBSCRIBE frame payload:
@@ -61,22 +61,6 @@ func parseSubscribePayload(p []byte) (name string, epoch uint64, offset int64, r
 	return string(p[17:]), binary.BigEndian.Uint64(p[1:9]), offset, p[0] != 0, nil
 }
 
-// subFrameWriter adapts a muxConn into the io.Writer ServeFeed pushes
-// subwire frames through: each Write becomes one SUB frame.
-type subFrameWriter struct {
-	m      *muxConn
-	id     uint64
-	stream uint32
-}
-
-func (w subFrameWriter) Write(p []byte) (int, error) {
-	payload := append([]byte(nil), p...)
-	if err := w.m.send(wire.Frame{Type: wire.TypeSub, ID: w.id, Stream: w.stream, Payload: payload}); err != nil {
-		return 0, err
-	}
-	return len(p), nil
-}
-
 // subscribe handles one SUBSCRIBE frame: the feed runs in its own
 // goroutine, pushing SUB frames through the shared writer, so the reader
 // loop (and every other stream) keeps going. It reports whether the
@@ -87,7 +71,7 @@ func (w subFrameWriter) Write(p []byte) (int, error) {
 // (and the view manager) after the drain, and a feed admitted during it
 // would race that close. Feeds already running end when Shutdown retires
 // their connections (teardown cancels them), so the drain is never held up
-// by an idle subscriber.
+// by an idle subscriber. Feeds follow the default namespace's views only.
 func (m *muxConn) subscribe(f wire.Frame) bool {
 	s := m.srv
 	name, epoch, offset, resume, err := parseSubscribePayload(f.Payload)
@@ -97,6 +81,9 @@ func (m *muxConn) subscribe(f wire.Frame) bool {
 	}
 	if s.opts.Subscribe == nil {
 		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "subscriptions not enabled"))
+		return true
+	}
+	if !m.defaultOnly(f, "SUBSCRIBE") {
 		return true
 	}
 	if s.drainingNow() {
@@ -120,29 +107,48 @@ func (m *muxConn) subscribe(f wire.Frame) bool {
 	go func() {
 		defer m.feeds.Done()
 		defer metricSubStreams.Dec()
-		s.opts.Subscribe.ServeFeed(ctx, subFrameWriter{m, f.ID, f.Stream}, name, epoch, offset, resume)
+		err := s.opts.Subscribe.ServeFeed(ctx, name, epoch, offset, resume, func(c wire.Change) error {
+			p, err := wire.ChangePayload(c)
+			if err != nil {
+				return err
+			}
+			return m.send(wire.Frame{Type: wire.TypeSub, ID: f.ID, Stream: f.Stream, Payload: p})
+		})
 		cancel()
 		m.mu.Lock()
 		delete(m.byID, f.ID)
 		m.mu.Unlock()
-		// The terminating frame unblocks a client reader deterministically
-		// even when the feed ended without an in-band subwire ERR.
-		m.send(errFrame(f.ID, f.Stream, codeCanceled, 0, "subscription ended"))
+		code, msg := feedEnd(err)
+		m.send(errFrame(f.ID, f.Stream, code, 0, msg))
 	}()
 	return true
+}
+
+// feedEnd maps why a feed ended to the code and message of the one ERR
+// frame that ends it.
+func feedEnd(err error) (Code, string) {
+	switch {
+	case err == nil:
+		return codeCanceled, "subscription ended"
+	case errors.Is(err, wire.ErrFeedNotFound):
+		return codeNotFound, err.Error()
+	case errors.Is(err, wire.ErrFeedDropped):
+		return codeDropped, err.Error()
+	case errors.Is(err, wire.ErrFeedStale):
+		return codeStale, err.Error()
+	case errors.Is(err, wire.ErrFeedClosed):
+		return codeShutdown, err.Error()
+	default:
+		return codeExec, err.Error()
+	}
 }
 
 // SubChange is one change delivered by a Subscription. A "snapshot" change
 // carries the feed's full row set and resets any state the consumer keeps;
 // a "delta" carries incremental row changes to apply on top. Epoch/Offset
-// is the resumable position after applying the change.
-type SubChange struct {
-	Kind           string // "snapshot" | "delta"
-	Epoch          uint64
-	Offset         int64
-	Rows           []string // snapshot: the full row set, sorted
-	Added, Removed []string // delta: row changes, sorted
-}
+// is the resumable position after applying the change. Subscription.Next
+// consumes heartbeats itself.
+type SubChange = wire.Change
 
 // Subscription is a client-side change feed over its own dedicated
 // connection (feeds are long-lived; a dedicated connection keeps their
@@ -167,8 +173,7 @@ type Subscription struct {
 	closed bool
 
 	// Connection-epoch state, used only under reqMu.
-	br  *bufio.Reader
-	dec subwire.Decoder
+	br *bufio.Reader
 
 	havePos bool
 	epoch   uint64
@@ -266,8 +271,8 @@ func (sub *Subscription) current() net.Conn {
 // backoff are transparent. It returns the ctx error on expiry (the feed
 // resumes on the following call), ErrClientClosed after Close, and a
 // terminal *ServerError when the feed cannot continue — the name is
-// unknown ("notfound"), the view was dropped ("dropped"), or the server
-// refused the subscription outright (e.g. ErrUnsupported).
+// unknown (ErrFeedNotFound), the view was dropped (ErrFeedDropped), or the
+// server refused the subscription outright (e.g. ErrUnsupported).
 func (sub *Subscription) Next(ctx context.Context) (SubChange, error) {
 	sub.reqMu.Lock()
 	defer sub.reqMu.Unlock()
@@ -286,38 +291,24 @@ func (sub *Subscription) Next(ctx context.Context) (SubChange, error) {
 				continue
 			}
 		}
-		f, err := sub.readFeedFrame(ctx)
-		if err != nil {
+		ch, err := sub.readChange(ctx)
+		var se *ServerError
+		switch {
+		case errors.As(err, &se) && se.Code == codeStale:
+			// The journal no longer covers our position: restart fresh. The
+			// next change is a full snapshot, which resets the consumer's
+			// state, so nothing is silently lost.
+			sub.drop()
+			sub.havePos = false
+		case err != nil:
 			sub.drop()
 			if terminal, werr := sub.setback(ctx, err); terminal {
 				return SubChange{}, werr
 			}
-			continue
-		}
-		switch f.Kind {
-		case subwire.KindHB:
-			sub.markPos(f.Epoch, f.Offset)
-		case subwire.KindSnap:
-			sub.markPos(f.Epoch, f.Offset)
-			return SubChange{Kind: "snapshot", Epoch: f.Epoch, Offset: f.Offset, Rows: f.Rows}, nil
-		case subwire.KindDelta:
-			sub.markPos(f.Epoch, f.Offset)
-			return SubChange{Kind: "delta", Epoch: f.Epoch, Offset: f.Offset, Added: f.Added, Removed: f.Removed}, nil
-		case subwire.KindErr:
-			sub.drop()
-			switch f.Code {
-			case "stale":
-				// The journal no longer covers our position: restart fresh.
-				// The next change is a full snapshot, which resets the
-				// consumer's state, so nothing is silently lost.
-				sub.havePos = false
-			case "shutdown":
-				// Server-side source closing (restart, failover): retry.
-				if terminal, werr := sub.setback(ctx, &ServerError{Code: codeShutdown, Msg: f.Msg}); terminal {
-					return SubChange{}, werr
-				}
-			default: // notfound, dropped, future codes: terminal
-				return SubChange{}, &ServerError{Code: Code(f.Code), Msg: f.Msg}
+		default:
+			sub.markPos(ch.Epoch, ch.Offset)
+			if ch.Kind != wire.ChangeHeartbeat {
+				return ch, nil
 			}
 		}
 	}
@@ -345,10 +336,12 @@ func (sub *Subscription) setback(ctx context.Context, err error) (terminal bool,
 	if se, ok := err.(*ServerError); ok {
 		switch se.Code {
 		case codeShutdown, codeOverloaded, codeQuota, codeCanceled:
-			// Not executed / feed ended server-side: reconnect and resume.
+			// Not executed, or the source is closing (restart, failover):
+			// reconnect and resume.
 			hint = se.RetryAfter
 		default:
-			// unsupported, tenant, proto, notfound, …: retrying cannot help.
+			// unsupported, tenant, proto, notfound, dropped, …: retrying
+			// cannot help.
 			return true, err
 		}
 	}
@@ -363,7 +356,7 @@ func (sub *Subscription) setback(ctx context.Context, err error) (terminal bool,
 // connect dials a fresh connection and sends the SUBSCRIBE request
 // (resuming from the last delivered position when one is known).
 // Acceptance is implicit: the first frame back is either SUB (feed
-// running) or ERR (refused), handled by readFeedFrame.
+// running) or ERR (refused), handled by readChange.
 func (sub *Subscription) connect(ctx context.Context) error {
 	conn, br, _, err := wire.Dial(ctx, sub.addr, sub.o.dialTimeout, sub.o.tenant)
 	if err != nil {
@@ -373,7 +366,6 @@ func (sub *Subscription) connect(ctx context.Context) error {
 		return err
 	}
 	sub.br = br
-	sub.dec = subwire.Decoder{}
 
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
@@ -386,33 +378,27 @@ func (sub *Subscription) connect(ctx context.Context) error {
 	return nil
 }
 
-// readFeedFrame returns the next subwire frame from the current
-// connection, unwrapping SUB frames. A ctx expiry severs the connection
-// (the next call reconnects and resumes, so nothing is lost).
-func (sub *Subscription) readFeedFrame(ctx context.Context) (subwire.Frame, error) {
+// readChange returns the next change on the current connection; the ERR
+// frame that ends a feed comes back as its *ServerError. A ctx expiry
+// severs the connection (the next call reconnects and resumes, so nothing
+// is lost).
+func (sub *Subscription) readChange(ctx context.Context) (SubChange, error) {
 	conn := sub.current()
 	if conn == nil {
-		return subwire.Frame{}, ErrClientClosed
+		return SubChange{}, ErrClientClosed
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
 	defer stop()
-	for {
-		if f, ok, err := sub.dec.Next(); err != nil {
-			return subwire.Frame{}, err
-		} else if ok {
-			return f, nil
-		}
-		fr, err := wire.ReadFrame(sub.br, sub.o.maxResponse)
-		if err != nil {
-			return subwire.Frame{}, err
-		}
-		if fr.Type != wire.TypeSub {
-			_, err := wire.Reply(fr)
-			if err == nil {
-				err = fmt.Errorf("%w: unexpected OK frame on a feed", ErrProtocol)
-			}
-			return subwire.Frame{}, serverError(err)
-		}
-		sub.dec.Feed(fr.Payload)
+	f, err := wire.ReadFrame(sub.br, sub.o.maxResponse)
+	if err != nil {
+		return SubChange{}, err
 	}
+	if f.Type != wire.TypeSub {
+		_, err := wire.Reply(f)
+		if err == nil {
+			err = fmt.Errorf("%w: unexpected OK frame on a feed", ErrProtocol)
+		}
+		return SubChange{}, serverError(err)
+	}
+	return wire.ParseChange(f.Payload)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hrdb/internal/shard"
 	"hrdb/internal/storage"
 	"hrdb/internal/view"
 	"hrdb/internal/wire"
@@ -198,7 +199,7 @@ func TestSubscribeErrors(t *testing.T) {
 	defer sub2.Close()
 	_, err = sub2.Next(ctx)
 	var se *ServerError
-	if !errors.As(err, &se) || se.Code != "notfound" {
+	if !errors.As(err, &se) || se.Code != "notfound" || !errors.Is(err, ErrFeedNotFound) {
 		t.Fatalf("Next on unknown feed = %v, want notfound ServerError", err)
 	}
 
@@ -210,7 +211,7 @@ func TestSubscribeErrors(t *testing.T) {
 // TestSubscribeNegotiate pins the feed's own connection: it opens with the
 // client's HELLO, so a server that predates the framed protocol refuses it
 // with a typed protocol error, an unknown tenant with ErrUnknownTenant, and
-// a tenant subscription rides the tenant HELLO.
+// a tenant subscription rides the tenant HELLO (and is refused there).
 func TestSubscribeNegotiate(t *testing.T) {
 	srv, _ := newSubscribeServer(t, Options{Tenants: []TenantConfig{{Name: "acme"}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -258,8 +259,10 @@ func TestSubscribeNegotiate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	if ch := nextChange(t, sub); ch.Kind != "snapshot" {
-		t.Fatalf("tenant feed first change = %q, want snapshot", ch.Kind)
+	// The feed's HELLO named the tenant, whose connection cannot follow the
+	// default namespace's views.
+	if ch, err := sub.Next(ctx); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("tenant feed = %+v, %v; want ErrUnsupported", ch, err)
 	}
 }
 
@@ -521,4 +524,130 @@ func TestSubscribeChaosSever(t *testing.T) {
 			apply(ch)
 		}
 	}
+}
+
+// TestTenantHooksServeDefaultNamespaceOnly: the shard node, the replication
+// source and the feed source act on the server's main target, so a tenant
+// connection must not reach them. EXECSHARD, SUBSCRIBE, SNAP and REPL from
+// an acme connection answer ERR unsupported — none leaks default-namespace
+// data — and the connection stays usable; from a default connection they
+// serve as before.
+func TestTenantHooksServeDefaultNamespaceOnly(t *testing.T) {
+	srv, _ := newSubscribeServer(t, Options{Tenants: []TenantConfig{{Name: "acme"}}})
+	target := srv.target
+	other := startServer(t, target, Options{
+		Tenants:   []TenantConfig{{Name: "acme"}},
+		Shard:     shard.NewNode(target, 0, 1),
+		Subscribe: srv.opts.Subscribe,
+		Repl:      &stubRepl{snapshot: []byte("the default store")},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	acme, err := Dial(other.Addr(), WithTenant("acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer acme.Close()
+	flies := wire.ShardOp{Verb: wire.ShardTuples, Relation: "flies"}
+	if rep, err := acme.ExecShard(ctx, flies); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("tenant EXECSHARD = %+v, %v; want ErrUnsupported", rep, err)
+	}
+	sub, err := acme.Subscribe("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if ch, err := sub.Next(ctx); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("tenant SUBSCRIBE = %+v, %v; want ErrUnsupported", ch, err)
+	}
+	c, br, _, err := wire.Dial(ctx, other.Addr(), time.Second, "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := &rawConn{t: t, c: c, br: br}
+	defer c.Close()
+	for i, f := range []wire.Frame{{Type: wire.TypeSnap}, replFrame(0, wire.StreamPos{})} {
+		f.ID = uint64(i + 1)
+		rc.send(f)
+		if code, msg := rc.recvErr(f.ID); code != codeUnsupported || !strings.Contains(msg, "default namespace only") {
+			t.Fatalf("tenant frame type %#x = ERR %s %q, want unsupported", f.Type, code, msg)
+		}
+	}
+	rc.send(wire.Frame{Type: wire.TypePing, ID: 3})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 3 {
+		t.Fatalf("PING after the refusals = %+v", f)
+	}
+	if _, err := acme.Exec(ctx, "SHOW RELATIONS;"); err != nil {
+		t.Fatalf("tenant connection unusable after the refusals: %v", err)
+	}
+
+	def, err := Dial(other.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer def.Close()
+	if rep, err := def.ExecShard(ctx, flies); err != nil || len(rep.Tuples) != 1 {
+		t.Fatalf("default EXECSHARD = %+v, %v; want the one stored tuple", rep, err)
+	}
+	dsub, err := def.Subscribe("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dsub.Close()
+	if ch := nextChange(t, dsub); ch.Kind != wire.ChangeSnapshot || strings.Join(ch.Rows, ",") != "(tweety)" {
+		t.Fatalf("default SUBSCRIBE = %+v", ch)
+	}
+}
+
+// TestFeedEndsWithOneErr: whatever ends a feed on the server's side, the
+// subscriber gets exactly one ERR frame for it, carrying the code from the
+// one table — and the connection carries on.
+func TestFeedEndsWithOneErr(t *testing.T) {
+	srv, m := newSubscribeServer(t, Options{})
+	ctx := context.Background()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rc := rawHello(t, srv.Addr())
+	id := uint64(0)
+	// subscribe opens a feed and reads its frames up to the ERR that ends
+	// it, which must carry want; a PING then proves nothing follows.
+	subscribe := func(name string, epoch uint64, offset int64, resume bool, end func(), want Code, sentinel error) {
+		t.Helper()
+		id++
+		rc.send(wire.Frame{Type: wire.TypeSubscribe, ID: id, Stream: 1, Payload: subscribePayload(name, epoch, offset, resume)})
+		if end != nil {
+			if f := rc.recv(); f.Type != wire.TypeSub || f.ID != id {
+				t.Fatalf("%s: first feed frame = %+v, want SUB", want, f)
+			}
+			end()
+		}
+		for {
+			f := rc.recv()
+			if f.Type == wire.TypeSub {
+				continue
+			}
+			_, err := wire.Reply(f)
+			if se := serverError(err); f.ID != id || !errors.Is(se, sentinel) || se.(*ServerError).Code != want {
+				t.Fatalf("feed ended with %+v (%v), want one ERR %s", f, se, want)
+			}
+			break
+		}
+		id++
+		rc.send(wire.Frame{Type: wire.TypePing, ID: id})
+		if f := rc.recv(); f.Type != wire.TypeOK || f.ID != id {
+			t.Fatalf("after the %s ERR: %+v, want only the PING's OK", want, f)
+		}
+	}
+	subscribe("nosuch", 0, 0, false, nil, codeNotFound, ErrFeedNotFound)
+	subscribe("flat", 99, 0, true, nil, codeStale, ErrStaleReplica)
+	subscribe("flat", 0, 0, false, func() {
+		if _, err := c.Exec(ctx, "DROP VIEW flat;"); err != nil {
+			t.Fatal(err)
+		}
+	}, codeDropped, ErrFeedDropped)
+	subscribe("flies", 0, 0, false, func() { m.Close() }, codeShutdown, ErrServerClosed)
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hrdb/internal/catalog"
 	"hrdb/internal/hql"
 	"hrdb/internal/shard"
 	"hrdb/internal/storage"
@@ -19,26 +20,30 @@ import (
 	"hrdb/internal/wire"
 )
 
-// testdata/v2_transcript.txt is a whole framed-protocol conversation
-// recorded against the server of commit e31b16c, which still served the
-// line protocol beside the framed one: HELLO with a tenant, EXEC (ok and
-// err), PING, STATS, LAG, PROMOTE, SHARDMAP, EXECSHARD, SUBSCRIBE with its
-// snapshot and a delta, CANCEL, GOODBYE. Replaying the client's bytes must
-// draw the recorded server bytes back exactly, so nothing a framed client
-// sees has moved. Records:
+// testdata/v2_transcript.txt is a whole framed-protocol conversation in two
+// connections. On a tenant HELLO: EXEC (ok and err), PING, STATS, LAG,
+// PROMOTE, SHARDMAP, then EXECSHARD and SUBSCRIBE refused (they serve the
+// default namespace only), GOODBYE. On a default HELLO: EXECSHARD with its
+// binary op and reply, SUBSCRIBE with its snapshot and a delta, CANCEL,
+// GOODBYE. Every frame whose layout is older than the typed SUB and
+// EXECSHARD payloads is byte-identical to the recording made against the
+// server of commit e31b16c. Replaying the client's bytes must draw the
+// recorded server bytes back exactly, so nothing a framed client sees has
+// moved. Records:
 //
 //	# text        comment
 //	> hex         bytes the client sends
 //	< hex         bytes the server must answer with, byte for byte
 //	<* hex        a frame with this header; its payload (live metrics) is not compared
 //	! write       the harness commits `INSTANCE polly UNDER bird;` out of band
+//	! reconnect   the client opens a fresh connection
 //	! eof         the server closes the connection
 
 // transcriptServer starts the server the transcript was recorded against:
-// tenant "acme" is a durable store with a materialized view "flat" over
-// flies, serving SUBSCRIBE and a one-shard node; the default namespace is
-// the usual fixture; LAG and PROMOTE have canned hooks. It returns a
-// session on acme for out-of-band writes.
+// the default namespace is a durable store with a materialized view "flat"
+// over flies, serving SUBSCRIBE and a one-shard node; tenant "acme" holds
+// the same relation in memory; LAG and PROMOTE have canned hooks. It
+// returns a session on the default store for out-of-band writes.
 func transcriptServer(t *testing.T) (*Server, *hql.Session) {
 	t.Helper()
 	st, err := storage.Open(t.TempDir())
@@ -53,16 +58,19 @@ func transcriptServer(t *testing.T) (*Server, *hql.Session) {
 		m.Close()
 		st.Close()
 	})
-	acme := view.NewTarget(st, m)
-	sess := hql.NewSession(acme)
-	if _, err := sess.Exec(`
+	schema := `
 		CREATE HIERARCHY Animal;
 		CLASS bird IN Animal;
 		INSTANCE tweety UNDER bird;
 		CREATE RELATION flies (who: Animal);
-		ASSERT flies (bird);
-		CREATE MATERIALIZED VIEW flat AS EXTENSION flies;
-	`); err != nil {
+		ASSERT flies (bird);`
+	acme := hql.MemTarget{DB: catalog.New()}
+	if _, err := hql.NewSession(acme).Exec(schema); err != nil {
+		t.Fatal(err)
+	}
+	main := view.NewTarget(st, m)
+	sess := hql.NewSession(main)
+	if _, err := sess.Exec(schema + "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;"); err != nil {
 		t.Fatal(err)
 	}
 	// The feed's snapshot names the view's position: let maintenance catch
@@ -72,10 +80,10 @@ func transcriptServer(t *testing.T) (*Server, *hql.Session) {
 	if err := m.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, newMemTarget(t), Options{
+	srv := startServer(t, main, Options{
 		Tenants:   []TenantConfig{{Name: "acme", Target: acme}},
 		Subscribe: m,
-		Shard:     shard.NewNode(acme, 0, 1),
+		Shard:     shard.NewNode(main, 0, 1),
 		LagProbe: lagConst(LagInfo{Staleness: 250 * time.Millisecond, Epoch: 3, Offset: 99,
 			State: "streaming", Term: 4, ID: "r1", Source: "10.0.0.9:7584"}),
 		Promote: func() error { return nil },
@@ -89,12 +97,19 @@ func TestWireTranscript(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, sess := transcriptServer(t)
-	c, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
+	var c net.Conn
+	var br *bufio.Reader
+	dial := func() {
+		if c != nil {
+			c.Close()
+		}
+		if c, err = net.Dial("tcp", srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		br = bufio.NewReader(c)
 	}
-	defer c.Close()
-	br := bufio.NewReader(c)
+	dial()
+	defer func() { c.Close() }()
 
 	for n, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
 		kind, arg, _ := strings.Cut(line, " ")
@@ -134,6 +149,8 @@ func TestWireTranscript(t *testing.T) {
 				if _, err := sess.Exec("INSTANCE polly UNDER bird;"); err != nil {
 					t.Fatal(err)
 				}
+			case "reconnect":
+				dial()
 			case "eof":
 				if b, err := br.ReadByte(); err != io.EOF {
 					t.Fatalf("line %d: want EOF, got byte %q, %v", n+1, b, err)

@@ -14,6 +14,7 @@ import (
 	"hrdb/internal/core"
 	"hrdb/internal/hql"
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // Conn is what the coordinator needs from a shard connection: full HQL
@@ -22,7 +23,7 @@ import (
 // dependency points this way).
 type Conn interface {
 	Exec(ctx context.Context, input string) (string, error)
-	ExecShard(ctx context.Context, op string) (string, error)
+	ExecShard(ctx context.Context, op wire.ShardOp) (wire.ShardReply, error)
 	Close() error
 }
 
@@ -200,7 +201,7 @@ func (c *Cluster) broadcast(ctx context.Context, st hql.Stmt) (string, error) {
 		return "", fmt.Errorf("shard: EXPLICATE %s is not supported on a multi-shard cluster (it rewrites global tuples into local ones that would land on the wrong shard)", ex.Relation)
 	}
 	rendered := hql.Render(st) + ";"
-	resps, err := c.fanout(ctx, len(c.conns), func(i int) (string, error) {
+	resps, err := fanout(len(c.conns), func(i int) (string, error) {
 		return c.conns[i].Exec(ctx, rendered)
 	})
 	if err != nil {
@@ -226,9 +227,9 @@ func (c *Cluster) keyed(ctx context.Context, st hql.Stmt, info hql.ShardInfo) (s
 		return strings.TrimSuffix(out, "\n"), err
 
 	case hql.AssertStmt:
-		kind := "assert"
+		kind := catalog.KindAssert
 		if !st.Sign {
-			kind = "deny"
+			kind = catalog.KindDeny
 		}
 		if c.inTx {
 			c.txOps = append(c.txOps, catalog.TxOp{Kind: kind, Relation: st.Relation, Values: st.Values})
@@ -245,10 +246,10 @@ func (c *Cluster) keyed(ctx context.Context, st hql.Stmt, info hql.ShardInfo) (s
 
 	case hql.RetractStmt:
 		if c.inTx {
-			c.txOps = append(c.txOps, catalog.TxOp{Kind: "retract", Relation: st.Relation, Values: st.Values})
+			c.txOps = append(c.txOps, catalog.TxOp{Kind: catalog.KindRetract, Relation: st.Relation, Values: st.Values})
 			return fmt.Sprintf("staged retract on %s", st.Relation), nil
 		}
-		return c.keyedWrite(ctx, rendered, catalog.TxOp{Kind: "retract", Relation: st.Relation, Values: st.Values, Bare: true},
+		return c.keyedWrite(ctx, rendered, catalog.TxOp{Kind: catalog.KindRetract, Relation: st.Relation, Values: st.Values, Bare: true},
 			func() string {
 				return fmt.Sprintf("retracted %s(%s)", st.Relation, strings.Join(st.Values, ", "))
 			})
@@ -288,11 +289,8 @@ func (c *Cluster) scatter(ctx context.Context, st hql.Stmt) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		op, err := EncodeSelect(st.Relation, st.Conds)
-		if err != nil {
-			return "", err
-		}
-		resps, err := c.fanout(ctx, len(c.conns), func(i int) (string, error) {
+		op := wire.ShardOp{Verb: wire.ShardSelect, Relation: st.Relation, Conds: st.Conds}
+		reps, err := fanout(len(c.conns), func(i int) (wire.ShardReply, error) {
 			return c.conns[i].ExecShard(ctx, op)
 		})
 		if err != nil {
@@ -304,12 +302,8 @@ func (c *Cluster) scatter(ctx context.Context, st hql.Stmt) (string, error) {
 		}
 		res := core.NewRelation(name, snap.Schema())
 		res.SetMode(snap.Mode())
-		for _, resp := range resps {
-			tuples, err := DecodeTuples(resp)
-			if err != nil {
-				return "", err
-			}
-			for _, t := range tuples {
+		for _, rep := range reps {
+			for _, t := range rep.Tuples {
 				if err := res.Insert(t.Item, t.Sign); err != nil {
 					return "", fmt.Errorf("shard: merging %s: %w", st.Relation, err)
 				}
@@ -577,43 +571,32 @@ func (c *Cluster) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 	gid := fmt.Sprintf("%s.%d", c.gidBase, c.gidSeq.Add(1))
 
 	// Phase 1: prepare. Any failure aborts everywhere — nothing was applied.
-	_, perr := c.fanout(ctx, len(involved), func(i int) (string, error) {
+	_, perr := fanout(len(involved), func(i int) (wire.ShardReply, error) {
 		s := involved[i]
-		op, err := EncodePrepare(gid, perShard[s])
-		if err != nil {
-			return "", err
-		}
-		return c.conns[s].ExecShard(ctx, op)
+		return c.conns[s].ExecShard(ctx, wire.ShardOp{Verb: wire.ShardPrepare, GID: gid, Ops: perShard[s]})
 	})
 	if perr != nil {
-		abort, _ := EncodeAbort(gid)
-		c.fanout(context.WithoutCancel(ctx), len(involved), func(i int) (string, error) {
-			return c.conns[involved[i]].ExecShard(ctx, abort)
+		// The aborts go out even when ctx is what failed the prepare.
+		actx := context.WithoutCancel(ctx)
+		fanout(len(involved), func(i int) (wire.ShardReply, error) {
+			return c.conns[involved[i]].ExecShard(actx, wire.ShardOp{Verb: wire.ShardAbort, GID: gid})
 		})
 		return perr
 	}
 
 	// Phase 2: commit point passed — drive every participant to completion.
-	commit, err := EncodeCommit(gid)
-	if err != nil {
-		return err
-	}
-	_, cerr := c.fanout(ctx, len(involved), func(i int) (string, error) {
+	_, cerr := fanout(len(involved), func(i int) (wire.ShardReply, error) {
 		s := involved[i]
-		resp, err := c.conns[s].ExecShard(ctx, commit)
+		rep, err := c.conns[s].ExecShard(ctx, wire.ShardOp{Verb: wire.ShardCommit, GID: gid})
 		if err != nil {
-			return "", fmt.Errorf("shard %d: commit of %s in doubt: %w", s, gid, err)
+			return rep, fmt.Errorf("shard %d: commit of %s in doubt: %w", s, gid, err)
 		}
-		if resp == "unknown" {
-			apply, err := EncodeApply(gid, perShard[s])
-			if err != nil {
-				return "", err
-			}
-			if _, err := c.conns[s].ExecShard(ctx, apply); err != nil {
-				return "", fmt.Errorf("shard %d: apply of %s in doubt: %w", s, gid, err)
+		if rep.Status == "unknown" {
+			if rep, err = c.conns[s].ExecShard(ctx, wire.ShardOp{Verb: wire.ShardApply, GID: gid, Ops: perShard[s]}); err != nil {
+				return rep, fmt.Errorf("shard %d: apply of %s in doubt: %w", s, gid, err)
 			}
 		}
-		return "", nil
+		return rep, nil
 	})
 	return cerr
 }
@@ -621,9 +604,9 @@ func (c *Cluster) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 // renderOp renders a transaction op as its HQL statement.
 func renderOp(o catalog.TxOp) string {
 	switch o.Kind {
-	case "assert":
+	case catalog.KindAssert:
 		return hql.Render(hql.AssertStmt{Relation: o.Relation, Values: o.Values, Sign: true})
-	case "deny":
+	case catalog.KindDeny:
 		return hql.Render(hql.AssertStmt{Relation: o.Relation, Values: o.Values, Sign: false})
 	default:
 		return hql.Render(hql.RetractStmt{Relation: o.Relation, Values: o.Values})
@@ -632,23 +615,15 @@ func renderOp(o catalog.TxOp) string {
 
 // gather collects a base relation's stored tuples from every shard.
 func (c *Cluster) gather(ctx context.Context, rel string) ([]core.Tuple, error) {
-	op, err := EncodeTuples(rel)
-	if err != nil {
-		return nil, err
-	}
-	resps, err := c.fanout(ctx, len(c.conns), func(i int) (string, error) {
-		return c.conns[i].ExecShard(ctx, op)
+	reps, err := fanout(len(c.conns), func(i int) (wire.ShardReply, error) {
+		return c.conns[i].ExecShard(ctx, wire.ShardOp{Verb: wire.ShardTuples, Relation: rel})
 	})
 	if err != nil {
 		return nil, err
 	}
 	var out []core.Tuple
-	for _, resp := range resps {
-		tuples, err := DecodeTuples(resp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tuples...)
+	for _, rep := range reps {
+		out = append(out, rep.Tuples...)
 	}
 	return out, nil
 }
@@ -740,31 +715,23 @@ func (c *Cluster) HoldsBatch(ctx context.Context, rel string, items []core.Item)
 	}
 	out := make([]bool, len(items))
 	var mu sync.Mutex
-	_, err := c.fanout(ctx, n, func(s int) (string, error) {
+	_, err := fanout(n, func(s int) (wire.ShardReply, error) {
 		if len(groups[s]) == 0 {
-			return "", nil
+			return wire.ShardReply{}, nil
 		}
-		op, err := EncodeEval(rel, groups[s])
+		rep, err := c.conns[s].ExecShard(ctx, wire.ShardOp{Verb: wire.ShardEval, Relation: rel, Items: groups[s]})
 		if err != nil {
-			return "", err
+			return rep, err
 		}
-		resp, err := c.conns[s].ExecShard(ctx, op)
-		if err != nil {
-			return "", err
-		}
-		vals, err := DecodeBools(resp)
-		if err != nil {
-			return "", err
-		}
-		if len(vals) != len(groups[s]) {
-			return "", fmt.Errorf("shard %d: EVAL returned %d verdicts for %d items", s, len(vals), len(groups[s]))
+		if len(rep.Verdicts) != len(groups[s]) {
+			return rep, fmt.Errorf("shard %d: EVAL returned %d verdicts for %d items", s, len(rep.Verdicts), len(groups[s]))
 		}
 		mu.Lock()
-		for j, v := range vals {
+		for j, v := range rep.Verdicts {
 			out[idx[s][j]] = v
 		}
 		mu.Unlock()
-		return "", nil
+		return rep, nil
 	})
 	if err != nil {
 		return nil, err
@@ -774,8 +741,8 @@ func (c *Cluster) HoldsBatch(ctx context.Context, rel string, items []core.Item)
 
 // fanout runs fn(0..n-1) concurrently, returning every result and the
 // first error (after all calls finish, so no goroutine outlives the call).
-func (c *Cluster) fanout(ctx context.Context, n int, fn func(i int) (string, error)) ([]string, error) {
-	resps := make([]string, n)
+func fanout[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	resps := make([]T, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hrdb/internal/core"
+	"hrdb/internal/wire"
 )
 
 // TestClusterSingleShardTxRendersAllOpKinds: a transaction whose ops all
@@ -64,7 +65,7 @@ func TestClusterShardFailureSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("shard down")
-	conns[1].setHook(func(op string) error { return boom })
+	conns[1].setHook(func(op wire.ShardOp) error { return boom })
 	for _, script := range []string{
 		"SELECT FROM Flies WHERE Creature UNDER Bird;",
 		"EXTENSION Flies;",
@@ -113,16 +114,5 @@ func TestNewClusterRejectsGarbageDump(t *testing.T) {
 	if _, err := NewCluster(context.Background(), []Conn{garbageConn{}}); err == nil ||
 		!strings.Contains(err.Error(), "parse") {
 		t.Fatalf("garbage dump = %v, want a parse error", err)
-	}
-}
-
-func TestEncodeCommitAbortRejectUnsafeGid(t *testing.T) {
-	for _, gid := range []string{"g\x1f1", "g\n1"} {
-		if _, err := EncodeCommit(gid); err == nil {
-			t.Fatalf("EncodeCommit(%q) must fail", gid)
-		}
-		if _, err := EncodeAbort(gid); err == nil {
-			t.Fatalf("EncodeAbort(%q) must fail", gid)
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"hrdb/internal/catalog"
 	"hrdb/internal/hql"
+	"hrdb/internal/wire"
 )
 
 func TestClusterCloseAndShardCount(t *testing.T) {
@@ -28,7 +29,7 @@ func TestClusterBusyRejectsConcurrentExec(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	conns[0].setHook(func(op string) error {
+	conns[0].setHook(func(op wire.ShardOp) error {
 		once.Do(func() {
 			close(entered)
 			<-release
@@ -124,8 +125,8 @@ type failingConn struct{}
 func (failingConn) Exec(context.Context, string) (string, error) {
 	return "", errors.New("boom")
 }
-func (failingConn) ExecShard(context.Context, string) (string, error) {
-	return "", errors.New("boom")
+func (failingConn) ExecShard(context.Context, wire.ShardOp) (wire.ShardReply, error) {
+	return wire.ShardReply{}, errors.New("boom")
 }
 func (failingConn) Close() error { return nil }
 

@@ -15,11 +15,13 @@ import (
 	"hrdb/internal/core"
 	"hrdb/internal/hql"
 	"hrdb/internal/storage"
+	"hrdb/internal/wire"
 )
 
 // localConn is an in-process shard connection: a Node plus an HQL session
 // over one target, with a fault-injection hook on the shard-op channel. It
-// is what *server.Client/*server.Router provide over TCP, minus the wire.
+// is what *server.Client/*server.Router provide over TCP, minus the socket:
+// every op and reply still passes through its payload codec.
 type localConn struct {
 	target hql.MemTarget
 	db     *catalog.Database
@@ -27,7 +29,7 @@ type localConn struct {
 
 	mu   sync.Mutex
 	node *Node
-	hook func(op string) error // runs before each ExecShard
+	hook func(op wire.ShardOp) error // runs before each ExecShard
 }
 
 func newLocalConn(id, count int) *localConn {
@@ -45,24 +47,32 @@ func (c *localConn) Exec(ctx context.Context, input string) (string, error) {
 	return c.sess.ExecContext(ctx, input)
 }
 
-func (c *localConn) ExecShard(ctx context.Context, op string) (string, error) {
+func (c *localConn) ExecShard(ctx context.Context, op wire.ShardOp) (wire.ShardReply, error) {
 	c.mu.Lock()
 	hook := c.hook
 	c.mu.Unlock()
 	if hook != nil {
 		if err := hook(op); err != nil {
-			return "", err
+			return wire.ShardReply{}, err
 		}
 	}
 	c.mu.Lock()
 	node := c.node
 	c.mu.Unlock()
-	return node.Execute(ctx, op)
+	sent, err := wire.ParseShardOp(wire.AppendShardOp(nil, op))
+	if err != nil {
+		return wire.ShardReply{}, err
+	}
+	rep, err := node.Execute(ctx, sent)
+	if err != nil {
+		return wire.ShardReply{}, err
+	}
+	return wire.ParseShardReply(wire.ShardReplyPayload(rep))
 }
 
 func (c *localConn) Close() error { return nil }
 
-func (c *localConn) setHook(h func(op string) error) {
+func (c *localConn) setHook(h func(op wire.ShardOp) error) {
 	c.mu.Lock()
 	c.hook = h
 	c.mu.Unlock()
@@ -352,8 +362,8 @@ func TestCluster2PCPrepareFailureIsAtomic(t *testing.T) {
 	ref, refDB := refSession(t)
 	runBoth(t, c, ref, "ASSERT Flies (Tweety);")
 
-	conns[1].setHook(func(op string) error {
-		if strings.HasPrefix(op, "PREPARE") {
+	conns[1].setHook(func(op wire.ShardOp) error {
+		if op.Verb == wire.ShardPrepare {
 			return fmt.Errorf("injected: shard 1 unreachable during prepare")
 		}
 		return nil
@@ -380,8 +390,8 @@ func TestCluster2PCJournalLossRecoversViaApply(t *testing.T) {
 	// and the commit — the coordinator must drive it to completion with
 	// APPLY after its COMMIT answers "unknown".
 	var once sync.Once
-	conns[2].setHook(func(op string) error {
-		if strings.HasPrefix(op, "COMMIT") {
+	conns[2].setHook(func(op wire.ShardOp) error {
+		if op.Verb == wire.ShardCommit {
 			once.Do(conns[2].restart)
 		}
 		return nil
@@ -451,8 +461,8 @@ func TestClusterChaos2PC(t *testing.T) {
 		var injected bool
 		switch rng.Intn(3) {
 		case 1: // participant unreachable during prepare → abort everywhere
-			victim.setHook(func(op string) error {
-				if strings.HasPrefix(op, "PREPARE") {
+			victim.setHook(func(op wire.ShardOp) error {
+				if op.Verb == wire.ShardPrepare {
 					injected = true
 					return fmt.Errorf("injected prepare failure")
 				}
@@ -460,8 +470,8 @@ func TestClusterChaos2PC(t *testing.T) {
 			})
 		case 2: // journal lost between prepare and commit → APPLY fallback
 			var once sync.Once
-			victim.setHook(func(op string) error {
-				if strings.HasPrefix(op, "COMMIT") {
+			victim.setHook(func(op wire.ShardOp) error {
+				if op.Verb == wire.ShardCommit {
 					once.Do(func() { injected = true; victim.restart() })
 				}
 				return nil

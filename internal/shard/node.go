@@ -7,7 +7,9 @@ import (
 
 	"hrdb/internal/algebra"
 	"hrdb/internal/catalog"
+	"hrdb/internal/core"
 	"hrdb/internal/hql"
+	"hrdb/internal/wire"
 )
 
 // doneCap bounds the participant's memory of finished transactions. 2PC
@@ -57,103 +59,65 @@ func NewNode(target hql.Target, id, count int) *Node {
 	}
 }
 
-// Execute runs one encoded shard operation and returns its response text.
-func (n *Node) Execute(ctx context.Context, input string) (string, error) {
-	op, err := parseOp(input)
-	if err != nil {
-		return "", err
-	}
-	switch op.verb {
-	case "TUPLES":
-		if len(op.fields) != 1 {
-			return "", fmt.Errorf("shard: TUPLES wants 1 field, got %d", len(op.fields))
-		}
-		r, err := n.target.Database().Snapshot(op.fields[0])
-		if err != nil {
-			return "", err
-		}
-		return EncodeTupleLines(r.Tuples()), nil
-
-	case "SELECT":
-		if len(op.fields) < 1 || len(op.fields)%2 != 1 {
-			return "", fmt.Errorf("shard: malformed SELECT header")
-		}
-		r, err := n.target.Database().Snapshot(op.fields[0])
-		if err != nil {
-			return "", err
-		}
-		conds := make([]algebra.Condition, 0, (len(op.fields)-1)/2)
-		for i := 1; i+1 < len(op.fields); i += 2 {
-			conds = append(conds, algebra.Condition{Attr: op.fields[i], Class: op.fields[i+1]})
-		}
-		res, err := algebra.SelectContext(ctx, "σ", r, conds...)
-		if err != nil {
-			return "", err
-		}
-		// No per-shard consolidation: subsumption between a shard's local
-		// tuples and another shard's globals is resolved after the merge.
-		return EncodeTupleLines(res.Tuples()), nil
-
-	case "EVAL":
-		if len(op.fields) != 1 {
-			return "", fmt.Errorf("shard: EVAL wants 1 field, got %d", len(op.fields))
-		}
-		verdicts, err := n.target.Database().HoldsBatch(ctx, op.fields[0], decodeItems(op.lines))
-		if err != nil {
-			return "", err
-		}
-		out := make([]byte, 0, len(verdicts)*6)
-		for i, v := range verdicts {
-			if i > 0 {
-				out = append(out, '\n')
+// Execute runs one shard operation and returns its reply.
+func (n *Node) Execute(ctx context.Context, op wire.ShardOp) (rep wire.ShardReply, err error) {
+	db := n.target.Database()
+	switch op.Verb {
+	case wire.ShardTuples, wire.ShardSelect:
+		var r *core.Relation
+		if r, err = db.Snapshot(op.Relation); err == nil && op.Verb == wire.ShardSelect {
+			conds := make([]algebra.Condition, len(op.Conds))
+			for i, c := range op.Conds {
+				conds[i] = algebra.Condition{Attr: c[0], Class: c[1]}
 			}
-			out = append(out, fmt.Sprintf("%v", v)...)
+			// No per-shard consolidation: subsumption between a shard's local
+			// tuples and another shard's globals is resolved after the merge.
+			r, err = algebra.SelectContext(ctx, "σ", r, conds...)
 		}
-		return string(out), nil
-
-	case "PREPARE":
-		ops, err := decodeOps(op.lines)
-		if err != nil {
-			return "", err
+		if err == nil {
+			rep.Tuples = r.Tuples()
 		}
-		if err := n.prepare(gidOf(op), ops); err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("prepared %d", len(ops)), nil
-
-	case "COMMIT":
-		return n.commit(gidOf(op))
-
-	case "ABORT":
-		n.abort(gidOf(op))
-		return "aborted", nil
-
-	case "APPLY":
-		ops, err := decodeOps(op.lines)
-		if err != nil {
-			return "", err
-		}
-		if err := n.apply(gidOf(op), ops); err != nil {
-			return "", err
-		}
-		return "applied", nil
-
+	case wire.ShardEval:
+		rep.Verdicts, err = db.HoldsBatch(ctx, op.Relation, op.Items)
+	case wire.ShardPrepare:
+		err = n.prepare(op.GID, op.Ops)
+		rep.Status = fmt.Sprintf("prepared %d", len(op.Ops))
+	case wire.ShardCommit:
+		rep.Status, err = n.commit(op.GID)
+	case wire.ShardAbort:
+		n.abort(op.GID)
+		rep.Status = "aborted"
+	case wire.ShardApply:
+		err = n.apply(op.GID, op.Ops)
+		rep.Status = "applied"
 	default:
-		return "", fmt.Errorf("shard: unknown operation %q", op.verb)
+		err = fmt.Errorf("shard: unknown operation %q", op.Verb)
 	}
+	if err != nil {
+		return wire.ShardReply{}, err
+	}
+	return rep, nil
 }
 
-func gidOf(op parsedOp) string {
-	if len(op.fields) > 0 {
-		return op.fields[0]
+// tupleOps refuses a transaction carrying anything but tuple updates: a
+// coordinator only ever sends asserts, denies and retracts, and a catalog
+// op applied on one shard alone would split the replicated catalog.
+func tupleOps(ops []catalog.TxOp) error {
+	for _, o := range ops {
+		if !catalog.IsTupleOp(o.Kind) {
+			return fmt.Errorf("shard: %s is not an assert, deny or retract", o.Kind)
+		}
 	}
-	return ""
+	return nil
 }
 
 // prepare validates the transaction and journals it in memory.
 func (n *Node) prepare(gid string, ops []catalog.TxOp) error {
 	if gid == "" {
 		return fmt.Errorf("shard: PREPARE without gid")
+	}
+	if err := tupleOps(ops); err != nil {
+		return err
 	}
 	if err := n.validate(ops); err != nil {
 		return err
@@ -235,6 +199,9 @@ func (n *Node) abort(gid string) {
 func (n *Node) apply(gid string, ops []catalog.TxOp) error {
 	if gid == "" {
 		return fmt.Errorf("shard: APPLY without gid")
+	}
+	if err := tupleOps(ops); err != nil {
+		return err
 	}
 	n.mu.Lock()
 	if n.done[gid] {

@@ -3,13 +3,14 @@ package shard
 import (
 	"context"
 	"fmt"
-	"strings"
+	"reflect"
 	"testing"
 
 	"hrdb/internal/algebra"
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
 	"hrdb/internal/hql"
+	"hrdb/internal/wire"
 )
 
 // testNode builds a shard node over a fresh in-memory catalog seeded with
@@ -30,13 +31,27 @@ CREATE RELATION Flies (Creature: Animal);`
 	return NewNode(hql.MemTarget{DB: db}, 0, 1), db
 }
 
-func exec(t *testing.T, n *Node, op string) string {
+// exec runs op on the node through both payload codecs, as a server does.
+func exec(t *testing.T, n *Node, op wire.ShardOp) wire.ShardReply {
 	t.Helper()
-	out, err := n.Execute(context.Background(), op)
+	sent, err := wire.ParseShardOp(wire.AppendShardOp(nil, op))
 	if err != nil {
-		t.Fatalf("Execute(%q): %v", op, err)
+		t.Fatalf("op %+v does not survive its codec: %v", op, err)
 	}
-	return out
+	rep, err := n.Execute(context.Background(), sent)
+	if err != nil {
+		t.Fatalf("Execute(%+v): %v", op, err)
+	}
+	got, err := wire.ParseShardReply(wire.ShardReplyPayload(rep))
+	if err != nil {
+		t.Fatalf("reply %+v does not survive its codec: %v", rep, err)
+	}
+	return got
+}
+
+func status(t *testing.T, n *Node, op wire.ShardOp) string {
+	t.Helper()
+	return exec(t, n, op).Status
 }
 
 func TestNodeTuplesSelectEval(t *testing.T) {
@@ -48,17 +63,12 @@ func TestNodeTuplesSelectEval(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	op, _ := EncodeTuples("Flies")
-	tuples, err := DecodeTuples(exec(t, n, op))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tuples := exec(t, n, wire.ShardOp{Verb: wire.ShardTuples, Relation: "Flies"}).Tuples
 	if len(tuples) != 2 {
 		t.Fatalf("want 2 stored tuples, got %v", tuples)
 	}
 
-	op, _ = EncodeSelect("Flies", [][2]string{{"Creature", "Penguin"}})
-	got := exec(t, n, op)
+	got := exec(t, n, wire.ShardOp{Verb: wire.ShardSelect, Relation: "Flies", Conds: [][2]string{{"Creature", "Penguin"}}}).Tuples
 	// The node's SELECT is exactly the algebra operator over its local
 	// snapshot, without consolidation.
 	snap, err := db.Snapshot("Flies")
@@ -70,15 +80,11 @@ func TestNodeTuplesSelectEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := EncodeTupleLines(ref.Tuples()); got != want {
-		t.Fatalf("select result %q, want %q", got, want)
+	if want := ref.Tuples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("select result %v, want %v", got, want)
 	}
 
-	op, _ = EncodeEval("Flies", []core.Item{{"Tweety"}, {"Paul"}})
-	verdicts, err := DecodeBools(exec(t, n, op))
-	if err != nil {
-		t.Fatal(err)
-	}
+	verdicts := exec(t, n, wire.ShardOp{Verb: wire.ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}}}).Verdicts
 	if len(verdicts) != 2 || !verdicts[0] || verdicts[1] {
 		t.Fatalf("verdicts %v (want Tweety flies, Paul doesn't)", verdicts)
 	}
@@ -88,8 +94,8 @@ func TestNodePrepareCommitLifecycle(t *testing.T) {
 	n, db := testNode(t)
 	ops := []catalog.TxOp{{Kind: "assert", Relation: "Flies", Values: []string{"Tweety"}}}
 
-	prep, _ := EncodePrepare("g1", ops)
-	if out := exec(t, n, prep); out != "prepared 1" {
+	prep := wire.ShardOp{Verb: wire.ShardPrepare, GID: "g1", Ops: ops}
+	if out := status(t, n, prep); out != "prepared 1" {
 		t.Fatalf("prepare: %q", out)
 	}
 	if n.PendingCount() != 1 {
@@ -101,15 +107,15 @@ func TestNodePrepareCommitLifecycle(t *testing.T) {
 		t.Fatal("prepare must not apply")
 	}
 
-	commit, _ := EncodeCommit("g1")
-	if out := exec(t, n, commit); out != "committed" {
+	commit := wire.ShardOp{Verb: wire.ShardCommit, GID: "g1"}
+	if out := status(t, n, commit); out != "committed" {
 		t.Fatalf("commit: %q", out)
 	}
 	if len(r.Tuples()) != 1 {
 		t.Fatal("commit must apply the journaled ops")
 	}
 	// Idempotent under retries.
-	if out := exec(t, n, commit); out != "committed" {
+	if out := status(t, n, commit); out != "committed" {
 		t.Fatalf("duplicate commit: %q", out)
 	}
 	if len(r.Tuples()) != 1 {
@@ -123,14 +129,14 @@ func TestNodePrepareCommitLifecycle(t *testing.T) {
 
 func TestNodeCommitUnknownAndApplyFallback(t *testing.T) {
 	n, db := testNode(t)
-	commit, _ := EncodeCommit("lost")
-	if out := exec(t, n, commit); out != "unknown" {
+	commit := wire.ShardOp{Verb: wire.ShardCommit, GID: "lost"}
+	if out := status(t, n, commit); out != "unknown" {
 		t.Fatalf("commit of unseen gid: %q", out)
 	}
 	// The coordinator answers "unknown" with APPLY.
 	ops := []catalog.TxOp{{Kind: "assert", Relation: "Flies", Values: []string{"Tweety"}}}
-	apply, _ := EncodeApply("lost", ops)
-	if out := exec(t, n, apply); out != "applied" {
+	apply := wire.ShardOp{Verb: wire.ShardApply, GID: "lost", Ops: ops}
+	if out := status(t, n, apply); out != "applied" {
 		t.Fatalf("apply: %q", out)
 	}
 	r, _ := db.Relation("Flies")
@@ -138,14 +144,14 @@ func TestNodeCommitUnknownAndApplyFallback(t *testing.T) {
 		t.Fatal("apply must apply")
 	}
 	// APPLY is idempotent too (the retry path retries it blindly).
-	if out := exec(t, n, apply); out != "applied" {
+	if out := status(t, n, apply); out != "applied" {
 		t.Fatalf("duplicate apply: %q", out)
 	}
 	if len(r.Tuples()) != 1 {
 		t.Fatal("duplicate apply must not re-apply")
 	}
 	// And a late COMMIT for the now-finished gid answers from the done set.
-	if out := exec(t, n, commit); out != "committed" {
+	if out := status(t, n, commit); out != "committed" {
 		t.Fatalf("late commit: %q", out)
 	}
 }
@@ -153,10 +159,8 @@ func TestNodeCommitUnknownAndApplyFallback(t *testing.T) {
 func TestNodeAbortDropsJournal(t *testing.T) {
 	n, db := testNode(t)
 	ops := []catalog.TxOp{{Kind: "assert", Relation: "Flies", Values: []string{"Tweety"}}}
-	prep, _ := EncodePrepare("g2", ops)
-	exec(t, n, prep)
-	abort, _ := EncodeAbort("g2")
-	if out := exec(t, n, abort); out != "aborted" {
+	exec(t, n, wire.ShardOp{Verb: wire.ShardPrepare, GID: "g2", Ops: ops})
+	if out := status(t, n, wire.ShardOp{Verb: wire.ShardAbort, GID: "g2"}); out != "aborted" {
 		t.Fatalf("abort: %q", out)
 	}
 	if n.PendingCount() != 0 {
@@ -171,9 +175,9 @@ func TestNodeAbortDropsJournal(t *testing.T) {
 func TestNodePrepareValidates(t *testing.T) {
 	n, db := testNode(t)
 	// Unknown value caught at prepare time, not commit time.
-	prep, _ := EncodePrepare("g3", []catalog.TxOp{
+	prep := wire.ShardOp{Verb: wire.ShardPrepare, GID: "g3", Ops: []catalog.TxOp{
 		{Kind: "assert", Relation: "Flies", Values: []string{"Bigfoot"}},
-	})
+	}}
 	if _, err := n.Execute(context.Background(), prep); err == nil {
 		t.Fatal("unknown value must vote no")
 	}
@@ -185,9 +189,9 @@ func TestNodePrepareValidates(t *testing.T) {
 		t.Fatal("validation is a dry run: live state untouched")
 	}
 	// Missing relation votes no too.
-	prep, _ = EncodePrepare("g4", []catalog.TxOp{
+	prep = wire.ShardOp{Verb: wire.ShardPrepare, GID: "g4", Ops: []catalog.TxOp{
 		{Kind: "assert", Relation: "NoSuch", Values: []string{"Tweety"}},
-	})
+	}}
 	if _, err := n.Execute(context.Background(), prep); err == nil {
 		t.Fatal("missing relation must vote no")
 	}
@@ -198,10 +202,8 @@ func TestNodeDoneSetEviction(t *testing.T) {
 	// Finish doneCap+10 gids via prepare/abort (no state applied).
 	for i := 0; i < doneCap+10; i++ {
 		gid := fmt.Sprintf("g%d", i)
-		prep, _ := EncodePrepare(gid, nil)
-		exec(t, n, prep)
-		abort, _ := EncodeAbort(gid)
-		exec(t, n, abort)
+		exec(t, n, wire.ShardOp{Verb: wire.ShardPrepare, GID: gid})
+		exec(t, n, wire.ShardOp{Verb: wire.ShardAbort, GID: gid})
 	}
 	n.mu.Lock()
 	doneLen, fifoLen := len(n.done), len(n.doneFIFO)
@@ -210,22 +212,29 @@ func TestNodeDoneSetEviction(t *testing.T) {
 		t.Fatalf("done set not bounded: %d/%d (cap %d)", doneLen, fifoLen, doneCap)
 	}
 	// The oldest gid was evicted, so a COMMIT for it answers "unknown" again.
-	commit, _ := EncodeCommit("g0")
-	if out := exec(t, n, commit); out != "unknown" {
+	if out := status(t, n, wire.ShardOp{Verb: wire.ShardCommit, GID: "g0"}); out != "unknown" {
 		t.Fatalf("evicted gid: %q", out)
 	}
 }
 
 func TestNodeRejectsMalformedOps(t *testing.T) {
 	n, _ := testNode(t)
-	for _, op := range []string{
-		"FROBNICATE" + "\x1f" + "x",
-		"PREPARE", // no gid
-		"TUPLES",  // no relation
-		strings.Join([]string{"SELECT", "Flies", "Creature"}, "\x1f"), // dangling cond
+	for _, op := range []wire.ShardOp{
+		{Verb: "FROBNICATE", Relation: "x"},
+		{Verb: wire.ShardPrepare},                    // no gid
+		{Verb: wire.ShardApply},                      // no gid
+		{Verb: wire.ShardTuples},                     // no relation
+		{Verb: wire.ShardSelect, Relation: "NoSuch"}, // unknown relation
+		{Verb: wire.ShardSelect, Relation: "Flies", Conds: [][2]string{{"Creature", "Bigfoot"}}}, // unknown class
+		// Only tuple updates travel in a shard transaction.
+		{Verb: wire.ShardPrepare, GID: "g", Ops: []catalog.TxOp{{Kind: "add_class", Relation: "Animal", Values: []string{"Fish"}}}},
+		{Verb: wire.ShardApply, GID: "g", Ops: []catalog.TxOp{{Kind: "drop_relation", Relation: "Flies"}}},
 	} {
 		if _, err := n.Execute(context.Background(), op); err == nil {
-			t.Fatalf("op %q must fail", op)
+			t.Fatalf("op %+v must fail", op)
 		}
+	}
+	if n.PendingCount() != 0 {
+		t.Fatal("a refused op journaled")
 	}
 }

@@ -34,10 +34,12 @@ import (
 	"hash/fnv"
 
 	"hrdb/internal/catalog"
+	"hrdb/internal/core"
 )
 
 // HomeShard returns the shard owning a local tuple of the relation: FNV-1a
-// over the relation name and the item key, reduced modulo the shard count.
+// over the relation name, 0x1f and the item key, reduced modulo the shard
+// count.
 // Keyed reads use the same function for all-instance items; class-containing
 // items are answerable on any shard, so hashing them too is harmless and
 // spreads the read load.
@@ -46,14 +48,7 @@ func HomeShard(rel string, values []string, count int) int {
 		return 0
 	}
 	h := fnv.New32a()
-	h.Write([]byte(rel))
-	h.Write([]byte(sep))
-	for i, v := range values {
-		if i > 0 {
-			h.Write([]byte(sep))
-		}
-		h.Write([]byte(v))
-	}
+	h.Write([]byte(rel + "\x1f" + core.Item(values).Key()))
 	return int(h.Sum32() % uint32(count))
 }
 

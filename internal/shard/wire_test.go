@@ -1,196 +1,141 @@
 package shard
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
+	"hrdb/internal/wire"
 )
 
+// The coordinator's ops and the node's replies cross the wire as binary
+// EXECSHARD payloads (internal/wire); these tests pin that every shard op
+// and reply the cluster builds survives the trip exactly, values holding
+// separator bytes included.
+
+func opTrip(t *testing.T, op wire.ShardOp) wire.ShardOp {
+	t.Helper()
+	got, err := wire.ParseShardOp(wire.AppendShardOp(nil, op))
+	if err != nil {
+		t.Fatalf("ParseShardOp(%+v): %v", op, err)
+	}
+	if !reflect.DeepEqual(got, op) {
+		t.Fatalf("op round trip:\n got %+v\nwant %+v", got, op)
+	}
+	return got
+}
+
+func replyTrip(t *testing.T, rep wire.ShardReply) wire.ShardReply {
+	t.Helper()
+	got, err := wire.ParseShardReply(wire.ShardReplyPayload(rep))
+	if err != nil {
+		t.Fatalf("ParseShardReply(%+v): %v", rep, err)
+	}
+	if !reflect.DeepEqual(got, rep) {
+		t.Fatalf("reply round trip:\n got %+v\nwant %+v", got, rep)
+	}
+	return got
+}
+
 func TestEncodeDecodeTuples(t *testing.T) {
-	tuples := []core.Tuple{
+	replyTrip(t, wire.ShardReply{Tuples: []core.Tuple{
 		{Item: core.Item{"Tweety", "high"}, Sign: true},
 		{Item: core.Item{"Paul", "low"}, Sign: false},
-	}
-	resp := EncodeTupleLines(tuples)
-	got, err := DecodeTuples(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tuples) {
-		t.Fatalf("round trip mismatch: %v != %v", got, tuples)
-	}
-	if got, err := DecodeTuples(""); err != nil || got != nil {
-		t.Fatalf("empty response: got %v, %v", got, err)
-	}
-	if _, err := DecodeTuples("Tweety\x1fhigh"); err == nil {
-		t.Fatal("line without sign byte must fail")
-	}
+		{Item: core.Item{"a\x1fb", "line\nbreak"}, Sign: true},
+	}})
+	replyTrip(t, wire.ShardReply{})
+	opTrip(t, wire.ShardOp{Verb: wire.ShardTuples, Relation: "Flies"})
 }
 
 func TestEncodeSelectParses(t *testing.T) {
-	op, err := EncodeSelect("Flies", [][2]string{{"Creature", "Bird"}, {"Alt", "high"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := parseOp(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.verb != "SELECT" || !reflect.DeepEqual(p.fields, []string{"Flies", "Creature", "Bird", "Alt", "high"}) {
-		t.Fatalf("parsed %+v", p)
-	}
+	opTrip(t, wire.ShardOp{Verb: wire.ShardSelect, Relation: "Flies",
+		Conds: [][2]string{{"Creature", "Bird"}, {"Alt", "high"}}})
 }
 
 func TestEncodeEvalRoundTrip(t *testing.T) {
-	items := []core.Item{{"Tweety"}, {"Paul"}}
-	op, err := EncodeEval("Flies", items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := parseOp(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.verb != "EVAL" || len(p.fields) != 1 || p.fields[0] != "Flies" {
-		t.Fatalf("parsed %+v", p)
-	}
-	if got := decodeItems(p.lines); !reflect.DeepEqual(got, items) {
-		t.Fatalf("items %v != %v", got, items)
-	}
+	opTrip(t, wire.ShardOp{Verb: wire.ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}, {""}}})
 }
 
 func TestEncodePrepareRoundTrip(t *testing.T) {
 	ops := []catalog.TxOp{
-		{Kind: "assert", Relation: "Flies", Values: []string{"Bird"}},
-		{Kind: "deny", Relation: "Flies", Values: []string{"Penguin"}},
-		{Kind: "retract", Relation: "Eats", Values: []string{"Paul", "fish"}},
-		{Kind: "deny", Relation: "Flies", Values: []string{"Bird"}, Bare: true},
+		{Kind: catalog.KindAssert, Relation: "Flies", Values: []string{"Bird"}},
+		{Kind: catalog.KindDeny, Relation: "Flies", Values: []string{"Penguin"}},
+		{Kind: catalog.KindRetract, Relation: "Eats", Values: []string{"Paul", "fish"}},
+		{Kind: catalog.KindDeny, Relation: "Flies", Values: []string{"Bird"}, Bare: true},
+		// Separator bytes are ordinary data in a length-prefixed payload.
+		{Kind: catalog.KindAssert, Relation: "r\x1fs", Values: []string{"x\x1fy", "a\nb"}},
 	}
-	op, err := EncodePrepare("g1.7", ops)
-	if err != nil {
-		t.Fatal(err)
+	for _, verb := range []string{wire.ShardPrepare, wire.ShardApply} {
+		opTrip(t, wire.ShardOp{Verb: verb, GID: "g1.7\x1f\n", Ops: ops})
 	}
-	p, err := parseOp(op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.verb != "PREPARE" || gidOf(p) != "g1.7" {
-		t.Fatalf("parsed %+v", p)
-	}
-	got, err := decodeOps(p.lines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ops) {
-		t.Fatalf("ops %v != %v", got, ops)
+	opTrip(t, wire.ShardOp{Verb: wire.ShardCommit, GID: "g1.7"})
+	opTrip(t, wire.ShardOp{Verb: wire.ShardAbort, GID: "g1.7"})
+	replyTrip(t, wire.ShardReply{Status: "prepared 5"})
+}
+
+// TestSeparatorBytesRoundTrip: the names and values a line protocol would
+// have to refuse, a unit separator or a newline inside one field, are
+// ordinary data in every shard op that carries them.
+func TestSeparatorBytesRoundTrip(t *testing.T) {
+	opTrip(t, wire.ShardOp{Verb: wire.ShardTuples, Relation: "bad\x1fname"})
+	opTrip(t, wire.ShardOp{Verb: wire.ShardEval, Relation: "r", Items: []core.Item{{"a\nb"}}})
+	opTrip(t, wire.ShardOp{Verb: wire.ShardPrepare, GID: "gid",
+		Ops: []catalog.TxOp{{Kind: catalog.KindAssert, Relation: "r", Values: []string{"x\x1fy"}}}})
+	opTrip(t, wire.ShardOp{Verb: wire.ShardSelect, Relation: "r",
+		Conds: [][2]string{{"a\x1fb", "c\nd"}}})
+}
+
+// TestEncodeCommitAbortAnyGid: a COMMIT or ABORT carries any gid exactly,
+// separator bytes included, so no gid the coordinator mints is refused.
+func TestEncodeCommitAbortAnyGid(t *testing.T) {
+	for _, gid := range []string{"g\x1f1", "g\n1", ""} {
+		opTrip(t, wire.ShardOp{Verb: wire.ShardCommit, GID: gid})
+		opTrip(t, wire.ShardOp{Verb: wire.ShardAbort, GID: gid})
 	}
 }
 
+// TestDecodeOpsRejectsUnknownKind: the decoder refuses op entries no
+// encoder writes, and the node refuses kinds other than tuple updates.
 func TestDecodeOpsRejectsUnknownKind(t *testing.T) {
-	if _, err := decodeOps([]string{"upsert\x1ftx\x1fFlies\x1fBird"}); err == nil {
-		t.Fatal("unknown kind must fail")
+	good := wire.AppendShardOp(nil, wire.ShardOp{Verb: wire.ShardApply, GID: "g",
+		Ops: []catalog.TxOp{{Kind: catalog.KindAssert, Relation: "Flies", Values: []string{"Bird"}}}})
+	// The op entry's flags byte sits after head, conds and the counts.
+	flags := len(wire.AppendShardOp(nil, wire.ShardOp{Verb: wire.ShardApply, GID: "g"}))
+	bad := append([]byte(nil), good...)
+	bad[flags] = 2 // a flag bit beyond Bare
+	if _, err := wire.ParseShardOp(bad); !errors.Is(err, wire.ErrProtocol) {
+		t.Fatalf("unknown flag bit: %v, want ErrProtocol", err)
 	}
-	if _, err := decodeOps([]string{"assert\x1fFlies\x1fBird"}); err == nil {
-		t.Fatal("unknown flag (the pre-flag line) must fail")
-	}
-	if _, err := decodeOps([]string{"assert\x1fbare"}); err == nil {
-		t.Fatal("op without relation must fail")
-	}
-	if _, err := EncodeApply("g", []catalog.TxOp{{Kind: "add_class", Relation: "D", Values: []string{"C"}}}); err == nil {
-		t.Fatal("the encoder must refuse a kind the decoder does")
-	}
-}
-
-func TestWireSafetyRejected(t *testing.T) {
-	if _, err := EncodeTuples("bad\x1fname"); err == nil {
-		t.Fatal("separator in relation name must fail")
-	}
-	if _, err := EncodeEval("r", []core.Item{{"a\nb"}}); err == nil {
-		t.Fatal("newline in value must fail")
-	}
-	if _, err := EncodePrepare("gid", []catalog.TxOp{{Kind: "assert", Relation: "r", Values: []string{"x\x1fy"}}}); err == nil {
-		t.Fatal("separator in op value must fail")
+	n, _ := testNode(t)
+	for _, verb := range []string{wire.ShardPrepare, wire.ShardApply} {
+		op := wire.ShardOp{Verb: verb, GID: "g", Ops: []catalog.TxOp{{Kind: "upsert", Relation: "Flies", Values: []string{"Bird"}}}}
+		if _, err := n.Execute(t.Context(), opTrip(t, op)); err == nil {
+			t.Fatalf("%s of an unknown kind succeeded", verb)
+		}
 	}
 }
 
 func TestDecodeBools(t *testing.T) {
-	got, err := DecodeBools("true\nfalse\ntrue")
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range [][]bool{{true}, {true, false, true}, make([]bool, 8), {false, false, false, false, false, false, false, false, true}} {
+		replyTrip(t, wire.ShardReply{Verdicts: v})
 	}
-	if !reflect.DeepEqual(got, []bool{true, false, true}) {
-		t.Fatalf("got %v", got)
-	}
-	if _, err := DecodeBools("maybe"); err == nil {
-		t.Fatal("malformed EVAL line must fail")
-	}
-}
-
-func TestOpIdempotent(t *testing.T) {
-	op, err := EncodeCommit("g1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !OpIdempotent(op) {
-		t.Fatal("every encoded shard op is idempotent")
-	}
-	if OpIdempotent("") {
-		t.Fatal("the empty op is not a valid operation")
+	p := wire.ShardReplyPayload(wire.ShardReply{Verdicts: []bool{true, false, true}})
+	p[len(p)-1] |= 0x80 // a padding bit
+	if _, err := wire.ParseShardReply(p); !errors.Is(err, wire.ErrProtocol) {
+		t.Fatalf("set padding bit: %v, want ErrProtocol", err)
 	}
 }
 
 func TestParseOpRejectsEmpty(t *testing.T) {
-	if _, err := parseOp(""); err == nil {
-		t.Fatal("empty operation must fail")
+	for _, p := range [][]byte{nil, {0, 0, 0, 0}, {0, 0, 0, 3}} {
+		if _, err := wire.ParseShardOp(p); !errors.Is(err, wire.ErrProtocol) {
+			t.Fatalf("ParseShardOp(%x) = %v, want ErrProtocol", p, err)
+		}
 	}
-	if _, err := parseOp(strings.Repeat("\x1f", 3)); err == nil {
-		t.Fatal("empty verb must fail")
+	n, _ := testNode(t)
+	if _, err := n.Execute(t.Context(), wire.ShardOp{}); err == nil {
+		t.Fatal("an op without a verb must fail")
 	}
-}
-
-// FuzzShardOpDecode: the shard op decoders never panic on arbitrary input,
-// and an op list survives encode → parse → decode for every kind, with and
-// without Bare.
-func FuzzShardOpDecode(f *testing.F) {
-	prep, _ := EncodePrepare("g1.7", []catalog.TxOp{
-		{Kind: "assert", Relation: "Flies", Values: []string{"Bird"}},
-		{Kind: "deny", Relation: "Flies", Values: []string{"Bird"}, Bare: true},
-	})
-	f.Add(prep, "Flies", "Bird")
-	f.Add("APPLY\x1fg\nretract\x1ftx\x1fR", "R", "")
-	f.Add("+a\x1fb\n-c", "r", "x\x1fy")
-	f.Add("true\nfalse\n", "", "a\nb")
-	f.Add("", "", "")
-	f.Fuzz(func(t *testing.T, input, rel, value string) {
-		if p, err := parseOp(input); err == nil {
-			_, _ = decodeOps(p.lines)
-			_ = decodeItems(p.lines)
-		}
-		_, _ = DecodeTuples(input)
-		_, _ = DecodeBools(input)
-
-		var ops []catalog.TxOp
-		for _, kind := range []string{"assert", "deny", "retract"} {
-			for _, bare := range []bool{false, true} {
-				ops = append(ops, catalog.TxOp{Kind: kind, Relation: rel, Values: []string{value, kind}, Bare: bare})
-			}
-		}
-		enc, err := EncodeApply("gid", ops)
-		if err != nil {
-			if checkWireSafe([]string{rel, value}) == nil {
-				t.Fatalf("wire-safe ops refused: %v", err)
-			}
-			return
-		}
-		p, err := parseOp(enc)
-		if err != nil || p.verb != "APPLY" || gidOf(p) != "gid" {
-			t.Fatalf("parseOp(%q) = %+v, %v", enc, p, err)
-		}
-		if got, err := decodeOps(p.lines); err != nil || !reflect.DeepEqual(got, ops) {
-			t.Fatalf("round trip of %+v = %+v, %v", ops, got, err)
-		}
-	})
 }

@@ -31,9 +31,11 @@ func (p Position) Before(q Position) bool {
 // and views consume. A record logged outside a bracket is one op marked
 // Bare; a committed bracket is its ops, unmarked, applying as the one
 // transaction they were (a single op of it may be inconsistent on its own,
-// §3.1's whole point); an aborted bracket is no change at all. A new_term
-// record is fencing metadata, not catalog state: it arrives as a Change
-// with no ops and the adopted Term.
+// §3.1's whole point); an aborted bracket, and the start of an epoch a
+// reader rotates to, are a Change with no ops, so every boundary a consumer
+// can reach is some change's Pos. A new_term record is
+// fencing metadata, not catalog state: it arrives as a Change with no ops
+// and the adopted Term.
 type Change struct {
 	Ops  []catalog.TxOp
 	Term uint64
@@ -78,6 +80,7 @@ type Reader struct {
 	records, cleanRecords uint64
 	open                  []catalog.TxOp // ops of the open bracket
 	inTx                  bool
+	rotated               bool // the next change is the epoch's start
 }
 
 // NewReader creates a reader whose first fed byte is the one at from.
@@ -100,15 +103,17 @@ func (r *Reader) Records() uint64 { return r.cleanRecords }
 // tx_abort).
 func (r *Reader) Pending() int { return len(r.open) }
 
-// Rotate moves the reader to the start of the given epoch. A rotation is
-// only legal at a clean point — no partial frame buffered, no bracket open:
-// the writer never checkpoints inside a bracket.
+// Rotate moves the reader to the start of the given epoch, which Next
+// yields as a change with no ops. A rotation is only legal at a clean point
+// — no partial frame buffered, no bracket open: the writer never
+// checkpoints inside a bracket.
 func (r *Reader) Rotate(epoch uint64) error {
 	if len(r.buf) != 0 || r.inTx {
 		return fmt.Errorf("%w: epoch %d ends mid-record at offset %d", ErrCorrupt, r.next.Epoch, r.next.Offset)
 	}
 	r.next = Position{Epoch: epoch}
 	r.clean = r.next
+	r.rotated = true
 	return nil
 }
 
@@ -146,13 +151,17 @@ func (r *Reader) frame() (rec Record, ok bool, err error) {
 // error; the reader is then desynced and its consumer resynchronizes by
 // position.
 func (r *Reader) Next() (Change, bool, error) {
+	if r.rotated {
+		r.rotated = false
+		return Change{Pos: r.clean}, true, nil
+	}
 	for {
 		rec, ok, err := r.frame()
 		if err != nil || !ok {
 			return Change{}, false, err
 		}
 		var c Change
-		fits, yield := true, true
+		fits := true
 		switch rec.Op {
 		case OpTxBegin:
 			if fits = !r.inTx; fits {
@@ -162,7 +171,8 @@ func (r *Reader) Next() (Change, bool, error) {
 		case OpTxCommit:
 			fits, c.Ops = r.inTx, r.open
 		case OpTxAbort:
-			yield = false
+			// No ops, but a boundary all the same: a consumer that has
+			// applied everything reaches the log's end here.
 		case OpNewTerm:
 			if fits = !r.inTx && len(rec.Args) == 1; fits {
 				c.Term, err = strconv.ParseUint(rec.Args[0], 10, 64)
@@ -181,9 +191,7 @@ func (r *Reader) Next() (Change, bool, error) {
 		}
 		r.inTx, r.open = false, nil
 		r.clean, r.cleanRecords = r.next, r.records
-		if yield {
-			c.Pos = r.clean
-			return c, true, nil
-		}
+		c.Pos = r.clean
+		return c, true, nil
 	}
 }

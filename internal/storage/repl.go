@@ -158,6 +158,9 @@ func (s *Store) ReplicationSnapshot() (DatabaseSpec, uint64, int64, error) {
 	if err := log.Sync(mark); err != nil {
 		return DatabaseSpec{}, 0, 0, fmt.Errorf("%w: %v", ErrStoreFailed, err)
 	}
+	// The sync may have made an aborted bracket durable: the durable end
+	// moved, so followers parked there must look.
+	s.notify()
 	spec.LogEpoch = epoch
 	// The bootstrap spec carries the fencing lineage so a follower adopting
 	// it also adopts the primary's term (and, transitively, the takeover

@@ -80,7 +80,7 @@ func TestTailerSingleRecords(t *testing.T) {
 }
 
 // TestTailerBrackets checks committed brackets fold into one batch with the
-// markers stripped, and aborted brackets vanish.
+// markers stripped, and aborted brackets leave only their position.
 func TestTailerBrackets(t *testing.T) {
 	s := tailStore(t)
 	seedRelation(t, s)
@@ -104,7 +104,8 @@ func TestTailerBrackets(t *testing.T) {
 	}
 
 	// A failing bracket (touches a missing relation) is aborted in the WAL
-	// and must not surface from the tail.
+	// (durable with the next write's sync): none of its ops surface from the
+	// tail, only its end position.
 	if err := s.ApplyTx([]catalog.TxOp{
 		{Kind: "deny", Relation: "r", Values: []string{"a"}},
 		{Kind: "assert", Relation: "nope", Values: []string{"a"}},
@@ -114,12 +115,16 @@ func TestTailerBrackets(t *testing.T) {
 	if err := s.Retract("r", "b"); err != nil {
 		t.Fatalf("Retract: %v", err)
 	}
+	recs, _, offAbort := nextBatch(t, tl)
+	if len(recs) != 0 || offAbort <= off {
+		t.Fatalf("aborted bracket = %+v at %d, want no ops past %d", recs, offAbort, off)
+	}
 	recs, _, off2 := nextBatch(t, tl)
 	if len(recs) != 1 || recs[0].Kind != "retract" || recs[0].Relation != "r" {
 		t.Fatalf("post-abort batch = %+v, want single retract", recs)
 	}
-	if off2 <= off {
-		t.Fatalf("position did not advance: %d -> %d", off, off2)
+	if off2 <= offAbort {
+		t.Fatalf("position did not advance: %d -> %d", offAbort, off2)
 	}
 }
 
@@ -140,11 +145,15 @@ func TestTailerRotation(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
+	// The new epoch's start arrives as a change of its own, before any write.
+	if recs, epoch1, off1 := nextBatch(t, tl); len(recs) != 0 || epoch1 != epoch0+1 || off1 != 0 {
+		t.Fatalf("rotation = %+v at %d/%d, want no ops at %d/0", recs, epoch1, off1, epoch0+1)
+	}
 	if err := s.Assert("r", "b"); err != nil {
 		t.Fatal(err)
 	}
 	recs, epoch1, _ := nextBatch(t, tl)
-	if recs[0].Kind != "assert" || recs[0].Values[0] != "b" {
+	if len(recs) != 1 || recs[0].Kind != "assert" || recs[0].Values[0] != "b" {
 		t.Fatalf("post-rotation batch = %+v", recs)
 	}
 	if epoch1 != epoch0+1 {

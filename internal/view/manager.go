@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +22,7 @@ import (
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
 	"hrdb/internal/storage"
-	"hrdb/internal/subwire"
+	"hrdb/internal/wire"
 )
 
 // entry is one journaled row change: applying added/removed to the rows as
@@ -793,54 +792,39 @@ func (m *Manager) feedViewLocked(name string) (*view, error) {
 	return v, nil
 }
 
-// ServeFeed streams a view's (or relation's) change feed to w in subwire
-// frames, one frame per Write. Without resume it opens with a SNAP of the
-// full row set; with resume it replays exactly the journaled deltas after
-// (epoch, offset) — or emits ERR stale when that position was trimmed, in
-// which case the client should resubscribe without resume. It returns when
-// ctx is canceled (nil), the writer fails (the write error), or the feed
-// ends server-side (nil, after an ERR frame).
-func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch uint64, offset int64, resume bool) error {
-	writeFrame := func(f subwire.Frame) error {
-		buf, err := subwire.AppendFrame(nil, f)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(buf)
-		return err
-	}
-	fail := func(code, msg string) error {
-		werr := writeFrame(subwire.Frame{Kind: subwire.KindErr, Code: code, Msg: msg})
-		if werr != nil {
-			return werr
-		}
-		return nil
-	}
-
+// ServeFeed streams a view's (or relation's) change feed through send, one
+// change per call. Without resume it opens with a snapshot of the full row
+// set; with resume it replays exactly the journaled deltas after (epoch,
+// offset). Heartbeats mark the position while nothing changes. It returns
+// nil when ctx is canceled, send's error when a send fails, and otherwise
+// why the feed cannot go on: wire.ErrFeedNotFound, wire.ErrFeedStale (the
+// position was trimmed from the journal; resubscribe without resume),
+// wire.ErrFeedDropped or wire.ErrFeedClosed.
+func (m *Manager) ServeFeed(ctx context.Context, name string, epoch uint64, offset int64, resume bool, send func(wire.Change) error) error {
 	var cur storage.Position
 	m.mu.Lock()
 	v, err := m.feedViewLocked(name)
 	if err != nil {
 		m.mu.Unlock()
-		return fail("notfound", fmt.Sprintf("no view or relation %q", name))
+		return fmt.Errorf("%w: %q", wire.ErrFeedNotFound, name)
 	}
 	if resume {
 		cur = storage.Position{Epoch: epoch, Offset: offset}
 		if cur.Before(v.floor) || v.pos.Before(cur) {
 			m.mu.Unlock()
-			return fail("stale", "resume position outside the retained journal; resubscribe without resume")
+			return fmt.Errorf("%w: resubscribe without resume", wire.ErrFeedStale)
 		}
 		m.mu.Unlock()
 	} else {
 		cur = v.pos
-		snap := subwire.Frame{
-			Kind:   subwire.KindSnap,
+		snap := wire.Change{
+			Kind:   wire.ChangeSnapshot,
 			Epoch:  cur.Epoch,
 			Offset: cur.Offset,
 			Rows:   append([]string(nil), v.sortedRows()...),
 		}
 		m.mu.Unlock()
-		if err := writeFrame(snap); err != nil {
+		if err := send(snap); err != nil {
 			return err
 		}
 	}
@@ -852,7 +836,7 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 		alive := m.views[name] == v || m.mirrors[name] == v
 		if !alive {
 			m.mu.Unlock()
-			return fail("dropped", fmt.Sprintf("view %q was dropped", name))
+			return fmt.Errorf("%w: %q", wire.ErrFeedDropped, name)
 		}
 		var pending []entry
 		for _, e := range v.journal {
@@ -866,14 +850,14 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 
 		if len(pending) > 0 {
 			for _, e := range pending {
-				f := subwire.Frame{
-					Kind:    subwire.KindDelta,
+				d := wire.Change{
+					Kind:    wire.ChangeDelta,
 					Epoch:   e.pos.Epoch,
 					Offset:  e.pos.Offset,
 					Added:   e.added,
 					Removed: e.removed,
 				}
-				if err := writeFrame(f); err != nil {
+				if err := send(d); err != nil {
 					return err
 				}
 				cur = e.pos
@@ -888,10 +872,10 @@ func (m *Manager) ServeFeed(ctx context.Context, w io.Writer, name string, epoch
 		case <-ctx.Done():
 			return nil
 		case <-m.ctx.Done():
-			return fail("shutdown", "view manager closing")
+			return fmt.Errorf("%w: view manager closing", wire.ErrFeedClosed)
 		case <-ch:
 		case <-hb.C:
-			if err := writeFrame(subwire.Frame{Kind: subwire.KindHB, Epoch: cur.Epoch, Offset: cur.Offset}); err != nil {
+			if err := send(wire.Change{Kind: wire.ChangeHeartbeat, Epoch: cur.Epoch, Offset: cur.Offset}); err != nil {
 				return err
 			}
 		}

@@ -2,13 +2,14 @@ package view
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"hrdb/internal/hql"
 	"hrdb/internal/storage"
-	"hrdb/internal/subwire"
+	"hrdb/internal/wire"
 )
 
 // openView builds a store, manager and HQL session wired together.
@@ -244,68 +245,63 @@ func TestViewPersistence(t *testing.T) {
 	st.Close()
 }
 
-// feedCollector decodes a feed from a pipe in the background.
+// feedCollector gathers a feed's changes and its end in the background.
 type feedCollector struct {
-	frames chan subwire.Frame
-	errs   chan error
-}
-
-type chunkWriter struct{ ch chan []byte }
-
-func (w chunkWriter) Write(p []byte) (int, error) {
-	buf := append([]byte(nil), p...)
-	w.ch <- buf
-	return len(p), nil
+	changes chan wire.Change
+	errs    chan error
 }
 
 func collectFeed(t *testing.T, m *Manager, ctx context.Context, name string, epoch uint64, offset int64, resume bool) *feedCollector {
 	t.Helper()
-	fc := &feedCollector{frames: make(chan subwire.Frame, 64), errs: make(chan error, 1)}
-	raw := make(chan []byte, 64)
+	fc := &feedCollector{changes: make(chan wire.Change, 64), errs: make(chan error, 1)}
 	go func() {
-		fc.errs <- m.ServeFeed(ctx, chunkWriter{raw}, name, epoch, offset, resume)
-		close(raw)
-	}()
-	go func() {
-		var dec subwire.Decoder
-		for chunk := range raw {
-			dec.Feed(chunk)
-			for {
-				f, ok, err := dec.Next()
-				if err != nil {
-					t.Errorf("feed decode: %v", err)
-					return
-				}
-				if !ok {
-					break
-				}
-				fc.frames <- f
+		fc.errs <- m.ServeFeed(ctx, name, epoch, offset, resume, func(c wire.Change) error {
+			// The change must survive its own payload codec.
+			p, err := wire.ChangePayload(c)
+			if err == nil {
+				c, err = wire.ParseChange(p)
 			}
-		}
-		close(fc.frames)
+			if err != nil {
+				t.Errorf("feed change %+v: %v", c, err)
+				return err
+			}
+			fc.changes <- c
+			return nil
+		})
 	}()
 	return fc
 }
 
-func (fc *feedCollector) next(t *testing.T, kind string) subwire.Frame {
+func (fc *feedCollector) next(t *testing.T, kind string) wire.Change {
 	t.Helper()
 	deadline := time.After(10 * time.Second)
 	for {
 		select {
-		case f, ok := <-fc.frames:
-			if !ok {
-				t.Fatalf("feed closed while waiting for %s", kind)
-			}
-			if f.Kind == subwire.KindHB && kind != subwire.KindHB {
+		case c := <-fc.changes:
+			if c.Kind == wire.ChangeHeartbeat && kind != wire.ChangeHeartbeat {
 				continue // heartbeats are interleaved freely
 			}
-			if f.Kind != kind {
-				t.Fatalf("got %s frame %+v, want %s", f.Kind, f, kind)
+			if c.Kind != kind {
+				t.Fatalf("got %s change %+v, want %s", c.Kind, c, kind)
 			}
-			return f
+			return c
+		case err := <-fc.errs:
+			t.Fatalf("feed ended (%v) while waiting for a %s", err, kind)
 		case <-deadline:
-			t.Fatalf("timed out waiting for %s frame", kind)
+			t.Fatalf("timed out waiting for a %s", kind)
 		}
+	}
+}
+
+// end waits for the feed to end and returns why.
+func (fc *feedCollector) end(t *testing.T) error {
+	t.Helper()
+	select {
+	case err := <-fc.errs:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("feed never ended")
+		return nil
 	}
 }
 
@@ -319,13 +315,13 @@ func TestServeFeedSnapshotAndDeltas(t *testing.T) {
 	defer cancel()
 	fc := collectFeed(t, m, ctx, "flat", 0, 0, false)
 
-	snap := fc.next(t, subwire.KindSnap)
+	snap := fc.next(t, wire.ChangeSnapshot)
 	if len(snap.Rows) != 1 || snap.Rows[0] != "(tweety)" {
 		t.Fatalf("SNAP rows = %q, want [(tweety)]", snap.Rows)
 	}
 
 	mustExec(t, sess, "ASSERT flies (rex);")
-	d := fc.next(t, subwire.KindDelta)
+	d := fc.next(t, wire.ChangeDelta)
 	if len(d.Added) != 1 || d.Added[0] != "(rex)" || len(d.Removed) != 0 {
 		t.Fatalf("DELTA = %+v, want +(rex)", d)
 	}
@@ -333,34 +329,30 @@ func TestServeFeedSnapshotAndDeltas(t *testing.T) {
 	// Resume from the delta's position: nothing to replay, heartbeats only.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	fc2 := collectFeed(t, m, ctx2, "flat", d.Epoch, d.Offset, true)
-	hb := fc2.next(t, subwire.KindHB)
+	hb := fc2.next(t, wire.ChangeHeartbeat)
 	if hb.Epoch < d.Epoch {
 		t.Fatalf("HB position %d/%d behind resume point %d/%d", hb.Epoch, hb.Offset, d.Epoch, d.Offset)
 	}
 	mustExec(t, sess, "RETRACT flies (rex);")
-	d2 := fc2.next(t, subwire.KindDelta)
+	d2 := fc2.next(t, wire.ChangeDelta)
 	if len(d2.Removed) != 1 || d2.Removed[0] != "(rex)" {
 		t.Fatalf("resumed DELTA = %+v, want -(rex)", d2)
 	}
 	cancel2()
-	if err := <-fc2.errs; err != nil {
+	if err := fc2.end(t); err != nil {
 		t.Fatalf("resumed feed: %v", err)
 	}
 
 	// The first feed sees the same retraction.
-	d3 := fc.next(t, subwire.KindDelta)
+	d3 := fc.next(t, wire.ChangeDelta)
 	if len(d3.Removed) != 1 || d3.Removed[0] != "(rex)" {
 		t.Fatalf("first feed DELTA = %+v, want -(rex)", d3)
 	}
 
-	// Dropping the view terminates the feed with an ERR frame.
+	// Dropping the view ends the feed.
 	mustExec(t, sess, "DROP VIEW flat;")
-	e := fc.next(t, subwire.KindErr)
-	if e.Code != "dropped" {
-		t.Fatalf("ERR code = %q, want dropped", e.Code)
-	}
-	if err := <-fc.errs; err != nil {
-		t.Fatalf("feed after drop: %v", err)
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedDropped) {
+		t.Fatalf("feed after drop ended %v, want ErrFeedDropped", err)
 	}
 }
 
@@ -372,11 +364,8 @@ func TestServeFeedErrors(t *testing.T) {
 
 	ctx := context.Background()
 	fc := collectFeed(t, m, ctx, "nosuch", 0, 0, false)
-	if e := fc.next(t, subwire.KindErr); e.Code != "notfound" {
-		t.Fatalf("ERR code = %q, want notfound", e.Code)
-	}
-	if err := <-fc.errs; err != nil {
-		t.Fatal(err)
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedNotFound) {
+		t.Fatalf("feed of an unknown name ended %v, want ErrFeedNotFound", err)
 	}
 
 	// Capture a live position via a snapshot frame, overflow the journal
@@ -389,19 +378,24 @@ func TestServeFeedErrors(t *testing.T) {
 	quiesce(t, m)
 	cctx, cancel := context.WithCancel(ctx)
 	fc = collectFeed(t, m, cctx, "flat", 0, 0, false)
-	snap := fc.next(t, subwire.KindSnap)
+	snap := fc.next(t, wire.ChangeSnapshot)
 	cancel()
-	<-fc.errs
+	fc.end(t)
 	for _, who := range []string{"i1", "i2", "i3", "i4"} {
 		mustExec(t, sess, "ASSERT flies ("+who+");")
 	}
 	quiesce(t, m)
 	fc = collectFeed(t, m, ctx, "flat", snap.Epoch, snap.Offset, true)
-	if e := fc.next(t, subwire.KindErr); e.Code != "stale" {
-		t.Fatalf("ERR code = %q, want stale", e.Code)
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedStale) {
+		t.Fatalf("resume below the journal ended %v, want ErrFeedStale", err)
 	}
-	if err := <-fc.errs; err != nil {
-		t.Fatal(err)
+
+	// Closing the manager ends a live feed.
+	fc = collectFeed(t, m, ctx, "flat", 0, 0, false)
+	fc.next(t, wire.ChangeSnapshot)
+	m.Close()
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedClosed) {
+		t.Fatalf("feed across Close ended %v, want ErrFeedClosed", err)
 	}
 }
 
@@ -415,19 +409,19 @@ func TestRelationMirrorFeed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	fc := collectFeed(t, m, ctx, "flies", 0, 0, false)
-	snap := fc.next(t, subwire.KindSnap)
+	snap := fc.next(t, wire.ChangeSnapshot)
 	if len(snap.Rows) != 1 || snap.Rows[0] != "+ (bird)" {
 		t.Fatalf("mirror SNAP rows = %q, want [+ (bird)]", snap.Rows)
 	}
 
 	mustExec(t, sess, "DENY flies (rex);")
-	d := fc.next(t, subwire.KindDelta)
+	d := fc.next(t, wire.ChangeDelta)
 	if len(d.Added) != 1 || d.Added[0] != "- (rex)" {
 		t.Fatalf("mirror DELTA = %+v, want +\"- (rex)\"", d)
 	}
 	// Flipping the sign inside a transaction replaces the row.
 	mustExec(t, sess, "BEGIN; ASSERT flies (rex); COMMIT;")
-	d = fc.next(t, subwire.KindDelta)
+	d = fc.next(t, wire.ChangeDelta)
 	if len(d.Added) != 1 || d.Added[0] != "+ (rex)" || len(d.Removed) != 1 || d.Removed[0] != "- (rex)" {
 		t.Fatalf("mirror DELTA = %+v, want sign flip", d)
 	}
@@ -508,5 +502,39 @@ func TestDeltaAtomsAndSkipped(t *testing.T) {
 	}
 	if rows, _ := m.Rows("birds"); strings.Join(rows, ",") != "+ (bird),- (tweety)" {
 		t.Errorf("birds rows = %q", rows)
+	}
+}
+
+// TestWaitReachesLogEnd: Wait returns once maintenance has reached the
+// store's end even when no change with ops lies there — a refused bracket
+// that a replication snapshot made durable, and a checkpoint's rotation.
+func TestWaitReachesLogEnd(t *testing.T) {
+	st, m, sess := openView(t, Options{})
+	mustExec(t, sess, seedDDL)
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
+	quiesce(t, m)
+	wait := func(what string) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if err := m.Wait(ctx); err != nil {
+			t.Fatalf("Wait after %s: %v", what, err)
+		}
+	}
+
+	if _, err := sess.Exec("BEGIN; ASSERT flies (rex); ASSERT flies (nope); COMMIT;"); err == nil {
+		t.Fatal("a bracket naming an unknown node committed")
+	}
+	if _, _, _, err := st.ReplicationSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	wait("a refused bracket")
+
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	wait("a checkpoint")
+	if rows, _ := m.Rows("flat"); strings.Join(rows, ",") != "(tweety)" {
+		t.Fatalf("rows = %v, want only (tweety)", rows)
 	}
 }

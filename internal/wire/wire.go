@@ -1,8 +1,9 @@
 // Package wire is the framing every hrdb connection speaks: one opening
 // text line, then length-prefixed binary frames in both directions. The
-// server (internal/server), its clients, and replication (internal/repl)
-// all read and write through this package, so there is one decoder per
-// frame, payload and reply.
+// server (internal/server), its clients, replication (internal/repl), change
+// feeds (internal/view) and shards (internal/shard) all read and write
+// through this package, so there is one decoder per frame, payload and
+// reply.
 //
 // # Opening exchange
 //
@@ -46,14 +47,14 @@ const (
 	TypeLag       = byte(0x07) // → OK <lag payload>
 	TypePromote   = byte(0x08) // → OK "promoted"
 	TypeShardMap  = byte(0x09) // → OK "<shard_id> <shard_count>"
-	TypeExecShard = byte(0x0A) // as EXEC, but the script is a shard operation
+	TypeExecShard = byte(0x0A) // u32 timeout_ms | ShardOp → OK ShardReply/ERR
 	TypeSubscribe = byte(0x0B) // u8 resume | u64 epoch | u64 offset | name → SUB frames
 	TypeSnap      = byte(0x0C) // → OK <replication bootstrap>
 	TypeRepl      = byte(0x0D) // stream position → SHIP/HB/ROTATE frames until either side closes
 	TypeAck       = byte(0x0E) // stream position the follower has durably applied
 	TypeOK        = byte(0x81) // success; payload = output
 	TypeErr       = byte(0x82) // failure; payload = u8 codeLen | code | u32 retry_ms | message
-	TypeSub       = byte(0x83) // one change-feed frame of the subscription with this id
+	TypeSub       = byte(0x83) // one Change of the feed SUBSCRIBE opened under this id
 	TypeShip      = byte(0x84) // stream position | raw WAL bytes starting there
 	TypeHB        = byte(0x85) // stream position of the primary's durable end
 	TypeRotate    = byte(0x86) // stream position (epoch, 0) the stream continues at

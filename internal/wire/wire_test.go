@@ -8,10 +8,14 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
+
+	"hrdb/internal/catalog"
+	"hrdb/internal/core"
 )
 
 // fuzzMaxBytes keeps the fuzz target's size limit small so the corpus can
@@ -259,6 +263,162 @@ func TestReadHelloRejects(t *testing.T) {
 	}
 }
 
+func TestStringListRoundTrip(t *testing.T) {
+	for _, ss := range [][]string{nil, {""}, {"a", "", "line\nbreak", "sep\x1fbyte", strings.Repeat("x", 300)}} {
+		p := appendStrings(nil, ss)
+		r := payloadReader{p: append(p, 7)}
+		got := r.strings()
+		if r.err != nil || len(r.p) != 1 || len(got) != len(ss) || strings.Join(got, "|") != strings.Join(ss, "|") {
+			t.Fatalf("round trip of %q = %q (rest %x), %v", ss, got, r.p, r.err)
+		}
+	}
+	for _, bad := range [][]byte{
+		nil,                      // no count
+		{0, 0, 0},                // truncated count
+		{0, 0, 0, 1},             // one string, no length
+		{0, 0, 0, 1, 0, 0, 0, 2}, // length past the end
+		{0xff, 0xff, 0xff, 0xff}, // a count no payload holds: refused before allocating
+	} {
+		r := payloadReader{p: bad}
+		if r.strings(); !errors.Is(r.err, ErrProtocol) {
+			t.Errorf("strings(%x): %v, want ErrProtocol", bad, r.err)
+		}
+	}
+	r := payloadReader{p: appendStrings(nil, []string{"a"})}
+	if r.u8(); !errors.Is(r.done(), ErrProtocol) {
+		t.Error("trailing bytes accepted")
+	}
+}
+
+func TestChangeRoundTrip(t *testing.T) {
+	for _, c := range []Change{
+		{Kind: ChangeSnapshot, Epoch: 3, Offset: 1024, Rows: []string{"(a, b)", "(c, d)"}},
+		{Kind: ChangeSnapshot},
+		{Kind: ChangeDelta, Epoch: 3, Offset: 2048, Added: []string{"(e, f)"}, Removed: []string{"(a, b)"}},
+		{Kind: ChangeDelta, Epoch: 4, Offset: 16, Added: []string{"+ (x)", "row with\na newline"}},
+		{Kind: ChangeHeartbeat, Epoch: 4, Offset: 99},
+	} {
+		p, err := ChangePayload(c)
+		if err != nil {
+			t.Fatalf("ChangePayload(%+v): %v", c, err)
+		}
+		got, err := ParseChange(p)
+		if err != nil || !reflect.DeepEqual(got, c) {
+			t.Fatalf("round trip of %+v = %+v, %v", c, got, err)
+		}
+	}
+}
+
+// TestChangeFramesByteAtATime: a feed's SUB frames decode the same whether
+// the bytes arrive whole or one at a time.
+func TestChangeFramesByteAtATime(t *testing.T) {
+	want := []Change{
+		{Kind: ChangeSnapshot, Epoch: 1, Offset: 7, Rows: []string{"r1", "r2", "r3"}},
+		{Kind: ChangeDelta, Epoch: 1, Offset: 21, Added: []string{"r4"}, Removed: []string{"r1", "r2"}},
+		{Kind: ChangeHeartbeat, Epoch: 2},
+	}
+	var stream []byte
+	for _, c := range want {
+		p, err := ChangePayload(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream = AppendFrame(stream, Frame{Type: TypeSub, ID: 1, Payload: p})
+	}
+	br := bufio.NewReader(iotest.OneByteReader(bytes.NewReader(stream)))
+	for i, w := range want {
+		f, err := ReadFrame(br, 1<<10)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got, err := ParseChange(f.Payload); err != nil || !reflect.DeepEqual(got, w) {
+			t.Fatalf("frame %d = %+v, %v; want %+v", i, got, err, w)
+		}
+	}
+	if _, err := ReadFrame(br, 1<<10); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last frame: %v, want EOF", err)
+	}
+}
+
+// TestChangeFrameIncompleteThenComplete: a SUB frame short of its last byte
+// is not handed out; the last byte's arrival completes it.
+func TestChangeFrameIncompleteThenComplete(t *testing.T) {
+	want := Change{Kind: ChangeDelta, Epoch: 9, Offset: 40, Added: []string{"row"}}
+	p, err := ChangePayload(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := AppendFrame(nil, Frame{Type: TypeSub, ID: 1, Payload: p})
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	type result struct {
+		f   Frame
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		f, err := ReadFrame(bufio.NewReader(pr), 1<<10)
+		done <- result{f, err}
+	}()
+	// A pipe write returns once the reader holds every byte written.
+	if _, err := pw.Write(whole[:len(whole)-1]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		t.Fatalf("partial frame: ReadFrame = %+v, %v; want it still waiting", r.f, r.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := pw.Write(whole[len(whole)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("completed frame: %v", r.err)
+		}
+		if got, err := ParseChange(r.f.Payload); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("completed frame = %+v, %v; want %+v", got, err, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("completed frame was never read")
+	}
+}
+
+func TestChangeDecodeErrors(t *testing.T) {
+	good, _ := ChangePayload(Change{Kind: ChangeDelta, Epoch: 1, Offset: 2, Added: []string{"r"}})
+	negative := append([]byte(nil), good...)
+	negative[9] = 0x80 // the offset's sign bit
+	unknown := append([]byte(nil), good...)
+	unknown[0] = 9
+	for name, p := range map[string][]byte{
+		"empty":           nil,
+		"unknown kind":    unknown,
+		"zero kind":       append([]byte{0}, good[1:]...),
+		"negative offset": negative,
+		"truncated":       good[:len(good)-1],
+		"trailing byte":   append(good[:len(good):len(good)], 0),
+		"heartbeat rows":  append([]byte{3}, good[1:]...),
+		"oversize":        make([]byte, maxChangeBytes+1),
+	} {
+		if c, err := ParseChange(p); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: ParseChange = %+v, %v; want ErrProtocol", name, c, err)
+		}
+	}
+}
+
+func TestChangeEncodeRejects(t *testing.T) {
+	for _, kind := range []string{"SNAP", ""} {
+		if _, err := ChangePayload(Change{Kind: kind}); err == nil {
+			t.Errorf("ChangePayload accepted the kind %q", kind)
+		}
+	}
+	big := Change{Kind: ChangeSnapshot, Rows: []string{strings.Repeat("r", maxChangeBytes)}}
+	if _, err := ChangePayload(big); err == nil {
+		t.Error("ChangePayload accepted a snapshot over the change cap")
+	}
+}
+
 // FuzzFrameDecode holds the decoders to three properties on arbitrary
 // bytes:
 //
@@ -269,10 +429,12 @@ func TestReadHelloRejects(t *testing.T) {
 //  2. Malformed input fails loudly with a classified error — ErrProtocol,
 //     ErrTooLarge, or io EOF variants — never a panic, hang, or garbage
 //     frame that re-encodes differently than it arrived.
-//  3. The payload decoder for the frame's type (ERR, and the replication
-//     stream positions of REPL, ACK, HB, ROTATE and SHIP) either rejects
-//     the payload with ErrProtocol or accepts exactly what its encoder
-//     produces.
+//  3. The payload decoder for the frame's type (ERR, the replication
+//     stream positions of REPL, ACK, HB, ROTATE and SHIP, a SUB frame's
+//     change, an EXECSHARD's shard op, an OK's LAG payload or shard reply,
+//     and the string list every typed payload is built from) either
+//     rejects the payload with ErrProtocol or accepts exactly what its
+//     encoder produces.
 func FuzzFrameDecode(f *testing.F) {
 	pos := StreamPos{Term: 2, Epoch: 1, Offset: 4096}
 	f.Add(AppendFrame(nil, Frame{Type: TypePing, ID: 1}))
@@ -292,6 +454,39 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, ErrFrame(2, 0, "stale", 0, "position superseded")))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 5, Payload: []byte(LagPayload(LagInfo{Staleness: -1, State: "connecting"}))}))
 	f.Add(AppendFrame(nil, Frame{Type: TypeShip, ID: 2, Payload: []byte{0, 1, 2}})) // SHIP shorter than its position
+	// Change feeds: a snapshot, a delta, a heartbeat, the ERR that ends a
+	// feed, two frames back to back, and payloads that do not decode.
+	sub := func(c Change) []byte {
+		p, err := ChangePayload(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return AppendFrame(nil, Frame{Type: TypeSub, ID: 9, Stream: 4, Payload: p})
+	}
+	f.Add(sub(Change{Kind: ChangeSnapshot, Epoch: 1, Offset: 2, Rows: []string{"a", "b", "c"}}))
+	f.Add(sub(Change{Kind: ChangeDelta, Epoch: 3, Offset: 44, Added: []string{"x"}, Removed: []string{"yz"}}))
+	f.Add(sub(Change{Kind: ChangeHeartbeat}))
+	f.Add(AppendFrame(nil, ErrFrame(9, 4, "stale", 0, "gone")))
+	f.Add(append(sub(Change{Kind: ChangeSnapshot, Epoch: 1, Offset: 2}), sub(Change{Kind: ChangeHeartbeat, Epoch: 1, Offset: 3})...))
+	f.Add(AppendFrame(nil, Frame{Type: TypeSub, ID: 9, Payload: []byte("garbage")}))
+	f.Add(AppendFrame(nil, Frame{Type: TypeSub, ID: 9, Payload: []byte{0xff, 0x00, '\n'}}))
+	// Shard ops and replies, separator bytes in values included.
+	execShard := func(p []byte) []byte {
+		return AppendFrame(nil, Frame{Type: TypeExecShard, Flags: FlagEndStream, ID: 8, Stream: 3, Payload: append([]byte{0, 0, 0, 0}, p...)})
+	}
+	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardPrepare, GID: "g1.7", Ops: []catalog.TxOp{
+		{Kind: catalog.KindAssert, Relation: "Flies", Values: []string{"Bird"}},
+		{Kind: catalog.KindDeny, Relation: "Flies", Values: []string{"Bird"}, Bare: true},
+	}})))
+	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardApply, GID: "g", Ops: []catalog.TxOp{{Kind: catalog.KindRetract, Relation: "R"}}})))
+	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Stream: 3, Payload: ShardReplyPayload(ShardReply{Tuples: []core.Tuple{
+		{Item: core.Item{"a", "b"}, Sign: true}, {Item: core.Item{"c"}}}})}))
+	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Stream: 3, Payload: ShardReplyPayload(ShardReply{Verdicts: []bool{true, false}})}))
+	f.Add(execShard(nil))
+	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardSelect, Relation: "r\x1fs", Conds: [][2]string{{"a\nb", "c"}}})))
+	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {}}})))
+	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: ShardReplyPayload(ShardReply{Status: "prepared 2"})}))
+	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: []byte{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}})) // string longer than the payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		oneShot, errOne := ReadFrame(bufio.NewReaderSize(bytes.NewReader(data), 16), fuzzMaxBytes)
 		chunked, errChunk := ReadFrame(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), 16), fuzzMaxBytes)
@@ -341,6 +536,16 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 
 		p := oneShot.Payload
+		// Any payload that opens with a valid string list gives it back
+		// exactly.
+		r := payloadReader{p: p}
+		if ss := r.strings(); r.err == nil {
+			if got, want := appendStrings(nil, ss), p[:len(p)-len(r.p)]; !bytes.Equal(got, want) {
+				t.Fatalf("string list %q re-encodes to %x, read from %x", ss, got, want)
+			}
+		} else if !errors.Is(r.err, ErrProtocol) {
+			t.Fatalf("string list error %v is not ErrProtocol", r.err)
+		}
 		var reencoded []byte
 		var err error
 		switch oneShot.Type {
@@ -361,11 +566,33 @@ func FuzzFrameDecode(f *testing.F) {
 			if sp, chunk, err = ParseShip(p); err == nil {
 				reencoded = ShipPayload(sp, chunk)
 			}
+		case TypeSub:
+			var c Change
+			if c, err = ParseChange(p); err == nil {
+				if reencoded, err = ChangePayload(c); err != nil {
+					t.Fatalf("decoded change %+v does not re-encode: %v", c, err)
+				}
+			}
+		case TypeExecShard:
+			if len(p) < 4 {
+				return // the EXEC payload framing is the server's to refuse
+			}
+			var op ShardOp
+			if op, err = ParseShardOp(p[4:]); err == nil {
+				reencoded = AppendShardOp(append([]byte(nil), p[:4]...), op)
+			}
 		case TypeOK:
 			if li, err := ParseLag(string(p)); err == nil {
 				if _, err := ParseLag(LagPayload(li)); err != nil {
 					t.Fatalf("LAG payload %q re-encodes to an unparsable %q", p, LagPayload(li))
 				}
+			}
+			if rep, err := ParseShardReply(p); err == nil {
+				if got := ShardReplyPayload(rep); !bytes.Equal(got, p) {
+					t.Fatalf("shard reply re-encodes differently:\n got %x\nwant %x", got, p)
+				}
+			} else if !errors.Is(err, ErrProtocol) {
+				t.Fatalf("shard reply error %v is not ErrProtocol", err)
 			}
 			return
 		default:

@@ -18,21 +18,20 @@ func TestReplicationEndToEnd(t *testing.T) {
 	store, err := hrdb.OpenStore(t.TempDir())
 	must(t, err)
 
-	// Primary: client listener plus a dedicated replication listener.
-	primarySrv := hrdb.NewServer(store, hrdb.ServerOptions{CloseTarget: true})
+	// Primary: one listener serving clients and replication alike.
+	primarySrv := hrdb.NewServer(store, hrdb.ServerOptions{
+		CloseTarget: true,
+		Repl:        hrdb.NewPrimary(store, hrdb.PrimaryOptions{HeartbeatInterval: 10 * time.Millisecond}),
+	})
 	must(t, primarySrv.Start("127.0.0.1:0"))
-	primary := hrdb.NewPrimary(store, hrdb.PrimaryOptions{HeartbeatInterval: 10 * time.Millisecond})
-	replSrv := hrdb.NewServer(store, hrdb.ServerOptions{Repl: primary})
-	must(t, replSrv.Start("127.0.0.1:0"))
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		replSrv.Shutdown(ctx)
 		primarySrv.Shutdown(ctx)
 	}()
 
-	// Replica follows the replication listener and serves its own port.
-	replica := hrdb.NewReplica(replSrv.Addr(), hrdb.ReplicaOptions{
+	// Replica follows the primary's address and serves its own.
+	replica := hrdb.NewReplica(primarySrv.Addr(), hrdb.ReplicaOptions{
 		ReconnectBackoff: 10 * time.Millisecond,
 	})
 	defer replica.Close()
@@ -87,7 +86,6 @@ ASSERT Flies (Bird);
 
 	// Failover: kill the primary, promote the replica, keep writing.
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	replSrv.Shutdown(shutCtx)
 	primarySrv.Shutdown(shutCtx)
 	shutCancel()
 

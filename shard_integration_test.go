@@ -183,34 +183,27 @@ func TestShardClusterFailover(t *testing.T) {
 	a0 := startShardServer(t, 0, 3)
 	a2 := startShardServer(t, 2, 3)
 
-	// Shard 1: durable primary with a replication listener…
+	// Shard 1: a durable primary serving replication on its one address…
 	store, err := hrdb.OpenStore(t.TempDir())
 	must(t, err)
 	primarySrv := hrdb.NewServer(store, hrdb.ServerOptions{
 		CloseTarget: true,
 		Shard:       hrdb.NewShardNode(store, 1, 3),
+		Repl:        hrdb.NewPrimary(store, hrdb.PrimaryOptions{HeartbeatInterval: 10 * time.Millisecond}),
 	})
 	must(t, primarySrv.Start("127.0.0.1:0"))
-	primary := hrdb.NewPrimary(store, hrdb.PrimaryOptions{HeartbeatInterval: 10 * time.Millisecond})
-	replSrv := hrdb.NewServer(store, hrdb.ServerOptions{Repl: primary})
-	must(t, replSrv.Start("127.0.0.1:0"))
 
 	// …and an in-memory replica that can take over, itself a shard node.
-	replica := hrdb.NewReplica(replSrv.Addr(), hrdb.ReplicaOptions{
+	replica := hrdb.NewReplica(primarySrv.Addr(), hrdb.ReplicaOptions{
 		ReconnectBackoff: 10 * time.Millisecond,
 	})
 	defer replica.Close()
 	replicaTarget := hrdb.ReplicaTarget{R: replica}
 	replicaSrv := hrdb.NewServer(replicaTarget, hrdb.ServerOptions{
-		Shard: hrdb.NewShardNode(replicaTarget, 1, 3),
-		LagProbe: func() hrdb.LagInfo {
-			st := replica.Status()
-			return hrdb.LagInfo{
-				Staleness: st.Staleness, Epoch: st.Epoch, Offset: st.Offset,
-				State: st.State, Term: st.Term, ID: st.ID, Source: st.Source,
-			}
-		},
-		Promote: replica.Promote,
+		Shard:    hrdb.NewShardNode(replicaTarget, 1, 3),
+		Repl:     replica,
+		LagProbe: replica.Status,
+		Promote:  replica.Promote,
 	})
 	must(t, replicaSrv.Start("127.0.0.1:0"))
 	defer func() {
@@ -253,7 +246,6 @@ COMMIT;`
 
 	// Kill shard 1's primary and promote the replica (manual failover).
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	replSrv.Shutdown(shutCtx)
 	primarySrv.Shutdown(shutCtx)
 	shutCancel()
 	promoteCli, err := hrdb.Dial(replicaSrv.Addr())
