@@ -267,10 +267,6 @@ type (
 	Stream = server.Stream
 	// Option configures Dial and DialRouter.
 	Option = server.Option
-	// ClientOption is the pre-unification name for Option.
-	//
-	// Deprecated: use Option.
-	ClientOption = server.Option
 	// ServerError is a failure reported by the server in an ERR frame;
 	// match the standard sentinels with errors.Is.
 	ServerError = server.ServerError
@@ -384,10 +380,6 @@ type (
 	// Router splits reads onto lag-bounded replicas, writes onto the
 	// primary.
 	Router = server.Router
-	// RouterOption is the pre-unification name for Option.
-	//
-	// Deprecated: use Option.
-	RouterOption = server.Option
 )
 
 // Sharding: a cluster hash-partitions each relation's all-instance tuples

@@ -54,16 +54,6 @@ const ProtocolV2 = 2
 // for every client-side knob.
 type Option func(*dialConfig)
 
-// ClientOption is the pre-unification name for Option.
-//
-// Deprecated: use Option.
-type ClientOption = Option
-
-// RouterOption is the pre-unification name for Option.
-//
-// Deprecated: use Option.
-type RouterOption = Option
-
 // dialConfig collects every client and router knob.
 type dialConfig struct {
 	maxRetries  int
@@ -139,9 +129,10 @@ func WithProtocol(int) Option { return func(*dialConfig) {} }
 
 // Client is a connection to a Server with reconnect, deadline plumbing,
 // and retry with exponential backoff. A Client is safe for concurrent use:
-// concurrent requests pipeline over one connection and complete out of
-// order. Close may be called at any time, including with requests in
-// flight — they fail with ErrClientClosed rather than delaying Close.
+// concurrent requests, Streams and Subscriptions all share its one
+// multiplexed connection, and replies complete out of order. Close may be
+// called at any time, including with requests in flight — they fail with
+// ErrClientClosed rather than delaying Close.
 type Client struct {
 	addr string
 	o    dialConfig
@@ -150,7 +141,7 @@ type Client struct {
 	// I/O, so Close can always acquire it.
 	connMu sync.Mutex
 	closed bool
-	cc     *conn2
+	cc     *wire.Conn
 	tenant string // namespace confirmed by the server
 }
 
@@ -183,12 +174,11 @@ func (c *Client) Tenant() string {
 
 // connectLocked dials and runs the HELLO exchange. Callers hold c.connMu.
 func (c *Client) connectLocked() error {
-	conn, br, tenant, err := wire.Dial(context.Background(), c.addr, c.o.dialTimeout, c.o.tenant)
+	cc, tenant, err := wire.DialConn(context.Background(), c.addr, c.o.dialTimeout, c.o.tenant, c.o.maxResponse)
 	if err != nil {
 		return serverError(err)
 	}
-	c.tenant = tenant
-	c.cc = newConn2(conn, br, c.o.maxResponse)
+	c.cc, c.tenant = cc, tenant
 	return nil
 }
 
@@ -205,7 +195,7 @@ func (c *Client) Close() error {
 	if c.cc == nil {
 		return nil
 	}
-	err := c.cc.close()
+	err := c.cc.Close()
 	c.cc = nil
 	return err
 }
@@ -218,13 +208,13 @@ func (c *Client) isClosed() bool {
 }
 
 // ensure returns the live connection, dialing if needed.
-func (c *Client) ensure() (*conn2, error) {
+func (c *Client) ensure() (*wire.Conn, error) {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	if c.closed {
 		return nil, ErrClientClosed
 	}
-	if c.cc != nil && c.cc.alive() {
+	if c.cc != nil && c.cc.Alive() {
 		return c.cc, nil
 	}
 	c.cc = nil
@@ -301,7 +291,7 @@ func (c *Client) execRetry(ctx context.Context, typ byte, input string, idempote
 		if !retryable || attempt >= c.o.maxRetries || ctx.Err() != nil {
 			return "", lastErr
 		}
-		if err := sleepCtx(ctx, c.backoff(attempt, hint)); err != nil {
+		if err := backoff.Sleep(ctx, c.backoff(attempt, hint)); err != nil {
 			return "", lastErr
 		}
 	}
@@ -318,7 +308,21 @@ func (c *Client) execOnce(ctx context.Context, typ byte, input string) (string, 
 	if err != nil {
 		return "", err
 	}
-	return cc.exec(ctx, typ, wire.FlagEndStream, cc.nextStream.Add(1), input)
+	return exec(ctx, cc, typ, wire.FlagEndStream, cc.NewStream(), input)
+}
+
+// exec runs one EXEC or EXECSHARD request on stream, carrying the ctx
+// deadline to the server (which enforces it during execution).
+func exec(ctx context.Context, cc *wire.Conn, typ, flags byte, stream uint32, input string) (string, error) {
+	var timeout time.Duration
+	if dl, ok := ctx.Deadline(); ok {
+		timeout = time.Until(dl)
+		if timeout <= 0 {
+			return "", context.DeadlineExceeded
+		}
+	}
+	out, err := cc.Do(ctx, typ, flags, stream, execPayload(timeout, input))
+	return string(out), serverError(err)
 }
 
 // Ping performs a liveness round trip.
@@ -341,7 +345,60 @@ func (c *Client) inline(ctx context.Context, typ byte) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cc.do(ctx, typ, 0, 0, nil)
+	out, err := cc.Do(ctx, typ, 0, 0, nil)
+	return string(out), serverError(err)
+}
+
+// Stream is a logical sub-connection multiplexed over a Client's
+// connection: statements on one Stream execute in order on one server-side
+// session — so a transaction can span Exec calls — while other Streams
+// (and plain Client.Exec calls) proceed concurrently on the same socket.
+//
+// A Stream does not retry: its statements are positional (a retried BEGIN
+// or COMMIT on a fresh connection would not mean the same thing), so
+// transport failures and server errors surface directly. A statement
+// abandoned mid-execution (deadline, cancel) retires the stream server-side;
+// subsequent Execs answer "canceled" and the caller should open a new
+// Stream.
+type Stream struct {
+	cc *wire.Conn
+	id uint32
+
+	mu     sync.Mutex
+	closed bool
+}
+
+// Stream opens a new logical stream on the client's connection.
+func (c *Client) Stream() (*Stream, error) {
+	cc, err := c.ensure()
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{cc: cc, id: cc.NewStream()}, nil
+}
+
+// Exec runs one statement on the stream's server-side session. Calls are
+// serialized per stream (FIFO is the point of a stream); the ctx deadline
+// rides to the server like Client.Exec's.
+func (st *Stream) Exec(ctx context.Context, input string) (string, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return "", ErrClientClosed
+	}
+	return exec(ctx, st.cc, wire.TypeExec, 0, st.id, input)
+}
+
+// Close disposes the stream's server-side session (fire-and-forget
+// ENDSTREAM; no reply). Further Execs fail with ErrClientClosed.
+func (st *Stream) Close() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.closed {
+		return nil
+	}
+	st.closed = true
+	return st.cc.EndStream(st.id)
 }
 
 // classify decides whether an error may be retried and extracts the
@@ -374,9 +431,4 @@ func (c *Client) classify(err error, idempotent bool) (retryable bool, hint time
 // reconnect loop, so every reconnecting component paces identically.
 func (c *Client) backoff(attempt int, hint time.Duration) time.Duration {
 	return backoff.Policy{Base: c.o.baseBackoff, Max: c.o.maxBackoff}.Delay(attempt, hint)
-}
-
-// sleepCtx sleeps for d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	return backoff.Sleep(ctx, d)
 }

@@ -110,7 +110,7 @@ func TestClientRetryPolicy(t *testing.T) {
 		name         string
 		script       string
 		replies      []reply
-		opts         []ClientOption
+		opts         []Option
 		wantAttempts int64
 		wantErr      bool
 	}{
@@ -118,7 +118,7 @@ func TestClientRetryPolicy(t *testing.T) {
 			name:         "mutation never auto-retried after severed reply",
 			script:       mutation,
 			replies:      []reply{severReply, okReply("late")},
-			opts:         []ClientOption{WithMaxRetries(3), fast},
+			opts:         []Option{WithMaxRetries(3), fast},
 			wantAttempts: 1,
 			wantErr:      true,
 		},
@@ -126,14 +126,14 @@ func TestClientRetryPolicy(t *testing.T) {
 			name:         "read-only retried after severed reply",
 			script:       readOnly,
 			replies:      []reply{severReply, okReply("true")},
-			opts:         []ClientOption{WithMaxRetries(3), fast},
+			opts:         []Option{WithMaxRetries(3), fast},
 			wantAttempts: 2,
 		},
 		{
 			name:         "mutation retried after severed reply when opted in",
 			script:       mutation,
 			replies:      []reply{severReply, okReply("done")},
-			opts:         []ClientOption{WithMaxRetries(3), WithRetryNonIdempotent(true), fast},
+			opts:         []Option{WithMaxRetries(3), WithRetryNonIdempotent(true), fast},
 			wantAttempts: 2,
 		},
 		{
@@ -142,7 +142,7 @@ func TestClientRetryPolicy(t *testing.T) {
 			replies: []reply{
 				errReply(codeOverloaded, time.Millisecond), okReply("done"),
 			},
-			opts:         []ClientOption{WithMaxRetries(3), fast},
+			opts:         []Option{WithMaxRetries(3), fast},
 			wantAttempts: 2,
 		},
 		{
@@ -151,14 +151,14 @@ func TestClientRetryPolicy(t *testing.T) {
 			replies: []reply{
 				errReply(codeShutdown, 0), okReply("done"),
 			},
-			opts:         []ClientOption{WithMaxRetries(3), fast},
+			opts:         []Option{WithMaxRetries(3), fast},
 			wantAttempts: 2,
 		},
 		{
 			name:         "exec error never retried",
 			script:       readOnly,
 			replies:      []reply{errReply(codeExec, 0), okReply("true")},
-			opts:         []ClientOption{WithMaxRetries(3), fast},
+			opts:         []Option{WithMaxRetries(3), fast},
 			wantAttempts: 1,
 			wantErr:      true,
 		},
@@ -166,7 +166,7 @@ func TestClientRetryPolicy(t *testing.T) {
 			name:         "retry budget bounds attempts",
 			script:       readOnly,
 			replies:      []reply{severReply},
-			opts:         []ClientOption{WithMaxRetries(2), fast},
+			opts:         []Option{WithMaxRetries(2), fast},
 			wantAttempts: 3, // initial + 2 retries
 			wantErr:      true,
 		},

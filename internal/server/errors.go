@@ -58,10 +58,10 @@ var (
 )
 
 // ErrClientClosed is returned by every call on a Client after Close,
-// including pipelined requests that were still in flight when Close ran —
-// their waiters are failed immediately instead of leaking. It is a
-// client-side condition, not a wire code.
-var ErrClientClosed = errors.New("hrdb: client closed")
+// including pipelined requests and Subscription.Next calls that were still
+// waiting when Close ran — they are failed immediately instead of leaking.
+// It is a client-side condition, not a wire code.
+var ErrClientClosed = wire.ErrClosed
 
 // Code is a wire protocol error code: the code string of an ERR payload
 // (and of the text ERR that refuses a HELLO). Codes compare like strings.

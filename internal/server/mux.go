@@ -29,6 +29,8 @@ import (
 //     when the worker finishes (or the deadline fires) and then advances
 //     the stream. Await goroutines are bounded by admission capacity
 //     (Workers + QueueDepth), not by client appetite.
+//   - A SUBSCRIBE feed or a REPL stream is one more outstanding id: a
+//     goroutine sends its frames until CANCEL or teardown, then one ERR.
 //   - Replies go through one mutex-guarded writer, a frame per Write
 //     call, so responses interleave at frame granularity in completion
 //     order.
@@ -42,12 +44,14 @@ import (
 const maxFreeSessions = 8
 
 // muxTask is one outstanding request id: an EXEC frame travelling through
-// its stream's FIFO, or — with t nil — a live SUBSCRIBE feed.
+// its stream's FIFO, or — with t nil — a live SUBSCRIBE feed or REPL
+// stream.
 type muxTask struct {
 	id     uint64
 	stream uint32
 	// cancel aborts the statement or ends the feed (CANCEL, teardown).
 	cancel context.CancelFunc
+	acks   bool // a REPL stream: its ACK frames go to Options.Repl
 	end    bool // FlagEndStream: dispose the stream after this reply
 	// started flips (under muxConn.mu) when the task leaves the FIFO for
 	// submission; CANCEL uses it to tell "still queued" from "in the pool".
@@ -79,13 +83,14 @@ type muxConn struct {
 	mu      sync.Mutex
 	streams map[uint32]*muxStream
 	// byID is the connection's one table of outstanding request ids —
-	// statements and feeds alike — so a reused id is refused whatever it
-	// named, and CANCEL reaches exactly what the id was issued for.
+	// statements, feeds and REPL streams alike — so a reused id is refused
+	// whatever it named, and CANCEL reaches exactly what the id was issued
+	// for. The connection is idle exactly when it is empty.
 	byID map[uint64]*muxTask
 	free []*hql.Session // reusable sessions from ended one-shot streams
 
-	// feeds lets teardown wait for feed goroutines (they exit promptly
-	// once canceled).
+	// feeds lets teardown wait for the goroutines of feeds and REPL
+	// streams (they exit promptly once canceled).
 	feeds sync.WaitGroup
 }
 
@@ -101,9 +106,9 @@ func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 	}
 	defer m.teardown()
 	for {
-		if s.opts.IdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
+		m.mu.Lock()
+		m.armIdleLocked()
+		m.mu.Unlock()
 		f, err := wire.ReadFrame(br, s.opts.MaxStatementBytes+64)
 		if err != nil {
 			// Best-effort diagnosis; framing is lost either way, so close.
@@ -115,7 +120,6 @@ func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 			}
 			return
 		}
-		c.SetReadDeadline(time.Time{})
 
 		switch f.Type {
 		case wire.TypePing:
@@ -160,15 +164,15 @@ func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 		case wire.TypeSnap:
 			m.snap(f)
 		case wire.TypeRepl:
-			if !m.repl(f, br) {
+			if !m.repl(f) {
+				return
+			}
+		case wire.TypeAck:
+			if !m.ack(f) {
 				return
 			}
 		case wire.TypeExec, wire.TypeExecShard:
-			if f.Type == wire.TypeExecShard && s.opts.Shard == nil {
-				m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "this server is not a shard"))
-				continue
-			}
-			if f.Type == wire.TypeExecShard && !m.defaultOnly(f, "EXECSHARD") {
+			if f.Type == wire.TypeExecShard && !m.hooked(f, s.opts.Shard != nil, "EXECSHARD", "this server is not a shard") {
 				continue
 			}
 			if !m.exec(f) {
@@ -179,6 +183,54 @@ func (s *Server) serveMux(c net.Conn, br *bufio.Reader, tn *tenantState) {
 			return
 		}
 	}
+}
+
+// armIdleLocked runs the IdleTimeout clock only while byID is empty; the
+// reader calls it before every frame, and so does whoever empties byID.
+// Callers hold m.mu.
+func (m *muxConn) armIdleLocked() {
+	idle := m.srv.opts.IdleTimeout
+	switch {
+	case idle <= 0:
+	case len(m.byID) == 0:
+		m.c.SetReadDeadline(time.Now().Add(idle))
+	default:
+		m.c.SetReadDeadline(time.Time{})
+	}
+}
+
+// openStream runs a SUBSCRIBE feed or a REPL stream under its request id:
+// a byID entry whose cancel ends it, and a goroutine whose serve sends
+// frames on the id, then one ERR saying why it ended (feedEnd). acks routes
+// the id's ACK frames to Options.Repl. It reports whether the connection
+// may continue (a duplicate id desyncs it).
+func (m *muxConn) openStream(f wire.Frame, acks bool, serve func(ctx context.Context, send func(typ byte, payload []byte) error) error) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	m.mu.Lock()
+	if _, dup := m.byID[f.ID]; dup {
+		m.mu.Unlock()
+		cancel()
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, "duplicate request id"))
+		return false
+	}
+	m.byID[f.ID] = &muxTask{id: f.ID, stream: f.Stream, cancel: cancel, acks: acks}
+	m.mu.Unlock()
+
+	m.feeds.Add(1)
+	go func() {
+		defer m.feeds.Done()
+		err := serve(ctx, func(typ byte, payload []byte) error {
+			return m.send(wire.Frame{Type: typ, ID: f.ID, Stream: f.Stream, Payload: payload})
+		})
+		cancel()
+		m.mu.Lock()
+		delete(m.byID, f.ID)
+		m.armIdleLocked()
+		m.mu.Unlock()
+		code, msg := feedEnd(err)
+		m.send(errFrame(f.ID, f.Stream, code, 0, msg))
+	}()
+	return true
 }
 
 // teardown cancels every outstanding request when the connection ends, so
@@ -205,15 +257,24 @@ func (m *muxConn) Write(p []byte) (int, error) {
 	return m.c.Write(p)
 }
 
-// defaultOnly reports whether the connection is in the default namespace,
-// answering f with ERR unsupported when it is not. The shard node, the
-// replication source and the feed source all act on the server's main
-// target, so a tenant connection must not reach them.
-func (m *muxConn) defaultOnly(f wire.Frame, verb string) bool {
-	if m.tn.name == DefaultTenant {
+// hooked answers the refusals EXECSHARD, SNAP, REPL and SUBSCRIBE share
+// and reports whether the request may proceed. Its hook must be
+// configured. The connection must be in the default namespace: the shard
+// node, the replication source and the feed source all act on the main
+// target. And the server must not be draining: the store and view manager
+// close after the drain, so work started during it would race that close
+// (streams already running end when Shutdown retires their connections).
+func (m *muxConn) hooked(f wire.Frame, enabled bool, verb, disabled string) bool {
+	switch {
+	case !enabled:
+		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, disabled))
+	case m.tn.name != DefaultTenant:
+		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, verb+" serves the default namespace only"))
+	case m.srv.drainingNow():
+		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
+	default:
 		return true
 	}
-	m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, verb+" serves the default namespace only"))
 	return false
 }
 
@@ -468,6 +529,7 @@ func (m *muxConn) afterTask(mt *muxTask, st *muxStream, retire bool) *muxTask {
 	for _, d := range dropped {
 		delete(m.byID, d.id)
 	}
+	m.armIdleLocked()
 	m.mu.Unlock()
 	for _, d := range dropped {
 		d.t.cancel()
@@ -497,6 +559,7 @@ func (m *muxConn) cancelID(id uint64) {
 		}
 		if queued {
 			delete(m.byID, id)
+			m.armIdleLocked()
 		}
 	}
 	m.mu.Unlock()

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"io"
 
 	"hrdb/internal/wire"
 )
@@ -21,40 +19,27 @@ type ReplSource interface {
 	// the replication position it corresponds to (the follower decodes it
 	// with the matching repl code). Served as an OK frame answering SNAP.
 	Snapshot() ([]byte, error)
-	// ServeStream takes over a connection after the REPL request id asked
-	// for the stream at (from.Epoch, from.Offset): it writes SHIP, HB and
-	// ROTATE frames carrying id to w, one frame per Write, and consumes
-	// the follower's ACK frames from r until the stream ends (connection
-	// severed, source closed, or the position unservable — answered with
-	// an ERR "stale" frame). from.Term is the follower's highest fencing
-	// term; a source holding a lower term has been deposed and must fence
-	// itself rather than serve. The server closes the connection
-	// afterwards.
-	ServeStream(r *bufio.Reader, w io.Writer, id uint64, from wire.StreamPos) error
+	// ServeStream serves the stream a REPL request asked for at
+	// (from.Epoch, from.Offset): it sends SHIP, HB and ROTATE frames through
+	// send until ctx is canceled (CANCEL, or the connection ended), a send
+	// fails, or the stream cannot go on — a position it cannot serve, or a
+	// deposed source, ends it with an error wrapping wire.ErrFeedStale.
+	// from.Term is the follower's highest fencing term; a source holding a
+	// lower term has been deposed and must fence itself rather than serve.
+	ServeStream(ctx context.Context, from wire.StreamPos, send func(typ byte, payload []byte) error) error
+	// Ack takes a follower's ACK: the position it has durably applied, and
+	// its fencing term.
+	Ack(pos wire.StreamPos)
 }
 
 // LagInfo is a replica's replication state, served by the LAG request and
 // consumed by lag-bounded read routing (see wire.LagInfo).
 type LagInfo = wire.LagInfo
 
-// A draining server refuses to START a snapshot or stream: Shutdown closes
-// the store after the drain, and a follower bootstrap admitted during the
-// drain would race that close — it gets a retryable shutdown error and
-// bootstraps elsewhere (or later) instead. Streams already running are
-// unaffected; they end when Shutdown retires their connections.
-
 // snap answers a SNAP frame.
 func (m *muxConn) snap(f wire.Frame) {
 	s := m.srv
-	if s.opts.Repl == nil {
-		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "replication not enabled"))
-		return
-	}
-	if !m.defaultOnly(f, "SNAP") {
-		return
-	}
-	if s.drainingNow() {
-		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
+	if !m.hooked(f, s.opts.Repl != nil, "SNAP", "replication not enabled") {
 		return
 	}
 	payload, err := s.opts.Repl.Snapshot()
@@ -66,39 +51,42 @@ func (m *muxConn) snap(f wire.Frame) {
 	m.send(wire.Frame{Type: wire.TypeOK, ID: f.ID, Stream: f.Stream, Payload: payload})
 }
 
-// repl answers a REPL frame by handing the connection to the replication
-// stream, which must be its only outstanding request: once the stream owns
-// the connection nothing else can be answered on it. It reports whether
-// the connection may continue — only after a refusal.
-func (m *muxConn) repl(f wire.Frame, br *bufio.Reader) bool {
+// repl answers a REPL frame: the replication stream runs as one of the
+// connection's long-lived streams (see openStream), beside whatever else
+// the connection carries. It reports whether the connection may continue.
+func (m *muxConn) repl(f wire.Frame) bool {
 	s := m.srv
 	from, err := wire.ParseStreamPos(f.Payload)
 	if err != nil {
 		m.send(errFrame(f.ID, f.Stream, codeProto, 0, err.Error()))
 		return false
 	}
-	if s.opts.Repl == nil {
-		m.send(errFrame(f.ID, f.Stream, codeUnsupported, 0, "replication not enabled"))
+	if !m.hooked(f, s.opts.Repl != nil, "REPL", "replication not enabled") {
 		return true
 	}
-	if !m.defaultOnly(f, "REPL") {
-		return true
-	}
-	if s.drainingNow() {
-		m.send(errFrame(f.ID, f.Stream, codeShutdown, 0, "server draining"))
-		return true
-	}
-	m.mu.Lock()
-	busy := len(m.byID) > 0
-	m.mu.Unlock()
-	if busy {
-		m.send(errFrame(f.ID, f.Stream, codeProto, 0, "REPL must be the connection's only outstanding request"))
+	return m.openStream(f, true, func(ctx context.Context, send func(typ byte, payload []byte) error) error {
+		metricReplStreams.Inc()
+		defer metricReplStreams.Dec()
+		return s.opts.Repl.ServeStream(ctx, from, send)
+	})
+}
+
+// ack passes an ACK frame to the replication source when its id names a
+// live REPL stream of this connection; an ACK racing its stream's end is
+// dropped. It reports whether the connection may continue.
+func (m *muxConn) ack(f wire.Frame) bool {
+	pos, err := wire.ParseStreamPos(f.Payload)
+	if err != nil {
+		m.send(errFrame(f.ID, f.Stream, codeProto, 0, err.Error()))
 		return false
 	}
-	metricReplStreams.Inc()
-	defer metricReplStreams.Dec()
-	_ = s.opts.Repl.ServeStream(br, m, f.ID, from)
-	return false
+	m.mu.Lock()
+	mt := m.byID[f.ID]
+	m.mu.Unlock()
+	if mt != nil && mt.acks {
+		m.srv.opts.Repl.Ack(pos)
+	}
+	return true
 }
 
 // Lag queries a replica server's replication state (the LAG request).

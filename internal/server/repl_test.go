@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"io"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,17 +20,28 @@ type stubRepl struct {
 	snapshot []byte
 	snapErr  error
 	streamed chan wire.StreamPos // the position each ServeStream received
+	acked    chan wire.StreamPos // the position of each ACK
 }
 
 func (s *stubRepl) Snapshot() ([]byte, error) { return s.snapshot, s.snapErr }
 
-func (s *stubRepl) ServeStream(r *bufio.Reader, w io.Writer, id uint64, from wire.StreamPos) error {
+// ServeStream emits one heartbeat so the follower side has something to
+// read, then stays live until the stream is canceled.
+func (s *stubRepl) ServeStream(ctx context.Context, from wire.StreamPos, send func(byte, []byte) error) error {
 	if s.streamed != nil {
 		s.streamed <- from
 	}
-	// Emit one heartbeat so the follower side has something to read, then
-	// end the stream.
-	return wire.WriteFrame(w, wire.Frame{Type: wire.TypeHB, ID: id, Payload: wire.AppendStreamPos(nil, from)})
+	if err := send(wire.TypeHB, wire.AppendStreamPos(nil, from)); err != nil {
+		return err
+	}
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+func (s *stubRepl) Ack(pos wire.StreamPos) {
+	if s.acked != nil {
+		s.acked <- pos
+	}
 }
 
 // replFrame builds a REPL request for the given position.
@@ -75,9 +84,14 @@ func TestSnapServesSnapshotPayload(t *testing.T) {
 	}
 }
 
-func TestReplHandsConnectionToStream(t *testing.T) {
-	repl := &stubRepl{streamed: make(chan wire.StreamPos, 1)}
-	srv := startServer(t, newMemTarget(t), Options{Repl: repl})
+// TestReplStreamSharesConnection: a REPL stream is one request among the
+// connection's others. Its frames carry the REPL id (no OK envelope);
+// PING, LAG and EXEC beside it are answered; its ACK frames reach the
+// source; and CANCEL ends it with exactly one ERR canceled.
+func TestReplStreamSharesConnection(t *testing.T) {
+	repl := &stubRepl{streamed: make(chan wire.StreamPos, 1), acked: make(chan wire.StreamPos, 1)}
+	lag := LagInfo{Staleness: 5 * time.Millisecond, Epoch: 2, Offset: 99, State: "streaming"}
+	srv := startServer(t, newMemTarget(t), Options{Repl: repl, LagProbe: func() LagInfo { return lag }})
 	rc := rawHello(t, srv.Addr())
 	// The position's term is the follower's fencing term.
 	want := wire.StreamPos{Term: 7, Epoch: 2, Offset: 99}
@@ -85,12 +99,44 @@ func TestReplHandsConnectionToStream(t *testing.T) {
 	if got := <-repl.streamed; got != want {
 		t.Fatalf("ServeStream got %+v, want %+v", got, want)
 	}
-	// The stream's frames carry the REPL id (no OK envelope), then the
-	// server closes the connection.
 	if f := rc.recv(); f.Type != wire.TypeHB || f.ID != 3 {
 		t.Fatalf("stream frame = %+v", f)
 	}
-	rc.closed()
+
+	rc.send(wire.Frame{Type: wire.TypePing, ID: 4})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 4 || string(f.Payload) != "pong" {
+		t.Fatalf("PING beside a live REPL = %+v", f)
+	}
+	rc.send(wire.Frame{Type: wire.TypeLag, ID: 5})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 5 || string(f.Payload) != wire.LagPayload(lag) {
+		t.Fatalf("LAG beside a live REPL = %+v", f)
+	}
+	rc.send(wire.Frame{Type: wire.TypeExec, ID: 6, Stream: 1, Flags: wire.FlagEndStream, Payload: execPayload(0, "HOLDS Flies (Tweety);")})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 6 {
+		t.Fatalf("EXEC beside a live REPL = %+v", f)
+	}
+
+	ack := wire.StreamPos{Term: 7, Epoch: 2, Offset: 120}
+	rc.send(wire.Frame{Type: wire.TypeAck, ID: 3, Payload: wire.AppendStreamPos(nil, ack)})
+	if got := <-repl.acked; got != ack {
+		t.Fatalf("Ack got %+v, want %+v", got, ack)
+	}
+	// An ACK on an id that is no REPL stream is dropped.
+	rc.send(wire.Frame{Type: wire.TypeAck, ID: 77, Payload: wire.AppendStreamPos(nil, ack)})
+
+	rc.send(wire.Frame{Type: wire.TypeCancel, ID: 3})
+	if code, _ := rc.recvErr(3); code != codeCanceled {
+		t.Fatalf("canceled REPL ended with ERR %s, want %s", code, codeCanceled)
+	}
+	rc.send(wire.Frame{Type: wire.TypePing, ID: 7})
+	if f := rc.recv(); f.Type != wire.TypeOK || f.ID != 7 {
+		t.Fatalf("after the REPL's ERR: %+v, want only the PING's OK", f)
+	}
+	select {
+	case pos := <-repl.acked:
+		t.Fatalf("ACK on a non-REPL id reached the source: %+v", pos)
+	default:
+	}
 }
 
 func TestReplRejectsBadPositions(t *testing.T) {
@@ -103,20 +149,6 @@ func TestReplRejectsBadPositions(t *testing.T) {
 			t.Fatalf("REPL payload %x = ERR %s, want %s", payload, code, codeProto)
 		}
 		rc.closed()
-	}
-
-	// REPL must be the connection's only outstanding request: with a feed
-	// or a statement still open there would be two conversations on one
-	// socket.
-	gate := &gateTarget{Target: newMemTarget(t), gate: make(chan struct{})}
-	defer close(gate.gate)
-	busy := startServer(t, gate, Options{Repl: &stubRepl{}})
-	rc := rawHello(t, busy.Addr())
-	rc.send(wire.Frame{Type: wire.TypeExec, ID: 1, Stream: 1, Payload: execPayload(0, "ASSERT Flies (Tweety);")})
-	waitParked(t, gate, 1)
-	rc.send(replFrame(2, wire.StreamPos{}))
-	if code, _ := rc.recvErr(2); code != codeProto {
-		t.Fatalf("REPL beside an outstanding EXEC = ERR %s, want %s", code, codeProto)
 	}
 }
 

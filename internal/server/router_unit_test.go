@@ -41,7 +41,7 @@ func lagConst(li LagInfo) func() LagInfo {
 	return func() LagInfo { return li }
 }
 
-func dialRouterT(t *testing.T, primary, replica *Server, opts ...RouterOption) *Router {
+func dialRouterT(t *testing.T, primary, replica *Server, opts ...Option) *Router {
 	t.Helper()
 	router, err := DialRouter(primary.Addr(), []string{replica.Addr()}, opts...)
 	if err != nil {

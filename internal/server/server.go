@@ -34,8 +34,9 @@ type Options struct {
 	// MaxConns bounds concurrent connections; excess connections receive
 	// an "overloaded" error frame and are closed. Default: 256.
 	MaxConns int
-	// IdleTimeout closes connections with no request activity. Default:
-	// 5 minutes; negative disables.
+	// IdleTimeout closes a connection that has had no outstanding request
+	// — no statement, feed or REPL stream — for this long. Default: 5
+	// minutes; negative disables.
 	IdleTimeout time.Duration
 	// MaxStatementBytes bounds one EXEC payload. Default: 1 MiB.
 	MaxStatementBytes int
@@ -298,7 +299,6 @@ func (s *Server) handleConn(c net.Conn) {
 	if wire.WriteHelloOK(c, "v2 tenant="+tn.name) != nil {
 		return
 	}
-	c.SetReadDeadline(time.Time{})
 	s.serveMux(c, br, tn)
 }
 

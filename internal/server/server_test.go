@@ -659,6 +659,56 @@ func TestIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutSparesBusyConnections: IdleTimeout reaps a connection
+// only while nothing is outstanding on it. A statement parked past the
+// timeout is answered, not severed, and a quiet feed is neither cut nor
+// re-subscribed.
+func TestIdleTimeoutSparesBusyConnections(t *testing.T) {
+	t.Run("exec", func(t *testing.T) {
+		gate := &gateTarget{Target: newMemTarget(t), gate: make(chan struct{})}
+		srv := startServer(t, gate, Options{IdleTimeout: 100 * time.Millisecond})
+		c, err := Dial(srv.Addr(), WithMaxRetries(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Exec(context.Background(), "ASSERT Flies (Tweety);")
+			done <- err
+		}()
+		waitParked(t, gate, 1)
+		time.Sleep(400 * time.Millisecond)
+		close(gate.gate)
+		if err := <-done; err != nil {
+			t.Fatalf("statement parked past IdleTimeout: %v", err)
+		}
+	})
+	t.Run("feed", func(t *testing.T) {
+		srv, _ := newSubscribeServer(t, Options{IdleTimeout: 150 * time.Millisecond})
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sub, err := c.Subscribe("flat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Close()
+		started := metricSubStarted.Value()
+		nextChange(t, sub)
+		ctx, cancel := context.WithTimeout(context.Background(), 800*time.Millisecond)
+		defer cancel()
+		if ch, err := sub.Next(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("quiet feed delivered %+v, %v", ch, err)
+		}
+		if n := metricSubStarted.Value() - started; n != 1 {
+			t.Fatalf("feed subscribed %d times in 800ms, want once", n)
+		}
+	})
+}
+
 // TestProtocolErrors: malformed frames are answered with proto errors and
 // oversized statements with toolarge, each closing its connection; the
 // server survives all of them.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hrdb/internal/repl"
 	"hrdb/internal/shard"
 	"hrdb/internal/storage"
 	"hrdb/internal/view"
@@ -208,10 +209,11 @@ func TestSubscribeErrors(t *testing.T) {
 	}
 }
 
-// TestSubscribeNegotiate pins the feed's own connection: it opens with the
-// client's HELLO, so a server that predates the framed protocol refuses it
-// with a typed protocol error, an unknown tenant with ErrUnknownTenant, and
-// a tenant subscription rides the tenant HELLO (and is refused there).
+// TestSubscribeNegotiate pins the feed's connection: it is its Client's,
+// redialed with the client's HELLO when needed, so a server that predates
+// the framed protocol refuses it with a typed protocol error, an unknown
+// tenant with ErrUnknownTenant, and a tenant subscription rides the tenant
+// HELLO (and is refused there).
 func TestSubscribeNegotiate(t *testing.T) {
 	srv, _ := newSubscribeServer(t, Options{Tenants: []TenantConfig{{Name: "acme"}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -243,7 +245,7 @@ func TestSubscribeNegotiate(t *testing.T) {
 	} {
 		o := defaultDialConfig()
 		o.tenant = tc.tenant
-		sub := &Subscription{addr: tc.addr, name: "flat", o: o}
+		sub := &Subscription{c: &Client{addr: tc.addr, o: o}, name: "flat"}
 		if _, err := sub.Next(ctx); !errors.Is(err, tc.want) {
 			t.Fatalf("Next (addr %s, tenant %q) = %v, want %v", tc.addr, tc.tenant, err, tc.want)
 		}
@@ -600,11 +602,16 @@ func TestTenantHooksServeDefaultNamespaceOnly(t *testing.T) {
 	}
 }
 
-// TestFeedEndsWithOneErr: whatever ends a feed on the server's side, the
-// subscriber gets exactly one ERR frame for it, carrying the code from the
-// one table — and the connection carries on.
+// TestFeedEndsWithOneErr: whatever ends a feed or a REPL stream on the
+// server's side, the client gets exactly one ERR frame for it, carrying the
+// code from the one table — and the connection carries on.
 func TestFeedEndsWithOneErr(t *testing.T) {
-	srv, m := newSubscribeServer(t, Options{})
+	pst, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pst.Close() })
+	srv, m := newSubscribeServer(t, Options{Repl: repl.NewPrimary(pst, repl.PrimaryOptions{HeartbeatInterval: 20 * time.Millisecond})})
 	ctx := context.Background()
 	c, err := Dial(srv.Addr())
 	if err != nil {
@@ -613,26 +620,28 @@ func TestFeedEndsWithOneErr(t *testing.T) {
 	defer c.Close()
 	rc := rawHello(t, srv.Addr())
 	id := uint64(0)
-	// subscribe opens a feed and reads its frames up to the ERR that ends
-	// it, which must carry want; a PING then proves nothing follows.
-	subscribe := func(name string, epoch uint64, offset int64, resume bool, end func(), want Code, sentinel error) {
+	// ends sends req under the next id and reads its frames up to the ERR
+	// that ends it, which must carry want; a PING then proves nothing
+	// follows. end, when set, runs once the first stream frame arrived.
+	ends := func(req wire.Frame, end func(id uint64), want Code, sentinel error) {
 		t.Helper()
 		id++
-		rc.send(wire.Frame{Type: wire.TypeSubscribe, ID: id, Stream: 1, Payload: subscribePayload(name, epoch, offset, resume)})
+		req.ID = id
+		rc.send(req)
 		if end != nil {
-			if f := rc.recv(); f.Type != wire.TypeSub || f.ID != id {
-				t.Fatalf("%s: first feed frame = %+v, want SUB", want, f)
+			if f := rc.recv(); f.Type == wire.TypeErr || f.ID != id {
+				t.Fatalf("%s: first stream frame = %+v", want, f)
 			}
-			end()
+			end(id)
 		}
 		for {
 			f := rc.recv()
-			if f.Type == wire.TypeSub {
+			if f.Type != wire.TypeErr && f.Type != wire.TypeOK && f.ID == id {
 				continue
 			}
 			_, err := wire.Reply(f)
 			if se := serverError(err); f.ID != id || !errors.Is(se, sentinel) || se.(*ServerError).Code != want {
-				t.Fatalf("feed ended with %+v (%v), want one ERR %s", f, se, want)
+				t.Fatalf("stream ended with %+v (%v), want one ERR %s", f, se, want)
 			}
 			break
 		}
@@ -642,12 +651,156 @@ func TestFeedEndsWithOneErr(t *testing.T) {
 			t.Fatalf("after the %s ERR: %+v, want only the PING's OK", want, f)
 		}
 	}
-	subscribe("nosuch", 0, 0, false, nil, codeNotFound, ErrFeedNotFound)
-	subscribe("flat", 99, 0, true, nil, codeStale, ErrStaleReplica)
-	subscribe("flat", 0, 0, false, func() {
+	subscribe := func(name string, epoch uint64, offset int64, resume bool) wire.Frame {
+		return wire.Frame{Type: wire.TypeSubscribe, Stream: 1, Payload: subscribePayload(name, epoch, offset, resume)}
+	}
+	ends(subscribe("nosuch", 0, 0, false), nil, codeNotFound, ErrFeedNotFound)
+	ends(subscribe("flat", 99, 0, true), nil, codeStale, ErrStaleReplica)
+	ends(subscribe("flat", 0, 0, false), func(uint64) {
 		if _, err := c.Exec(ctx, "DROP VIEW flat;"); err != nil {
 			t.Fatal(err)
 		}
 	}, codeDropped, ErrFeedDropped)
-	subscribe("flies", 0, 0, false, func() { m.Close() }, codeShutdown, ErrServerClosed)
+	cancel := func(id uint64) { rc.send(wire.Frame{Type: wire.TypeCancel, ID: id}) }
+	ends(replFrame(0, wire.StreamPos{Term: pst.Term()}), cancel, codeCanceled, context.Canceled)
+	ends(replFrame(0, wire.StreamPos{Term: pst.Term()}), func(uint64) { pst.Fence(pst.Term() + 1) }, codeStale, ErrStaleReplica)
+	ends(subscribe("flies", 0, 0, false), func(uint64) { m.Close() }, codeShutdown, ErrServerClosed)
+}
+
+// TestOneConnectionPerClient: a Client's feeds, Streams and Execs all ride
+// its one TCP connection.
+func TestOneConnectionPerClient(t *testing.T) {
+	srv, _ := newSubscribeServer(t, Options{})
+	waitFor(t, func() bool { return metricActiveConns.Value() == 0 }, "the seeding connection never closed")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Subscribe("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if ch := nextChange(t, sub); ch.Kind != wire.ChangeSnapshot {
+		t.Fatalf("first change = %+v, want a snapshot", ch)
+	}
+	st, err := c.Stream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Exec(ctx, "HOLDS flies (tweety);"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec(ctx, "HOLDS flies (tweety);"); err != nil {
+		t.Fatal(err)
+	}
+	if n := metricActiveConns.Value(); n != 1 {
+		t.Fatalf("hrdb_server_active_conns = %d, want 1", n)
+	}
+}
+
+// TestClientCloseEndsNext: closing the Client ends a Subscription's blocked
+// Next with ErrClientClosed, as it fails every other call in flight.
+func TestClientCloseEndsNext(t *testing.T) {
+	srv, _ := newSubscribeServer(t, Options{})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := c.Subscribe("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	nextChange(t, sub)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := sub.Next(ctx)
+		done <- err
+	}()
+	c.Close()
+	if err := <-done; !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("Next across Client.Close = %v, want ErrClientClosed", err)
+	}
+}
+
+// TestSubscribeOverflowResumes: a consumer that stops calling Next while
+// writes land overflows its feed's queue. The shared connection is never
+// held up — Exec on the same Client stays answered, and the overflowed
+// feed is canceled — and Next then re-subscribes from the last delivered
+// change: folding every change reproduces the view, with no gap and no
+// duplicate.
+func TestSubscribeOverflowResumes(t *testing.T) {
+	srv, m := newSubscribeServer(t, Options{})
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Subscribe("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	rows := map[string]bool{}
+	fold := func(ch SubChange) {
+		if ch.Kind == wire.ChangeSnapshot {
+			rows = map[string]bool{}
+		}
+		for _, r := range ch.Removed {
+			if !rows[r] {
+				t.Fatalf("delta removes %q which the feed never delivered (gap or duplicate)", r)
+			}
+			delete(rows, r)
+		}
+		for _, r := range append(ch.Rows, ch.Added...) {
+			if rows[r] {
+				t.Fatalf("change re-adds %q (duplicate delivery)", r)
+			}
+			rows[r] = true
+		}
+	}
+	fold(nextChange(t, sub))
+	started := metricSubStarted.Value()
+
+	// Well past the connection's per-feed queue (64 frames), one delta per
+	// statement, with nobody calling Next.
+	for i := 0; i < 100; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err := c.Exec(ctx, fmt.Sprintf("INSTANCE o%d UNDER bird;", i))
+		cancel()
+		if err != nil {
+			t.Fatalf("Exec %d beside a stalled feed: %v", i, err)
+		}
+	}
+	waitFor(t, func() bool { return metricSubStreams.Value() == 0 }, "the overflowed feed was never canceled")
+	// Written after the cancel: only a re-subscribe can deliver it.
+	if _, err := c.Exec(context.Background(), "INSTANCE last UNDER bird;"); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	waitFor(t, func() bool {
+		want, err = m.Rows("flat")
+		return err == nil && len(want) == 102
+	}, "the view never caught up")
+	for len(rows) != len(want) {
+		fold(nextChange(t, sub))
+	}
+	got := make([]string, 0, len(rows))
+	for r := range rows {
+		got = append(got, r)
+	}
+	sort.Strings(got)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("folded feed diverged\n got: %q\nwant: %q", got, want)
+	}
+	if n := metricSubStarted.Value() - started; n < 1 {
+		t.Fatalf("feed re-subscribed %d times after its overflow, want at least once", n)
+	}
 }
