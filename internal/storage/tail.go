@@ -26,8 +26,8 @@ type Step struct {
 	Rotated bool
 }
 
-// Follow returns a Follower positioned at from — a record boundary — that
-// yields at most chunk bytes per step.
+// Follow returns a Follower positioned at from that yields at most chunk
+// bytes per step. from need not be a record boundary: the bytes are raw.
 func (s *Store) Follow(from Position, chunk int) *Follower {
 	return &Follower{s: s, pos: from, chunk: chunk}
 }
