@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all help build test test-crash test-server test-compat test-obs test-repl test-failover test-shard test-view test-bench race cover bench bench-smoke bench-json benchgate figures experiments fuzz fuzz-smoke loc clean
+.PHONY: all help build test test-crash test-server test-compat test-obs test-repl test-failover test-shard test-view test-bench race cover bench bench-smoke figures experiments fuzz fuzz-smoke loc clean
 
 all: build test
 
@@ -45,13 +45,9 @@ help:
 	@echo "               tests are skipped via -run '^$$')"
 	@echo "  bench-smoke  quick pass over the batch-evaluation and"
 	@echo "               verdict-cache benchmarks only"
-	@echo "  bench-json   machine-readable BENCH_<exp>.json for the consolidate,"
-	@echo "               explicate, consistency, planner, protocol, sharding,"
-	@echo "               and view experiments (E3, E4, E6, E9, E12-E15)"
-	@echo "  benchgate    regression gate: fresh bench-json numbers vs the"
-	@echo "               checked-in scripts/bench_baseline/ (~3x tolerance)"
 	@echo "  figures      regenerate the paper figures (cmd/hrfigures)"
-	@echo "  experiments  print the E1-E15 experiment tables (cmd/hrbench)"
+	@echo "  experiments  print the E1-E7 experiment tables (cmd/hrbench) and"
+	@echo "               check each paper claim's shape in the same run"
 	@echo "  fuzz         run the fuzz targets for FUZZTIME ($(FUZZTIME)) each"
 	@echo "  fuzz-smoke   run the fuzz targets for 15s each (CI)"
 	@echo "  loc          non-test Go lines per package under internal/ and"
@@ -114,12 +110,6 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkHoldsCached' -benchtime=50x .
 
-bench-json:
-	$(GO) run ./cmd/hrbench -json . E3 E4 E6 E9 E12 E13 E14 E15
-
-benchgate:
-	./scripts/benchgate.sh
-
 figures:
 	$(GO) run ./cmd/hrfigures
 
@@ -141,4 +131,4 @@ loc:
 	./scripts/loc.sh
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt
+	rm -f cover.out test_output.txt bench_output.txt experiments_output.txt

@@ -344,6 +344,9 @@ func BenchmarkEvalVsMembershipJoin(b *testing.B) {
 		mb := workload.MembershipBaseline(h, r)
 		depthOf := workload.DepthFunc(h)
 		item := core.Item{"leafInstance"}
+		// Every iteration evaluates the same item: with the verdict cache
+		// on, all but the first would time a memo hit, not inheritance.
+		r.SetCache(false)
 
 		b.Run(fmt.Sprintf("hier/depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -459,7 +462,7 @@ func BenchmarkMining(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluateBatch (E9): bulk evaluation of every atomic item of a
+// BenchmarkEvaluateBatch: bulk evaluation of every atomic item of a
 // taxonomy relation — the sequential seed path (one worker, cache off)
 // against the worker pool and against a warm verdict cache.
 func BenchmarkEvaluateBatch(b *testing.B) {

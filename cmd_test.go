@@ -1,6 +1,7 @@
 package hrdb_test
 
 import (
+	"errors"
 	"os/exec"
 	"strings"
 	"testing"
@@ -43,16 +44,23 @@ func TestCmdHrfiguresSmoke(t *testing.T) {
 	}
 }
 
-// TestCmdHrbenchSmoke: one cheap experiment produces its table.
+// TestCmdHrbenchSmoke: the cheaper experiments print their tables and pass
+// their claim checks, and an unknown experiment exits 1.
 func TestCmdHrbenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	out := runGo(t, "./cmd/hrbench", "E1")
-	for _, want := range []string{"E1", "compression", "1073×"} {
+	out := runGo(t, "./cmd/hrbench", "E1", "E2", "E3", "E5", "E7")
+	for _, want := range []string{"GOMAXPROCS=", "E1", "1073×", "E2", "joins/query", "E3", "E5", "E7", "mined tuples"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("hrbench output missing %q:\n%s", want, out)
 		}
+	}
+	cmd := exec.Command("go", "run", "./cmd/hrbench", "E8")
+	bad, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(bad), `unknown experiment "E8"`) {
+		t.Errorf("hrbench E8: %v, want exit status 1 naming the experiment:\n%s", err, bad)
 	}
 }
 

@@ -99,8 +99,7 @@ type forceScanKey struct{}
 
 // WithForceScan returns a context under which SelectContext and JoinContext
 // ignore the planner and enumerate candidates by full scan — the reference
-// path that index-probe plans are verified against in tests, and the
-// baseline hrbench measures the index against.
+// path that index-probe plans are verified against in tests.
 func WithForceScan(ctx context.Context) context.Context {
 	return context.WithValue(ctx, forceScanKey{}, true)
 }

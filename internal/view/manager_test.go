@@ -3,10 +3,12 @@ package view
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"hrdb/internal/catalog"
 	"hrdb/internal/hql"
 	"hrdb/internal/storage"
 	"hrdb/internal/wire"
@@ -502,6 +504,62 @@ func TestDeltaAtomsAndSkipped(t *testing.T) {
 	}
 	if rows, _ := m.Rows("birds"); strings.Join(rows, ",") != "+ (bird),- (tweety)" {
 		t.Errorf("birds rows = %q", rows)
+	}
+}
+
+// TestDeltaCostIndependentOfSize: one assert and one retract of an instance
+// no class tuple covers fold into an EXTENSION, a SELECT and a COUNT view by
+// re-evaluating the same items whether the source's extension is 1,000 rows
+// or 10,000, and recompute nothing: a fold costs the changed region, not the
+// relation (docs/THEORY.md §4, view corollary).
+func TestDeltaCostIndependentOfSize(t *testing.T) {
+	type cost struct{ observations, atoms uint64 } // hrdb_view_delta_atoms
+	queries := []string{"EXTENSION R", "SELECT FROM R", "COUNT R"}
+	costs := map[string][]cost{}
+	for _, fanout := range []int{100, 1000} {
+		st, m, _ := openView(t, Options{})
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(st.CreateHierarchy("D"))
+		must(st.AddClass("D", "Z"))
+		must(st.AddInstance("D", "z0", "Z"))
+		for c := 0; c < 10; c++ {
+			must(st.AddClass("D", fmt.Sprintf("C%d", c)))
+			for i := 0; i < fanout; i++ {
+				must(st.AddInstance("D", fmt.Sprintf("c%d_i%04d", c, i), fmt.Sprintf("C%d", c)))
+			}
+		}
+		must(st.CreateRelation("R", catalog.AttrSpec{Name: "X", Domain: "D"}))
+		for c := 0; c < 10; c++ {
+			must(st.Assert("R", fmt.Sprintf("C%d", c)))
+		}
+		for _, q := range queries {
+			quiesce(t, m)
+			must(m.Create("v", q))
+			before := metricDeltaAtoms.Snapshot()
+			must(st.Assert("R", "z0"))
+			quiesce(t, m)
+			must(st.Retract("R", "z0"))
+			quiesce(t, m)
+			after := metricDeltaAtoms.Snapshot()
+			costs[q] = append(costs[q], cost{after.Count - before.Count, after.Sum - before.Sum})
+			deltas, recomputes, err := m.Stats("v")
+			must(err)
+			if deltas != 2 || recomputes != 0 {
+				t.Errorf("%s over %d rows: deltas=%d recomputes=%d, want 2 and 0", q, 10*fanout, deltas, recomputes)
+			}
+			must(m.Drop("v"))
+		}
+	}
+	for _, q := range queries {
+		if small, large := costs[q][0], costs[q][1]; small.observations != 2 || small != large {
+			t.Errorf("%s: the two folds re-evaluated %+v at 1,000 rows and %+v at 10,000, want 2 observations and the same atoms",
+				q, small, large)
+		}
 	}
 }
 
