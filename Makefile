@@ -10,8 +10,9 @@ all: build test
 help:
 	@echo "hrdb targets:"
 	@echo "  build        compile and vet all packages"
-	@echo "  test         run the unit tests (plus vet and a race pass"
-	@echo "               over the storage, core, server, and obs packages)"
+	@echo "  test         run the unit tests (plus vet, a race pass over the"
+	@echo "               storage, core, server, and obs packages, and a check"
+	@echo "               that every -run filter below names a real test)"
 	@echo "  test-crash   crash the WAL at every byte offset and verify"
 	@echo "               recovery of the exact committed prefix"
 	@echo "  test-server  race-mode pass over the network service layer"
@@ -58,6 +59,7 @@ build:
 	$(GO) vet ./...
 
 test:
+	./scripts/runfilters.sh
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/wire/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/

@@ -383,17 +383,17 @@ type (
 )
 
 // Sharding: a cluster hash-partitions each relation's all-instance tuples
-// across shard servers (class-containing tuples replicate everywhere), and
-// a coordinator routes keyed statements to the owning shard, scatter-gathers
-// reads, and commits cross-shard transactions with two-phase commit. See
-// docs/SHARDING.md.
+// across shard servers (class-containing tuples replicate everywhere). The
+// coordinator is a Session whose target routes each op to the shards that
+// hold it (two-phase commit across several) and fetches each read's tuples
+// from the shards that hold them. See docs/SHARDING.md.
 type (
 	// ShardNode is the shard-local executor and 2PC participant a server
 	// hosts (ServerOptions.Shard); it answers the SHARDMAP and EXECSHARD
 	// verbs.
 	ShardNode = shard.Node
-	// Cluster is a shard-aware coordinator: one Session-compatible Exec
-	// surface over many shard servers.
+	// Cluster is a shard-aware coordinator: a Session over many shard
+	// servers, answering every script byte for byte as one node would.
 	Cluster = shard.Cluster
 	// ClusterConn is the per-shard connection surface a Cluster drives;
 	// *Client and *Router both satisfy it.
@@ -419,7 +419,8 @@ func HomeShard(rel string, values []string, count int) int {
 // mid-transaction is ridden out by its replica set). Every connection's
 // SHARDMAP answer is checked against its position so a mis-ordered address
 // list fails at dial time instead of corrupting placement. A single plain
-// server (no shard node) may be dialed as a one-shard cluster.
+// server (no shard node) may be dialed as a one-shard cluster; it takes
+// writes, but its reads need the shard operations it does not serve.
 func DialCluster(ctx context.Context, addrs []string, opts ...Option) (*Cluster, error) {
 	conns := make([]ClusterConn, 0, len(addrs))
 	fail := func(err error) (*Cluster, error) {
@@ -509,7 +510,7 @@ func WithLagProbeInterval(d time.Duration) Option { return server.WithLagProbeIn
 func Fingerprint(db *Database) string { return storage.Fingerprint(db) }
 
 // DumpHQL serializes a database to an HQL script that reproduces it.
-func DumpHQL(db *Database) (string, error) { return hql.Dump(db) }
+func DumpHQL(db *Database) (string, error) { return hql.Dump(db, db.Snapshot) }
 
 // NewKB creates an empty frame knowledge base.
 func NewKB() *KB { return frames.NewKB() }

@@ -202,7 +202,7 @@ func Select(name string, r *core.Relation, conds ...Condition) (*core.Relation, 
 // otherwise the stored tuples are scanned. Both paths enumerate the same
 // candidate set; WithForceScan pins the scan for reference runs.
 func SelectContext(ctx context.Context, name string, r *core.Relation, conds ...Condition) (*core.Relation, error) {
-	region, err := selectRegion(r, conds)
+	region, err := SelectRegion(r, conds...)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +254,7 @@ func selectEval(r *core.Relation, region core.Item) batchEval {
 // placed a tuple on, each once; none means the change is disjoint from the
 // region.
 func Reselect(ctx context.Context, sel, r *core.Relation, changed []core.Item, conds ...Condition) ([]core.Item, error) {
-	region, err := selectRegion(r, conds)
+	region, err := SelectRegion(r, conds...)
 	if err != nil {
 		return nil, err
 	}

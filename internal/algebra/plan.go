@@ -218,10 +218,11 @@ func planJoin(a, b *core.Relation, shared []sharedCol) *Plan {
 	return p
 }
 
-// selectRegion folds the conditions into one item: componentwise the
-// narrowest class each attribute is restricted to (the domain root where
-// unconditioned). Conditions on the same attribute intersect.
-func selectRegion(r *core.Relation, conds []Condition) (core.Item, error) {
+// SelectRegion folds a selection's conditions into one item: componentwise
+// the narrowest class each attribute is restricted to (the domain root
+// where unconditioned). Conditions on the same attribute intersect. Only
+// the stored tuples overlapping the region can reach the selection.
+func SelectRegion(r *core.Relation, conds ...Condition) (core.Item, error) {
 	s := r.Schema()
 	region := make(core.Item, s.Arity())
 	for i := 0; i < s.Arity(); i++ {
@@ -257,7 +258,7 @@ func selectRegion(r *core.Relation, conds []Condition) (core.Item, error) {
 // PlanSelect returns the plan SelectContext would execute for the given
 // conditions, without running the query.
 func PlanSelect(r *core.Relation, conds ...Condition) (*Plan, error) {
-	region, err := selectRegion(r, conds)
+	region, err := SelectRegion(r, conds...)
 	if err != nil {
 		return nil, err
 	}

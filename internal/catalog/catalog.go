@@ -241,6 +241,19 @@ func (db *Database) Snapshot(name string) (*core.Relation, error) {
 	return r.Clone(), nil
 }
 
+// Read calls fn with the named live relation under the database's read
+// lock, for a read that needs neither a snapshot nor the lock afterwards.
+// fn must not modify the relation or keep it.
+func (db *Database) Read(name string, fn func(r *core.Relation) error) error {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	r, ok := db.relations[name]
+	if !ok {
+		return fmt.Errorf("%w: relation %q", ErrNotFound, name)
+	}
+	return fn(r)
+}
+
 // IndexStats returns the per-column secondary-index statistics of a
 // relation (cardinality, distinct stored values, label-index warmth) — the
 // inputs the algebra cost model plans from.

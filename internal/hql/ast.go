@@ -11,9 +11,6 @@ type Stmt interface {
 	// the session's transaction buffer, and the session's rule set
 	// untouched.
 	readOnly() bool
-	// shardInfo classifies how a shard coordinator routes the statement
-	// (see shard.go for the contract).
-	shardInfo() ShardInfo
 }
 
 // CreateHierarchyStmt — CREATE HIERARCHY <domain>.
@@ -283,85 +280,3 @@ func (DropViewStmt) readOnly() bool   { return false }
 func (BeginStmt) readOnly() bool    { return false }
 func (CommitStmt) readOnly() bool   { return false }
 func (RollbackStmt) readOnly() bool { return false }
-
-// Shard routing, one explicit decision per statement kind (the Stmt
-// interface requires it; see shard.go for what each route means).
-//
-// Catalog mutations replicate to every shard.
-func (s CreateHierarchyStmt) shardInfo() ShardInfo { return ShardInfo{Route: RouteBroadcast} }
-func (s ClassStmt) shardInfo() ShardInfo           { return ShardInfo{Route: RouteBroadcast} }
-func (s InstanceStmt) shardInfo() ShardInfo        { return ShardInfo{Route: RouteBroadcast} }
-func (s EdgeStmt) shardInfo() ShardInfo            { return ShardInfo{Route: RouteBroadcast} }
-func (s PreferStmt) shardInfo() ShardInfo          { return ShardInfo{Route: RouteBroadcast} }
-func (s CreateRelationStmt) shardInfo() ShardInfo  { return ShardInfo{Route: RouteBroadcast} }
-func (s DropRelationStmt) shardInfo() ShardInfo    { return ShardInfo{Route: RouteBroadcast} }
-func (s SetPolicyStmt) shardInfo() ShardInfo       { return ShardInfo{Route: RouteBroadcast} }
-func (s DropNodeStmt) shardInfo() ShardInfo        { return ShardInfo{Route: RouteBroadcast} }
-
-// SET MODE and CONSOLIDATE mutate one relation's stored form identically
-// on every shard (consolidation only removes tuples implied by others, and
-// every implier of a shard-local tuple lives on the same shard).
-func (s SetModeStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteBroadcast, Relation: s.Relation}
-}
-func (s ConsolidateStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteBroadcast, Relation: s.Relation}
-}
-
-// EXPLICATE is classified broadcast for the degenerate single-shard
-// cluster; a multi-shard coordinator rejects it outright (it would
-// materialize instance-level tuples on every shard, breaking the placement
-// invariant that all-instance tuples live on exactly one home shard).
-func (s ExplicateStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteBroadcast, Relation: s.Relation}
-}
-
-// Single-tuple statements carry their shard key.
-func (s AssertStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteKeyed, Relation: s.Relation, Values: s.Values}
-}
-func (s RetractStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteKeyed, Relation: s.Relation, Values: s.Values}
-}
-func (s HoldsStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteKeyed, Relation: s.Relation, Values: s.Values}
-}
-func (s WhyStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteKeyed, Relation: s.Relation, Values: s.Values}
-}
-
-// Per-tuple reads over one relation scatter and merge.
-func (s SelectStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteScatter, Relations: []string{s.Relation}}
-}
-func (s ExtensionStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteScatter, Relations: []string{s.Relation}}
-}
-func (s CountStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteScatter, Relations: []string{s.Relation}}
-}
-
-// Multi-relation algebra runs at the coordinator over gathered snapshots;
-// its result is a coordinator-local derived relation.
-func (s BinOpStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteCoordinator, Relations: []string{s.Left, s.Right}}
-}
-func (s ProjectStmt) shardInfo() ShardInfo {
-	return ShardInfo{Route: RouteCoordinator, Relations: []string{s.Relation}}
-}
-
-// Session state, whole-database views, and transaction control are the
-// coordinator's own.
-// Materialized views live at the coordinator: they tail the local
-// committed WAL, which a sharded deployment does not have in one place.
-func (s CreateViewStmt) shardInfo() ShardInfo { return ShardInfo{Route: RouteCoordinator} }
-func (s DropViewStmt) shardInfo() ShardInfo   { return ShardInfo{Route: RouteCoordinator} }
-
-func (s ShowStmt) shardInfo() ShardInfo     { return ShardInfo{Route: RouteCoordinator} }
-func (s RuleStmt) shardInfo() ShardInfo     { return ShardInfo{Route: RouteCoordinator} }
-func (s InferStmt) shardInfo() ShardInfo    { return ShardInfo{Route: RouteCoordinator} }
-func (s DumpStmt) shardInfo() ShardInfo     { return ShardInfo{Route: RouteCoordinator} }
-func (s ExplainStmt) shardInfo() ShardInfo  { return ShardInfo{Route: RouteCoordinator} }
-func (s BeginStmt) shardInfo() ShardInfo    { return ShardInfo{Route: RouteCoordinator} }
-func (s CommitStmt) shardInfo() ShardInfo   { return ShardInfo{Route: RouteCoordinator} }
-func (s RollbackStmt) shardInfo() ShardInfo { return ShardInfo{Route: RouteCoordinator} }

@@ -13,8 +13,10 @@ import (
 // Dump serializes a database to an HQL script that, executed against an
 // empty database, reproduces it: hierarchies (classes, instances, extra
 // and deliberately redundant edges, preferences), relations, tuples and
-// the exception policy. The output is deterministic.
-func Dump(db *catalog.Database) (string, error) {
+// the exception policy. The catalog comes from db and each relation's
+// tuples from read (db.Snapshot, or a reader that fetches them from where
+// they live). The output is deterministic.
+func Dump(db *catalog.Database, read func(name string) (*core.Relation, error)) (string, error) {
 	var b strings.Builder
 	b.WriteString("-- hrdb dump\n")
 
@@ -61,7 +63,7 @@ func Dump(db *catalog.Database) (string, error) {
 	}
 
 	for _, name := range db.Relations() {
-		r, err := db.Snapshot(name)
+		r, err := read(name)
 		if err != nil {
 			return "", err
 		}

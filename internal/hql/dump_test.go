@@ -69,7 +69,7 @@ func buildRichDB(t *testing.T) *catalog.Database {
 // TestDumpRoundTrip: dump → exec into a fresh database → identical specs.
 func TestDumpRoundTrip(t *testing.T) {
 	db := buildRichDB(t)
-	script, err := Dump(db)
+	script, err := Dump(db, db.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestDumpRoundTrip(t *testing.T) {
 // TestDumpDeterministic.
 func TestDumpDeterministic(t *testing.T) {
 	db := buildRichDB(t)
-	a, err := Dump(db)
+	a, err := Dump(db, db.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Dump(db)
+	b, err := Dump(db, db.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDumpDeterministic(t *testing.T) {
 // TestDumpQuoting: names with spaces survive.
 func TestDumpQuoting(t *testing.T) {
 	db := buildRichDB(t)
-	script, err := Dump(db)
+	script, err := Dump(db, db.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestDumpPreservesMode(t *testing.T) {
 	if err := db.SetMode("Likes", 1); err != nil { // OnPath
 		t.Fatal(err)
 	}
-	script, err := Dump(db)
+	script, err := Dump(db, db.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDumpPreservesMode(t *testing.T) {
 // TestDumpSemantics: the replayed database answers like the original.
 func TestDumpSemantics(t *testing.T) {
 	db := buildRichDB(t)
-	script, err := Dump(db)
+	script, err := Dump(db, db.Snapshot)
 	if err != nil {
 		t.Fatal(err)
 	}

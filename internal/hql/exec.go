@@ -47,6 +47,31 @@ func (m MemTarget) Database() *catalog.Database { return m.DB }
 // ApplyTx implements Target.
 func (m MemTarget) ApplyTx(ops []TxOp) error { return m.DB.ApplyOps(ops) }
 
+// Scope narrows a read to the stored tuples that can reach its answer. The
+// zero Scope is the whole relation.
+type Scope struct {
+	// Items scopes a point read (HOLDS, WHY) to the tuples applicable to
+	// each item; the read also yields the verdict of Items[0].
+	Items []core.Item
+	// Conds scopes SELECT to the tuples overlapping the region its
+	// (attribute, class) conditions name.
+	Conds [][2]string
+}
+
+// TupleSource is the optional interface of a Target whose Database holds
+// the catalog but not the tuples: a shard coordinator, whose Database is a
+// mirror of its shards' catalog. Every read of relation data is served by
+// Tuples, and the exception warnings of its writes come from Warnings, not
+// from the Database. Like ViewCatalog, support is detected by assertion.
+type TupleSource interface {
+	// Tuples returns a relation with name's schema and mode holding every
+	// stored tuple the scope can reach.
+	Tuples(ctx context.Context, name string, scope Scope) (*core.Relation, error)
+	// Warnings returns and clears the exception warnings of the target's
+	// writes.
+	Warnings() []string
+}
+
 // ErrSessionBusy reports concurrent use of a Session: a second ExecContext
 // entered while another statement was still executing. Sessions hold
 // transaction state, so interleaved execution would corrupt it; the guard
@@ -178,19 +203,30 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 	if op, ack, err := s.opOf(st); err != nil {
 		return "", err
 	} else if op.Kind != "" {
-		return s.mutate(op, ack)
+		out, err := s.mutate(op, ack)
+		if err != nil || ack != "" {
+			return out, err
+		}
+		// CONSOLIDATE and EXPLICATE answer with the count they leave.
+		r, _, err := s.read(ctx, op.Relation, Scope{})
+		if err != nil {
+			return "", err
+		}
+		if op.Kind == catalog.KindConsolidate {
+			return fmt.Sprintf("consolidated %s (%d tuples remain)", op.Relation, r.Len()), nil
+		}
+		return fmt.Sprintf("explicated %s (%d tuples)", op.Relation, r.Len()), nil
 	}
-	db := s.target.Database()
 	switch st := st.(type) {
 	case HoldsStmt:
-		v, err := s.evaluateOrView(st.Relation, st.Values)
+		_, v, err := s.read(ctx, st.Relation, Scope{Items: []core.Item{st.Values}})
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%v", v.Value), nil
 
 	case WhyStmt:
-		v, err := s.evaluateOrView(st.Relation, st.Values)
+		_, v, err := s.read(ctx, st.Relation, Scope{Items: []core.Item{st.Values}})
 		if err != nil {
 			return "", err
 		}
@@ -211,7 +247,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return b.String(), nil
 
 	case SelectStmt:
-		r, err := s.snapshotOrView(st.Relation)
+		r, _, err := s.read(ctx, st.Relation, Scope{Conds: st.Conds})
 		if err != nil {
 			return "", err
 		}
@@ -238,7 +274,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 	case ExplainStmt:
 		switch inner := st.Inner.(type) {
 		case SelectStmt:
-			r, err := db.Snapshot(inner.Relation)
+			r, _, err := s.read(ctx, inner.Relation, Scope{})
 			if err != nil {
 				return "", err
 			}
@@ -252,11 +288,11 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 			}
 			return plan.String(), nil
 		case BinOpStmt:
-			left, err := db.Snapshot(inner.Left)
+			left, _, err := s.read(ctx, inner.Left, Scope{})
 			if err != nil {
 				return "", err
 			}
-			right, err := db.Snapshot(inner.Right)
+			right, _, err := s.read(ctx, inner.Right, Scope{})
 			if err != nil {
 				return "", err
 			}
@@ -269,7 +305,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return "", fmt.Errorf("hql: EXPLAIN: unsupported statement %T", st.Inner)
 
 	case ExtensionStmt:
-		r, err := s.snapshotOrView(st.Relation)
+		r, _, err := s.read(ctx, st.Relation, Scope{})
 		if err != nil {
 			return "", err
 		}
@@ -284,32 +320,12 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		}
 		return b.String(), nil
 
-	case ConsolidateStmt:
-		if _, err := s.mutate(TxOp{Kind: catalog.KindConsolidate, Relation: st.Relation}, ""); err != nil {
-			return "", err
-		}
-		r, err := db.Snapshot(st.Relation)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("consolidated %s (%d tuples remain)", st.Relation, r.Len()), nil
-
-	case ExplicateStmt:
-		if _, err := s.mutate(TxOp{Kind: catalog.KindExplicate, Relation: st.Relation, Values: st.Attrs}, ""); err != nil {
-			return "", err
-		}
-		r, err := db.Snapshot(st.Relation)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("explicated %s (%d tuples)", st.Relation, r.Len()), nil
-
 	case BinOpStmt:
-		left, err := s.snapshotOrView(st.Left)
+		left, _, err := s.read(ctx, st.Left, Scope{})
 		if err != nil {
 			return "", err
 		}
-		right, err := s.snapshotOrView(st.Right)
+		right, _, err := s.read(ctx, st.Right, Scope{})
 		if err != nil {
 			return "", err
 		}
@@ -333,7 +349,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return res.Table(), nil
 
 	case ProjectStmt:
-		r, err := s.snapshotOrView(st.Relation)
+		r, _, err := s.read(ctx, st.Relation, Scope{})
 		if err != nil {
 			return "", err
 		}
@@ -361,10 +377,10 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return "rule added: " + rule.String(), nil
 
 	case InferStmt:
-		return s.infer(st)
+		return s.infer(ctx, st)
 
 	case CountStmt:
-		r, err := s.snapshotOrView(st.Relation)
+		r, _, err := s.read(ctx, st.Relation, Scope{})
 		if err != nil {
 			return "", err
 		}
@@ -375,10 +391,13 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return algebra.FormatCounts(st.Relation, st.By, counts), nil
 
 	case DumpStmt:
-		return Dump(db)
+		return Dump(s.target.Database(), func(name string) (*core.Relation, error) {
+			r, _, err := s.read(ctx, name, Scope{})
+			return r, err
+		})
 
 	case ShowStmt:
-		return s.show(st)
+		return s.show(ctx, st)
 
 	case CreateViewStmt:
 		vc, err := s.viewCatalog()
@@ -434,9 +453,9 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 	}
 }
 
-// opOf maps a statement that stands for one mutation and needs nothing
-// read back to its op and the line that acknowledges it; any other
-// statement yields the zero op.
+// opOf maps a statement that stands for one mutation to its op and the
+// line that acknowledges it — none for CONSOLIDATE and EXPLICATE, whose
+// line reads the result back; any other statement yields the zero op.
 func (s *Session) opOf(st Stmt) (op TxOp, ack string, err error) {
 	mk := func(kind, target string, values ...string) TxOp {
 		return TxOp{Kind: kind, Relation: target, Values: values}
@@ -469,6 +488,10 @@ func (s *Session) opOf(st Stmt) (op TxOp, ack string, err error) {
 		return mk(catalog.KindCreateRelation, st.Name, attrs...), "created relation " + st.Name, nil
 	case DropRelationStmt:
 		return mk(catalog.KindDropRelation, st.Name), "dropped relation " + st.Name, nil
+	case ConsolidateStmt:
+		return mk(catalog.KindConsolidate, st.Relation), "", nil
+	case ExplicateStmt:
+		return mk(catalog.KindExplicate, st.Relation, st.Attrs...), "", nil
 	case AssertStmt:
 		kind, past := catalog.KindAssert, "asserted"
 		if !st.Sign {
@@ -535,7 +558,12 @@ func (s *Session) attach(res *core.Relation) error {
 
 // renderWarnings appends any pending exception warnings to a result line.
 func (s *Session) renderWarnings(base string) string {
-	w := s.target.Database().Warnings()
+	var w []string
+	if src, ok := s.target.(TupleSource); ok {
+		w = src.Warnings()
+	} else {
+		w = s.target.Database().Warnings()
+	}
 	if len(w) == 0 {
 		return base
 	}
@@ -615,11 +643,11 @@ func toRule(st RuleStmt) (deductive.Rule, error) {
 
 // infer builds a Datalog program from the session's rules plus the
 // database's relations (EDB) and hierarchies (isa/2), then solves the goal.
-func (s *Session) infer(st InferStmt) (string, error) {
+func (s *Session) infer(ctx context.Context, st InferStmt) (string, error) {
 	db := s.target.Database()
 	p := deductive.NewProgram()
 	for _, name := range db.Relations() {
-		r, err := db.Snapshot(name)
+		r, _, err := s.read(ctx, name, Scope{})
 		if err != nil {
 			return "", err
 		}
@@ -671,7 +699,7 @@ func (s *Session) infer(st InferStmt) (string, error) {
 }
 
 // show renders SHOW statements.
-func (s *Session) show(st ShowStmt) (string, error) {
+func (s *Session) show(ctx context.Context, st ShowStmt) (string, error) {
 	db := s.target.Database()
 	switch st.What {
 	case "hierarchies":
@@ -688,7 +716,7 @@ func (s *Session) show(st ShowStmt) (string, error) {
 		}
 		return strings.Join(lines, "\n"), nil
 	case "relation":
-		r, err := s.snapshotOrView(st.Target)
+		r, _, err := s.read(ctx, st.Target, Scope{})
 		if err != nil {
 			return "", err
 		}

@@ -3,14 +3,14 @@ package hql
 import (
 	"fmt"
 	"strings"
+
+	"hrdb/internal/catalog"
 )
 
 // Render serializes a parsed statement back to HQL text (without the
-// trailing semicolon) such that Parse(Render(st)) yields st again. A shard
-// coordinator uses it to forward statements it routed: the coordinator
-// parses once to classify (ShardOf) and re-renders the canonical text for
-// the shard(s) that execute it, so quoting, keyword casing, and clause
-// order are uniform regardless of how the client spelled the statement.
+// trailing semicolon) such that Parse(Render(st)) yields st again, with
+// uniform quoting, keyword casing and clause order however the client
+// spelled it.
 func Render(st Stmt) string {
 	switch st := st.(type) {
 	case CreateHierarchyStmt:
@@ -132,6 +132,50 @@ func Render(st Stmt) string {
 		// whose renderer was forgotten.
 		return fmt.Sprintf("-- unrenderable statement %T", st)
 	}
+}
+
+// RenderOp renders a mutation as the statement that issues it (DESIGN.md
+// §4b's kind → statement table): a session executing the text issues op
+// again. A shard coordinator sends catalog ops to its shards this way. op
+// must be well formed, as every op a Session issues is.
+func RenderOp(op TxOp) string {
+	v := op.Values
+	var st Stmt
+	switch op.Kind {
+	case catalog.KindCreateHierarchy:
+		st = CreateHierarchyStmt{Domain: op.Relation}
+	case catalog.KindAddClass:
+		st = ClassStmt{Name: v[0], Parents: v[1:], Domain: op.Relation}
+	case catalog.KindAddInstance:
+		st = InstanceStmt{Name: v[0], Parents: v[1:], Domain: op.Relation}
+	case catalog.KindAddEdge:
+		st = EdgeStmt{Domain: op.Relation, Parent: v[0], Child: v[1]}
+	case catalog.KindPrefer:
+		st = PreferStmt{Domain: op.Relation, Stronger: v[0], Weaker: v[1]}
+	case catalog.KindDropNode:
+		st = DropNodeStmt{Domain: op.Relation, Name: v[0]}
+	case catalog.KindCreateRelation:
+		attrs := make([][2]string, len(v)/2)
+		for i := range attrs {
+			attrs[i] = [2]string{v[2*i], v[2*i+1]}
+		}
+		st = CreateRelationStmt{Name: op.Relation, Attrs: attrs}
+	case catalog.KindDropRelation:
+		st = DropRelationStmt{Name: op.Relation}
+	case catalog.KindAssert, catalog.KindDeny:
+		st = AssertStmt{Relation: op.Relation, Values: v, Sign: op.Kind == catalog.KindAssert}
+	case catalog.KindRetract:
+		st = RetractStmt{Relation: op.Relation, Values: v}
+	case catalog.KindConsolidate:
+		st = ConsolidateStmt{Relation: op.Relation}
+	case catalog.KindExplicate:
+		st = ExplicateStmt{Relation: op.Relation, Attrs: v}
+	case catalog.KindSetMode: // the op spells off-path, the statement off_path
+		st = SetModeStmt{Relation: op.Relation, Mode: strings.ReplaceAll(v[0], "-", "_")}
+	case catalog.KindSetPolicy:
+		st = SetPolicyStmt{Policy: v[0]}
+	}
+	return Render(st)
 }
 
 // RenderScript renders statements as a semicolon-terminated script.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hrdb/internal/catalog"
 )
 
 // Every statement kind, written once the way a client might type it
@@ -112,67 +114,41 @@ func TestRenderQuotesAwkwardNames(t *testing.T) {
 	}
 }
 
-func TestShardClassifier(t *testing.T) {
-	cases := []struct {
-		src  string
-		want ShardInfo
-	}{
-		{"CREATE HIERARCHY Animal;", ShardInfo{Route: RouteBroadcast}},
-		{"CLASS mammal UNDER animal IN Animal;", ShardInfo{Route: RouteBroadcast}},
-		{"INSTANCE fido UNDER dog IN Animal;", ShardInfo{Route: RouteBroadcast}},
-		{"EDGE Animal: mammal -> dog;", ShardInfo{Route: RouteBroadcast}},
-		{"PREFER dog OVER mammal IN Animal;", ShardInfo{Route: RouteBroadcast}},
-		{"CREATE RELATION r (a: D);", ShardInfo{Route: RouteBroadcast}},
-		{"DROP RELATION r;", ShardInfo{Route: RouteBroadcast}},
-		{"SET POLICY warn;", ShardInfo{Route: RouteBroadcast}},
-		{"SET MODE r off_path;", ShardInfo{Route: RouteBroadcast, Relation: "r"}},
-		{"CONSOLIDATE r;", ShardInfo{Route: RouteBroadcast, Relation: "r"}},
-		{"EXPLICATE r;", ShardInfo{Route: RouteBroadcast, Relation: "r"}},
-		{"DROP NODE dog IN Animal;", ShardInfo{Route: RouteBroadcast}},
-
-		{"ASSERT r (a, b);", ShardInfo{Route: RouteKeyed, Relation: "r", Values: []string{"a", "b"}}},
-		{"DENY r (a, b);", ShardInfo{Route: RouteKeyed, Relation: "r", Values: []string{"a", "b"}}},
-		{"RETRACT r (a, b);", ShardInfo{Route: RouteKeyed, Relation: "r", Values: []string{"a", "b"}}},
-		{"HOLDS r (a, b);", ShardInfo{Route: RouteKeyed, Relation: "r", Values: []string{"a", "b"}}},
-		{"WHY r (a, b);", ShardInfo{Route: RouteKeyed, Relation: "r", Values: []string{"a", "b"}}},
-
-		{"SELECT FROM r WHERE a UNDER c;", ShardInfo{Route: RouteScatter, Relations: []string{"r"}}},
-		{"EXTENSION r;", ShardInfo{Route: RouteScatter, Relations: []string{"r"}}},
-		{"COUNT r BY (a);", ShardInfo{Route: RouteScatter, Relations: []string{"r"}}},
-
-		{"JOIN a b AS c;", ShardInfo{Route: RouteCoordinator, Relations: []string{"a", "b"}}},
-		{"PROJECT r ON (a) AS p;", ShardInfo{Route: RouteCoordinator, Relations: []string{"r"}}},
-		{"SHOW RELATIONS;", ShardInfo{Route: RouteCoordinator}},
-		{"RULE f(?x) IF g(?x);", ShardInfo{Route: RouteCoordinator}},
-		{"INFER f(?x);", ShardInfo{Route: RouteCoordinator}},
-		{"DUMP;", ShardInfo{Route: RouteCoordinator}},
-		{"EXPLAIN SELECT FROM r;", ShardInfo{Route: RouteCoordinator}},
-		{"BEGIN;", ShardInfo{Route: RouteCoordinator}},
-		{"COMMIT;", ShardInfo{Route: RouteCoordinator}},
-		{"ROLLBACK;", ShardInfo{Route: RouteCoordinator}},
-	}
-	for _, c := range cases {
-		stmts, err := Parse(c.src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", c.src, err)
-		}
-		got := ShardOf(stmts[0])
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("ShardOf(%q) = %+v, want %+v", c.src, got, c.want)
-		}
-	}
-}
-
-func TestShardRoutingString(t *testing.T) {
-	for r, want := range map[ShardRouting]string{
-		RouteBroadcast:   "broadcast",
-		RouteKeyed:       "keyed",
-		RouteScatter:     "scatter",
-		RouteCoordinator: "coordinator",
-		ShardRouting(99): "unknown",
+// TestRenderOpRoundTrip: the statement RenderOp writes for an op issues
+// that op again, for every kind — a shard coordinator sends catalog ops to
+// its shards this way. SET MODE's op spells off-path where its statement
+// spells off_path.
+func TestRenderOpRoundTrip(t *testing.T) {
+	s := NewSession(MemTarget{DB: catalog.New()})
+	for _, op := range []TxOp{
+		{Kind: catalog.KindCreateHierarchy, Relation: "Animal"},
+		{Kind: catalog.KindAddClass, Relation: "Animal", Values: []string{"pet rock", "mineral", "toy"}},
+		{Kind: catalog.KindAddClass, Relation: "Animal", Values: []string{"bird"}},
+		{Kind: catalog.KindAddInstance, Relation: "Animal", Values: []string{"fido", "dog"}},
+		{Kind: catalog.KindAddEdge, Relation: "Animal", Values: []string{"mammal", "dog"}},
+		{Kind: catalog.KindPrefer, Relation: "Animal", Values: []string{"dog", "mammal"}},
+		{Kind: catalog.KindDropNode, Relation: "Animal", Values: []string{"dog"}},
+		{Kind: catalog.KindCreateRelation, Relation: "Flies", Values: []string{"Creature", "Animal", "Alt", "Alt"}},
+		{Kind: catalog.KindDropRelation, Relation: "Flies"},
+		{Kind: catalog.KindAssert, Relation: "Flies", Values: []string{"Bird", "high"}},
+		{Kind: catalog.KindDeny, Relation: "Flies", Values: []string{"a value"}},
+		{Kind: catalog.KindRetract, Relation: "Flies", Values: []string{"Tweety"}},
+		{Kind: catalog.KindConsolidate, Relation: "Flies"},
+		{Kind: catalog.KindExplicate, Relation: "Flies"},
+		{Kind: catalog.KindExplicate, Relation: "Flies", Values: []string{"Creature"}},
+		{Kind: catalog.KindSetMode, Relation: "Flies", Values: []string{"off-path"}},
+		{Kind: catalog.KindSetMode, Relation: "Flies", Values: []string{"on-path"}},
+		{Kind: catalog.KindSetMode, Relation: "Flies", Values: []string{"none"}},
+		{Kind: catalog.KindSetPolicy, Values: []string{"warn"}},
 	} {
-		if got := r.String(); got != want {
-			t.Errorf("ShardRouting(%d).String() = %q, want %q", int(r), got, want)
+		text := RenderOp(op)
+		stmts, err := Parse(text + ";")
+		if err != nil || len(stmts) != 1 {
+			t.Fatalf("RenderOp(%+v) = %q does not parse: %v", op, text, err)
+		}
+		got, _, err := s.opOf(stmts[0])
+		if err != nil || !reflect.DeepEqual(got, op) {
+			t.Errorf("RenderOp(%+v) = %q issues %+v (err %v)", op, text, got, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package hql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -60,34 +61,45 @@ func (s *Session) viewCatalog() (ViewCatalog, error) {
 	return nil, ErrNoViews
 }
 
-// snapshotOrView resolves a relation name for a snapshot-based read,
-// falling back to the view catalog when the catalog has no such relation:
-// this is what exposes materialized views to SELECT, EXTENSION, COUNT,
-// algebra and SHOW RELATION as ordinary relations.
-func (s *Session) snapshotOrView(name string) (*core.Relation, error) {
-	r, err := s.target.Database().Snapshot(name)
-	if err == nil {
-		return r, nil
+// read is the one way a statement reads relation data. A TupleSource
+// target serves the tuples the scope can reach. Any other target reads its
+// own catalog, falling back to the view catalog when the catalog has no
+// such relation: this is what exposes materialized views to every read as
+// ordinary relations. A point read (Scope.Items) also yields the verdict of
+// its item; a local one evaluates in place, with no snapshot.
+func (s *Session) read(ctx context.Context, name string, scope Scope) (*core.Relation, core.Verdict, error) {
+	var r *core.Relation
+	var v core.Verdict
+	var err error
+	src, remote := s.target.(TupleSource)
+	switch {
+	case remote:
+		r, err = src.Tuples(ctx, name, scope)
+	case len(scope.Items) > 0:
+		if v, err = s.target.Database().Evaluate(name, scope.Items[0]...); err == nil {
+			return nil, v, nil
+		}
+	default:
+		r, err = s.target.Database().Snapshot(name)
 	}
-	if vc, ok := s.target.(ViewCatalog); ok {
-		if vr, verr := vc.ViewSnapshot(name); verr == nil {
-			return vr, nil
+	if err != nil && !remote {
+		if vr := s.viewSnapshot(name); vr != nil {
+			r, err = vr, nil
 		}
 	}
-	return nil, err
+	if err != nil || len(scope.Items) == 0 {
+		return r, core.Verdict{}, err
+	}
+	v, err = r.Evaluate(scope.Items[0])
+	return r, v, err
 }
 
-// evaluateOrView point-evaluates an item against a relation, falling back
-// to a view snapshot for HOLDS/WHY on views.
-func (s *Session) evaluateOrView(rel string, values []string) (core.Verdict, error) {
-	v, err := s.target.Database().Evaluate(rel, values...)
-	if err == nil {
-		return v, nil
-	}
+// viewSnapshot returns the materialized view called name, or nil.
+func (s *Session) viewSnapshot(name string) *core.Relation {
 	if vc, ok := s.target.(ViewCatalog); ok {
-		if vr, verr := vc.ViewSnapshot(rel); verr == nil {
-			return vr.Evaluate(core.Item(values))
+		if vr, err := vc.ViewSnapshot(name); err == nil {
+			return vr
 		}
 	}
-	return core.Verdict{}, err
+	return nil
 }

@@ -42,8 +42,8 @@ func TestClusterBusyRejectsConcurrentExec(t *testing.T) {
 		done <- err
 	}()
 	<-entered
-	if _, err := c.Exec(context.Background(), "EXTENSION Flies;"); !errors.Is(err, ErrClusterBusy) {
-		t.Fatalf("concurrent Exec = %v, want ErrClusterBusy", err)
+	if _, err := c.Exec(context.Background(), "EXTENSION Flies;"); !errors.Is(err, hql.ErrSessionBusy) {
+		t.Fatalf("concurrent Exec = %v, want hql.ErrSessionBusy", err)
 	}
 	close(release)
 	if err := <-done; err != nil {

@@ -231,8 +231,19 @@ ASSERT FliesAt (Bird, low);`
 			"RETRACT Flies (Penguin);\nDENY Flies (Bird);",
 			"DENY FliesAt (Robin, h1);",
 			"HOLDS Flies (Tweety);",
+			// Every other statement kind.
+			"CLASS Fish UNDER Animal IN Animal;\nINSTANCE Nemo UNDER Fish IN Animal;\nEDGE Animal: Bird -> Nemo;",
+			"PREFER Fish OVER Bird IN Animal;",
+			"SET MODE Flies on_path;\nWHY Flies (Nemo);",
+			"INSTANCE Dory UNDER Fish IN Animal;\nDROP NODE Dory IN Animal;\nSHOW HIERARCHY Animal;",
+			"BEGIN;\nASSERT Flies (Robin);\nDENY FliesAt (Paul, l1);\nROLLBACK;",
+			"SHOW VIEWS;",
+			"SELECT FROM Flies WHERE Creature UNDER Bird AS Birds;\nDENY Birds (Tweety);\nWHY Birds (Tweety);",
 		} {
 			runBoth(t, c, ref, q)
+		}
+		if shards == 1 {
+			runBoth(t, c, ref, "EXPLICATE FliesAt;\nSHOW RELATION FliesAt;")
 		}
 		fingerprintsMatch(t, c, refDB)
 	}
@@ -253,9 +264,39 @@ ASSERT FliesAt (Paul, l1);`)
 		"JOIN Flies AnyAlt AS J;",
 		"UNION Flies Flies AS U;",
 		"EXPLAIN SELECT FROM Flies WHERE Creature UNDER Bird;",
+		// A relation only the coordinator holds is dropped there alone.
+		"SELECT FROM Flies WHERE Creature UNDER Bird AS B;\nDROP RELATION B;",
 	} {
 		runBoth(t, c, ref, q)
 	}
+}
+
+// TestClusterWriteReplies: a write's reply on a multi-shard cluster is the
+// single node's, however many shards the write reached — CONSOLIDATE counts
+// the tuples left on every shard, and an exception a 2PC write raised is
+// reported once, with that write, and never with a later one.
+func TestClusterWriteReplies(t *testing.T) {
+	c, _ := newTestCluster(t, 3)
+	ref, refDB := refSession(t)
+	runBoth(t, c, ref, `ASSERT Flies (Bird);
+DENY Flies (Penguin);
+DENY Flies (Tweety);
+DENY Flies (Robin);
+ASSERT Flies (Paul);
+CONSOLIDATE Flies;`)
+	fingerprintsMatch(t, c, refDB)
+
+	c, _ = newTestCluster(t, 3)
+	ref, refDB = refSession(t)
+	out := runBoth(t, c, ref, `SET POLICY warn;
+ASSERT FliesAt (Bird, low);
+DENY FliesAt (Penguin, low);
+ASSERT Flies (Tweety);
+ASSERT Flies (Paul);`)
+	if strings.Count(out, "warning:") != 1 {
+		t.Fatalf("want the one exception warning, got:\n%s", out)
+	}
+	fingerprintsMatch(t, c, refDB)
 }
 
 func TestClusterTransactions(t *testing.T) {

@@ -61,24 +61,11 @@ func NewNode(target hql.Target, id, count int) *Node {
 
 // Execute runs one shard operation and returns its reply.
 func (n *Node) Execute(ctx context.Context, op wire.ShardOp) (rep wire.ShardReply, err error) {
-	db := n.target.Database()
 	switch op.Verb {
-	case wire.ShardTuples, wire.ShardSelect:
-		var r *core.Relation
-		if r, err = db.Snapshot(op.Relation); err == nil && op.Verb == wire.ShardSelect {
-			conds := make([]algebra.Condition, len(op.Conds))
-			for i, c := range op.Conds {
-				conds[i] = algebra.Condition{Attr: c[0], Class: c[1]}
-			}
-			// No per-shard consolidation: subsumption between a shard's local
-			// tuples and another shard's globals is resolved after the merge.
-			r, err = algebra.SelectContext(ctx, "σ", r, conds...)
-		}
-		if err == nil {
-			rep.Tuples = r.Tuples()
-		}
+	case wire.ShardTuples:
+		rep.Tuples, err = n.tuples(op)
 	case wire.ShardEval:
-		rep.Verdicts, err = db.HoldsBatch(ctx, op.Relation, op.Items)
+		rep.Verdicts, err = n.target.Database().HoldsBatch(ctx, op.Relation, op.Items)
 	case wire.ShardPrepare:
 		err = n.prepare(op.GID, op.Ops)
 		rep.Status = fmt.Sprintf("prepared %d", len(op.Ops))
@@ -88,8 +75,7 @@ func (n *Node) Execute(ctx context.Context, op wire.ShardOp) (rep wire.ShardRepl
 		n.abort(op.GID)
 		rep.Status = "aborted"
 	case wire.ShardApply:
-		err = n.apply(op.GID, op.Ops)
-		rep.Status = "applied"
+		rep.Status, err = n.apply(op.GID, op.Ops)
 	default:
 		err = fmt.Errorf("shard: unknown operation %q", op.Verb)
 	}
@@ -97,6 +83,47 @@ func (n *Node) Execute(ctx context.Context, op wire.ShardOp) (rep wire.ShardRepl
 		return wire.ShardReply{}, err
 	}
 	return rep, nil
+}
+
+// tuples returns a relation's stored tuples within the op's scope: those
+// applicable to one of its Items (all a point read needs), else those
+// overlapping the region its Conds name (all a selection needs), else every
+// one of them.
+func (n *Node) tuples(op wire.ShardOp) (out []core.Tuple, err error) {
+	conds := make([]algebra.Condition, len(op.Conds))
+	for i, c := range op.Conds {
+		conds[i] = algebra.Condition{Attr: c[0], Class: c[1]}
+	}
+	err = n.target.Database().Read(op.Relation, func(r *core.Relation) error {
+		switch {
+		case len(op.Items) > 0:
+			for _, it := range op.Items {
+				if len(it) == r.Schema().Arity() {
+					out = append(out, r.Applicable(it)...)
+				}
+			}
+		case len(conds) > 0:
+			region, err := algebra.SelectRegion(r, conds...)
+			if err != nil {
+				return err
+			}
+			out = r.TuplesOverlapping([]core.Item{region})
+		default:
+			out = r.Tuples()
+		}
+		return nil
+	})
+	return out, err
+}
+
+// warned appends the exception warnings the node's write left in its
+// catalog to a COMMIT or APPLY status, one "warning: " line each, so the
+// coordinator reports them with the statement that caused them.
+func (n *Node) warned(status string) string {
+	for _, w := range n.target.Database().Warnings() {
+		status += "\nwarning: " + w
+	}
+	return status
 }
 
 // tupleOps refuses a transaction carrying anything but tuple updates: a
@@ -186,7 +213,7 @@ func (n *Node) commit(gid string) (string, error) {
 		return "", err
 	}
 	n.finish(gid)
-	return "committed", nil
+	return n.warned("committed"), nil
 }
 
 // abort drops a journaled transaction.
@@ -196,24 +223,24 @@ func (n *Node) abort(gid string) {
 
 // apply is the commit-recovery fallback: apply re-sent operations unless
 // the gid already finished here.
-func (n *Node) apply(gid string, ops []catalog.TxOp) error {
+func (n *Node) apply(gid string, ops []catalog.TxOp) (string, error) {
 	if gid == "" {
-		return fmt.Errorf("shard: APPLY without gid")
+		return "", fmt.Errorf("shard: APPLY without gid")
 	}
 	if err := tupleOps(ops); err != nil {
-		return err
+		return "", err
 	}
 	n.mu.Lock()
 	if n.done[gid] {
 		n.mu.Unlock()
-		return nil
+		return "applied", nil
 	}
 	n.mu.Unlock()
 	if err := n.target.ApplyTx(ops); err != nil {
-		return err
+		return "", err
 	}
 	n.finish(gid)
-	return nil
+	return n.warned("applied"), nil
 }
 
 // finish marks a gid done (idempotency guard) and drops its journal entry,

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hrdb/internal/algebra"
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
 	"hrdb/internal/hql"
@@ -68,20 +67,19 @@ func TestNodeTuplesSelectEval(t *testing.T) {
 		t.Fatalf("want 2 stored tuples, got %v", tuples)
 	}
 
-	got := exec(t, n, wire.ShardOp{Verb: wire.ShardSelect, Relation: "Flies", Conds: [][2]string{{"Creature", "Penguin"}}}).Tuples
-	// The node's SELECT is exactly the algebra operator over its local
-	// snapshot, without consolidation.
+	// A point read's scope is the tuples applicable to the item; a
+	// selection's, the tuples overlapping its region.
+	got := exec(t, n, wire.ShardOp{Verb: wire.ShardTuples, Relation: "Flies", Items: []core.Item{{"Paul"}}}).Tuples
 	snap, err := db.Snapshot("Flies")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := algebra.SelectContext(context.Background(), "σ", snap,
-		algebra.Condition{Attr: "Creature", Class: "Penguin"})
-	if err != nil {
-		t.Fatal(err)
+	if want := snap.Applicable(core.Item{"Paul"}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tuples applicable to Paul %v, want %v", got, want)
 	}
-	if want := ref.Tuples(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("select result %v, want %v", got, want)
+	got = exec(t, n, wire.ShardOp{Verb: wire.ShardTuples, Relation: "Flies", Conds: [][2]string{{"Creature", "Penguin"}}}).Tuples
+	if want := snap.TuplesOverlapping([]core.Item{{"Penguin"}}); !reflect.DeepEqual(got, want) || len(want) != 2 {
+		t.Fatalf("tuples overlapping Penguin %v, want both stored tuples %v", got, want)
 	}
 
 	verdicts := exec(t, n, wire.ShardOp{Verb: wire.ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}}}).Verdicts
@@ -221,11 +219,11 @@ func TestNodeRejectsMalformedOps(t *testing.T) {
 	n, _ := testNode(t)
 	for _, op := range []wire.ShardOp{
 		{Verb: "FROBNICATE", Relation: "x"},
-		{Verb: wire.ShardPrepare},                    // no gid
-		{Verb: wire.ShardApply},                      // no gid
-		{Verb: wire.ShardTuples},                     // no relation
-		{Verb: wire.ShardSelect, Relation: "NoSuch"}, // unknown relation
-		{Verb: wire.ShardSelect, Relation: "Flies", Conds: [][2]string{{"Creature", "Bigfoot"}}}, // unknown class
+		{Verb: wire.ShardPrepare}, // no gid
+		{Verb: wire.ShardApply},   // no gid
+		{Verb: wire.ShardTuples},  // no relation
+		{Verb: wire.ShardTuples, Relation: "NoSuch", Conds: [][2]string{{"Creature", "Bird"}}},   // unknown relation
+		{Verb: wire.ShardTuples, Relation: "Flies", Conds: [][2]string{{"Creature", "Bigfoot"}}}, // unknown class
 		// Only tuple updates travel in a shard transaction.
 		{Verb: wire.ShardPrepare, GID: "g", Ops: []catalog.TxOp{{Kind: "add_class", Relation: "Animal", Values: []string{"Fish"}}}},
 		{Verb: wire.ShardApply, GID: "g", Ops: []catalog.TxOp{{Kind: "drop_relation", Relation: "Flies"}}},

@@ -50,7 +50,7 @@ func TestEncodeDecodeTuples(t *testing.T) {
 }
 
 func TestEncodeSelectParses(t *testing.T) {
-	opTrip(t, wire.ShardOp{Verb: wire.ShardSelect, Relation: "Flies",
+	opTrip(t, wire.ShardOp{Verb: "SELECT", Relation: "Flies",
 		Conds: [][2]string{{"Creature", "Bird"}, {"Alt", "high"}}})
 }
 
@@ -83,7 +83,7 @@ func TestSeparatorBytesRoundTrip(t *testing.T) {
 	opTrip(t, wire.ShardOp{Verb: wire.ShardEval, Relation: "r", Items: []core.Item{{"a\nb"}}})
 	opTrip(t, wire.ShardOp{Verb: wire.ShardPrepare, GID: "gid",
 		Ops: []catalog.TxOp{{Kind: catalog.KindAssert, Relation: "r", Values: []string{"x\x1fy"}}}})
-	opTrip(t, wire.ShardOp{Verb: wire.ShardSelect, Relation: "r",
+	opTrip(t, wire.ShardOp{Verb: "SELECT", Relation: "r",
 		Conds: [][2]string{{"a\x1fb", "c\nd"}}})
 }
 

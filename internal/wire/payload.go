@@ -366,13 +366,12 @@ var (
 
 // Shard operation verbs.
 const (
-	ShardTuples  = "TUPLES"  // a relation's stored tuples → Tuples
-	ShardSelect  = "SELECT"  // per-shard selection push-down → Tuples
+	ShardTuples  = "TUPLES"  // a relation's stored tuples, scoped by Items or Conds → Tuples
 	ShardEval    = "EVAL"    // batch-evaluate Items → Verdicts
 	ShardPrepare = "PREPARE" // validate and journal Ops under GID → Status
-	ShardCommit  = "COMMIT"  // apply GID's journal → Status "committed" | "unknown"
+	ShardCommit  = "COMMIT"  // apply GID's journal → Status "committed" | "unknown", then its warnings
 	ShardAbort   = "ABORT"   // drop GID's journal → Status
-	ShardApply   = "APPLY"   // apply Ops under GID unless already done → Status
+	ShardApply   = "APPLY"   // apply Ops under GID unless already done → Status "applied", then its warnings
 )
 
 // ShardOp is a shard operation, the payload of an EXECSHARD frame after its
@@ -386,10 +385,10 @@ const (
 // flags bit 0 is catalog.TxOp.Bare; no other bit is set.
 type ShardOp struct {
 	Verb     string
-	Relation string         // TUPLES, SELECT, EVAL
+	Relation string         // TUPLES, EVAL
 	GID      string         // PREPARE, COMMIT, ABORT, APPLY
-	Conds    [][2]string    // SELECT: (attribute, class) conditions
-	Items    []core.Item    // EVAL
+	Conds    [][2]string    // TUPLES: only those overlapping the region of these (attribute, class) conditions
+	Items    []core.Item    // EVAL; TUPLES: only those applicable to these items
 	Ops      []catalog.TxOp // PREPARE, APPLY
 }
 
@@ -461,10 +460,12 @@ func ParseShardOp(p []byte) (ShardOp, error) {
 //	tuples    u32 n | n × (u8 sign | string list item)
 //	verdicts  u32 m | ⌈m/8⌉ bytes, verdict i at bit i%8 of byte i/8
 //
-// Padding bits are zero.
+// Padding bits are zero. A COMMIT or APPLY that applied ops follows its
+// status word with a "\nwarning: <text>" line per exception warning the
+// apply raised.
 type ShardReply struct {
 	Status   string       // PREPARE "prepared <n>", COMMIT "committed" | "unknown", ABORT "aborted", APPLY "applied"
-	Tuples   []core.Tuple // TUPLES, SELECT
+	Tuples   []core.Tuple // TUPLES
 	Verdicts []bool       // EVAL, in item order
 }
 

@@ -483,7 +483,7 @@ func FuzzFrameDecode(f *testing.F) {
 		{Item: core.Item{"a", "b"}, Sign: true}, {Item: core.Item{"c"}}}})}))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Stream: 3, Payload: ShardReplyPayload(ShardReply{Verdicts: []bool{true, false}})}))
 	f.Add(execShard(nil))
-	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardSelect, Relation: "r\x1fs", Conds: [][2]string{{"a\nb", "c"}}})))
+	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: "SELECT", Relation: "r\x1fs", Conds: [][2]string{{"a\nb", "c"}}})))
 	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {}}})))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: ShardReplyPayload(ShardReply{Status: "prepared 2"})}))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: []byte{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}})) // string longer than the payload
