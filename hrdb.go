@@ -386,7 +386,8 @@ type (
 // across shard servers (class-containing tuples replicate everywhere). The
 // coordinator is a Session whose target routes each op to the shards that
 // hold it (two-phase commit across several) and fetches each read's tuples
-// from the shards that hold them. See docs/SHARDING.md.
+// from the shards that hold them; every relation, an `… AS` result
+// included, lives on the shards. See docs/SHARDING.md.
 type (
 	// ShardNode is the shard-local executor and 2PC participant a server
 	// hosts (ServerOptions.Shard); it answers the SHARDMAP and EXECSHARD

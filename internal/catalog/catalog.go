@@ -267,18 +267,6 @@ func (db *Database) IndexStats(name string) ([]core.IndexStats, error) {
 	return r.Stats(), nil
 }
 
-// WarmIndexes eagerly builds the O(1) subsumption label indexes of every
-// hierarchy in the database, so a following query burst starts with warm
-// indexes instead of paying the build inside its first scans. Typically
-// called after a bulk load or on server start.
-func (db *Database) WarmIndexes() {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	for _, h := range db.hierarchies {
-		h.Warm()
-	}
-}
-
 // checkException applies the exception policy to an insertion, returning an
 // error under ForbidExceptions and recording a warning under
 // WarnExceptions. An exception is an update whose sign contradicts the

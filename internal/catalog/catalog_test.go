@@ -354,11 +354,13 @@ func TestIndexStatsAndWarmIndexes(t *testing.T) {
 	if stats[0].Warm {
 		t.Fatal("fresh database reported a warm label index")
 	}
-	db.WarmIndexes()
+	h, err := db.Hierarchy("Animal")
+	must(t, err)
+	h.Warm()
 	stats, err = db.IndexStats("Flies")
 	must(t, err)
 	if !stats[0].Warm {
-		t.Fatal("WarmIndexes did not warm the label index")
+		t.Fatal("warming the hierarchy did not warm the label index")
 	}
 }
 

@@ -603,6 +603,10 @@ func (r *Relation) bindOrder(ts []Tuple) (order []int, sub []dag.Bitset) {
 	return order, sub
 }
 
+// TuplesGeneralFirst returns the stored tuples in binding order: a tuple
+// precedes every tuple it strictly bind-subsumes.
+func (r *Relation) TuplesGeneralFirst() []Tuple { return r.sortGeneralFirst(r.Tuples()) }
+
 // sortGeneralFirst returns ts, which must be sorted by item key, in
 // bindOrder.
 func (r *Relation) sortGeneralFirst(ts []Tuple) []Tuple {

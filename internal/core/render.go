@@ -20,7 +20,7 @@ func (r *Relation) DisplayValue(attr int, v string) string {
 // paper's figures: a sign column followed by one column per attribute,
 // general tuples first. The output is deterministic.
 func (r *Relation) Table() string {
-	tuples := r.sortGeneralFirst(r.Tuples())
+	tuples := r.TuplesGeneralFirst()
 	headers := append([]string{""}, r.schema.Names()...)
 	rows := make([][]string, 0, len(tuples))
 	for _, t := range tuples {

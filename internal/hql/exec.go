@@ -31,8 +31,7 @@ type TxOp = catalog.TxOp
 // in-memory catalog (MemTarget), a durable storage.Store, or a wrapper
 // around either (a read-only replica, a view-aware target). Every mutation
 // — a single statement or a BEGIN…COMMIT bracket — reaches it as one
-// ApplyTx call; an empty list applies nothing and returns only the target's
-// refusal to be written, if it has one.
+// ApplyTx call; an empty list applies nothing.
 type Target interface {
 	Database() *catalog.Database
 	ApplyTx(ops []TxOp) error
@@ -60,7 +59,8 @@ type Scope struct {
 
 // TupleSource is the optional interface of a Target whose Database holds
 // the catalog but not the tuples: a shard coordinator, whose Database is a
-// mirror of its shards' catalog. Every read of relation data is served by
+// mirror of its shards' catalog with every relation, an `… AS` result
+// included, left empty. Every read of relation data is served by
 // Tuples, and the exception warnings of its writes come from Warnings, not
 // from the Database. Like ViewCatalog, support is detected by assertion.
 type TupleSource interface {
@@ -545,15 +545,39 @@ func (s *Session) mutate(op TxOp, ack string) (string, error) {
 	return ack, nil
 }
 
-// attach registers a derived `… AS name` result in the target's catalog.
-// The relation lives in memory only, so no op carries it; the empty ApplyTx
-// asks the target whether it may be written at all (a read-only replica
-// refuses).
+// attach stores a derived `… AS name` result as an ordinary relation,
+// through the target's write path like DDL — at once, even inside BEGIN:
+// its create_relation, its set_mode unless off-path, then its tuples as one
+// transaction, most specific first, so no tuple has an applicable tuple
+// when it goes in and the exception policy never fires.
 func (s *Session) attach(res *core.Relation) error {
-	if err := s.target.ApplyTx(nil); err != nil {
-		return err
+	name, sc := res.Name(), res.Schema()
+	attrs := make([]string, 0, 2*sc.Arity())
+	for i := range sc.Arity() {
+		attrs = append(attrs, sc.Attr(i).Name, sc.Attr(i).Domain.Domain())
 	}
-	return s.target.Database().AttachRelation(res)
+	batches := [][]TxOp{{{Kind: catalog.KindCreateRelation, Relation: name, Values: attrs}}}
+	if res.Mode() != core.OffPath {
+		batches = append(batches, []TxOp{{Kind: catalog.KindSetMode, Relation: name, Values: []string{res.Mode().String()}}})
+	}
+	ts := res.TuplesGeneralFirst()
+	tx := make([]TxOp, 0, len(ts))
+	for i := len(ts) - 1; i >= 0; i-- {
+		kind := catalog.KindDeny
+		if ts[i].Sign {
+			kind = catalog.KindAssert
+		}
+		tx = append(tx, TxOp{Kind: kind, Relation: name, Values: ts[i].Item})
+	}
+	if len(tx) > 0 {
+		batches = append(batches, tx)
+	}
+	for _, b := range batches {
+		if err := s.target.ApplyTx(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // renderWarnings appends any pending exception warnings to a result line.

@@ -131,12 +131,12 @@ func TestChaosSeveredStreamConverges(t *testing.T) {
 	}
 
 	// Lag returns to zero: caught up now, and the byte-lag gauge agrees.
-	staleness, _, _, state := rep.Lag()
-	if staleness < 0 || staleness > 10*time.Second {
-		t.Fatalf("staleness after convergence = %v", staleness)
+	st := rep.Status()
+	if st.Staleness < 0 || st.Staleness > 10*time.Second {
+		t.Fatalf("staleness after convergence = %v", st.Staleness)
 	}
-	if state != "streaming" {
-		t.Fatalf("state after convergence = %q, want streaming", state)
+	if st.State != "streaming" {
+		t.Fatalf("state after convergence = %q, want streaming", st.State)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"hrdb/internal/catalog"
+	"hrdb/internal/hql"
 	"hrdb/internal/obs"
 	"hrdb/internal/server"
 	"hrdb/internal/storage"
@@ -75,13 +76,13 @@ func waitConverged(t *testing.T, st *storage.Store, rep *Replica) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		pe, po := st.Position()
-		staleness, re, ro, _ := rep.Lag()
-		if staleness >= 0 && re == pe && ro == po {
+		st := rep.Status()
+		if st.Staleness >= 0 && st.Epoch == pe && st.Offset == po {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replica never converged: primary at %d/%d, replica at %d/%d (staleness %v)",
-				pe, po, re, ro, staleness)
+			t.Fatalf("replica never converged: primary at %d/%d, replica %s at %d/%d (staleness %v, %d records applied)",
+				pe, po, st.State, st.Epoch, st.Offset, st.Staleness, rep.AppliedRecords())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -193,8 +194,8 @@ func TestReplicaMutationsRejectedUntilPromoted(t *testing.T) {
 	if err := target.ApplyTx(plant); err != nil {
 		t.Fatalf("create_hierarchy after promote: %v", err)
 	}
-	if staleness, _, _, state := rep.Lag(); staleness != 0 || state != "promoted" {
-		t.Fatalf("Lag after promote = %v/%s, want 0/promoted", staleness, state)
+	if st := rep.Status(); st.Staleness != 0 || st.State != "promoted" {
+		t.Fatalf("Status after promote = %v/%s, want 0/promoted", st.Staleness, st.State)
 	}
 }
 
@@ -235,6 +236,37 @@ func TestReplicaRotatesAcrossCheckpoint(t *testing.T) {
 	lagGaugesSettle(t)
 	if n := replayedOnReopen(t, p.store); n != 1 {
 		t.Fatalf("reopen replayed %d records, want 1", n)
+	}
+}
+
+// TestReplicaFollowsDerivedRelation: an `… AS` result is logged like any
+// relation, so a streaming replica creates it, fills it and applies a write
+// to it — one that the primary logs after a checkpoint has snapshotted the
+// relation.
+func TestReplicaFollowsDerivedRelation(t *testing.T) {
+	p := startPrimary(t, PrimaryOptions{HeartbeatInterval: 20 * time.Millisecond})
+	sess := hql.NewSession(p.store)
+	exec := func(script string) {
+		t.Helper()
+		if _, err := sess.Exec(script); err != nil {
+			t.Fatalf("%s: %v", script, err)
+		}
+	}
+	exec(`CREATE HIERARCHY Animal;
+		CLASS Bird IN Animal;
+		INSTANCE Tweety UNDER Bird;
+		INSTANCE Robin UNDER Bird;
+		CREATE RELATION Flies (Creature: Animal);
+		ASSERT Flies (Bird);`)
+	rep := startReplica(t, p.srv.Addr())
+	waitConverged(t, p.store, rep)
+
+	exec("SELECT FROM Flies WHERE Creature UNDER Bird AS B;")
+	must(t, p.store.Checkpoint())
+	exec("DENY B (Robin);")
+	waitConverged(t, p.store, rep)
+	if ok, err := rep.Database().Holds("B", "Robin"); err != nil || ok {
+		t.Fatalf("replica B(Robin) = %v, %v; want false", ok, err)
 	}
 }
 

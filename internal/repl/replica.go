@@ -195,8 +195,8 @@ func (r *Replica) setStateLocked(state string) {
 }
 
 // Status is a replica's full replication status — exactly what its LAG
-// answer carries: the Lag fields plus the failover identity (term, ID, and
-// its upstream).
+// answer carries: its position and staleness plus the failover identity
+// (term, ID, and its upstream).
 type Status = wire.LagInfo
 
 // Status reports the replica's replication status for LAG answers, for
@@ -222,15 +222,6 @@ func (r *Replica) Status() Status {
 		st.Staleness = time.Since(r.syncedAt)
 	}
 	return st
-}
-
-// Lag reports the replica's replication state for lag-bounded routing.
-// Staleness is the age of the last moment the replica was provably caught
-// up with the primary's durable position; negative means unknown (never
-// synced, or not yet re-synced after a bootstrap).
-func (r *Replica) Lag() (staleness time.Duration, epoch uint64, offset int64, state string) {
-	st := r.Status()
-	return st.Staleness, st.Epoch, st.Offset, st.State
 }
 
 // Promote stops following and flips the replica writable under the next

@@ -15,12 +15,9 @@ import (
 func startReplicaServer(t *testing.T, rep *Replica) *server.Server {
 	t.Helper()
 	srv := server.New(ReplicaTarget{R: rep}, server.Options{
-		Repl: rep,
-		LagProbe: func() server.LagInfo {
-			staleness, epoch, offset, state := rep.Lag()
-			return server.LagInfo{Staleness: staleness, Epoch: epoch, Offset: offset, State: state}
-		},
-		Promote: rep.Promote,
+		Repl:     rep,
+		LagProbe: rep.Status,
+		Promote:  rep.Promote,
 	})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("Start replica server: %v", err)

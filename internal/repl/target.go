@@ -7,10 +7,8 @@ import (
 
 // ReplicaTarget adapts a Replica to hql.Target so a server can run
 // read-only sessions against it. It is one ApplyTx: refused with
-// ErrReadOnlyReplica until the replica is promoted — an empty op list
-// included, which is how a session asks before attaching a `… AS` result —
-// and delegated afterwards, when the promoted replica is the new
-// authoritative copy.
+// ErrReadOnlyReplica until the replica is promoted, and delegated
+// afterwards, when the promoted replica is the new authoritative copy.
 //
 // Database() re-fetches the replica's current database on every call
 // (hql.Session does the same per statement), so a snapshot re-bootstrap

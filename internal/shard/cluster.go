@@ -34,9 +34,8 @@ type Conn interface {
 // a read's tuples come from (Tuples).
 //
 // The target's Database is a catalog mirror: the replicated schema
-// (hierarchies, relation definitions, policy, modes) with every
-// shard-backed relation left empty, plus the `… AS` results the Session
-// attaches, which live only here.
+// (hierarchies, relation definitions, policy, modes) with every relation
+// left empty — its tuples live on the shards.
 type Cluster struct {
 	sess *hql.Session
 	t    *target
@@ -47,7 +46,6 @@ type Cluster struct {
 type target struct {
 	conns    []Conn
 	mirror   *catalog.Database
-	sharded  map[string]bool                 // relations whose tuples live on the shards
 	warnings []string                        // shard-reported exception warnings, not yet rendered
 	ctx      atomic.Pointer[context.Context] // the running Exec's, for the shard calls of its writes
 	gidBase  string
@@ -57,7 +55,7 @@ type target struct {
 // NewCluster builds a coordinator over the given shard connections,
 // bootstrapping the catalog mirror from shard 0's DUMP (the catalog is
 // replicated, so any shard has all of it; tuple statements in the dump are
-// skipped — shard-backed relations stay empty in the mirror).
+// skipped — relations stay empty in the mirror).
 func NewCluster(ctx context.Context, conns []Conn) (*Cluster, error) {
 	if len(conns) == 0 {
 		return nil, errors.New("shard: cluster needs at least one connection")
@@ -65,7 +63,6 @@ func NewCluster(ctx context.Context, conns []Conn) (*Cluster, error) {
 	t := &target{
 		conns:   conns,
 		mirror:  catalog.New(),
-		sharded: map[string]bool{},
 		gidBase: fmt.Sprintf("g%x", time.Now().UnixNano()),
 	}
 	dump, err := conns[0].Exec(ctx, "DUMP;")
@@ -85,9 +82,6 @@ func NewCluster(ctx context.Context, conns []Conn) (*Cluster, error) {
 		if _, err := boot.ExecContext(ctx, hql.Render(st)+";"); err != nil {
 			return nil, fmt.Errorf("shard: bootstrap replay: %w", err)
 		}
-	}
-	for _, name := range t.mirror.Relations() {
-		t.sharded[name] = true
 	}
 	return &Cluster{sess: hql.NewSession(t), t: t}, nil
 }
@@ -121,41 +115,18 @@ func (c *Cluster) Exec(ctx context.Context, input string) (string, error) {
 // Database returns the catalog mirror.
 func (t *target) Database() *catalog.Database { return t.mirror }
 
-// ApplyTx routes one mutation or bracket; an empty one answers "writable".
-// Ops on a relation only the mirror holds apply there. A catalog op goes to
-// every shard, then to the mirror (broadcast). Tuple ops commit on the
-// shards that hold their tuples (commitOps).
+// ApplyTx routes one mutation or bracket. A catalog op goes to every
+// shard, then to the mirror (broadcast). Tuple ops commit on the shards
+// that hold their tuples (commitOps).
 func (t *target) ApplyTx(ops []hql.TxOp) error {
 	ctx := context.Background()
 	if p := t.ctx.Load(); p != nil {
 		ctx = *p
 	}
-	var onMirror, onShards []hql.TxOp
-	for _, op := range ops {
-		if t.onMirror(op) {
-			onMirror = append(onMirror, op)
-		} else {
-			onShards = append(onShards, op)
-		}
+	if len(ops) == 1 && !catalog.IsTupleOp(ops[0].Kind) {
+		return t.broadcast(ctx, ops[0])
 	}
-	if err := t.mirror.ApplyOps(onMirror); err != nil {
-		return err
-	}
-	if len(onShards) == 1 && !catalog.IsTupleOp(onShards[0].Kind) {
-		return t.broadcast(ctx, onShards[0])
-	}
-	return t.commitOps(ctx, onShards)
-}
-
-// onMirror reports whether op changes a relation only the mirror holds.
-func (t *target) onMirror(op hql.TxOp) bool {
-	switch op.Kind {
-	case catalog.KindCreateHierarchy, catalog.KindAddClass, catalog.KindAddInstance,
-		catalog.KindAddEdge, catalog.KindPrefer, catalog.KindDropNode, catalog.KindSetPolicy:
-		return false // op.Relation names a domain, or nothing
-	}
-	_, err := t.mirror.Relation(op.Relation)
-	return err == nil && !t.sharded[op.Relation]
+	return t.commitOps(ctx, ops)
 }
 
 // broadcast sends a catalog op to every shard as its statement, then
@@ -175,19 +146,13 @@ func (t *target) broadcast(ctx context.Context, op hql.TxOp) error {
 	if err := t.mirror.ApplyOps([]hql.TxOp{op}); err != nil {
 		return fmt.Errorf("shard: mirror replay of %q: %w", stmt, err)
 	}
-	switch op.Kind {
-	case catalog.KindCreateRelation:
-		t.sharded[op.Relation] = true
-	case catalog.KindDropRelation:
-		delete(t.sharded, op.Relation)
-	}
 	return nil
 }
 
-// Warnings returns and clears the exception warnings of the cluster's
-// writes: the mirror's own, then the shards'.
+// Warnings returns and clears the exception warnings the shards reported
+// for the cluster's writes.
 func (t *target) Warnings() []string {
-	w := append(t.mirror.Warnings(), t.warnings...)
+	w := t.warnings
 	t.warnings = nil
 	return w
 }
@@ -296,17 +261,16 @@ func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 	return nil
 }
 
-// Tuples serves every Session read. A relation only the mirror holds is
-// read from it whole. A shard-backed one starts from its empty mirror copy
-// (schema and mode) and gathers the scope's tuples: a point read's from the
-// item's home shard alone — global tuples are on every shard, so the home
-// shard holds every tuple applicable to the item — and any other read's
-// from every shard, global tuples arriving once per shard and deduplicating
-// on insert.
+// Tuples serves every Session read. It starts from the relation's empty
+// mirror copy (schema and mode) and gathers the scope's tuples: a point
+// read's from the item's home shard alone — global tuples are on every
+// shard, so the home shard holds every tuple applicable to the item — and
+// any other read's from every shard, global tuples arriving once per shard
+// and deduplicating on insert.
 func (t *target) Tuples(ctx context.Context, name string, scope hql.Scope) (*core.Relation, error) {
 	r, err := t.mirror.Snapshot(name)
-	if err != nil || !t.sharded[name] {
-		return r, err
+	if err != nil {
+		return nil, err
 	}
 	conns := t.conns
 	if len(scope.Items) == 1 {
@@ -363,9 +327,6 @@ func (c *Cluster) Fingerprint(ctx context.Context) (string, error) {
 // too, since their binders are global and replicated), grouped per shard
 // and evaluated with the shards' batch engine.
 func (c *Cluster) HoldsBatch(ctx context.Context, rel string, items []core.Item) ([]bool, error) {
-	if !c.t.sharded[rel] {
-		return c.t.mirror.HoldsBatch(ctx, rel, items)
-	}
 	n := len(c.t.conns)
 	groups := make([][]core.Item, n)
 	idx := make([][]int, n)

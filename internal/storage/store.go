@@ -84,12 +84,6 @@ type Store struct {
 	// refused with ErrDeposed — accepting any would fork history. Reads and
 	// WAL access stay available (quarantine forensics need them).
 	fenced atomic.Uint64
-	// durable names, under applyMu, the relations the snapshot or the WAL
-	// knows. A derived `… AS name` result is attached to the catalog with
-	// no record, so it is absent here until a checkpoint snapshots it, and
-	// an op on it before then must not be logged: recovery would meet a
-	// write to (or a drop of) a relation it never created.
-	durable map[string]bool
 	// watch is closed and replaced by notify() whenever the durable
 	// replication position advances (commit, checkpoint, close), waking
 	// WaitChange subscribers.
@@ -195,11 +189,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		db: db, log: log, dir: dir, fs: fs, epoch: epoch,
 		term: term, takeoverEpoch: takeoverEpoch, takeoverOffset: takeoverOffset,
 		epochEnds: make(map[uint64]int64),
-		durable:   make(map[string]bool),
 		watch:     make(chan struct{}),
-	}
-	for _, name := range db.Relations() {
-		s.durable[name] = true
 	}
 	metricOpens.Inc()
 	// A crash between checkpoint's snapshot rename and old-log removal can
@@ -388,10 +378,7 @@ func (s *Store) acknowledge(log *Log, mark int64, err error) error {
 //     applied, and the bracket is closed with tx_commit — or, if the apply
 //     rejects the transaction, with tx_abort so recovery discards it. No
 //     other op can share its batch: the log could not make the mix atomic.
-//   - An op on a relation the durable state does not hold (see
-//     Store.durable) is applied and not staged, alone or in a transaction.
-//   - An empty list changes and stages nothing; it reports only whether the
-//     store accepts writes.
+//   - An empty list changes and stages nothing.
 func (s *Store) ApplyTx(ops []catalog.TxOp) error {
 	if len(ops) > 1 {
 		for _, o := range ops {
@@ -409,18 +396,10 @@ func (s *Store) ApplyTx(ops []catalog.TxOp) error {
 	log := s.log
 	recs := make([]Record, 0, len(ops)+1)
 	for _, o := range ops {
-		switch o.Kind {
-		case catalog.KindDropRelation, catalog.KindAssert, catalog.KindDeny, catalog.KindRetract,
-			catalog.KindConsolidate, catalog.KindExplicate, catalog.KindSetMode:
-			if !s.durable[o.Relation] {
-				continue
-			}
-		}
 		recs = append(recs, Record{Op: Op(o.Kind), Target: o.Relation, Args: o.Values})
 	}
 	// A transaction's records go out ahead of the apply, leaving its
 	// tx_commit to stage afterwards where a bare op stages its record.
-	bracket = bracket && len(recs) > 0
 	if bracket {
 		if _, err := log.Stage(append([]Record{{Op: OpTxBegin}}, recs...)...); err != nil {
 			s.applyMu.Unlock()
@@ -443,12 +422,6 @@ func (s *Store) ApplyTx(ops []catalog.TxOp) error {
 	if len(recs) == 0 {
 		s.applyMu.Unlock()
 		return nil
-	}
-	switch recs[0].Op {
-	case catalog.KindCreateRelation:
-		s.durable[recs[0].Target] = true
-	case catalog.KindDropRelation:
-		delete(s.durable, recs[0].Target)
 	}
 	mark, err := log.Stage(recs...)
 	s.applyMu.Unlock()
@@ -495,8 +468,7 @@ func (s *Store) CreateRelation(name string, attrs ...catalog.AttrSpec) error {
 	return s.apply(catalog.KindCreateRelation, name, args...)
 }
 
-// DropRelation drops the relation, and logs the drop if the durable state
-// holds the relation.
+// DropRelation drops and logs the removal of a relation.
 func (s *Store) DropRelation(name string) error { return s.apply(catalog.KindDropRelation, name) }
 
 // Assert inserts and logs a positive tuple.
@@ -576,9 +548,6 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		s.failed.Store(true)
 		return fmt.Errorf("%w: %v", ErrStoreFailed, err)
-	}
-	for _, r := range spec.Relations {
-		s.durable[r.Name] = true
 	}
 	old, oldEpoch := s.log, s.epoch
 	_, oldEnd := old.StagedMark()

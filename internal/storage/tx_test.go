@@ -228,7 +228,7 @@ func TestLogBytesPerStatement(t *testing.T) {
 		{ops: bare("deny", "R", "C1"), rejected: true, want: 0}, // bare flip: refused, nothing logged
 		{ops: tx("deny", "R", "C2", "assert", "R", "i1"), want: 383},
 		{ops: tx("deny", "R", "C1"), want: 284},                                           // one-op bracket: flips
-		{ops: tx("assert", "R", "i2", "assert", "Nope", "i2"), rejected: true, want: 285}, // tx_abort
+		{ops: tx("assert", "R", "i2", "assert", "Nope", "i2"), rejected: true, want: 387}, // tx_abort: both records staged
 		{ops: bare("set_mode", "R", "on-path"), want: 106},
 		{ops: bare("set_policy", "", "warn"), want: 102},
 		{ops: bare("consolidate", "R"), want: 99},

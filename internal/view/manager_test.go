@@ -102,9 +102,18 @@ func TestViewLifecycle(t *testing.T) {
 		t.Errorf("recomputes = 0, want the INSTANCE edit to force a recompute")
 	}
 
-	// Name collisions are rejected in both directions.
-	if _, err := sess.Exec("CREATE RELATION flat (x: Animal);"); err == nil {
-		t.Error("CREATE RELATION over a view name succeeded, want error")
+	// Name collisions are rejected in both directions; an `… AS` result
+	// creates its relation, so it cannot take a view's name either.
+	for _, stmt := range []string{
+		"CREATE RELATION flat (x: Animal);",
+		"SELECT FROM flies WHERE who UNDER mammal AS flat;",
+	} {
+		if _, err := sess.Exec(stmt); err == nil {
+			t.Errorf("%s over a view name succeeded, want error", stmt)
+		}
+	}
+	if out := mustExec(t, sess, "EXTENSION flat;"); !strings.Contains(out, "3 atomic items") {
+		t.Errorf("EXTENSION flat after the refusals = %q, want the view's 3 rows", out)
 	}
 	if _, err := sess.Exec("CREATE MATERIALIZED VIEW flies AS EXTENSION flies;"); err == nil {
 		t.Error("CREATE VIEW over a relation name succeeded, want error")
@@ -426,6 +435,35 @@ func TestRelationMirrorFeed(t *testing.T) {
 	d = fc.next(t, wire.ChangeDelta)
 	if len(d.Added) != 1 || d.Added[0] != "+ (rex)" || len(d.Removed) != 1 || d.Removed[0] != "- (rex)" {
 		t.Fatalf("mirror DELTA = %+v, want sign flip", d)
+	}
+}
+
+// TestViewAndFeedOverDerivedRelation: an `… AS` result is a logged
+// relation, so a view over it folds the writes to it and a feed of it
+// delivers them.
+func TestViewAndFeedOverDerivedRelation(t *testing.T) {
+	_, m, sess := openView(t, Options{})
+	mustExec(t, sess, seedDDL+"SELECT FROM flies WHERE who UNDER bird AS B;")
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW VB AS EXTENSION B;")
+	quiesce(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fc := collectFeed(t, m, ctx, "B", 0, 0, false)
+	if snap := fc.next(t, wire.ChangeSnapshot); strings.Join(snap.Rows, " ") != "+ (bird)" {
+		t.Fatalf("B SNAP rows = %q, want [+ (bird)]", snap.Rows)
+	}
+
+	mustExec(t, sess, "ASSERT B (rex);")
+	quiesce(t, m)
+	rows, err := m.Rows("VB")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(rows, " "); got != "(rex) (tweety)" {
+		t.Errorf("VB rows = %q, want (rex) (tweety)", got)
+	}
+	if d := fc.next(t, wire.ChangeDelta); strings.Join(d.Added, " ") != "+ (rex)" || len(d.Removed) != 0 {
+		t.Fatalf("B DELTA = %+v, want +\"+ (rex)\"", d)
 	}
 }
 

@@ -36,11 +36,8 @@ func TestReplicationEndToEnd(t *testing.T) {
 	})
 	defer replica.Close()
 	replicaSrv := hrdb.NewServer(hrdb.ReplicaTarget{R: replica}, hrdb.ServerOptions{
-		LagProbe: func() hrdb.LagInfo {
-			staleness, epoch, offset, state := replica.Lag()
-			return hrdb.LagInfo{Staleness: staleness, Epoch: epoch, Offset: offset, State: state}
-		},
-		Promote: replica.Promote,
+		LagProbe: replica.Status,
+		Promote:  replica.Promote,
 	})
 	must(t, replicaSrv.Start("127.0.0.1:0"))
 	defer func() {
