@@ -62,7 +62,7 @@ test:
 	./scripts/runfilters.sh
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/wire/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/
+	$(GO) test -race ./internal/storage/ ./internal/core/ ./internal/server/ ./internal/wire/ ./internal/obs/ ./internal/repl/ ./internal/dag/ ./internal/hierarchy/ ./internal/algebra/ ./internal/view/ ./internal/hql/ ./internal/catalog/
 
 test-crash:
 	$(GO) test -run 'TestCrash' -count=1 -v ./internal/storage/

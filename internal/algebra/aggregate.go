@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hrdb/internal/core"
@@ -63,7 +63,7 @@ func CountContext(ctx context.Context, r *core.Relation, groupBy ...string) ([]G
 	for _, gc := range groups {
 		out = append(out, *gc)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group.Key() < out[j].Group.Key() })
+	slices.SortFunc(out, func(a, b GroupCount) int { return core.CompareItems(a.Group, b.Group) })
 	if len(groupBy) == 0 && len(out) == 0 {
 		out = append(out, GroupCount{Group: core.Item{}})
 	}

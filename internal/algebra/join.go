@@ -3,7 +3,7 @@ package algebra
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hrdb/internal/core"
 )
@@ -149,7 +149,7 @@ func JoinContext(ctx context.Context, name string, a, b *core.Relation) (*core.R
 		}
 		rec(base, 0)
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i].Key() < cand[j].Key() })
+	slices.SortFunc(cand, core.CompareItems)
 
 	eval := func(ctx context.Context, items []core.Item) ([]bool, error) {
 		itemsA := make([]core.Item, len(items))

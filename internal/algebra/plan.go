@@ -143,7 +143,8 @@ func planSelect(r *core.Relation, region core.Item) *Plan {
 		// ancestors, its descendants, and itself; overlap through a shared
 		// descendant only adds multi-inheritance corner cases, so the
 		// sub-hierarchy fraction is the row estimate.
-		frac := float64(len(h.Descendants(region[i]))+len(h.Ancestors(region[i]))+1) / float64(h.Len())
+		id := h.IDOf(region[i])
+		frac := float64(h.Reach(id).Count()+len(h.AncestorIDs(id))) / float64(h.Len())
 		rows := int(float64(r.Len())*frac) + 1
 		cost := float64(r.DistinctValues(i))*overlapCost + float64(rows)*costCandidate
 		if cost < p.Cost {

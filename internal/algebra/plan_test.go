@@ -304,3 +304,24 @@ func TestSizableRelationHelper(t *testing.T) {
 		t.Fatalf("schema = %v", r.Schema().Names())
 	}
 }
+
+// TestPlanSelectWarmAllocatesOnlyThePlan pins planning from counts: on a warm
+// two-parent hierarchy planSelect reads the reach-set popcount and the
+// memoized ancestor list, so its one allocation is the *Plan.
+func TestPlanSelectWarmAllocatesOnlyThePlan(t *testing.T) {
+	h := animalHierarchy(t)
+	r := core.NewRelation("Flies", core.MustSchema(core.Attribute{Name: "Creature", Domain: h}))
+	for _, n := range h.Nodes() {
+		if n != h.Domain() {
+			must(t, r.Assert(n))
+		}
+	}
+	h.Warm()
+	region := core.Item{"Patricia"}
+	if p := planSelect(r, region); p.Access != IndexProbe || p.EstRows != 6 {
+		t.Fatalf("plan = %+v, want an index probe estimating 6 rows", p)
+	}
+	if avg := testing.AllocsPerRun(200, func() { planSelect(r, region) }); avg != 1 {
+		t.Fatalf("warm planSelect allocates %.1f per run, want 1", avg)
+	}
+}

@@ -242,8 +242,12 @@ func (db *Database) Snapshot(name string) (*core.Relation, error) {
 }
 
 // Read calls fn with the named live relation under the database's read
-// lock, for a read that needs neither a snapshot nor the lock afterwards.
-// fn must not modify the relation or keep it.
+// lock, for a read that needs neither a snapshot nor the lock afterwards:
+// evaluation inside fn uses and fills the relation's verdict cache, which
+// its epoch stamp fences against every later write. fn must not modify the
+// relation or keep it, and must not call back into the database: a nested
+// RLock deadlocks once a writer is queued between the two, and a write
+// waits for the lock fn holds. Writers wait for fn to return.
 func (db *Database) Read(name string, fn func(r *core.Relation) error) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,7 +35,7 @@ func (r *Relation) MinimalResolutionSet(a, b Item) []Item {
 		perAttr[i] = m
 	}
 	out := Product(perAttr)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, CompareItems)
 	return out
 }
 
@@ -51,7 +52,7 @@ func (r *Relation) CompleteResolutionSet(a, b Item, limit int) ([]Item, error) {
 		return nil, fmt.Errorf("%w: complete resolution set exceeds %d items", ErrTooLarge, limit)
 	}
 	out := Product(perAttr)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	slices.SortFunc(out, CompareItems)
 	return out, nil
 }
 
@@ -62,14 +63,10 @@ func (r *Relation) commonNodes(a, b Item) (perAttr [][]string, size int) {
 	perAttr, size = make([][]string, len(a)), 1
 	for i := range a {
 		h := r.schema.attrs[i].Domain
-		seen := map[string]bool{}
-		for _, m := range h.Meets(a[i], b[i]) {
-			for _, d := range append([]string{m}, h.Descendants(m)...) {
-				if !seen[d] {
-					seen[d] = true
-					perAttr[i] = append(perAttr[i], d)
-				}
-			}
+		common := h.Reach(h.IDOf(a[i])).Clone()
+		common.And(h.Reach(h.IDOf(b[i])))
+		for _, id := range common.Members() {
+			perAttr[i] = append(perAttr[i], h.NameOf(id))
 		}
 		if len(perAttr[i]) == 0 {
 			return nil, 0
@@ -150,16 +147,23 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 	}
 	k := r.schema.Arity()
 	posIDs, negIDs := r.internTuples(pos), r.internTuples(neg)
+	posReach, negReach := r.reachRows(posIDs), r.reachRows(negIDs)
 	for p, t1 := range pos {
-		a := posIDs[p*k : (p+1)*k]
+		a, ra := posIDs[p*k:(p+1)*k], posReach[p*k:(p+1)*k]
+	pairs:
 		for q, t2 := range neg {
-			b := negIDs[q*k : (q+1)*k]
-			comparable := r.subsumesIDs(a, b) || r.subsumesIDs(b, a)
+			b, rb := negIDs[q*k:(q+1)*k], negReach[q*k:(q+1)*k]
+			comparable := subsumesRows(ra, b) || subsumesRows(rb, a)
 			if comparable && !exhaustive {
 				continue // an exception, not a conflict, under off-path
 			}
-			if !r.overlapsIDs(a, b) {
-				continue
+			// Incomparable items overlap when every coordinate pair is
+			// comparable or has a common descendant (OverlapsID: on a
+			// forest, never; else a reach-set intersection).
+			for i := 0; !comparable && i < k; i++ {
+				if !ra[i].Get(b[i]) && !rb[i].Get(a[i]) && !r.schema.attrs[i].Domain.OverlapsID(a[i], b[i]) {
+					continue pairs
+				}
 			}
 			if !comparable {
 				for _, m := range r.MinimalResolutionSet(t1.Item, t2.Item) {
@@ -177,7 +181,7 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })
+	slices.SortFunc(out, func(a, b *ConflictError) int { return CompareItems(a.Item, b.Item) })
 	return out
 }
 

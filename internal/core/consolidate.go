@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hrdb/internal/dag"
@@ -86,7 +86,7 @@ func (r *Relation) Reconsolidate(c *Relation, touched []Item) error {
 			ts = append(ts, t)
 		}
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Item.Key() < ts[j].Item.Key() })
+	slices.SortFunc(ts, compareTuples)
 	for _, t := range r.sortGeneralFirst(ts) {
 		var group []Tuple
 		for _, u := range r.Applicable(t.Item) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -315,7 +316,7 @@ func (r *Relation) bindersByElimination(item Item, applicable []Tuple, keepRedun
 	for _, p := range predIDs {
 		binders = append(binders, tupleAt[p])
 	}
-	sort.Slice(binders, func(i, j int) bool { return binders[i].Item.Key() < binders[j].Item.Key() })
+	slices.SortFunc(binders, compareTuples)
 	if len(binders) == 0 {
 		// All applicable tuples were cut off from the item by elimination;
 		// cannot happen for off-path (paths are preserved), but guard.

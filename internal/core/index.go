@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // This file is the planner-facing surface of the secondary tuple indexes:
 // per-attribute posting lists (class → tuple keys) maintained by
@@ -38,7 +38,7 @@ func (r *Relation) OverlapCandidates(attr int, class string) []Tuple {
 			out = append(out, r.tuples[k])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })
+	slices.SortFunc(out, compareTuples)
 	return out
 }
 
@@ -105,7 +105,7 @@ func (r *Relation) TuplesOverlapping(items []Item) []Tuple {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })
+	slices.SortFunc(out, compareTuples)
 	return out
 }
 

@@ -180,3 +180,18 @@ func (r *Relation) applicableByScan(item Item) []Tuple {
 	}
 	return out
 }
+
+// TestApplicableWarmAllocatesOnlyItsResult pins the id-level probe: on a warm
+// hierarchy the ancestor ids come from the per-node memo, so Applicable's one
+// allocation is the result slice — for Patricia, under two parents.
+func TestApplicableWarmAllocatesOnlyItsResult(t *testing.T) {
+	r := fliesRelation(t)
+	r.Schema().Attr(0).Domain.Warm()
+	item := Item{"Patricia"}
+	if got, want := len(r.Applicable(item)), len(r.applicableByScan(item)); got != want || got != 3 {
+		t.Fatalf("Applicable(Patricia) = %d tuples, scan %d, want 3", got, want)
+	}
+	if avg := testing.AllocsPerRun(200, func() { r.Applicable(item) }); avg != 1 {
+		t.Fatalf("warm Applicable allocates %.1f per run, want 1", avg)
+	}
+}

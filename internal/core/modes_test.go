@@ -118,8 +118,8 @@ func TestFigure2ProductShape(t *testing.T) {
 	// Fig. 2c product is exactly this grid.
 	sh := r.Schema().Attr(0).Domain
 	th := r.Schema().Attr(1).Domain
-	sAnc := len(sh.Ancestors("John")) + 1
-	tAnc := len(th.Ancestors("Fagin")) + 1
+	sAnc := len(sh.AncestorIDs(sh.IDOf("John"))) + 1
+	tAnc := len(th.AncestorIDs(th.IDOf("Fagin"))) + 1
 	if sAnc*tAnc != 9 {
 		t.Fatalf("product slice = %d × %d", sAnc, tAnc)
 	}

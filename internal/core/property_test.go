@@ -431,3 +431,34 @@ func TestModeAccessor(t *testing.T) {
 		t.Fatalf("mode = %v", r.Mode())
 	}
 }
+
+// TestPropertyCompareItemsMatchesKey: CompareItems orders exactly as
+// strings.Compare orders Keys, on names that are prefixes of each other and
+// names with bytes below the separator, where a coordinate-wise compare
+// differs.
+func TestPropertyCompareItemsMatchesKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pieces := []string{"a", "b", "ab", "a\x00", "a\x1e", "a\x20", "\x01", "\x1e", "ba"}
+	item := func() Item {
+		it := make(Item, rng.Intn(4))
+		for i := range it {
+			it[i] = pieces[rng.Intn(len(pieces))]
+			if rng.Intn(2) == 0 {
+				it[i] += pieces[rng.Intn(len(pieces))]
+			}
+		}
+		return it
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a, b := item(), item()
+		if rng.Intn(4) == 0 {
+			b = append(a.Clone(), b...)
+		}
+		if got, want := CompareItems(a, b), strings.Compare(a.Key(), b.Key()); got != want {
+			t.Fatalf("CompareItems(%q, %q) = %d, want %d (keys %q, %q)", a, b, got, want, a.Key(), b.Key())
+		}
+	}
+	if CompareItems(Item{"a", "b"}, Item{"a\x01"}) != 1 || CompareItems(Item{"a"}, Item{"a", "b"}) != -1 {
+		t.Fatal("CompareItems orders a coordinate boundary unlike Key")
+	}
+}

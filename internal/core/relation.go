@@ -13,6 +13,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -116,6 +117,37 @@ type Item []string
 // Key returns a canonical map key for the item. Node names never contain
 // the separator byte.
 func (it Item) Key() string { return strings.Join(it, "\x1f") }
+
+// CompareItems orders items exactly as strings.Compare orders their keys,
+// without building either key. Where one name is a prefix of the other, the
+// shorter key goes on with the separator, or ends.
+func CompareItems(a, b Item) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		x, y := a[i], b[i]
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		switch {
+		case len(x) < len(y):
+			return keyGoesOn(i+1 < len(a), y[n])
+		case len(x) > len(y):
+			return -keyGoesOn(i+1 < len(b), x[n])
+		}
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// keyGoesOn compares a key that ended a name where the other key reads c.
+func keyGoesOn(more bool, c byte) int {
+	if !more {
+		return -1
+	}
+	return cmp.Compare(0x1f, c)
+}
+
+// compareTuples is CompareItems on the tuples' items.
+func compareTuples(a, b Tuple) int { return CompareItems(a.Item, b.Item) }
 
 // Equal reports componentwise equality.
 func (it Item) Equal(o Item) bool {
@@ -441,35 +473,44 @@ func (r *Relation) IsAtomic(item Item) bool {
 // equal to) item[i], so probing any one attribute's ancestor buckets yields
 // a superset of the answer; the probe uses whichever attribute's buckets
 // are smallest, and the remaining coordinates are checked per candidate.
-// (The ablation benchmark BenchmarkAblationIndexVsScan measures the win;
+// Ancestors come as the hierarchy's memoized id lists, so a probe on a warm
+// hierarchy allocates only its result. (The ablation benchmark BenchmarkAblationIndexVsScan measures the win;
 // applicableByScan is the reference implementation.)
 func (r *Relation) Applicable(item Item) []Tuple {
-	bestAttr := -1
-	var bestProbes []string
+	bestAttr, bestID := -1, -1
 	bestCost := len(r.tuples) + 1
 	for i, a := range r.schema.attrs {
-		if !a.Domain.Has(item[i]) {
+		id := a.Domain.IDOf(item[i])
+		if id < 0 {
 			return nil
 		}
-		probes := append(a.Domain.Ancestors(item[i]), item[i])
-		cost := 0
-		for _, p := range probes {
-			cost += len(r.idx[i][p])
+		cost := len(r.idx[i][item[i]])
+		for _, p := range a.Domain.AncestorIDs(id) {
+			cost += len(r.idx[i][a.Domain.NameOf(p)])
 		}
 		if cost < bestCost {
-			bestAttr, bestProbes, bestCost = i, probes, cost
+			bestAttr, bestID, bestCost = i, id, cost
 		}
 	}
-	var out []Tuple
-	for _, p := range bestProbes {
-		for _, k := range r.idx[bestAttr][p] {
-			t := r.tuples[k]
-			if r.Subsumes(t.Item, item) {
+	if bestCost == 0 {
+		return nil
+	}
+	h, out := r.schema.attrs[bestAttr].Domain, make([]Tuple, 0, bestCost)
+	probe := func(v string) {
+		for _, k := range r.idx[bestAttr][v] {
+			if t := r.tuples[k]; r.Subsumes(t.Item, item) {
 				out = append(out, t)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item.Key() < out[j].Item.Key() })
+	probe(item[bestAttr])
+	for _, p := range h.AncestorIDs(bestID) {
+		probe(h.NameOf(p))
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	slices.SortFunc(out, compareTuples)
 	return out
 }
 
@@ -486,20 +527,20 @@ func (r *Relation) internTuples(ts []Tuple) []int {
 	return ids
 }
 
-// subsumesIDs is Subsumes on interned items.
-func (r *Relation) subsumesIDs(a, b []int) bool {
-	for i := range a {
-		if !r.schema.attrs[i].Domain.SubsumesID(a[i], b[i]) {
-			return false
-		}
+// reachRows returns the is-a reach set of every interned coordinate, laid
+// out like ids, so pair tests on the items are bit lookups.
+func (r *Relation) reachRows(ids []int) []dag.Bitset {
+	rows := make([]dag.Bitset, len(ids))
+	for j, id := range ids {
+		rows[j] = r.schema.attrs[j%len(r.schema.attrs)].Domain.Reach(id)
 	}
-	return true
+	return rows
 }
 
-// overlapsIDs is Overlapping on interned items.
-func (r *Relation) overlapsIDs(a, b []int) bool {
-	for i := range a {
-		if !r.schema.attrs[i].Domain.OverlapsID(a[i], b[i]) {
+// subsumesRows is Subsumes on interned items, a given by its reach rows.
+func subsumesRows(a []dag.Bitset, b []int) bool {
+	for i, set := range a {
+		if !set.Get(b[i]) {
 			return false
 		}
 	}

@@ -400,25 +400,6 @@ func (g *Graph) HasPath(from, to int) bool {
 	return false
 }
 
-// Descendants returns every node reachable from id, excluding id itself,
-// in ascending order.
-func (g *Graph) Descendants(id int) []int {
-	if !g.Has(id) {
-		return nil
-	}
-	reach, err := g.ensureReach()
-	if err != nil {
-		return nil
-	}
-	var out []int
-	for _, n := range reach[id].Members() {
-		if n != id {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // LeavesUnder appends to dst, ascending, every leaf reachable from id
 // (id itself when it is a leaf) and returns the extended slice.
 func (g *Graph) LeavesUnder(id int, dst []int) []int {
@@ -434,11 +415,20 @@ func (g *Graph) LeavesUnder(id int, dst []int) []int {
 }
 
 // Ancestors returns every node from which id is reachable, excluding id
-// itself, in ascending order. It walks pred upward with the result as the
-// work list, so cost and memory follow the ancestor region, not the graph.
+// itself, in ascending order. On a graph whose label index is built the
+// list is memoized per node beside the labels, so it lives until the next
+// mutation and the caller must not modify it. Otherwise it walks pred upward
+// with the result as the work list, so cost and memory follow the ancestor
+// region, not the graph.
 func (g *Graph) Ancestors(id int) []int {
 	if !g.Has(id) {
 		return nil
+	}
+	l := g.labelMemo.Load()
+	if l != nil {
+		if p := l.anc[id].Load(); p != nil {
+			return *p
+		}
 	}
 	var out []int
 	seen := map[int]struct{}{}
@@ -454,6 +444,10 @@ func (g *Graph) Ancestors(id int) []int {
 		}
 	}
 	sort.Ints(out)
+	if l != nil {
+		out = out[:len(out):len(out)] // an append by a caller copies
+		l.anc[id].Store(&out)
+	}
 	return out
 }
 

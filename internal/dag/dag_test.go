@@ -138,11 +138,11 @@ func TestTopoDeterministic(t *testing.T) {
 
 func TestDescendantsAncestors(t *testing.T) {
 	g, ids := buildDiamond(t)
-	gotD := g.Descendants(ids[0])
-	wantD := []int{ids[1], ids[2], ids[3]}
+	gotD, _ := g.ReachableSet(ids[0])
+	wantD := []int{ids[0], ids[1], ids[2], ids[3]}
 	sort.Ints(wantD)
-	if !reflect.DeepEqual(gotD, wantD) {
-		t.Errorf("Descendants(root) = %v, want %v", gotD, wantD)
+	if !reflect.DeepEqual(gotD.Members(), wantD) {
+		t.Errorf("ReachableSet(root) = %v, want %v", gotD.Members(), wantD)
 	}
 	gotA := g.Ancestors(ids[3])
 	wantA := []int{ids[0], ids[1], ids[2]}
@@ -150,8 +150,19 @@ func TestDescendantsAncestors(t *testing.T) {
 	if !reflect.DeepEqual(gotA, wantA) {
 		t.Errorf("Ancestors(sink) = %v, want %v", gotA, wantA)
 	}
-	if got := g.Descendants(ids[3]); len(got) != 0 {
-		t.Errorf("Descendants(sink) = %v, want empty", got)
+	if got, _ := g.ReachableSet(ids[3]); got.Count() != 1 {
+		t.Errorf("ReachableSet(sink) = %v, want only itself", got.Members())
+	}
+	// The memoized list of a warm graph goes with the labels on mutation.
+	g.Warm()
+	g.Ancestors(ids[3])
+	top := g.AddNode()
+	if err := g.AddEdge(top, ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	g.Warm()
+	if got := g.Ancestors(ids[3]); len(got) != 4 || got[3] != top {
+		t.Errorf("Ancestors(sink) after adding a root = %v, want %v and %d", got, wantA, top)
 	}
 }
 

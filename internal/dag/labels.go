@@ -1,6 +1,9 @@
 package dag
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // Labels is the interval-label reachability index: every live node carries a
 // [pre, post] DFS interval over a spanning forest of the graph, so "to is a
@@ -12,15 +15,19 @@ import "sort"
 // keep the dense reachability bitsets as a fallback for the paths the
 // spanning forest cannot see.
 //
-// A Labels value is immutable once built and stamped with the graph
-// generation it was built at; Graph.invalidate drops it, so a stale index is
-// never consulted through the Graph API.
+// A Labels value is immutable once built, but for its ancestor-list memo,
+// and stamped with the graph generation it was built at; Graph.invalidate
+// drops it, so a stale index or list is never consulted through the Graph
+// API.
 type Labels struct {
 	pre      []int32  // DFS entry clock per node id; -1 for dead nodes
 	post     []int32  // DFS exit clock per node id; -1 for dead nodes
 	treeOnly bool     // every edge is a tree edge: intervals are exact
 	reach    []Bitset // fallback for non-tree edges; nil when treeOnly
 	gen      uint64   // graph generation this index was built at
+
+	// anc[id] memoizes Graph.Ancestors(id), filled on first use.
+	anc []atomic.Pointer[[]int]
 }
 
 // HasPath reports whether to is reachable from from. Both ids must be live
@@ -88,6 +95,7 @@ func (g *Graph) buildLabelsLocked() (*Labels, error) {
 		post:     make([]int32, n),
 		treeOnly: true,
 		gen:      g.gen.Load(),
+		anc:      make([]atomic.Pointer[[]int], n),
 	}
 	kids := make([][]int32, n)
 	for id := 0; id < n; id++ {

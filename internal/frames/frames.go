@@ -181,7 +181,11 @@ func (kb *KB) Set(frame, slot, value string) error {
 	// Descendant frames with their own exact positive pin on a different
 	// value must not additionally inherit the new value (slots are
 	// single-valued): cancel it there.
-	for _, d := range kb.things.Descendants(frame) {
+	for _, id := range kb.things.Reach(kb.things.IDOf(frame)).Members() {
+		d := kb.things.NameOf(id)
+		if d == frame {
+			continue
+		}
 		pinned := false
 		for _, v := range st.values.AllLeaves() {
 			if v == value {

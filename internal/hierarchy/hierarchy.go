@@ -454,22 +454,18 @@ func (h *Hierarchy) Children(name string) []string {
 	return h.namesOf(h.isa.Succ(id))
 }
 
-// Ancestors returns every strict ancestor of name, sorted.
-func (h *Hierarchy) Ancestors(name string) []string {
-	id, err := h.id(name)
-	if err != nil {
-		return nil
-	}
-	return h.namesOf(h.isa.Ancestors(id))
-}
+// AncestorIDs returns the ids of every strict ancestor of id, ascending;
+// nil when id names no live node. The slice is shared: do not modify it.
+func (h *Hierarchy) AncestorIDs(id int) []int { return h.isa.Ancestors(id) }
 
-// Descendants returns every strict descendant of name, sorted.
-func (h *Hierarchy) Descendants(name string) []string {
-	id, err := h.id(name)
+// Reach is BindReach over the is-a graph: the ids id subsumes, itself
+// included; nil when id names no live node. Do not modify it.
+func (h *Hierarchy) Reach(id int) dag.Bitset {
+	set, err := h.isa.ReachableSet(id)
 	if err != nil {
 		return nil
 	}
-	return h.namesOf(h.isa.Descendants(id))
+	return set
 }
 
 // Leaves returns the leaf nodes subsumed by name (name itself if it is a

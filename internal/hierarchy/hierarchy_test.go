@@ -166,13 +166,23 @@ func TestLeavesIncludesChildlessClass(t *testing.T) {
 
 func TestAncestorsDescendants(t *testing.T) {
 	h := animals(t)
+	names := func(ids []int, skip string) []string {
+		var out []string
+		for _, id := range ids {
+			if n := h.NameOf(id); n != skip {
+				out = append(out, n)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
 	wantAnc := []string{"AmazingFlyingPenguin", "Animal", "Bird", "GalapagosPenguin", "Penguin"}
-	if got := h.Ancestors("Patricia"); !reflect.DeepEqual(got, wantAnc) {
-		t.Fatalf("Ancestors(Patricia) = %v, want %v", got, wantAnc)
+	if got := names(h.AncestorIDs(h.IDOf("Patricia")), ""); !reflect.DeepEqual(got, wantAnc) {
+		t.Fatalf("AncestorIDs(Patricia) names %v, want %v", got, wantAnc)
 	}
 	wantDesc := []string{"AmazingFlyingPenguin", "GalapagosPenguin", "Pamela", "Patricia", "Paul", "Peter"}
-	if got := h.Descendants("Penguin"); !reflect.DeepEqual(got, wantDesc) {
-		t.Fatalf("Descendants(Penguin) = %v, want %v", got, wantDesc)
+	if got := names(h.Reach(h.IDOf("Penguin")).Members(), "Penguin"); !reflect.DeepEqual(got, wantDesc) {
+		t.Fatalf("Reach(Penguin) names %v, want Penguin and %v", got, wantDesc)
 	}
 }
 
@@ -435,7 +445,7 @@ func TestOverlapRegionMatchesOverlaps(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		h := randomHierarchy(rng, 14)
 		for _, name := range h.Nodes() {
-			below := len(h.Descendants(name)) + 1
+			below := h.Reach(h.IDOf(name)).Count()
 			if region, ok := h.OverlapRegion(name, below-1); ok || region != nil {
 				t.Fatalf("%q has %d nodes at or below it, yet maxBelow=%d enumerated %v", name, below, below-1, region)
 			}

@@ -208,25 +208,29 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 			return out, err
 		}
 		// CONSOLIDATE and EXPLICATE answer with the count they leave.
-		r, _, err := s.read(ctx, op.Relation, Scope{})
+		n, err := read(ctx, s, op.Relation, Scope{}, func(r *core.Relation) (int, error) { return r.Len(), nil })
 		if err != nil {
 			return "", err
 		}
 		if op.Kind == catalog.KindConsolidate {
-			return fmt.Sprintf("consolidated %s (%d tuples remain)", op.Relation, r.Len()), nil
+			return fmt.Sprintf("consolidated %s (%d tuples remain)", op.Relation, n), nil
 		}
-		return fmt.Sprintf("explicated %s (%d tuples)", op.Relation, r.Len()), nil
+		return fmt.Sprintf("explicated %s (%d tuples)", op.Relation, n), nil
 	}
 	switch st := st.(type) {
 	case HoldsStmt:
-		_, v, err := s.read(ctx, st.Relation, Scope{Items: []core.Item{st.Values}})
+		v, err := read(ctx, s, st.Relation, Scope{Items: []core.Item{st.Values}}, func(r *core.Relation) (core.Verdict, error) {
+			return r.Evaluate(st.Values)
+		})
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%v", v.Value), nil
 
 	case WhyStmt:
-		_, v, err := s.read(ctx, st.Relation, Scope{Items: []core.Item{st.Values}})
+		v, err := read(ctx, s, st.Relation, Scope{Items: []core.Item{st.Values}}, func(r *core.Relation) (core.Verdict, error) {
+			return r.Evaluate(st.Values)
+		})
 		if err != nil {
 			return "", err
 		}
@@ -247,19 +251,13 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return b.String(), nil
 
 	case SelectStmt:
-		r, _, err := s.read(ctx, st.Relation, Scope{Conds: st.Conds})
-		if err != nil {
-			return "", err
-		}
-		conds := make([]algebra.Condition, len(st.Conds))
-		for i, c := range st.Conds {
-			conds[i] = algebra.Condition{Attr: c[0], Class: c[1]}
-		}
 		name := st.As
 		if name == "" {
 			name = "σ(" + st.Relation + ")"
 		}
-		res, err := algebra.SelectContext(ctx, name, r, conds...)
+		res, err := read(ctx, s, st.Relation, Scope{Conds: st.Conds}, func(r *core.Relation) (*core.Relation, error) {
+			return algebra.SelectContext(ctx, name, r, conditions(st.Conds)...)
+		})
 		if err != nil {
 			return "", err
 		}
@@ -274,25 +272,19 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 	case ExplainStmt:
 		switch inner := st.Inner.(type) {
 		case SelectStmt:
-			r, _, err := s.read(ctx, inner.Relation, Scope{})
-			if err != nil {
-				return "", err
-			}
-			conds := make([]algebra.Condition, len(inner.Conds))
-			for i, c := range inner.Conds {
-				conds[i] = algebra.Condition{Attr: c[0], Class: c[1]}
-			}
-			plan, err := algebra.PlanSelect(r, conds...)
+			plan, err := read(ctx, s, inner.Relation, Scope{}, func(r *core.Relation) (*algebra.Plan, error) {
+				return algebra.PlanSelect(r, conditions(inner.Conds)...)
+			})
 			if err != nil {
 				return "", err
 			}
 			return plan.String(), nil
 		case BinOpStmt:
-			left, _, err := s.read(ctx, inner.Left, Scope{})
+			left, err := s.snapshot(ctx, inner.Left)
 			if err != nil {
 				return "", err
 			}
-			right, _, err := s.read(ctx, inner.Right, Scope{})
+			right, err := s.snapshot(ctx, inner.Right)
 			if err != nil {
 				return "", err
 			}
@@ -305,11 +297,9 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return "", fmt.Errorf("hql: EXPLAIN: unsupported statement %T", st.Inner)
 
 	case ExtensionStmt:
-		r, _, err := s.read(ctx, st.Relation, Scope{})
-		if err != nil {
-			return "", err
-		}
-		ext, err := r.ExtensionContext(ctx)
+		ext, err := read(ctx, s, st.Relation, Scope{}, func(r *core.Relation) ([]core.Item, error) {
+			return r.ExtensionContext(ctx)
+		})
 		if err != nil {
 			return "", err
 		}
@@ -321,11 +311,11 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return b.String(), nil
 
 	case BinOpStmt:
-		left, _, err := s.read(ctx, st.Left, Scope{})
+		left, err := s.snapshot(ctx, st.Left)
 		if err != nil {
 			return "", err
 		}
-		right, _, err := s.read(ctx, st.Right, Scope{})
+		right, err := s.snapshot(ctx, st.Right)
 		if err != nil {
 			return "", err
 		}
@@ -349,11 +339,9 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return res.Table(), nil
 
 	case ProjectStmt:
-		r, _, err := s.read(ctx, st.Relation, Scope{})
-		if err != nil {
-			return "", err
-		}
-		res, err := algebra.ProjectContext(ctx, st.As, r, st.Attrs...)
+		res, err := read(ctx, s, st.Relation, Scope{}, func(r *core.Relation) (*core.Relation, error) {
+			return algebra.ProjectContext(ctx, st.As, r, st.Attrs...)
+		})
 		if err != nil {
 			return "", err
 		}
@@ -380,21 +368,16 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return s.infer(ctx, st)
 
 	case CountStmt:
-		r, _, err := s.read(ctx, st.Relation, Scope{})
-		if err != nil {
-			return "", err
-		}
-		counts, err := algebra.CountContext(ctx, r, st.By...)
+		counts, err := read(ctx, s, st.Relation, Scope{}, func(r *core.Relation) ([]algebra.GroupCount, error) {
+			return algebra.CountContext(ctx, r, st.By...)
+		})
 		if err != nil {
 			return "", err
 		}
 		return algebra.FormatCounts(st.Relation, st.By, counts), nil
 
 	case DumpStmt:
-		return Dump(s.target.Database(), func(name string) (*core.Relation, error) {
-			r, _, err := s.read(ctx, name, Scope{})
-			return r, err
-		})
+		return Dump(s.target.Database(), func(name string) (*core.Relation, error) { return s.snapshot(ctx, name) })
 
 	case ShowStmt:
 		return s.show(ctx, st)
@@ -525,6 +508,15 @@ func (s *Session) opOf(st Stmt) (op TxOp, ack string, err error) {
 		return mk(catalog.KindSetPolicy, "", st.Policy), "policy = " + st.Policy, nil
 	}
 	return op, "", nil
+}
+
+// conditions converts a statement's (attribute, class) pairs.
+func conditions(conds [][2]string) []algebra.Condition {
+	out := make([]algebra.Condition, len(conds))
+	for i, c := range conds {
+		out[i] = algebra.Condition{Attr: c[0], Class: c[1]}
+	}
+	return out
 }
 
 // mutate is where a statement becomes a write: inside BEGIN…COMMIT a tuple
@@ -671,7 +663,7 @@ func (s *Session) infer(ctx context.Context, st InferStmt) (string, error) {
 	db := s.target.Database()
 	p := deductive.NewProgram()
 	for _, name := range db.Relations() {
-		r, _, err := s.read(ctx, name, Scope{})
+		r, err := s.snapshot(ctx, name)
 		if err != nil {
 			return "", err
 		}
@@ -740,11 +732,7 @@ func (s *Session) show(ctx context.Context, st ShowStmt) (string, error) {
 		}
 		return strings.Join(lines, "\n"), nil
 	case "relation":
-		r, _, err := s.read(ctx, st.Target, Scope{})
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
+		return read(ctx, s, st.Target, Scope{}, func(r *core.Relation) (string, error) { return r.Table(), nil })
 	case "views":
 		vc, err := s.viewCatalog()
 		if err != nil {

@@ -61,37 +61,42 @@ func (s *Session) viewCatalog() (ViewCatalog, error) {
 	return nil, ErrNoViews
 }
 
-// read is the one way a statement reads relation data. A TupleSource
-// target serves the tuples the scope can reach. Any other target reads its
-// own catalog, falling back to the view catalog when the catalog has no
-// such relation: this is what exposes materialized views to every read as
-// ordinary relations. A point read (Scope.Items) also yields the verdict of
-// its item; a local one evaluates in place, with no snapshot.
-func (s *Session) read(ctx context.Context, name string, scope Scope) (*core.Relation, core.Verdict, error) {
-	var r *core.Relation
-	var v core.Verdict
-	var err error
-	src, remote := s.target.(TupleSource)
-	switch {
-	case remote:
-		r, err = src.Tuples(ctx, name, scope)
-	case len(scope.Items) > 0:
-		if v, err = s.target.Database().Evaluate(name, scope.Items[0]...); err == nil {
-			return nil, v, nil
+// read is the one way a statement reads relation data: it returns what fn
+// computes from the relation called name. A TupleSource target serves the
+// tuples the scope can reach. Any other target runs fn on its live relation
+// inside catalog.Database.Read, so evaluation shares the relation's verdict
+// cache, falling back to the view catalog when the catalog has no such
+// relation: this is what exposes materialized views to every read as
+// ordinary relations. fn runs under the read lock: it must not keep the
+// relation, write (an `… AS` result is attached after read returns) or read
+// again (a nested RLock deadlocks behind a queued writer).
+func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn func(r *core.Relation) (T, error)) (out T, err error) {
+	if src, ok := s.target.(TupleSource); ok {
+		r, err := src.Tuples(ctx, name, scope)
+		if err != nil {
+			return out, err
 		}
-	default:
-		r, err = s.target.Database().Snapshot(name)
+		return fn(r)
 	}
-	if err != nil && !remote {
+	found := false
+	err = s.target.Database().Read(name, func(r *core.Relation) error {
+		found = true
+		out, err = fn(r)
+		return err
+	})
+	if !found {
 		if vr := s.viewSnapshot(name); vr != nil {
-			r, err = vr, nil
+			return fn(vr)
 		}
 	}
-	if err != nil || len(scope.Items) == 0 {
-		return r, core.Verdict{}, err
-	}
-	v, err = r.Evaluate(scope.Items[0])
-	return r, v, err
+	return out, err
+}
+
+// snapshot returns a private copy of a relation, for statements that keep
+// it past the read: binary operators and INFER hold several at once, and
+// Dump takes each relation from a getter.
+func (s *Session) snapshot(ctx context.Context, name string) (*core.Relation, error) {
+	return read(ctx, s, name, Scope{}, func(r *core.Relation) (*core.Relation, error) { return r.Clone(), nil })
 }
 
 // viewSnapshot returns the materialized view called name, or nil.

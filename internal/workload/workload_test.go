@@ -25,7 +25,7 @@ func TestChainShape(t *testing.T) {
 	if !h.Subsumes("level000", "leafInstance") {
 		t.Fatal("chain membership broken")
 	}
-	if got := len(h.Ancestors("leafInstance")); got != 5 { // root + 4 levels
+	if got := len(h.AncestorIDs(h.IDOf("leafInstance"))); got != 5 { // root + 4 levels
 		t.Fatalf("ancestors = %d, want 5", got)
 	}
 }
