@@ -54,26 +54,35 @@ func e6Fixture(n int) (*catalog.Database, []string) {
 	return db, free
 }
 
-// e6Write times k DENY statements on fresh instances (each retracted again,
-// untimed) and returns their latency distribution and the mean allocation
-// count. prepare runs, untimed, before each.
-func e6Write(db *catalog.Database, free []string, k int, prepare func()) (lat dist, allocs float64) {
-	ns := make([]float64, k)
-	var mallocs uint64
+// e6Writes times k DENY statements on fresh instances of each database
+// (each retracted again, untimed) and returns per database their latency
+// distribution and mean allocation count. It takes the databases in turn,
+// one DENY each per round, so every database's DENYs run beside the same
+// neighbours: the same heap, the same collections, the same machine load.
+// prepare runs, untimed, before each DENY.
+func e6Writes(dbs []*catalog.Database, free [][]string, k int, prepare func()) (lats []dist, allocs []float64) {
+	ns := make([][]float64, len(dbs))
+	mallocs := make([]uint64, len(dbs))
 	var m0, m1 runtime.MemStats
-	for i := range ns {
-		prepare()
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		err := db.Deny("R", free[i])
-		ns[i] = float64(time.Since(t0).Nanoseconds())
-		runtime.ReadMemStats(&m1)
-		check(err)
-		mallocs += m1.Mallocs - m0.Mallocs
-		_, err = db.Retract("R", free[i])
-		check(err)
+	for i := 0; i < k; i++ {
+		for d, db := range dbs {
+			prepare()
+			runtime.ReadMemStats(&m0)
+			t0 := time.Now()
+			err := db.Deny("R", free[d][i])
+			ns[d] = append(ns[d], float64(time.Since(t0).Nanoseconds()))
+			runtime.ReadMemStats(&m1)
+			check(err)
+			mallocs[d] += m1.Mallocs - m0.Mallocs
+			_, err = db.Retract("R", free[d][i])
+			check(err)
+		}
 	}
-	return distOf(ns), float64(mallocs) / float64(k)
+	for d := range dbs {
+		lats = append(lats, distOf(ns[d]))
+		allocs = append(allocs, float64(mallocs[d])/float64(k))
+	}
+	return lats, allocs
 }
 
 // e6DeltaFactor bounds the delta check's median at the largest relation
@@ -100,20 +109,29 @@ func e6Consistency() error {
 	fmt.Println()
 	fmt.Println("| stored tuples | hierarchy nodes | full check (k) | allocs | delta check (k=201) | allocs | speedup |")
 	fmt.Println("|---|---|---|---|---|---|---|")
-	var writes []e6WriteRow
-	for _, p := range []struct{ tuples, fullRuns int }{
+	cells := []struct{ tuples, fullRuns int }{
 		{100, 21}, {1000, 5}, {10000, 1}, // the sweep is quadratic: one run at 10,000 takes seconds
-	} {
-		db, free := e6Fixture(p.tuples)
+	}
+	writes := make([]e6WriteRow, len(cells))
+	dbs := make([]*catalog.Database, len(cells))
+	free := make([][]string, len(cells))
+	for c, p := range cells {
+		db, unmentioned := e6Fixture(p.tuples)
 		// A SET MODE to the mode in force moves the relation's epoch and
 		// nothing else: the next write finds no matching stamp and sweeps.
 		unverify := func() { check(db.SetMode("R", core.OffPath)) }
-		row := e6WriteRow{tuples: p.tuples, hierNodes: e6Classes*e6Fanout + e6Classes + 1}
-		row.full, row.fullAllocs = e6Write(db, free, p.fullRuns, unverify)
-		row.delta, row.deltaAllocs = e6Write(db, free[p.fullRuns:], 201, func() {})
+		full, allocs := e6Writes([]*catalog.Database{db}, [][]string{unmentioned}, p.fullRuns, unverify)
+		writes[c] = e6WriteRow{tuples: p.tuples, hierNodes: e6Classes*e6Fanout + e6Classes + 1, full: full[0], fullAllocs: allocs[0]}
+		dbs[c], free[c] = db, unmentioned[p.fullRuns:]
+	}
+	// The delta DENYs of every cell interleave: the flatness bound compares
+	// cells, so they must not each run in a different stretch of time.
+	delta, allocs := e6Writes(dbs, free, 201, func() {})
+	for c, row := range writes {
+		row.delta, row.deltaAllocs = delta[c], allocs[c]
 		fmt.Printf("| %d | %d | %s (%d) | %.0f | %s | %.0f | %.0fx |\n", row.tuples, row.hierNodes,
-			row.full, p.fullRuns, row.fullAllocs, row.delta, row.deltaAllocs, row.full.MedianNs/row.delta.MedianNs)
-		writes = append(writes, row)
+			row.full, cells[c].fullRuns, row.fullAllocs, row.delta, row.deltaAllocs, row.full.MedianNs/row.delta.MedianNs)
+		writes[c] = row
 	}
 	return e6Check(writes)
 }

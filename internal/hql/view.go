@@ -25,10 +25,13 @@ type ViewCatalog interface {
 	CreateView(name, query string) error
 	// DropView unregisters a view.
 	DropView(name string) error
-	// ViewSnapshot returns an immutable relation holding the view's
-	// current contents, for reads that treat the view as a relation.
-	// Views without a relation form (COUNT) return an error.
-	ViewSnapshot(name string) (*core.Relation, error)
+	// ViewRead calls fn with the relation holding the view's current
+	// contents, for reads that treat the view as a relation. The relation
+	// is the maintained one, under a lock that holds maintenance off: as
+	// with catalog.Database.Read, fn must not modify or keep it, and must
+	// not call ViewRead again. Views without a relation form (COUNT)
+	// return an error without calling fn.
+	ViewRead(name string, fn func(*core.Relation) error) error
 	// ViewNames lists registered views, sorted.
 	ViewNames() []string
 	// ViewStatus renders one view's definition and maintenance state.
@@ -65,11 +68,11 @@ func (s *Session) viewCatalog() (ViewCatalog, error) {
 // computes from the relation called name. A TupleSource target serves the
 // tuples the scope can reach. Any other target runs fn on its live relation
 // inside catalog.Database.Read, so evaluation shares the relation's verdict
-// cache, falling back to the view catalog when the catalog has no such
+// cache, falling back to ViewCatalog.ViewRead when the catalog has no such
 // relation: this is what exposes materialized views to every read as
-// ordinary relations. fn runs under the read lock: it must not keep the
-// relation, write (an `… AS` result is attached after read returns) or read
-// again (a nested RLock deadlocks behind a queued writer).
+// ordinary relations. fn runs under a lock either way: it must not keep
+// the relation, write (an `… AS` result is attached after read returns) or
+// read again (a nested lock deadlocks, at once or behind a queued writer).
 func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn func(r *core.Relation) (T, error)) (out T, err error) {
 	if src, ok := s.target.(TupleSource); ok {
 		r, err := src.Tuples(ctx, name, scope)
@@ -79,15 +82,16 @@ func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn f
 		return fn(r)
 	}
 	found := false
-	err = s.target.Database().Read(name, func(r *core.Relation) error {
+	run := func(r *core.Relation) error {
 		found = true
 		out, err = fn(r)
 		return err
-	})
-	if !found {
-		if vr := s.viewSnapshot(name); vr != nil {
-			return fn(vr)
-		}
+	}
+	err = s.target.Database().Read(name, run)
+	if vc, ok := s.target.(ViewCatalog); ok && !found {
+		// A view that reads sets err through run; any other keeps the
+		// catalog's not-found error.
+		_ = vc.ViewRead(name, run)
 	}
 	return out, err
 }
@@ -97,14 +101,4 @@ func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn f
 // Dump takes each relation from a getter.
 func (s *Session) snapshot(ctx context.Context, name string) (*core.Relation, error) {
 	return read(ctx, s, name, Scope{}, func(r *core.Relation) (*core.Relation, error) { return r.Clone(), nil })
-}
-
-// viewSnapshot returns the materialized view called name, or nil.
-func (s *Session) viewSnapshot(name string) *core.Relation {
-	if vc, ok := s.target.(ViewCatalog); ok {
-		if vr, err := vc.ViewSnapshot(name); err == nil {
-			return vr
-		}
-	}
-	return nil
 }

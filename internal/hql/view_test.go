@@ -60,12 +60,12 @@ func (s *stubViews) DropView(name string) error {
 	return nil
 }
 
-func (s *stubViews) ViewSnapshot(name string) (*core.Relation, error) {
+func (s *stubViews) ViewRead(name string, fn func(*core.Relation) error) error {
 	v, ok := s.views[name]
 	if !ok {
-		return nil, fmt.Errorf("no view %q", name)
+		return fmt.Errorf("no view %q", name)
 	}
-	return v, nil
+	return fn(v)
 }
 
 func (s *stubViews) ViewNames() []string {

@@ -138,8 +138,9 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // FuzzReader: the one WAL reader must never crash on arbitrary bytes, and
-// chunking must be invisible — feeding the same bytes in fuzzer-chosen
-// slices must yield exactly the changes, positions and record counts a
+// neither chunking nor the kept gob decoder may be visible — feeding the
+// same bytes in fuzzer-chosen slices, and decoding every frame with a fresh
+// decoder, must yield exactly the changes, positions and record counts a
 // single feed yields. This is the layer recovery, every replica (after a
 // chaos-severed reconnect) and every view trust.
 func FuzzReader(f *testing.F) {
@@ -166,6 +167,14 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed, uint8(1))
+	// The same fields under another type name: other type definitions.
+	type renamed struct {
+		Op     Op
+		Target string
+		Args   []string
+	}
+	mixed := append(append(seed[:len(seed):len(seed)], gobFrame(f, renamed{Op: "assert", Target: "R", Args: []string{"c"}})...), seed...)
+	f.Add(mixed, uint8(4))
 	f.Add(seed, uint8(7))
 	f.Add(seed[:len(seed)-2], uint8(3)) // torn tail
 	f.Add(append(seed[:len(seed):len(seed)], tornHugeHeader...), uint8(5))
@@ -202,6 +211,17 @@ func FuzzReader(f *testing.F) {
 		for off := 0; off < len(data) && !failed; off += step {
 			rd.Feed(data[off:min(off+step, len(data))])
 			got, failed = readAll(rd, got)
+		}
+
+		// Reference: a fresh gob decoder for every frame.
+		fresh := NewReader(Position{Epoch: 2, Offset: 100})
+		each, err := readFresh(fresh, data, nil)
+		if (err != nil) != refFailed || !reflect.DeepEqual(each, want) {
+			t.Fatalf("kept decoder read %+v (failed=%v), fresh decoders %+v (%v)", want, refFailed, each, err)
+		}
+		if fresh.Position() != ref.Position() || fresh.Records() != ref.Records() || fresh.Pending() != ref.Pending() {
+			t.Fatalf("kept decoder at %+v after %d records (%d pending), fresh decoders at %+v after %d (%d)",
+				ref.Position(), ref.Records(), ref.Pending(), fresh.Position(), fresh.Records(), fresh.Pending())
 		}
 
 		if failed != refFailed {

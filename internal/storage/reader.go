@@ -70,6 +70,16 @@ var errBadFrame = fmt.Errorf("%w: bad frame", ErrCorrupt)
 // SHIP payloads, a Tailer the follower's chunks, and because the bytes may
 // split anywhere it buffers a partial frame across Feed calls.
 //
+// Every payload is a gob stream of its own: the messages defining the
+// Record type (negative type ids), then the one value message. A Reader
+// keeps the decoder the last fresh decode left primed, with the
+// definitions that primed it. A payload whose definitions are those same
+// bytes sends only its value message to the kept decoder, so the type is
+// compiled once per Reader, not once per record. Any other payload, and
+// any payload the kept decoder fails on, is decoded by a fresh decoder as
+// a whole, which then becomes the kept one: the answer is always the one
+// a fresh decoder gives.
+//
 // A Reader is not safe for concurrent use.
 type Reader struct {
 	buf   []byte
@@ -81,6 +91,10 @@ type Reader struct {
 	open                  []catalog.TxOp // ops of the open bracket
 	inTx                  bool
 	rotated               bool // the next change is the epoch's start
+
+	dec    *gob.Decoder // primed by defs; nil until a fresh decode succeeds
+	defs   []byte       // the type definitions dec has read
+	decSrc bytes.Reader // dec's input, reset to each payload it decodes
 }
 
 // NewReader creates a reader whose first fed byte is the one at from.
@@ -135,13 +149,79 @@ func (r *Reader) frame() (rec Record, ok bool, err error) {
 	if crc32.ChecksumIEEE(payload) != crc {
 		return Record{}, false, fmt.Errorf("%w: CRC mismatch", errBadFrame)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+	rec, err = r.decode(payload)
+	if err != nil {
 		return Record{}, false, fmt.Errorf("%w: %v", errBadFrame, err)
 	}
 	r.buf = r.buf[8+n:]
 	r.next.Offset += 8 + int64(n)
 	r.records++
 	return rec, true, nil
+}
+
+// decode decodes one gob payload into a Record: through the kept decoder
+// when the payload's type definitions are the ones it has read, else (or
+// when that fails) through a fresh decoder, which is kept in its place.
+func (r *Reader) decode(payload []byte) (Record, error) {
+	var rec Record
+	at, ok := gobValueAt(payload)
+	if ok && r.dec != nil && bytes.Equal(payload[:at], r.defs) {
+		r.decSrc.Reset(payload[at:])
+		if err := r.dec.Decode(&rec); err == nil {
+			return rec, nil
+		}
+		rec = Record{}
+	}
+	r.dec = nil
+	r.decSrc.Reset(payload)
+	dec := gob.NewDecoder(&r.decSrc)
+	if err := dec.Decode(&rec); err != nil {
+		return Record{}, err
+	}
+	if ok {
+		r.dec, r.defs = dec, append(r.defs[:0], payload[:at]...)
+	}
+	return rec, nil
+}
+
+// gobValueAt returns the offset of a gob payload's first value message:
+// every message before it defines a type. ok is false when the messages do
+// not parse that way, or the payload defines no type at all.
+func gobValueAt(p []byte) (at int, ok bool) {
+	for at < len(p) {
+		count, w := gobUint(p[at:])
+		if w == 0 || count > uint64(len(p)-at-w) {
+			return 0, false
+		}
+		id, iw := gobUint(p[at+w : at+w+int(count)])
+		if iw == 0 {
+			return 0, false
+		}
+		if id&1 == 0 { // a non-negative type id: a value
+			return at, at > 0 && id > 0
+		}
+		at += w + int(count)
+	}
+	return 0, false
+}
+
+// gobUint decodes the gob unsigned integer at the start of b and returns
+// it with its width in bytes; width 0 means b does not start with one.
+func gobUint(b []byte) (x uint64, width int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	if b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	n := -int(int8(b[0]))
+	if n > 8 || len(b) < 1+n {
+		return 0, 0
+	}
+	for _, c := range b[1 : 1+n] {
+		x = x<<8 | uint64(c)
+	}
+	return x, 1 + n
 }
 
 // Next returns the next committed change. ok is false when the fed bytes

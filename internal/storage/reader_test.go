@@ -1,9 +1,15 @@
 package storage
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,6 +20,7 @@ import (
 	"time"
 
 	"hrdb/internal/catalog"
+	"hrdb/internal/wire"
 )
 
 // drain returns every change rd holds, failing the test on a decode error.
@@ -389,5 +396,314 @@ func TestReaderRefusesMisplacedMarkers(t *testing.T) {
 			l.Close()
 			t.Errorf("%s: OpenLog = %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// readFresh feeds data to rd one byte at a time, forgetting its kept
+// decoder before each byte: a frame completes on the byte that ends it, so
+// every frame goes through a fresh gob decoder. It is the reference the
+// kept decoder must match.
+func readFresh(rd *Reader, data []byte, into []Change) ([]Change, error) {
+	for i := range data {
+		rd.Feed(data[i : i+1])
+		rd.dec = nil
+		for {
+			c, ok, err := rd.Next()
+			if err != nil {
+				return into, err
+			}
+			if !ok {
+				break
+			}
+			into = append(into, c)
+		}
+	}
+	return into, nil
+}
+
+// readKept feeds data to rd in one piece and reads every change it holds.
+func readKept(rd *Reader, data []byte, into []Change) ([]Change, error) {
+	rd.Feed(data)
+	for {
+		c, ok, err := rd.Next()
+		if err != nil || !ok {
+			return into, err
+		}
+		into = append(into, c)
+	}
+}
+
+// gobFrame frames a fresh gob encoding of v as a WAL record is framed.
+func gobFrame(t testing.TB, v any) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return framePayload(payload.Bytes())
+}
+
+// framePayload adds the length and CRC header to a payload.
+func framePayload(p []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(p))
+	return append(out, p...)
+}
+
+// gobUintBytes encodes u as gob encodes an unsigned integer.
+func gobUintBytes(u uint64) []byte {
+	if u < 0x80 {
+		return []byte{byte(u)}
+	}
+	b := binary.BigEndian.AppendUint64(nil, u)
+	for b[0] == 0 {
+		b = b[1:]
+	}
+	return append([]byte{byte(-len(b))}, b...)
+}
+
+// gobIntBytes encodes i as gob encodes a signed integer.
+func gobIntBytes(i int64) []byte {
+	if i < 0 {
+		return gobUintBytes(uint64(^i)<<1 | 1)
+	}
+	return gobUintBytes(uint64(i) << 1)
+}
+
+// gobDefinedID returns the type id a gob payload's first message defines.
+func gobDefinedID(t *testing.T, p []byte) int64 {
+	t.Helper()
+	_, w := gobUint(p)
+	u, iw := gobUint(p[w:])
+	if w == 0 || iw == 0 || u&1 == 0 {
+		t.Fatalf("payload %x does not open with a type definition", p)
+	}
+	return int64(u>>1) + 1
+}
+
+// gobRetype rewrites a gob payload so that the type it defines under id
+// from is defined, and its value sent, under id to.
+func gobRetype(p []byte, from, to int64) []byte {
+	var out []byte
+	for at := 0; at < len(p); {
+		count, w := gobUint(p[at:])
+		msg := p[at+w : at+w+int(count)]
+		at += w + int(count)
+		u, iw := gobUint(msg)
+		id, body := int64(u>>1), msg[iw:]
+		if u&1 == 1 {
+			id = ^id
+			body = bytes.ReplaceAll(body, gobIntBytes(from), gobIntBytes(to))
+		}
+		switch id {
+		case from:
+			id = to
+		case -from:
+			id = -to
+		}
+		msg = append(gobIntBytes(id), body...)
+		out = append(append(out, gobUintBytes(uint64(len(msg)))...), msg...)
+	}
+	return out
+}
+
+// TestReaderKeptDecoderMatchesFresh: the kept decoder yields exactly the
+// changes, error and position a fresh decoder per frame yields — over
+// frames whose type definitions alternate between two encodings of the
+// record (the same fields under another type name), over the stream a
+// primary of commit 8332a0f shipped (repl's pr15_primary_stream fixture),
+// over value messages corrupted after a good definition prefix, one that
+// still decodes and one that does not, and without them, and over another
+// type's definitions under the record's type id.
+func TestReaderKeptDecoderMatchesFresh(t *testing.T) {
+	// renamed has Record's fields under another name: gob sends it with
+	// different type definitions, and decodes it into a Record all the same.
+	type renamed struct {
+		Op     Op
+		Target string
+		Args   []string
+	}
+	rec := func(op Op, target string, args ...string) Record { return Record{Op: op, Target: target, Args: args} }
+	frame := func(r Record, other bool) []byte {
+		if other {
+			return gobFrame(t, renamed(r))
+		}
+		return gobFrame(t, r)
+	}
+	var twoPrefixes []byte
+	for i, r := range []Record{
+		rec("create_hierarchy", "D"), rec("add_class", "D", "c", "D"),
+		rec(OpTxBegin, ""), rec("assert", "R", "a", "b"), rec("deny", "R", "c", "d"), rec(OpTxCommit, ""),
+		rec("assert", "R", "e"), rec(OpNewTerm, "", "3"), rec("retract", "R", "a", "b"),
+		rec(OpTxBegin, ""), rec("assert", "R", "x"), rec(OpTxAbort, ""), rec("drop_relation", "R"),
+	} {
+		twoPrefixes = append(twoPrefixes, frame(r, i%3 == 1)...)
+	}
+	if want := 13; len(frameEnds(twoPrefixes)) != want {
+		t.Fatalf("built %d frames, want %d", len(frameEnds(twoPrefixes)), want)
+	}
+
+	// corrupt re-frames a good record's payload with one byte of its value
+	// message (off bytes into it) set to b.
+	corrupt := func(r Record, off int, b byte) []byte {
+		p := append([]byte(nil), frame(r, false)[8:]...)
+		at, ok := gobValueAt(p)
+		if !ok {
+			t.Fatalf("no value message in %x", p)
+		}
+		p[at+off] = b
+		return framePayload(p)
+	}
+	good := rec("assert", "R", "a", "b")
+	target := bytes.Index(frame(good, false)[8:], []byte("R"))
+	at, _ := gobValueAt(frame(good, false)[8:])
+	var corrupted []byte
+	corrupted = append(corrupted, frame(good, false)...)
+	corrupted = append(corrupted, corrupt(good, target-at, 'S')...) // still decodes
+	corrupted = append(corrupted, frame(good, false)...)
+	corrupted = append(corrupted, corrupt(good, 2, 0x7f)...) // no such field
+	// A value message alone: a fresh decoder has no definition of its type.
+	bare := append(frame(good, false), framePayload(frame(good, false)[8+at:])...)
+
+	// swapped has Record's fields in another order. Sent under Record's
+	// type id, its value message reads as another record to a decoder
+	// primed with Record's definitions: only the definitions tell them apart.
+	type swapped struct {
+		Target string
+		Op     Op
+		Args   []string
+	}
+	recordID := gobDefinedID(t, frame(good, false)[8:])
+	sw := gobFrame(t, swapped{good.Target, good.Op, good.Args})[8:]
+	forged := framePayload(gobRetype(sw, gobDefinedID(t, sw), recordID))
+	var collision []byte
+	collision = append(collision, frame(good, false)...)
+	collision = append(collision, forged...)
+	collision = append(collision, frame(good, false)...)
+	goodOp := catalog.TxOp{Kind: string(good.Op), Relation: good.Target, Values: good.Args, Bare: true}
+
+	// The primary's stream: SHIP chunks cut mid-record, with a ROTATE.
+	raw, err := os.ReadFile("../repl/testdata/pr15_primary_stream.bin")
+	must(t, err)
+	recorded, err := os.ReadFile("../repl/testdata/pr15_primary_stream.txt")
+	must(t, err)
+	var end Position
+	if _, err := fmt.Sscanf(string(recorded), "%d %d", &end.Epoch, &end.Offset); err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		feed   []byte
+		rotate bool
+		epoch  uint64
+	}
+	var shipped []step
+	br := bufio.NewReader(bytes.NewReader(raw))
+	for {
+		f, err := wire.ReadFrame(br, 1<<20)
+		if err == io.EOF {
+			break
+		}
+		must(t, err)
+		switch f.Type {
+		case wire.TypeShip:
+			_, chunk, err := wire.ParseShip(f.Payload)
+			must(t, err)
+			shipped = append(shipped, step{feed: chunk})
+		case wire.TypeRotate:
+			at, err := wire.ParseStreamPos(f.Payload)
+			must(t, err)
+			shipped = append(shipped, step{rotate: true, epoch: at.Epoch})
+		}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		steps   []step
+		end     Position
+		wantErr bool
+		ops     []catalog.TxOp // when set, the ops the changes must carry
+	}{
+		{"two type prefixes", []step{{feed: twoPrefixes}}, Position{Offset: int64(len(twoPrefixes))}, false, nil},
+		{"pr15 primary stream", shipped, end, false, nil},
+		{"corrupt value messages", []step{{feed: corrupted}}, Position{Offset: int64(len(frame(good, false)) * 3)}, true, nil},
+		{"value message without definitions", []step{{feed: bare}}, Position{Offset: int64(len(frame(good, false)))}, true, nil},
+		{"another type under the record's id", []step{{feed: collision}}, Position{Offset: int64(len(collision))}, false,
+			[]catalog.TxOp{goodOp, goodOp, goodOp}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			read := func(feed func(*Reader, []byte, []Change) ([]Change, error)) ([]Change, error, Position) {
+				rd := NewReader(Position{})
+				var out []Change
+				for _, s := range tc.steps {
+					var err error
+					if s.rotate {
+						err = rd.Rotate(s.epoch)
+					} else {
+						out, err = feed(rd, s.feed, out)
+					}
+					if err != nil {
+						return out, err, rd.Position()
+					}
+				}
+				out, err := feed(rd, nil, out)
+				return out, err, rd.Position()
+			}
+			want, wantErr, wantPos := read(readFresh)
+			got, gotErr, gotPos := read(readKept)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("kept decoder read %+v, fresh decoders %+v", got, want)
+			}
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotPos != wantPos {
+				t.Fatalf("kept decoder ended with %v at %+v, fresh decoders with %v at %+v", gotErr, gotPos, wantErr, wantPos)
+			}
+			if (gotErr != nil) != tc.wantErr || gotPos != tc.end || len(got) == 0 {
+				t.Fatalf("read %d changes, ending with %v at %+v; want an error %v at %+v", len(got), gotErr, gotPos, tc.wantErr, tc.end)
+			}
+			if tc.ops != nil {
+				var ops []catalog.TxOp
+				for _, c := range got {
+					ops = append(ops, c.Ops...)
+				}
+				if !reflect.DeepEqual(ops, tc.ops) {
+					t.Fatalf("read ops %+v, want %+v", ops, tc.ops)
+				}
+			}
+		})
+	}
+}
+
+// TestReaderDecodeAllocs: with its decoder kept, a Reader decodes a record
+// in a handful of allocations, not the hundred and more that compiling the
+// Record type again costs.
+func TestReaderDecodeAllocs(t *testing.T) {
+	const n = 1000
+	var raw []byte
+	for i := 0; i < n; i++ {
+		var err error
+		raw, err = encodeFrame(raw, Record{Op: "assert", Target: "Flies", Args: []string{fmt.Sprintf("bird%d", i), "sky"}})
+		must(t, err)
+	}
+	var changes int
+	perRecord := testing.AllocsPerRun(5, func() {
+		rd := NewReader(Position{})
+		rd.Feed(raw)
+		changes = 0
+		for {
+			_, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			changes++
+		}
+	}) / n
+	if changes != n {
+		t.Fatalf("read %d changes, want %d", changes, n)
+	}
+	t.Logf("%.1f allocations per decoded record", perRecord)
+	if perRecord > 20 {
+		t.Errorf("%.1f allocations per decoded record, want at most 20", perRecord)
 	}
 }

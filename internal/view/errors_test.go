@@ -79,8 +79,8 @@ func TestCreateRejections(t *testing.T) {
 	if _, err := m.Rows("nosuch"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Rows(nosuch) = %v, want ErrNotFound", err)
 	}
-	if _, err := m.Snapshot("nosuch"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Snapshot(nosuch) = %v, want ErrNotFound", err)
+	if err := readView(m, "nosuch"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Read(nosuch) = %v, want ErrNotFound", err)
 	}
 	if _, _, err := m.Stats("nosuch"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Stats(nosuch) = %v, want ErrNotFound", err)
@@ -89,11 +89,11 @@ func TestCreateRejections(t *testing.T) {
 		t.Fatalf("Status(nosuch) = %v, want ErrNotFound", err)
 	}
 
-	// Count views have no relation form to snapshot.
+	// Count views have no relation form to read.
 	mustExec(t, sess, "CREATE MATERIALIZED VIEW tally AS COUNT flies;")
 	quiesce(t, m)
-	if _, err := m.Snapshot("tally"); err == nil {
-		t.Fatal("Snapshot of a count view succeeded")
+	if err := readView(m, "tally"); err == nil {
+		t.Fatal("Read of a count view succeeded")
 	}
 
 	// A closed manager refuses definitions and further closes are no-ops.

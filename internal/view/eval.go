@@ -87,7 +87,7 @@ type evalResult struct {
 // eval runs a view's defining query from scratch against the current
 // database state.
 func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalResult, error) {
-	src, err := db.Snapshot(d.source)
+	src, err := db.Relation(d.source)
 	if err != nil {
 		return evalResult{}, err
 	}

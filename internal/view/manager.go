@@ -52,10 +52,10 @@ type view struct {
 	rows   map[string]struct{}
 	sorted []string // cache of sorted rows; nil = dirty
 	// rel, pre and counts are the maintained forms of the last evaluation
-	// (evalResult); the folds patch them in place, so readers get pub — a
-	// copy of rel made once per version, nil while rel has changed since.
-	rel, pre, pub *core.Relation
-	counts        map[string]int
+	// (evalResult). The folds patch them in place under the manager's lock,
+	// and Read hands rel itself to readers under the same lock.
+	rel, pre *core.Relation
+	counts   map[string]int
 	// domains the last successful evaluation depended on.
 	domains map[string]bool
 
@@ -123,7 +123,7 @@ func (v *view) patchRows(added, removed []string) (netAdded, netRemoved []string
 		netRemoved = append(netRemoved, r)
 	}
 	if len(netAdded)+len(netRemoved) > 0 {
-		v.sorted, v.pub = nil, nil // the rows moved, and rel with them
+		v.sorted = nil
 	}
 	sort.Strings(netAdded)
 	sort.Strings(netRemoved)
@@ -384,12 +384,7 @@ func (m *Manager) commitView(v *view, pos storage.Position, added, removed []str
 func (m *Manager) recomputeLocked(v *view, pos storage.Position) {
 	v.recomputes++
 	metricRecomputes.Inc()
-	var res evalResult
-	err := m.store.ReadLocked(func(db *catalog.Database) error {
-		var e error
-		res, e = eval(m.ctx, db, v.name, v.def)
-		return e
-	})
+	res, err := m.evaluate(v.name, v.def)
 	if err != nil {
 		v.lastErr = err.Error()
 		res = evalResult{}
@@ -397,11 +392,21 @@ func (m *Manager) recomputeLocked(v *view, pos storage.Position) {
 		v.lastErr = ""
 	}
 	added, removed := v.setRows(res.rows)
-	v.rel, v.pre, v.pub, v.counts = res.rel, res.pre, nil, res.counts
+	v.rel, v.pre, v.counts = res.rel, res.pre, res.counts
 	if res.domains != nil {
 		v.domains = res.domains
 	}
 	m.commitView(v, pos, added, removed)
+}
+
+// evaluate runs eval under the store's apply lock, which keeps the live
+// source still while eval reads it.
+func (m *Manager) evaluate(name string, d *def) (res evalResult, err error) {
+	err = m.store.ReadLocked(func(db *catalog.Database) error {
+		res, err = eval(m.ctx, db, name, d)
+		return err
+	})
+	return res, err
 }
 
 // foldLocked folds a batch's tuple operations on the view's source into its
@@ -619,15 +624,11 @@ func (m *Manager) Create(name, query string) error {
 	if _, ok := m.views[name]; ok {
 		return fmt.Errorf("view: view %q already exists", name)
 	}
-	if _, err := m.store.Database().Snapshot(name); err == nil {
+	if _, err := m.store.Database().Relation(name); err == nil {
 		return fmt.Errorf("view: relation %q already exists", name)
 	}
-	var res evalResult
-	if err := m.store.ReadLocked(func(db *catalog.Database) error {
-		var e error
-		res, e = eval(m.ctx, db, name, d)
-		return e
-	}); err != nil {
+	res, err := m.evaluate(name, d)
+	if err != nil {
 		return err
 	}
 	v := &view{
@@ -689,25 +690,24 @@ func (m *Manager) Rows(name string) ([]string, error) {
 	return append([]string(nil), v.sortedRows()...), nil
 }
 
-// Snapshot returns the view's relation form for catalog-style reads: one
-// immutable copy per version of the view, shared by every reader of it.
-func (m *Manager) Snapshot(name string) (*core.Relation, error) {
+// Read calls fn with the view's maintained relation form under the lock the
+// folds take to patch it, so fn shares the view's verdict cache. As with
+// catalog.Database.Read, fn must not modify or keep the relation, nor call
+// Read again: the lock is not reentrant.
+func (m *Manager) Read(name string, fn func(*core.Relation) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, ok := m.views[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if v.rel == nil || v.def.kind == kindCount {
 		if v.lastErr != "" {
-			return nil, fmt.Errorf("view: %q is broken: %s", name, v.lastErr)
+			return fmt.Errorf("view: %q is broken: %s", name, v.lastErr)
 		}
-		return nil, fmt.Errorf("view: %q has no relation form", name)
+		return fmt.Errorf("view: %q has no relation form", name)
 	}
-	if v.pub == nil {
-		v.pub = v.rel.Clone()
-	}
-	return v.pub, nil
+	return fn(v.rel)
 }
 
 // Status renders one view's definition and maintenance state.
@@ -771,12 +771,8 @@ func (m *Manager) feedViewLocked(name string) (*view, error) {
 		return v, nil
 	}
 	d := &def{kind: kindMirror, source: name}
-	var res evalResult
-	if err := m.store.ReadLocked(func(db *catalog.Database) error {
-		var e error
-		res, e = eval(m.ctx, db, name, d)
-		return e
-	}); err != nil {
+	res, err := m.evaluate(name, d)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	v := &view{

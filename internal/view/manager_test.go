@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"hrdb/internal/catalog"
+	"hrdb/internal/core"
 	"hrdb/internal/hql"
 	"hrdb/internal/storage"
 	"hrdb/internal/wire"
@@ -150,10 +152,10 @@ func TestViewKinds(t *testing.T) {
 	if len(rows) != 1 || !strings.Contains(rows[0], "(bird)") {
 		t.Fatalf("sel rows = %q, want the bird tuple", rows)
 	}
-	if _, err := m.Snapshot("sel"); err != nil {
+	if err := readView(m, "sel"); err != nil {
 		t.Errorf("select view has no relation form: %v", err)
 	}
-	if _, err := m.Snapshot("tally"); err == nil {
+	if err := readView(m, "tally"); err == nil {
 		t.Error("count view returned a relation form, want error")
 	}
 	rows, _ = m.Rows("tally")
@@ -488,32 +490,126 @@ func TestViewMetrics(t *testing.T) {
 	}
 }
 
-// TestSnapshotOncePerVersion: readers of one version of a view share one
-// relation, a fold publishes a new one, and the one already handed out never
-// changes under its reader.
-func TestSnapshotOncePerVersion(t *testing.T) {
-	_, m, sess := openView(t, Options{})
-	mustExec(t, sess, seedDDL)
-	quiesce(t, m)
-	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
-	first, err := m.Snapshot("flat")
-	if err != nil {
-		t.Fatal(err)
+// readView reports whether a view reads as a relation.
+func readView(m *Manager, name string) error {
+	return m.Read(name, func(*core.Relation) error { return nil })
+}
+
+// TestViewReadsUnderConcurrentFolds: 4 sessions read an extension and a
+// select view in place — HOLDS and a SELECT over each — while a writer
+// toggles one row of their source. The folds patch the relations the
+// readers evaluate, so every answer must be the one of the view before a
+// toggle or after it, never a half-folded one; the race detector checks
+// that no read overlaps a fold.
+func TestViewReadsUnderConcurrentFolds(t *testing.T) {
+	_, m, setup := openView(t, Options{})
+	mustExec(t, setup, `
+		CREATE HIERARCHY A;
+		CLASS c IN A; CLASS d IN A;
+		INSTANCE x1 UNDER c; INSTANCE x2 UNDER c; INSTANCE x3 UNDER c;
+		INSTANCE y UNDER d;
+		CREATE RELATION R (K: A);
+		ASSERT R (c); ASSERT R (y); DENY R (x1);
+		CREATE MATERIALIZED VIEW v AS EXTENSION R;
+		CREATE MATERIALIZED VIEW w AS SELECT FROM R WHERE K UNDER c;
+	`)
+	queries := []string{
+		"HOLDS v (x2);",
+		"SELECT FROM v WHERE K UNDER c;",
+		"HOLDS w (x2);",
+		"SELECT FROM w WHERE K UNDER c;",
 	}
-	if again, _ := m.Snapshot("flat"); again != first {
-		t.Fatal("two reads of one version got two copies")
+	toggles := []string{"DENY R (x2);", "RETRACT R (x2);"}
+	// answers[q][s] is query q's answer once the views have folded toggles[s].
+	answers := make([][2]string, len(queries))
+	for s, toggle := range toggles {
+		mustExec(t, setup, toggle)
+		quiesce(t, m)
+		for i, q := range queries {
+			answers[i][s] = mustExec(t, setup, q)
+		}
 	}
-	mustExec(t, sess, "ASSERT flies (rex);")
-	quiesce(t, m)
-	second, _ := m.Snapshot("flat")
-	if second == first {
-		t.Fatal("a fold did not publish a new relation")
+	for i, q := range queries {
+		if answers[i][0] == answers[i][1] {
+			t.Fatalf("the toggle does not change %s: %q", q, answers[i][0])
+		}
 	}
-	if _, held := first.Lookup([]string{"rex"}); held || first.Len() != 1 {
-		t.Fatalf("the published relation changed under its reader: %v", first.Tuples())
+
+	// The writer toggles 40 times; the readers read until it is done.
+	stop := make(chan struct{})
+	go func() {
+		defer close(stop)
+		for n := 0; n < 40; n++ {
+			if _, err := setup.Exec(toggles[n%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			sess := hql.NewSession(NewTarget(m.store, m))
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i := (g + n) % len(queries)
+				got, err := sess.Exec(queries[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != answers[i][0] && got != answers[i][1] {
+					t.Errorf("%s answered %q, want %q or %q", queries[i], got, answers[i][0], answers[i][1])
+					return
+				}
+			}
+		}()
 	}
-	if _, held := second.Lookup([]string{"rex"}); !held {
-		t.Fatalf("the new version lacks the folded row: %v", second.Tuples())
+	readers.Wait()
+}
+
+// TestWarmViewHoldsAllocsIndependentOfSize: a HOLDS on a view whose verdict
+// is cached allocates the same over 100 rows as over 4,000 — a view is read
+// where it lives, not copied per read.
+func TestWarmViewHoldsAllocsIndependentOfSize(t *testing.T) {
+	var allocs []float64
+	for _, n := range []int{100, 4000} {
+		st, m, sess := openView(t, Options{})
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(st.CreateHierarchy("D"))
+		must(st.AddClass("D", "C"))
+		for i := 0; i < n; i++ {
+			must(st.AddInstance("D", fmt.Sprintf("i%04d", i), "C"))
+		}
+		must(st.CreateRelation("R", catalog.AttrSpec{Name: "X", Domain: "D"}))
+		must(st.Assert("R", "C"))
+		must(m.Create("v", "EXTENSION R"))
+		quiesce(t, m)
+		if rows, _ := m.Rows("v"); len(rows) != n {
+			t.Fatalf("v has %d rows, want %d", len(rows), n)
+		}
+		if out := mustExec(t, sess, "HOLDS v (i0001);"); !strings.Contains(out, "true") {
+			t.Fatalf("HOLDS v (i0001) = %q, want true", out)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(50, func() {
+			if _, err := sess.Exec("HOLDS v (i0001);"); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[0] > allocs[1]+allocSlack || allocs[1] > allocs[0]+allocSlack {
+		t.Errorf("a warm HOLDS on a view allocates %v at 100 rows and %v at 4,000, want the same", allocs[0], allocs[1])
 	}
 }
 

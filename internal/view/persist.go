@@ -124,7 +124,7 @@ func (m *Manager) adopt(v *view, sv savedView) bool {
 }
 
 func (m *Manager) adoptUnderLock(db *catalog.Database, v *view, sv savedView) bool {
-	src, err := db.Snapshot(v.def.source)
+	src, err := db.Relation(v.def.source)
 	if err != nil {
 		return false
 	}

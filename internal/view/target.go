@@ -42,8 +42,10 @@ func (t Target) CreateView(name, query string) error { return t.Views.Create(nam
 // DropView implements hql.ViewCatalog.
 func (t Target) DropView(name string) error { return t.Views.Drop(name) }
 
-// ViewSnapshot implements hql.ViewCatalog.
-func (t Target) ViewSnapshot(name string) (*core.Relation, error) { return t.Views.Snapshot(name) }
+// ViewRead implements hql.ViewCatalog.
+func (t Target) ViewRead(name string, fn func(*core.Relation) error) error {
+	return t.Views.Read(name, fn)
+}
 
 // ViewNames implements hql.ViewCatalog.
 func (t Target) ViewNames() []string { return t.Views.Names() }
