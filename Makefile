@@ -10,9 +10,9 @@ all: build test
 help:
 	@echo "hrdb targets:"
 	@echo "  build        compile and vet all packages"
-	@echo "  test         run the unit tests (plus vet, a race pass over the"
-	@echo "               storage, core, server, and obs packages, and a check"
-	@echo "               that every -run filter below names a real test)"
+	@echo "  test         run the unit tests (plus vet, a race pass over 12"
+	@echo "               internal packages, and a check that every -run"
+	@echo "               filter below names a real test)"
 	@echo "  test-crash   crash the WAL at every byte offset and verify"
 	@echo "               recovery of the exact committed prefix"
 	@echo "  test-server  race-mode pass over the network service layer"

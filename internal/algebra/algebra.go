@@ -20,7 +20,8 @@
 //  3. Repair — if the candidate placement leaves an ambiguity conflict
 //     (possible when incomparable candidates disagree), a resolving tuple
 //     with the pointwise-correct sign is inserted at each conflicting item
-//     until the result is consistent.
+//     until the result is consistent. Selection skips the sweep where
+//     docs/THEORY.md §5 proves it finds nothing.
 //
 // As in the paper's examples, results may contain redundant tuples; apply
 // Consolidate to obtain the minimum form.
@@ -200,7 +201,8 @@ func Select(name string, r *core.Relation, conds ...Condition) (*core.Relation, 
 // through the cost-based planner (plan.go): a conditioned column whose
 // posting lists are selective enough is probed through the secondary index,
 // otherwise the stored tuples are scanned. Both paths enumerate the same
-// candidate set; WithForceScan pins the scan for reference runs.
+// candidate set; WithForceScan pins the scan for reference runs. The result
+// repair is skipped where docs/THEORY.md §5 proves it finds nothing.
 func SelectContext(ctx context.Context, name string, r *core.Relation, conds ...Condition) (*core.Relation, error) {
 	region, err := SelectRegion(r, conds...)
 	if err != nil {
@@ -213,22 +215,66 @@ func SelectContext(ctx context.Context, name string, r *core.Relation, conds ...
 	} else {
 		tuples = r.Tuples()
 	}
-	return combine(ctx, name, r.Schema(), selectCandidates(r, region, tuples), selectEval(r, region))
+	out := core.NewRelation(name, r.Schema())
+	cand, disjoint := selectCandidates(r, region, tuples)
+	conflicts := out.Conflicts
+	if disjoint && r.Mode() == core.OffPath && r.VerifiedConsistent() && isaBinding(r) {
+		conflicts = func() []*core.ConflictError { return nil }
+	}
+	_, err = fill(ctx, out, cand, selectEval(r, region), conflicts)
+	return out, err
 }
 
 // selectCandidates returns where a selection places tuples: the region item
-// (it acts as a one-tuple positive relation ANDed with r), the items of those
-// of the given tuples that overlap it, and their meets with it. A tuple that
-// does not overlap the region contributes nothing: every positive result
-// tuple lies under the region, so it can never sit below a positive one.
-func selectCandidates(r *core.Relation, region core.Item, tuples []core.Tuple) []core.Item {
-	kept := []core.Item{region}
+// (it acts as a one-tuple positive relation ANDed with r) and the meets of
+// the given tuples with it, none for a tuple that does not overlap it. Each
+// such tuple's own item is added too unless isaBinding(r): under the region
+// it is its own meet, and elsewhere it is signed false and lies above its
+// meets, so in is-a binding order it binds nothing under the region and
+// Consolidate drops it. disjoint reports whether each tuple's meets are
+// pairwise disjoint, a premise of docs/THEORY.md §5.
+func selectCandidates(r *core.Relation, region core.Item, tuples []core.Tuple) (cand []core.Item, disjoint bool) {
+	cand, disjoint = []core.Item{region}, true
+	isa := isaBinding(r)
 	for _, t := range tuples {
-		if r.Overlapping(t.Item, region) {
-			kept = append(append(kept, t.Item), r.MinimalResolutionSet(t.Item, region)...)
+		meets := r.MinimalResolutionSet(t.Item, region)
+		if len(meets) > 0 && !isa {
+			cand = append(cand, t.Item)
+		}
+		disjoint = disjoint && (len(meets) < 2 || disjointMeets(r, meets))
+		cand = append(cand, meets...)
+	}
+	return cand, disjoint
+}
+
+// disjointMeets reports whether no two items of a minimal resolution set
+// overlap. They are pairwise incomparable, and an atom overlaps only what
+// subsumes it, so only pairs of non-atomic items are tested.
+func disjointMeets(r *core.Relation, meets []core.Item) bool {
+	var classes []core.Item
+	for _, m := range meets {
+		if !r.IsAtomic(m) {
+			for _, c := range classes {
+				if r.Overlapping(c, m) {
+					return false
+				}
+			}
+			classes = append(classes, m)
 		}
 	}
-	return kept
+	return true
+}
+
+// isaBinding reports whether binding order is is-a order for r: no attribute
+// has preference edges, and every binding graph is irredundant.
+func isaBinding(r *core.Relation) bool {
+	s := r.Schema()
+	for i := 0; i < s.Arity(); i++ {
+		if h := s.Attr(i).Domain; h.HasPreferences() || !h.BindingIrredundant() {
+			return false
+		}
+	}
+	return true
 }
 
 // selectEval signs a selection's tuples: r holds at the item and the region
@@ -284,7 +330,8 @@ func Reselect(ctx context.Context, sel, r *core.Relation, changed []core.Item, c
 			dropped[t.Item.Key()] = true
 		}
 	}
-	for _, m := range selectCandidates(r, region, r.TuplesOverlapping(live)) {
+	all, _ := selectCandidates(r, region, r.TuplesOverlapping(live))
+	for _, m := range all {
 		if under(m) {
 			cand = append(cand, m)
 		}

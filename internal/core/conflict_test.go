@@ -445,3 +445,28 @@ func TestVerifiedConsistentStamp(t *testing.T) {
 		t.Fatal("a clone inherited the stamp")
 	}
 }
+
+// TestCloneKeepsCurrentStamp: the copy of a verified relation is verified at
+// its own state, mutating it unverifies the copy alone, and the copy of an
+// unverified relation is unverified.
+func TestCloneKeepsCurrentStamp(t *testing.T) {
+	r := fliesRelation(t)
+	if c := r.Clone(); c.VerifiedConsistent() {
+		t.Fatal("the clone of an unverified relation is verified")
+	}
+	must(t, r.CheckConsistency())
+	c := r.Clone()
+	if !c.VerifiedConsistent() {
+		t.Fatal("the clone of a verified relation is not verified")
+	}
+	must(t, c.Assert("Tweety"))
+	if c.VerifiedConsistent() {
+		t.Fatal("the clone is still verified after its own Insert")
+	}
+	if !r.VerifiedConsistent() {
+		t.Fatal("mutating the clone unverified its source")
+	}
+	if w := r.WithName("Soars"); !w.VerifiedConsistent() {
+		t.Fatal("a renamed copy of a verified relation is not verified")
+	}
+}

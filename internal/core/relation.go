@@ -397,7 +397,8 @@ func (r *Relation) Tuples() []Tuple {
 
 // Clone returns a deep copy of the relation (sharing the schema and
 // hierarchies, which are treated as immutable by convention once relations
-// are populated).
+// are populated). The copy of a VerifiedConsistent relation is verified at
+// its own state.
 func (r *Relation) Clone() *Relation {
 	c := newRelation(r.name, r.schema, len(r.tuples))
 	c.mode = r.mode
@@ -414,6 +415,10 @@ func (r *Relation) Clone() *Relation {
 		for v, keys := range postings {
 			c.idx[i][v] = slices.Clone(keys)
 		}
+	}
+	if r.VerifiedConsistent() {
+		s := c.stamp(c.mode)
+		c.verified.Store(&s)
 	}
 	return c
 }

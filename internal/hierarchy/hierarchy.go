@@ -262,6 +262,10 @@ func (h *Hierarchy) Preferences() [][2]string {
 	return out
 }
 
+// HasPreferences reports whether any preference edge is installed, so that
+// binding order may differ from is-a order.
+func (h *Hierarchy) HasPreferences() bool { return len(h.prefs) > 0 }
+
 // bindGraph returns the is-a graph plus preference edges (lazily built).
 //
 // The paper's appendix says that after preference edges are introduced "the

@@ -55,6 +55,10 @@ type Scope struct {
 	// Conds scopes SELECT to the tuples overlapping the region its
 	// (attribute, class) conditions name.
 	Conds [][2]string
+	// verify renews a catalog relation's stale consistency stamp before
+	// the read: SELECT skips its result repair over a verified relation
+	// (docs/THEORY.md §5). Views and TupleSource relations are read as is.
+	verify bool
 }
 
 // TupleSource is the optional interface of a Target whose Database holds
@@ -255,7 +259,7 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		if name == "" {
 			name = "σ(" + st.Relation + ")"
 		}
-		res, err := read(ctx, s, st.Relation, Scope{Conds: st.Conds}, func(r *core.Relation) (*core.Relation, error) {
+		res, err := read(ctx, s, st.Relation, Scope{Conds: st.Conds, verify: true}, func(r *core.Relation) (*core.Relation, error) {
 			return algebra.SelectContext(ctx, name, r, conditions(st.Conds)...)
 		})
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hrdb/internal/catalog"
 	"hrdb/internal/storage"
 )
 
@@ -119,5 +120,43 @@ func TestInPlaceReadsUnderConcurrentWrites(t *testing.T) {
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentSelectsRenewStaleStamp: SELECTs that race on a relation a
+// hierarchy statement has just left unverified each find the stamp stale,
+// renew it under the shared read lock, and answer what a lone SELECT does.
+func TestConcurrentSelectsRenewStaleStamp(t *testing.T) {
+	db := catalog.New()
+	setup := NewSession(MemTarget{DB: db})
+	if _, err := setup.Exec(`
+		CREATE HIERARCHY A;
+		CLASS c IN A; CLASS d IN A; CLASS e UNDER c, d IN A;
+		INSTANCE x1 UNDER c; INSTANCE x2 UNDER e; INSTANCE y UNDER d;
+		CREATE RELATION R (K: A);
+		ASSERT R (c); DENY R (e); ASSERT R (x2); ASSERT R (y);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT FROM R WHERE K UNDER c;"
+	want, err := setup.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 8; round++ {
+		if _, err := setup.Exec(fmt.Sprintf("INSTANCE z%d UNDER d IN A;", round)); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := NewSession(MemTarget{DB: db}).Exec(q); err != nil || got != want {
+					t.Errorf("round %d: %q, %v; want %q", round, got, err, want)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

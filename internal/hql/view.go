@@ -87,7 +87,14 @@ func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn f
 		out, err = fn(r)
 		return err
 	}
-	err = s.target.Database().Read(name, run)
+	err = s.target.Database().Read(name, func(r *core.Relation) error {
+		if scope.verify && !r.VerifiedConsistent() {
+			// The check only reads r, so the read lock suffices; over a
+			// relation that fails it, SELECT repairs its result as before.
+			_ = r.CheckConsistency()
+		}
+		return run(r)
+	})
 	if vc, ok := s.target.(ViewCatalog); ok && !found {
 		// A view that reads sets err through run; any other keeps the
 		// catalog's not-found error.

@@ -192,7 +192,9 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 // see whether writes are verified by region or by whole relation: the first
 // write to a relation and the first after a hierarchy edit run the full
 // check, every other write the delta check, and the candidates histogram
-// records how many tuples each run was handed.
+// records how many tuples each run was handed. A SELECT on a verified
+// relation runs no check; the first after a hierarchy edit runs the full
+// check once, to renew the stamp.
 func TestConsistencyCheckMetrics(t *testing.T) {
 	const full, delta = `hrdb_core_consistency_checks_total{scope="full"}`, `hrdb_core_consistency_checks_total{scope="delta"}`
 	sess := hrdb.NewSession(hrdb.NewDatabase())
@@ -221,6 +223,10 @@ func TestConsistencyCheckMetrics(t *testing.T) {
 	step("BEGIN; ASSERT Flies (Tweety); RETRACT Flies (Penguin); COMMIT;", 0, 1)
 	step("INSTANCE Pingu UNDER Penguin IN Animal; DENY Flies (Pingu);", 1, 0) // hierarchy moved: full
 	step("RETRACT Flies (Pingu);", 0, 1)
+	const sel = "SELECT FROM Flies WHERE Creature UNDER Bird;"
+	step(sel, 0, 0)                                         // verified: no repair sweep
+	step("INSTANCE Polly UNDER Bird IN Animal; "+sel, 1, 0) // hierarchy moved: one verification
+	step(sel, 0, 0)
 	if !strings.Contains(hrdb.MetricsText(), delta) {
 		t.Errorf("text exposition lacks %s", delta)
 	}
