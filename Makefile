@@ -19,7 +19,9 @@ help:
 	@echo "               (overload shedding, drain, chaos proxy, stream mux)"
 	@echo "  test-compat  wire compatibility: replay the recorded framed-client"
 	@echo "               transcript byte for byte, refuse line-protocol"
-	@echo "               requests with one ERR proto, version/tenant matrix"
+	@echo "               requests with one ERR proto, version/tenant matrix,"
+	@echo "               shard replies carrying warnings, and each served"
+	@echo "               session's write replying only its own warnings"
 	@echo "  test-obs     race-mode pass over the observability layer"
 	@echo "               (metrics registry, histograms, slow-query log)"
 	@echo "  test-repl    race-mode pass over the replication subsystem"
@@ -71,8 +73,8 @@ test-server:
 	$(GO) test -race -count=1 ./internal/server/
 
 test-compat:
-	$(GO) test -race -count=1 -run 'TestWireTranscript|TestV1LineRefused|TestCrossVersionMatrix|TestTenantNamespaceIsolation|TestUnknownTenantFailsDial|TestOneConnectionPerClient|TestReplStreamSharesConnection' ./internal/server/
-	$(GO) test -race -count=1 -run 'TestFrameResponseRejectsUnknownType|TestFeedOverflow|TestFeedFrameBound' ./internal/wire/
+	$(GO) test -race -count=1 -run 'TestWireTranscript|TestV1LineRefused|TestCrossVersionMatrix|TestTenantNamespaceIsolation|TestUnknownTenantFailsDial|TestOneConnectionPerClient|TestReplStreamSharesConnection|TestServedSessionsGetOwnWarnings' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestFrameResponseRejectsUnknownType|TestFeedOverflow|TestFeedFrameBound|TestShardReplyRoundTrip' ./internal/wire/
 
 test-obs:
 	$(GO) test -race -count=1 ./internal/obs/

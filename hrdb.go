@@ -124,7 +124,7 @@ type (
 	Tx = catalog.Tx
 	// TxOp is one mutation of any kind — "assert", "deny", "retract",
 	// "add_class", "set_policy", … (DESIGN.md §4b lists them) — for
-	// Target.ApplyTx / Database.ApplyOps. Consecutive assert/deny/retract
+	// Target.Apply / Database.Apply. Consecutive assert/deny/retract
 	// ops are one transaction, of one op or many; Bare marks one issued as
 	// a statement of its own, which refuses to flip a stored sign.
 	TxOp = catalog.TxOp
@@ -175,7 +175,9 @@ const (
 const (
 	// AllowExceptions freely permits exceptions (default).
 	AllowExceptions = catalog.AllowExceptions
-	// WarnExceptions permits exceptions but records warnings.
+	// WarnExceptions permits exceptions and reports each with the write
+	// that raised it: Database.Apply and Target.Apply return it, and an HQL
+	// reply carries it as a "warning: " line.
 	WarnExceptions = catalog.WarnExceptions
 	// ForbidExceptions rejects updates contradicting inherited values.
 	ForbidExceptions = catalog.ForbidExceptions
@@ -226,14 +228,15 @@ func NewSession(db *Database) *Session { return hql.NewSession(hql.MemTarget{DB:
 func NewStoreSession(s *Store) *Session { return hql.NewSession(s) }
 
 // Target is what HQL sessions, servers and shard nodes read and write:
-// Database() for queries and ApplyTx([]TxOp) for every mutation, one bare op
-// per statement or a BEGIN…COMMIT bracket's transaction. *Store implements it
-// directly, NewMemTarget adapts a Database, and ReplicaTarget and
-// NewViewTarget wrap another Target's ApplyTx.
+// Database() for queries and Apply([]TxOp) for every mutation, one bare op
+// per statement or a BEGIN…COMMIT bracket's transaction, returning the
+// exception warnings that write raised. *Store implements it directly,
+// NewMemTarget adapts a Database, and ReplicaTarget and NewViewTarget wrap
+// another Target's Apply.
 type Target = hql.Target
 
-// NewMemTarget adapts an in-memory database into a Target whose ApplyTx is
-// Database.ApplyOps (for NewServer over a non-durable database).
+// NewMemTarget adapts an in-memory database into a Target whose Apply is
+// Database.Apply (for NewServer over a non-durable database).
 func NewMemTarget(db *Database) Target { return hql.MemTarget{DB: db} }
 
 // ReadOnlyScript reports whether every statement in an HQL script is free

@@ -188,6 +188,30 @@ func TestFacadeAlgebraSurface(t *testing.T) {
 	}
 }
 
+// TestReopenRepliesOnlyItsOwnWarnings: recovery replays a logged
+// warn-policy deny with no one to warn, so the first write after a reopen
+// replies with that write's warnings only.
+func TestReopenRepliesOnlyItsOwnWarnings(t *testing.T) {
+	dir := t.TempDir()
+	st, err := hrdb.OpenStore(dir)
+	must(t, err)
+	out, err := hrdb.NewStoreSession(st).Exec("CREATE HIERARCHY D; CLASS A UNDER D; INSTANCE x UNDER A; INSTANCE y UNDER A; CREATE RELATION R (X: D); ASSERT R (A); SET POLICY warn; DENY R (x);")
+	must(t, err)
+	if !strings.Contains(out, "warning: exception: (x)") {
+		t.Fatalf("deny replied %q, want its warning", out)
+	}
+	must(t, st.Close())
+
+	st, err = hrdb.OpenStore(dir)
+	must(t, err)
+	defer st.Close()
+	out, err = hrdb.NewStoreSession(st).Exec("ASSERT R (y);")
+	must(t, err)
+	if out != "asserted R(y)\n" {
+		t.Fatalf("first write after reopen replied %q, want no warning", out)
+	}
+}
+
 // TestFacadeDatabasePolicies drives policy + tx via the facade types.
 func TestFacadeDatabasePolicies(t *testing.T) {
 	db := hrdb.NewDatabase()
@@ -204,8 +228,9 @@ func TestFacadeDatabasePolicies(t *testing.T) {
 		t.Fatal("forbid policy ignored")
 	}
 	db.SetPolicy(hrdb.WarnExceptions)
-	must(t, db.Deny("R", "x"))
-	if len(db.Warnings()) == 0 {
+	w, err := db.Apply([]hrdb.TxOp{{Kind: "deny", Relation: "R", Values: []string{"x"}, Bare: true}})
+	must(t, err)
+	if len(w) == 0 {
 		t.Fatal("warn policy silent")
 	}
 	db.SetPolicy(hrdb.AllowExceptions)

@@ -40,7 +40,8 @@ type ExceptionPolicy int
 const (
 	// AllowExceptions freely permits exceptions (the default).
 	AllowExceptions ExceptionPolicy = iota
-	// WarnExceptions permits exceptions but records a warning for each.
+	// WarnExceptions permits exceptions; the write that makes one returns a
+	// warning for it.
 	WarnExceptions
 	// ForbidExceptions rejects any update that contradicts an inherited
 	// value — turning generalizations into hard integrity constraints.
@@ -69,7 +70,6 @@ type Database struct {
 	hierarchies map[string]*hierarchy.Hierarchy
 	relations   map[string]*core.Relation
 	policy      ExceptionPolicy
-	warnings    []string
 }
 
 // New creates an empty database with AllowExceptions policy.
@@ -92,15 +92,6 @@ func (db *Database) Policy() ExceptionPolicy {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.policy
-}
-
-// Warnings returns and clears the accumulated exception warnings.
-func (db *Database) Warnings() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	w := db.warnings
-	db.warnings = nil
-	return w
 }
 
 // CreateHierarchy registers a new domain hierarchy and returns it.
@@ -272,29 +263,28 @@ func (db *Database) IndexStats(name string) ([]core.IndexStats, error) {
 }
 
 // checkException applies the exception policy to an insertion, returning an
-// error under ForbidExceptions and recording a warning under
+// error under ForbidExceptions and the insertion's one warning under
 // WarnExceptions. An exception is an update whose sign contradicts the
 // item's currently inherited (non-default) value.
-func (db *Database) checkException(r *core.Relation, item core.Item, sign bool) error {
+func (db *Database) checkException(r *core.Relation, item core.Item, sign bool) ([]string, error) {
 	v, err := r.Evaluate(item)
 	if err != nil {
 		// The relation is already in conflict at this item; the insertion
 		// itself may be the resolution, so let it through.
-		return nil
+		return nil, nil
 	}
 	if v.Default || v.Exact || v.Value == sign {
-		return nil
+		return nil, nil
 	}
 	switch db.policy {
 	case ForbidExceptions:
-		return fmt.Errorf("%w: %v with sign %v contradicts inherited value %v in %q",
+		return nil, fmt.Errorf("%w: %v with sign %v contradicts inherited value %v in %q",
 			ErrExceptionForbidden, item, sign, v.Value, r.Name())
 	case WarnExceptions:
-		db.warnings = append(db.warnings,
-			fmt.Sprintf("exception: %v asserted %v against inherited %v in %q",
-				item, sign, v.Value, r.Name()))
+		return []string{fmt.Sprintf("exception: %v asserted %v against inherited %v in %q",
+			item, sign, v.Value, r.Name())}, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // Assert inserts a positive tuple, enforcing the exception policy and the
@@ -302,36 +292,39 @@ func (db *Database) checkException(r *core.Relation, item core.Item, sign bool) 
 // is rolled back and the InconsistencyError returned (use a transaction to
 // batch the update with its conflict resolution).
 func (db *Database) Assert(rel string, values ...string) error {
-	return db.update(rel, core.Item(values), true)
+	_, err := db.update(rel, core.Item(values), true)
+	return err
 }
 
 // Deny inserts a negated tuple under the same rules as Assert.
 func (db *Database) Deny(rel string, values ...string) error {
-	return db.update(rel, core.Item(values), false)
+	_, err := db.update(rel, core.Item(values), false)
+	return err
 }
 
-func (db *Database) update(rel string, item core.Item, sign bool) error {
+func (db *Database) update(rel string, item core.Item, sign bool) ([]string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	r, ok := db.relations[rel]
 	if !ok {
-		return fmt.Errorf("%w: relation %q", ErrNotFound, rel)
+		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, rel)
 	}
-	if err := db.checkException(r, item, sign); err != nil {
-		return err
+	warnings, err := db.checkException(r, item, sign)
+	if err != nil {
+		return nil, err
 	}
 	verified := r.VerifiedConsistent()
 	_, restated := r.Lookup(item) // Insert admits only the stored sign: a no-op, with nothing to undo
 	if err := r.Insert(item, sign); err != nil {
-		return err
+		return nil, err
 	}
 	if err := checkAfter(r, verified, item); err != nil {
 		if !restated {
 			r.Retract(item)
 		}
-		return err
+		return nil, err
 	}
-	return nil
+	return warnings, nil
 }
 
 // checkAfter enforces the ambiguity constraint on r after its tuples on the

@@ -204,21 +204,18 @@ func TestExceptionPolicies(t *testing.T) {
 	}
 
 	db.SetPolicy(WarnExceptions)
-	must(t, db.Deny("Flies", "Tweety"))
-	w := db.Warnings()
+	deny := []TxOp{{Kind: KindDeny, Relation: "Flies", Values: []string{"Tweety"}, Bare: true}}
+	w, err := db.Apply(deny)
+	must(t, err)
 	if len(w) != 1 || !strings.Contains(w[0], "Tweety") {
 		t.Fatalf("warnings = %v", w)
 	}
-	if len(db.Warnings()) != 0 {
-		t.Fatal("Warnings should clear")
-	}
 
 	db.SetPolicy(AllowExceptions)
-	_, err := db.Retract("Flies", "Tweety")
+	_, err = db.Retract("Flies", "Tweety")
 	must(t, err)
-	must(t, db.Deny("Flies", "Tweety"))
-	if len(db.Warnings()) != 0 {
-		t.Fatal("allow should not warn")
+	if w, err := db.Apply(deny); err != nil || len(w) != 0 {
+		t.Fatalf("allow: warnings %v, err %v", w, err)
 	}
 	if db.Policy() != AllowExceptions {
 		t.Fatal("Policy getter wrong")

@@ -122,7 +122,8 @@ func (o TxOp) check() error {
 	return nil
 }
 
-// ApplyOps applies the described mutations in order. It is the one place an
+// Apply applies the described mutations in order and returns the exception
+// warnings they raised (WarnExceptions), in op order. It is the one place an
 // op becomes a catalog or hierarchy call: the query language, the storage
 // layer's write path, crash recovery and replicas all come through here.
 //
@@ -132,87 +133,95 @@ func (o TxOp) check() error {
 // length — either the whole run takes effect and the ambiguity constraint
 // holds over every touched relation, or none of it does (§3.1) — and any
 // other op, a Bare tuple update included, applies at its position through
-// its Database method: a bare assert is Assert, and so on.
+// its Database method: a bare assert is Assert, and so on. A batch that
+// fails returns no warnings.
 //
-// ApplyOps is the replay contract of the write-ahead log. It is
-// deterministic — given equal database states, the same ops yield the same
-// resulting state and the same accept/reject outcome — so replaying a
-// logged batch cannot diverge from the original run.
-func (db *Database) ApplyOps(ops []TxOp) error {
+// Apply is the replay contract of the write-ahead log. It is deterministic
+// — given equal database states, the same ops yield the same resulting
+// state and the same accept/reject outcome — so replaying a logged batch
+// cannot diverge from the original run.
+func (db *Database) Apply(ops []TxOp) ([]string, error) {
 	for _, o := range ops {
 		if err := o.check(); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	var warnings []string
 	for i := 0; i < len(ops); {
-		if !ops[i].InTx() {
-			if err := db.apply(ops[i]); err != nil {
-				return err
+		var w []string
+		var err error
+		if ops[i].InTx() {
+			tx := db.Begin()
+			for ; i < len(ops) && ops[i].InTx(); i++ {
+				tx.ops = append(tx.ops, ops[i])
 			}
+			w, err = tx.commit()
+		} else {
+			w, err = db.applyOne(ops[i])
 			i++
-			continue
 		}
-		tx := db.Begin()
-		for ; i < len(ops) && ops[i].InTx(); i++ {
-			tx.ops = append(tx.ops, ops[i])
+		if err != nil {
+			return nil, err
 		}
-		if err := tx.Commit(); err != nil {
-			return err
-		}
+		warnings = append(warnings, w...)
 	}
-	return nil
+	return warnings, nil
 }
 
-// apply executes one checked op on its own.
-func (db *Database) apply(o TxOp) error {
+// ApplyOps is Apply without the warnings.
+func (db *Database) ApplyOps(ops []TxOp) error {
+	_, err := db.Apply(ops)
+	return err
+}
+
+// applyOne executes one checked op on its own.
+func (db *Database) applyOne(o TxOp) ([]string, error) {
 	switch o.Kind {
+	case KindAssert, KindDeny:
+		return db.update(o.Relation, core.Item(o.Values), o.Kind == KindAssert)
 	case KindCreateHierarchy:
 		_, err := db.CreateHierarchy(o.Relation)
-		return err
+		return nil, err
 	case KindAddClass, KindAddInstance, KindAddEdge, KindPrefer:
 		h, err := db.Hierarchy(o.Relation)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		switch o.Kind {
 		case KindAddClass:
-			return h.AddClass(o.Values[0], o.Values[1:]...)
+			return nil, h.AddClass(o.Values[0], o.Values[1:]...)
 		case KindAddInstance:
-			return h.AddInstance(o.Values[0], o.Values[1:]...)
+			return nil, h.AddInstance(o.Values[0], o.Values[1:]...)
 		case KindAddEdge:
-			return h.AddEdge(o.Values[0], o.Values[1])
+			return nil, h.AddEdge(o.Values[0], o.Values[1])
 		default:
-			return h.Prefer(o.Values[0], o.Values[1])
+			return nil, h.Prefer(o.Values[0], o.Values[1])
 		}
 	case KindDropNode:
-		return db.DropNode(o.Relation, o.Values[0])
+		return nil, db.DropNode(o.Relation, o.Values[0])
 	case KindCreateRelation:
 		attrs := make([]AttrSpec, 0, len(o.Values)/2)
 		for i := 0; i < len(o.Values); i += 2 {
 			attrs = append(attrs, AttrSpec{Name: o.Values[i], Domain: o.Values[i+1]})
 		}
 		_, err := db.CreateRelation(o.Relation, attrs...)
-		return err
+		return nil, err
 	case KindDropRelation:
-		return db.DropRelation(o.Relation)
-	case KindAssert:
-		return db.Assert(o.Relation, o.Values...)
-	case KindDeny:
-		return db.Deny(o.Relation, o.Values...)
+		return nil, db.DropRelation(o.Relation)
 	case KindRetract:
 		_, err := db.Retract(o.Relation, o.Values...)
-		return err
+		return nil, err
 	case KindConsolidate:
 		_, err := db.Consolidate(o.Relation)
-		return err
+		return nil, err
 	case KindExplicate:
-		return db.Explicate(o.Relation, o.Values...)
+		return nil, db.Explicate(o.Relation, o.Values...)
 	case KindSetMode:
 		mode, _ := parseNamed("mode", o.Values[0], modes) // checked
-		return db.SetMode(o.Relation, mode)
+		return nil, db.SetMode(o.Relation, mode)
 	default: // KindSetPolicy: check admitted no other kind
 		p, _ := parseNamed("policy", o.Values[0], policies) // checked
 		db.SetPolicy(p)
-		return nil
+		return nil, nil
 	}
 }

@@ -95,16 +95,15 @@ func TestInsertValidationThroughDatabase(t *testing.T) {
 	}
 }
 
-// TestWarnPolicyInsideSuccessfulTx: warnings accumulate across transaction
-// commits as well.
+// TestWarnPolicyInsideSuccessfulTx: a committed transaction returns the
+// warnings of its ops.
 func TestWarnPolicyInsideSuccessfulTx(t *testing.T) {
 	db := setupFlies(t)
 	db.SetPolicy(WarnExceptions)
-	tx := db.Begin()
-	tx.Deny("Flies", "Tweety")
-	must(t, tx.Commit())
-	if len(db.Warnings()) != 1 {
-		t.Fatal("warning lost in tx")
+	w, err := db.Apply([]TxOp{{Kind: KindDeny, Relation: "Flies", Values: []string{"Tweety"}}})
+	must(t, err)
+	if len(w) != 1 {
+		t.Fatalf("warning lost in tx: %v", w)
 	}
 }
 

@@ -60,8 +60,14 @@ func (tx *Tx) Rollback() {
 // relation is checked for ambiguity conflicts. On any failure all applied
 // operations are undone and the database is unchanged.
 func (tx *Tx) Commit() error {
+	_, err := tx.commit()
+	return err
+}
+
+// commit is Commit returning the exception warnings, none on failure.
+func (tx *Tx) commit() ([]string, error) {
 	if tx.done {
-		return ErrTxDone
+		return nil, ErrTxDone
 	}
 	tx.done = true
 	db := tx.db
@@ -94,12 +100,12 @@ func (tx *Tx) Commit() error {
 		changed  []core.Item
 	}
 	touched := map[string]*delta{}
-	var order []string
+	var order, warnings []string
 	for _, o := range tx.ops {
 		r, ok := db.relations[o.Relation]
 		if !ok {
 			rollback()
-			return fmt.Errorf("%w: relation %q", ErrNotFound, o.Relation)
+			return nil, fmt.Errorf("%w: relation %q", ErrNotFound, o.Relation)
 		}
 		d := touched[o.Relation]
 		if d == nil {
@@ -120,14 +126,16 @@ func (tx *Tx) Commit() error {
 				r.Retract(item)
 				undos = append(undos, undo{rel: o.Relation, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
 			}
-			if err := db.checkException(r, item, sign); err != nil {
+			w, err := db.checkException(r, item, sign)
+			if err != nil {
 				rollback()
-				return err
+				return nil, err
 			}
 			if err := r.Insert(item, sign); err != nil {
 				rollback()
-				return err
+				return nil, err
 			}
+			warnings = append(warnings, w...)
 			undos = append(undos, undo{rel: o.Relation, remove: &item})
 			d.changed = append(d.changed, item)
 		case KindRetract:
@@ -144,8 +152,8 @@ func (tx *Tx) Commit() error {
 		d := touched[rel]
 		if err := checkAfter(db.relations[rel], d.verified, d.changed...); err != nil {
 			rollback()
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return warnings, nil
 }

@@ -31,10 +31,11 @@ type TxOp = catalog.TxOp
 // in-memory catalog (MemTarget), a durable storage.Store, or a wrapper
 // around either (a read-only replica, a view-aware target). Every mutation
 // — a single statement or a BEGIN…COMMIT bracket — reaches it as one
-// ApplyTx call; an empty list applies nothing.
+// Apply call, which returns the exception warnings that write raised; an
+// empty list applies nothing.
 type Target interface {
 	Database() *catalog.Database
-	ApplyTx(ops []TxOp) error
+	Apply(ops []TxOp) ([]string, error)
 }
 
 // MemTarget adapts a bare catalog.Database to the Target interface.
@@ -43,8 +44,8 @@ type MemTarget struct{ DB *catalog.Database }
 // Database returns the wrapped database.
 func (m MemTarget) Database() *catalog.Database { return m.DB }
 
-// ApplyTx implements Target.
-func (m MemTarget) ApplyTx(ops []TxOp) error { return m.DB.ApplyOps(ops) }
+// Apply implements Target.
+func (m MemTarget) Apply(ops []TxOp) ([]string, error) { return m.DB.Apply(ops) }
 
 // Scope narrows a read to the stored tuples that can reach its answer. The
 // zero Scope is the whole relation.
@@ -64,16 +65,12 @@ type Scope struct {
 // TupleSource is the optional interface of a Target whose Database holds
 // the catalog but not the tuples: a shard coordinator, whose Database is a
 // mirror of its shards' catalog with every relation, an `… AS` result
-// included, left empty. Every read of relation data is served by
-// Tuples, and the exception warnings of its writes come from Warnings, not
-// from the Database. Like ViewCatalog, support is detected by assertion.
+// included, left empty. Every read of relation data is served by Tuples.
+// Like ViewCatalog, support is detected by assertion.
 type TupleSource interface {
 	// Tuples returns a relation with name's schema and mode holding every
 	// stored tuple the scope can reach.
 	Tuples(ctx context.Context, name string, scope Scope) (*core.Relation, error)
-	// Warnings returns and clears the exception warnings of the target's
-	// writes.
-	Warnings() []string
 }
 
 // ErrSessionBusy reports concurrent use of a Session: a second ExecContext
@@ -421,10 +418,11 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		ops := s.txOps
 		s.inTx = false
 		s.txOps = nil
-		if err := s.target.ApplyTx(ops); err != nil {
+		warnings, err := s.target.Apply(ops)
+		if err != nil {
 			return "", err
 		}
-		return s.renderWarnings(fmt.Sprintf("committed %d operations", len(ops))), nil
+		return renderWarnings(fmt.Sprintf("committed %d operations", len(ops)), warnings), nil
 
 	case RollbackStmt:
 		if !s.inTx {
@@ -524,7 +522,7 @@ func conditions(conds [][2]string) []algebra.Condition {
 }
 
 // mutate is where a statement becomes a write: inside BEGIN…COMMIT a tuple
-// update is staged for the bracket's one ApplyTx, anything else reaches the
+// update is staged for the bracket's one Apply, anything else reaches the
 // target as a bare batch of one.
 func (s *Session) mutate(op TxOp, ack string) (string, error) {
 	if s.inTx && catalog.IsTupleOp(op.Kind) {
@@ -532,13 +530,11 @@ func (s *Session) mutate(op TxOp, ack string) (string, error) {
 		return fmt.Sprintf("staged %s on %s", op.Kind, op.Relation), nil
 	}
 	op.Bare = true
-	if err := s.target.ApplyTx([]TxOp{op}); err != nil {
+	warnings, err := s.target.Apply([]TxOp{op})
+	if err != nil {
 		return "", err
 	}
-	if op.Kind == catalog.KindAssert || op.Kind == catalog.KindDeny {
-		return s.renderWarnings(ack), nil
-	}
-	return ack, nil
+	return renderWarnings(ack, warnings), nil
 }
 
 // attach stores a derived `… AS name` result as an ordinary relation,
@@ -569,31 +565,20 @@ func (s *Session) attach(res *core.Relation) error {
 		batches = append(batches, tx)
 	}
 	for _, b := range batches {
-		if err := s.target.ApplyTx(b); err != nil {
+		if _, err := s.target.Apply(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// renderWarnings appends any pending exception warnings to a result line.
-func (s *Session) renderWarnings(base string) string {
-	var w []string
-	if src, ok := s.target.(TupleSource); ok {
-		w = src.Warnings()
-	} else {
-		w = s.target.Database().Warnings()
+// renderWarnings appends a write's exception warnings to its result line,
+// one "warning: " line each.
+func renderWarnings(base string, warnings []string) string {
+	for _, w := range warnings {
+		base += "\nwarning: " + w
 	}
-	if len(w) == 0 {
-		return base
-	}
-	var b strings.Builder
-	b.WriteString(base)
-	for _, msg := range w {
-		b.WriteString("\nwarning: ")
-		b.WriteString(msg)
-	}
-	return b.String()
+	return base
 }
 
 // resolveDomain determines the hierarchy for CLASS/INSTANCE: the explicit

@@ -339,6 +339,26 @@ func TestPolicyStatement(t *testing.T) {
 	}
 }
 
+// TestRolledBackTxRaisesNoWarning: a transaction that fails took no effect,
+// so the exception its deny would have raised is reported nowhere — in
+// particular not with the next write's reply.
+func TestRolledBackTxRaisesNoWarning(t *testing.T) {
+	s := setup(t)
+	if _, err := s.Exec("SET POLICY warn; BEGIN; DENY Flies (Tweety); ASSERT Flies (Nosuch);"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("COMMIT;"); err == nil {
+		t.Fatal("a transaction asserting an unknown value committed")
+	}
+	out, err := s.Exec("ASSERT Flies (Canary);")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != "asserted Flies(Canary)\n" {
+		t.Fatalf("reply after the rolled-back transaction = %q, want no warning", out)
+	}
+}
+
 func TestEdgeAndPreferStatements(t *testing.T) {
 	s := setup(t)
 	// Deliberate redundant edge (appendix: Pamela is also directly a

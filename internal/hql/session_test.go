@@ -22,12 +22,12 @@ type slowTarget struct {
 	gate    chan struct{}
 }
 
-func (t slowTarget) ApplyTx(ops []TxOp) error {
+func (t slowTarget) Apply(ops []TxOp) ([]string, error) {
 	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindAssert {
 		t.entered <- struct{}{}
 		<-t.gate
 	}
-	return t.Target.ApplyTx(ops)
+	return t.Target.Apply(ops)
 }
 
 func sessionFixture(t *testing.T) *catalog.Database {
@@ -193,9 +193,9 @@ func TestReadOnlyClassification(t *testing.T) {
 }
 
 // Target is Database plus the one mutation method.
-func TestTargetIsDatabaseAndApplyTx(t *testing.T) {
+func TestTargetIsDatabaseAndApply(t *testing.T) {
 	typ := reflect.TypeOf((*Target)(nil)).Elem()
-	if typ.NumMethod() != 2 || typ.Method(0).Name != "ApplyTx" || typ.Method(1).Name != "Database" {
-		t.Fatalf("Target has %d methods, want exactly ApplyTx and Database", typ.NumMethod())
+	if typ.NumMethod() != 2 || typ.Method(0).Name != "Apply" || typ.Method(1).Name != "Database" {
+		t.Fatalf("Target has %d methods, want exactly Apply and Database", typ.NumMethod())
 	}
 }

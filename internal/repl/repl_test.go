@@ -181,21 +181,47 @@ func TestReplicaMutationsRejectedUntilPromoted(t *testing.T) {
 
 	target := ReplicaTarget{R: rep}
 	plant := op(catalog.KindCreateHierarchy, "Plant")
-	if err := target.ApplyTx(plant); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, err := target.Apply(plant); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Fatalf("create_hierarchy on replica = %v, want ErrReadOnlyReplica", err)
 	}
-	if err := target.ApplyTx(op(catalog.KindAssert, "Flies", "Bird")); !errors.Is(err, ErrReadOnlyReplica) {
+	if _, err := target.Apply(op(catalog.KindAssert, "Flies", "Bird")); !errors.Is(err, ErrReadOnlyReplica) {
 		t.Fatalf("assert on replica = %v, want ErrReadOnlyReplica", err)
 	}
 
 	if err := rep.Promote(); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
-	if err := target.ApplyTx(plant); err != nil {
+	if _, err := target.Apply(plant); err != nil {
 		t.Fatalf("create_hierarchy after promote: %v", err)
 	}
 	if st := rep.Status(); st.Staleness != 0 || st.State != "promoted" {
 		t.Fatalf("Status after promote = %v/%s, want 0/promoted", st.Staleness, st.State)
+	}
+}
+
+// TestPromotedReplicaRepliesOnlyItsOwnWarnings: a replica applying a
+// streamed warn-policy deny has no one to warn, so after promotion its first
+// write replies with that write's warnings only.
+func TestPromotedReplicaRepliesOnlyItsOwnWarnings(t *testing.T) {
+	p := startPrimary(t, PrimaryOptions{HeartbeatInterval: 20 * time.Millisecond})
+	primary := hql.NewSession(p.store)
+	_, err := primary.Exec("CREATE HIERARCHY D; CLASS A UNDER D; INSTANCE x UNDER A; INSTANCE y UNDER A; CREATE RELATION R (X: D); ASSERT R (A);")
+	must(t, err)
+	rep := startReplica(t, p.srv.Addr())
+	waitConverged(t, p.store, rep)
+
+	// The deny reaches the replica over the live stream, not the snapshot.
+	out, err := primary.Exec("SET POLICY warn; DENY R (x);")
+	must(t, err)
+	if !strings.Contains(out, "warning: exception: (x)") {
+		t.Fatalf("primary's deny replied %q, want its warning", out)
+	}
+	waitConverged(t, p.store, rep)
+	must(t, rep.Promote())
+	out, err = hql.NewSession(ReplicaTarget{R: rep}).Exec("ASSERT R (y);")
+	must(t, err)
+	if out != "asserted R(y)\n" {
+		t.Fatalf("first write on the promoted replica replied %q, want no warning", out)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // ReplicaTarget adapts a Replica to hql.Target so a server can run
-// read-only sessions against it. It is one ApplyTx: refused with
+// read-only sessions against it. Its writes are one Apply: refused with
 // ErrReadOnlyReplica until the replica is promoted, and delegated
 // afterwards, when the promoted replica is the new authoritative copy.
 //
@@ -18,15 +18,15 @@ type ReplicaTarget struct{ R *Replica }
 // Database returns the replica's current database.
 func (t ReplicaTarget) Database() *catalog.Database { return t.R.Database() }
 
-// ApplyTx implements hql.Target. A durably promoted replica writes through
+// Apply implements hql.Target. A durably promoted replica writes through
 // its store (WAL first, fencing enforced); one promoted without a
 // PromoteDir mutates its in-memory database.
-func (t ReplicaTarget) ApplyTx(ops []hql.TxOp) error {
+func (t ReplicaTarget) Apply(ops []hql.TxOp) ([]string, error) {
 	if !t.R.Promoted() {
-		return ErrReadOnlyReplica
+		return nil, ErrReadOnlyReplica
 	}
 	if st := t.R.Store(); st != nil {
-		return st.ApplyTx(ops)
+		return st.Apply(ops)
 	}
-	return t.R.Database().ApplyOps(ops)
+	return t.R.Database().Apply(ops)
 }

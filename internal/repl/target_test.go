@@ -53,7 +53,7 @@ var everyOpKind = [][]hql.TxOp{
 func applyEveryOpKind(t *testing.T, target hql.Target) {
 	t.Helper()
 	for _, batch := range everyOpKind {
-		if err := target.ApplyTx(batch); err != nil {
+		if _, err := target.Apply(batch); err != nil {
 			t.Fatalf("%v: %v", batch, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestEveryOpKindMemStoreFollower(t *testing.T) {
 func TestReplicaTargetRefusesAllMutationsUnpromoted(t *testing.T) {
 	target := ReplicaTarget{R: &Replica{db: catalog.New()}}
 	for _, batch := range everyOpKind {
-		if err := target.ApplyTx(batch); !errors.Is(err, ErrReadOnlyReplica) {
+		if _, err := target.Apply(batch); !errors.Is(err, ErrReadOnlyReplica) {
 			t.Errorf("%v on follower = %v, want ErrReadOnlyReplica", batch, err)
 		}
 	}

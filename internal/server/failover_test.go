@@ -93,7 +93,7 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 // fenced by a newer primary term.
 type deposedTarget struct{ hql.Target }
 
-func (d deposedTarget) ApplyTx([]hql.TxOp) error { return storage.ErrDeposed }
+func (d deposedTarget) Apply([]hql.TxOp) ([]string, error) { return nil, storage.ErrDeposed }
 
 // TestRouterFailsOverOnStale: a write answered with the "stale" code makes
 // the router probe its replicas for whoever reports itself promoted, adopt

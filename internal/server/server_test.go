@@ -15,6 +15,7 @@ import (
 
 	"hrdb/internal/catalog"
 	"hrdb/internal/hql"
+	"hrdb/internal/storage"
 	"hrdb/internal/wire"
 )
 
@@ -123,23 +124,103 @@ type gateTarget struct {
 	waiting atomic.Int64
 }
 
-func (g *gateTarget) ApplyTx(ops []hql.TxOp) error {
+func (g *gateTarget) Apply(ops []hql.TxOp) ([]string, error) {
 	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindAssert {
 		g.waiting.Add(1)
 		defer g.waiting.Add(-1)
 		<-g.gate
 	}
-	return g.Target.ApplyTx(ops)
+	return g.Target.Apply(ops)
 }
 
 // panicTarget panics on Deny.
 type panicTarget struct{ hql.Target }
 
-func (p panicTarget) ApplyTx(ops []hql.TxOp) error {
+func (p panicTarget) Apply(ops []hql.TxOp) ([]string, error) {
 	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindDeny {
 		panic("injected fault: deny exploded")
 	}
-	return p.Target.ApplyTx(ops)
+	return p.Target.Apply(ops)
+}
+
+// holdDenyTarget holds a bare deny after its write has applied and before
+// its session renders the reply, until release is closed; applied announces
+// that the deny has reached that point.
+type holdDenyTarget struct {
+	hql.Target
+	applied chan struct{}
+	release chan struct{}
+}
+
+func (h holdDenyTarget) Apply(ops []hql.TxOp) ([]string, error) {
+	w, err := h.Target.Apply(ops)
+	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindDeny {
+		h.applied <- struct{}{}
+		<-h.release
+	}
+	return w, err
+}
+
+// TestServedSessionsGetOwnWarnings: two clients write to one served store,
+// and each reply carries the warnings of its own write only. A's
+// warn-policy deny is held between its write and its reply while B's
+// assert, which raises nothing, runs start to finish.
+func TestServedSessionsGetOwnWarnings(t *testing.T) {
+	st, err := storage.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if _, err := hql.NewSession(st).Exec(`
+		CREATE HIERARCHY Animal;
+		CLASS Bird IN Animal;
+		INSTANCE Tweety UNDER Bird;
+		INSTANCE Robin UNDER Bird;
+		CREATE RELATION Flies (Creature: Animal);
+		ASSERT Flies (Bird);
+		SET POLICY warn;
+	`); err != nil {
+		t.Fatalf("fixture: %v", err)
+	}
+	hold := holdDenyTarget{Target: st, applied: make(chan struct{}), release: make(chan struct{})}
+	srv := startServer(t, hold, Options{})
+	ctx := context.Background()
+	var clients [2]*Client
+	for i := range clients {
+		c, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		clients[i] = c
+	}
+
+	type reply struct {
+		out string
+		err error
+	}
+	denied := make(chan reply, 1)
+	go func() {
+		out, err := clients[0].Exec(ctx, "DENY Flies (Tweety);")
+		denied <- reply{out, err}
+	}()
+	select {
+	case <-hold.applied:
+	case a := <-denied:
+		t.Fatalf("A's deny replied %q, %v without being held", a.out, a.err)
+	}
+	outB, errB := clients[1].Exec(ctx, "ASSERT Flies (Robin);")
+	close(hold.release)
+	a := <-denied
+	if a.err != nil || errB != nil {
+		t.Fatalf("A: %v, B: %v", a.err, errB)
+	}
+	if !strings.Contains(a.out, "warning: exception: (Tweety)") {
+		t.Errorf("A's deny replied %q, want its warning", a.out)
+	}
+	if outB != "asserted Flies(Robin)\n" {
+		t.Errorf("B's assert replied %q, want no warning", outB)
+	}
 }
 
 func TestServeBasic(t *testing.T) {

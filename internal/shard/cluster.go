@@ -30,7 +30,7 @@ type Conn interface {
 // Cluster is the scatter-gather coordinator: an hql.Session whose target
 // is N shard primaries. The Session executes every statement as it does on
 // one node — transactions, algebra, rules, DUMP, replies — and its target
-// decides only what is distributed: where each op goes (ApplyTx) and where
+// decides only what is distributed: where each op goes (Apply) and where
 // a read's tuples come from (Tuples).
 //
 // The target's Database is a catalog mirror: the replicated schema
@@ -44,12 +44,11 @@ type Cluster struct {
 // target is the Session's view of the cluster: an hql.Target and
 // hql.TupleSource over the shard connections and the mirror.
 type target struct {
-	conns    []Conn
-	mirror   *catalog.Database
-	warnings []string                        // shard-reported exception warnings, not yet rendered
-	ctx      atomic.Pointer[context.Context] // the running Exec's, for the shard calls of its writes
-	gidBase  string
-	gidSeq   atomic.Uint64
+	conns   []Conn
+	mirror  *catalog.Database
+	ctx     atomic.Pointer[context.Context] // the running Exec's, for the shard calls of its writes
+	gidBase string
+	gidSeq  atomic.Uint64
 }
 
 // NewCluster builds a coordinator over the given shard connections,
@@ -115,16 +114,16 @@ func (c *Cluster) Exec(ctx context.Context, input string) (string, error) {
 // Database returns the catalog mirror.
 func (t *target) Database() *catalog.Database { return t.mirror }
 
-// ApplyTx routes one mutation or bracket. A catalog op goes to every
-// shard, then to the mirror (broadcast). Tuple ops commit on the shards
-// that hold their tuples (commitOps).
-func (t *target) ApplyTx(ops []hql.TxOp) error {
+// Apply routes one mutation or bracket. A catalog op goes to every shard,
+// then to the mirror (broadcast). Tuple ops commit on the shards that hold
+// their tuples (commitOps).
+func (t *target) Apply(ops []hql.TxOp) ([]string, error) {
 	ctx := context.Background()
 	if p := t.ctx.Load(); p != nil {
 		ctx = *p
 	}
 	if len(ops) == 1 && !catalog.IsTupleOp(ops[0].Kind) {
-		return t.broadcast(ctx, ops[0])
+		return nil, t.broadcast(ctx, ops[0])
 	}
 	return t.commitOps(ctx, ops)
 }
@@ -143,28 +142,10 @@ func (t *target) broadcast(ctx context.Context, op hql.TxOp) error {
 	}); err != nil {
 		return err
 	}
-	if err := t.mirror.ApplyOps([]hql.TxOp{op}); err != nil {
+	if _, err := t.mirror.Apply([]hql.TxOp{op}); err != nil {
 		return fmt.Errorf("shard: mirror replay of %q: %w", stmt, err)
 	}
 	return nil
-}
-
-// Warnings returns and clears the exception warnings the shards reported
-// for the cluster's writes.
-func (t *target) Warnings() []string {
-	w := t.warnings
-	t.warnings = nil
-	return w
-}
-
-// warn records the "warning: " lines of a shard's reply, each once however
-// many shards report it: a global tuple's exception is found on every one.
-func (t *target) warn(reply string) {
-	for _, line := range strings.Split(reply, "\n") {
-		if w, ok := strings.CutPrefix(line, "warning: "); ok && !slices.Contains(t.warnings, w) {
-			t.warnings = append(t.warnings, w)
-		}
-	}
 }
 
 // commitOps commits tuple ops across the cluster. Each local op goes to
@@ -175,15 +156,16 @@ func (t *target) warn(reply string) {
 // (validate + journal, nothing applied), then COMMIT everywhere; a
 // participant that lost its journal (crash, failover to a promoted
 // replica) answers "unknown" and is completed by re-sending its operations
-// with APPLY. The exception warnings the shards report are kept for the
-// Session's reply.
-func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) error {
+// with APPLY. It returns the exception warnings the shards report for
+// this write, each once however many shards report it: a global tuple's
+// exception is raised on every shard.
+func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) ([]string, error) {
 	n := len(t.conns)
 	perShard := make([][]catalog.TxOp, n)
 	for _, o := range ops {
 		local, err := Placement(t.mirror, o.Relation, o.Values)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if local {
 			s := HomeShard(o.Relation, o.Values, n)
@@ -202,7 +184,7 @@ func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 	}
 	switch len(involved) {
 	case 0:
-		return nil
+		return nil, nil
 	case 1:
 		s := involved[0]
 		var b strings.Builder
@@ -216,10 +198,15 @@ func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 		}
 		out, err := t.conns[s].Exec(ctx, script)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		t.warn(out)
-		return nil
+		var warnings []string
+		for _, line := range strings.Split(out, "\n") {
+			if w, ok := strings.CutPrefix(line, "warning: "); ok {
+				warnings = append(warnings, w)
+			}
+		}
+		return warnings, nil
 	}
 
 	gid := fmt.Sprintf("%s.%d", t.gidBase, t.gidSeq.Add(1))
@@ -235,7 +222,7 @@ func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 		fanout(len(involved), func(i int) (wire.ShardReply, error) {
 			return t.conns[involved[i]].ExecShard(actx, wire.ShardOp{Verb: wire.ShardAbort, GID: gid})
 		})
-		return perr
+		return nil, perr
 	}
 
 	// Phase 2: commit point passed — drive every participant to completion.
@@ -253,12 +240,17 @@ func (t *target) commitOps(ctx context.Context, ops []catalog.TxOp) error {
 		return rep, nil
 	})
 	if cerr != nil {
-		return cerr
+		return nil, cerr
 	}
+	var warnings []string
 	for _, rep := range reps {
-		t.warn(rep.Status)
+		for _, w := range rep.Warnings {
+			if !slices.Contains(warnings, w) {
+				warnings = append(warnings, w)
+			}
+		}
 	}
-	return nil
+	return warnings, nil
 }
 
 // Tuples serves every Session read. It starts from the relation's empty

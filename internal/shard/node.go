@@ -70,12 +70,12 @@ func (n *Node) Execute(ctx context.Context, op wire.ShardOp) (rep wire.ShardRepl
 		err = n.prepare(op.GID, op.Ops)
 		rep.Status = fmt.Sprintf("prepared %d", len(op.Ops))
 	case wire.ShardCommit:
-		rep.Status, err = n.commit(op.GID)
+		rep.Status, rep.Warnings, err = n.commit(op.GID)
 	case wire.ShardAbort:
 		n.abort(op.GID)
 		rep.Status = "aborted"
 	case wire.ShardApply:
-		rep.Status, err = n.apply(op.GID, op.Ops)
+		rep.Status, rep.Warnings, err = n.apply(op.GID, op.Ops)
 	default:
 		err = fmt.Errorf("shard: unknown operation %q", op.Verb)
 	}
@@ -114,16 +114,6 @@ func (n *Node) tuples(op wire.ShardOp) (out []core.Tuple, err error) {
 		return nil
 	})
 	return out, err
-}
-
-// warned appends the exception warnings the node's write left in its
-// catalog to a COMMIT or APPLY status, one "warning: " line each, so the
-// coordinator reports them with the statement that caused them.
-func (n *Node) warned(status string) string {
-	for _, w := range n.target.Database().Warnings() {
-		status += "\nwarning: " + w
-	}
-	return status
 }
 
 // tupleOps refuses a transaction carrying anything but tuple updates: a
@@ -192,28 +182,30 @@ func (n *Node) validate(ops []catalog.TxOp) error {
 			return err
 		}
 	}
-	return tmp.ApplyOps(ops)
+	_, err := tmp.Apply(ops)
+	return err
 }
 
-// commit durably applies a journaled transaction. "unknown" (with no error)
-// tells the coordinator this node has no journal for the gid and needs the
-// operations re-sent via APPLY.
-func (n *Node) commit(gid string) (string, error) {
+// commit durably applies a journaled transaction, returning its warnings.
+// "unknown" (with no error) tells the coordinator this node has no journal
+// for the gid and needs the operations re-sent via APPLY.
+func (n *Node) commit(gid string) (string, []string, error) {
 	n.mu.Lock()
 	if n.done[gid] {
 		n.mu.Unlock()
-		return "committed", nil
+		return "committed", nil, nil
 	}
 	ops, ok := n.pending[gid]
 	n.mu.Unlock()
 	if !ok {
-		return "unknown", nil
+		return "unknown", nil, nil
 	}
-	if err := n.target.ApplyTx(ops); err != nil {
-		return "", err
+	warnings, err := n.target.Apply(ops)
+	if err != nil {
+		return "", nil, err
 	}
 	n.finish(gid)
-	return n.warned("committed"), nil
+	return "committed", warnings, nil
 }
 
 // abort drops a journaled transaction.
@@ -222,25 +214,26 @@ func (n *Node) abort(gid string) {
 }
 
 // apply is the commit-recovery fallback: apply re-sent operations unless
-// the gid already finished here.
-func (n *Node) apply(gid string, ops []catalog.TxOp) (string, error) {
+// the gid already finished here, returning the warnings of that apply.
+func (n *Node) apply(gid string, ops []catalog.TxOp) (string, []string, error) {
 	if gid == "" {
-		return "", fmt.Errorf("shard: APPLY without gid")
+		return "", nil, fmt.Errorf("shard: APPLY without gid")
 	}
 	if err := tupleOps(ops); err != nil {
-		return "", err
+		return "", nil, err
 	}
 	n.mu.Lock()
 	if n.done[gid] {
 		n.mu.Unlock()
-		return "applied", nil
+		return "applied", nil, nil
 	}
 	n.mu.Unlock()
-	if err := n.target.ApplyTx(ops); err != nil {
-		return "", err
+	warnings, err := n.target.Apply(ops)
+	if err != nil {
+		return "", nil, err
 	}
 	n.finish(gid)
-	return n.warned("applied"), nil
+	return "applied", warnings, nil
 }
 
 // finish marks a gid done (idempotency guard) and drops its journal entry,

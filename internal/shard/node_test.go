@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hrdb/internal/catalog"
@@ -85,6 +86,71 @@ func TestNodeTuplesSelectEval(t *testing.T) {
 	verdicts := exec(t, n, wire.ShardOp{Verb: wire.ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}}}).Verdicts
 	if len(verdicts) != 2 || !verdicts[0] || verdicts[1] {
 		t.Fatalf("verdicts %v (want Tweety flies, Paul doesn't)", verdicts)
+	}
+}
+
+// holdDeny holds a bare deny after its write has applied and before its
+// session renders the reply, until release is closed; applied announces
+// that the deny has reached that point. A node's transactions are never
+// bare, so they pass straight through.
+type holdDeny struct {
+	hql.Target
+	applied chan struct{}
+	release chan struct{}
+}
+
+func (h holdDeny) Apply(ops []hql.TxOp) ([]string, error) {
+	w, err := h.Target.Apply(ops)
+	if len(ops) == 1 && ops[0].Bare && ops[0].Kind == catalog.KindDeny {
+		h.applied <- struct{}{}
+		<-h.release
+	}
+	return w, err
+}
+
+// TestNodeCommitReportsOnlyItsOwnWarnings: a COMMIT carries the exception
+// warnings of its own apply, in the reply's Warnings and not in its
+// status — none for a clean transaction, even while another local
+// session's warn-raising deny has applied but not yet replied.
+func TestNodeCommitReportsOnlyItsOwnWarnings(t *testing.T) {
+	_, db := testNode(t)
+	if _, err := db.Apply([]catalog.TxOp{
+		{Kind: catalog.KindAssert, Relation: "Flies", Values: []string{"Bird"}},
+		{Kind: catalog.KindSetPolicy, Values: []string{"warn"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hold := holdDeny{Target: hql.MemTarget{DB: db}, applied: make(chan struct{}), release: make(chan struct{})}
+	n := NewNode(hold, 0, 1)
+
+	type reply struct {
+		out string
+		err error
+	}
+	denied := make(chan reply, 1)
+	go func() {
+		out, err := hql.NewSession(hold).Exec("DENY Flies (Tweety);")
+		denied <- reply{out, err}
+	}()
+	select {
+	case <-hold.applied:
+	case d := <-denied:
+		t.Fatalf("local deny replied %q, %v without being held", d.out, d.err)
+	}
+	exec(t, n, wire.ShardOp{Verb: wire.ShardPrepare, GID: "clean", Ops: []catalog.TxOp{{Kind: catalog.KindAssert, Relation: "Flies", Values: []string{"Paul"}}}})
+	rep := exec(t, n, wire.ShardOp{Verb: wire.ShardCommit, GID: "clean"})
+	close(hold.release)
+	if rep.Status != "committed" || len(rep.Warnings) != 0 {
+		t.Errorf("clean COMMIT replied %q with warnings %q, want none", rep.Status, rep.Warnings)
+	}
+	if d := <-denied; d.err != nil || !strings.Contains(d.out, "warning: exception: (Tweety)") {
+		t.Fatalf("local deny replied %q, %v; want its warning", d.out, d.err)
+	}
+
+	exec(t, n, wire.ShardOp{Verb: wire.ShardPrepare, GID: "warns", Ops: []catalog.TxOp{{Kind: catalog.KindDeny, Relation: "Flies", Values: []string{"Penguin"}}}})
+	rep = exec(t, n, wire.ShardOp{Verb: wire.ShardCommit, GID: "warns"})
+	if rep.Status != "committed" || len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], "(Penguin)") {
+		t.Fatalf("COMMIT raising an exception replied %q with warnings %q, want its one warning", rep.Status, rep.Warnings)
 	}
 }
 

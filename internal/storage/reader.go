@@ -43,10 +43,10 @@ type Change struct {
 	Pos Position
 }
 
-// Apply applies the change's ops through catalog.ApplyOps. An op the catalog
+// Apply applies the change's ops, dropping their warnings. An op the catalog
 // calls malformed was not written by any writer: ErrCorrupt.
 func (c Change) Apply(db *catalog.Database) error {
-	err := db.ApplyOps(c.Ops)
+	_, err := db.Apply(c.Ops)
 	if errors.Is(err, catalog.ErrBadOp) {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

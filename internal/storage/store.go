@@ -20,7 +20,7 @@ import (
 //
 // Durability contract:
 //
-//   - Every mutation is an ApplyTx of catalog.TxOps; the typed methods
+//   - Every mutation is an Apply of catalog.TxOps; the typed methods
 //     (Assert, AddClass, …) only spell a bare batch of one.
 //   - A transaction (assert/deny/retract ops not marked Bare) is
 //     write-ahead: the operation records are staged to the WAL inside a
@@ -367,8 +367,8 @@ func (s *Store) acknowledge(log *Log, mark int64, err error) error {
 	return nil
 }
 
-// ApplyTx is the store's one write path: it applies the ops through
-// catalog.ApplyOps and acknowledges only once their records are fsynced.
+// Apply is the store's one write path: it applies the ops, returning their
+// warnings, and acknowledges only once their records are fsynced.
 //
 //   - A single op other than a transaction's — a bare tuple update or any
 //     other kind — validates by applying in memory, then stages its one bare
@@ -379,17 +379,17 @@ func (s *Store) acknowledge(log *Log, mark int64, err error) error {
 //     rejects the transaction, with tx_abort so recovery discards it. No
 //     other op can share its batch: the log could not make the mix atomic.
 //   - An empty list changes and stages nothing.
-func (s *Store) ApplyTx(ops []catalog.TxOp) error {
+func (s *Store) Apply(ops []catalog.TxOp) ([]string, error) {
 	if len(ops) > 1 {
 		for _, o := range ops {
 			if !o.InTx() {
-				return fmt.Errorf("storage: %s cannot share a batch; only the assert, deny and retract ops of one transaction can", o.Kind)
+				return nil, fmt.Errorf("storage: %s cannot share a batch; only the assert, deny and retract ops of one transaction can", o.Kind)
 			}
 		}
 	}
 	bracket := len(ops) > 0 && ops[0].InTx()
 	if err := s.lockUsable(); err != nil {
-		return err
+		return nil, err
 	}
 	// Capture the log while holding applyMu: Checkpoint may rotate s.log,
 	// and a mark is only meaningful against the log that issued it.
@@ -403,11 +403,12 @@ func (s *Store) ApplyTx(ops []catalog.TxOp) error {
 	if bracket {
 		if _, err := log.Stage(append([]Record{{Op: OpTxBegin}}, recs...)...); err != nil {
 			s.applyMu.Unlock()
-			return s.acknowledge(log, 0, err)
+			return nil, s.acknowledge(log, 0, err)
 		}
 		recs = []Record{{Op: OpTxCommit}}
 	}
-	if err := s.db.ApplyOps(ops); err != nil {
+	warnings, err := s.db.Apply(ops)
+	if err != nil {
 		if bracket {
 			// The staged bracket must not commit. The abort need not be
 			// fsynced here — if it is lost to a crash, the bracket is
@@ -417,21 +418,31 @@ func (s *Store) ApplyTx(ops []catalog.TxOp) error {
 			}
 		}
 		s.applyMu.Unlock()
-		return err
+		return nil, err
 	}
 	if len(recs) == 0 {
 		s.applyMu.Unlock()
-		return nil
+		return warnings, nil
 	}
 	mark, err := log.Stage(recs...)
 	s.applyMu.Unlock()
-	return s.acknowledge(log, mark, err)
+	if err := s.acknowledge(log, mark, err); err != nil {
+		return nil, err
+	}
+	return warnings, nil
 }
 
-// apply is ApplyTx of one bare op; the typed methods below are spelled with
-// it.
+// ApplyTx is Apply without the warnings.
+func (s *Store) ApplyTx(ops []catalog.TxOp) error {
+	_, err := s.Apply(ops)
+	return err
+}
+
+// apply is Apply of one bare op, its warning dropped; the typed methods
+// below are spelled with it.
 func (s *Store) apply(kind, target string, values ...string) error {
-	return s.ApplyTx([]catalog.TxOp{{Kind: kind, Relation: target, Values: values, Bare: true}})
+	_, err := s.Apply([]catalog.TxOp{{Kind: kind, Relation: target, Values: values, Bare: true}})
+	return err
 }
 
 // CreateHierarchy creates and logs a hierarchy.
@@ -606,7 +617,7 @@ func (s *Store) usable() error {
 // Close flushes staged WAL frames and closes the store's files. Close is
 // safe to call concurrently with committers: the closed flag is set under
 // applyMu, so no committer can begin staging afterwards, and the log's own
-// Close flushes everything already staged — an ApplyTx waiting for its
+// Close flushes everything already staged — an Apply waiting for its
 // durability mark therefore still acknowledges (and its records survive).
 // Only the first call closes; subsequent calls — and any mutation after
 // the first Close — return ErrStoreClosed.

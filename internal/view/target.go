@@ -11,7 +11,7 @@ import (
 // Target wraps any hql.Target with a view Manager, implementing the
 // optional hql.ViewCatalog interface so sessions over it can run
 // CREATE MATERIALIZED VIEW / DROP VIEW / SHOW VIEWS and read views as
-// relations. Mutations pass through its ApplyTx to the wrapped target.
+// relations. Mutations pass through its Apply to the wrapped target.
 type Target struct {
 	hql.Target
 	Views *Manager
@@ -24,16 +24,16 @@ func NewTarget(base hql.Target, m *Manager) Target {
 
 var _ hql.ViewCatalog = Target{}
 
-// ApplyTx refuses to create a relation under a name already taken by a
-// view — views are read through the relation namespace, so the two must not
+// Apply refuses to create a relation under a name already taken by a view —
+// views are read through the relation namespace, so the two must not
 // collide.
-func (t Target) ApplyTx(ops []hql.TxOp) error {
+func (t Target) Apply(ops []hql.TxOp) ([]string, error) {
 	for _, o := range ops {
 		if o.Kind == catalog.KindCreateRelation && t.Views.Has(o.Relation) {
-			return fmt.Errorf("view: %q is a materialized view; drop it first", o.Relation)
+			return nil, fmt.Errorf("view: %q is a materialized view; drop it first", o.Relation)
 		}
 	}
-	return t.Target.ApplyTx(ops)
+	return t.Target.Apply(ops)
 }
 
 // CreateView implements hql.ViewCatalog.

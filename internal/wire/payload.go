@@ -369,9 +369,9 @@ const (
 	ShardTuples  = "TUPLES"  // a relation's stored tuples, scoped by Items or Conds → Tuples
 	ShardEval    = "EVAL"    // batch-evaluate Items → Verdicts
 	ShardPrepare = "PREPARE" // validate and journal Ops under GID → Status
-	ShardCommit  = "COMMIT"  // apply GID's journal → Status "committed" | "unknown", then its warnings
+	ShardCommit  = "COMMIT"  // apply GID's journal → Status "committed" | "unknown", Warnings
 	ShardAbort   = "ABORT"   // drop GID's journal → Status
-	ShardApply   = "APPLY"   // apply Ops under GID unless already done → Status "applied", then its warnings
+	ShardApply   = "APPLY"   // apply Ops under GID unless already done → Status "applied", Warnings
 )
 
 // ShardOp is a shard operation, the payload of an EXECSHARD frame after its
@@ -459,14 +459,14 @@ func ParseShardOp(p []byte) (ShardOp, error) {
 //	status    string list [status]
 //	tuples    u32 n | n × (u8 sign | string list item)
 //	verdicts  u32 m | ⌈m/8⌉ bytes, verdict i at bit i%8 of byte i/8
+//	warnings  string list [warning, …], present only when non-empty
 //
-// Padding bits are zero. A COMMIT or APPLY that applied ops follows its
-// status word with a "\nwarning: <text>" line per exception warning the
-// apply raised.
+// Padding bits are zero.
 type ShardReply struct {
 	Status   string       // PREPARE "prepared <n>", COMMIT "committed" | "unknown", ABORT "aborted", APPLY "applied"
 	Tuples   []core.Tuple // TUPLES
 	Verdicts []bool       // EVAL, in item order
+	Warnings []string     // COMMIT, APPLY: the exception warnings the ops raised when this reply applied them
 }
 
 // ShardReplyPayload encodes a shard reply.
@@ -487,7 +487,11 @@ func ShardReplyPayload(rep ShardReply) []byte {
 			bits[i/8] |= 1 << (i % 8)
 		}
 	}
-	return append(p, bits...)
+	p = append(p, bits...)
+	if len(rep.Warnings) > 0 {
+		p = appendStrings(p, rep.Warnings)
+	}
+	return p
 }
 
 // ParseShardReply decodes a shard reply.
@@ -518,6 +522,11 @@ func ParseShardReply(p []byte) (ShardReply, error) {
 			if n%8 != 0 && bits[len(bits)-1]>>(n%8) != 0 {
 				r.fail("nonzero verdict padding")
 			}
+		}
+	}
+	if len(r.p) > 0 {
+		if rep.Warnings = r.strings(); rep.Warnings == nil {
+			r.fail("empty warning list")
 		}
 	}
 	if err := r.done(); err != nil {

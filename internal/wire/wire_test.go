@@ -290,6 +290,29 @@ func TestStringListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardReplyRoundTrip: a COMMIT's warnings travel as their own field
+// after the verdicts, a reply without any encodes as one without the field,
+// and an explicitly empty warning list is refused.
+func TestShardReplyRoundTrip(t *testing.T) {
+	for _, rep := range []ShardReply{
+		{Status: "committed", Warnings: []string{`exception: (x) asserted false against inherited true in "R"`, "a\nb"}},
+		{Status: "applied", Tuples: []core.Tuple{{Item: core.Item{"a"}, Sign: true}}, Verdicts: []bool{true}, Warnings: []string{"w"}},
+		{Status: "committed"},
+	} {
+		got, err := ParseShardReply(ShardReplyPayload(rep))
+		if err != nil || !reflect.DeepEqual(got, rep) {
+			t.Fatalf("round trip of %+v = %+v, %v", rep, got, err)
+		}
+	}
+	bare := ShardReplyPayload(ShardReply{Status: "committed"})
+	if !bytes.HasSuffix(bare, []byte{0, 0, 0, 0, 0, 0, 0, 0}) {
+		t.Fatalf("reply without warnings = %x, want it to end at the empty tuple and verdict counts", bare)
+	}
+	if _, err := ParseShardReply(append(bare, 0, 0, 0, 0)); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("empty warning list = %v, want ErrProtocol", err)
+	}
+}
+
 func TestChangeRoundTrip(t *testing.T) {
 	for _, c := range []Change{
 		{Kind: ChangeSnapshot, Epoch: 3, Offset: 1024, Rows: []string{"(a, b)", "(c, d)"}},
@@ -486,6 +509,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: "SELECT", Relation: "r\x1fs", Conds: [][2]string{{"a\nb", "c"}}})))
 	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {}}})))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: ShardReplyPayload(ShardReply{Status: "prepared 2"})}))
+	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: ShardReplyPayload(ShardReply{Status: "committed", Warnings: []string{"exception: (x)", ""}})}))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: []byte{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}})) // string longer than the payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		oneShot, errOne := ReadFrame(bufio.NewReaderSize(bytes.NewReader(data), 16), fuzzMaxBytes)

@@ -24,13 +24,13 @@ type obsGateTarget struct {
 	waiting atomic.Int64
 }
 
-func (g *obsGateTarget) ApplyTx(ops []hrdb.TxOp) error {
+func (g *obsGateTarget) Apply(ops []hrdb.TxOp) ([]string, error) {
 	if len(ops) == 1 && ops[0].Kind == "assert" {
 		g.waiting.Add(1)
 		defer g.waiting.Add(-1)
 		<-g.gate
 	}
-	return g.Target.ApplyTx(ops)
+	return g.Target.Apply(ops)
 }
 
 // promValue extracts an unlabeled series value from Prometheus text.
