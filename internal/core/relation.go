@@ -381,6 +381,14 @@ func (r *Relation) Lookup(item Item) (Tuple, bool) {
 	return t, ok
 }
 
+// VisitTuples calls visit with every stored tuple, in no particular order:
+// Tuples without the sort, for a caller that orders what it builds itself.
+func (r *Relation) VisitTuples(visit func(Tuple)) {
+	for _, t := range r.tuples {
+		visit(t)
+	}
+}
+
 // Tuples returns all tuples sorted by item key (deterministic).
 func (r *Relation) Tuples() []Tuple {
 	keys := make([]string, 0, len(r.tuples))

@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +28,7 @@ func TestDifferentialMaintenance(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	for _, seed := range seeds {
+	for _, seed := range withChaosSeeds(t, seeds) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runDifferential(t, seed)
@@ -65,6 +69,7 @@ func runDifferential(t *testing.T, seed int64) {
 			t.Fatalf("create %s: %v", name, err)
 		}
 	}
+	d := newDiffer(t, m, views, seed)
 
 	rng := rand.New(rand.NewSource(seed))
 	nodes := []string{"c0", "c1", "c2", "c3", "i0", "i1", "i2", "i3", "i4", "i5"}
@@ -102,28 +107,77 @@ func runDifferential(t *testing.T, seed int64) {
 		// duplicate edges, cyclic preferences): errors are ignored, the
 		// WAL only carries what committed.
 
-		compareAll(t, m, views, step, seed)
+		d.check(step)
 	}
 }
 
-// compareAll quiesces maintenance and diffs every view against its oracle.
-func compareAll(t *testing.T, m *Manager, views map[string]string, step int, seed int64) {
+// withChaosSeeds returns seeds followed by CHAOS_ROUNDS more (the nightly
+// soak), numbered on from the largest.
+func withChaosSeeds(t *testing.T, seeds []int64) []int64 {
+	s := os.Getenv("CHAOS_ROUNDS")
+	if s == "" {
+		return seeds
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		t.Fatalf("bad CHAOS_ROUNDS %q", s)
+	}
+	next := slices.Max(seeds) + 1
+	for i := 0; i < n; i++ {
+		seeds = append(seeds, next+int64(i))
+	}
+	return seeds
+}
+
+// differ checks maintained views after every step of a random stream: each
+// view against a from-scratch eval, rendered by the views' one renderer; a
+// mirror of r1 against r1's stored tuples; and, for each of them, the
+// journal entries since the last check, applied to the rows of that check,
+// against the rows now.
+type differ struct {
+	t     *testing.T
+	m     *Manager
+	views map[string]string
+	seed  int64
+	prev  map[string]map[string]bool  // each feed's rows at the last check…
+	at    map[string]storage.Position // …and the position they reflect
+}
+
+// newDiffer opens the r1 mirror, as SUBSCRIBE r1 would, and takes the
+// first check.
+func newDiffer(t *testing.T, m *Manager, views map[string]string, seed int64) *differ {
+	t.Helper()
+	m.mu.Lock()
+	_, err := m.feedViewLocked("r1")
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &differ{t: t, m: m, views: views, seed: seed, prev: map[string]map[string]bool{}, at: map[string]storage.Position{}}
+	d.check(-1)
+	return d
+}
+
+// check quiesces maintenance and diffs every view and the mirror against
+// their oracles and journals.
+func (d *differ) check(step int) {
+	t, m, seed := d.t, d.m, d.seed
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	if err := m.Wait(ctx); err != nil {
 		t.Fatalf("seed %d step %d: wait: %v", seed, step, err)
 	}
-	for name, query := range views {
+	for name, query := range d.views {
 		got, err := m.Rows(name)
 		if err != nil {
 			t.Fatalf("seed %d step %d: rows %s: %v", seed, step, name, err)
 		}
-		d, err := compile(query)
+		def, err := compile(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle, err := eval(ctx, m.store.Database(), name, d)
+		oracle, err := eval(ctx, m.store.Database(), name, def)
 		if err != nil {
 			// The defining query itself fails on the current state (for
 			// example an ambiguity the random walk created): the view must
@@ -138,11 +192,70 @@ func compareAll(t *testing.T, m *Manager, views map[string]string, step int, see
 			}
 			continue
 		}
-		if strings.Join(got, "\n") != strings.Join(oracle.rows, "\n") {
+		want := (&view{def: def, rel: oracle.rel, counts: oracle.counts}).render()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			deltas, recomputes, _ := m.Stats(name)
 			t.Fatalf("seed %d step %d: view %s diverged (deltas=%d recomputes=%d)\n got: %q\nwant: %q",
-				seed, step, name, deltas, recomputes, got, oracle.rows)
+				seed, step, name, deltas, recomputes, got, want)
 		}
+	}
+
+	src, err := m.store.Database().Relation("r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := (&view{def: &def{kind: kindMirror}, rel: src}).render()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	mirror := m.mirrors["r1"]
+	if mirror == nil {
+		t.Fatalf("seed %d step %d: the r1 mirror is gone", seed, step)
+	}
+	if got := mirror.render(); strings.Join(got, "\n") != strings.Join(stored, "\n") {
+		t.Fatalf("seed %d step %d: r1 mirror diverged\n got: %q\nwant: %q", seed, step, got, stored)
+	}
+
+	feeds := map[string]*view{"r1 mirror": mirror}
+	for name := range d.views {
+		feeds[name] = m.views[name]
+	}
+	for name, v := range feeds {
+		rows := v.render()
+		if prev, ok := d.prev[name]; ok {
+			if d.at[name].Before(v.floor) {
+				t.Fatalf("seed %d step %d: %s journal trimmed past the last check", seed, step, name)
+			}
+			for _, e := range v.journal {
+				if !d.at[name].Before(e.pos) {
+					continue
+				}
+				for _, r := range e.removed {
+					if !prev[r] {
+						t.Fatalf("seed %d step %d: %s journal removes %q, which it does not hold", seed, step, name, r)
+					}
+					delete(prev, r)
+				}
+				for _, r := range e.added {
+					if prev[r] {
+						t.Fatalf("seed %d step %d: %s journal adds %q, which it holds", seed, step, name, r)
+					}
+					prev[r] = true
+				}
+			}
+			replayed := make([]string, 0, len(prev))
+			for r := range prev {
+				replayed = append(replayed, r)
+			}
+			sort.Strings(replayed)
+			if strings.Join(replayed, "\n") != strings.Join(rows, "\n") {
+				t.Fatalf("seed %d step %d: %s journal replays to %q, rows are %q", seed, step, name, replayed, rows)
+			}
+		}
+		d.prev[name] = map[string]bool{}
+		for _, r := range rows {
+			d.prev[name][r] = true
+		}
+		d.at[name] = v.pos
 	}
 }
 
@@ -159,7 +272,7 @@ func compareAll(t *testing.T, m *Manager, views map[string]string, step int, see
 func TestDifferentialFolds(t *testing.T) {
 	for _, mode := range []string{"off_path", "on_path", "none"} {
 		for _, prefs := range []bool{false, true} {
-			for seed := int64(1); seed <= 3; seed++ {
+			for _, seed := range withChaosSeeds(t, []int64{1, 2, 3}) {
 				mode, prefs, seed := mode, prefs, seed
 				t.Run(fmt.Sprintf("%s/prefs=%v/seed=%d", mode, prefs, seed), func(t *testing.T) {
 					runFolds(t, mode, prefs, seed)
@@ -209,6 +322,7 @@ func runFolds(t *testing.T, mode string, prefs bool, seed int64) {
 			t.Fatalf("create %s: %v", name, err)
 		}
 	}
+	d := newDiffer(t, m, views, seed)
 	recomputes := func() (n uint64) {
 		for name := range views {
 			_, rec, err := m.Stats(name)
@@ -246,7 +360,7 @@ func runFolds(t *testing.T, mode string, prefs bool, seed int64) {
 			c := pairs[rng.Intn(len(pairs))]
 			sess.Exec(fmt.Sprintf("BEGIN; RETRACT r1 (%s); RETRACT r1 (%s); RETRACT r1 (%s); COMMIT;", c[0], c[1], c[2]))
 		}
-		compareAll(t, m, views, step, seed)
+		d.check(step)
 	}
 	if rec := recomputes(); !prefs && rec != rec0 {
 		for name := range views {

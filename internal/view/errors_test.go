@@ -2,21 +2,39 @@ package view
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"hrdb/internal/catalog"
 )
 
 // TestDeltaAtomCapFallsBack: a committed batch whose changed item has more
-// leaves under it than MaxDeltaAtoms abandons the incremental fold and
+// leaves under it than maxDeltaAtoms (4,096) abandons the incremental fold and
 // recomputes, and the fallback is visible in the view's recompute counter.
+// Each of two classes has 65 instances, so a write on the pair of classes has
+// 65 × 65 = 4,225 leaf products: over the cap; a write on a pair of instances
+// has one: inside it.
 func TestDeltaAtomCapFallsBack(t *testing.T) {
-	_, m, sess := openView(t, Options{MaxDeltaAtoms: 2})
-	mustExec(t, sess, seedDDL)
-	mustExec(t, sess, "INSTANCE a UNDER mammal; INSTANCE b UNDER mammal;")
+	st, m, sess := openView(t, Options{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(st.CreateHierarchy("D"))
+	for _, c := range []string{"A", "B"} {
+		must(st.AddClass("D", c))
+		for i := 0; i < 65; i++ {
+			must(st.AddInstance("D", fmt.Sprintf("%s%02d", strings.ToLower(c), i), c))
+		}
+	}
+	must(st.CreateRelation("R", catalog.AttrSpec{Name: "X", Domain: "D"}, catalog.AttrSpec{Name: "Y", Domain: "D"}))
 	// The tail passes the seed before the view exists, so none of it
 	// replays into the fresh view as a delta.
 	quiesce(t, m)
-	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
+	mustExec(t, sess, "CREATE MATERIALIZED VIEW flat AS EXTENSION R;")
 
 	stats := func() (deltas, recomputes uint64) {
 		t.Helper()
@@ -30,12 +48,12 @@ func TestDeltaAtomCapFallsBack(t *testing.T) {
 	deltas0, rec0 := stats()
 
 	// One atom: inside the cap.
-	mustExec(t, sess, "DENY flies (tweety);")
+	mustExec(t, sess, "DENY R (a00, b00);")
 	if deltas, rec := stats(); deltas != deltas0+1 || rec != rec0 {
 		t.Fatalf("an in-cap write: deltas %d -> %d, recomputes %d -> %d; want one delta", deltas0, deltas, rec0, rec)
 	}
-	// mammal's own leaf product is rex, a and b: three atoms, over the cap.
-	mustExec(t, sess, "ASSERT flies (mammal);")
+	// (A, B)'s leaf product is every (aNN, bNN): 4,225 atoms, over the cap.
+	mustExec(t, sess, "ASSERT R (A, B);")
 	if deltas, rec := stats(); deltas != deltas0+1 || rec != rec0+1 {
 		t.Fatalf("an over-cap write: deltas %d -> %d, recomputes %d -> %d; want one recompute and no delta", deltas0+1, deltas, rec0, rec)
 	}
@@ -43,8 +61,16 @@ func TestDeltaAtomCapFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(rows, ","); got != "(a),(b),(rex)" {
-		t.Fatalf("rows after fallback = %q", got)
+	var want []string
+	for i := 0; i < 65; i++ {
+		for j := 0; j < 65; j++ {
+			if i+j > 0 { // (a00, b00) is denied
+				want = append(want, fmt.Sprintf("(a%02d, b%02d)", i, j))
+			}
+		}
+	}
+	if got := strings.Join(rows, ","); got != strings.Join(want, ",") {
+		t.Fatalf("rows after fallback: %d rows, want %d (first %q)", len(rows), len(want), rows[:min(3, len(rows))])
 	}
 }
 

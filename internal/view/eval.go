@@ -3,7 +3,6 @@ package view
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"hrdb/internal/algebra"
 	"hrdb/internal/catalog"
@@ -71,9 +70,9 @@ func compile(query string) (*def, error) {
 
 // evalResult is one full evaluation of a view's defining query.
 type evalResult struct {
-	rows []string // sorted, newline-free
 	// rel is the view's relation form: the extension atoms (extension and
-	// count views) or the consolidated selection; nil for mirrors.
+	// count views), the consolidated selection, or a mirror's copy of the
+	// source's stored tuples.
 	rel *core.Relation
 	// pre is a select view's selection before consolidation.
 	pre *core.Relation
@@ -91,12 +90,8 @@ func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalR
 	if err != nil {
 		return evalResult{}, err
 	}
-	domains := map[string]bool{}
 	schema := src.Schema()
-	for i := 0; i < schema.Arity(); i++ {
-		domains[schema.Attr(i).Domain.Domain()] = true
-	}
-	res := evalResult{domains: domains}
+	res := evalResult{domains: domainsOf(schema)}
 
 	switch d.kind {
 	case kindExtension, kindCount:
@@ -111,9 +106,6 @@ func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalR
 			}
 		}
 		if d.kind == kindExtension {
-			for _, it := range ext {
-				res.rows = append(res.rows, it.String())
-			}
 			break
 		}
 		group, err := d.grouper(src)
@@ -127,9 +119,6 @@ func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalR
 		for _, it := range ext {
 			res.counts[group(it)]++
 		}
-		for g, n := range res.counts {
-			res.rows = append(res.rows, countRow(g, n))
-		}
 
 	case kindSelect:
 		sel, err := algebra.SelectContext(ctx, name, src, d.conds...)
@@ -137,16 +126,23 @@ func eval(ctx context.Context, db *catalog.Database, name string, d *def) (evalR
 			return evalResult{}, err
 		}
 		res.pre, res.rel = sel, sel.Consolidate()
-		res.rows = tupleRows(res.rel)
 
 	case kindMirror:
-		res.rows = tupleRows(src)
+		res.rel = src.Clone()
 
 	default:
 		return evalResult{}, fmt.Errorf("view: unknown kind %d", d.kind)
 	}
-	sort.Strings(res.rows)
 	return res, nil
+}
+
+// domainsOf names the hierarchies a schema's attributes range over.
+func domainsOf(schema *core.Schema) map[string]bool {
+	domains := map[string]bool{}
+	for i := 0; i < schema.Arity(); i++ {
+		domains[schema.Attr(i).Domain.Domain()] = true
+	}
+	return domains
 }
 
 // grouper returns the function rendering the group an atom of src counts
@@ -173,14 +169,3 @@ func (d *def) grouper(src *core.Relation) (func(core.Item) string, error) {
 }
 
 func countRow(group string, n int) string { return fmt.Sprintf("%s = %d", group, n) }
-
-// tupleRows renders a relation's stored tuples as row strings
-// ("+ (a, b)" / "- (a, b)").
-func tupleRows(r *core.Relation) []string {
-	ts := r.Tuples()
-	rows := make([]string, 0, len(ts))
-	for _, t := range ts {
-		rows = append(rows, t.String())
-	}
-	return rows
-}

@@ -1,7 +1,7 @@
 // Package view maintains materialized views over HQL queries: each view's
-// result set is computed once, then kept current by tailing the store's
+// result is computed once, then kept current by tailing the store's
 // committed WAL stream and folding every committed batch into the stored
-// rows — as an O(delta) patch when the defining query permits it, and by
+// relation — as an O(delta) patch when the defining query permits it, and by
 // full recomputation when a mutation (hierarchy edit, whole-relation
 // rewrite) invalidates incremental math. Views double as change feeds:
 // every row change is journaled with its WAL position, and ServeFeed
@@ -27,7 +27,7 @@ import (
 
 // entry is one journaled row change: applying added/removed to the rows as
 // of the previous entry yields the rows as of pos. Entries are diffs of the
-// view's own row set, so replaying a contiguous suffix is exact.
+// view's rendered rows, so replaying a contiguous suffix is exact.
 type entry struct {
 	pos            storage.Position
 	added, removed []string // sorted
@@ -46,20 +46,19 @@ func (e entry) bytes() int {
 
 // view is one maintained view (or internal relation mirror).
 type view struct {
-	name   string
-	query  string // canonical defining query; "" for mirrors
-	def    *def
-	rows   map[string]struct{}
-	sorted []string // cache of sorted rows; nil = dirty
-	// rel, pre and counts are the maintained forms of the last evaluation
-	// (evalResult). The folds patch them in place under the manager's lock,
-	// and Read hands rel itself to readers under the same lock.
+	name  string
+	query string // canonical defining query; "" for mirrors
+	def   *def
+	// rel, pre and counts are the view's answer, held once (evalResult):
+	// rows are rendered from them on demand. The folds patch them in place
+	// under the manager's lock, and Read hands rel itself to readers under
+	// the same lock.
 	rel, pre *core.Relation
 	counts   map[string]int
 	// domains the last successful evaluation depended on.
 	domains map[string]bool
 
-	pos     storage.Position // WAL position the rows reflect
+	pos     storage.Position // WAL position the answer reflects
 	floor   storage.Position // journal covers (floor, pos]; resume below floor is stale
 	journal []entry
 	jbytes  int
@@ -70,75 +69,79 @@ type view struct {
 	lastErr                     string
 }
 
-func (v *view) sortedRows() []string {
-	if v.sorted == nil {
-		v.sorted = make([]string, 0, len(v.rows))
-		for r := range v.rows {
-			v.sorted = append(v.sorted, r)
+// render returns the view's rows, sorted: an extension view's atoms, a
+// select view's or a mirror's tuples, a count view's groups.
+func (v *view) render() []string {
+	var rows []string
+	switch {
+	case v.def.kind == kindCount:
+		rows = make([]string, 0, len(v.counts))
+		for g, n := range v.counts {
+			rows = append(rows, countRow(g, n))
 		}
-		sort.Strings(v.sorted)
+	case v.rel == nil: // broken: no rows
+	default:
+		extension := v.def.kind == kindExtension
+		rows = make([]string, 0, v.rel.Len())
+		v.rel.VisitTuples(func(t core.Tuple) {
+			if extension {
+				rows = append(rows, t.Item.String())
+			} else {
+				rows = append(rows, t.String())
+			}
+		})
 	}
-	return v.sorted
+	sort.Strings(rows)
+	return rows
 }
 
-// setRows replaces the row set and returns the sorted diff old -> new.
-func (v *view) setRows(rows []string) (added, removed []string) {
-	next := make(map[string]struct{}, len(rows))
-	for _, r := range rows {
-		next[r] = struct{}{}
-		if _, ok := v.rows[r]; !ok {
-			added = append(added, r)
-		}
+// size is how many rows the view renders to.
+func (v *view) size() int {
+	switch {
+	case v.def.kind == kindCount:
+		return len(v.counts)
+	case v.rel == nil:
+		return 0
 	}
-	for r := range v.rows {
-		if _, ok := next[r]; !ok {
-			removed = append(removed, r)
-		}
-	}
-	v.rows = next
-	v.sorted = nil
-	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed
+	return v.rel.Len()
 }
 
-// patchRows applies a fold's row changes — the rows it dropped and the rows
-// it derived, each without duplicates — and returns them net and sorted: a
-// row dropped and derived again is no change.
-func (v *view) patchRows(added, removed []string) (netAdded, netRemoved []string) {
-	gone := make(map[string]bool, len(removed))
-	for _, r := range removed {
-		gone[r] = true
-	}
+// netRows cancels the rows found among both the added and the removed, one
+// for one, and returns the rest of each, sorted: a row dropped and derived
+// again is no change.
+func netRows(added, removed []string) (netAdded, netRemoved []string) {
+	net := make(map[string]int, len(added)+len(removed))
 	for _, r := range added {
-		if gone[r] {
-			delete(gone, r)
-			continue
+		net[r]++
+	}
+	for _, r := range removed {
+		net[r]--
+	}
+	for r, n := range net {
+		switch {
+		case n > 0:
+			netAdded = append(netAdded, r)
+		case n < 0:
+			netRemoved = append(netRemoved, r)
 		}
-		v.rows[r] = struct{}{}
-		netAdded = append(netAdded, r)
-	}
-	for r := range gone {
-		delete(v.rows, r)
-		netRemoved = append(netRemoved, r)
-	}
-	if len(netAdded)+len(netRemoved) > 0 {
-		v.sorted = nil
 	}
 	sort.Strings(netAdded)
 	sort.Strings(netRemoved)
 	return netAdded, netRemoved
 }
 
+// maxDeltaAtoms caps how many atoms — the leaf products of its changed items
+// — one committed batch may make an extension or count view re-evaluate: a
+// write with more leaves under it costs what a full evaluation would, so the
+// view recomputes instead.
+const maxDeltaAtoms = 4096
+
 // Options configures a Manager.
 type Options struct {
-	// Dir, when set, persists view definitions (and a clean-shutdown row
-	// snapshot) to Dir/views.json so views survive restarts.
+	// Dir, when set, persists view definitions (and a clean-shutdown
+	// snapshot of their relation form) to Dir/views.json so views survive
+	// restarts.
 	Dir string
-	// MaxDeltaAtoms caps how many atoms — the leaf products of its changed
-	// items — one committed batch may force an extension or count view to
-	// re-evaluate before falling back to a full recompute. Default 4096.
-	MaxDeltaAtoms int
 	// MaxJournalEntries / MaxJournalBytes bound each view's change
 	// journal; resuming below the trimmed floor yields a stale error.
 	// Defaults 1024 entries / 1 MiB.
@@ -149,9 +152,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxDeltaAtoms <= 0 {
-		o.MaxDeltaAtoms = 4096
-	}
 	if o.MaxJournalEntries <= 0 {
 		o.MaxJournalEntries = 1024
 	}
@@ -211,8 +211,8 @@ func Open(store *storage.Store, opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// Close stops maintenance and persists a row snapshot for fast adoption on
-// the next Open. The store itself is not closed.
+// Close stops maintenance and persists a snapshot for fast adoption on the
+// next Open. The store itself is not closed.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -234,7 +234,7 @@ func (m *Manager) bumpLocked() {
 	m.change = make(chan struct{})
 	total := int64(0)
 	for _, v := range m.views {
-		total += int64(len(v.rows))
+		total += int64(v.size())
 	}
 	metricRows.Set(total)
 }
@@ -273,10 +273,10 @@ func (m *Manager) resync() *storage.Tailer {
 	tl := storage.NewTailer(m.store)
 	m.pos = tl.Position()
 	for _, v := range m.views {
-		m.recomputeLocked(v, m.pos)
+		m.recomputeLocked(v, m.pos, nil, nil)
 	}
 	for _, v := range m.mirrors {
-		m.recomputeLocked(v, m.pos)
+		m.recomputeLocked(v, m.pos, nil, nil)
 	}
 	m.bumpLocked()
 	return tl
@@ -336,16 +336,14 @@ func (m *Manager) applyViewLocked(v *view, ops []catalog.TxOp, pos storage.Posit
 		v.pos = pos
 		return
 	case actDelta:
-		var added, removed []string
-		n, ok := 1, true
+		fold := m.foldLocked
 		if v.def.kind == kindMirror {
-			added, removed = v.deltaMirror(ops)
-		} else {
-			added, removed, n, ok = m.foldLocked(v, ops)
+			fold = m.foldMirror
 		}
+		added, removed, n, ok := fold(v, ops)
 		switch {
 		case !ok:
-			m.recomputeLocked(v, pos)
+			m.recomputeLocked(v, pos, added, removed)
 			return
 		case n == 0:
 			v.skipped++
@@ -355,7 +353,7 @@ func (m *Manager) applyViewLocked(v *view, ops []catalog.TxOp, pos storage.Posit
 		}
 		m.commitView(v, pos, added, removed)
 	case actRecompute:
-		m.recomputeLocked(v, pos)
+		m.recomputeLocked(v, pos, nil, nil)
 	}
 }
 
@@ -380,22 +378,35 @@ func (m *Manager) commitView(v *view, pos storage.Position, added, removed []str
 // recomputeLocked re-evaluates a view from scratch at the current database
 // state and journals the diff as one entry at pos. Evaluation failure (for
 // example a dropped source relation) empties the view and records the
-// error; a later batch that recreates the source revives it.
-func (m *Manager) recomputeLocked(v *view, pos storage.Position) {
+// error; a later batch that recreates the source revives it. A mirror whose
+// relation is gone is unregistered instead: its feeds end as dropped, and
+// the name is not found until the relation is subscribed again.
+//
+// foldAdded and foldRemoved are the rows a failed fold already changed in
+// the answer (see foldLocked): the rows the view's feeds hold are its
+// rendering with those changes undone, and the diff starts from them.
+func (m *Manager) recomputeLocked(v *view, pos storage.Position, foldAdded, foldRemoved []string) {
 	v.recomputes++
 	metricRecomputes.Inc()
+	old := v.render()
+	if len(foldAdded)+len(foldRemoved) > 0 {
+		old, _ = netRows(append(old, foldRemoved...), foldAdded)
+	}
 	res, err := m.evaluate(v.name, v.def)
 	if err != nil {
 		v.lastErr = err.Error()
 		res = evalResult{}
+		if v.def.kind == kindMirror {
+			delete(m.mirrors, v.name)
+		}
 	} else {
 		v.lastErr = ""
 	}
-	added, removed := v.setRows(res.rows)
 	v.rel, v.pre, v.counts = res.rel, res.pre, res.counts
 	if res.domains != nil {
 		v.domains = res.domains
 	}
+	added, removed := netRows(v.render(), old)
 	m.commitView(v, pos, added, removed)
 }
 
@@ -410,11 +421,14 @@ func (m *Manager) evaluate(name string, d *def) (res evalResult, err error) {
 }
 
 // foldLocked folds a batch's tuple operations on the view's source into its
-// rows. A mutation at δ changes app(y), hence any verdict, only for y ⊑ δ
+// answer. A mutation at δ changes app(y), hence any verdict, only for y ⊑ δ
 // (docs/THEORY.md §4, view corollary): an extension or count view
 // re-evaluates the atoms under the changed items, a select view re-derives
 // the tuples at or under them. n is how many items it re-evaluated — zero
-// when the batch cannot touch the view; ok=false asks for a recompute.
+// when the batch cannot touch the view; ok=false asks for a recompute. A fold
+// can fail after patching part of the answer (an item the tail still names
+// may be gone from the live hierarchy): it then returns the rows it changed,
+// unnetted, for recomputeLocked to undo.
 func (m *Manager) foldLocked(v *view, ops []catalog.TxOp) (added, removed []string, n int, ok bool) {
 	if v.rel == nil || v.lastErr != "" {
 		return nil, nil, 0, false
@@ -443,12 +457,12 @@ func (m *Manager) foldLocked(v *view, ops []catalog.TxOp) (added, removed []stri
 		return nil
 	})
 	if !ok {
-		return nil, nil, 0, false
+		return added, removed, 0, false
 	}
 	if n > 0 {
 		metricDeltaAtoms.Observe(int64(n))
 	}
-	added, removed = v.patchRows(added, removed)
+	added, removed = netRows(added, removed)
 	return added, removed, n, true
 }
 
@@ -479,7 +493,7 @@ func (m *Manager) foldSelect(src *core.Relation, v *view, changed []core.Item) (
 	}
 	removed = rows()
 	if err := v.pre.Reconsolidate(v.rel, touched); err != nil {
-		return nil, nil, 0, false
+		return rows(), removed, 0, false
 	}
 	return rows(), removed, len(touched), true
 }
@@ -487,7 +501,7 @@ func (m *Manager) foldSelect(src *core.Relation, v *view, changed []core.Item) (
 // foldAtoms re-evaluates the atoms under the changed items against the
 // source and patches the view's extension; a count view then moves the
 // counters of the groups those atoms fall in. It asks for a recompute when the
-// items' leaf products exceed MaxDeltaAtoms or evaluation fails.
+// items' leaf products exceed maxDeltaAtoms or evaluation fails.
 func (m *Manager) foldAtoms(src *core.Relation, v *view, changed []core.Item) (added, removed []string, n int, ok bool) {
 	schema := v.rel.Schema()
 	var atoms []core.Item
@@ -498,7 +512,7 @@ func (m *Manager) foldAtoms(src *core.Relation, v *view, changed []core.Item) (a
 		for i := range leaves {
 			leaves[i] = schema.Attr(i).Domain.Leaves(item[i])
 			total *= len(leaves[i])
-			if total == 0 || len(atoms)+total > m.opts.MaxDeltaAtoms {
+			if total == 0 || len(atoms)+total > maxDeltaAtoms {
 				return nil, nil, 0, false
 			}
 		}
@@ -519,6 +533,7 @@ func (m *Manager) foldAtoms(src *core.Relation, v *view, changed []core.Item) (a
 			return nil, nil, 0, false
 		}
 	}
+	ok = true
 	before := map[string]int{} // a touched group's count as the batch found it
 	for i, atom := range atoms {
 		_, present := v.rel.Lookup(atom)
@@ -529,8 +544,8 @@ func (m *Manager) foldAtoms(src *core.Relation, v *view, changed []core.Item) (a
 		if present {
 			step = -1
 			v.rel.Retract(atom)
-		} else if err := v.rel.Insert(atom, true); err != nil {
-			return nil, nil, 0, false
+		} else if ok = v.rel.Insert(atom, true) == nil; !ok {
+			break
 		}
 		switch {
 		case group != nil:
@@ -556,53 +571,45 @@ func (m *Manager) foldAtoms(src *core.Relation, v *view, changed []core.Item) (a
 			delete(v.counts, g)
 		}
 	}
-	return added, removed, len(atoms), true
+	return added, removed, len(atoms), ok
 }
 
-// deltaMirror folds DML records into a relation mirror: each record sets
-// its item's stored-tuple state absolutely (assert -> "+", deny -> "-",
-// retract -> absent), so replay converges even when the mirror was
-// bootstrapped ahead of the tail position.
-func (v *view) deltaMirror(ops []catalog.TxOp) (added, removed []string) {
-	for _, op := range ops {
-		if op.Relation != v.def.source {
-			continue
-		}
-		it := core.Item(op.Values)
-		plus := core.Tuple{Item: it, Sign: true}.String()
-		minus := core.Tuple{Item: it, Sign: false}.String()
-		var want string
-		switch op.Kind {
-		case catalog.KindAssert:
-			want = plus
-		case catalog.KindDeny:
-			want = minus
-		case catalog.KindRetract:
-			want = ""
-		default:
-			continue
-		}
-		for _, row := range []string{plus, minus} {
-			if row == want {
+// foldMirror folds DML records into a relation mirror's copy of the stored
+// tuples: each record sets its item's tuple absolutely (assert -> "+", deny
+// -> "-", retract -> absent), so replay converges even when the mirror was
+// bootstrapped ahead of the tail position. n counts the records.
+func (m *Manager) foldMirror(v *view, ops []catalog.TxOp) (added, removed []string, n int, ok bool) {
+	ok = true
+	// Insert checks the item against the live hierarchies, which the apply
+	// lock keeps still.
+	_ = m.store.ReadLocked(func(*catalog.Database) error {
+		for _, op := range ops {
+			if op.Relation != v.def.source || !catalog.IsTupleOp(op.Kind) {
 				continue
 			}
-			if _, present := v.rows[row]; present {
-				delete(v.rows, row)
-				v.sorted = nil
-				removed = append(removed, row)
+			n++
+			it, sign := core.Item(op.Values), op.Kind == catalog.KindAssert
+			if t, had := v.rel.Lookup(it); had {
+				if op.Kind != catalog.KindRetract && t.Sign == sign {
+					continue
+				}
+				v.rel.Retract(it)
+				removed = append(removed, t.String())
+			}
+			if op.Kind != catalog.KindRetract {
+				if ok = v.rel.Insert(it, sign) == nil; !ok {
+					return nil
+				}
+				added = append(added, core.Tuple{Item: it, Sign: sign}.String())
 			}
 		}
-		if want != "" {
-			if _, present := v.rows[want]; !present {
-				v.rows[want] = struct{}{}
-				v.sorted = nil
-				added = append(added, want)
-			}
-		}
+		return nil
+	})
+	if !ok {
+		return added, removed, 0, false
 	}
-	sort.Strings(added)
-	sort.Strings(removed)
-	return added, removed
+	added, removed = netRows(added, removed)
+	return added, removed, n, true
 }
 
 // Create registers a materialized view: the defining query (canonical HQL,
@@ -631,18 +638,8 @@ func (m *Manager) Create(name, query string) error {
 	if err != nil {
 		return err
 	}
-	v := &view{
-		name:    name,
-		query:   query,
-		def:     d,
-		rows:    map[string]struct{}{},
-		domains: res.domains,
-		pos:     m.pos,
-		floor:   m.pos,
-	}
-	v.setRows(res.rows) // the initial rows are the snapshot, not a journal entry
-	v.rel, v.pre, v.counts = res.rel, res.pre, res.counts
-	m.views[name] = v
+	// The first answer is the snapshot, not a journal entry.
+	m.views[name] = m.newView(name, query, d, res)
 	m.bumpLocked()
 	return m.saveLocked()
 }
@@ -687,7 +684,7 @@ func (m *Manager) Rows(name string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return append([]string(nil), v.sortedRows()...), nil
+	return v.render(), nil
 }
 
 // Read calls fn with the view's maintained relation form under the lock the
@@ -721,7 +718,7 @@ func (m *Manager) Status(name string) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", v.name, v.query)
 	fmt.Fprintf(&b, "  rows=%d position=%d/%d deltas=%d skipped=%d recomputes=%d journal=%d",
-		len(v.rows), v.pos.Epoch, v.pos.Offset, v.deltas, v.skipped, v.recomputes, len(v.journal))
+		v.size(), v.pos.Epoch, v.pos.Offset, v.deltas, v.skipped, v.recomputes, len(v.journal))
 	if v.lastErr != "" {
 		fmt.Fprintf(&b, "\n  error: %s", v.lastErr)
 	}
@@ -775,17 +772,15 @@ func (m *Manager) feedViewLocked(name string) (*view, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	v := &view{
-		name:    name,
-		def:     d,
-		rows:    map[string]struct{}{},
-		domains: res.domains,
-		pos:     m.pos,
-		floor:   m.pos,
-	}
-	v.setRows(res.rows)
+	v := m.newView(name, "", d, res)
 	m.mirrors[name] = v
 	return v, nil
+}
+
+// newView builds a view holding a first evaluation at the manager's position.
+func (m *Manager) newView(name, query string, d *def, res evalResult) *view {
+	return &view{name: name, query: query, def: d, rel: res.rel, pre: res.pre,
+		counts: res.counts, domains: res.domains, pos: m.pos, floor: m.pos}
 }
 
 // ServeFeed streams a view's (or relation's) change feed through send, one
@@ -817,7 +812,7 @@ func (m *Manager) ServeFeed(ctx context.Context, name string, epoch uint64, offs
 			Kind:   wire.ChangeSnapshot,
 			Epoch:  cur.Epoch,
 			Offset: cur.Offset,
-			Rows:   append([]string(nil), v.sortedRows()...),
+			Rows:   v.render(),
 		}
 		m.mu.Unlock()
 		if err := send(snap); err != nil {

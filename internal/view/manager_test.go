@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +261,83 @@ func TestViewPersistence(t *testing.T) {
 	st.Close()
 }
 
+// TestViewsJSONWithRowsLoads: a views.json in the older format, which
+// stored each view's rendered rows beside its relation form, still loads at
+// the store's position. Its rows are ignored: the extension view is adopted
+// from its items without a recompute, the count view, whose counters were
+// never saved, recomputes once, and both read as a fresh evaluation.
+func TestViewsJSONWithRowsLoads(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	mustExec(t, hql.NewSession(st), seedDDL)
+	epoch, off := st.Position()
+	old := fmt.Sprintf(`[
+  {
+    "name": "flat",
+    "query": "EXTENSION flies",
+    "epoch": %[1]d,
+    "offset": %[2]d,
+    "rows": [
+      "(tweety)"
+    ],
+    "items": [
+      [
+        "tweety"
+      ]
+    ],
+    "signs": [
+      true
+    ]
+  },
+  {
+    "name": "tally",
+    "query": "COUNT flies",
+    "epoch": %[1]d,
+    "offset": %[2]d,
+    "rows": [
+      "count = 1"
+    ]
+  }
+]
+`, epoch, off)
+	if err := os.WriteFile(filepath.Join(dir, "views.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(st, Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, c := range []struct {
+		name, query string
+		recomputes  uint64
+	}{{"flat", "EXTENSION flies", 0}, {"tally", "COUNT flies", 1}} {
+		if _, rec, err := m.Stats(c.name); err != nil || rec != c.recomputes {
+			t.Errorf("%s: recomputes = %d (%v), want %d", c.name, rec, err, c.recomputes)
+		}
+		got, err := m.Rows(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := compile(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eval(context.Background(), st.Database(), c.name, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := (&view{def: d, rel: res.rel, counts: res.counts}).render()
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s rows = %q, want %q", c.name, got, want)
+		}
+	}
+}
+
 // feedCollector gathers a feed's changes and its end in the background.
 type feedCollector struct {
 	changes chan wire.Change
@@ -437,6 +517,128 @@ func TestRelationMirrorFeed(t *testing.T) {
 	d = fc.next(t, wire.ChangeDelta)
 	if len(d.Added) != 1 || d.Added[0] != "+ (rex)" || len(d.Removed) != 1 || d.Removed[0] != "- (rex)" {
 		t.Fatalf("mirror DELTA = %+v, want sign flip", d)
+	}
+}
+
+// TestMirrorDeltaIsNet: a bracket that flips a stored tuple's sign and back
+// leaves it as it was, so the mirror's delta names only what the bracket
+// changed in the end, and no row is both added and removed.
+func TestMirrorDeltaIsNet(t *testing.T) {
+	_, m, sess := openView(t, Options{})
+	mustExec(t, sess, seedDDL+"ASSERT flies (rex);")
+	quiesce(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fc := collectFeed(t, m, ctx, "flies", 0, 0, false)
+	fc.next(t, wire.ChangeSnapshot)
+
+	mustExec(t, sess, "BEGIN; DENY flies (rex); ASSERT flies (rex); DENY flies (tweety); COMMIT;")
+	if d := fc.next(t, wire.ChangeDelta); strings.Join(d.Added, ",") != "- (tweety)" || len(d.Removed) != 0 {
+		t.Fatalf("mirror DELTA added %q removed %q, want only +\"- (tweety)\"", d.Added, d.Removed)
+	}
+}
+
+// TestDroppedRelationEndsItsMirror: dropping a subscribed relation ends its
+// feed as dropped and unregisters the mirror, so a later SUBSCRIBE of the name
+// answers not-found, as for a name never subscribed, and no batch is folded
+// into a mirror of nothing.
+func TestDroppedRelationEndsItsMirror(t *testing.T) {
+	_, m, sess := openView(t, Options{})
+	mustExec(t, sess, seedDDL)
+	quiesce(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fc := collectFeed(t, m, ctx, "flies", 0, 0, false)
+	fc.next(t, wire.ChangeSnapshot)
+
+	mustExec(t, sess, "DROP RELATION flies;")
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedDropped) {
+		t.Fatalf("feed of a dropped relation ended %v, want ErrFeedDropped", err)
+	}
+	quiesce(t, m)
+	fc = collectFeed(t, m, ctx, "flies", 0, 0, false)
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedNotFound) {
+		t.Fatalf("SUBSCRIBE of a dropped relation ended %v, want ErrFeedNotFound", err)
+	}
+	m.mu.Lock()
+	mirrors := len(m.mirrors)
+	m.mu.Unlock()
+	if mirrors != 0 {
+		t.Fatalf("%d mirrors registered after the drop, want none", mirrors)
+	}
+}
+
+// TestFailedFoldKeepsFeedsExact: the tail lags the store, so a batch it
+// folds can name a node that a later batch dropped. The mirror's fold then
+// fails after patching part of the relation, and the view recomputes; the
+// recompute's delta must start from the rows the feeds hold, not from the
+// half-folded answer, so each feed still replays to the current rows.
+func TestFailedFoldKeepsFeedsExact(t *testing.T) {
+	st, m, sess := openView(t, Options{Heartbeat: 20 * time.Millisecond})
+	mustExec(t, sess, seedDDL+"INSTANCE x UNDER bird; CREATE MATERIALIZED VIEW flat AS EXTENSION flies;")
+	quiesce(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feeds := map[string]*feedCollector{}
+	rows := map[string]map[string]bool{}
+	for _, name := range []string{"flies", "flat"} {
+		feeds[name] = collectFeed(t, m, ctx, name, 0, 0, false)
+		rows[name] = map[string]bool{}
+		for _, r := range feeds[name].next(t, wire.ChangeSnapshot).Rows {
+			rows[name][r] = true
+		}
+	}
+
+	// Hold maintenance still while the store runs ahead of it.
+	m.mu.Lock()
+	_, err := hql.NewSession(st).Exec("BEGIN; DENY flies (tweety); ASSERT flies (x); COMMIT; " +
+		"RETRACT flies (x); DROP NODE x IN Animal;")
+	m.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, m)
+
+	src, err := st.Database().Relation("flies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := m.Rows("flat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"flies": (&view{def: &def{kind: kindMirror}, rel: src}).render(),
+		"flat":  flat,
+	}
+	epoch, off := st.Position()
+	end := storage.Position{Epoch: epoch, Offset: off}
+	for name, fc := range feeds {
+		deadline := time.After(10 * time.Second)
+		for at := (storage.Position{}); at.Before(end); {
+			select {
+			case c := <-fc.changes:
+				for _, r := range c.Removed {
+					delete(rows[name], r)
+				}
+				for _, r := range c.Added {
+					rows[name][r] = true
+				}
+				at = storage.Position{Epoch: c.Epoch, Offset: c.Offset}
+			case err := <-fc.errs:
+				t.Fatalf("%s feed ended: %v", name, err)
+			case <-deadline:
+				t.Fatalf("%s feed never reached the store's position", name)
+			}
+		}
+		var got []string
+		for r := range rows[name] {
+			got = append(got, r)
+		}
+		sort.Strings(got)
+		if strings.Join(got, "|") != strings.Join(want[name], "|") {
+			t.Errorf("%s feed replays to %q, rows are %q", name, got, want[name])
+		}
 	}
 }
 

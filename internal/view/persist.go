@@ -12,16 +12,17 @@ import (
 )
 
 // savedView is the on-disk form of one view: its definition always, plus a
-// row snapshot stamped with the WAL position it reflects. On reload the
-// snapshot is adopted only when that position equals the store's current
-// position (clean shutdown, no writes since); otherwise the definition
-// alone is kept and the contents recomputed.
+// snapshot of an extension or select view's relation form stamped with the
+// WAL position it reflects. On reload the snapshot is adopted only when that
+// position equals the store's current position (clean shutdown, no writes
+// since); otherwise — and for a count view — the definition alone is kept
+// and the contents recomputed. Rows are rendered from the relation, never
+// stored (a "rows" field in an older file is ignored).
 type savedView struct {
 	Name   string     `json:"name"`
 	Query  string     `json:"query"`
 	Epoch  uint64     `json:"epoch"`
 	Offset int64      `json:"offset"`
-	Rows   []string   `json:"rows"`
 	Items  [][]string `json:"items,omitempty"` // relation form: tuple items…
 	Signs  []bool     `json:"signs,omitempty"` // …and their signs
 }
@@ -30,7 +31,7 @@ func (m *Manager) viewsPath() string {
 	return filepath.Join(m.opts.Dir, "views.json")
 }
 
-// saveLocked persists every view definition (and current rows) atomically.
+// saveLocked persists every view definition (and relation form) atomically.
 // No-op without a Dir.
 func (m *Manager) saveLocked() error {
 	if m.opts.Dir == "" {
@@ -44,7 +45,6 @@ func (m *Manager) saveLocked() error {
 			Query:  v.query,
 			Epoch:  v.pos.Epoch,
 			Offset: v.pos.Offset,
-			Rows:   append([]string(nil), v.sortedRows()...),
 		}
 		if v.rel != nil && v.def.kind != kindCount {
 			for _, t := range v.rel.Tuples() {
@@ -69,7 +69,7 @@ func (m *Manager) saveLocked() error {
 }
 
 // load restores persisted views at Open time. Definitions always survive;
-// a row snapshot is adopted only when it was taken at the store's exact
+// a relation snapshot is adopted only when it was taken at the store's exact
 // current WAL position, else the view is recomputed once here.
 func (m *Manager) load() error {
 	if m.opts.Dir == "" {
@@ -95,7 +95,6 @@ func (m *Manager) load() error {
 			name:  sv.Name,
 			query: sv.Query,
 			def:   d,
-			rows:  map[string]struct{}{},
 			pos:   m.pos,
 			floor: m.pos,
 		}
@@ -103,7 +102,7 @@ func (m *Manager) load() error {
 			m.views[sv.Name] = v
 			continue
 		}
-		m.recomputeLocked(v, m.pos)
+		m.recomputeLocked(v, m.pos, nil, nil)
 		// Restoration is not a change: the journal starts empty.
 		v.journal, v.jbytes, v.floor = nil, 0, v.pos
 		m.views[sv.Name] = v
@@ -111,48 +110,28 @@ func (m *Manager) load() error {
 	return nil
 }
 
-// adopt installs a clean-shutdown row snapshot, rebuilding the relation
-// form from the persisted tuples. Any mismatch with the current schema
-// reports false and the caller recomputes instead.
+// adopt installs a clean-shutdown snapshot, rebuilding the relation form
+// from the persisted tuples. A count view, whose counters are not saved, and
+// any mismatch with the current schema report false and the caller
+// recomputes instead.
 func (m *Manager) adopt(v *view, sv savedView) bool {
-	adopted := false
-	m.store.ReadLocked(func(db *catalog.Database) error {
-		adopted = m.adoptUnderLock(db, v, sv)
-		return nil
-	})
-	return adopted
-}
-
-func (m *Manager) adoptUnderLock(db *catalog.Database, v *view, sv savedView) bool {
-	src, err := db.Relation(v.def.source)
-	if err != nil {
+	if v.def.kind == kindCount || len(sv.Items) != len(sv.Signs) {
 		return false
 	}
-	schema := src.Schema()
-	v.domains = map[string]bool{}
-	for i := 0; i < schema.Arity(); i++ {
-		v.domains[schema.Attr(i).Domain.Domain()] = true
-	}
-	if v.def.kind == kindExtension || v.def.kind == kindSelect {
-		rel := core.NewRelation(v.name, schema)
-		if len(sv.Items) != len(sv.Signs) {
-			return false
+	return m.store.ReadLocked(func(db *catalog.Database) error {
+		src, err := db.Relation(v.def.source)
+		if err != nil {
+			return err
 		}
+		rel := core.NewRelation(v.name, src.Schema())
 		for i, item := range sv.Items {
-			if len(item) != schema.Arity() {
-				return false
-			}
 			if err := rel.Insert(core.Item(item), sv.Signs[i]); err != nil {
-				return false
+				return err
 			}
 		}
-		v.rel = rel
-	}
-	for _, r := range sv.Rows {
-		v.rows[r] = struct{}{}
-	}
-	v.sorted = nil
-	return true
+		v.rel, v.domains = rel, domainsOf(src.Schema())
+		return nil
+	}) == nil
 }
 
 func sortedKeys(m map[string]*view) []string {
