@@ -597,6 +597,8 @@ type (
 func WithParallelism(n int) BatchOption { return core.WithParallelism(n) }
 
 // WithCache overrides the relation's verdict-cache setting for a batch call.
+// It governs that call's verdicts only: the extension and binding order a
+// relation keeps per state follow the relation's own SetCache.
 func WithCache(enabled bool) BatchOption { return core.WithCache(enabled) }
 
 // WithPreemption overrides the relation's preemption mode for a batch call.

@@ -39,7 +39,8 @@ func WithParallelism(n int) BatchOption {
 	}
 }
 
-// WithCache overrides the relation's verdict-cache setting for this call.
+// WithCache overrides the relation's verdict-cache setting for this call's
+// verdicts; the memoized extension and binding order follow SetCache.
 func WithCache(enabled bool) BatchOption {
 	return func(c *batchConfig) { c.cache = enabled }
 }

@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file implements the relation's verdict memo cache. Evaluation of an
 // item against an unchanged relation is deterministic, so the result can be
@@ -15,6 +18,8 @@ import "sync"
 // stale verdict. Capacity is bounded with a two-generation (current /
 // previous) rotation: inserts fill the current half; when it reaches half
 // the capacity the generations rotate and the oldest half is discarded.
+
+// The same stamp fences the extension and binding order (memo below).
 
 // defaultCacheCap bounds the number of memoized verdicts per relation.
 const defaultCacheCap = 4096
@@ -150,4 +155,35 @@ func (c *verdictCache) size() int {
 		}
 	}
 	return n
+}
+
+// memo is a value derived from a whole relation state, with its stamp.
+type memo[T any] struct {
+	stamp cacheStamp
+	v     T
+}
+
+// memoized returns m's value if it was derived from r's current state, else
+// derive's, kept in m when the cache is on and derive succeeds. Concurrent
+// reads may both derive and store: they store equal values.
+func memoized[T any](r *Relation, m *atomic.Pointer[memo[T]], derive func() (T, error)) (T, error) {
+	if r.cacheOff {
+		return derive()
+	}
+	s := r.stamp(r.mode)
+	if p := m.Load(); p != nil && p.stamp == s {
+		return p.v, nil
+	}
+	v, err := derive()
+	if err == nil {
+		m.Store(&memo[T]{stamp: s, v: v})
+	}
+	return v, err
+}
+
+// dropMemos frees the memos: a written relation keeps no state it has left.
+func (r *Relation) dropMemos() {
+	r.ext.Store(nil)
+	r.sorted.Store(nil)
+	r.order.Store(nil)
 }

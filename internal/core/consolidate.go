@@ -56,17 +56,33 @@ func redundantAt(ts []Tuple, sub []dag.Bitset, i int, gone []bool) bool {
 // Consolidate returns the unique minimum relation with the same extension:
 // it walks the subsumption graph in topologically sorted order and deletes
 // every tuple that is redundant with respect to the tuples remaining at
-// that point (§3.3.1). The receiver is not modified.
+// that point (§3.3.1). The receiver is not modified. The result comes with
+// its binding order, the walk's restricted to the survivors (see kahn).
 func (r *Relation) Consolidate() *Relation {
-	out := r.Clone()
 	tuples := r.Tuples()
 	order, sub := r.bindOrder(tuples)
 	removed := make([]bool, len(tuples))
 	for _, i := range order {
-		if redundantAt(tuples, sub, i, removed) {
-			out.Retract(tuples[i].Item)
-			removed[i] = true
+		removed[i] = redundantAt(tuples, sub, i, removed)
+	}
+	out := newRelation(r.name, r.schema, len(tuples))
+	out.mode, out.cacheOff = r.mode, r.cacheOff
+	for i, t := range tuples {
+		if !removed[i] {
+			out.put(t.Item.Key(), t) // items are never written in place, so the two share them
 		}
+	}
+	if out.Len() == len(tuples) && r.VerifiedConsistent() {
+		s := out.stamp(out.mode) // nothing removed: the state r was verified at
+		out.verified.Store(&s)
+	}
+	if !out.cacheOff {
+		kept := kahn(sub, removed)
+		ts := make([]Tuple, len(kept))
+		for n, i := range kept {
+			ts[n] = tuples[i]
+		}
+		out.order.Store(&memo[[]Tuple]{stamp: out.stamp(out.mode), v: ts})
 	}
 	return out
 }

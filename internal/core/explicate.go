@@ -18,30 +18,30 @@ import (
 // for the tuple at each node, enumerate the membership of the classes in
 // the attributes being explicated; keep each enumerated item unless an
 // earlier, more specific tuple has already decided it. One kernel,
-// explicate, runs that walk on node ids; Explicate, Extension, ExtensionSize
-// and VisitExtension (and through it the algebra's Count) are its visitors.
+// explicate, runs that walk on node ids for Explicate and for the
+// extension, which Extension, ExtensionSize and VisitExtension (and through
+// it the algebra's Count) read from a memo kept per relation state.
 
 // explicate is the explication kernel. It walks the tuples most specific
-// first — bindOrder backwards — and enumerates each one's product as node
-// ids, last column fastest: the leaves under the coordinate in an explicated
-// column (every column when explicated is nil), the coordinate itself (-1 if
-// its hierarchy no longer has it) in any other. An atom a more specific tuple has decided is skipped; each other one
-// is handed to visit with the tuple that decides it, in a slice reused
-// between calls. More than maxProductNodes decided atoms is ErrTooLarge, and
+// first — the binding order backwards — and enumerates each one's product as
+// node ids, last column fastest: the leaves under the coordinate in an
+// explicated column (every column when explicated is nil), the coordinate
+// itself (-1 if its hierarchy no longer has it) in any other. An atom a more
+// specific tuple has decided is skipped; each other one is handed to visit
+// with the tuple that decides it, in a slice reused between calls. More than maxProductNodes decided atoms is ErrTooLarge, and
 // ctx is checked before each tuple.
 func (r *Relation) explicate(ctx context.Context, explicated []bool, visit func(t Tuple, atom []int) error) error {
-	ts := r.Tuples()
-	order, _ := r.bindOrder(ts)
+	ts := r.generalFirst()
 	k := r.schema.Arity()
 	decided := newAtomSet(r.schema)
 	values := make([][]int, k)
 	pos, atom := make([]int, k), make([]int, k)
 	n := 0
-	for o := len(order) - 1; o >= 0; o-- {
+	for o := len(ts) - 1; o >= 0; o-- {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := ts[order[o]]
+		t := ts[o]
 		empty := false
 		for i, v := range t.Item {
 			h := r.schema.attrs[i].Domain
@@ -208,17 +208,56 @@ func (r *Relation) itemsOf(ids []int) []Item {
 
 // VisitExtension calls visit once for each atomic item of the relation's
 // flat extension, in no particular order, as node ids in schema order (the
-// attribute's Domain.NameOf names them); the slice is reused between calls.
+// attribute's Domain.NameOf names them); visit must not modify the slice.
 // It costs what Extension costs without naming, keying or sorting an atom,
 // and fails where Extension fails: ErrTooLarge past maxProductNodes decided
-// atoms, ctx's error at a tuple boundary.
+// atoms, ctx's error at a tuple boundary or, on a memoized extension, before
+// the first atom.
 func (r *Relation) VisitExtension(ctx context.Context, visit func(atom []int)) error {
-	return r.explicate(ctx, nil, func(t Tuple, atom []int) error {
-		if t.Sign {
-			visit(atom)
-		}
-		return nil
+	ids, err := r.extension(ctx)
+	if err != nil {
+		return err
+	}
+	k := r.schema.Arity()
+	for n := 0; n < len(ids); n += k {
+		visit(ids[n : n+k : n+k])
+	}
+	return nil
+}
+
+// extension returns the positive atoms as node ids, k apiece, in kernel
+// order, memoized per state. ctx is checked first, so a canceled read fails
+// warm as it does cold.
+func (r *Relation) extension(ctx context.Context) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return memoized(r, &r.ext, func() ([]int, error) {
+		var ids []int
+		err := r.explicate(ctx, nil, func(t Tuple, atom []int) error {
+			if t.Sign {
+				ids = append(ids, atom...)
+			}
+			return nil
+		})
+		return ids, err
 	})
+}
+
+// sortAtoms returns atoms, given as node ids k apiece, in key order, in a
+// new slice.
+func (r *Relation) sortAtoms(ids []int) []int {
+	k, items := r.schema.Arity(), r.itemsOf(ids)
+	perm := make([]int, len(items))
+	for p := range perm {
+		perm[p] = p
+	}
+	slices.SortFunc(perm, func(a, b int) int { return CompareItems(items[a], items[b]) })
+	sorted := make([]int, 0, len(ids))
+	for _, p := range perm {
+		sorted = append(sorted, ids[p*k:(p+1)*k]...)
+	}
+	return sorted
 }
 
 // Extension returns the relation's unique flat extension — the sorted
@@ -230,24 +269,23 @@ func (r *Relation) Extension() ([]Item, error) {
 	return r.ExtensionContext(context.Background())
 }
 
-// ExtensionContext is Extension with cancellation.
+// ExtensionContext is Extension with cancellation. The key-ordered ids are
+// memoized per state, sorted from the kernel-order memo on a miss.
 func (r *Relation) ExtensionContext(ctx context.Context) ([]Item, error) {
-	var ids []int
-	err := r.VisitExtension(ctx, func(atom []int) { ids = append(ids, atom...) })
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ids, err := memoized(r, &r.sorted, func() ([]int, error) {
+		ids, err := r.extension(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return r.sortAtoms(ids), nil
+	})
 	if err != nil || len(ids) == 0 {
 		return nil, err
 	}
-	items := r.itemsOf(ids)
-	keys, perm := make([]string, len(items)), make([]int, len(items))
-	for n, item := range items {
-		keys[n], perm[n] = item.Key(), n
-	}
-	sort.Slice(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
-	out := make([]Item, len(perm))
-	for n, p := range perm {
-		out[n] = items[p]
-	}
-	return out, nil
+	return r.itemsOf(ids), nil
 }
 
 // AtomicItems enumerates every atomic item of the relation's schema — the
@@ -272,9 +310,6 @@ func (r *Relation) AtomicItems() ([]Item, error) {
 
 // ExtensionSize returns the number of atomic items in the extension.
 func (r *Relation) ExtensionSize() (int, error) {
-	n := 0
-	if err := r.VisitExtension(context.Background(), func([]int) { n++ }); err != nil {
-		return 0, err
-	}
-	return n, nil
+	ids, err := r.extension(context.Background())
+	return len(ids) / r.schema.Arity(), err
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -244,5 +245,30 @@ func TestExplicateInfinitePotential(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Fatalf("stored tuples = %d, want 1", r.Len())
+	}
+}
+
+// TestExtensionCanceledWarm: a canceled context fails EXTENSION on a
+// relation whose extension is memoized as it does on a cold one, and the
+// cold failure leaves no memo behind.
+func TestExtensionCanceledWarm(t *testing.T) {
+	r := fliesRelation(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.ExtensionContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cold EXTENSION under a canceled context: %v, want context.Canceled", err)
+	}
+	ext, err := r.Extension()
+	must(t, err)
+	n, err := r.ExtensionSize()
+	must(t, err)
+	if len(ext) == 0 || n != len(ext) {
+		t.Fatalf("after a canceled read: %d atoms, size %d: a canceled read memoized an empty extension", len(ext), n)
+	}
+	if _, err := r.ExtensionContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("warm EXTENSION under a canceled context: %v, want context.Canceled", err)
+	}
+	if err := r.VisitExtension(ctx, func([]int) { t.Fatal("visited an atom") }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("warm VisitExtension under a canceled context: %v, want context.Canceled", err)
 	}
 }

@@ -224,6 +224,11 @@ type Relation struct {
 	cache    *verdictCache
 	cacheOff bool
 
+	// What the state determines, memoized under the verdict cache's stamp:
+	// the extension as ids in kernel and in key order, the binding order.
+	ext, sorted atomic.Pointer[memo[[]int]]
+	order       atomic.Pointer[memo[[]Tuple]]
+
 	// verified is the stamp of the last state a consistency check passed
 	// on; the catalog runs the delta check only from such a state. Atomic
 	// because CheckConsistency is a read as far as callers are concerned.
@@ -265,6 +270,7 @@ func (r *Relation) Mode() Preemption { return r.mode }
 func (r *Relation) SetMode(m Preemption) {
 	r.mode = m
 	r.epoch++
+	r.dropMemos()
 }
 
 // Epoch returns the relation's mutation counter. It increases on every
@@ -272,16 +278,18 @@ func (r *Relation) SetMode(m Preemption) {
 // window in which the stored tuples did not change.
 func (r *Relation) Epoch() uint64 { return r.epoch }
 
-// SetCache enables or disables the verdict memo cache. Disabling also drops
-// any memoized verdicts. The cache is enabled by default.
+// SetCache enables or disables the relation's memos: the verdict cache and
+// the per-state extension and binding order. Disabling also drops them. The
+// cache is enabled by default.
 func (r *Relation) SetCache(enabled bool) {
 	r.cacheOff = !enabled
 	if !enabled {
 		r.cache.reset()
+		r.dropMemos()
 	}
 }
 
-// CacheEnabled reports whether the verdict memo cache is in use.
+// CacheEnabled reports whether the relation's memos are in use.
 func (r *Relation) CacheEnabled() bool { return !r.cacheOff }
 
 // CacheStats returns the verdict cache's cumulative hit and miss counters.
@@ -340,6 +348,7 @@ func (r *Relation) put(k string, t Tuple) {
 		r.idx[i][v] = append(r.idx[i][v], k)
 	}
 	r.epoch++
+	r.dropMemos()
 }
 
 // Assert inserts a positive tuple (the relation holds for every element of
@@ -372,6 +381,7 @@ func (r *Relation) Retract(item Item) bool {
 		}
 	}
 	r.epoch++
+	r.dropMemos()
 	return true
 }
 
@@ -623,10 +633,21 @@ next:
 // first), Table and Reconsolidate forwards, and Consolidate also reads the
 // graph.
 func (r *Relation) bindOrder(ts []Tuple) (order []int, sub []dag.Bitset) {
-	n := len(ts)
 	sub = r.bindMatrix(ts)
+	return kahn(sub, nil), sub
+}
+
+// kahn is Kahn's algorithm over sub restricted to the positions not gone
+// (gone may be nil), the smallest free position first. sub restricted to a
+// subset is the subset's own graph, so this is the subset's bindOrder.
+func kahn(sub []dag.Bitset, gone []bool) []int {
+	n := len(sub)
+	skip := func(i int) bool { return gone != nil && gone[i] }
 	indeg := make([]int, n)
 	for i := range sub {
+		if skip(i) {
+			continue
+		}
 		for w, word := range sub[i] {
 			for ; word != 0; word &= word - 1 {
 				indeg[w*64+bits.TrailingZeros64(word)]++
@@ -634,12 +655,12 @@ func (r *Relation) bindOrder(ts []Tuple) (order []int, sub []dag.Bitset) {
 		}
 	}
 	frontier := make([]int, 0, n)
-	for j := range ts {
-		if indeg[j] == 0 {
+	for j := range sub {
+		if indeg[j] == 0 && !skip(j) {
 			frontier = append(frontier, j)
 		}
 	}
-	order = make([]int, 0, n)
+	order := make([]int, 0, n)
 	for len(frontier) > 0 {
 		i := frontier[0]
 		frontier = frontier[1:]
@@ -647,19 +668,26 @@ func (r *Relation) bindOrder(ts []Tuple) (order []int, sub []dag.Bitset) {
 		for w, word := range sub[i] {
 			for ; word != 0; word &= word - 1 {
 				j := w*64 + bits.TrailingZeros64(word)
-				if indeg[j]--; indeg[j] == 0 {
+				if indeg[j]--; indeg[j] == 0 && !skip(j) {
 					frontier = append(frontier, j)
 				}
 			}
 		}
 		sortInts(frontier)
 	}
-	return order, sub
+	return order
 }
 
 // TuplesGeneralFirst returns the stored tuples in binding order: a tuple
-// precedes every tuple it strictly bind-subsumes.
-func (r *Relation) TuplesGeneralFirst() []Tuple { return r.sortGeneralFirst(r.Tuples()) }
+// precedes every tuple it strictly bind-subsumes. The order is memoized per
+// state; the slice is the caller's.
+func (r *Relation) TuplesGeneralFirst() []Tuple { return slices.Clone(r.generalFirst()) }
+
+// generalFirst is TuplesGeneralFirst's memoized slice, not to be modified.
+func (r *Relation) generalFirst() []Tuple {
+	ts, _ := memoized(r, &r.order, func() ([]Tuple, error) { return r.sortGeneralFirst(r.Tuples()), nil })
+	return ts
+}
 
 // sortGeneralFirst returns ts, which must be sorted by item key, in
 // bindOrder.

@@ -306,8 +306,15 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s: %d atomic items\n", st.Relation, len(ext))
-		for _, it := range ext {
-			fmt.Fprintf(&b, "  %s\n", it)
+		for _, it := range ext { // it.String()'s bytes, with no allocation per row
+			b.WriteString("  (")
+			for i, v := range it {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(v)
+			}
+			b.WriteString(")\n")
 		}
 		return b.String(), nil
 

@@ -58,6 +58,7 @@ type view struct {
 	// domains the last successful evaluation depended on.
 	domains map[string]bool
 
+	feeds   int              // ServeFeed calls serving the view; a mirror ends with its last
 	pos     storage.Position // WAL position the answer reflects
 	floor   storage.Position // journal covers (floor, pos]; resume below floor is stale
 	journal []entry
@@ -789,7 +790,9 @@ func (m *Manager) newView(name, query string, d *def, res evalResult) *view {
 // offset). Heartbeats mark the position while nothing changes. It returns
 // nil when ctx is canceled, send's error when a send fails, and otherwise
 // why the feed cannot go on: wire.ErrFeedNotFound, wire.ErrFeedStale (the
-// position was trimmed from the journal; resubscribe without resume),
+// position was trimmed from the journal, or is a relation mirror's floor,
+// as when the mirror ended with its last feed and a resume finds a new one;
+// resubscribe without resume),
 // wire.ErrFeedDropped or wire.ErrFeedClosed.
 func (m *Manager) ServeFeed(ctx context.Context, name string, epoch uint64, offset int64, resume bool, send func(wire.Change) error) error {
 	var cur storage.Position
@@ -799,9 +802,22 @@ func (m *Manager) ServeFeed(ctx context.Context, name string, epoch uint64, offs
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %q", wire.ErrFeedNotFound, name)
 	}
+	v.feeds++
+	defer func() {
+		m.mu.Lock()
+		if v.feeds--; v.feeds == 0 && v.def.kind == kindMirror && m.mirrors[name] == v {
+			delete(m.mirrors, name) // a mirror goes with its last feed: nobody reads its folds
+		}
+		m.mu.Unlock()
+	}()
 	if resume {
 		cur = storage.Position{Epoch: epoch, Offset: offset}
-		if cur.Before(v.floor) || v.pos.Before(cur) {
+		// A mirror is made from the store's live state, which can be ahead
+		// of its floor, the position it is stamped with: a client's position
+		// at the floor can predate writes the mirror already holds and would
+		// never send, so a mirror takes no resume there.
+		atFloor := v.def.kind == kindMirror && cur == v.floor
+		if atFloor || cur.Before(v.floor) || v.pos.Before(cur) {
 			m.mu.Unlock()
 			return fmt.Errorf("%w: resubscribe without resume", wire.ErrFeedStale)
 		}

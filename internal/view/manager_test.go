@@ -568,6 +568,85 @@ func TestDroppedRelationEndsItsMirror(t *testing.T) {
 	}
 }
 
+// TestMirrorEndsWithItsLastFeed: a relation mirror lives while a feed
+// serves it. Once the only feed is canceled, writes fold into no mirror and
+// the journal stops growing; a resume from the old feed's position is stale,
+// and a new SUBSCRIBE opens with a snapshot of the stored tuples.
+func TestMirrorEndsWithItsLastFeed(t *testing.T) {
+	_, m, sess := openView(t, Options{Heartbeat: 20 * time.Millisecond})
+	mustExec(t, sess, seedDDL)
+	quiesce(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	fc := collectFeed(t, m, ctx, "flies", 0, 0, false)
+	snap := fc.next(t, wire.ChangeSnapshot)
+	m.mu.Lock()
+	mirror := m.mirrors["flies"]
+	m.mu.Unlock()
+	cancel()
+	if err := fc.end(t); err != nil {
+		t.Fatalf("canceled feed ended %v, want nil", err)
+	}
+
+	for i := 0; i < 5; i++ {
+		mustExec(t, sess, "ASSERT flies (rex); RETRACT flies (rex);")
+	}
+	quiesce(t, m)
+	m.mu.Lock()
+	mirrors, deltas, journal := len(m.mirrors), mirror.deltas, len(mirror.journal)
+	m.mu.Unlock()
+	if mirrors != 0 || deltas != 0 || journal != 0 {
+		t.Fatalf("after the last feed ended: %d mirrors, %d batches folded, %d journal entries; want none",
+			mirrors, deltas, journal)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	fc = collectFeed(t, m, ctx, "flies", snap.Epoch, snap.Offset, true)
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedStale) {
+		t.Fatalf("resume past a released mirror ended %v, want ErrFeedStale", err)
+	}
+	mustExec(t, sess, "DENY flies (rex);")
+	fc = collectFeed(t, m, ctx, "flies", 0, 0, false)
+	if snap := fc.next(t, wire.ChangeSnapshot); strings.Join(snap.Rows, ",") != "+ (bird),- (rex)" {
+		t.Fatalf("re-SUBSCRIBE SNAP rows = %q, want the stored tuples [+ (bird) - (rex)]", snap.Rows)
+	}
+}
+
+// TestNewMirrorRefusesResume: a mirror is made from the store's live state,
+// which the tail may not have reached. A resume from the position a
+// caught-up client held, taken while a write waits for the tail, must
+// answer stale: the new mirror holds the write, so it would never send its
+// delta. The client's snapshot then shows it.
+func TestNewMirrorRefusesResume(t *testing.T) {
+	st, m, sess := openView(t, Options{Heartbeat: 20 * time.Millisecond})
+	mustExec(t, sess, seedDDL)
+	quiesce(t, m)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fc := collectFeed(t, m, ctx, "flies", 0, 0, false)
+	snap := fc.next(t, wire.ChangeSnapshot)
+	cancel()
+	if err := fc.end(t); err != nil {
+		t.Fatalf("canceled feed ended %v, want nil", err)
+	}
+
+	m.cancel() // stop the tail: the store runs ahead of the manager from here
+	<-m.done
+	if _, err := hql.NewSession(st).Exec("DENY flies (rex);"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	fc = collectFeed(t, m, ctx, "flies", snap.Epoch, snap.Offset, true)
+	if err := fc.end(t); !errors.Is(err, wire.ErrFeedStale) {
+		t.Fatalf("resume on a new mirror ended %v, want ErrFeedStale", err)
+	}
+	fc = collectFeed(t, m, ctx, "flies", 0, 0, false)
+	if snap := fc.next(t, wire.ChangeSnapshot); strings.Join(snap.Rows, ",") != "+ (bird),- (rex)" {
+		t.Fatalf("re-SUBSCRIBE SNAP rows = %q, want the stored tuples [+ (bird) - (rex)]", snap.Rows)
+	}
+}
+
 // TestFailedFoldKeepsFeedsExact: the tail lags the store, so a batch it
 // folds can name a node that a later batch dropped. The mirror's fold then
 // fails after patching part of the relation, and the view recomputes; the
