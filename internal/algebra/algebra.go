@@ -60,9 +60,11 @@ func combine(ctx context.Context, name string, s *core.Schema, cand []core.Item,
 
 // fill places a pointwise-signed tuple in out at every candidate item it has
 // none on, then repairs until conflicts() is empty, and returns the items it
-// placed tuples on.
+// placed tuples on. Unless binding order is is-a order, a repair tuple can
+// outrank by preference a tuple it does not subsume at an atom under it that
+// no conflict names, so the atoms under the repairs are then checked (pin).
 func fill(ctx context.Context, out *core.Relation, cand []core.Item, eval batchEval, conflicts func() []*core.ConflictError) ([]core.Item, error) {
-	var placed []core.Item
+	var placed, repairs []core.Item
 	for round := 0; ; round++ {
 		seen := map[string]bool{}
 		var todo []core.Item
@@ -83,10 +85,17 @@ func fill(ctx context.Context, out *core.Relation, cand []core.Item, eval batchE
 			}
 		}
 		placed = append(placed, todo...)
+		if round > 0 {
+			repairs = append(repairs, todo...)
+		}
 		// Repair: resolve residual ambiguity with pointwise-correct tuples.
 		cs := conflicts()
 		if len(cs) == 0 {
-			return placed, nil
+			if len(repairs) == 0 || isaBinding(out) {
+				return placed, nil
+			}
+			pinned, err := pin(ctx, out, repairs, eval)
+			return append(placed, pinned...), err
 		}
 		if round >= maxRepairRounds {
 			return placed, fmt.Errorf("%w: %s after %d rounds", ErrRepairDiverged, out.Name(), maxRepairRounds)
@@ -96,6 +105,44 @@ func fill(ctx context.Context, out *core.Relation, cand []core.Item, eval batchE
 			cand = append(cand, c.Item)
 		}
 	}
+}
+
+// pin gives each atom under the repair items where out and eval differ an
+// exact tuple of eval's sign, and returns those atoms. An atom's own tuple
+// binds it strongest and applies nowhere else, so one pass settles them.
+func pin(ctx context.Context, out *core.Relation, repairs []core.Item, eval batchEval) ([]core.Item, error) {
+	s := out.Schema()
+	seen := map[string]bool{}
+	var atoms, pinned []core.Item
+	for _, m := range repairs {
+		leaves := make([][]string, len(m))
+		for i, v := range m {
+			leaves[i] = s.Attr(i).Domain.Leaves(v)
+		}
+		for _, a := range core.Product(leaves) {
+			if k := a.Key(); !seen[k] {
+				seen[k] = true
+				atoms = append(atoms, a)
+			}
+		}
+	}
+	have, err := out.HoldsBatch(ctx, atoms)
+	if err != nil {
+		return nil, err
+	}
+	want, err := eval(ctx, atoms)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range atoms {
+		if have[i] != want[i] {
+			if err := out.Insert(a, want[i]); err != nil {
+				return pinned, err
+			}
+			pinned = append(pinned, a)
+		}
+	}
+	return pinned, nil
 }
 
 // binaryCandidates returns the tuple items of both relations plus every
@@ -210,7 +257,7 @@ func SelectContext(ctx context.Context, name string, r *core.Relation, conds ...
 	}
 	plan := planSelect(r, region)
 	var tuples []core.Tuple
-	if plan.Access == IndexProbe && !scanForced(ctx) {
+	if plan.Access == IndexProbe && !ScanForced(ctx) {
 		tuples = r.OverlapCandidates(plan.attr, region[plan.attr])
 	} else {
 		tuples = r.Tuples()

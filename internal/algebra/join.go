@@ -58,7 +58,7 @@ func joinColumns(a, b *core.Relation) (shared []sharedCol, bOnly []int, outSchem
 // pairs the scan would discard anyway when their meets come up empty.
 func joinPairs(ctx context.Context, a, b *core.Relation, plan *Plan) [][2]core.Tuple {
 	var pairs [][2]core.Tuple
-	if plan.Access == IndexProbe && !scanForced(ctx) {
+	if plan.Access == IndexProbe && !ScanForced(ctx) {
 		if plan.outerIsLeft {
 			for _, ta := range a.Tuples() {
 				for _, tb := range b.OverlapCandidates(plan.attr, ta.Item[plan.outAttr]) {

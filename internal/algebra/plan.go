@@ -104,7 +104,8 @@ func WithForceScan(ctx context.Context) context.Context {
 	return context.WithValue(ctx, forceScanKey{}, true)
 }
 
-func scanForced(ctx context.Context) bool {
+// ScanForced reports whether ctx comes from WithForceScan.
+func ScanForced(ctx context.Context) bool {
 	v, _ := ctx.Value(forceScanKey{}).(bool)
 	return v
 }

@@ -286,10 +286,10 @@ func TestSelectProbeSkipsNonOverlapping(t *testing.T) {
 
 func TestWithForceScanRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	if scanForced(ctx) {
+	if ScanForced(ctx) {
 		t.Fatal("fresh context reports forced scan")
 	}
-	if !scanForced(WithForceScan(ctx)) {
+	if !ScanForced(WithForceScan(ctx)) {
 		t.Fatal("WithForceScan not visible")
 	}
 }

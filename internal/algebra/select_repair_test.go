@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -199,5 +200,46 @@ func TestSelectOverlappingMeetsNeedRepair(t *testing.T) {
 	}
 	if _, ok := got.Lookup(core.Item{"C"}); ok {
 		t.Fatalf("the out-of-region tuple C is a candidate: %v", got.Tuples())
+	}
+}
+
+// TestSelectPreferOverRedundantEdges pins a selection whose repair tuple,
+// signed pointwise at the conflict it resolves, outranks by preference a
+// tuple it does not subsume and flips an atom no conflict names. D carries
+// the redundant edges D ⊐ D2 and D ⊐ D4 and prefers D2 over D1. Selecting
+// under E3 places +(D2, E3) to resolve (D2, E3); at the atom (D5, E3) it
+// then binds stronger than −(D1, E3), whose region the atom is in, and the
+// result held there although R does not. The selection must return
+// (D4, E3) alone, as the flat oracle does.
+func TestSelectPreferOverRedundantEdges(t *testing.T) {
+	d := hierarchy.New("D")
+	must(t, d.AddClass("D0", "D"))
+	must(t, d.AddClass("D1", "D0"))
+	must(t, d.AddClass("D2", "D0", "D"))
+	must(t, d.AddClass("D3", "D1"))
+	must(t, d.AddClass("D4", "D0", "D", "D2"))
+	must(t, d.AddClass("D5", "D2", "D3"))
+	must(t, d.Prefer("D2", "D1"))
+	e := hierarchy.New("E")
+	must(t, e.AddClass("E0", "E"))
+	must(t, e.AddClass("E1", "E"))
+	must(t, e.AddClass("E2", "E0"))
+	must(t, e.AddClass("E3", "E0"))
+	must(t, e.AddClass("E4", "E1"))
+	r := core.NewRelation("R", core.MustSchema(core.Attribute{Name: "D", Domain: d}, core.Attribute{Name: "E", Domain: e}))
+	must(t, r.Assert("D0", "E"))
+	must(t, r.Deny("D1", "E3"))
+	must(t, r.Deny("D2", "E1"))
+	must(t, r.Assert("D2", "E2"))
+	must(t, r.CheckConsistency())
+	conds := []Condition{{Attr: "E", Class: "E3"}}
+	want := []flat.Row{{"D4", "E3"}}
+	for _, sel := range []func(context.Context, string, *core.Relation, ...Condition) (*core.Relation, error){SelectContext, referenceSelect} {
+		got, err := sel(context.Background(), "S", r, conds...)
+		must(t, err)
+		must(t, got.CheckConsistency())
+		if rows := flatExtension(t, got).Rows(); !reflect.DeepEqual(rows, want) {
+			t.Fatalf("selection under E3 = %v, want %v\nresult=%v", rows, want, got.Tuples())
+		}
 	}
 }

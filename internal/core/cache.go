@@ -19,7 +19,8 @@ import (
 // previous) rotation: inserts fill the current half; when it reaches half
 // the capacity the generations rotate and the oldest half is discarded.
 
-// The same stamp fences the extension and binding order (memo below).
+// The same stamp fences the extension and binding order (memo below) and the
+// rendered answers (answerTable).
 
 // defaultCacheCap bounds the number of memoized verdicts per relation.
 const defaultCacheCap = 4096
@@ -186,4 +187,113 @@ func (r *Relation) dropMemos() {
 	r.ext.Store(nil)
 	r.sorted.Store(nil)
 	r.order.Store(nil)
+	r.answers.reset()
+}
+
+// answerBudget bounds a relation's kept answers: each of two generations
+// holds up to this many bytes of keys and answers; a larger answer is served
+// but never kept.
+const answerBudget = 512 << 10
+
+// answerTable keeps rendered whole-relation answers of one state (stamp) in
+// two generations, rotated like verdictCache's but by bytes.
+type answerTable struct {
+	mu                                       sync.Mutex
+	stamp                                    cacheStamp
+	cur, prev                                map[string]string
+	bytes                                    int // of cur's keys and answers
+	hits, misses, flushedHits, flushedMisses uint64
+}
+
+// Answer returns the answer kept under key at r's current state, else
+// derive's, kept when the cache is on, derive succeeds and it fits the
+// budget. key must name all the answer depends on besides r's state, and
+// Answer must run where r cannot change: under the catalog's read lock.
+func (r *Relation) Answer(key string, derive func() (string, error)) (string, error) {
+	if r.cacheOff {
+		return derive()
+	}
+	c, s := &r.answers, r.stamp(r.mode) // taken before derive reads r
+	c.mu.Lock()
+	v, ok := c.lookupLocked(key, s)
+	c.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := derive()
+	if err == nil && len(key)+len(v) <= answerBudget {
+		c.mu.Lock()
+		if c.stamp == s {
+			c.storeLocked(key, v)
+		}
+		c.mu.Unlock()
+	}
+	return v, err
+}
+
+// AnswerStats returns the answer table's cumulative hit and miss counters
+// and how many answers it holds.
+func (r *Relation) AnswerStats() (hits, misses uint64, kept int) {
+	c := &r.answers
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.flushLocked()
+	kept = len(c.cur)
+	for k := range c.prev {
+		if _, ok := c.cur[k]; !ok {
+			kept++
+		}
+	}
+	return c.hits, c.misses, kept
+}
+
+// lookupLocked empties the table if it holds another state than s, then
+// finds key, promoting it out of the previous generation so that the next
+// rotation does not drop it.
+func (c *answerTable) lookupLocked(key string, s cacheStamp) (string, bool) {
+	if c.stamp != s {
+		c.cur, c.prev, c.bytes, c.stamp = nil, nil, 0, s
+	}
+	v, ok := c.cur[key]
+	if !ok {
+		if v, ok = c.prev[key]; ok {
+			c.storeLocked(key, v)
+		}
+	}
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
+	if (c.hits+c.misses)&(cacheFlushBlock-1) == 0 {
+		c.flushLocked()
+	}
+	return v, ok
+}
+
+func (c *answerTable) flushLocked() {
+	metricAnswerHits.Add(c.hits - c.flushedHits)
+	metricAnswerMisses.Add(c.misses - c.flushedMisses)
+	c.flushedHits, c.flushedMisses = c.hits, c.misses
+}
+
+func (c *answerTable) storeLocked(key, v string) {
+	if old, ok := c.cur[key]; ok {
+		c.bytes -= len(key) + len(old)
+	}
+	if c.bytes+len(key)+len(v) > answerBudget {
+		c.prev, c.cur, c.bytes = c.cur, nil, 0
+	}
+	if c.cur == nil {
+		c.cur = map[string]string{}
+	}
+	c.cur[key] = v
+	c.bytes += len(key) + len(v)
+}
+
+// reset discards every answer (the counters are kept).
+func (c *answerTable) reset() {
+	c.mu.Lock()
+	c.cur, c.prev, c.bytes = nil, nil, 0
+	c.mu.Unlock()
 }

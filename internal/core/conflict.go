@@ -129,8 +129,9 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 		if _, err := r.Evaluate(item); err != nil {
 			if ce, ok := err.(*ConflictError); ok {
 				seen[item.Key()] = true
-				ce.Resolution = r.resolutionFor(ce)
-				out = append(out, ce)
+				cp := *ce // a cache miss's error is the cached one: annotate a copy
+				cp.Resolution = r.resolutionFor(ce)
+				out = append(out, &cp)
 			}
 		}
 	}

@@ -97,8 +97,8 @@ func (r *Relation) evaluate(item Item, mode Preemption, useCache bool) (Verdict,
 	stamp := r.stamp(mode)
 	if e, ok := r.cache.get(key, stamp); ok {
 		if ce, isConflict := e.err.(*ConflictError); isConflict {
-			// Conflicts() annotates the error with a resolution in place;
-			// hand each caller its own copy so hits never share state.
+			// Hand each caller its own copy, so that no caller's
+			// annotation (a resolution, say) reaches the cached error.
 			cp := *ce
 			return e.v, &cp
 		}

@@ -10,7 +10,7 @@ import "hrdb/internal/obs"
 //   - Cache hit/miss counters are flushed from the verdictCache's existing
 //     per-relation counters in blocks of cacheFlushBlock lookups, under the
 //     mutex the lookup already holds — the global atomics are touched once
-//     per block, not once per lookup.
+//     per block, not once per lookup. The answer table's counters likewise.
 //   - Per-mode evaluation latency is sampled 1 in evalSampleMask+1: the
 //     always-on evaluation counter's post-increment value decides whether
 //     this call pays for the time.Now/Since pair.
@@ -18,6 +18,8 @@ var (
 	metricCacheHits      = obs.Default().Counter("hrdb_core_cache_hits_total")
 	metricCacheMisses    = obs.Default().Counter("hrdb_core_cache_misses_total")
 	metricCacheEvictions = obs.Default().Counter("hrdb_core_cache_evictions_total")
+	metricAnswerHits     = obs.Default().Counter("hrdb_core_answer_hits_total")
+	metricAnswerMisses   = obs.Default().Counter("hrdb_core_answer_misses_total")
 	metricConflicts      = obs.Default().Counter("hrdb_core_conflicts_total")
 	metricBatches        = obs.Default().Counter("hrdb_core_batches_total")
 	metricBatchSize      = obs.Default().Histogram("hrdb_core_batch_size")

@@ -228,6 +228,7 @@ type Relation struct {
 	// the extension as ids in kernel and in key order, the binding order.
 	ext, sorted atomic.Pointer[memo[[]int]]
 	order       atomic.Pointer[memo[[]Tuple]]
+	answers     answerTable
 
 	// verified is the stamp of the last state a consistency check passed
 	// on; the catalog runs the delta check only from such a state. Atomic
@@ -278,9 +279,9 @@ func (r *Relation) SetMode(m Preemption) {
 // window in which the stored tuples did not change.
 func (r *Relation) Epoch() uint64 { return r.epoch }
 
-// SetCache enables or disables the relation's memos: the verdict cache and
-// the per-state extension and binding order. Disabling also drops them. The
-// cache is enabled by default.
+// SetCache enables or disables the relation's memos: the verdict cache, the
+// per-state extension and binding order, and the answer table. Disabling
+// also drops them. The cache is enabled by default.
 func (r *Relation) SetCache(enabled bool) {
 	r.cacheOff = !enabled
 	if !enabled {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // DisplayValue renders one item coordinate the way the paper prints it:
@@ -42,17 +43,17 @@ func (r *Relation) Table() string {
 func renderTable(title string, headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
-		widths[i] = len([]rune(h))
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range rows {
 		for i, c := range row {
-			if n := len([]rune(c)); n > widths[i] {
+			if n := utf8.RuneCountInString(c); n > widths[i] {
 				widths[i] = n
 			}
 		}
 	}
 	pad := func(s string, w int) string {
-		return s + strings.Repeat(" ", w-len([]rune(s)))
+		return s + strings.Repeat(" ", w-utf8.RuneCountInString(s))
 	}
 	var b strings.Builder
 	if title != "" {

@@ -252,21 +252,30 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return b.String(), nil
 
 	case SelectStmt:
-		name := st.As
-		if name == "" {
-			name = "σ(" + st.Relation + ")"
+		scope, conds := Scope{Conds: st.Conds, verify: true}, conditions(st.Conds)
+		if st.As == "" {
+			// The answer depends on the conditions only through their region.
+			name := "σ(" + st.Relation + ")"
+			return answer(ctx, s, st.Relation, scope, func(r *core.Relation) (string, error) {
+				region, err := algebra.SelectRegion(r, conds...)
+				return "SELECT\x00" + name + "\x00" + region.Key(), err
+			}, func(r *core.Relation) (string, error) {
+				res, err := algebra.SelectContext(ctx, name, r, conds...)
+				if err != nil {
+					return "", err
+				}
+				return res.Consolidate().Table(), nil
+			})
 		}
-		res, err := read(ctx, s, st.Relation, Scope{Conds: st.Conds, verify: true}, func(r *core.Relation) (*core.Relation, error) {
-			return algebra.SelectContext(ctx, name, r, conditions(st.Conds)...)
+		res, err := read(ctx, s, st.Relation, scope, func(r *core.Relation) (*core.Relation, error) {
+			return algebra.SelectContext(ctx, st.As, r, conds...)
 		})
 		if err != nil {
 			return "", err
 		}
 		res = res.Consolidate()
-		if st.As != "" {
-			if err := s.attach(res); err != nil {
-				return "", err
-			}
+		if err := s.attach(res); err != nil {
+			return "", err
 		}
 		return res.Table(), nil
 
@@ -298,25 +307,27 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return "", fmt.Errorf("hql: EXPLAIN: unsupported statement %T", st.Inner)
 
 	case ExtensionStmt:
-		ext, err := read(ctx, s, st.Relation, Scope{}, func(r *core.Relation) ([]core.Item, error) {
-			return r.ExtensionContext(ctx)
-		})
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s: %d atomic items\n", st.Relation, len(ext))
-		for _, it := range ext { // it.String()'s bytes, with no allocation per row
-			b.WriteString("  (")
-			for i, v := range it {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(v)
+		return answer(ctx, s, st.Relation, Scope{}, func(*core.Relation) (string, error) {
+			return "EXTENSION\x00" + st.Relation, nil
+		}, func(r *core.Relation) (string, error) {
+			ext, err := r.ExtensionContext(ctx)
+			if err != nil {
+				return "", err
 			}
-			b.WriteString(")\n")
-		}
-		return b.String(), nil
+			var b strings.Builder
+			fmt.Fprintf(&b, "%s: %d atomic items\n", st.Relation, len(ext))
+			for _, it := range ext { // it.String()'s bytes, with no allocation per row
+				b.WriteString("  (")
+				for i, v := range it {
+					if i > 0 {
+						b.WriteString(", ")
+					}
+					b.WriteString(v)
+				}
+				b.WriteString(")\n")
+			}
+			return b.String(), nil
+		})
 
 	case BinOpStmt:
 		left, err := s.snapshot(ctx, st.Left)
@@ -376,13 +387,15 @@ func (s *Session) exec(ctx context.Context, st Stmt) (string, error) {
 		return s.infer(ctx, st)
 
 	case CountStmt:
-		counts, err := read(ctx, s, st.Relation, Scope{}, func(r *core.Relation) ([]algebra.GroupCount, error) {
-			return algebra.CountContext(ctx, r, st.By...)
+		return answer(ctx, s, st.Relation, Scope{}, func(*core.Relation) (string, error) {
+			return "COUNT\x00" + st.Relation + "\x00" + strings.Join(st.By, "\x00"), nil
+		}, func(r *core.Relation) (string, error) {
+			counts, err := algebra.CountContext(ctx, r, st.By...)
+			if err != nil {
+				return "", err
+			}
+			return algebra.FormatCounts(st.Relation, st.By, counts), nil
 		})
-		if err != nil {
-			return "", err
-		}
-		return algebra.FormatCounts(st.Relation, st.By, counts), nil
 
 	case DumpStmt:
 		return Dump(s.target.Database(), func(name string) (*core.Relation, error) { return s.snapshot(ctx, name) })

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hrdb/internal/algebra"
 	"hrdb/internal/core"
 )
 
@@ -101,6 +102,29 @@ func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn f
 		_ = vc.ViewRead(name, run)
 	}
 	return out, err
+}
+
+// answer is read for a statement whose text is a function of the relation's
+// state and of key(r): it is kept in the relation's answer table
+// (core.Relation.Answer), so derive runs once per state. key and derive run
+// under read's lock, so a kept answer is of the state its stamp names. A
+// relation a TupleSource builds per read and a WithForceScan reference run
+// bypass the table; a canceled ctx neither reads nor fills it.
+func answer(ctx context.Context, s *Session, name string, scope Scope, key, derive func(r *core.Relation) (string, error)) (string, error) {
+	_, perRead := s.target.(TupleSource)
+	return read(ctx, s, name, scope, func(r *core.Relation) (string, error) {
+		if err := ctx.Err(); err != nil {
+			return "", err
+		}
+		if perRead || algebra.ScanForced(ctx) {
+			return derive(r)
+		}
+		k, err := key(r)
+		if err != nil {
+			return "", err
+		}
+		return r.Answer(k, func() (string, error) { return derive(r) })
+	})
 }
 
 // snapshot returns a private copy of a relation, for statements that keep
