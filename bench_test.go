@@ -479,16 +479,18 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	plain := r.Clone()
+	plain.SetCache(false)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := r.EvaluateBatch(ctx, atoms, WithParallelism(1), WithCache(false)); err != nil {
+			if _, err := plain.EvaluateBatch(ctx, atoms, WithParallelism(1)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := r.EvaluateBatch(ctx, atoms, WithCache(false)); err != nil {
+			if _, err := plain.EvaluateBatch(ctx, atoms); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -579,7 +581,7 @@ func BenchmarkLargeScale(b *testing.B) {
 
 // BenchmarkHQL measures query-language round trips: parse + plan + execute
 // for a point query and for a selection. select repeats one SELECT at one
-// state, so after the first it is served from the answer table; select_cold
+// state, so after the first it is served from the relation's table; select_cold
 // writes (untimed) before each one, so each selects, consolidates and
 // renders afresh.
 func BenchmarkHQL(b *testing.B) {

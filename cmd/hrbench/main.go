@@ -219,7 +219,8 @@ func e2Joins() error {
 		row.base = sampleNs(func() {
 			_, row.joins = mb.Holds([]string{"X"}, []string{"leafInstance"}, depthOf)
 		})
-		row.cacheHits, _ = r.CacheStats()
+		hits, _, _ := r.CacheStats()
+		row.cacheHits = hits[r.Mode()]
 		fmt.Printf("| %d | %s | %s | %d | %.1f× |\n",
 			depth, row.hier, row.base, row.joins, row.base.MedianNs/row.hier.MedianNs)
 		rows = append(rows, row)

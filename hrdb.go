@@ -113,6 +113,10 @@ const (
 	NoPreemption = core.NoPreemption
 )
 
+// Answers indexes kept answers in Relation.CacheStats; a verdict's index is
+// its preemption mode.
+const Answers = core.Answers
+
 // Database layer types.
 type (
 	// Database is a synchronized registry of hierarchies and relations
@@ -586,7 +590,7 @@ func WithForceScan(ctx context.Context) context.Context { return algebra.WithFor
 // result ordering; options tune one call without mutating the relation:
 //
 //	vs, err := hrdb.EvaluateBatch(ctx, flies, items,
-//		hrdb.WithParallelism(4), hrdb.WithCache(true))
+//		hrdb.WithParallelism(4), hrdb.WithPreemption(hrdb.OnPath))
 type (
 	// BatchOption configures one bulk-evaluation call.
 	BatchOption = core.BatchOption
@@ -595,11 +599,6 @@ type (
 // WithParallelism sets the number of worker goroutines for a batch call
 // (values below 1 select runtime.GOMAXPROCS(0)).
 func WithParallelism(n int) BatchOption { return core.WithParallelism(n) }
-
-// WithCache overrides the relation's verdict-cache setting for a batch call.
-// It governs that call's verdicts only: the extension and binding order a
-// relation keeps per state follow the relation's own SetCache.
-func WithCache(enabled bool) BatchOption { return core.WithCache(enabled) }
 
 // WithPreemption overrides the relation's preemption mode for a batch call.
 func WithPreemption(p Preemption) BatchOption { return core.WithPreemption(p) }

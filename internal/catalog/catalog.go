@@ -234,7 +234,7 @@ func (db *Database) Snapshot(name string) (*core.Relation, error) {
 
 // Read calls fn with the named live relation under the database's read
 // lock, for a read that needs neither a snapshot nor the lock afterwards:
-// evaluation inside fn uses and fills the relation's verdict cache, which
+// evaluation inside fn uses and fills the relation's table, which
 // its epoch stamp fences against every later write. fn must not modify the
 // relation or keep it, and must not call back into the database: a nested
 // RLock deadlocks once a writer is queued between the two, and a write

@@ -21,7 +21,6 @@ import (
 // batchConfig holds the resolved options of one bulk-evaluation call.
 type batchConfig struct {
 	parallelism int
-	cache       bool
 	mode        Preemption
 	tracer      obs.Tracer
 }
@@ -39,15 +38,9 @@ func WithParallelism(n int) BatchOption {
 	}
 }
 
-// WithCache overrides the relation's verdict-cache setting for this call's
-// verdicts; the memoized extension and binding order follow SetCache.
-func WithCache(enabled bool) BatchOption {
-	return func(c *batchConfig) { c.cache = enabled }
-}
-
 // WithPreemption overrides the relation's preemption mode for this call.
-// Cached verdicts are stamped with the mode, so overriding never pollutes
-// the memo for other modes.
+// Kept verdicts are keyed by their mode, so overriding it neither serves
+// nor drops the verdicts of another.
 func WithPreemption(p Preemption) BatchOption {
 	return func(c *batchConfig) { c.mode = p }
 }
@@ -63,7 +56,6 @@ func WithTracer(t obs.Tracer) BatchOption {
 func (r *Relation) batchConfigFor(opts []BatchOption) batchConfig {
 	cfg := batchConfig{
 		parallelism: runtime.GOMAXPROCS(0),
-		cache:       !r.cacheOff,
 		mode:        r.mode,
 	}
 	for _, o := range opts {
@@ -172,7 +164,7 @@ func (r *Relation) EvaluateBatch(ctx context.Context, items []Item, opts ...Batc
 	)
 	stop := func() bool { return failed.Load() || ctx.Err() != nil }
 	fanOut(n, cfg.parallelism, stop, func(i int) {
-		v, err := r.evaluate(items[i], cfg.mode, cfg.cache)
+		v, err := r.evaluate(items[i], cfg.mode)
 		if err != nil {
 			mu.Lock()
 			if i < firstIdx {
@@ -220,7 +212,7 @@ func (r *Relation) EvaluateEach(ctx context.Context, items []Item, opts ...Batch
 
 	stop := func() bool { return ctx.Err() != nil }
 	fanOut(n, cfg.parallelism, stop, func(i int) {
-		verdicts[i], errs[i] = r.evaluate(items[i], cfg.mode, cfg.cache)
+		verdicts[i], errs[i] = r.evaluate(items[i], cfg.mode)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -50,9 +52,10 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 // always reports the lowest-index failure, at any parallelism.
 func TestEvaluateBatchDeterministicError(t *testing.T) {
 	r := fliesRelation(t)
+	r.SetCache(false)
 	items := []Item{{"Tweety"}, {"Paul"}, {"bogus1"}, {"Peter"}, {"bogus2"}, {"Tweety"}}
 	for trial := 0; trial < 20; trial++ {
-		_, err := r.EvaluateBatch(context.Background(), items, WithParallelism(8), WithCache(false))
+		_, err := r.EvaluateBatch(context.Background(), items, WithParallelism(8))
 		if !errors.Is(err, ErrUnknownValue) {
 			t.Fatalf("trial %d: err = %v, want ErrUnknownValue", trial, err)
 		}
@@ -178,8 +181,8 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestCacheStatsAndBounds: hits accumulate, and the cache never holds more
-// than its capacity.
+// TestCacheStatsAndBounds: hits accumulate, and the table never keeps more
+// than two generations' budget.
 func TestCacheStatsAndBounds(t *testing.T) {
 	r := fliesRelation(t)
 	atoms := allAtoms(t, r)
@@ -190,17 +193,16 @@ func TestCacheStatsAndBounds(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := r.CacheStats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("stats hits=%d misses=%d, want both positive", hits, misses)
+	if hits, misses, _ := r.CacheStats(); hits[OffPath] == 0 || misses[OffPath] == 0 {
+		t.Fatalf("stats hits=%d misses=%d, want both positive", hits[OffPath], misses[OffPath])
 	}
 
-	c := newVerdictCache(64)
+	r.cache.budget = 32 * entryBytes
 	for i := 0; i < 10_000; i++ {
-		c.put(fmt.Sprintf("k%d", i), cacheEntry{})
+		r.Answer(fmt.Sprintf("k%d", i), func() (string, error) { return "", nil })
 	}
-	if c.size() > 64 {
-		t.Fatalf("cache holds %d entries, cap 64", c.size())
+	if n := keptOf(r, Answers); n > 64 {
+		t.Fatalf("the table keeps %d entries, at most 64 fit", n)
 	}
 }
 
@@ -228,11 +230,24 @@ func TestConflictErrorNotShared(t *testing.T) {
 	}
 }
 
+// propertySeeds is the number of seeds of TestCachePropertyEquivalence:
+// CHAOS_ROUNDS when set (the nightly soak), 8 by default.
+func propertySeeds(t *testing.T) int64 {
+	if s := os.Getenv("CHAOS_ROUNDS"); s != "" {
+		n, err := strconv.Atoi(s)
+		if err != nil || n <= 0 {
+			t.Fatalf("bad CHAOS_ROUNDS %q", s)
+		}
+		return int64(n)
+	}
+	return 8
+}
+
 // TestCachePropertyEquivalence: across randomized mutate/query
 // interleavings, a cached relation and an uncached twin receiving the same
 // operations always agree — verdicts and errors alike.
 func TestCachePropertyEquivalence(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= propertySeeds(t); seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHierarchy(rng, "D", 20)
 		s := MustSchema(Attribute{Name: "X", Domain: h})
@@ -281,7 +296,7 @@ func TestCachePropertyEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if hits, _ := cached.CacheStats(); hits == 0 {
+		if hits, _, _ := cached.CacheStats(); hits == [numKinds]uint64{} {
 			t.Fatalf("seed %d: property run never hit the cache", seed)
 		}
 	}
@@ -351,24 +366,6 @@ func TestParallelEvaluateStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestCacheSizeCountsDistinctKeys: a key promoted from the previous
-// generation is resident in both maps; size must count it once.
-func TestCacheSizeCountsDistinctKeys(t *testing.T) {
-	c := newVerdictCache(8) // generation threshold: 4
-	var stamp cacheStamp
-	for i := 0; i < 4; i++ {
-		c.put(fmt.Sprintf("k%d", i), cacheEntry{stamp: stamp})
-	}
-	c.put("k4", cacheEntry{stamp: stamp}) // rotates: prev={k0..k3}, cur={k4}
-	if _, ok := c.get("k0", stamp); !ok {
-		t.Fatal("k0 lost by rotation")
-	}
-	// k0 now lives in cur (promoted) and prev; 5 distinct keys resident.
-	if got := c.size(); got != 5 {
-		t.Fatalf("size = %d, want 5 (k0 must not be double-counted)", got)
-	}
 }
 
 // TestEvaluateBatchEmptyItems: the zero-item paths follow the same contract

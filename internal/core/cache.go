@@ -5,157 +5,218 @@ import (
 	"sync/atomic"
 )
 
-// This file implements the relation's verdict memo cache. Evaluation of an
-// item against an unchanged relation is deterministic, so the result can be
-// memoized; the cache is the read-path accelerator the inherited-value model
-// needs (cf. Litwin's stored/inherited relations: inherited values are
-// recomputed on every read unless cached).
+// This file implements what a relation keeps per state. Every verdict and
+// every rendered whole-relation answer is a function of the relation state
+// (the flat-equivalence of §3) and of its key, so each is kept in one
+// table the first time it is derived and served from there until the state
+// changes (cf. Litwin's stored/inherited relations: inherited values are
+// recomputed on every read unless kept).
 //
-// Correctness is enforced by stamping, not eviction: every entry records the
-// relation's mutation epoch, the sum of the attribute hierarchies' mutation
-// generations, and the preemption mode it was computed under. A lookup whose
-// stamp differs is a miss, so a post-mutation Evaluate can never observe a
-// stale verdict. Capacity is bounded with a two-generation (current /
-// previous) rotation: inserts fill the current half; when it reaches half
-// the capacity the generations rotate and the oldest half is discarded.
+// Correctness is enforced by stamping, not eviction: the table records the
+// state it holds — the relation's mutation epoch and the sum of the
+// attribute hierarchies' mutation generations — and a lookup under another
+// stamp empties it first, so a read after a mutation can never observe a
+// stale entry. A mode switch bumps the epoch; a verdict computed under an
+// explicit mode is keyed by that mode, so overriding the mode for a call
+// neither serves nor drops the verdicts of another. Size is bounded by a
+// two-generation (current / previous) rotation by bytes: inserts fill the
+// current generation; one that would take it past the budget rotates, and
+// the previous generation is discarded. A hit in the previous generation
+// moves the entry into the current one, so whatever is read at least once
+// per generation survives any flood of other entries.
+//
+// The same stamp fences the extension and binding order (memo below).
 
-// The same stamp fences the extension and binding order (memo below) and the
-// rendered answers (answerTable).
+// cacheBudget is the bytes each of a relation table's two generations
+// charges before it rotates. At the benchmark's full-scale fixture a
+// verdict charges 190–290 bytes and all of the analytic workload's answers
+// to one relation 115 KB, so a generation keeps 2,048 verdicts and every
+// such answer with room to spare.
+const cacheBudget = 1 << 20
 
-// defaultCacheCap bounds the number of memoized verdicts per relation.
-const defaultCacheCap = 4096
+// Per-entry charges beside the key's and answer's bytes: a map slot with
+// its key and value, and each tuple of a verdict's Binders and Applicable
+// slices. Together they come within 5% of the live heap a kept verdict
+// measures.
+const (
+	entryBytes = 176
+	tupleBytes = 32
+)
 
-// cacheStamp identifies the relation state a verdict was computed against.
+// Answers is the kind, and the CacheStats index, of kept answers; a
+// verdict's is the preemption mode it was evaluated under.
+const (
+	Answers  = int(NoPreemption) + 1
+	numKinds = Answers + 1
+)
+
+// cacheStamp identifies the relation state an entry was derived from.
 type cacheStamp struct {
-	epoch uint64     // relation mutation counter
-	hgen  uint64     // sum of attribute-hierarchy generations
-	mode  Preemption // preemption semantics in force
+	epoch uint64 // relation mutation counter
+	hgen  uint64 // sum of attribute-hierarchy generations
 }
 
-// cacheEntry is one memoized evaluation.
-type cacheEntry struct {
-	stamp cacheStamp
-	v     Verdict
-	err   error
+// cacheKey names an entry: its kind and the item or answer key.
+type cacheKey struct {
+	kind int
+	key  string
 }
 
-// verdictCache is a bounded, synchronized memo table keyed by item key.
+// entry is one kept value: a verdict with its error, or an answer.
+type entry struct {
+	v      Verdict
+	err    error
+	answer string
+}
+
+// cost is what an entry charges to its generation's budget.
+func (e entry) cost(k cacheKey) int {
+	return entryBytes + len(k.key) + len(e.answer) + tupleBytes*(len(e.v.Binders)+len(e.v.Applicable))
+}
+
+// table is a relation's bounded, synchronized store of what one state
+// determines.
 //
-// flushedHits/flushedMisses track how much of hits/misses has already been
-// pushed to the process-wide obs counters; get flushes the difference every
-// cacheFlushBlock lookups so the hit path never touches a global atomic.
-type verdictCache struct {
-	mu           sync.Mutex
-	cap          int
-	cur, prev    map[string]cacheEntry
-	hits, misses uint64
-
-	flushedHits, flushedMisses uint64
+// flushed tracks how much of hits/misses has already been pushed to the
+// process-wide obs counters; lookups flush the difference every
+// cacheFlushBlock lookups of a kind, so a hit never touches a global
+// atomic.
+type table struct {
+	mu            sync.Mutex
+	stamp         cacheStamp
+	budget        int // bytes per generation
+	cur, prev     map[cacheKey]entry
+	bytes         int // charged to cur
+	hits, misses  [numKinds]uint64
+	flushedHits   [numKinds]uint64
+	flushedMisses [numKinds]uint64
 }
 
-// newVerdictCache creates a cache holding at most capacity entries.
-func newVerdictCache(capacity int) *verdictCache {
-	if capacity < 2 {
-		capacity = 2
-	}
-	return &verdictCache{cap: capacity, cur: make(map[string]cacheEntry)}
-}
-
-// get returns the entry for key if present with a matching stamp.
-func (c *verdictCache) get(key string, stamp cacheStamp) (cacheEntry, bool) {
+// get returns the entry kept under k at state s, emptying the table first
+// if it holds another state.
+func (c *table) get(k cacheKey, s cacheStamp) (entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.cur[key]; ok && e.stamp == stamp {
-		c.hits++
-		c.maybeFlushLocked()
-		return e, true
+	if c.stamp != s {
+		c.emptyLocked()
+		c.stamp = s
 	}
-	if e, ok := c.prev[key]; ok && e.stamp == stamp {
-		c.storeLocked(key, e) // promote so a rotation does not drop it
-		c.hits++
-		c.maybeFlushLocked()
-		return e, true
+	e, ok := c.cur[k]
+	if !ok {
+		if e, ok = c.prev[k]; ok {
+			c.storeLocked(k, e) // promote so the next rotation does not drop it
+		}
 	}
-	c.misses++
-	c.maybeFlushLocked()
-	return cacheEntry{}, false
+	if ok {
+		c.hits[k.kind]++
+	} else {
+		c.misses[k.kind]++
+	}
+	if (c.hits[k.kind]+c.misses[k.kind])&(cacheFlushBlock-1) == 0 {
+		c.flushLocked()
+	}
+	return e, ok
 }
 
-// maybeFlushLocked pushes the per-cache hit/miss counters to the global obs
-// counters once per cacheFlushBlock lookups. Called with c.mu held; the
-// block check is two adds and a mask, so the amortized cost per lookup is a
-// fraction of a nanosecond.
-func (c *verdictCache) maybeFlushLocked() {
-	if (c.hits+c.misses)&(cacheFlushBlock-1) != 0 {
-		return
-	}
-	c.flushLocked()
-}
-
-func (c *verdictCache) flushLocked() {
-	if d := c.hits - c.flushedHits; d > 0 {
-		metricCacheHits.Add(d)
-		c.flushedHits = c.hits
-	}
-	if d := c.misses - c.flushedMisses; d > 0 {
-		metricCacheMisses.Add(d)
-		c.flushedMisses = c.misses
-	}
-}
-
-// put memoizes an entry, rotating generations when the current one is full.
-func (c *verdictCache) put(key string, e cacheEntry) {
+// put keeps e under k if the table still holds state s and e fits the
+// budget; a larger entry is served by its caller but never kept.
+func (c *table) put(k cacheKey, e entry, s cacheStamp) {
 	c.mu.Lock()
-	c.storeLocked(key, e)
+	if c.stamp == s && e.cost(k) <= c.budget {
+		c.storeLocked(k, e)
+	}
 	c.mu.Unlock()
 }
 
-func (c *verdictCache) storeLocked(key string, e cacheEntry) {
-	if len(c.cur) >= c.cap/2 {
-		if _, ok := c.cur[key]; !ok {
-			// Rotation discards the previous generation wholesale; those
-			// entries are the cache's only form of eviction.
-			if n := len(c.prev); n > 0 {
-				metricCacheEvictions.Add(uint64(n))
-			}
-			c.prev = c.cur
-			c.cur = make(map[string]cacheEntry, c.cap/2)
-		}
+func (c *table) storeLocked(k cacheKey, e entry) {
+	if old, ok := c.cur[k]; ok {
+		c.bytes -= old.cost(k)
 	}
-	c.cur[key] = e
+	n := e.cost(k)
+	if c.bytes+n > c.budget {
+		// Rotation discards the previous generation wholesale: the
+		// table's only form of eviction.
+		metricCacheEvictions.Add(uint64(len(c.prev)))
+		c.prev, c.cur, c.bytes = c.cur, nil, 0
+	}
+	if c.cur == nil {
+		c.cur = map[cacheKey]entry{}
+	}
+	c.cur[k] = e
+	c.bytes += n
+}
+
+// flushLocked pushes the counts not yet pushed to the process-wide series:
+// verdicts' to hrdb_core_cache_*, answers' to hrdb_core_answer_*.
+func (c *table) flushLocked() {
+	for k := range c.hits {
+		hits, misses := metricCacheHits, metricCacheMisses
+		if k == Answers {
+			hits, misses = metricAnswerHits, metricAnswerMisses
+		}
+		hits.Add(c.hits[k] - c.flushedHits[k])
+		misses.Add(c.misses[k] - c.flushedMisses[k])
+	}
+	c.flushedHits, c.flushedMisses = c.hits, c.misses
 }
 
 // reset discards every entry (the counters are kept).
-func (c *verdictCache) reset() {
+func (c *table) reset() {
 	c.mu.Lock()
-	c.cur = make(map[string]cacheEntry)
-	c.prev = nil
+	c.emptyLocked()
 	c.mu.Unlock()
 }
 
-// stats returns the hit/miss counters. Reading stats also flushes any
-// pending block to the global obs counters, so a snapshot taken right after
-// is exact.
-func (c *verdictCache) stats() (hits, misses uint64) {
+// emptyLocked discards every entry. A current generation of no more than
+// one map group (8 entries) is cleared and kept: a write empties the table
+// and its check then keeps a few verdicts, which should not cost a new map
+// per write.
+func (c *table) emptyLocked() {
+	if len(c.cur) > 8 {
+		c.cur = nil
+	}
+	clear(c.cur)
+	c.prev, c.bytes = nil, 0
+}
+
+// CacheStats returns the relation table's cumulative hits and misses and
+// how many distinct entries it keeps, each indexed by kind: a verdict's is
+// its preemption mode, an answer's is Answers. Reading them also flushes
+// the pending counts to the process-wide series, so a snapshot of those
+// taken right after is exact.
+func (r *Relation) CacheStats() (hits, misses [numKinds]uint64, kept [numKinds]int) {
+	c := &r.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.flushLocked()
-	return c.hits, c.misses
-}
-
-// size returns the number of distinct resident keys (for tests of
-// boundedness). A key promoted out of the previous generation is resident
-// in both maps but must count once.
-func (c *verdictCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.cur)
+	for k := range c.cur {
+		kept[k.kind]++
+	}
 	for k := range c.prev {
-		if _, ok := c.cur[k]; !ok {
-			n++
+		if _, ok := c.cur[k]; !ok { // a promoted entry is in both
+			kept[k.kind]++
 		}
 	}
-	return n
+	return c.hits, c.misses, kept
+}
+
+// Answer returns the answer kept under key at r's current state, else
+// derive's, kept when the cache is on, derive succeeds and it fits the
+// budget. key must name all the answer depends on besides r's state, and
+// Answer must run where r cannot change: under the catalog's read lock.
+func (r *Relation) Answer(key string, derive func() (string, error)) (string, error) {
+	if r.cacheOff {
+		return derive()
+	}
+	k, s := cacheKey{kind: Answers, key: key}, r.stamp() // taken before derive reads r
+	if e, ok := r.cache.get(k, s); ok {
+		return e.answer, nil
+	}
+	v, err := derive()
+	if err == nil {
+		r.cache.put(k, entry{answer: v}, s)
+	}
+	return v, err
 }
 
 // memo is a value derived from a whole relation state, with its stamp.
@@ -171,7 +232,7 @@ func memoized[T any](r *Relation, m *atomic.Pointer[memo[T]], derive func() (T, 
 	if r.cacheOff {
 		return derive()
 	}
-	s := r.stamp(r.mode)
+	s := r.stamp()
 	if p := m.Load(); p != nil && p.stamp == s {
 		return p.v, nil
 	}
@@ -182,118 +243,10 @@ func memoized[T any](r *Relation, m *atomic.Pointer[memo[T]], derive func() (T, 
 	return v, err
 }
 
-// dropMemos frees the memos: a written relation keeps no state it has left.
+// dropMemos frees what the relation keeps: a written relation keeps no
+// state it has left.
 func (r *Relation) dropMemos() {
 	r.ext.Store(nil)
-	r.sorted.Store(nil)
 	r.order.Store(nil)
-	r.answers.reset()
-}
-
-// answerBudget bounds a relation's kept answers: each of two generations
-// holds up to this many bytes of keys and answers; a larger answer is served
-// but never kept.
-const answerBudget = 512 << 10
-
-// answerTable keeps rendered whole-relation answers of one state (stamp) in
-// two generations, rotated like verdictCache's but by bytes.
-type answerTable struct {
-	mu                                       sync.Mutex
-	stamp                                    cacheStamp
-	cur, prev                                map[string]string
-	bytes                                    int // of cur's keys and answers
-	hits, misses, flushedHits, flushedMisses uint64
-}
-
-// Answer returns the answer kept under key at r's current state, else
-// derive's, kept when the cache is on, derive succeeds and it fits the
-// budget. key must name all the answer depends on besides r's state, and
-// Answer must run where r cannot change: under the catalog's read lock.
-func (r *Relation) Answer(key string, derive func() (string, error)) (string, error) {
-	if r.cacheOff {
-		return derive()
-	}
-	c, s := &r.answers, r.stamp(r.mode) // taken before derive reads r
-	c.mu.Lock()
-	v, ok := c.lookupLocked(key, s)
-	c.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	v, err := derive()
-	if err == nil && len(key)+len(v) <= answerBudget {
-		c.mu.Lock()
-		if c.stamp == s {
-			c.storeLocked(key, v)
-		}
-		c.mu.Unlock()
-	}
-	return v, err
-}
-
-// AnswerStats returns the answer table's cumulative hit and miss counters
-// and how many answers it holds.
-func (r *Relation) AnswerStats() (hits, misses uint64, kept int) {
-	c := &r.answers
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flushLocked()
-	kept = len(c.cur)
-	for k := range c.prev {
-		if _, ok := c.cur[k]; !ok {
-			kept++
-		}
-	}
-	return c.hits, c.misses, kept
-}
-
-// lookupLocked empties the table if it holds another state than s, then
-// finds key, promoting it out of the previous generation so that the next
-// rotation does not drop it.
-func (c *answerTable) lookupLocked(key string, s cacheStamp) (string, bool) {
-	if c.stamp != s {
-		c.cur, c.prev, c.bytes, c.stamp = nil, nil, 0, s
-	}
-	v, ok := c.cur[key]
-	if !ok {
-		if v, ok = c.prev[key]; ok {
-			c.storeLocked(key, v)
-		}
-	}
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	if (c.hits+c.misses)&(cacheFlushBlock-1) == 0 {
-		c.flushLocked()
-	}
-	return v, ok
-}
-
-func (c *answerTable) flushLocked() {
-	metricAnswerHits.Add(c.hits - c.flushedHits)
-	metricAnswerMisses.Add(c.misses - c.flushedMisses)
-	c.flushedHits, c.flushedMisses = c.hits, c.misses
-}
-
-func (c *answerTable) storeLocked(key, v string) {
-	if old, ok := c.cur[key]; ok {
-		c.bytes -= len(key) + len(old)
-	}
-	if c.bytes+len(key)+len(v) > answerBudget {
-		c.prev, c.cur, c.bytes = c.cur, nil, 0
-	}
-	if c.cur == nil {
-		c.cur = map[string]string{}
-	}
-	c.cur[key] = v
-	c.bytes += len(key) + len(v)
-}
-
-// reset discards every answer (the counters are kept).
-func (c *answerTable) reset() {
-	c.mu.Lock()
-	c.cur, c.prev, c.bytes = nil, nil, 0
-	c.mu.Unlock()
+	r.cache.reset()
 }

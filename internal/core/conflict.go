@@ -230,7 +230,7 @@ func (r *Relation) verdictOf(conflicts []*ConflictError) error {
 	if len(conflicts) > 0 {
 		return &InconsistencyError{Relation: r.name, Conflicts: conflicts}
 	}
-	s := r.stamp(r.mode)
+	s := r.stamp()
 	r.verified.Store(&s)
 	return nil
 }
@@ -242,5 +242,5 @@ func (r *Relation) verdictOf(conflicts []*ConflictError) error {
 // never cleared.
 func (r *Relation) VerifiedConsistent() bool {
 	s := r.verified.Load()
-	return s != nil && *s == r.stamp(r.mode)
+	return s != nil && *s == r.stamp()
 }

@@ -73,7 +73,7 @@ func (r *Relation) Consolidate() *Relation {
 		}
 	}
 	if out.Len() == len(tuples) && r.VerifiedConsistent() {
-		s := out.stamp(out.mode) // nothing removed: the state r was verified at
+		s := out.stamp() // nothing removed: the state r was verified at
 		out.verified.Store(&s)
 	}
 	if !out.cacheOff {
@@ -82,7 +82,7 @@ func (r *Relation) Consolidate() *Relation {
 		for n, i := range kept {
 			ts[n] = tuples[i]
 		}
-		out.order.Store(&memo[[]Tuple]{stamp: out.stamp(out.mode), v: ts})
+		out.order.Store(&memo[[]Tuple]{stamp: out.stamp(), v: ts})
 	}
 	return out
 }

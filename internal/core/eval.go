@@ -71,41 +71,41 @@ type Verdict struct {
 // preemption mode. It returns a *ConflictError when the item's strongest-
 // binding tuples disagree (the ambiguity constraint, §3.1).
 //
-// Results are memoized in the relation's verdict cache (see cache.go):
-// repeated Evaluate calls on an unchanged relation are a map lookup. Any
-// mutation of the relation or of an attribute hierarchy invalidates the
-// memo by changing its stamp, never by relying on eviction.
+// Results are kept in the relation's table (see cache.go): repeated
+// Evaluate calls on an unchanged relation are a map lookup. Any mutation of
+// the relation or of an attribute hierarchy invalidates them by changing
+// the table's stamp, never by relying on eviction.
 func (r *Relation) Evaluate(item Item) (Verdict, error) {
-	return r.evaluate(item, r.mode, !r.cacheOff)
+	return r.evaluate(item, r.mode)
 }
 
 // EvaluateMode is Evaluate under an explicit preemption mode, overriding the
 // relation's own setting for this call only.
 func (r *Relation) EvaluateMode(item Item, mode Preemption) (Verdict, error) {
-	return r.evaluate(item, mode, !r.cacheOff)
+	return r.evaluate(item, mode)
 }
 
-// evaluate is the memoizing front of the evaluator. The cache is probed
-// before validation: a hit can only exist for an item that validated under
-// the same relation epoch, hierarchy generations, and mode, so skipping
-// re-validation is sound.
-func (r *Relation) evaluate(item Item, mode Preemption, useCache bool) (Verdict, error) {
-	if !useCache {
+// evaluate is the keeping front of the evaluator; the mode is the verdict's
+// kind. The table is probed before validation: a hit can only exist for an
+// item that validated at the same state and under the same mode, so
+// skipping re-validation is sound. An unknown mode has no kind: it fails
+// validation uncached.
+func (r *Relation) evaluate(item Item, mode Preemption) (Verdict, error) {
+	if r.cacheOff || mode < OffPath || mode > NoPreemption {
 		return r.evaluateUncached(item, mode)
 	}
-	key := item.Key()
-	stamp := r.stamp(mode)
-	if e, ok := r.cache.get(key, stamp); ok {
+	k, s := cacheKey{kind: int(mode), key: item.Key()}, r.stamp()
+	if e, ok := r.cache.get(k, s); ok {
 		if ce, isConflict := e.err.(*ConflictError); isConflict {
 			// Hand each caller its own copy, so that no caller's
-			// annotation (a resolution, say) reaches the cached error.
+			// annotation (a resolution, say) reaches the kept error.
 			cp := *ce
 			return e.v, &cp
 		}
 		return e.v, e.err
 	}
 	v, err := r.evaluateUncached(item, mode)
-	r.cache.put(key, cacheEntry{stamp: stamp, v: v, err: err})
+	r.cache.put(k, entry{v: v, err: err}, s)
 	return v, err
 }
 

@@ -269,23 +269,14 @@ func (r *Relation) Extension() ([]Item, error) {
 	return r.ExtensionContext(context.Background())
 }
 
-// ExtensionContext is Extension with cancellation. The key-ordered ids are
-// memoized per state, sorted from the kernel-order memo on a miss.
+// ExtensionContext is Extension with cancellation. It sorts the
+// kernel-order ids the relation memoizes per state.
 func (r *Relation) ExtensionContext(ctx context.Context) ([]Item, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ids, err := memoized(r, &r.sorted, func() ([]int, error) {
-		ids, err := r.extension(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return r.sortAtoms(ids), nil
-	})
+	ids, err := r.extension(ctx)
 	if err != nil || len(ids) == 0 {
 		return nil, err
 	}
-	return r.itemsOf(ids), nil
+	return r.itemsOf(r.sortAtoms(ids)), nil
 }
 
 // AtomicItems enumerates every atomic item of the relation's schema — the

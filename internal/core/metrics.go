@@ -7,10 +7,11 @@ import "hrdb/internal/obs"
 //
 // Two hot paths are instrumented indirectly to keep their cost invisible:
 //
-//   - Cache hit/miss counters are flushed from the verdictCache's existing
-//     per-relation counters in blocks of cacheFlushBlock lookups, under the
+//   - Cache hit/miss counters are flushed from the relation table's
+//     per-kind counters in blocks of cacheFlushBlock lookups, under the
 //     mutex the lookup already holds — the global atomics are touched once
-//     per block, not once per lookup. The answer table's counters likewise.
+//     per block, not once per lookup. Verdicts of every mode feed
+//     hrdb_core_cache_*, answers hrdb_core_answer_*.
 //   - Per-mode evaluation latency is sampled 1 in evalSampleMask+1: the
 //     always-on evaluation counter's post-increment value decides whether
 //     this call pays for the time.Now/Since pair.
@@ -35,9 +36,9 @@ var (
 	metricEvalNS [3]*obs.Histogram
 )
 
-// cacheFlushBlock is how many cache lookups are batched between flushes of
-// the per-cache hit/miss counters into the global ones. Must be a power of
-// two.
+// cacheFlushBlock is how many lookups of one kind are batched between
+// flushes of the table's hit/miss counters into the global ones. Must be a
+// power of two.
 const cacheFlushBlock = 64
 
 // evalSampleMask samples evaluation latency 1 in (evalSampleMask + 1)

@@ -29,7 +29,8 @@ func TestCacheMetricsFlush(t *testing.T) {
 	}
 
 	// CacheStats flushes the remainder exactly.
-	cHits, cMisses := r.CacheStats()
+	h, m, _ := r.CacheStats()
+	cHits, cMisses := h[OffPath], m[OffPath]
 	if d := metricCacheHits.Value() - h0; d < cHits {
 		t.Errorf("after CacheStats: global hits delta %d < relation hits %d", d, cHits)
 	}
@@ -40,7 +41,7 @@ func TestCacheMetricsFlush(t *testing.T) {
 
 func TestCacheEvictionMetric(t *testing.T) {
 	r := fliesRelation(t)
-	r.cache = newVerdictCache(8) // rotation every 4 inserts
+	r.cache.budget = 4 * entryBytes // rotation every two or three inserts
 	e0 := metricCacheEvictions.Value()
 	// Distinct uncached items: force inserts until generations rotate twice.
 	for _, who := range []string{"Tweety", "Paul", "Patricia", "Pamela", "Peter", "Bird", "Penguin", "Canary", "GalapagosPenguin", "AmazingFlyingPenguin"} {

@@ -218,17 +218,18 @@ type Relation struct {
 	// tuple. Maintained by Insert/Retract under the relation epoch.
 	idx []map[string][]string
 
-	// epoch counts mutations (Insert/Retract/SetMode); the verdict cache
-	// stamps entries with it so no post-mutation read can be stale.
+	// epoch counts mutations (Insert/Retract/SetMode); what the relation
+	// keeps per state is stamped with it so no post-mutation read can be
+	// stale.
 	epoch    uint64
-	cache    *verdictCache
 	cacheOff bool
 
-	// What the state determines, memoized under the verdict cache's stamp:
-	// the extension as ids in kernel and in key order, the binding order.
-	ext, sorted atomic.Pointer[memo[[]int]]
-	order       atomic.Pointer[memo[[]Tuple]]
-	answers     answerTable
+	// What the state determines, kept under its stamp (cache.go): verdicts
+	// and answers in the table, and memoized, the extension as ids in
+	// kernel order and the binding order.
+	cache table
+	ext   atomic.Pointer[memo[[]int]]
+	order atomic.Pointer[memo[[]Tuple]]
 
 	// verified is the stamp of the last state a consistency check passed
 	// on; the catalog runs the delta check only from such a state. Atomic
@@ -251,7 +252,7 @@ func newRelation(name string, schema *Schema, n int) *Relation {
 		tuples: make(map[string]Tuple, n),
 		mode:   OffPath,
 		idx:    idx,
-		cache:  newVerdictCache(defaultCacheCap),
+		cache:  table{budget: cacheBudget},
 	}
 }
 
@@ -279,32 +280,28 @@ func (r *Relation) SetMode(m Preemption) {
 // window in which the stored tuples did not change.
 func (r *Relation) Epoch() uint64 { return r.epoch }
 
-// SetCache enables or disables the relation's memos: the verdict cache, the
-// per-state extension and binding order, and the answer table. Disabling
-// also drops them. The cache is enabled by default.
+// SetCache enables or disables what the relation keeps per state: the
+// table of verdicts and answers, and the memoized extension and binding
+// order. Disabling also drops them. The cache is enabled by default.
 func (r *Relation) SetCache(enabled bool) {
 	r.cacheOff = !enabled
 	if !enabled {
-		r.cache.reset()
 		r.dropMemos()
 	}
 }
 
-// CacheEnabled reports whether the relation's memos are in use.
+// CacheEnabled reports whether the relation keeps anything per state.
 func (r *Relation) CacheEnabled() bool { return !r.cacheOff }
 
-// CacheStats returns the verdict cache's cumulative hit and miss counters.
-func (r *Relation) CacheStats() (hits, misses uint64) { return r.cache.stats() }
-
-// stamp captures the relation and hierarchy state a verdict depends on: the
-// relation's epoch, the sum of the attribute hierarchies' mutation
-// generations, and the preemption mode.
-func (r *Relation) stamp(mode Preemption) cacheStamp {
+// stamp captures the relation and hierarchy state a kept value depends on:
+// the relation's epoch (which SetMode moves too) and the sum of the
+// attribute hierarchies' mutation generations.
+func (r *Relation) stamp() cacheStamp {
 	var hgen uint64
 	for _, a := range r.schema.attrs {
 		hgen += a.Domain.Generation()
 	}
-	return cacheStamp{epoch: r.epoch, hgen: hgen, mode: mode}
+	return cacheStamp{epoch: r.epoch, hgen: hgen}
 }
 
 // validateItem checks arity and that every coordinate names a node of its
@@ -436,7 +433,7 @@ func (r *Relation) Clone() *Relation {
 		}
 	}
 	if r.VerifiedConsistent() {
-		s := c.stamp(c.mode)
+		s := c.stamp()
 		c.verified.Store(&s)
 	}
 	return c

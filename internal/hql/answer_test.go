@@ -12,6 +12,7 @@ import (
 	"hrdb/internal/algebra"
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
+	"hrdb/internal/obs"
 )
 
 // answerTrials is the number of write sequences of the answer-table
@@ -35,7 +36,8 @@ func answerTrials(t *testing.T) int {
 func answerStats(t *testing.T, db *catalog.Database, name string) (hits, misses uint64, kept int) {
 	t.Helper()
 	if err := db.Read(name, func(r *core.Relation) error {
-		hits, misses, kept = r.AnswerStats()
+		h, m, k := r.CacheStats()
+		hits, misses, kept = h[core.Answers], m[core.Answers], k[core.Answers]
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -291,6 +293,33 @@ func TestAnswerTableBypasses(t *testing.T) {
 			}
 		case out != want:
 			t.Fatalf("%s answered\n%s\nwant\n%s", c.name, out, want)
+		}
+	}
+}
+
+// TestAnswerTableRenewsOnlyOnAMiss: SELECT renews a stale consistency stamp
+// before it derives, but a relation that fails the check keeps no stamp, so
+// the renewal must come with the derive: a SELECT served from the table
+// runs no sweep.
+func TestAnswerTableRenewsOnlyOnAMiss(t *testing.T) {
+	sess := NewSession(MemTarget{DB: catalog.New()})
+	if _, err := sess.Exec(`
+		CREATE HIERARCHY D; CLASS A IN D; CLASS B UNDER A;
+		INSTANCE x UNDER B; INSTANCE y UNDER A;
+		CREATE RELATION R (K: D);
+		ASSERT R (A); DENY R (B);
+		SET MODE R none;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	full := obs.Default().Counter("hrdb_core_consistency_checks_total", obs.Label{Key: "scope", Value: "full"})
+	for i := 0; i < 3; i++ {
+		before := full.Value()
+		if _, err := sess.Exec("SELECT FROM R WHERE K UNDER A;"); err != nil {
+			t.Fatal(err)
+		}
+		if d := full.Value() - before; (i == 0) != (d > 0) {
+			t.Fatalf("SELECT %d ran %d full consistency sweeps; want some on the first alone", i+1, d)
 		}
 	}
 }

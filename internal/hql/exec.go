@@ -57,8 +57,9 @@ type Scope struct {
 	// (attribute, class) conditions name.
 	Conds [][2]string
 	// verify renews a catalog relation's stale consistency stamp before
-	// the read: SELECT skips its result repair over a verified relation
-	// (docs/THEORY.md §5). Views and TupleSource relations are read as is.
+	// the read, or for a kept answer before its derive alone: SELECT skips
+	// its result repair over a verified relation (docs/THEORY.md §5).
+	// Views and TupleSource relations are read as is.
 	verify bool
 }
 

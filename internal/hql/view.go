@@ -68,13 +68,20 @@ func (s *Session) viewCatalog() (ViewCatalog, error) {
 // read is the one way a statement reads relation data: it returns what fn
 // computes from the relation called name. A TupleSource target serves the
 // tuples the scope can reach. Any other target runs fn on its live relation
-// inside catalog.Database.Read, so evaluation shares the relation's verdict
-// cache, falling back to ViewCatalog.ViewRead when the catalog has no such
+// inside catalog.Database.Read, so evaluation shares the relation's table,
+// falling back to ViewCatalog.ViewRead when the catalog has no such
 // relation: this is what exposes materialized views to every read as
 // ordinary relations. fn runs under a lock either way: it must not keep
 // the relation, write (an `… AS` result is attached after read returns) or
 // read again (a nested lock deadlocks, at once or behind a queued writer).
-func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn func(r *core.Relation) (T, error)) (out T, err error) {
+func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn func(r *core.Relation) (T, error)) (T, error) {
+	return readFrom(ctx, s, name, scope, nil, fn)
+}
+
+// readFrom is read that, given a non-nil due, leaves the scope's
+// verification to fn: it sets *due to whether fn's relation is a catalog
+// relation whose stale consistency stamp scope.verify asks to renew.
+func readFrom[T any](ctx context.Context, s *Session, name string, scope Scope, due *bool, fn func(r *core.Relation) (T, error)) (out T, err error) {
 	if src, ok := s.target.(TupleSource); ok {
 		r, err := src.Tuples(ctx, name, scope)
 		if err != nil {
@@ -89,7 +96,10 @@ func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn f
 		return err
 	}
 	err = s.target.Database().Read(name, func(r *core.Relation) error {
-		if scope.verify && !r.VerifiedConsistent() {
+		stale := scope.verify && !r.VerifiedConsistent()
+		if due != nil {
+			*due = stale
+		} else if stale {
 			// The check only reads r, so the read lock suffices; over a
 			// relation that fails it, SELECT repairs its result as before.
 			_ = r.CheckConsistency()
@@ -105,25 +115,33 @@ func read[T any](ctx context.Context, s *Session, name string, scope Scope, fn f
 }
 
 // answer is read for a statement whose text is a function of the relation's
-// state and of key(r): it is kept in the relation's answer table
-// (core.Relation.Answer), so derive runs once per state. key and derive run
-// under read's lock, so a kept answer is of the state its stamp names. A
+// state and of key(r): it is kept in the relation's table
+// (core.Relation.Answer), so derive runs once per state, and so does the
+// scope's verification, which only derive needs. key and derive run under
+// read's lock, so a kept answer is of the state its stamp names. A
 // relation a TupleSource builds per read and a WithForceScan reference run
 // bypass the table; a canceled ctx neither reads nor fills it.
 func answer(ctx context.Context, s *Session, name string, scope Scope, key, derive func(r *core.Relation) (string, error)) (string, error) {
 	_, perRead := s.target.(TupleSource)
-	return read(ctx, s, name, scope, func(r *core.Relation) (string, error) {
+	due := false
+	return readFrom(ctx, s, name, scope, &due, func(r *core.Relation) (string, error) {
 		if err := ctx.Err(); err != nil {
 			return "", err
 		}
-		if perRead || algebra.ScanForced(ctx) {
+		miss := func() (string, error) {
+			if due {
+				_ = r.CheckConsistency() // as read does, but for a miss alone
+			}
 			return derive(r)
+		}
+		if perRead || algebra.ScanForced(ctx) {
+			return miss()
 		}
 		k, err := key(r)
 		if err != nil {
 			return "", err
 		}
-		return r.Answer(k, func() (string, error) { return derive(r) })
+		return r.Answer(k, miss)
 	})
 }
 

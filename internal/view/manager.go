@@ -689,7 +689,7 @@ func (m *Manager) Rows(name string) ([]string, error) {
 }
 
 // Read calls fn with the view's maintained relation form under the lock the
-// folds take to patch it, so fn shares the view's verdict cache. As with
+// folds take to patch it, so fn shares the view's table. As with
 // catalog.Database.Read, fn must not modify or keep the relation, nor call
 // Read again: the lock is not reentrant.
 func (m *Manager) Read(name string, fn func(*core.Relation) error) error {
