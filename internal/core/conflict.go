@@ -63,10 +63,11 @@ func (r *Relation) commonNodes(a, b Item) (perAttr [][]string, size int) {
 	perAttr, size = make([][]string, len(a)), 1
 	for i := range a {
 		h := r.schema.attrs[i].Domain
-		common := h.Reach(h.IDOf(a[i])).Clone()
-		common.And(h.Reach(h.IDOf(b[i])))
-		for _, id := range common.Members() {
-			perAttr[i] = append(perAttr[i], h.NameOf(id))
+		below := h.Reach(h.IDOf(b[i]))
+		for _, id := range h.Reach(h.IDOf(a[i])).Members() {
+			if below.Has(id) {
+				perAttr[i] = append(perAttr[i], h.NameOf(id))
+			}
 		}
 		if len(perAttr[i]) == 0 {
 			return nil, 0
@@ -150,21 +151,17 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 	posIDs, negIDs := r.internTuples(pos), r.internTuples(neg)
 	posReach, negReach := r.reachRows(posIDs), r.reachRows(negIDs)
 	for p, t1 := range pos {
-		a, ra := posIDs[p*k:(p+1)*k], posReach[p*k:(p+1)*k]
-	pairs:
+		a, ra := posIDs[p*k:(p+1)*k], posReach[p]
 		for q, t2 := range neg {
-			b, rb := negIDs[q*k:(q+1)*k], negReach[q*k:(q+1)*k]
-			comparable := subsumesRows(ra, b) || subsumesRows(rb, a)
+			b, rb := negIDs[q*k:(q+1)*k], negReach[q]
+			comparable := r.subsumesRows(ra, a, b) || r.subsumesRows(rb, b, a)
 			if comparable && !exhaustive {
 				continue // an exception, not a conflict, under off-path
 			}
-			// Incomparable items overlap when every coordinate pair is
-			// comparable or has a common descendant (OverlapsID: on a
-			// forest, never; else a reach-set intersection).
-			for i := 0; !comparable && i < k; i++ {
-				if !ra[i].Get(b[i]) && !rb[i].Get(a[i]) && !r.schema.attrs[i].Domain.OverlapsID(a[i], b[i]) {
-					continue pairs
-				}
+			// Incomparable items overlap when every coordinate pair shares
+			// a node: one reaches the other, or a common descendant.
+			if !comparable && !r.overlapsRows(ra, rb, a, b) {
+				continue
 			}
 			if !comparable {
 				for _, m := range r.MinimalResolutionSet(t1.Item, t2.Item) {

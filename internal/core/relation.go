@@ -548,20 +548,42 @@ func (r *Relation) internTuples(ts []Tuple) []int {
 	return ids
 }
 
-// reachRows returns the is-a reach set of every interned coordinate, laid
-// out like ids, so pair tests on the items are bit lookups.
-func (r *Relation) reachRows(ids []int) []dag.Bitset {
-	rows := make([]dag.Bitset, len(ids))
+// reachRows returns, per interned item, the is-a reach set of each
+// coordinate, so pair tests on the items are set lookups. The rows are nil
+// while some column's reachability index is cold: a check leaves building
+// it to HasPath's own policy.
+func (r *Relation) reachRows(ids []int) [][]dag.Set {
+	k := r.schema.Arity()
+	rows := make([][]dag.Set, len(ids)/k)
+	for _, a := range r.schema.attrs {
+		if !a.Domain.IndexWarm() {
+			return rows
+		}
+	}
+	sets := make([]dag.Set, len(ids))
 	for j, id := range ids {
-		rows[j] = r.schema.attrs[j%len(r.schema.attrs)].Domain.Reach(id)
+		sets[j] = r.schema.attrs[j%k].Domain.Reach(id)
+		rows[j/k] = sets[j/k*k : j+1]
 	}
 	return rows
 }
 
-// subsumesRows is Subsumes on interned items, a given by its reach rows.
-func subsumesRows(a []dag.Bitset, b []int) bool {
-	for i, set := range a {
-		if !set.Get(b[i]) {
+// subsumesRows is Subsumes on interned items, by a's reach rows ra when
+// there are any.
+func (r *Relation) subsumesRows(ra []dag.Set, a, b []int) bool {
+	for i := range a {
+		if ra != nil && !ra[i].Has(b[i]) || ra == nil && !r.schema.attrs[i].Domain.SubsumesID(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// overlapsRows is Overlaps on every coordinate pair of interned items, by
+// their reach rows when both have them.
+func (r *Relation) overlapsRows(ra, rb []dag.Set, a, b []int) bool {
+	for i := range a {
+		if ra != nil && rb != nil && !ra[i].Overlaps(rb[i]) || (ra == nil || rb == nil) && !r.schema.attrs[i].Domain.OverlapsID(a[i], b[i]) {
 			return false
 		}
 	}
@@ -570,30 +592,46 @@ func subsumesRows(a []dag.Bitset, b []int) bool {
 
 // bindMatrix returns the tuples' subsumption graph in the binding order
 // (is-a plus preference edges) as a bit matrix on interned node ids:
-// sub[i].Get(j) iff ts[i] strictly bind-subsumes ts[j].
+// sub[i].Get(j) iff ts[i] strictly bind-subsumes ts[j]. The tuples above
+// ts[j] are looked up by the first coordinate among its own and its binding
+// ancestors, so the pairs tested follow the graph's edges, not n².
 func (r *Relation) bindMatrix(ts []Tuple) []dag.Bitset {
 	n, k := len(ts), r.schema.Arity()
 	ids := r.internTuples(ts)
 	words := (n + 63) / 64
 	matrix := make([]uint64, n*words)
 	sub := make([]dag.Bitset, n)
-	reach := make([]dag.Bitset, k)
+	byFirst := make([]int, n) // positions by first coordinate
 	for i := range ts {
 		sub[i] = matrix[i*words : (i+1)*words : (i+1)*words]
-		for a := range reach {
-			reach[a] = r.schema.attrs[a].Domain.BindReach(ids[i*k+a])
-		}
-	pairs:
-		for j := range ts {
-			equal := true
-			for a, set := range reach {
-				if !set.Get(ids[j*k+a]) {
-					continue pairs
+		byFirst[i] = i
+	}
+	slices.SortFunc(byFirst, func(a, b int) int { return cmp.Compare(ids[a*k], ids[b*k]) })
+	above := func(x, j int) {
+		lo, _ := slices.BinarySearchFunc(byFirst, x, func(p, x int) int { return cmp.Compare(ids[p*k], x) })
+	next:
+		for _, i := range byFirst[lo:] {
+			if ids[i*k] != x {
+				return
+			}
+			equal := x == ids[j*k]
+			for a := 1; a < k; a++ {
+				if !r.schema.attrs[a].Domain.BindSubsumesID(ids[i*k+a], ids[j*k+a]) {
+					continue next
 				}
 				equal = equal && ids[i*k+a] == ids[j*k+a]
 			}
 			if !equal {
 				sub[i].Set(j)
+			}
+		}
+	}
+	h := r.schema.attrs[0].Domain
+	for j := range ts {
+		if x := ids[j*k]; x >= 0 { // -1: not a node, above nothing
+			above(x, j)
+			for _, y := range h.BindAncestorIDs(x) {
+				above(y, j)
 			}
 		}
 	}

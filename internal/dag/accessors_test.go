@@ -18,14 +18,14 @@ func TestPredAccessor(t *testing.T) {
 
 func TestReachableSetAccessor(t *testing.T) {
 	g, ids := buildDiamond(t)
-	set, err := g.ReachableSet(ids[0])
+	set, err := g.Reach(ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if set.Count() != 4 {
 		t.Fatalf("reach count = %d", set.Count())
 	}
-	if _, err := g.ReachableSet(99); !errors.Is(err, ErrNoNode) {
+	if _, err := g.Reach(99); !errors.Is(err, ErrNoNode) {
 		t.Fatalf("got %v", err)
 	}
 }

@@ -1,12 +1,9 @@
 package dag
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// Bitset is a fixed-capacity set of small non-negative integers used for
-// dense reachability computations.
+// Bitset is a fixed-capacity set of small non-negative integers, the row
+// type of dense tuple×tuple matrices.
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold values in [0, capacity).
@@ -34,59 +31,6 @@ func (b Bitset) Get(i int) bool {
 	return b[w]&(1<<(uint(i)%64)) != 0
 }
 
-// Or merges other into b. A longer other is tolerated as long as its tail
-// beyond the receiver's capacity is all-zero; a set bit that cannot be
-// represented in b panics with a descriptive message instead of silently
-// dropping reachability information (use OrGrow to merge with growth).
-func (b Bitset) Or(other Bitset) {
-	n := len(other)
-	if n > len(b) {
-		for _, w := range other[len(b):] {
-			if w != 0 {
-				panic(fmt.Sprintf("dag: Bitset.Or: receiver too short (%d < %d words) and tail is nonzero", len(b), len(other)))
-			}
-		}
-		n = len(b)
-	}
-	for i, w := range other[:n] {
-		b[i] |= w
-	}
-}
-
-// OrGrow merges other into b, growing the result as needed, and returns
-// the merged bitset. When no growth is required the receiver's storage is
-// reused, so callers must use the return value in place of b.
-func (b Bitset) OrGrow(other Bitset) Bitset {
-	if len(other) > len(b) {
-		grown := make(Bitset, len(other))
-		copy(grown, b)
-		b = grown
-	}
-	b.Or(other)
-	return b
-}
-
-// And intersects b with other in place.
-func (b Bitset) And(other Bitset) {
-	for i := range b {
-		if i < len(other) {
-			b[i] &= other[i]
-		} else {
-			b[i] = 0
-		}
-	}
-}
-
-// Intersects reports whether b and other share a member.
-func (b Bitset) Intersects(other Bitset) bool {
-	for i := 0; i < len(b) && i < len(other); i++ {
-		if b[i]&other[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	n := 0
@@ -107,11 +51,4 @@ func (b Bitset) Members() []int {
 		}
 	}
 	return out
-}
-
-// Clone returns a copy of b.
-func (b Bitset) Clone() Bitset {
-	c := make(Bitset, len(b))
-	copy(c, b)
-	return c
 }

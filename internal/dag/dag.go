@@ -15,7 +15,7 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,8 +44,7 @@ type Graph struct {
 	// serialized by memoMu and published with atomic stores.
 	memoMu    sync.Mutex
 	topoMemo  atomic.Pointer[[]int]
-	reachMemo atomic.Pointer[[]Bitset] // reach[i] = nodes reachable from i (including i)
-	labelMemo atomic.Pointer[Labels]   // interval-label reachability index (labels.go)
+	labelMemo atomic.Pointer[Labels] // reachability index (labels.go)
 
 	// gen counts mutations; derived structures are stamped with the
 	// generation they were built at, so callers holding an index across a
@@ -65,7 +64,6 @@ func New() *Graph { return &Graph{} }
 func (g *Graph) invalidate() {
 	g.gen.Add(1)
 	g.topoMemo.Store(nil)
-	g.reachMemo.Store(nil)
 	g.labelMemo.Store(nil)
 	g.pathQueries.Store(0)
 }
@@ -309,55 +307,18 @@ func (g *Graph) computeTopo() ([]int, error) {
 	return order, nil
 }
 
-// ensureReach computes (memoizing) the reachability bitsets for all live
-// nodes and returns them.
-func (g *Graph) ensureReach() ([]Bitset, error) {
-	if r := g.reachMemo.Load(); r != nil {
-		return *r, nil
-	}
-	g.memoMu.Lock()
-	defer g.memoMu.Unlock()
-	return g.reachLocked()
-}
-
-// reachLocked returns (memoizing) the reachability bitsets; caller holds
-// memoMu.
-func (g *Graph) reachLocked() ([]Bitset, error) {
-	if r := g.reachMemo.Load(); r != nil {
-		return *r, nil
-	}
-	order, err := g.topoLocked()
-	if err != nil {
-		return nil, err
-	}
-	reach := make([]Bitset, len(g.alive))
-	// process in reverse topological order so successors are ready
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		b := NewBitset(len(g.alive))
-		b.Set(id)
-		for s := range g.succ[id] {
-			b.Or(reach[s])
-		}
-		reach[id] = b
-	}
-	g.reachMemo.Store(&reach)
-	return reach, nil
-}
-
-// Warm eagerly builds the memoized derived state (topological order, the
-// interval-label index and the reachability index) so that subsequent
-// concurrent readers share it instead of racing to build it. It is a no-op
-// on an already-warm graph.
+// Warm eagerly builds the memoized derived state (topological order and
+// the reachability index) so that subsequent concurrent readers share it
+// instead of racing to build it. It is a no-op on an already-warm graph.
 func (g *Graph) Warm() {
 	_, _ = g.ensureLabels()
-	_, _ = g.ensureReach()
 }
 
 // HasPath reports whether to is reachable from from (every node reaches
 // itself). It returns false if either node is missing. On a warm graph this
-// is an O(1) interval compare (plus a bitset probe for non-tree DAG edges);
-// during construction it falls back to a bounded DFS.
+// is a span compare (plus a binary search of the spans a node reaches
+// through non-tree edges); during construction it falls back to a bounded
+// DFS.
 func (g *Graph) HasPath(from, to int) bool {
 	if !g.Has(from) || !g.Has(to) {
 		return false
@@ -368,12 +329,9 @@ func (g *Graph) HasPath(from, to int) bool {
 	if l := g.labelMemo.Load(); l != nil {
 		return l.HasPath(from, to)
 	}
-	if r := g.reachMemo.Load(); r != nil {
-		return (*r)[from].Get(to)
-	}
 	// During construction (mutations interleaved with queries) a plain DFS
 	// avoids thrashing the cache; once the graph has been stable for about
-	// one query per node, the label index pays for itself and is built.
+	// one query per node, the index pays for itself and is built.
 	if g.pathQueries.Add(1) > int64(g.nodes+16) {
 		if l, err := g.ensureLabels(); err == nil {
 			return l.HasPath(from, to)
@@ -403,14 +361,19 @@ func (g *Graph) HasPath(from, to int) bool {
 // LeavesUnder appends to dst, ascending, every leaf reachable from id
 // (id itself when it is a leaf) and returns the extended slice.
 func (g *Graph) LeavesUnder(id int, dst []int) []int {
-	reach, err := g.ReachableSet(id)
-	for w := 0; err == nil && w < len(reach); w++ {
-		for word := reach[w]; word != 0; word &= word - 1 {
-			if n := w*64 + bits.TrailingZeros64(word); len(g.succ[n]) == 0 {
-				dst = append(dst, n)
+	reach, err := g.Reach(id)
+	if err != nil {
+		return dst
+	}
+	n := len(dst)
+	for _, sp := range reach.spans {
+		for r := sp.lo; r < sp.hi; r++ {
+			if c := int(reach.l.order[r]); len(g.succ[c]) == 0 {
+				dst = append(dst, c)
 			}
 		}
 	}
+	slices.Sort(dst[n:])
 	return dst
 }
 
@@ -452,9 +415,9 @@ func (g *Graph) Ancestors(id int) []int {
 }
 
 // Overlap reports whether some node is reachable from both a and b (each
-// reaches itself). Comparable nodes answer from the label index; in a forest
-// nothing else overlaps; otherwise it is a word-wise test of the memoized
-// reach sets. It never allocates on a warm graph.
+// reaches itself). Comparable nodes answer from the index; in a forest
+// nothing else overlaps; otherwise it is a merge of the two nodes' reach
+// spans. It never allocates on a warm graph.
 func (g *Graph) Overlap(a, b int) bool {
 	if g.HasPath(a, b) || g.HasPath(b, a) {
 		return true
@@ -462,27 +425,34 @@ func (g *Graph) Overlap(a, b int) bool {
 	if !g.Has(a) || !g.Has(b) {
 		return false
 	}
-	if l := g.labelMemo.Load(); l != nil && l.treeOnly {
-		return false
-	}
-	reach, err := g.ensureReach()
-	return err == nil && reach[a].Intersects(reach[b])
+	l, err := g.ensureLabels()
+	return err == nil && !l.treeOnly && Set{l, l.reach(a)}.Overlaps(Set{l, l.reach(b)})
 }
 
 // OverlapRegion returns every node n with Overlap(n, id): the nodes reachable
-// from id, then each ancestor of one of those. It walks pred from the
-// reachable set, so its cost follows the region; ok is false, with nothing
-// enumerated, when more than maxBelow nodes are reachable from id.
+// from id, then each ancestor of one of those. The nodes below come from the
+// index when it is built and from a walk of succ otherwise (a region query
+// alone does not build it); the ancestors from a walk of pred. Its cost
+// follows the region; ok is false, with nothing enumerated, when more than
+// maxBelow nodes are reachable from id.
 func (g *Graph) OverlapRegion(id, maxBelow int) (region []int, ok bool) {
-	below, err := g.ReachableSet(id)
-	if err != nil || below.Count() > maxBelow {
+	if !g.Has(id) {
 		return nil, false
 	}
-	region = below.Members()
+	var below func(int) bool
+	if l := g.labelMemo.Load(); l != nil {
+		set := Set{l, l.reach(id)}
+		if set.Count() > maxBelow {
+			return nil, false
+		}
+		region, below = set.Members(), set.Has
+	} else if region, below = g.walkBelow(id, maxBelow); region == nil {
+		return nil, false
+	}
 	above := map[int]struct{}{}
 	for i := 0; i < len(region); i++ {
 		for p := range g.pred[region[i]] {
-			if _, seen := above[p]; !seen && !below.Get(p) {
+			if _, seen := above[p]; !seen && !below(p) {
 				above[p] = struct{}{}
 				region = append(region, p)
 			}
@@ -491,45 +461,63 @@ func (g *Graph) OverlapRegion(id, maxBelow int) (region []int, ok bool) {
 	return region, true
 }
 
+// walkBelow returns the nodes reachable from id and a membership test for
+// them, or nil when there are more than max.
+func (g *Graph) walkBelow(id, max int) ([]int, func(int) bool) {
+	seen := map[int]struct{}{id: {}}
+	below := []int{id}
+	for i := 0; i < len(below) && len(below) <= max; i++ {
+		for s := range g.succ[below[i]] {
+			if _, ok := seen[s]; !ok {
+				seen[s] = struct{}{}
+				below = append(below, s)
+			}
+		}
+	}
+	if len(below) > max {
+		return nil, nil
+	}
+	return below, func(n int) bool { _, ok := seen[n]; return ok }
+}
+
 // MaximalCommon returns, ascending, the nodes reachable from both a and b
 // that no other such node reaches. The common set is closed downward, so a
 // member is maximal iff none of its direct predecessors is a member.
 func (g *Graph) MaximalCommon(a, b int) []int {
-	if !g.Has(a) || !g.Has(b) {
+	ra, errA := g.Reach(a)
+	rb, errB := g.Reach(b)
+	if errA != nil || errB != nil {
 		return nil
 	}
-	reach, err := g.ensureReach()
-	if err != nil {
-		return nil
-	}
-	ra, rb := reach[a], reach[b]
 	var out []int
-	for w := range ra {
+	intersect(ra.spans, rb.spans, func(sp span) bool {
 	next:
-		for x := ra[w] & rb[w]; x != 0; x &= x - 1 {
-			c := w*64 + bits.TrailingZeros64(x)
+		for r := sp.lo; r < sp.hi; r++ {
+			c := int(ra.l.order[r])
 			for p := range g.pred[c] {
-				if ra.Get(p) && rb.Get(p) {
+				if ra.Has(p) && rb.Has(p) {
 					continue next
 				}
 			}
 			out = append(out, c)
 		}
-	}
+		return true
+	})
+	slices.Sort(out)
 	return out
 }
 
-// ReachableSet returns the Bitset of nodes reachable from id (including id).
-// The returned Bitset must not be modified.
-func (g *Graph) ReachableSet(id int) (Bitset, error) {
+// Reach returns the set of nodes reachable from id (including id). The set
+// describes the graph as of the call and does not follow later mutations.
+func (g *Graph) Reach(id int) (Set, error) {
 	if !g.Has(id) {
-		return nil, ErrNoNode
+		return Set{}, ErrNoNode
 	}
-	reach, err := g.ensureReach()
+	l, err := g.ensureLabels()
 	if err != nil {
-		return nil, err
+		return Set{}, err
 	}
-	return reach[id], nil
+	return Set{l, l.reach(id)}, nil
 }
 
 // Clone returns a deep copy of the graph.
@@ -614,15 +602,15 @@ func (g *Graph) TransitiveReduction() error {
 // TransitiveClosure adds an edge u→v for every pair where v is reachable
 // from u.
 func (g *Graph) TransitiveClosure() error {
-	reach, err := g.ensureReach()
-	if err != nil {
-		return err
-	}
 	// Snapshot reachability before mutating (mutation invalidates it).
 	type edge struct{ u, v int }
 	var add []edge
 	for _, u := range g.Nodes() {
-		for _, v := range reach[u].Members() {
+		reach, err := g.Reach(u)
+		if err != nil {
+			return err
+		}
+		for _, v := range reach.Members() {
 			if u != v && !g.HasEdge(u, v) {
 				add = append(add, edge{u, v})
 			}

@@ -138,7 +138,7 @@ func TestTopoDeterministic(t *testing.T) {
 
 func TestDescendantsAncestors(t *testing.T) {
 	g, ids := buildDiamond(t)
-	gotD, _ := g.ReachableSet(ids[0])
+	gotD, _ := g.Reach(ids[0])
 	wantD := []int{ids[0], ids[1], ids[2], ids[3]}
 	sort.Ints(wantD)
 	if !reflect.DeepEqual(gotD.Members(), wantD) {
@@ -150,7 +150,7 @@ func TestDescendantsAncestors(t *testing.T) {
 	if !reflect.DeepEqual(gotA, wantA) {
 		t.Errorf("Ancestors(sink) = %v, want %v", gotA, wantA)
 	}
-	if got, _ := g.ReachableSet(ids[3]); got.Count() != 1 {
+	if got, _ := g.Reach(ids[3]); got.Count() != 1 {
 		t.Errorf("ReachableSet(sink) = %v, want only itself", got.Members())
 	}
 	// The memoized list of a warm graph goes with the labels on mutation.
@@ -427,23 +427,6 @@ func TestBitsetBasics(t *testing.T) {
 	want := []int{0, 1, 63, 65, 129}
 	if got := b.Members(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("members = %v, want %v", got, want)
-	}
-}
-
-func TestBitsetOrAnd(t *testing.T) {
-	a := NewBitset(128)
-	b := NewBitset(128)
-	a.Set(3)
-	b.Set(3)
-	b.Set(70)
-	a.Or(b)
-	if !a.Get(70) {
-		t.Fatal("or failed")
-	}
-	c := a.Clone()
-	c.And(b)
-	if got := c.Members(); !reflect.DeepEqual(got, []int{3, 70}) {
-		t.Fatalf("and: got %v", got)
 	}
 }
 

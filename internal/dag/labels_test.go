@@ -3,7 +3,6 @@ package dag
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -212,61 +211,6 @@ func TestHasPathDenseStackBounded(t *testing.T) {
 	})
 	if bytes := res.AllocedBytesPerOp(); bytes > 32*1024 {
 		t.Fatalf("dense DFS allocates %d B/op, want < 32 KiB (stack must be V-bounded)", bytes)
-	}
-}
-
-func TestBitsetOrShapes(t *testing.T) {
-	// Longer receiver: classic merge.
-	a := NewBitset(256)
-	b := NewBitset(64)
-	b.Set(3)
-	a.Or(b)
-	if !a.Get(3) {
-		t.Fatal("merge into longer receiver lost a bit")
-	}
-	// Shorter receiver, zero tail in other: tolerated.
-	short := NewBitset(64)
-	long := NewBitset(256)
-	long.Set(10)
-	short.Or(long)
-	if !short.Get(10) {
-		t.Fatal("merge into shorter receiver lost an in-range bit")
-	}
-	// Shorter receiver, set bit beyond capacity: loud failure, not an
-	// index panic and not silent truncation.
-	long.Set(200)
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("Or with unrepresentable bit did not panic")
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "Bitset.Or") {
-				t.Fatalf("panic %v lacks a descriptive message", r)
-			}
-		}()
-		short.Or(long)
-	}()
-}
-
-func TestBitsetOrGrow(t *testing.T) {
-	short := NewBitset(64)
-	short.Set(1)
-	long := NewBitset(256)
-	long.Set(200)
-	merged := short.OrGrow(long)
-	if !merged.Get(1) || !merged.Get(200) {
-		t.Fatalf("OrGrow members = %v, want [1 200]", merged.Members())
-	}
-	// No growth needed: storage is reused.
-	big := NewBitset(256)
-	big.Set(7)
-	same := big.OrGrow(long)
-	if &same[0] != &big[0] {
-		t.Fatal("OrGrow reallocated when the receiver was large enough")
-	}
-	if !same.Get(7) || !same.Get(200) {
-		t.Fatal("in-place OrGrow lost bits")
 	}
 }
 

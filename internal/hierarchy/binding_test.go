@@ -77,10 +77,10 @@ func TestBindReachSet(t *testing.T) {
 	if !ok {
 		t.Fatal("BindReachSet failed")
 	}
-	if !set.Get(h.MustID("Patricia")) {
+	if !set.Has(h.MustID("Patricia")) {
 		t.Fatal("Patricia not reachable from Penguin")
 	}
-	if set.Get(h.MustID("Canary")) {
+	if set.Has(h.MustID("Canary")) {
 		t.Fatal("Canary reachable from Penguin")
 	}
 	if _, ok := h.BindReachSet("nope"); ok {

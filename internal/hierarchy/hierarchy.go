@@ -87,19 +87,20 @@ func (h *Hierarchy) invalidate() {
 func (h *Hierarchy) Generation() uint64 { return h.gen.Load() }
 
 // Warm eagerly builds the lazily derived structures — the binding graph,
-// the reachability indexes of both graphs, and the irredundancy flag — so
-// that a following fan-out of concurrent readers shares them instead of
-// duplicating the work. No-op when already warm.
+// the reachability index of each graph, and the irredundancy flag — so that
+// a following fan-out of concurrent readers shares them instead of
+// duplicating the work. Without preferences the binding graph is the is-a
+// graph, so one index is built. No-op when already warm.
 func (h *Hierarchy) Warm() {
 	h.isa.Warm()
 	h.bindGraph().Warm()
 	h.BindingIrredundant()
 }
 
-// IndexWarm reports whether the is-a graph's O(1) subsumption index (the
-// dag interval-label index) is currently built, i.e. whether Subsumes is a
-// pair of label compares rather than a graph walk. The query planner uses
-// this as its label-index-warmth cost signal.
+// IndexWarm reports whether the is-a graph's subsumption index (the dag
+// compressed closure) is currently built, i.e. whether Subsumes is a span
+// compare rather than a graph walk. The query planner uses this as its
+// label-index-warmth cost signal.
 func (h *Hierarchy) IndexWarm() bool { return h.isa.LabelsWarm() }
 
 // New creates a hierarchy whose root class is the domain itself.
@@ -237,14 +238,12 @@ func (h *Hierarchy) Prefer(stronger, weaker string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, weaker)
 	}
-	bg := h.bindGraph()
 	// Binding edges run general → specific, so "weaker → stronger" makes
-	// the stronger node reachable from the weaker one.
-	if err := bg.AddEdge(wid, sid); err != nil {
-		if errors.Is(err, dag.ErrCycle) {
-			return fmt.Errorf("%w: preference %q over %q", ErrCycle, stronger, weaker)
-		}
-		return err
+	// the stronger node reachable from the weaker one; the edge closes a
+	// cycle iff the stronger node already reaches the weaker one. The check
+	// only reads the binding graph, which may be the is-a graph itself.
+	if sid == wid || h.bindGraph().HasPath(sid, wid) {
+		return fmt.Errorf("%w: preference %q over %q", ErrCycle, stronger, weaker)
 	}
 	h.prefs = append(h.prefs, [2]int{wid, sid})
 	// Force a rebuild so the preference-induced transitive reduction runs.
@@ -267,6 +266,9 @@ func (h *Hierarchy) Preferences() [][2]string {
 func (h *Hierarchy) HasPreferences() bool { return len(h.prefs) > 0 }
 
 // bindGraph returns the is-a graph plus preference edges (lazily built).
+// Without preferences that is the is-a graph itself, shared rather than
+// cloned, so one reachability index serves membership and binding; callers
+// must only read it.
 //
 // The paper's appendix says that after preference edges are introduced "the
 // semantics of off-path preemption apply", and off-path preemption requires
@@ -285,18 +287,20 @@ func (h *Hierarchy) bindGraph() *dag.Graph {
 	if bg := h.bind.Load(); bg != nil {
 		return bg
 	}
+	if len(h.prefs) == 0 {
+		h.bind.Store(h.isa)
+		return h.isa
+	}
 	bg := h.isa.Clone()
-	if len(h.prefs) > 0 {
-		for _, p := range h.prefs {
-			if err := bg.AddEdge(p[0], p[1]); err != nil {
-				// Preference edges were validated when installed.
-				panic(err)
-			}
+	for _, p := range h.prefs {
+		if err := bg.AddEdge(p[0], p[1]); err != nil {
+			// Preference edges were validated when installed.
+			panic(err)
 		}
-		for _, e := range h.isa.Edges() {
-			if bg.IsRedundantEdge(e[0], e[1]) && !h.isa.IsRedundantEdge(e[0], e[1]) {
-				bg.RemoveEdge(e[0], e[1])
-			}
+	}
+	for _, e := range h.isa.Edges() {
+		if bg.IsRedundantEdge(e[0], e[1]) && !h.isa.IsRedundantEdge(e[0], e[1]) {
+			bg.RemoveEdge(e[0], e[1])
 		}
 	}
 	h.bind.Store(bg)
@@ -325,20 +329,14 @@ func (h *Hierarchy) BindParents(name string) []string {
 
 // BindReachSet returns the set of node ids reachable from name in the
 // binding graph (including name itself), for bulk subsumption checks. The
-// returned bitset must not be modified and is invalidated by mutation.
-func (h *Hierarchy) BindReachSet(name string) (dag.Bitset, bool) {
-	set := h.BindReach(h.IDOf(name))
-	return set, set != nil
+// set describes the hierarchy as of the call.
+func (h *Hierarchy) BindReachSet(name string) (dag.Set, bool) {
+	set, err := h.bindGraph().Reach(h.IDOf(name))
+	return set, err == nil
 }
 
-// BindReach is BindReachSet by node id; nil when id names no live node.
-func (h *Hierarchy) BindReach(id int) dag.Bitset {
-	set, err := h.bindGraph().ReachableSet(id)
-	if err != nil {
-		return nil
-	}
-	return set
-}
+// BindAncestorIDs is AncestorIDs over the binding graph.
+func (h *Hierarchy) BindAncestorIDs(id int) []int { return h.bindGraph().Ancestors(id) }
 
 // BindingIrredundant reports whether the binding graph (is-a plus preference
 // edges) is a transitive reduction. When true, the fast minimal-applicable
@@ -386,9 +384,9 @@ func (h *Hierarchy) MustID(name string) int {
 }
 
 // IDOf returns the node id of name, or -1 when name is not a node. The
-// id-level methods (SubsumesID, OverlapsID, LeafIDs, BindReach) treat -1 as
-// the string methods treat an unknown name: it never subsumes, overlaps or
-// expands to anything.
+// id-level methods (SubsumesID, OverlapsID, LeafIDs, BindSubsumesID) treat
+// -1 as the string methods treat an unknown name: it never subsumes,
+// overlaps or expands to anything.
 func (h *Hierarchy) IDOf(name string) int {
 	if id, ok := h.ids[name]; ok {
 		return id
@@ -429,15 +427,12 @@ func (h *Hierarchy) StrictlySubsumes(ancestor, descendant string) bool {
 // BindSubsumes is Subsumes computed over the binding graph (is-a plus
 // preference edges). Used for tuple binding, never for membership.
 func (h *Hierarchy) BindSubsumes(ancestor, descendant string) bool {
-	aid, ok := h.ids[ancestor]
-	if !ok {
-		return false
-	}
-	did, ok := h.ids[descendant]
-	if !ok {
-		return false
-	}
-	return h.bindGraph().HasPath(aid, did)
+	return h.BindSubsumesID(h.IDOf(ancestor), h.IDOf(descendant))
+}
+
+// BindSubsumesID is BindSubsumes by node id.
+func (h *Hierarchy) BindSubsumesID(ancestor, descendant int) bool {
+	return h.bindGraph().HasPath(ancestor, descendant)
 }
 
 // Parents returns the direct is-a parents of name, sorted.
@@ -463,12 +458,9 @@ func (h *Hierarchy) Children(name string) []string {
 func (h *Hierarchy) AncestorIDs(id int) []int { return h.isa.Ancestors(id) }
 
 // Reach is BindReach over the is-a graph: the ids id subsumes, itself
-// included; nil when id names no live node. Do not modify it.
-func (h *Hierarchy) Reach(id int) dag.Bitset {
-	set, err := h.isa.ReachableSet(id)
-	if err != nil {
-		return nil
-	}
+// included; empty when id names no live node.
+func (h *Hierarchy) Reach(id int) dag.Set {
+	set, _ := h.isa.Reach(id)
 	return set
 }
 

@@ -233,10 +233,15 @@ func (c *Client) ensure() (*wire.Conn, error) {
 // Retry-After). Ambiguous failures — the connection died before a reply —
 // are retried only when the script is read-only (hql.ReadOnly) or the
 // client was built WithRetryNonIdempotent. Definitive statement failures
-// ("exec", "deadline", "panic", …) are never retried.
+// ("exec", "deadline", "panic", …) are never retried. The script is parsed
+// for that only when such a retry is to be decided, at most once per call.
 func (c *Client) Exec(ctx context.Context, input string) (string, error) {
-	return c.execRetry(ctx, wire.TypeExec, input, hql.ReadOnlyScript(input))
+	return c.execRetry(ctx, wire.TypeExec, input, func() bool { return readOnlyScript(input) })
 }
+
+// readOnlyScript classifies a script for retry; a variable so tests can
+// count the calls.
+var readOnlyScript = hql.ReadOnlyScript
 
 // ExecShard runs one shard operation and returns the shard's reply. The
 // transport, deadline, and retry machinery is Exec's; only the frame type
@@ -244,7 +249,7 @@ func (c *Client) Exec(ctx context.Context, input string) (string, error) {
 // transport failure — reads are pure, and the 2PC verbs are gid-guarded on
 // the participant.
 func (c *Client) ExecShard(ctx context.Context, op wire.ShardOp) (wire.ShardReply, error) {
-	out, err := c.execRetry(ctx, wire.TypeExecShard, string(wire.AppendShardOp(nil, op)), true)
+	out, err := c.execRetry(ctx, wire.TypeExecShard, string(wire.AppendShardOp(nil, op)), func() bool { return true })
 	if err != nil {
 		return wire.ShardReply{}, err
 	}
@@ -278,21 +283,30 @@ func parseShardMap(out string) (id, count int, err error) {
 
 // execRetry is the shared retry loop behind Exec and ExecShard: typ names
 // the request, idempotent gates retry after ambiguous transport failures.
-func (c *Client) execRetry(ctx context.Context, typ byte, input string, idempotent bool) (string, error) {
-	var lastErr error
+// It is asked at most once, and only when such a failure leaves a retry to
+// decide.
+func (c *Client) execRetry(ctx context.Context, typ byte, input string, idempotent func() bool) (string, error) {
+	asked, answer := false, false
+	once := func() bool {
+		if !asked {
+			asked, answer = true, idempotent()
+		}
+		return answer
+	}
 	for attempt := 0; ; attempt++ {
 		out, err := c.execOnce(ctx, typ, input)
 		if err == nil {
 			return out, nil
 		}
-		lastErr = err
-
-		retryable, hint := c.classify(err, idempotent)
-		if !retryable || attempt >= c.o.maxRetries || ctx.Err() != nil {
-			return "", lastErr
+		if attempt >= c.o.maxRetries || ctx.Err() != nil {
+			return "", err
 		}
-		if err := backoff.Sleep(ctx, c.backoff(attempt, hint)); err != nil {
-			return "", lastErr
+		retryable, hint := c.classify(err, once)
+		if !retryable {
+			return "", err
+		}
+		if backoff.Sleep(ctx, c.backoff(attempt, hint)) != nil {
+			return "", err
 		}
 	}
 }
@@ -402,8 +416,9 @@ func (st *Stream) Close() error {
 }
 
 // classify decides whether an error may be retried and extracts the
-// server's backoff hint.
-func (c *Client) classify(err error, idempotent bool) (retryable bool, hint time.Duration) {
+// server's backoff hint; idempotent is called only for a transport failure
+// that the client's options do not already retry.
+func (c *Client) classify(err error, idempotent func() bool) (retryable bool, hint time.Duration) {
 	var se *ServerError
 	if errors.As(err, &se) {
 		switch se.Code {
@@ -422,7 +437,7 @@ func (c *Client) classify(err error, idempotent bool) (retryable bool, hint time
 		return false, 0
 	}
 	// Transport error: the request may or may not have executed.
-	return idempotent || c.o.retryAll, 0
+	return c.o.retryAll || idempotent(), 0
 }
 
 // backoff returns the sleep before retry attempt+1: full jitter over an

@@ -190,6 +190,43 @@ func TestClientRetryPolicy(t *testing.T) {
 	}
 }
 
+// TestExecClassifiesOnlyForRetry: Exec parses its script for the retry
+// policy only when a transport failure leaves a retry to decide, and then
+// once however many retries follow.
+func TestExecClassifiesOnlyForRetry(t *testing.T) {
+	var calls atomic.Int64
+	saved := readOnlyScript
+	readOnlyScript = func(s string) bool { calls.Add(1); return saved(s) }
+	defer func() { readOnlyScript = saved }()
+	fast := WithBackoff(time.Millisecond, 5*time.Millisecond)
+	cases := []struct {
+		name      string
+		replies   []reply
+		opts      []Option
+		wantCalls int64
+	}{
+		{"answered on the first attempt", []reply{okReply("true")}, []Option{WithMaxRetries(3), fast}, 0},
+		{"shed: retried whatever the script", []reply{errReply(codeOverloaded, 0), okReply("true")}, []Option{WithMaxRetries(3), fast}, 0},
+		{"severed without a retry budget", []reply{severReply}, []Option{WithMaxRetries(0)}, 0},
+		{"severed twice, then answered", []reply{severReply, severReply, okReply("true")}, []Option{WithMaxRetries(3), fast}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			calls.Store(0)
+			f := newFakeServer(t, tc.replies...)
+			c, err := Dial(f.addr(), tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, _ = c.Exec(context.Background(), "HOLDS Flies (Tweety);")
+			if got := calls.Load(); got != tc.wantCalls {
+				t.Fatalf("script classified %d times, want %d", got, tc.wantCalls)
+			}
+		})
+	}
+}
+
 // TestBackoffHonorsRetryAfterHint: the sleep before a retry never
 // undercuts the server's hint.
 func TestBackoffHonorsRetryAfterHint(t *testing.T) {

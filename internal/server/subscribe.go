@@ -277,7 +277,7 @@ func (sub *Subscription) Next(ctx context.Context) (SubChange, error) {
 // server canceled (restart, failover) resumes too — and otherwise returns
 // the error that stops Next (ErrClientClosed once Close closed the feed).
 func (sub *Subscription) setback(ctx context.Context, err error) error {
-	retry, hint := sub.c.classify(err, true)
+	retry, hint := sub.c.classify(err, func() bool { return true })
 	var se *ServerError
 	if !retry && !(errors.As(err, &se) && se.Code == codeCanceled) {
 		return err
