@@ -463,8 +463,7 @@ func BenchmarkMining(b *testing.B) {
 }
 
 // BenchmarkEvaluateBatch: bulk evaluation of every atomic item of a
-// taxonomy relation — the sequential seed path (one worker, cache off)
-// against the worker pool and against a warm verdict cache.
+// taxonomy relation, with the verdict cache off and against a warm cache.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	h, err := workload.Taxonomy("D", 20, 100)
 	if err != nil {
@@ -482,13 +481,6 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	plain := r.Clone()
 	plain.SetCache(false)
 	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := plain.EvaluateBatch(ctx, atoms, WithParallelism(1)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := plain.EvaluateBatch(ctx, atoms); err != nil {
 				b.Fatal(err)

@@ -586,19 +586,17 @@ func WithForceScan(ctx context.Context) context.Context { return algebra.WithFor
 
 // Bulk evaluation and its functional options.
 //
-// The batch APIs fan per-item evaluation across cores with deterministic
-// result ordering; options tune one call without mutating the relation:
+// The batch APIs evaluate the items in input order on the calling
+// goroutine; options tune one call without mutating the relation:
 //
-//	vs, err := hrdb.EvaluateBatch(ctx, flies, items,
-//		hrdb.WithParallelism(4), hrdb.WithPreemption(hrdb.OnPath))
+//	vs, err := hrdb.EvaluateBatch(ctx, flies, items, hrdb.WithPreemption(hrdb.OnPath))
+//
+// For parallelism, run concurrent statements, or call from goroutines of
+// your own over a relation no one mutates meanwhile.
 type (
 	// BatchOption configures one bulk-evaluation call.
 	BatchOption = core.BatchOption
 )
-
-// WithParallelism sets the number of worker goroutines for a batch call
-// (values below 1 select runtime.GOMAXPROCS(0)).
-func WithParallelism(n int) BatchOption { return core.WithParallelism(n) }
 
 // WithPreemption overrides the relation's preemption mode for a batch call.
 func WithPreemption(p Preemption) BatchOption { return core.WithPreemption(p) }
@@ -606,8 +604,8 @@ func WithPreemption(p Preemption) BatchOption { return core.WithPreemption(p) }
 // WithTracer reports a span per bulk-evaluation call to t.
 func WithTracer(t Tracer) BatchOption { return core.WithTracer(t) }
 
-// EvaluateBatch evaluates every item concurrently with verdicts in input
-// order; the first failure (by input index) cancels the rest.
+// EvaluateBatch evaluates every item with verdicts in input order; the
+// first failure (by input index) stops the rest.
 func EvaluateBatch(ctx context.Context, r *Relation, items []Item, opts ...BatchOption) ([]Verdict, error) {
 	return r.EvaluateBatch(ctx, items, opts...)
 }

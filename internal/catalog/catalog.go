@@ -290,41 +290,24 @@ func (db *Database) checkException(r *core.Relation, item core.Item, sign bool) 
 // Assert inserts a positive tuple, enforcing the exception policy and the
 // ambiguity constraint: if the insertion creates an unresolved conflict it
 // is rolled back and the InconsistencyError returned (use a transaction to
-// batch the update with its conflict resolution).
+// batch the update with its conflict resolution). A tuple of the opposite
+// sign on the item is refused with core.ErrContradiction.
 func (db *Database) Assert(rel string, values ...string) error {
-	_, err := db.update(rel, core.Item(values), true)
+	_, err := db.bare(KindAssert, rel, values)
 	return err
 }
 
 // Deny inserts a negated tuple under the same rules as Assert.
 func (db *Database) Deny(rel string, values ...string) error {
-	_, err := db.update(rel, core.Item(values), false)
+	_, err := db.bare(KindDeny, rel, values)
 	return err
 }
 
-func (db *Database) update(rel string, item core.Item, sign bool) ([]string, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	r, ok := db.relations[rel]
-	if !ok {
-		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, rel)
-	}
-	warnings, err := db.checkException(r, item, sign)
-	if err != nil {
-		return nil, err
-	}
-	verified := r.VerifiedConsistent()
-	_, restated := r.Lookup(item) // Insert admits only the stored sign: a no-op, with nothing to undo
-	if err := r.Insert(item, sign); err != nil {
-		return nil, err
-	}
-	if err := checkAfter(r, verified, item); err != nil {
-		if !restated {
-			r.Retract(item)
-		}
-		return nil, err
-	}
-	return warnings, nil
+// bare applies one tuple update as a unit of its own (a Bare op) and
+// returns how many tuples it changed (0 or 1).
+func (db *Database) bare(kind, rel string, values []string) (int, error) {
+	_, n, err := db.commit([]TxOp{{Kind: kind, Relation: rel, Values: values, Bare: true}})
+	return n, err
 }
 
 // checkAfter enforces the ambiguity constraint on r after its tuples on the
@@ -340,30 +323,13 @@ func checkAfter(r *core.Relation, verified bool, changed ...core.Item) error {
 	return r.CheckConsistency()
 }
 
-// Retract removes the tuple on exactly the given item.
+// Retract removes the tuple on exactly the given item, reporting whether
+// there was one. A retraction can expose a previously resolved conflict
+// (§3.2: a conflict-resolving tuple cannot simply be removed); it is then
+// rolled back and the InconsistencyError returned.
 func (db *Database) Retract(rel string, values ...string) (bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	r, ok := db.relations[rel]
-	if !ok {
-		return false, fmt.Errorf("%w: relation %q", ErrNotFound, rel)
-	}
-	item := core.Item(values)
-	old, present := r.Lookup(item)
-	if !present {
-		return false, nil
-	}
-	verified := r.VerifiedConsistent()
-	r.Retract(item)
-	// A retraction can expose a previously resolved conflict (§3.2: a
-	// conflict-resolving tuple cannot simply be removed).
-	if err := checkAfter(r, verified, item); err != nil {
-		if rerr := r.Insert(old.Item, old.Sign); rerr != nil {
-			return false, rerr
-		}
-		return false, err
-	}
-	return true, nil
+	n, err := db.bare(KindRetract, rel, values)
+	return n > 0, err
 }
 
 // Holds evaluates an atomic query under a read lock.
@@ -389,7 +355,8 @@ func (db *Database) Evaluate(rel string, values ...string) (core.Verdict, error)
 }
 
 // EvaluateBatch bulk-evaluates many items against one relation under a
-// single read lock, fanning the work across cores (core.EvaluateBatch).
+// single read lock (core.EvaluateBatch), in input order on the calling
+// goroutine; concurrent callers share the read lock.
 // Writers are excluded for the duration of the batch, so the verdicts are a
 // consistent snapshot.
 func (db *Database) EvaluateBatch(ctx context.Context, rel string, items []core.Item, opts ...core.BatchOption) ([]core.Verdict, error) {

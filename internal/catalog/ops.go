@@ -52,9 +52,9 @@ type TxOp struct {
 	Relation string // the domain, for the hierarchy kinds
 	Values   []string
 	// Bare marks an assert, deny or retract issued as a statement of its
-	// own rather than inside a transaction. It applies through that kind's
-	// Database method — which, unlike a transaction, refuses to replace a
-	// stored tuple of the opposite sign — and is logged as a bare record.
+	// own rather than inside a transaction. It applies as a unit of its own
+	// — which, unlike a transaction, refuses to replace a stored tuple of
+	// the opposite sign — and is logged as a bare record.
 	// It means nothing on the other kinds.
 	Bare bool
 }
@@ -132,9 +132,9 @@ func (o TxOp) check() error {
 // consecutive assert/deny/retract ops is one transaction, whatever its
 // length — either the whole run takes effect and the ambiguity constraint
 // holds over every touched relation, or none of it does (§3.1) — and any
-// other op, a Bare tuple update included, applies at its position through
-// its Database method: a bare assert is Assert, and so on. A batch that
-// fails returns no warnings.
+// other op applies at its position on its own: a Bare tuple update as a
+// unit of one (a bare assert is Assert, and so on), the rest through their
+// Database method. A batch that fails returns no warnings.
 //
 // Apply is the replay contract of the write-ahead log. It is deterministic
 // — given equal database states, the same ops yield the same resulting
@@ -177,8 +177,9 @@ func (db *Database) ApplyOps(ops []TxOp) error {
 // applyOne executes one checked op on its own.
 func (db *Database) applyOne(o TxOp) ([]string, error) {
 	switch o.Kind {
-	case KindAssert, KindDeny:
-		return db.update(o.Relation, core.Item(o.Values), o.Kind == KindAssert)
+	case KindAssert, KindDeny, KindRetract:
+		w, _, err := db.commit([]TxOp{o})
+		return w, err
 	case KindCreateHierarchy:
 		_, err := db.CreateHierarchy(o.Relation)
 		return nil, err
@@ -208,9 +209,6 @@ func (db *Database) applyOne(o TxOp) ([]string, error) {
 		return nil, err
 	case KindDropRelation:
 		return nil, db.DropRelation(o.Relation)
-	case KindRetract:
-		_, err := db.Retract(o.Relation, o.Values...)
-		return nil, err
 	case KindConsolidate:
 		_, err := db.Consolidate(o.Relation)
 		return nil, err

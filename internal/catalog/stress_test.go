@@ -87,9 +87,9 @@ func TestStressParallelHoldsAssert(t *testing.T) {
 	}
 }
 
-// TestStressParallelBatchReaders drives concurrent HoldsBatch/EvaluateBatch
-// readers — each holding the database read lock while fanning out its own
-// worker pool — alongside snapshot readers.
+// TestStressParallelBatchReaders drives concurrent HoldsBatch readers, each
+// holding the database read lock for its whole batch, alongside snapshot
+// readers.
 func TestStressParallelBatchReaders(t *testing.T) {
 	db, names := setupFlock(t, 16)
 	must(t, db.Deny("Flies", names[3]))
@@ -100,11 +100,10 @@ func TestStressParallelBatchReaders(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				vals, err := db.HoldsBatch(context.Background(), "Flies", items,
-					core.WithParallelism(1+w%4))
+				vals, err := db.HoldsBatch(context.Background(), "Flies", items)
 				if err != nil {
 					t.Errorf("batch: %v", err)
 					return
@@ -117,7 +116,7 @@ func TestStressParallelBatchReaders(t *testing.T) {
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	for w := 0; w < 2; w++ {
 		wg.Add(1)

@@ -2,17 +2,17 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 
 	"hrdb/internal/core"
 )
 
-// undo records how to reverse an applied operation.
+// undo records how to reverse an applied operation: remove the item, or,
+// when reinsert.Item is non-nil, restore that tuple.
 type undo struct {
-	rel string
-	// reinsert, when non-nil, is the tuple to restore; otherwise the item
-	// is removed.
-	remove   *core.Item
-	reinsert *core.Tuple
+	rel      string
+	remove   core.Item
+	reinsert core.Tuple
 }
 
 // Tx is a transaction: updates are staged and applied atomically at Commit,
@@ -70,19 +70,33 @@ func (tx *Tx) commit() ([]string, error) {
 		return nil, ErrTxDone
 	}
 	tx.done = true
-	db := tx.db
+	w, _, err := tx.db.commit(tx.ops)
+	return w, err
+}
+
+// commit applies tuple updates as one unit: every op in order, with
+// exception-policy checks, then the ambiguity constraint over every
+// relation they changed. On any failure every applied op is undone and the
+// database is unchanged. An op of a transaction replaces a stored tuple of
+// the opposite sign; a Bare op refuses to, with core.ErrContradiction. A
+// restated tuple changes nothing, but its relation is still checked; a bare
+// retraction of an absent tuple is not even checked. It returns the
+// exception warnings and the number of ops that changed a tuple, none on
+// failure.
+func (db *Database) commit(ops []TxOp) ([]string, int, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 
-	var undos []undo
+	var ubuf [1]undo // a bare op, the common unit, allocates no list
+	undos := ubuf[:0]
 	rollback := func() {
 		for i := len(undos) - 1; i >= 0; i-- {
 			u := undos[i]
 			r := db.relations[u.rel]
 			if u.remove != nil {
-				r.Retract(*u.remove)
+				r.Retract(u.remove)
 			}
-			if u.reinsert != nil {
+			if u.reinsert.Item != nil {
 				// Reinsertion of a previously present tuple cannot fail.
 				if err := r.Insert(u.reinsert.Item, u.reinsert.Sign); err != nil {
 					panic(fmt.Sprintf("catalog: rollback reinsert failed: %v", err))
@@ -91,69 +105,76 @@ func (tx *Tx) commit() ([]string, error) {
 		}
 	}
 
-	// Per touched relation: whether it was verified consistent before the
-	// batch's first mutation, and the items the batch mutated. order lists
-	// the relations as first touched, so a batch that breaks two of them
-	// always reports the same one.
+	// Per touched relation, in the order first touched (so a unit that
+	// breaks two of them always reports the same one): whether it was
+	// verified consistent before the unit's first mutation, and the items
+	// the unit mutated.
 	type delta struct {
+		rel      string
 		verified bool
 		changed  []core.Item
 	}
-	touched := map[string]*delta{}
-	var order, warnings []string
-	for _, o := range tx.ops {
+	var tbuf [1]delta
+	touched := tbuf[:0]
+	var warnings []string
+	n := 0
+	for _, o := range ops {
 		r, ok := db.relations[o.Relation]
 		if !ok {
 			rollback()
-			return nil, fmt.Errorf("%w: relation %q", ErrNotFound, o.Relation)
-		}
-		d := touched[o.Relation]
-		if d == nil {
-			d = &delta{verified: r.VerifiedConsistent()}
-			touched[o.Relation] = d
-			order = append(order, o.Relation)
+			return nil, 0, fmt.Errorf("%w: relation %q", ErrNotFound, o.Relation)
 		}
 		item, sign := core.Item(o.Values), o.Kind == KindAssert
+		old, present := r.Lookup(item)
+		if o.Bare && o.Kind == KindRetract && !present {
+			continue // a bare RETRACT of nothing is a no-op, left unchecked even on an unverified relation
+		}
+		d := slices.IndexFunc(touched, func(d delta) bool { return d.rel == o.Relation })
+		if d < 0 {
+			d = len(touched)
+			touched = append(touched, delta{rel: o.Relation, verified: r.VerifiedConsistent()})
+		}
 		switch o.Kind {
 		case KindAssert, KindDeny:
-			// Within a transaction the exception policy still applies, but
-			// tuple-level contradictions (same item, opposite sign) are
-			// treated as a replacement so a transaction can flip a sign.
-			if old, present := r.Lookup(item); present {
-				if old.Sign == sign {
-					continue
-				}
+			// A restated tuple changes nothing. The exception policy applies
+			// to every insertion. A stored tuple of the opposite sign is
+			// replaced in a transaction, so it can flip a sign; a bare op
+			// leaves it for Insert to refuse.
+			if present && old.Sign == sign {
+				continue
+			}
+			if present && !o.Bare {
 				r.Retract(item)
-				undos = append(undos, undo{rel: o.Relation, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
+				undos = append(undos, undo{rel: o.Relation, reinsert: old})
 			}
 			w, err := db.checkException(r, item, sign)
 			if err != nil {
 				rollback()
-				return nil, err
+				return nil, 0, err
 			}
 			if err := r.Insert(item, sign); err != nil {
 				rollback()
-				return nil, err
+				return nil, 0, err
 			}
 			warnings = append(warnings, w...)
-			undos = append(undos, undo{rel: o.Relation, remove: &item})
-			d.changed = append(d.changed, item)
+			undos = append(undos, undo{rel: o.Relation, remove: item})
 		case KindRetract:
-			if old, present := r.Lookup(item); present {
-				r.Retract(item)
-				undos = append(undos, undo{rel: o.Relation, reinsert: &core.Tuple{Item: old.Item, Sign: old.Sign}})
-				d.changed = append(d.changed, item)
+			if !present {
+				continue
 			}
+			r.Retract(item)
+			undos = append(undos, undo{rel: o.Relation, reinsert: old})
 		}
+		touched[d].changed = append(touched[d].changed, item)
+		n++
 	}
 
-	// Ambiguity constraint over every touched relation.
-	for _, rel := range order {
-		d := touched[rel]
-		if err := checkAfter(db.relations[rel], d.verified, d.changed...); err != nil {
+	// Ambiguity constraint over every changed relation.
+	for _, d := range touched {
+		if err := checkAfter(db.relations[d.rel], d.verified, d.changed...); err != nil {
 			rollback()
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	return warnings, nil
+	return warnings, n, nil
 }

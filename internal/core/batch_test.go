@@ -24,7 +24,7 @@ func allAtoms(t *testing.T, r *Relation) []Item {
 }
 
 // TestEvaluateBatchMatchesSequential: the batch evaluator agrees with
-// per-item Evaluate on every atomic item, for every parallelism level.
+// per-item Evaluate on every atomic item.
 func TestEvaluateBatchMatchesSequential(t *testing.T) {
 	for _, build := range []func(*testing.T) *Relation{fliesRelation, colorRelation} {
 		r := build(t)
@@ -35,27 +35,25 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 			must(t, err)
 			want[i] = v
 		}
-		for _, par := range []int{1, 2, 8} {
-			got, err := r.EvaluateBatch(context.Background(), atoms, WithParallelism(par))
-			must(t, err)
-			for i := range atoms {
-				if got[i].Value != want[i].Value || got[i].Default != want[i].Default || got[i].Exact != want[i].Exact {
-					t.Errorf("%s p=%d: batch verdict for %v = %+v, want %+v",
-						r.Name(), par, atoms[i], got[i], want[i])
-				}
+		got, err := r.EvaluateBatch(context.Background(), atoms)
+		must(t, err)
+		for i := range atoms {
+			if got[i].Value != want[i].Value || got[i].Default != want[i].Default || got[i].Exact != want[i].Exact {
+				t.Errorf("%s: batch verdict for %v = %+v, want %+v",
+					r.Name(), atoms[i], got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestEvaluateBatchDeterministicError: with several failing items the batch
-// always reports the lowest-index failure, at any parallelism.
+// always reports the lowest-index failure.
 func TestEvaluateBatchDeterministicError(t *testing.T) {
 	r := fliesRelation(t)
 	r.SetCache(false)
 	items := []Item{{"Tweety"}, {"Paul"}, {"bogus1"}, {"Peter"}, {"bogus2"}, {"Tweety"}}
 	for trial := 0; trial < 20; trial++ {
-		_, err := r.EvaluateBatch(context.Background(), items, WithParallelism(8))
+		_, err := r.EvaluateBatch(context.Background(), items)
 		if !errors.Is(err, ErrUnknownValue) {
 			t.Fatalf("trial %d: err = %v, want ErrUnknownValue", trial, err)
 		}

@@ -49,3 +49,32 @@ func TestEpochAndCacheToggles(t *testing.T) {
 		t.Fatal("SetCache(true) must report enabled")
 	}
 }
+
+// TestHoldsBatchAllocatesOnlyResults: a warm batch allocates its verdict
+// slice and its bool slice and no per-item or per-call machinery, so the
+// count is the same at every batch size.
+func TestHoldsBatchAllocatesOnlyResults(t *testing.T) {
+	r := fliesRelation(t)
+	atoms := allAtoms(t, r)
+	many := make([]Item, 0, 8*len(atoms))
+	for i := 0; i < 8; i++ {
+		many = append(many, atoms...)
+	}
+	ctx := context.Background()
+	counts := map[int]float64{}
+	for _, items := range [][]Item{atoms[:1], atoms[:2], atoms, many} {
+		if _, err := r.HoldsBatch(ctx, items); err != nil { // warm the table
+			t.Fatal(err)
+		}
+		counts[len(items)] = testing.AllocsPerRun(50, func() {
+			if _, err := r.HoldsBatch(ctx, items); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for n, allocs := range counts {
+		if allocs > 3 || allocs != counts[1] {
+			t.Fatalf("allocations by batch size = %v; want one count, at most 3 (size %d)", counts, n)
+		}
+	}
+}

@@ -491,41 +491,41 @@ func (r *Relation) IsAtomic(item Item) bool {
 // the nodes of the paper's tuple-binding graph for the item.
 //
 // A subsuming tuple's i-th coordinate is necessarily an ancestor of (or
-// equal to) item[i], so probing any one attribute's ancestor buckets yields
-// a superset of the answer; the probe uses whichever attribute's buckets
-// are smallest, and the remaining coordinates are checked per candidate.
-// Ancestors come as the hierarchy's memoized id lists, so a probe on a warm
-// hierarchy allocates only its result. (The ablation benchmark BenchmarkAblationIndexVsScan measures the win;
-// applicableByScan is the reference implementation.)
+// equal to) item[i], so the ancestor buckets of the attribute with the
+// smallest ones yield a superset of the answer that holds on that column;
+// the other columns are checked per candidate by node id. (The ablation
+// BenchmarkAblationIndexVsScan measures the win; applicableByScan is the
+// reference implementation.)
 func (r *Relation) Applicable(item Item) []Tuple {
-	bestAttr, bestID := -1, -1
-	bestCost := len(r.tuples) + 1
+	var buf [8]int
+	ids, bestAttr, bestCost := buf[:0], -1, len(r.tuples)+1
 	for i, a := range r.schema.attrs {
-		id := a.Domain.IDOf(item[i])
-		if id < 0 {
+		if ids = append(ids, a.Domain.IDOf(item[i])); ids[i] < 0 {
 			return nil
 		}
 		cost := len(r.idx[i][item[i]])
-		for _, p := range a.Domain.AncestorIDs(id) {
+		for _, p := range a.Domain.AncestorIDs(ids[i]) {
 			cost += len(r.idx[i][a.Domain.NameOf(p)])
 		}
 		if cost < bestCost {
-			bestAttr, bestID, bestCost = i, id, cost
+			bestAttr, bestCost = i, cost
 		}
-	}
-	if bestCost == 0 {
-		return nil
 	}
 	h, out := r.schema.attrs[bestAttr].Domain, make([]Tuple, 0, bestCost)
 	probe := func(v string) {
+	candidates:
 		for _, k := range r.idx[bestAttr][v] {
-			if t := r.tuples[k]; r.Subsumes(t.Item, item) {
-				out = append(out, t)
+			t := r.tuples[k]
+			for i, a := range r.schema.attrs {
+				if i != bestAttr && !a.Domain.SubsumesID(a.Domain.IDOf(t.Item[i]), ids[i]) {
+					continue candidates
+				}
 			}
+			out = append(out, t)
 		}
 	}
 	probe(item[bestAttr])
-	for _, p := range h.AncestorIDs(bestID) {
+	for _, p := range h.AncestorIDs(ids[bestAttr]) {
 		probe(h.NameOf(p))
 	}
 	if len(out) == 0 {

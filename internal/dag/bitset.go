@@ -1,7 +1,5 @@
 package dag
 
-import "math/bits"
-
 // Bitset is a fixed-capacity set of small non-negative integers, the row
 // type of dense tuple×tuple matrices.
 type Bitset []uint64
@@ -16,11 +14,6 @@ func (b Bitset) Set(i int) {
 	b[i/64] |= 1 << (uint(i) % 64)
 }
 
-// Clear removes i from the set.
-func (b Bitset) Clear(i int) {
-	b[i/64] &^= 1 << (uint(i) % 64)
-}
-
 // Get reports whether i is in the set. Out-of-range values, negative ones
 // included, report false.
 func (b Bitset) Get(i int) bool {
@@ -29,26 +22,4 @@ func (b Bitset) Get(i int) bool {
 		return false
 	}
 	return b[w]&(1<<(uint(i)%64)) != 0
-}
-
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Members returns the set bits in ascending order.
-func (b Bitset) Members() []int {
-	var out []int
-	for i, w := range b {
-		for w != 0 {
-			t := bits.TrailingZeros64(w)
-			out = append(out, i*64+t)
-			w &^= 1 << uint(t)
-		}
-	}
-	return out
 }

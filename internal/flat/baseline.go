@@ -1,12 +1,8 @@
 package flat
 
 import (
-	"context"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // MembershipBaseline implements the traditional design the paper's
@@ -131,46 +127,6 @@ func (mb *MembershipBaseline) Holds(attrOrder []string, x []string, depthOf func
 		}
 	}
 	return value, joins
-}
-
-// HoldsBatch answers Holds for many rows concurrently — the fair
-// multi-core counterpart to the hierarchical engine's EvaluateBatch, so
-// benchmark comparisons measure model cost rather than parallelism.
-// Results are positional; the returned join count is the total across all
-// rows. Cancelling ctx stops the remaining rows and returns its error.
-func (mb *MembershipBaseline) HoldsBatch(ctx context.Context, attrOrder []string, rows [][]string, depthOf func(attr, node string) int) ([]bool, int, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := len(rows)
-	out := make([]bool, n)
-	var joins atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				v, j := mb.Holds(attrOrder, rows[i], depthOf)
-				out[i] = v
-				joins.Add(int64(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	return out, int(joins.Load()), nil
 }
 
 // FactKey renders a fact row canonically (for tests).

@@ -113,27 +113,20 @@ func Holds(r *core.Relation, values ...string) (Truth, error) {
 }
 
 // EvaluateBatch computes open-world truth values for every item in bulk,
-// fanning the underlying evaluation across cores (core.EvaluateEach).
-// Per-item conflicts are data here — they map to Unknown rather than
-// aborting the batch — so only validation failures and ctx cancellation
-// surface as the error (the lowest-index one, deterministically).
+// in one ordered pass over the items (core.EvaluateEach). Per-item
+// conflicts are data here — they map to Unknown rather than aborting the
+// batch — so only validation failures and ctx cancellation surface as the
+// error (the lowest-index one).
 func EvaluateBatch(ctx context.Context, r *core.Relation, items []core.Item, opts ...core.BatchOption) ([]Truth, error) {
 	verdicts, errs, err := r.EvaluateEach(ctx, items, opts...)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Truth, len(items))
-	var firstErr error
-	firstIdx := len(items)
 	for i := range items {
-		t, err := interpret(verdicts[i], errs[i])
-		if err != nil && i < firstIdx {
-			firstIdx, firstErr = i, err
+		if out[i], err = interpret(verdicts[i], errs[i]); err != nil {
+			return nil, err
 		}
-		out[i] = t
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }
