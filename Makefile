@@ -12,7 +12,8 @@ help:
 	@echo "  build        compile and vet all packages"
 	@echo "  test         run the unit tests (plus vet, a race pass over 12"
 	@echo "               internal packages, and a check that every -run"
-	@echo "               filter below names a real test)"
+	@echo "               filter below and in the CI workflows names a"
+	@echo "               real test)"
 	@echo "  test-crash   crash the WAL at every byte offset and verify"
 	@echo "               recovery of the exact committed prefix"
 	@echo "  test-server  race-mode pass over the network service layer"
@@ -54,7 +55,7 @@ help:
 	@echo "  fuzz         run the fuzz targets for FUZZTIME ($(FUZZTIME)) each"
 	@echo "  fuzz-smoke   run the fuzz targets for 15s each (CI)"
 	@echo "  loc          non-test Go lines per package under internal/ and"
-	@echo "               cmd/, and for hrdb.go, with a total"
+	@echo "               cmd/, and for hrdb.go, with the internal/ subtotal and a total"
 
 build:
 	$(GO) build ./...

@@ -220,7 +220,7 @@ func e2Joins() error {
 			_, row.joins = mb.Holds([]string{"X"}, []string{"leafInstance"}, depthOf)
 		})
 		hits, _, _ := r.CacheStats()
-		row.cacheHits = hits[r.Mode()]
+		row.cacheHits = hits[core.Verdicts]
 		fmt.Printf("| %d | %s | %s | %d | %.1f× |\n",
 			depth, row.hier, row.base, row.joins, row.base.MedianNs/row.hier.MedianNs)
 		rows = append(rows, row)

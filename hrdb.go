@@ -113,9 +113,13 @@ const (
 	NoPreemption = core.NoPreemption
 )
 
-// Answers indexes kept answers in Relation.CacheStats; a verdict's index is
-// its preemption mode.
-const Answers = core.Answers
+// The kinds of kept entries, which index Relation.CacheStats.
+const (
+	// Verdicts indexes kept verdicts.
+	Verdicts = core.Verdicts
+	// Answers indexes kept rendered answers.
+	Answers = core.Answers
+)
 
 // Database layer types.
 type (
@@ -584,37 +588,6 @@ func PlanJoin(a, b *Relation) (*Plan, error) { return algebra.PlanJoin(a, b) }
 // plans are verified against.
 func WithForceScan(ctx context.Context) context.Context { return algebra.WithForceScan(ctx) }
 
-// Bulk evaluation and its functional options.
-//
-// The batch APIs evaluate the items in input order on the calling
-// goroutine; options tune one call without mutating the relation:
-//
-//	vs, err := hrdb.EvaluateBatch(ctx, flies, items, hrdb.WithPreemption(hrdb.OnPath))
-//
-// For parallelism, run concurrent statements, or call from goroutines of
-// your own over a relation no one mutates meanwhile.
-type (
-	// BatchOption configures one bulk-evaluation call.
-	BatchOption = core.BatchOption
-)
-
-// WithPreemption overrides the relation's preemption mode for a batch call.
-func WithPreemption(p Preemption) BatchOption { return core.WithPreemption(p) }
-
-// WithTracer reports a span per bulk-evaluation call to t.
-func WithTracer(t Tracer) BatchOption { return core.WithTracer(t) }
-
-// EvaluateBatch evaluates every item with verdicts in input order; the
-// first failure (by input index) stops the rest.
-func EvaluateBatch(ctx context.Context, r *Relation, items []Item, opts ...BatchOption) ([]Verdict, error) {
-	return r.EvaluateBatch(ctx, items, opts...)
-}
-
-// HoldsBatch is EvaluateBatch reduced to closed-world truth values.
-func HoldsBatch(ctx context.Context, r *Relation, items []Item, opts ...BatchOption) ([]bool, error) {
-	return r.HoldsBatch(ctx, items, opts...)
-}
-
 // Sentinel errors, re-exported so callers can match with errors.Is without
 // importing the internal packages.
 var (
@@ -757,9 +730,10 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 func EvaluateOpenWorld(r *Relation, item Item) (Truth, error) { return tvl.Evaluate(r, item) }
 
 // EvaluateOpenWorldBatch computes three-valued truths for every item in
-// bulk; per-item ambiguity conflicts map to Unknown instead of aborting.
-func EvaluateOpenWorldBatch(ctx context.Context, r *Relation, items []Item, opts ...BatchOption) ([]Truth, error) {
-	return tvl.EvaluateBatch(ctx, r, items, opts...)
+// bulk, under the relation's mode; per-item ambiguity conflicts map to
+// Unknown instead of aborting.
+func EvaluateOpenWorldBatch(ctx context.Context, r *Relation, items []Item) ([]Truth, error) {
+	return tvl.EvaluateBatch(ctx, r, items)
 }
 
 // AndTruth is Kleene three-valued conjunction.

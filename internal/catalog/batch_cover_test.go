@@ -8,8 +8,8 @@ import (
 	"hrdb/internal/core"
 )
 
-// TestDatabaseEvaluateBatch: the database-level batch entry points agree
-// with per-item Evaluate and reject unknown relations.
+// TestDatabaseEvaluateBatch: a bulk read through Database.Read agrees with
+// per-item Evaluate, and Read rejects unknown relations.
 func TestDatabaseEvaluateBatch(t *testing.T) {
 	db, names := setupFlock(t, 8)
 	must(t, db.Deny("Flies", names[3]))
@@ -17,10 +17,15 @@ func TestDatabaseEvaluateBatch(t *testing.T) {
 	for i, n := range names {
 		items[i] = core.Item{n}
 	}
-	vs, err := db.EvaluateBatch(context.Background(), "Flies", items)
-	must(t, err)
-	holds, err := db.HoldsBatch(context.Background(), "Flies", items)
-	must(t, err)
+	var vs []core.Verdict
+	var holds []bool
+	must(t, db.Read("Flies", func(r *core.Relation) (err error) {
+		if vs, err = r.EvaluateBatch(context.Background(), items); err != nil {
+			return err
+		}
+		holds, err = r.HoldsBatch(context.Background(), items)
+		return err
+	}))
 	for i, it := range items {
 		want, err := db.Evaluate("Flies", it...)
 		must(t, err)
@@ -31,7 +36,7 @@ func TestDatabaseEvaluateBatch(t *testing.T) {
 	if !holds[0] || holds[3] {
 		t.Fatalf("verdicts %v: want flock true, denied instance false", holds)
 	}
-	if _, err := db.EvaluateBatch(context.Background(), "NoSuch", items); !errors.Is(err, ErrNotFound) {
+	if err := db.Read("NoSuch", func(*core.Relation) error { return nil }); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown relation = %v, want ErrNotFound", err)
 	}
 }

@@ -10,7 +10,6 @@
 package catalog
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -233,9 +232,10 @@ func (db *Database) Snapshot(name string) (*core.Relation, error) {
 }
 
 // Read calls fn with the named live relation under the database's read
-// lock, for a read that needs neither a snapshot nor the lock afterwards:
-// evaluation inside fn uses and fills the relation's table, which
-// its epoch stamp fences against every later write. fn must not modify the
+// lock, for a read that needs neither a snapshot nor the lock afterwards;
+// a bulk read is r.HoldsBatch inside fn, one state for the whole batch.
+// Evaluation inside fn uses and fills the relation's table, which its
+// epoch stamp fences against every later write. fn must not modify the
 // relation or keep it, and must not call back into the database: a nested
 // RLock deadlocks once a writer is queued between the two, and a write
 // waits for the lock fn holds. Writers wait for fn to return.
@@ -352,32 +352,6 @@ func (db *Database) Evaluate(rel string, values ...string) (core.Verdict, error)
 		return core.Verdict{}, fmt.Errorf("%w: relation %q", ErrNotFound, rel)
 	}
 	return r.Evaluate(core.Item(values))
-}
-
-// EvaluateBatch bulk-evaluates many items against one relation under a
-// single read lock (core.EvaluateBatch), in input order on the calling
-// goroutine; concurrent callers share the read lock.
-// Writers are excluded for the duration of the batch, so the verdicts are a
-// consistent snapshot.
-func (db *Database) EvaluateBatch(ctx context.Context, rel string, items []core.Item, opts ...core.BatchOption) ([]core.Verdict, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	r, ok := db.relations[rel]
-	if !ok {
-		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, rel)
-	}
-	return r.EvaluateBatch(ctx, items, opts...)
-}
-
-// HoldsBatch is EvaluateBatch reduced to closed-world truth values.
-func (db *Database) HoldsBatch(ctx context.Context, rel string, items []core.Item, opts ...core.BatchOption) ([]bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	r, ok := db.relations[rel]
-	if !ok {
-		return nil, fmt.Errorf("%w: relation %q", ErrNotFound, rel)
-	}
-	return r.HoldsBatch(ctx, items, opts...)
 }
 
 // Consolidate replaces the named relation with its consolidated form and

@@ -88,8 +88,8 @@ func TestStressParallelHoldsAssert(t *testing.T) {
 }
 
 // TestStressParallelBatchReaders drives concurrent HoldsBatch readers, each
-// holding the database read lock for its whole batch, alongside snapshot
-// readers.
+// holding the database read lock (Database.Read) for its whole batch,
+// alongside snapshot readers.
 func TestStressParallelBatchReaders(t *testing.T) {
 	db, names := setupFlock(t, 16)
 	must(t, db.Deny("Flies", names[3]))
@@ -103,7 +103,11 @@ func TestStressParallelBatchReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				vals, err := db.HoldsBatch(context.Background(), "Flies", items)
+				var vals []bool
+				err := db.Read("Flies", func(r *core.Relation) (err error) {
+					vals, err = r.HoldsBatch(context.Background(), items)
+					return err
+				})
 				if err != nil {
 					t.Errorf("batch: %v", err)
 					return

@@ -105,6 +105,8 @@ func TestTableMixesVerdictsAndAnswers(t *testing.T) {
 	on, rng, evictions := tinyRelation(t), rand.New(rand.NewSource(41)), metricCacheEvictions.Value()
 	off = fliesRelation(t)
 	off.SetCache(false)
+	addCanaries(t, on)
+	addCanaries(t, off)
 	nodes := on.Schema().Attr(0).Domain.Nodes()
 	for step := 0; step < 2000; step++ {
 		n := nodes[rng.Intn(len(nodes))]
@@ -117,6 +119,10 @@ func TestTableMixesVerdictsAndAnswers(t *testing.T) {
 		case op == 1:
 			on.Retract(Item{n})
 			off.Retract(Item{n})
+		case op == 2:
+			mode := Preemption(rng.Intn(3))
+			on.SetMode(mode)
+			off.SetMode(mode)
 		case op < 6:
 			derive := func(r *Relation) func() (string, error) {
 				return func() (string, error) { return n + r.Table(), nil }
@@ -127,29 +133,36 @@ func TestTableMixesVerdictsAndAnswers(t *testing.T) {
 				t.Fatalf("step %d: answer %s: %q (%v), cache off %q", step, n, got, err, want)
 			}
 		default:
-			mode := Preemption(rng.Intn(3))
-			v1, e1 := on.EvaluateMode(Item{n}, mode)
-			v2, e2 := off.EvaluateMode(Item{n}, mode)
-			sameResult(t, fmt.Sprintf("step %d: %s under %v", step, n, mode), v1, v2, e1, e2)
+			v1, e1 := on.Evaluate(Item{n})
+			v2, e2 := off.Evaluate(Item{n})
+			sameResult(t, fmt.Sprintf("step %d: %s under %v", step, n, on.Mode()), v1, v2, e1, e2)
 		}
 	}
-	if hits, _, _ := on.CacheStats(); hits[OffPath] == 0 || hits[Answers] == 0 || metricCacheEvictions.Value() == evictions {
+	if hits, _, _ := on.CacheStats(); hits[Verdicts] == 0 || hits[Answers] == 0 || metricCacheEvictions.Value() == evictions {
 		t.Fatalf("the interleaving hit %v and rotated %d entries out: want hits of both kinds and rotations",
 			hits, metricCacheEvictions.Value()-evictions)
 	}
 
 	r, evictions = tinyRelation(t), metricCacheEvictions.Value()
+	addCanaries(t, r)
 	answerOf(t, r, "hot", "kept")
 	for _, n := range nodes {
-		for _, mode := range []Preemption{OffPath, OnPath, NoPreemption} {
-			r.EvaluateMode(Item{n}, mode)
-			if _, derived := answerOf(t, r, "hot", "derived"); derived {
-				t.Fatalf("the answer read after every verdict was rotated out at %s under %v", n, mode)
-			}
+		r.Evaluate(Item{n})
+		if _, derived := answerOf(t, r, "hot", "derived"); derived {
+			t.Fatalf("the answer read after every verdict was rotated out at %s", n)
 		}
 	}
 	if metricCacheEvictions.Value() == evictions {
 		t.Fatal("the flood of verdicts never rotated the table")
+	}
+}
+
+// addCanaries adds canaries to r's hierarchy, so that a flood of verdicts
+// has many distinct items to key.
+func addCanaries(t *testing.T, r *Relation) {
+	h := r.Schema().Attr(0).Domain
+	for i := 0; i < 24; i++ {
+		must(t, h.AddInstance(fmt.Sprintf("Canary%02d", i), "Canary"))
 	}
 }
 

@@ -1,63 +1,16 @@
 package core
 
-import (
-	"context"
-	"strconv"
-	"time"
-
-	"hrdb/internal/obs"
-)
+import "context"
 
 // This file implements bulk evaluation: one binding rule over one relation
-// state, applied to each item in input order on the calling goroutine.
+// state, applied to each item in input order on the calling goroutine,
+// under the relation's own preemption mode (another mode is SetMode on a
+// Clone).
 // EvaluateBatch's error is the lowest-index failure, because the loop meets
 // it first. The relation must not be mutated while a batch call is in
 // flight; the catalog package provides the read/write locking for shared
 // use. Parallelism comes from concurrent statements, or from a caller's own
 // goroutines over a relation that is safe for concurrent reads.
-
-// batchConfig holds the resolved options of one bulk-evaluation call.
-type batchConfig struct {
-	mode   Preemption
-	tracer obs.Tracer
-}
-
-// BatchOption configures a bulk-evaluation call (functional options).
-type BatchOption func(*batchConfig)
-
-// WithPreemption overrides the relation's preemption mode for this call.
-// Kept verdicts are keyed by their mode, so overriding it neither serves
-// nor drops the verdicts of another.
-func WithPreemption(p Preemption) BatchOption {
-	return func(c *batchConfig) { c.mode = p }
-}
-
-// WithTracer reports a completed span per bulk-evaluation call to t
-// ("core.EvaluateBatch" / "core.EvaluateEach", with the batch size, mode,
-// and any error). A nil tracer — the default — costs nothing.
-func WithTracer(t obs.Tracer) BatchOption {
-	return func(c *batchConfig) { c.tracer = t }
-}
-
-// observeBatch records the per-call batch metrics and, when the call was
-// configured with a tracer, emits its span. Batch entry is a cold path, so
-// the timing is unconditional (one time.Now/Since pair per call).
-func observeBatch(cfg batchConfig, name string, n int, start time.Time, err error) {
-	metricBatches.Inc()
-	metricBatchSize.Observe(int64(n))
-	if cfg.tracer != nil {
-		cfg.tracer.Span(obs.Span{
-			Name:     name,
-			Start:    start,
-			Duration: time.Since(start),
-			Attrs: []obs.Label{
-				{Key: "items", Value: strconv.Itoa(n)},
-				{Key: "mode", Value: cfg.mode.String()},
-			},
-			Err: err,
-		})
-	}
-}
 
 // warmForBatch builds each column's memoized hierarchy structures now. A
 // batch is a burst of subsumption queries, so its first items would
@@ -74,7 +27,7 @@ func (r *Relation) warmForBatch() {
 // at the first failure unless errs is given, in which case it records each
 // item's error there and goes on. It returns the first error met: ctx's,
 // or the lowest-index item's.
-func (r *Relation) evaluateAll(ctx context.Context, name string, items []Item, verdicts []Verdict, errs []error, opts []BatchOption) (err error) {
+func (r *Relation) evaluateAll(ctx context.Context, items []Item, verdicts []Verdict, errs []error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -83,18 +36,14 @@ func (r *Relation) evaluateAll(ctx context.Context, name string, items []Item, v
 		// (nil, err), never both a non-nil slice and a non-nil error.
 		return ctx.Err()
 	}
-	cfg := batchConfig{mode: r.mode}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	start := time.Now()
-	defer func() { observeBatch(cfg, name, len(items), start, err) }()
+	metricBatches.Inc()
+	metricBatchSize.Observe(int64(len(items)))
 	r.warmForBatch()
 	for i, item := range items {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		v, err := r.evaluate(item, cfg.mode)
+		v, err := r.evaluate(item)
 		if err != nil && errs == nil {
 			return err
 		}
@@ -110,9 +59,9 @@ func (r *Relation) evaluateAll(ctx context.Context, name string, items []Item, v
 // order. The first failure by input index stops the batch and is returned;
 // partial results are discarded. Cancelling ctx aborts the batch with
 // ctx's error.
-func (r *Relation) EvaluateBatch(ctx context.Context, items []Item, opts ...BatchOption) ([]Verdict, error) {
+func (r *Relation) EvaluateBatch(ctx context.Context, items []Item) ([]Verdict, error) {
 	verdicts := make([]Verdict, len(items))
-	if err := r.evaluateAll(ctx, "core.EvaluateBatch", items, verdicts, nil, opts); err != nil {
+	if err := r.evaluateAll(ctx, items, verdicts, nil); err != nil {
 		return nil, err
 	}
 	return verdicts, nil
@@ -123,17 +72,17 @@ func (r *Relation) EvaluateBatch(ctx context.Context, items []Item, opts ...Batc
 // errors are data — e.g. three-valued logic mapping ambiguity conflicts to
 // "unknown". The returned error is non-nil only when ctx was cancelled
 // before completion.
-func (r *Relation) EvaluateEach(ctx context.Context, items []Item, opts ...BatchOption) ([]Verdict, []error, error) {
+func (r *Relation) EvaluateEach(ctx context.Context, items []Item) ([]Verdict, []error, error) {
 	verdicts, errs := make([]Verdict, len(items)), make([]error, len(items))
-	if err := r.evaluateAll(ctx, "core.EvaluateEach", items, verdicts, errs, opts); err != nil {
+	if err := r.evaluateAll(ctx, items, verdicts, errs); err != nil {
 		return nil, nil, err
 	}
 	return verdicts, errs, nil
 }
 
 // HoldsBatch is EvaluateBatch reduced to closed-world truth values.
-func (r *Relation) HoldsBatch(ctx context.Context, items []Item, opts ...BatchOption) ([]bool, error) {
-	vs, err := r.EvaluateBatch(ctx, items, opts...)
+func (r *Relation) HoldsBatch(ctx context.Context, items []Item) ([]bool, error) {
+	vs, err := r.EvaluateBatch(ctx, items)
 	if err != nil {
 		return nil, err
 	}

@@ -99,32 +99,6 @@ func TestEvaluateEachCollectsConflicts(t *testing.T) {
 	}
 }
 
-// TestWithPreemptionOverride: the option must match SetMode's semantics
-// without mutating the relation, and cached verdicts must not leak across
-// modes.
-func TestWithPreemptionOverride(t *testing.T) {
-	r := colorRelation(t)
-	atoms := allAtoms(t, r)
-	for _, mode := range []Preemption{OffPath, OnPath} {
-		byOption, optErrs, err := r.EvaluateEach(context.Background(), atoms, WithPreemption(mode))
-		must(t, err)
-		clone := r.Clone()
-		clone.SetMode(mode)
-		for i, it := range atoms {
-			want, wantErr := clone.Evaluate(it)
-			if (optErrs[i] == nil) != (wantErr == nil) {
-				t.Fatalf("mode %v: %v err = %v, want %v", mode, it, optErrs[i], wantErr)
-			}
-			if wantErr == nil && byOption[i].Value != want.Value {
-				t.Errorf("mode %v: %v = %v, want %v", mode, it, byOption[i].Value, want.Value)
-			}
-		}
-	}
-	if r.Mode() != OffPath {
-		t.Fatalf("WithPreemption mutated the relation's mode to %v", r.Mode())
-	}
-}
-
 // TestCacheInvalidation: after any mutation — tuple insert, retract, mode
 // switch, or hierarchy growth — Evaluate never returns a stale verdict.
 func TestCacheInvalidation(t *testing.T) {
@@ -191,8 +165,8 @@ func TestCacheStatsAndBounds(t *testing.T) {
 			}
 		}
 	}
-	if hits, misses, _ := r.CacheStats(); hits[OffPath] == 0 || misses[OffPath] == 0 {
-		t.Fatalf("stats hits=%d misses=%d, want both positive", hits[OffPath], misses[OffPath])
+	if hits, misses, _ := r.CacheStats(); hits[Verdicts] == 0 || misses[Verdicts] == 0 {
+		t.Fatalf("stats hits=%d misses=%d, want both positive", hits[Verdicts], misses[Verdicts])
 	}
 
 	r.cache.budget = 32 * entryBytes
@@ -303,12 +277,12 @@ func TestCachePropertyEquivalence(t *testing.T) {
 // extensionByEvaluation computes the extension by bulk-evaluating every
 // atomic item of the schema through EvaluateBatch instead of by the paper's
 // explication rewrite: the reference the explication kernel is held to.
-func extensionByEvaluation(ctx context.Context, r *Relation, opts ...BatchOption) ([]Item, error) {
+func extensionByEvaluation(ctx context.Context, r *Relation) ([]Item, error) {
 	atoms, err := r.AtomicItems()
 	if err != nil {
 		return nil, err
 	}
-	verdicts, err := r.EvaluateBatch(ctx, atoms, opts...)
+	verdicts, err := r.EvaluateBatch(ctx, atoms)
 	if err != nil {
 		return nil, err
 	}

@@ -16,14 +16,13 @@ import (
 // state it holds — the relation's mutation epoch and the sum of the
 // attribute hierarchies' mutation generations — and a lookup under another
 // stamp empties it first, so a read after a mutation can never observe a
-// stale entry. A mode switch bumps the epoch; a verdict computed under an
-// explicit mode is keyed by that mode, so overriding the mode for a call
-// neither serves nor drops the verdicts of another. Size is bounded by a
-// two-generation (current / previous) rotation by bytes: inserts fill the
-// current generation; one that would take it past the budget rotates, and
-// the previous generation is discarded. A hit in the previous generation
-// moves the entry into the current one, so whatever is read at least once
-// per generation survives any flood of other entries.
+// stale entry. The preemption mode is part of the state: a mode switch
+// bumps the epoch, so verdicts are one kind whatever the mode. Size is
+// bounded by a two-generation (current / previous) rotation by bytes:
+// inserts fill the current generation; one that would take it past the
+// budget rotates, and the previous generation is discarded. A hit in the
+// previous generation moves the entry into the current one, so whatever is
+// read at least once per generation survives any flood of other entries.
 //
 // The same stamp fences the extension and binding order (memo below).
 
@@ -43,11 +42,12 @@ const (
 	tupleBytes = 32
 )
 
-// Answers is the kind, and the CacheStats index, of kept answers; a
-// verdict's is the preemption mode it was evaluated under.
+// The kinds of kept entries, which index CacheStats: verdicts and
+// rendered answers.
 const (
-	Answers  = int(NoPreemption) + 1
-	numKinds = Answers + 1
+	Verdicts = iota
+	Answers
+	numKinds
 )
 
 // cacheStamp identifies the relation state an entry was derived from.
@@ -180,10 +180,9 @@ func (c *table) emptyLocked() {
 }
 
 // CacheStats returns the relation table's cumulative hits and misses and
-// how many distinct entries it keeps, each indexed by kind: a verdict's is
-// its preemption mode, an answer's is Answers. Reading them also flushes
-// the pending counts to the process-wide series, so a snapshot of those
-// taken right after is exact.
+// how many distinct entries it keeps, each indexed by kind: Verdicts or
+// Answers. Reading them also flushes the pending counts to the
+// process-wide series, so a snapshot of those taken right after is exact.
 func (r *Relation) CacheStats() (hits, misses [numKinds]uint64, kept [numKinds]int) {
 	c := &r.cache
 	c.mu.Lock()

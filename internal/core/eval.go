@@ -76,25 +76,18 @@ type Verdict struct {
 // the relation or of an attribute hierarchy invalidates them by changing
 // the table's stamp, never by relying on eviction.
 func (r *Relation) Evaluate(item Item) (Verdict, error) {
-	return r.evaluate(item, r.mode)
+	return r.evaluate(item)
 }
 
-// EvaluateMode is Evaluate under an explicit preemption mode, overriding the
-// relation's own setting for this call only.
-func (r *Relation) EvaluateMode(item Item, mode Preemption) (Verdict, error) {
-	return r.evaluate(item, mode)
-}
-
-// evaluate is the keeping front of the evaluator; the mode is the verdict's
-// kind. The table is probed before validation: a hit can only exist for an
-// item that validated at the same state and under the same mode, so
-// skipping re-validation is sound. An unknown mode has no kind: it fails
-// validation uncached.
-func (r *Relation) evaluate(item Item, mode Preemption) (Verdict, error) {
-	if r.cacheOff || mode < OffPath || mode > NoPreemption {
-		return r.evaluateUncached(item, mode)
+// evaluate is the keeping front of the evaluator. The table is probed
+// before validation: a hit can only exist for an item that validated at the
+// same state, and the mode is part of that state, so skipping
+// re-validation is sound.
+func (r *Relation) evaluate(item Item) (Verdict, error) {
+	if r.cacheOff {
+		return r.evaluateUncached(item)
 	}
-	k, s := cacheKey{kind: int(mode), key: item.Key()}, r.stamp()
+	k, s := cacheKey{kind: Verdicts, key: item.Key()}, r.stamp()
 	if e, ok := r.cache.get(k, s); ok {
 		if ce, isConflict := e.err.(*ConflictError); isConflict {
 			// Hand each caller its own copy, so that no caller's
@@ -104,7 +97,7 @@ func (r *Relation) evaluate(item Item, mode Preemption) (Verdict, error) {
 		}
 		return e.v, e.err
 	}
-	v, err := r.evaluateUncached(item, mode)
+	v, err := r.evaluateUncached(item)
 	r.cache.put(k, entry{v: v, err: err}, s)
 	return v, err
 }
@@ -113,16 +106,16 @@ func (r *Relation) evaluate(item Item, mode Preemption) (Verdict, error) {
 // always-on per-mode evaluation counter, per-mode latency sampled 1 in
 // (evalSampleMask+1) calls (the counter's post-increment value decides, so
 // sampling itself costs nothing extra), and a conflict counter.
-func (r *Relation) evaluateUncached(item Item, mode Preemption) (Verdict, error) {
-	mi := modeIndex(mode)
+func (r *Relation) evaluateUncached(item Item) (Verdict, error) {
+	mi := modeIndex(r.mode)
 	var v Verdict
 	var err error
 	if metricEvals[mi].Inc()&evalSampleMask == 0 {
 		start := time.Now()
-		v, err = r.evaluateBare(item, mode)
+		v, err = r.evaluateBare(item)
 		metricEvalNS[mi].ObserveDuration(time.Since(start))
 	} else {
-		v, err = r.evaluateBare(item, mode)
+		v, err = r.evaluateBare(item)
 	}
 	if _, ok := err.(*ConflictError); ok {
 		metricConflicts.Inc()
@@ -131,7 +124,7 @@ func (r *Relation) evaluateUncached(item Item, mode Preemption) (Verdict, error)
 }
 
 // evaluateBare runs the paper's evaluation procedure with no memo.
-func (r *Relation) evaluateBare(item Item, mode Preemption) (Verdict, error) {
+func (r *Relation) evaluateBare(item Item) (Verdict, error) {
 	if err := r.validateItem(item); err != nil {
 		return Verdict{}, err
 	}
@@ -145,7 +138,7 @@ func (r *Relation) evaluateBare(item Item, mode Preemption) (Verdict, error) {
 		return Verdict{Value: false, Default: true, Applicable: applicable}, nil
 	}
 
-	binders, err := r.bindersFor(item, applicable, mode)
+	binders, err := r.bindersFor(item, applicable)
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -160,9 +153,9 @@ func (r *Relation) evaluateBare(item Item, mode Preemption) (Verdict, error) {
 }
 
 // bindersFor selects the strongest-binding tuples among the applicable ones
-// under the given preemption mode.
-func (r *Relation) bindersFor(item Item, applicable []Tuple, mode Preemption) ([]Tuple, error) {
-	switch mode {
+// under the relation's preemption mode.
+func (r *Relation) bindersFor(item Item, applicable []Tuple) ([]Tuple, error) {
+	switch r.mode {
 	case NoPreemption:
 		return applicable, nil
 	case OffPath:
@@ -173,7 +166,7 @@ func (r *Relation) bindersFor(item Item, applicable []Tuple, mode Preemption) ([
 	case OnPath:
 		return r.bindersByElimination(item, applicable, true)
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownMode, int(mode))
+		return nil, fmt.Errorf("%w: %d", ErrUnknownMode, int(r.mode))
 	}
 }
 
@@ -359,7 +352,7 @@ func (r *Relation) TupleBindingGraph(item Item) (*BindingGraph, error) {
 		binders = []Tuple{t}
 	} else if len(applicable) > 0 {
 		var err error
-		binders, err = r.bindersFor(item, applicable, r.mode)
+		binders, err = r.bindersFor(item, applicable)
 		if err != nil {
 			return nil, err
 		}

@@ -73,8 +73,8 @@ func TestHoldsBatchAllocatesOnlyResults(t *testing.T) {
 		})
 	}
 	for n, allocs := range counts {
-		if allocs > 3 || allocs != counts[1] {
-			t.Fatalf("allocations by batch size = %v; want one count, at most 3 (size %d)", counts, n)
+		if allocs > 2 || allocs != counts[1] {
+			t.Fatalf("allocations by batch size = %v; want one count, at most 2 (size %d)", counts, n)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import "hrdb/internal/obs"
 //   - Cache hit/miss counters are flushed from the relation table's
 //     per-kind counters in blocks of cacheFlushBlock lookups, under the
 //     mutex the lookup already holds — the global atomics are touched once
-//     per block, not once per lookup. Verdicts of every mode feed
-//     hrdb_core_cache_*, answers hrdb_core_answer_*.
+//     per block, not once per lookup. Verdicts feed hrdb_core_cache_*,
+//     answers hrdb_core_answer_*.
 //   - Per-mode evaluation latency is sampled 1 in evalSampleMask+1: the
 //     always-on evaluation counter's post-increment value decides whether
 //     this call pays for the time.Now/Since pair.

@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
-
-	"hrdb/internal/obs"
 )
 
 // Engine metrics are process-wide, so these tests assert on deltas, never
@@ -30,7 +27,7 @@ func TestCacheMetricsFlush(t *testing.T) {
 
 	// CacheStats flushes the remainder exactly.
 	h, m, _ := r.CacheStats()
-	cHits, cMisses := h[OffPath], m[OffPath]
+	cHits, cMisses := h[Verdicts], m[Verdicts]
 	if d := metricCacheHits.Value() - h0; d < cHits {
 		t.Errorf("after CacheStats: global hits delta %d < relation hits %d", d, cHits)
 	}
@@ -77,10 +74,11 @@ func TestConflictMetric(t *testing.T) {
 func TestEvalCounterPerMode(t *testing.T) {
 	r := fliesRelation(t)
 	r.SetCache(false)
+	r.SetMode(OnPath)
 	e0 := metricEvals[modeIndex(OnPath)].Value()
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, err := r.EvaluateMode(Item{"Paul"}, OnPath); err != nil {
+		if _, err := r.Evaluate(Item{"Paul"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,14 +87,13 @@ func TestEvalCounterPerMode(t *testing.T) {
 	}
 }
 
-func TestBatchMetricsAndTracer(t *testing.T) {
+func TestBatchMetrics(t *testing.T) {
 	r := fliesRelation(t)
 	items := []Item{{"Tweety"}, {"Paul"}, {"Peter"}}
 	b0 := metricBatches.Value()
 	s0 := metricBatchSize.Snapshot()
 
-	var tr obs.SpanCollector
-	if _, err := r.EvaluateBatch(context.Background(), items, WithTracer(&tr)); err != nil {
+	if _, err := r.EvaluateBatch(context.Background(), items); err != nil {
 		t.Fatal(err)
 	}
 	if metricBatches.Value() != b0+1 {
@@ -105,22 +102,6 @@ func TestBatchMetricsAndTracer(t *testing.T) {
 	s1 := metricBatchSize.Snapshot()
 	if s1.Count != s0.Count+1 || s1.Sum != s0.Sum+uint64(len(items)) {
 		t.Errorf("batch-size histogram: count %d→%d sum %d→%d", s0.Count, s1.Count, s0.Sum, s1.Sum)
-	}
-
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Name != "core.EvaluateBatch" {
-		t.Fatalf("spans = %+v, want one core.EvaluateBatch", spans)
-	}
-	sp := spans[0]
-	if sp.Err != nil || sp.Duration <= 0 {
-		t.Errorf("span err=%v duration=%v", sp.Err, sp.Duration)
-	}
-	attrs := map[string]string{}
-	for _, a := range sp.Attrs {
-		attrs[a.Key] = a.Value
-	}
-	if attrs["items"] != fmt.Sprint(len(items)) || attrs["mode"] != "off-path" {
-		t.Errorf("span attrs = %v", attrs)
 	}
 }
 

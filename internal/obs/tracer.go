@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// Span is one completed timed operation reported to a Tracer: a statement
-// execution, a batch evaluation, a WAL flush. Spans are emitted after the
-// fact (start plus duration), so a Tracer never has to pair events.
+// Span is one completed timed operation reported to a Tracer: a script or
+// one of its statements. Spans are emitted after the fact (start plus
+// duration), so a Tracer never has to pair events.
 type Span struct {
-	// Name identifies the operation ("hql.exec", "core.EvaluateBatch").
+	// Name identifies the operation ("hql.exec", "hql.select").
 	Name string
 	// Start is when the operation began.
 	Start time.Time

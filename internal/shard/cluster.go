@@ -314,45 +314,6 @@ func (c *Cluster) Fingerprint(ctx context.Context) (string, error) {
 	return storage.Fingerprint(db), nil
 }
 
-// HoldsBatch evaluates items against a relation across the cluster: each
-// item is answered by its home shard (correct for class-containing items
-// too, since their binders are global and replicated), grouped per shard
-// and evaluated with the shards' batch engine.
-func (c *Cluster) HoldsBatch(ctx context.Context, rel string, items []core.Item) ([]bool, error) {
-	n := len(c.t.conns)
-	groups := make([][]core.Item, n)
-	idx := make([][]int, n)
-	for i, it := range items {
-		s := HomeShard(rel, it, n)
-		groups[s] = append(groups[s], it)
-		idx[s] = append(idx[s], i)
-	}
-	out := make([]bool, len(items))
-	var mu sync.Mutex
-	_, err := fanout(n, func(s int) (wire.ShardReply, error) {
-		if len(groups[s]) == 0 {
-			return wire.ShardReply{}, nil
-		}
-		rep, err := c.t.conns[s].ExecShard(ctx, wire.ShardOp{Verb: wire.ShardEval, Relation: rel, Items: groups[s]})
-		if err != nil {
-			return rep, err
-		}
-		if len(rep.Verdicts) != len(groups[s]) {
-			return rep, fmt.Errorf("shard %d: EVAL returned %d verdicts for %d items", s, len(rep.Verdicts), len(groups[s]))
-		}
-		mu.Lock()
-		for j, v := range rep.Verdicts {
-			out[idx[s][j]] = v
-		}
-		mu.Unlock()
-		return rep, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // fanout runs fn(0..n-1) concurrently, returning every result and the
 // first error (after all calls finish, so no goroutine outlives the call).
 func fanout[T any](n int, fn func(i int) (T, error)) ([]T, error) {

@@ -78,9 +78,18 @@ func TestClusterShardFailureSurfaces(t *testing.T) {
 	if _, err := c.Fingerprint(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("Fingerprint with a dead shard = %v", err)
 	}
-	if _, err := c.HoldsBatch(context.Background(), "Flies",
-		[]core.Item{{"Tweety"}, {"Paul"}, {"Robin"}}); !errors.Is(err, boom) {
-		t.Fatalf("HoldsBatch with a dead shard = %v", err)
+	var onDead string
+	for _, who := range []string{"Tweety", "Paul", "Robin", "Bird", "Penguin", "Animal"} {
+		if HomeShard("Flies", core.Item{who}, len(conns)) == 1 {
+			onDead = who
+			break
+		}
+	}
+	if onDead == "" {
+		t.Fatal("no test item is homed on shard 1")
+	}
+	if _, err := c.Exec(context.Background(), "HOLDS Flies ("+onDead+");"); !errors.Is(err, boom) {
+		t.Fatalf("HOLDS on an item homed on the dead shard = %v", err)
 	}
 	conns[1].setHook(nil)
 	if _, err := c.Exec(context.Background(), "EXTENSION Flies;"); err != nil {
@@ -88,18 +97,15 @@ func TestClusterShardFailureSurfaces(t *testing.T) {
 	}
 }
 
+// TestClusterHoldsBatchDerived: point reads of an … AS relation, a script
+// of HOLDS statements through Exec, match the single-node reference.
 func TestClusterHoldsBatchDerived(t *testing.T) {
 	c, _ := newTestCluster(t, 3)
-	ctx := context.Background()
-	if _, err := c.Exec(ctx, "ASSERT Flies (Bird);\nSELECT FROM Flies WHERE Creature UNDER Bird AS F2;"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.HoldsBatch(ctx, "F2", []core.Item{{"Tweety"}, {"Paul"}})
-	if err != nil {
-		t.Fatalf("HoldsBatch on derived: %v", err)
-	}
-	if len(got) != 2 || !got[0] {
-		t.Fatalf("verdicts %v (want Tweety true)", got)
+	ref, _ := refSession(t)
+	runBoth(t, c, ref, "ASSERT Flies (Bird);\nDENY Flies (Penguin);\nSELECT FROM Flies WHERE Creature UNDER Bird AS F2;")
+	out := runBoth(t, c, ref, "HOLDS F2 (Tweety);\nHOLDS F2 (Paul);\nHOLDS F2 (Robin);")
+	if !strings.HasPrefix(out, "true") {
+		t.Fatalf("HOLDS F2 (Tweety) answered %q, want true", out)
 	}
 }
 

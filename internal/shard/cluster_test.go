@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -377,23 +378,35 @@ func TestClusterExplicateRejected(t *testing.T) {
 	}
 }
 
+// TestClusterHoldsBatch: a batch of point reads is a script of HOLDS
+// statements through Exec. It matches the single-node reference, and each
+// statement asks its item's home shard alone.
 func TestClusterHoldsBatch(t *testing.T) {
-	c, _ := newTestCluster(t, 3)
-	ref, refDB := refSession(t)
+	c, conns := newTestCluster(t, 3)
+	ref, _ := refSession(t)
 	runBoth(t, c, ref, "ASSERT Flies (Bird);\nDENY Flies (Penguin);")
 
+	var mu sync.Mutex
+	asked := map[string][]int{}
+	for i, conn := range conns {
+		conn.setHook(func(op wire.ShardOp) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if op.Verb == wire.ShardTuples && len(op.Items) == 1 {
+				asked[op.Items[0].Key()] = append(asked[op.Items[0].Key()], i)
+			}
+			return nil
+		})
+	}
 	items := []core.Item{{"Tweety"}, {"Paul"}, {"Robin"}, {"Penguin"}}
-	got, err := c.HoldsBatch(context.Background(), "Flies", items)
-	if err != nil {
-		t.Fatal(err)
+	var script strings.Builder
+	for _, it := range items {
+		fmt.Fprintf(&script, "HOLDS Flies (%s);\n", it[0])
 	}
-	want, err := refDB.HoldsBatch(context.Background(), "Flies", items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range items {
-		if got[i] != want[i] {
-			t.Fatalf("item %v: cluster %v, reference %v", items[i], got[i], want[i])
+	runBoth(t, c, ref, script.String())
+	for _, it := range items {
+		if got, want := asked[it.Key()], []int{HomeShard("Flies", it, len(conns))}; !slices.Equal(got, want) {
+			t.Fatalf("HOLDS Flies %v asked shards %v, want its home shard %v", it, got, want)
 		}
 	}
 }

@@ -64,8 +64,6 @@ func (n *Node) Execute(ctx context.Context, op wire.ShardOp) (rep wire.ShardRepl
 	switch op.Verb {
 	case wire.ShardTuples:
 		rep.Tuples, err = n.tuples(op)
-	case wire.ShardEval:
-		rep.Verdicts, err = n.target.Database().HoldsBatch(ctx, op.Relation, op.Items)
 	case wire.ShardPrepare:
 		err = n.prepare(op.GID, op.Ops)
 		rep.Status = fmt.Sprintf("prepared %d", len(op.Ops))

@@ -82,11 +82,6 @@ func TestNodeTuplesSelectEval(t *testing.T) {
 	if want := snap.TuplesOverlapping([]core.Item{{"Penguin"}}); !reflect.DeepEqual(got, want) || len(want) != 2 {
 		t.Fatalf("tuples overlapping Penguin %v, want both stored tuples %v", got, want)
 	}
-
-	verdicts := exec(t, n, wire.ShardOp{Verb: wire.ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}}}).Verdicts
-	if len(verdicts) != 2 || !verdicts[0] || verdicts[1] {
-		t.Fatalf("verdicts %v (want Tweety flies, Paul doesn't)", verdicts)
-	}
 }
 
 // holdDeny holds a bare deny after its write has applied and before its

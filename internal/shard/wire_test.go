@@ -54,8 +54,10 @@ func TestEncodeSelectParses(t *testing.T) {
 		Conds: [][2]string{{"Creature", "Bird"}, {"Alt", "high"}}})
 }
 
-func TestEncodeEvalRoundTrip(t *testing.T) {
-	opTrip(t, wire.ShardOp{Verb: wire.ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}, {""}}})
+// TestEncodeTuplesItemsRoundTrip: a point-read TUPLES op carries its
+// items exactly, the empty-string value included.
+func TestEncodeTuplesItemsRoundTrip(t *testing.T) {
+	opTrip(t, wire.ShardOp{Verb: wire.ShardTuples, Relation: "Flies", Items: []core.Item{{"Tweety"}, {"Paul"}, {""}}})
 }
 
 func TestEncodePrepareRoundTrip(t *testing.T) {
@@ -80,7 +82,7 @@ func TestEncodePrepareRoundTrip(t *testing.T) {
 // ordinary data in every shard op that carries them.
 func TestSeparatorBytesRoundTrip(t *testing.T) {
 	opTrip(t, wire.ShardOp{Verb: wire.ShardTuples, Relation: "bad\x1fname"})
-	opTrip(t, wire.ShardOp{Verb: wire.ShardEval, Relation: "r", Items: []core.Item{{"a\nb"}}})
+	opTrip(t, wire.ShardOp{Verb: wire.ShardTuples, Relation: "r", Items: []core.Item{{"a\nb"}}})
 	opTrip(t, wire.ShardOp{Verb: wire.ShardPrepare, GID: "gid",
 		Ops: []catalog.TxOp{{Kind: catalog.KindAssert, Relation: "r", Values: []string{"x\x1fy"}}}})
 	opTrip(t, wire.ShardOp{Verb: "SELECT", Relation: "r",
@@ -114,17 +116,6 @@ func TestDecodeOpsRejectsUnknownKind(t *testing.T) {
 		if _, err := n.Execute(t.Context(), opTrip(t, op)); err == nil {
 			t.Fatalf("%s of an unknown kind succeeded", verb)
 		}
-	}
-}
-
-func TestDecodeBools(t *testing.T) {
-	for _, v := range [][]bool{{true}, {true, false, true}, make([]bool, 8), {false, false, false, false, false, false, false, false, true}} {
-		replyTrip(t, wire.ShardReply{Verdicts: v})
-	}
-	p := wire.ShardReplyPayload(wire.ShardReply{Verdicts: []bool{true, false, true}})
-	p[len(p)-1] |= 0x80 // a padding bit
-	if _, err := wire.ParseShardReply(p); !errors.Is(err, wire.ErrProtocol) {
-		t.Fatalf("set padding bit: %v, want ErrProtocol", err)
 	}
 }
 

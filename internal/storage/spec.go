@@ -218,6 +218,12 @@ func BuildDatabase(spec DatabaseSpec) (*catalog.Database, error) {
 		}
 	}
 	for _, rs := range spec.Relations {
+		// The one place a mode arrives as a bare number: refuse what no
+		// writer stores, rather than fail on some later read.
+		mode := core.Preemption(rs.Mode)
+		if mode < core.OffPath || mode > core.NoPreemption {
+			return nil, fmt.Errorf("%w: relation %q has preemption mode %d", ErrCorrupt, rs.Name, rs.Mode)
+		}
 		attrs := make([]catalog.AttrSpec, len(rs.Attrs))
 		for i, a := range rs.Attrs {
 			attrs[i] = catalog.AttrSpec{Name: a.Name, Domain: a.Domain}
@@ -226,7 +232,7 @@ func BuildDatabase(spec DatabaseSpec) (*catalog.Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.SetMode(core.Preemption(rs.Mode))
+		r.SetMode(mode)
 		for _, t := range rs.Tuples {
 			if err := r.Insert(core.Item(t.Item), t.Sign); err != nil {
 				return nil, fmt.Errorf("storage: rebuild relation %q: %w", rs.Name, err)

@@ -2,9 +2,12 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hrdb/internal/catalog"
+	"hrdb/internal/core"
 )
 
 // TestBuildHierarchyBadSpec: broken specs are rejected with context.
@@ -65,6 +68,60 @@ func TestBuildDatabaseBadSpecs(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("duplicate hierarchy accepted")
+	}
+}
+
+// modeSpec is a database of one relation R over hierarchy D, stored in
+// preemption mode mode.
+func modeSpec(mode int) DatabaseSpec {
+	return DatabaseSpec{
+		Hierarchies: []HierarchySpec{{Domain: "D", Nodes: []NodeSpec{{Name: "c"}, {Name: "x", Instance: true, Parents: []string{"c"}}}}},
+		Relations: []RelationSpec{{
+			Name:   "R",
+			Attrs:  []RelationAttr{{Name: "X", Domain: "D"}},
+			Mode:   mode,
+			Tuples: []TupleSpec{{Item: []string{"c"}, Sign: true}},
+		}},
+	}
+}
+
+// TestBuildDatabaseRefusesUnknownMode: a spec whose relation carries a mode
+// other than off-path, on-path or none is corrupt, and the error names the
+// relation and the mode; every defined mode loads.
+func TestBuildDatabaseRefusesUnknownMode(t *testing.T) {
+	for _, mode := range []int{7, -1, 3} {
+		_, err := BuildDatabase(modeSpec(mode))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `"R"`) || !strings.Contains(err.Error(), fmt.Sprint(mode)) {
+			t.Fatalf("mode %d: %v, want ErrCorrupt naming R and the mode", mode, err)
+		}
+	}
+	for _, mode := range []core.Preemption{core.OffPath, core.OnPath, core.NoPreemption} {
+		db, err := BuildDatabase(modeSpec(int(mode)))
+		must(t, err)
+		r, err := db.Snapshot("R")
+		must(t, err)
+		if r.Mode() != mode {
+			t.Fatalf("loaded mode %v, want %v", r.Mode(), mode)
+		}
+	}
+}
+
+// TestOpenRefusesUnknownMode: a snapshot carrying an unknown mode fails to
+// open as ErrCorrupt instead of loading a relation whose inherited reads
+// fail.
+func TestOpenRefusesUnknownMode(t *testing.T) {
+	dir := t.TempDir()
+	if s, err := Create(dir, modeSpec(7), Options{}); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Create with mode 7 = %v, want ErrCorrupt", err)
+	}
+	if s, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("Open with mode 7 = %v, want ErrCorrupt", err)
 	}
 }
 

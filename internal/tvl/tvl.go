@@ -112,13 +112,13 @@ func Holds(r *core.Relation, values ...string) (Truth, error) {
 	return Evaluate(r, core.Item(values))
 }
 
-// EvaluateBatch computes open-world truth values for every item in bulk,
-// in one ordered pass over the items (core.EvaluateEach). Per-item
+// EvaluateBatch computes open-world truth values for every item in one
+// ordered pass under the relation's mode (core.EvaluateEach). Per-item
 // conflicts are data here — they map to Unknown rather than aborting the
 // batch — so only validation failures and ctx cancellation surface as the
 // error (the lowest-index one).
-func EvaluateBatch(ctx context.Context, r *core.Relation, items []core.Item, opts ...core.BatchOption) ([]Truth, error) {
-	verdicts, errs, err := r.EvaluateEach(ctx, items, opts...)
+func EvaluateBatch(ctx context.Context, r *core.Relation, items []core.Item) ([]Truth, error) {
+	verdicts, errs, err := r.EvaluateEach(ctx, items)
 	if err != nil {
 		return nil, err
 	}

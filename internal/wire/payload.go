@@ -367,7 +367,6 @@ var (
 // Shard operation verbs.
 const (
 	ShardTuples  = "TUPLES"  // a relation's stored tuples, scoped by Items or Conds → Tuples
-	ShardEval    = "EVAL"    // batch-evaluate Items → Verdicts
 	ShardPrepare = "PREPARE" // validate and journal Ops under GID → Status
 	ShardCommit  = "COMMIT"  // apply GID's journal → Status "committed" | "unknown", Warnings
 	ShardAbort   = "ABORT"   // drop GID's journal → Status
@@ -385,10 +384,10 @@ const (
 // flags bit 0 is catalog.TxOp.Bare; no other bit is set.
 type ShardOp struct {
 	Verb     string
-	Relation string         // TUPLES, EVAL
+	Relation string         // TUPLES
 	GID      string         // PREPARE, COMMIT, ABORT, APPLY
 	Conds    [][2]string    // TUPLES: only those overlapping the region of these (attribute, class) conditions
-	Items    []core.Item    // EVAL; TUPLES: only those applicable to these items
+	Items    []core.Item    // TUPLES only: those applicable to these items
 	Ops      []catalog.TxOp // PREPARE, APPLY
 }
 
@@ -458,14 +457,10 @@ func ParseShardOp(p []byte) (ShardOp, error) {
 //
 //	status    string list [status]
 //	tuples    u32 n | n × (u8 sign | string list item)
-//	verdicts  u32 m | ⌈m/8⌉ bytes, verdict i at bit i%8 of byte i/8
 //	warnings  string list [warning, …], present only when non-empty
-//
-// Padding bits are zero.
 type ShardReply struct {
 	Status   string       // PREPARE "prepared <n>", COMMIT "committed" | "unknown", ABORT "aborted", APPLY "applied"
 	Tuples   []core.Tuple // TUPLES
-	Verdicts []bool       // EVAL, in item order
 	Warnings []string     // COMMIT, APPLY: the exception warnings the ops raised when this reply applied them
 }
 
@@ -480,14 +475,6 @@ func ShardReplyPayload(rep ShardReply) []byte {
 		}
 		p = appendStrings(append(p, sign), t.Item)
 	}
-	p = binary.BigEndian.AppendUint32(p, uint32(len(rep.Verdicts)))
-	bits := make([]byte, (len(rep.Verdicts)+7)/8)
-	for i, v := range rep.Verdicts {
-		if v {
-			bits[i/8] |= 1 << (i % 8)
-		}
-	}
-	p = append(p, bits...)
 	if len(rep.Warnings) > 0 {
 		p = appendStrings(p, rep.Warnings)
 	}
@@ -511,17 +498,6 @@ func ParseShardReply(p []byte) (ShardReply, error) {
 				r.fail("tuple sign byte %d", sign)
 			}
 			rep.Tuples[i] = core.Tuple{Item: r.strings(), Sign: sign == 1}
-		}
-	}
-	if n := r.count(0); n > 0 {
-		if bits := r.take((n + 7) / 8); bits != nil {
-			rep.Verdicts = make([]bool, n)
-			for i := range rep.Verdicts {
-				rep.Verdicts[i] = bits[i/8]&(1<<(i%8)) != 0
-			}
-			if n%8 != 0 && bits[len(bits)-1]>>(n%8) != 0 {
-				r.fail("nonzero verdict padding")
-			}
 		}
 	}
 	if len(r.p) > 0 {

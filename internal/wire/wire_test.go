@@ -291,12 +291,12 @@ func TestStringListRoundTrip(t *testing.T) {
 }
 
 // TestShardReplyRoundTrip: a COMMIT's warnings travel as their own field
-// after the verdicts, a reply without any encodes as one without the field,
+// after the tuples, a reply without any encodes as one without the field,
 // and an explicitly empty warning list is refused.
 func TestShardReplyRoundTrip(t *testing.T) {
 	for _, rep := range []ShardReply{
 		{Status: "committed", Warnings: []string{`exception: (x) asserted false against inherited true in "R"`, "a\nb"}},
-		{Status: "applied", Tuples: []core.Tuple{{Item: core.Item{"a"}, Sign: true}}, Verdicts: []bool{true}, Warnings: []string{"w"}},
+		{Status: "applied", Tuples: []core.Tuple{{Item: core.Item{"a"}, Sign: true}}, Warnings: []string{"w"}},
 		{Status: "committed"},
 	} {
 		got, err := ParseShardReply(ShardReplyPayload(rep))
@@ -305,8 +305,8 @@ func TestShardReplyRoundTrip(t *testing.T) {
 		}
 	}
 	bare := ShardReplyPayload(ShardReply{Status: "committed"})
-	if !bytes.HasSuffix(bare, []byte{0, 0, 0, 0, 0, 0, 0, 0}) {
-		t.Fatalf("reply without warnings = %x, want it to end at the empty tuple and verdict counts", bare)
+	if !bytes.HasSuffix(bare, []byte{0, 0, 0, 0}) {
+		t.Fatalf("reply without warnings = %x, want it to end at the empty tuple count", bare)
 	}
 	if _, err := ParseShardReply(append(bare, 0, 0, 0, 0)); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("empty warning list = %v, want ErrProtocol", err)
@@ -504,10 +504,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardApply, GID: "g", Ops: []catalog.TxOp{{Kind: catalog.KindRetract, Relation: "R"}}})))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Stream: 3, Payload: ShardReplyPayload(ShardReply{Tuples: []core.Tuple{
 		{Item: core.Item{"a", "b"}, Sign: true}, {Item: core.Item{"c"}}}})}))
-	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Stream: 3, Payload: ShardReplyPayload(ShardReply{Verdicts: []bool{true, false}})}))
+	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Stream: 3, Payload: ShardReplyPayload(ShardReply{Status: "applied",
+		Tuples: []core.Tuple{{Item: core.Item{"a"}, Sign: true}}, Warnings: []string{"w"}})}))
 	f.Add(execShard(nil))
 	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: "SELECT", Relation: "r\x1fs", Conds: [][2]string{{"a\nb", "c"}}})))
-	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardEval, Relation: "Flies", Items: []core.Item{{"Tweety"}, {}}})))
+	f.Add(execShard(AppendShardOp(nil, ShardOp{Verb: ShardTuples, Relation: "Flies", Items: []core.Item{{"Tweety"}, {}}})))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: ShardReplyPayload(ShardReply{Status: "prepared 2"})}))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: ShardReplyPayload(ShardReply{Status: "committed", Warnings: []string{"exception: (x)", ""}})}))
 	f.Add(AppendFrame(nil, Frame{Type: TypeOK, ID: 8, Payload: []byte{0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}})) // string longer than the payload

@@ -1,8 +1,8 @@
 #!/bin/sh
 # loc.sh — non-test, non-generated Go lines per package under internal/ and
-# cmd/, and for hrdb.go, with a total. Informational: ROADMAP's "quality of
-# design" goal is tracked in these numbers, so a PR can quote them at its
-# parent and at its change.
+# cmd/, and for hrdb.go, with the internal/ subtotal and a total.
+# Informational: ROADMAP's "quality of design" goal is tracked in these
+# numbers, so a PR can quote them at its parent and at its change.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,8 +23,12 @@ count() { # count <label> <file>...
     total=$((total + n))
 }
 
-for dir in internal/* cmd/*; do
+for dir in internal/*; do
+    [ -d "$dir" ] && count "$dir" "$dir"/*.go
+done
+internal=$total
+for dir in cmd/*; do
     [ -d "$dir" ] && count "$dir" "$dir"/*.go
 done
 count hrdb.go hrdb.go
-printf '%-24s %6d\n' total "$total"
+printf '%-24s %6d\n' internal/ "$internal" total "$total"
