@@ -47,8 +47,8 @@ help:
 	@echo "  cover        coverage summary for internal/..."
 	@echo "  bench        full benchmark sweep (figures + experiments;"
 	@echo "               tests are skipped via -run '^$$')"
-	@echo "  bench-smoke  quick pass over the batch-evaluation and"
-	@echo "               verdict-cache benchmarks only"
+	@echo "  bench-smoke  quick pass over the batch-evaluation,"
+	@echo "               verdict-cache and hierarchy-build benchmarks only"
 	@echo "  figures      regenerate the paper figures (cmd/hrfigures)"
 	@echo "  experiments  print the E1-E7 experiment tables (cmd/hrbench) and"
 	@echo "               check each paper claim's shape in the same run"
@@ -114,6 +114,7 @@ bench:
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkHoldsCached' -benchtime=50x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBuildHierarchy' -benchtime=50x ./internal/hierarchy/
 
 figures:
 	$(GO) run ./cmd/hrfigures

@@ -31,7 +31,7 @@ func refReach(g *Graph, id int) []int {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for s := range g.succ[n] {
+		for _, s := range g.Succ(n) {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
@@ -99,7 +99,7 @@ func checkClosure(t *testing.T, g *Graph, what string) {
 		}
 		var leaves, anc []int
 		for _, n := range reach[a] {
-			if len(g.succ[n]) == 0 {
+			if len(g.Succ(n)) == 0 {
 				leaves = append(leaves, n)
 			}
 		}
@@ -142,7 +142,7 @@ func checkClosure(t *testing.T, g *Graph, what string) {
 			var maximal []int
 		next:
 			for _, c := range both {
-				for p := range g.pred[c] {
+				for _, p := range g.Pred(c) {
 					if slices.Contains(both, p) {
 						continue next
 					}

@@ -32,10 +32,11 @@ var ErrNoNode = errors.New("dag: no such node")
 // Graph is a mutable directed graph intended to be acyclic. Acyclicity is
 // enforced by AddEdge. The zero value is an empty graph ready for use.
 type Graph struct {
-	// succ[i] and pred[i] are the adjacency sets of node i. A node exists
-	// iff alive[i]. Deleted ids are never reused.
-	succ  []map[int]struct{}
-	pred  []map[int]struct{}
+	// succ[i] and pred[i] are the adjacency lists of node i: ascending,
+	// duplicate-free, nil when empty. A node exists iff alive[i]. Deleted
+	// ids are never reused.
+	succ  [][]int32
+	pred  [][]int32
 	alive []bool
 	nodes int // count of live nodes
 
@@ -76,8 +77,8 @@ func (g *Graph) Generation() uint64 { return g.gen.Load() }
 // AddNode creates a new node and returns its id.
 func (g *Graph) AddNode() int {
 	id := len(g.succ)
-	g.succ = append(g.succ, map[int]struct{}{})
-	g.pred = append(g.pred, map[int]struct{}{})
+	g.succ = append(g.succ, nil)
+	g.pred = append(g.pred, nil)
 	g.alive = append(g.alive, true)
 	g.nodes++
 	g.invalidate()
@@ -106,28 +107,27 @@ func (g *Graph) AddEdge(from, to int) error {
 	if from == to {
 		return ErrCycle
 	}
-	if _, ok := g.succ[from][to]; ok {
+	i, ok := slices.BinarySearch(g.succ[from], int32(to))
+	if ok {
 		return nil
 	}
 	if g.HasPath(to, from) {
 		return ErrCycle
 	}
-	g.succ[from][to] = struct{}{}
-	g.pred[to][from] = struct{}{}
+	g.succ[from] = slices.Insert(g.succ[from], i, int32(to))
+	j, _ := slices.BinarySearch(g.pred[to], int32(from))
+	g.pred[to] = slices.Insert(g.pred[to], j, int32(from))
 	g.invalidate()
 	return nil
 }
 
 // RemoveEdge deletes the edge from→to if present.
 func (g *Graph) RemoveEdge(from, to int) {
-	if !g.Has(from) || !g.Has(to) {
+	if !g.HasEdge(from, to) {
 		return
 	}
-	if _, ok := g.succ[from][to]; !ok {
-		return
-	}
-	delete(g.succ[from], to)
-	delete(g.pred[to], from)
+	g.succ[from] = without(g.succ[from], to)
+	g.pred[to] = without(g.pred[to], from)
 	g.invalidate()
 }
 
@@ -136,7 +136,7 @@ func (g *Graph) HasEdge(from, to int) bool {
 	if !g.Has(from) || !g.Has(to) {
 		return false
 	}
-	_, ok := g.succ[from][to]
+	_, ok := slices.BinarySearch(g.succ[from], int32(to))
 	return ok
 }
 
@@ -145,7 +145,7 @@ func (g *Graph) Succ(id int) []int {
 	if !g.Has(id) {
 		return nil
 	}
-	return sortedKeys(g.succ[id])
+	return ints(g.succ[id])
 }
 
 // Pred returns the direct predecessors of id in ascending order.
@@ -153,7 +153,7 @@ func (g *Graph) Pred(id int) []int {
 	if !g.Has(id) {
 		return nil
 	}
-	return sortedKeys(g.pred[id])
+	return ints(g.pred[id])
 }
 
 // IsLeaf reports whether id is a live node with no successors.
@@ -177,8 +177,8 @@ func (g *Graph) Edges() [][2]int {
 		if !ok {
 			continue
 		}
-		for _, to := range sortedKeys(g.succ[from]) {
-			out = append(out, [2]int{from, to})
+		for _, to := range g.succ[from] {
+			out = append(out, [2]int{from, int(to)})
 		}
 	}
 	return out
@@ -224,14 +224,13 @@ func (g *Graph) RemoveNode(id int) {
 	if !g.Has(id) {
 		return
 	}
-	for s := range g.succ[id] {
-		delete(g.pred[s], id)
+	for _, s := range g.succ[id] {
+		g.pred[s] = without(g.pred[s], id)
 	}
-	for p := range g.pred[id] {
-		delete(g.succ[p], id)
+	for _, p := range g.pred[id] {
+		g.succ[p] = without(g.succ[p], id)
 	}
-	g.succ[id] = map[int]struct{}{}
-	g.pred[id] = map[int]struct{}{}
+	g.succ[id], g.pred[id] = nil, nil
 	g.alive[id] = false
 	g.nodes--
 	g.invalidate()
@@ -269,7 +268,7 @@ func (g *Graph) topoLocked() ([]int, error) {
 
 // computeTopo runs Kahn's algorithm without touching the memo.
 func (g *Graph) computeTopo() ([]int, error) {
-	indeg := make(map[int]int, g.nodes)
+	indeg := make([]int, len(g.alive))
 	var frontier []int
 	for id, ok := range g.alive {
 		if !ok {
@@ -288,12 +287,11 @@ func (g *Graph) computeTopo() ([]int, error) {
 		id := frontier[0]
 		frontier = frontier[1:]
 		order = append(order, id)
-		next := sortedKeys(g.succ[id])
 		var added bool
-		for _, s := range next {
+		for _, s := range g.succ[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				frontier = append(frontier, s)
+				frontier = append(frontier, int(s))
 				added = true
 			}
 		}
@@ -337,6 +335,9 @@ func (g *Graph) HasPath(from, to int) bool {
 			return l.HasPath(from, to)
 		}
 	}
+	if len(g.succ[from]) == 0 {
+		return false // a leaf, such as a node just added, reaches nothing
+	}
 	// Mark on push: a node enters the stack at most once, so the stack is
 	// bounded by V even on dense graphs.
 	seen := make([]bool, len(g.alive))
@@ -345,13 +346,13 @@ func (g *Graph) HasPath(from, to int) bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for s := range g.succ[n] {
-			if s == to {
+		for _, s := range g.succ[n] {
+			if int(s) == to {
 				return true
 			}
 			if !seen[s] {
 				seen[s] = true
-				stack = append(stack, s)
+				stack = append(stack, int(s))
 			}
 		}
 	}
@@ -399,10 +400,10 @@ func (g *Graph) Ancestors(id int) []int {
 		if i >= 0 {
 			n = out[i]
 		}
-		for p := range g.pred[n] {
-			if _, ok := seen[p]; !ok {
-				seen[p] = struct{}{}
-				out = append(out, p)
+		for _, p := range g.pred[n] {
+			if _, ok := seen[int(p)]; !ok {
+				seen[int(p)] = struct{}{}
+				out = append(out, int(p))
 			}
 		}
 	}
@@ -451,10 +452,10 @@ func (g *Graph) OverlapRegion(id, maxBelow int) (region []int, ok bool) {
 	}
 	above := map[int]struct{}{}
 	for i := 0; i < len(region); i++ {
-		for p := range g.pred[region[i]] {
-			if _, seen := above[p]; !seen && !below(p) {
-				above[p] = struct{}{}
-				region = append(region, p)
+		for _, p := range g.pred[region[i]] {
+			if _, seen := above[int(p)]; !seen && !below(int(p)) {
+				above[int(p)] = struct{}{}
+				region = append(region, int(p))
 			}
 		}
 	}
@@ -467,10 +468,10 @@ func (g *Graph) walkBelow(id, max int) ([]int, func(int) bool) {
 	seen := map[int]struct{}{id: {}}
 	below := []int{id}
 	for i := 0; i < len(below) && len(below) <= max; i++ {
-		for s := range g.succ[below[i]] {
-			if _, ok := seen[s]; !ok {
-				seen[s] = struct{}{}
-				below = append(below, s)
+		for _, s := range g.succ[below[i]] {
+			if _, ok := seen[int(s)]; !ok {
+				seen[int(s)] = struct{}{}
+				below = append(below, int(s))
 			}
 		}
 	}
@@ -494,8 +495,8 @@ func (g *Graph) MaximalCommon(a, b int) []int {
 	next:
 		for r := sp.lo; r < sp.hi; r++ {
 			c := int(ra.l.order[r])
-			for p := range g.pred[c] {
-				if ra.Has(p) && rb.Has(p) {
+			for _, p := range g.pred[c] {
+				if ra.Has(int(p)) && rb.Has(int(p)) {
 					continue next
 				}
 			}
@@ -523,14 +524,14 @@ func (g *Graph) Reach(id int) (Set, error) {
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		succ:  make([]map[int]struct{}, len(g.succ)),
-		pred:  make([]map[int]struct{}, len(g.pred)),
+		succ:  make([][]int32, len(g.succ)),
+		pred:  make([][]int32, len(g.pred)),
 		alive: append([]bool(nil), g.alive...),
 		nodes: g.nodes,
 	}
 	for i := range g.succ {
-		c.succ[i] = copySet(g.succ[i])
-		c.pred[i] = copySet(g.pred[i])
+		c.succ[i] = slices.Clone(g.succ[i])
+		c.pred[i] = slices.Clone(g.pred[i])
 	}
 	return c
 }
@@ -556,8 +557,8 @@ func (g *Graph) Eliminate(id int, keepRedundant bool) error {
 	for i, n := range order {
 		pos[n] = i
 	}
-	preds := sortedKeys(g.pred[id])
-	succs := sortedKeys(g.succ[id])
+	preds := g.Pred(id)
+	succs := g.Succ(id)
 	// reverse topological order over predecessors
 	sort.Slice(preds, func(a, b int) bool { return pos[preds[a]] > pos[preds[b]] })
 	// topological order over successors
@@ -633,27 +634,29 @@ func (g *Graph) IsRedundantEdge(u, v int) bool {
 	if !g.HasEdge(u, v) {
 		return false
 	}
-	for w := range g.succ[u] {
-		if w != v && g.HasPath(w, v) {
+	for _, w := range g.succ[u] {
+		if int(w) != v && g.HasPath(int(w), v) {
 			return true
 		}
 	}
 	return false
 }
 
-func sortedKeys(m map[int]struct{}) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// ints returns a copy of an adjacency list as ints.
+func ints(list []int32) []int {
+	out := make([]int, len(list))
+	for i, v := range list {
+		out[i] = int(v)
 	}
-	sort.Ints(out)
 	return out
 }
 
-func copySet(m map[int]struct{}) map[int]struct{} {
-	c := make(map[int]struct{}, len(m))
-	for k := range m {
-		c[k] = struct{}{}
+// without returns the adjacency list without v, which it must hold; the
+// last entry out leaves a nil list.
+func without(list []int32, v int) []int32 {
+	if len(list) == 1 {
+		return nil
 	}
-	return c
+	i, _ := slices.BinarySearch(list, int32(v))
+	return slices.Delete(list, i, i+1)
 }

@@ -185,15 +185,8 @@ func (g *Graph) buildLabelsLocked() (*Labels, error) {
 	kids := make([][]int32, n) // ascending, as ids are visited in order
 	for id := range kids {
 		l.tree[id] = span{-1, -1}
-		if parent := -1; g.alive[id] {
-			for p := range g.pred[id] {
-				if parent < 0 || p < parent {
-					parent = p
-				}
-			}
-			if parent >= 0 {
-				kids[parent] = append(kids[parent], int32(id))
-			}
+		if p := g.pred[id]; len(p) > 0 { // a dead node holds nil
+			kids[p[0]] = append(kids[p[0]], int32(id))
 		}
 	}
 	// Subtree sizes bottom-up, then ranks top-down: a node's children take
@@ -233,7 +226,7 @@ func (l *Labels) closeLocked(g *Graph, topo []int) {
 		id := topo[i]
 		own := l.tree[id]
 		buf = append(buf[:0], own)
-		for s := range g.succ[id] {
+		for _, s := range g.succ[id] {
 			sub := reach[s]
 			if sub == nil {
 				sub = l.tree[s : s+1]

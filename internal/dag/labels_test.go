@@ -20,7 +20,7 @@ func refReachable(g *Graph, from, to int) bool {
 		if n == to {
 			return true
 		}
-		for s := range g.succ[n] {
+		for _, s := range g.Succ(n) {
 			if !seen[s] {
 				seen[s] = true
 				queue = append(queue, s)

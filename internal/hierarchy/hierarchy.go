@@ -599,7 +599,7 @@ func (h *Hierarchy) RemoveLeaf(name string) error {
 	if id == h.root {
 		return fmt.Errorf("%w: %q", ErrIsRoot, name)
 	}
-	if len(h.isa.Succ(id)) > 0 {
+	if !h.isa.IsLeaf(id) {
 		return fmt.Errorf("%w: %q", ErrHasChildren, name)
 	}
 	h.isa.RemoveNode(id)

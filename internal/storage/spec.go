@@ -206,8 +206,15 @@ func SnapshotDatabase(db *catalog.Database) DatabaseSpec {
 
 // BuildDatabase reconstructs a database from its spec.
 func BuildDatabase(spec DatabaseSpec) (*catalog.Database, error) {
+	// A policy, like a mode below, arrives as a bare number: refuse what no
+	// writer stores rather than load a policy that acts as allow and that
+	// DUMP cannot name.
+	policy := catalog.ExceptionPolicy(spec.Policy)
+	if policy < catalog.AllowExceptions || policy > catalog.ForbidExceptions {
+		return nil, fmt.Errorf("%w: exception policy %d", ErrCorrupt, spec.Policy)
+	}
 	db := catalog.New()
-	db.SetPolicy(catalog.ExceptionPolicy(spec.Policy))
+	db.SetPolicy(policy)
 	for _, hs := range spec.Hierarchies {
 		h, err := BuildHierarchy(hs)
 		if err != nil {

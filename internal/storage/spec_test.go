@@ -106,6 +106,35 @@ func TestBuildDatabaseRefusesUnknownMode(t *testing.T) {
 	}
 }
 
+// TestBuildDatabaseRefusesUnknownPolicy: a spec whose exception policy is
+// not allow, warn or forbid is corrupt, and the error names the policy;
+// every defined policy survives a snapshot written and reopened.
+func TestBuildDatabaseRefusesUnknownPolicy(t *testing.T) {
+	for _, policy := range []int{-1, 7} {
+		spec := modeSpec(int(core.OffPath))
+		spec.Policy = policy
+		_, err := BuildDatabase(spec)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprint(policy)) {
+			t.Fatalf("policy %d: %v, want ErrCorrupt naming the policy", policy, err)
+		}
+	}
+	for _, policy := range []catalog.ExceptionPolicy{catalog.AllowExceptions, catalog.WarnExceptions, catalog.ForbidExceptions} {
+		spec := modeSpec(int(core.OffPath))
+		spec.Policy = int(policy)
+		dir := t.TempDir()
+		s, err := Create(dir, spec, Options{})
+		must(t, err)
+		must(t, s.Close())
+		s, err = Open(dir)
+		must(t, err)
+		got := s.Database().Policy()
+		must(t, s.Close())
+		if got != policy {
+			t.Fatalf("policy %v after a snapshot round trip, want %v", got, policy)
+		}
+	}
+}
+
 // TestOpenRefusesUnknownMode: a snapshot carrying an unknown mode fails to
 // open as ErrCorrupt instead of loading a relation whose inherited reads
 // fail.
