@@ -24,8 +24,15 @@
 //     transactions (internal/catalog)
 //   - durable storage: snapshots and a write-ahead log (internal/storage)
 //   - the HQL query language (internal/hql)
+//   - the TCP server, its client and read router (internal/server)
+//   - WAL-shipping replication and failover (internal/repl)
+//   - hash-partitioned shard clusters (internal/shard)
+//   - materialized views and change feeds (internal/view)
+//   - metrics, tracing and the slow-query log (internal/obs)
+//   - Datalog over hierarchical relations (internal/deductive)
 //   - a frame-based KR front end (internal/frames)
 //   - three-valued open-world evaluation (internal/tvl)
+//   - partial information (internal/partial)
 //   - automatic hierarchy mining (internal/mining)
 //
 // Quickstart:
@@ -50,7 +57,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"time"
 
@@ -86,10 +92,6 @@ type (
 	Attribute = core.Attribute
 	// Item is one hierarchy node per attribute.
 	Item = core.Item
-	// Tuple is an item with a truth value.
-	Tuple = core.Tuple
-	// Verdict is the result of evaluating an item.
-	Verdict = core.Verdict
 	// Preemption selects the inheritance semantics (off-path, on-path,
 	// none) from the paper's appendix.
 	Preemption = core.Preemption
@@ -97,10 +99,6 @@ type (
 	ConflictError = core.ConflictError
 	// InconsistencyError aggregates conflicts found by CheckConsistency.
 	InconsistencyError = core.InconsistencyError
-	// BindingGraph is an item's explicit tuple-binding graph.
-	BindingGraph = core.BindingGraph
-	// SubsumptionEdge is one edge of a relation's subsumption graph.
-	SubsumptionEdge = core.SubsumptionEdge
 )
 
 // Preemption modes.
@@ -113,14 +111,6 @@ const (
 	NoPreemption = core.NoPreemption
 )
 
-// The kinds of kept entries, which index Relation.CacheStats.
-const (
-	// Verdicts indexes kept verdicts.
-	Verdicts = core.Verdicts
-	// Answers indexes kept rendered answers.
-	Answers = core.Answers
-)
-
 // Database layer types.
 type (
 	// Database is a synchronized registry of hierarchies and relations
@@ -128,8 +118,6 @@ type (
 	Database = catalog.Database
 	// AttrSpec names a relation attribute and its domain for CreateRelation.
 	AttrSpec = catalog.AttrSpec
-	// Tx is a transaction whose commit enforces the ambiguity constraint.
-	Tx = catalog.Tx
 	// TxOp is one mutation of any kind — "assert", "deny", "retract",
 	// "add_class", "set_policy", … (DESIGN.md §4b lists them) — for
 	// Target.Apply / Database.Apply. Consecutive assert/deny/retract
@@ -165,18 +153,6 @@ type (
 	// Plan describes the access path the cost-based planner chose for an
 	// operator; EXPLAIN renders it.
 	Plan = algebra.Plan
-	// Access names a candidate-enumeration strategy (FullScan, IndexProbe).
-	Access = algebra.Access
-	// IndexStats summarizes one attribute's secondary index.
-	IndexStats = core.IndexStats
-)
-
-// Access paths the planner chooses between.
-const (
-	// FullScan enumerates candidates from every stored tuple.
-	FullScan = algebra.FullScan
-	// IndexProbe enumerates candidates from secondary-index posting lists.
-	IndexProbe = algebra.IndexProbe
 )
 
 // Exception policies.
@@ -191,15 +167,9 @@ const (
 	ForbidExceptions = catalog.ForbidExceptions
 )
 
-// Three-valued truth constants.
-const (
-	// True is known-true.
-	True = tvl.True
-	// False is known-false.
-	False = tvl.False
-	// Unknown is open-world unknown.
-	Unknown = tvl.Unknown
-)
+// Unknown is the open-world truth of an item the relation neither asserts
+// nor denies, or one it binds ambiguously.
+const Unknown = tvl.Unknown
 
 // NewHierarchy creates a hierarchy whose root class is the domain itself.
 func NewHierarchy(domain string) *Hierarchy { return hierarchy.New(domain) }
@@ -247,13 +217,8 @@ type Target = hql.Target
 // Database.Apply (for NewServer over a non-durable database).
 func NewMemTarget(db *Database) Target { return hql.MemTarget{DB: db} }
 
-// ReadOnlyScript reports whether every statement in an HQL script is free
-// of side effects — the client's idempotency test for automatic retries.
-func ReadOnlyScript(input string) bool { return hql.ReadOnlyScript(input) }
-
 // Service layer: a multiplexed HQL server over TCP (one framed protocol,
-// internal/wire), its client, multi-tenant namespaces, and a
-// fault-injecting proxy for resilience tests.
+// internal/wire), its client and multi-tenant namespaces.
 type (
 	// Server is a TCP front end over one Target with admission control,
 	// per-request deadlines, panic isolation, multi-tenant namespaces, and
@@ -272,10 +237,6 @@ type (
 	// Concurrent Execs pipeline over one connection and complete out of
 	// order.
 	Client = server.Client
-	// Stream is a logical sub-connection of a Client: its statements
-	// execute in order on one server-side session (so transactions span
-	// Exec calls) while other streams proceed concurrently.
-	Stream = server.Stream
 	// Option configures Dial and DialRouter.
 	Option = server.Option
 	// ServerError is a failure reported by the server in an ERR frame;
@@ -284,8 +245,6 @@ type (
 	// ErrorCode is a wire error code carried by ServerError ("exec",
 	// "overloaded", "quota", …).
 	ErrorCode = server.Code
-	// ChaosProxy is a fault-injecting TCP proxy for resilience tests.
-	ChaosProxy = server.ChaosProxy
 )
 
 // ProtocolV2 names the framed protocol, the only one clients and servers
@@ -302,18 +261,8 @@ func NewServer(target Target, opts ServerOptions) *Server { return server.New(ta
 // Dial connects to a Server's address.
 func Dial(addr string, opts ...Option) (*Client, error) { return server.Dial(addr, opts...) }
 
-// NewChaosProxy starts a fault-injecting proxy forwarding to target
-// ("host:port"); point a Client at its Addr.
-func NewChaosProxy(target string) (*ChaosProxy, error) { return server.NewChaosProxy(target) }
-
 // WithMaxRetries sets how many times a failed request may be retried.
 func WithMaxRetries(n int) Option { return server.WithMaxRetries(n) }
-
-// WithBackoff sets the retry backoff's base and cap.
-func WithBackoff(base, max time.Duration) Option { return server.WithBackoff(base, max) }
-
-// WithDialTimeout bounds each connection attempt.
-func WithDialTimeout(d time.Duration) Option { return server.WithDialTimeout(d) }
 
 // WithRetryNonIdempotent opts in to retrying mutations after ambiguous
 // transport failures (see the server package for the safety discussion).
@@ -345,13 +294,7 @@ type (
 	// Subscription is a client-side change feed with automatic
 	// reconnect-and-resume; see Client.Subscribe.
 	Subscription = server.Subscription
-	// SubChange is one change delivered by a Subscription: a full
-	// "snapshot" or an incremental "delta" with its resumable position.
-	SubChange = server.SubChange
 )
-
-// ErrViewNotFound reports an unknown view name.
-var ErrViewNotFound = view.ErrNotFound
 
 // OpenViews starts a view manager over a store: persisted views are
 // restored (recomputing when the store moved while it was down) and
@@ -379,11 +322,9 @@ type (
 	// ReplicaTarget serves a Replica to HQL sessions: reads always,
 	// writes only after promotion.
 	ReplicaTarget = repl.ReplicaTarget
-	// ReplicaStatus is a replica's full replication status: position,
-	// state, fencing term, election identity, and streamable source.
-	ReplicaStatus = repl.Status
 	// LagInfo is a replica's replication state as its LAG answer carries
-	// it; the same type as ReplicaStatus.
+	// it: position, state, fencing term, election identity and streamable
+	// source. ServerOptions.LagProbe returns it; Replica.Status is one.
 	LagInfo = server.LagInfo
 	// Deposition is the verdict of CheckDeposed: the higher fencing term
 	// that deposed this node and where the new primary streams from.
@@ -407,21 +348,12 @@ type (
 	// Cluster is a shard-aware coordinator: a Session over many shard
 	// servers, answering every script byte for byte as one node would.
 	Cluster = shard.Cluster
-	// ClusterConn is the per-shard connection surface a Cluster drives;
-	// *Client and *Router both satisfy it.
-	ClusterConn = shard.Conn
 )
 
 // NewShardNode creates the shard-local executor for shard id of count over
 // the server's target; wire it into ServerOptions.Shard.
 func NewShardNode(target Target, id, count int) *ShardNode {
 	return shard.NewNode(target, id, count)
-}
-
-// HomeShard returns the shard that owns an all-instance tuple of the given
-// relation — the hash placement DialCluster and every shard node agree on.
-func HomeShard(rel string, values []string, count int) int {
-	return shard.HomeShard(rel, values, count)
 }
 
 // DialCluster connects a coordinator to a shard cluster. Each element of
@@ -434,7 +366,7 @@ func HomeShard(rel string, values []string, count int) int {
 // server (no shard node) may be dialed as a one-shard cluster; it takes
 // writes, but its reads need the shard operations it does not serve.
 func DialCluster(ctx context.Context, addrs []string, opts ...Option) (*Cluster, error) {
-	conns := make([]ClusterConn, 0, len(addrs))
+	conns := make([]shard.Conn, 0, len(addrs))
 	fail := func(err error) (*Cluster, error) {
 		for _, c := range conns {
 			c.Close()
@@ -443,7 +375,7 @@ func DialCluster(ctx context.Context, addrs []string, opts ...Option) (*Cluster,
 	}
 	for i, spec := range addrs {
 		parts := strings.Split(spec, ",")
-		var conn ClusterConn
+		var conn shard.Conn
 		var err error
 		if len(parts) == 1 {
 			conn, err = server.Dial(parts[0], opts...)
@@ -472,12 +404,6 @@ func DialCluster(ctx context.Context, addrs []string, opts ...Option) (*Cluster,
 
 // ErrReadOnlyReplica rejects mutations on an unpromoted replica.
 var ErrReadOnlyReplica = repl.ErrReadOnlyReplica
-
-// ErrDeposed rejects mutations on a store fenced by a higher primary term:
-// the node was deposed, the write definitively did not execute, and the
-// client should retry against the new primary (the wire maps it to the
-// retryable "stale" error code).
-var ErrDeposed = storage.ErrDeposed
 
 // CheckDeposed probes peers for a fencing term higher than the store's; if
 // one is found the store is fenced against further writes and the returned
@@ -521,9 +447,6 @@ func WithLagProbeInterval(d time.Duration) Option { return server.WithLagProbeIn
 // fingerprints mean equal facts (used to verify replica convergence).
 func Fingerprint(db *Database) string { return storage.Fingerprint(db) }
 
-// DumpHQL serializes a database to an HQL script that reproduces it.
-func DumpHQL(db *Database) (string, error) { return hql.Dump(db, db.Snapshot) }
-
 // NewKB creates an empty frame knowledge base.
 func NewKB() *KB { return frames.NewKB() }
 
@@ -540,8 +463,7 @@ func Project(name string, r *Relation, attrs ...string) (*Relation, error) {
 	return algebra.Project(name, r, attrs...)
 }
 
-// SelectContext is Select honoring context cancellation and planner
-// directives such as WithForceScan.
+// SelectContext is Select honoring context cancellation.
 func SelectContext(ctx context.Context, name string, r *Relation, conds ...Condition) (*Relation, error) {
 	return algebra.SelectContext(ctx, name, r, conds...)
 }
@@ -549,8 +471,7 @@ func SelectContext(ctx context.Context, name string, r *Relation, conds ...Condi
 // Join computes the natural join over shared attribute names.
 func Join(name string, a, b *Relation) (*Relation, error) { return algebra.Join(name, a, b) }
 
-// JoinContext is Join honoring context cancellation and planner directives
-// such as WithForceScan.
+// JoinContext is Join honoring context cancellation.
 func JoinContext(ctx context.Context, name string, a, b *Relation) (*Relation, error) {
 	return algebra.JoinContext(ctx, name, a, b)
 }
@@ -579,15 +500,6 @@ func PlanSelect(r *Relation, conds ...Condition) (*Plan, error) {
 	return algebra.PlanSelect(r, conds...)
 }
 
-// PlanJoin returns the access plan Join would execute, without running the
-// join.
-func PlanJoin(a, b *Relation) (*Plan, error) { return algebra.PlanJoin(a, b) }
-
-// WithForceScan returns a context under which the operators bypass the
-// planner and enumerate candidates by full scan — the reference path index
-// plans are verified against.
-func WithForceScan(ctx context.Context) context.Context { return algebra.WithForceScan(ctx) }
-
 // Sentinel errors, re-exported so callers can match with errors.Is without
 // importing the internal packages.
 var (
@@ -604,8 +516,6 @@ var (
 	ErrUnknownMode = core.ErrUnknownMode
 	// ErrContradiction indicates re-asserting an item with the opposite sign.
 	ErrContradiction = core.ErrContradiction
-	// ErrTooLarge indicates an operation exceeding the product-size limit.
-	ErrTooLarge = core.ErrTooLarge
 	// ErrIncompatible indicates schema-incompatible relations.
 	ErrIncompatible = core.ErrIncompatible
 	// ErrNoSuchClass indicates an unknown hierarchy node.
@@ -616,21 +526,9 @@ var (
 	ErrNotFound = catalog.ErrNotFound
 	// ErrExceptionForbidden indicates an update rejected by policy.
 	ErrExceptionForbidden = catalog.ErrExceptionForbidden
-	// ErrRepairDiverged indicates an algebra result whose conflict repair
-	// did not converge.
-	ErrRepairDiverged = algebra.ErrRepairDiverged
 	// ErrStoreFailed indicates a store poisoned by an I/O error; reopen it
 	// to recover the durable prefix.
 	ErrStoreFailed = storage.ErrStoreFailed
-	// ErrStoreCorrupt indicates a snapshot or log whose checksum, magic, or
-	// structure is invalid.
-	ErrStoreCorrupt = storage.ErrCorrupt
-	// ErrStoreVersion indicates an unsupported storage format version.
-	ErrStoreVersion = storage.ErrVersion
-	// ErrStoreClosed indicates an operation on a store after Close.
-	ErrStoreClosed = storage.ErrStoreClosed
-	// ErrSessionBusy indicates concurrent use of a single-goroutine Session.
-	ErrSessionBusy = hql.ErrSessionBusy
 	// ErrOverloaded indicates a request the server shed; it was never
 	// executed and may be retried after the Retry-After hint.
 	ErrOverloaded = server.ErrOverloaded
@@ -670,35 +568,19 @@ var (
 // Observability: process-wide metrics, tracing hooks, and the slow-query
 // log (internal/obs). Every layer — engine, storage, server — feeds one
 // default registry; expose it with Metrics (structured snapshot),
-// MetricsText / MetricsHandler / ServeMetrics (Prometheus text format plus
-// /debug/pprof), the server's STATS verb (Client.Stats), or hrshell's
+// MetricsText / ServeMetrics (Prometheus text format plus /debug/pprof),
+// the server's STATS verb (Client.Stats), or hrshell's
 // \stats meta-command. See docs/OBSERVABILITY.md for the metric inventory.
 type (
 	// MetricsSnapshot is a point-in-time copy of every registered metric.
 	MetricsSnapshot = obs.Snapshot
-	// HistogramSnapshot is one histogram's consistent bucket copy.
-	HistogramSnapshot = obs.HistogramSnapshot
-	// HistogramBucket is one populated log₂ bucket (Le = inclusive upper
-	// bound).
-	HistogramBucket = obs.Bucket
-	// MetricLabel is one name="value" metric or span attribute.
-	MetricLabel = obs.Label
 	// Tracer receives completed spans from instrumented operations.
 	Tracer = obs.Tracer
-	// TracerFunc adapts a function to the Tracer interface.
-	TracerFunc = obs.TracerFunc
 	// Span is one completed timed operation reported to a Tracer.
 	Span = obs.Span
-	// SpanCollector is a Tracer that records every span (for tests and
-	// interactive inspection).
-	SpanCollector = obs.SpanCollector
 	// SlowQueryLog writes one line per statement slower than a threshold;
 	// attach it via ServerOptions.SlowQuery or Session.SetSlowQueryLog.
 	SlowQueryLog = obs.SlowQueryLog
-	// SlowQuery is one recorded slow statement with per-stage timings.
-	SlowQuery = obs.SlowQuery
-	// QueryStage is one timed phase of a statement's execution.
-	QueryStage = obs.Stage
 	// MetricsServer is a background HTTP server exposing /metrics and
 	// /debug/pprof (see ServeMetrics).
 	MetricsServer = obs.MetricsServer
@@ -710,10 +592,6 @@ func Metrics() MetricsSnapshot { return obs.Default().Snapshot() }
 // MetricsText renders the process metrics in Prometheus text exposition
 // format — the same payload the HTTP endpoint and the STATS verb serve.
 func MetricsText() string { return obs.Default().RenderText() }
-
-// MetricsHandler returns an http.Handler serving /metrics (Prometheus text
-// format) and /debug/pprof, for mounting into an existing HTTP server.
-func MetricsHandler() http.Handler { return obs.Handler(nil) }
 
 // ServeMetrics starts a background HTTP server on addr ("host:port"; port
 // 0 picks a free port) exposing /metrics and /debug/pprof. Close the
@@ -728,13 +606,6 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 
 // EvaluateOpenWorld computes the three-valued truth of an item.
 func EvaluateOpenWorld(r *Relation, item Item) (Truth, error) { return tvl.Evaluate(r, item) }
-
-// EvaluateOpenWorldBatch computes three-valued truths for every item in
-// bulk, under the relation's mode; per-item ambiguity conflicts map to
-// Unknown instead of aborting.
-func EvaluateOpenWorldBatch(ctx context.Context, r *Relation, items []Item) ([]Truth, error) {
-	return tvl.EvaluateBatch(ctx, r, items)
-}
 
 // AndTruth is Kleene three-valued conjunction.
 func AndTruth(a, b Truth) Truth { return tvl.And(a, b) }
@@ -776,10 +647,6 @@ func Const(name string) RuleTerm { return deductive.C(name) }
 
 // Pred builds a Datalog atom.
 func Pred(pred string, args ...RuleTerm) RuleAtom { return deductive.A(pred, args...) }
-
-// NotPred builds a negated Datalog body atom (stratified negation as
-// failure).
-func NotPred(pred string, args ...RuleTerm) RuleAtom { return deductive.Not(pred, args...) }
 
 // PartialRelation pairs a hierarchical relation with existential
 // assertions for three-valued partial information (§4 future work).

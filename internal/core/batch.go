@@ -22,62 +22,37 @@ func (r *Relation) warmForBatch() {
 	}
 }
 
-// evaluateAll is the loop EvaluateBatch and EvaluateEach share. It
-// evaluates items in input order, checking ctx before each one, and stops
-// at the first failure unless errs is given, in which case it records each
-// item's error there and goes on. It returns the first error met: ctx's,
-// or the lowest-index item's.
-func (r *Relation) evaluateAll(ctx context.Context, items []Item, verdicts []Verdict, errs []error) error {
+// EvaluateBatch evaluates every item in input order and returns the
+// verdicts in that order, checking ctx before each item. The first failure
+// by input index stops the batch and is returned; partial results are
+// discarded. Cancelling ctx aborts the batch with ctx's error.
+func (r *Relation) EvaluateBatch(ctx context.Context, items []Item) ([]Verdict, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if len(items) == 0 {
 		// Same contract as a non-empty batch: a cancelled context yields
 		// (nil, err), never both a non-nil slice and a non-nil error.
-		return ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return []Verdict{}, nil
 	}
 	metricBatches.Inc()
 	metricBatchSize.Observe(int64(len(items)))
 	r.warmForBatch()
+	verdicts := make([]Verdict, len(items))
 	for i, item := range items {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		v, err := r.evaluate(item)
-		if err != nil && errs == nil {
-			return err
-		}
-		if errs != nil {
-			errs[i] = err
+		if err != nil {
+			return nil, err
 		}
 		verdicts[i] = v
 	}
-	return nil
-}
-
-// EvaluateBatch evaluates every item and returns the verdicts in input
-// order. The first failure by input index stops the batch and is returned;
-// partial results are discarded. Cancelling ctx aborts the batch with
-// ctx's error.
-func (r *Relation) EvaluateBatch(ctx context.Context, items []Item) ([]Verdict, error) {
-	verdicts := make([]Verdict, len(items))
-	if err := r.evaluateAll(ctx, items, verdicts, nil); err != nil {
-		return nil, err
-	}
 	return verdicts, nil
-}
-
-// EvaluateEach evaluates every item, collecting each item's verdict and
-// error positionally instead of stopping on failure. Use it when per-item
-// errors are data — e.g. three-valued logic mapping ambiguity conflicts to
-// "unknown". The returned error is non-nil only when ctx was cancelled
-// before completion.
-func (r *Relation) EvaluateEach(ctx context.Context, items []Item) ([]Verdict, []error, error) {
-	verdicts, errs := make([]Verdict, len(items)), make([]error, len(items))
-	if err := r.evaluateAll(ctx, items, verdicts, errs); err != nil {
-		return nil, nil, err
-	}
-	return verdicts, errs, nil
 }
 
 // HoldsBatch is EvaluateBatch reduced to closed-world truth values.

@@ -73,30 +73,6 @@ func TestEvaluateBatchCancellation(t *testing.T) {
 	if _, err := r.EvaluateBatch(ctx, allAtoms(t, r)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, _, err := r.EvaluateEach(ctx, allAtoms(t, r)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvaluateEach err = %v, want context.Canceled", err)
-	}
-}
-
-// TestEvaluateEachCollectsConflicts: per-item errors are positional data,
-// not batch failures.
-func TestEvaluateEachCollectsConflicts(t *testing.T) {
-	h := elephantHierarchy(t)
-	s := MustSchema(Attribute{Name: "Animal", Domain: h})
-	r := NewRelation("Likes", s)
-	must(t, r.Assert("RoyalElephant"))
-	must(t, r.Deny("IndianElephant"))
-	// Appu is both royal and Indian: a conflict. Clyde is fine.
-	items := []Item{{"Clyde"}, {"Appu"}}
-	verdicts, errs, err := r.EvaluateEach(context.Background(), items)
-	must(t, err)
-	if errs[0] != nil || !verdicts[0].Value {
-		t.Fatalf("Clyde: verdict %+v err %v, want true/nil", verdicts[0], errs[0])
-	}
-	var ce *ConflictError
-	if !errors.As(errs[1], &ce) {
-		t.Fatalf("Appu: err = %v, want *ConflictError", errs[1])
-	}
 }
 
 // TestCacheInvalidation: after any mutation — tuple insert, retract, mode
@@ -360,18 +336,5 @@ func TestEvaluateBatchEmptyItems(t *testing.T) {
 	}
 	if vs != nil {
 		t.Fatalf("cancelled empty batch returned verdicts %v alongside error", vs)
-	}
-
-	evs, errs, err := r.EvaluateEach(context.Background(), nil)
-	must(t, err)
-	if evs == nil || errs == nil {
-		t.Fatal("EvaluateEach(nil items) must return non-nil slices")
-	}
-	evs, errs, err = r.EvaluateEach(cancelled, nil)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if evs != nil || errs != nil {
-		t.Fatal("cancelled empty EvaluateEach returned slices alongside error")
 	}
 }

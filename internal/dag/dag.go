@@ -13,6 +13,7 @@
 package dag
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"slices"
@@ -266,10 +267,11 @@ func (g *Graph) topoLocked() ([]int, error) {
 	return order, nil
 }
 
-// computeTopo runs Kahn's algorithm without touching the memo.
+// computeTopo runs Kahn's algorithm without touching the memo, always
+// taking the smallest ready id next so that the order is deterministic.
 func (g *Graph) computeTopo() ([]int, error) {
 	indeg := make([]int, len(g.alive))
-	var frontier []int
+	var ready idHeap // ascending ids: already a heap
 	for id, ok := range g.alive {
 		if !ok {
 			continue
@@ -277,32 +279,36 @@ func (g *Graph) computeTopo() ([]int, error) {
 		d := len(g.pred[id])
 		indeg[id] = d
 		if d == 0 {
-			frontier = append(frontier, id)
+			ready.IntSlice = append(ready.IntSlice, id)
 		}
 	}
-	sort.Ints(frontier)
 	order := make([]int, 0, g.nodes)
-	for len(frontier) > 0 {
-		// pop the smallest id for determinism
-		id := frontier[0]
-		frontier = frontier[1:]
+	for ready.Len() > 0 {
+		id := heap.Pop(&ready).(int)
 		order = append(order, id)
-		var added bool
 		for _, s := range g.succ[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				frontier = append(frontier, int(s))
-				added = true
+				heap.Push(&ready, int(s))
 			}
-		}
-		if added {
-			sort.Ints(frontier)
 		}
 	}
 	if len(order) != g.nodes {
 		return nil, ErrCycle
 	}
 	return order, nil
+}
+
+// idHeap is a min-heap of node ids for container/heap.
+type idHeap struct{ sort.IntSlice }
+
+func (h *idHeap) Push(x any) { h.IntSlice = append(h.IntSlice, x.(int)) }
+
+func (h *idHeap) Pop() any {
+	n := len(h.IntSlice) - 1
+	id := h.IntSlice[n]
+	h.IntSlice = h.IntSlice[:n]
+	return id
 }
 
 // Warm eagerly builds the memoized derived state (topological order and

@@ -518,7 +518,7 @@ func (s *Session) opOf(st Stmt) (op TxOp, ack string, err error) {
 		case "none", "no_preemption":
 			mode = core.NoPreemption
 		default:
-			return op, "", fmt.Errorf("hql: unknown mode %q (want off_path|on_path|none)", st.Mode)
+			return op, "", fmt.Errorf("hql: %w %q (want off_path|on_path|none)", core.ErrUnknownMode, st.Mode)
 		}
 		return mk(catalog.KindSetMode, st.Relation, mode.String()),
 			fmt.Sprintf("mode of %s = %s", st.Relation, mode), nil
@@ -630,7 +630,7 @@ func (s *Session) resolveDomain(explicit string, parents []string) (string, erro
 	case 1:
 		return candidates[0], nil
 	case 0:
-		return "", fmt.Errorf("hql: no hierarchy contains parents %v", parents)
+		return "", fmt.Errorf("hql: no hierarchy contains parents %v: %w", parents, hierarchy.ErrUnknown)
 	default:
 		return "", fmt.Errorf("hql: parents %v are ambiguous across hierarchies %v; use IN <domain>",
 			parents, candidates)

@@ -13,7 +13,6 @@
 package tvl
 
 import (
-	"context"
 	"errors"
 
 	"hrdb/internal/core"
@@ -110,23 +109,4 @@ func interpret(v core.Verdict, err error) (Truth, error) {
 // Holds is Evaluate on a value list.
 func Holds(r *core.Relation, values ...string) (Truth, error) {
 	return Evaluate(r, core.Item(values))
-}
-
-// EvaluateBatch computes open-world truth values for every item in one
-// ordered pass under the relation's mode (core.EvaluateEach). Per-item
-// conflicts are data here — they map to Unknown rather than aborting the
-// batch — so only validation failures and ctx cancellation surface as the
-// error (the lowest-index one).
-func EvaluateBatch(ctx context.Context, r *core.Relation, items []core.Item) ([]Truth, error) {
-	verdicts, errs, err := r.EvaluateEach(ctx, items)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Truth, len(items))
-	for i := range items {
-		if out[i], err = interpret(verdicts[i], errs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hrdb"
+	"hrdb/internal/server"
 )
 
 const shardTestDDL = `CREATE HIERARCHY Animal;
@@ -143,7 +144,7 @@ func TestShardClusterScatterSever(t *testing.T) {
 		startShardServer(t, 1, 3),
 		startShardServer(t, 2, 3),
 	}
-	proxy, err := hrdb.NewChaosProxy(addrs[0])
+	proxy, err := server.NewChaosProxy(addrs[0])
 	must(t, err)
 	defer proxy.Close()
 
