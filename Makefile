@@ -47,8 +47,9 @@ help:
 	@echo "  cover        coverage summary for internal/..."
 	@echo "  bench        full benchmark sweep (figures + experiments;"
 	@echo "               tests are skipped via -run '^$$')"
-	@echo "  bench-smoke  quick pass over the batch-evaluation,"
-	@echo "               verdict-cache and hierarchy-build benchmarks only"
+	@echo "  bench-smoke  quick pass over the batch-evaluation, verdict-cache,"
+	@echo "               consistency-check, index-vs-scan and hierarchy-build"
+	@echo "               benchmarks only"
 	@echo "  figures      regenerate the paper figures (cmd/hrfigures)"
 	@echo "  experiments  print the E1-E7 experiment tables (cmd/hrbench) and"
 	@echo "               check each paper claim's shape in the same run"
@@ -113,7 +114,7 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkHoldsCached' -benchtime=50x .
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkHoldsCached|BenchmarkConsistencyCheck|BenchmarkAblationIndexVsScan' -benchtime=50x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBuildHierarchy' -benchtime=50x ./internal/hierarchy/
 
 figures:

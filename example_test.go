@@ -148,3 +148,52 @@ func ExampleNewPartial() {
 	fmt.Println(some, every, sally)
 	// Output: true unknown unknown
 }
+
+// ExampleEvaluateOpenWorld shows the open-world reading (§4): without the
+// universal negated tuple, an item no tuple applies to is Unknown.
+func ExampleEvaluateOpenWorld() {
+	animals := hrdb.NewHierarchy("Animal")
+	_ = animals.AddClass("Bird")
+	_ = animals.AddClass("Penguin", "Bird")
+	_ = animals.AddInstance("Tweety", "Bird")
+	_ = animals.AddInstance("Paul", "Penguin")
+	_ = animals.AddInstance("Nemo")
+
+	flies := hrdb.NewRelation("Flies", hrdb.MustSchema(
+		hrdb.Attribute{Name: "Creature", Domain: animals}))
+	_ = flies.Assert("Bird")
+	_ = flies.Deny("Penguin")
+
+	for _, c := range []string{"Tweety", "Paul", "Nemo"} {
+		switch v, _ := hrdb.EvaluateOpenWorld(flies, hrdb.Item{c}); v {
+		case hrdb.True:
+			fmt.Println(c, "flies")
+		case hrdb.False:
+			fmt.Println(c, "does not fly")
+		case hrdb.Unknown:
+			fmt.Println(c, "is not known to fly")
+		}
+	}
+	// Output:
+	// Tweety flies
+	// Paul does not fly
+	// Nemo is not known to fly
+}
+
+// ExampleRelation_CacheStats shows the table a relation keeps per state: a
+// repeated Evaluate at an unchanged state is a hit in the Verdicts slot, and
+// no HQL answer was kept in the Answers slot.
+func ExampleRelation_CacheStats() {
+	animals := hrdb.NewHierarchy("Animal")
+	_ = animals.AddInstance("Tweety")
+	flies := hrdb.NewRelation("Flies", hrdb.MustSchema(
+		hrdb.Attribute{Name: "Creature", Domain: animals}))
+	_ = flies.Assert("Animal")
+
+	for i := 0; i < 3; i++ {
+		_, _ = flies.Holds("Tweety")
+	}
+	hits, misses, kept := flies.CacheStats()
+	fmt.Println(hits[hrdb.Verdicts], misses[hrdb.Verdicts], kept[hrdb.Verdicts], kept[hrdb.Answers])
+	// Output: 2 1 1 0
+}

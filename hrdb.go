@@ -167,9 +167,25 @@ const (
 	ForbidExceptions = catalog.ForbidExceptions
 )
 
-// Unknown is the open-world truth of an item the relation neither asserts
-// nor denies, or one it binds ambiguously.
-const Unknown = tvl.Unknown
+// The open-world truth values EvaluateOpenWorld returns.
+const (
+	// True is the truth of an item the relation asserts.
+	True = tvl.True
+	// False is the truth of an item the relation denies.
+	False = tvl.False
+	// Unknown is the truth of an item the relation neither asserts nor
+	// denies, or one it binds ambiguously.
+	Unknown = tvl.Unknown
+)
+
+// The kinds of entry a relation keeps per state, which index the arrays
+// Relation.CacheStats returns.
+const (
+	// Verdicts are Evaluate's results, one per item.
+	Verdicts = core.Verdicts
+	// Answers are HQL's rendered SELECT, COUNT and EXTENSION answers.
+	Answers = core.Answers
+)
 
 // NewHierarchy creates a hierarchy whose root class is the domain itself.
 func NewHierarchy(domain string) *Hierarchy { return hierarchy.New(domain) }

@@ -114,40 +114,17 @@ func JoinContext(ctx context.Context, name string, a, b *core.Relation) (*core.R
 	var cand []core.Item
 	for _, pair := range joinPairs(ctx, a, b, planJoin(a, b, shared)) {
 		ta, tb := pair[0], pair[1]
-		perShared := make([][]string, len(shared))
-		ok := true
-		for n, sc := range shared {
-			meets := sa.Attr(sc.ai).Domain.Meets(ta.Item[sc.ai], tb.Item[sc.bi])
-			if len(meets) == 0 {
-				ok = false
-				break
-			}
-			perShared[n] = meets
-		}
-		if !ok {
-			continue
-		}
-		var rec func(m core.Item, n int)
-		rec = func(m core.Item, n int) {
-			if n == len(shared) {
-				cand = append(cand, m.Clone())
-				return
-			}
-			sc := shared[n]
-			for _, v := range perShared[n] {
-				mm := m.Clone()
-				mm[sc.ai] = v
-				rec(mm, n+1)
-			}
-		}
-		base := make(core.Item, outSchema.Arity())
-		for i := 0; i < sa.Arity(); i++ {
-			base[i] = ta.Item[i]
+		perAttr := make([][]string, outSchema.Arity())
+		for i, v := range ta.Item {
+			perAttr[i] = []string{v}
 		}
 		for n, j := range bOnly {
-			base[sa.Arity()+n] = tb.Item[j]
+			perAttr[sa.Arity()+n] = []string{tb.Item[j]}
 		}
-		rec(base, 0)
+		for _, sc := range shared {
+			perAttr[sc.ai] = sa.Attr(sc.ai).Domain.Meets(ta.Item[sc.ai], tb.Item[sc.bi])
+		}
+		cand = append(cand, core.Product(perAttr)...)
 	}
 	slices.SortFunc(cand, core.CompareItems)
 

@@ -387,13 +387,8 @@ func (db *Database) DropNode(domain, name string) error {
 		r := db.relations[rname]
 		s := r.Schema()
 		for i := 0; i < s.Arity(); i++ {
-			if s.Attr(i).Domain != h {
-				continue
-			}
-			for _, t := range r.Tuples() {
-				if t.Item[i] == name {
-					return fmt.Errorf("%w: %q in relation %q", ErrInUse, name, rname)
-				}
+			if s.Attr(i).Domain == h && r.PostingCount(i, name) > 0 {
+				return fmt.Errorf("%w: %q in relation %q", ErrInUse, name, rname)
 			}
 		}
 	}

@@ -46,7 +46,7 @@ func (r *Relation) EvaluateBatch(ctx context.Context, items []Item) ([]Verdict, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		v, err := r.evaluate(item)
+		v, err := r.Evaluate(item)
 		if err != nil {
 			return nil, err
 		}

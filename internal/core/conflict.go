@@ -25,14 +25,30 @@ func (r *Relation) Overlapping(a, b Item) bool {
 // componentwise product of the per-attribute maximal common descendants and
 // is empty iff the items do not overlap.
 func (r *Relation) MinimalResolutionSet(a, b Item) []Item {
-	k := r.schema.Arity()
-	perAttr := make([][]string, k)
-	for i := 0; i < k; i++ {
-		m := r.schema.attrs[i].Domain.Meets(a[i], b[i])
+	var bufA, bufB [8]int32
+	ia, errA := r.validateItem(a, bufA[:0])
+	ib, errB := r.validateItem(b, bufB[:0])
+	if errA != nil || errB != nil {
+		return nil
+	}
+	return r.meets(ia, ib)
+}
+
+// meets is MinimalResolutionSet on two items' node ids.
+func (r *Relation) meets(a, b []int32) []Item {
+	perAttr := make([][]string, len(a))
+	var buf [8]int
+	for i := range a {
+		h := r.schema.attrs[i].Domain
+		m := h.MeetIDs(int(a[i]), int(b[i]), buf[:0])
 		if len(m) == 0 {
 			return nil
 		}
-		perAttr[i] = m
+		perAttr[i] = make([]string, len(m))
+		for j, id := range m {
+			perAttr[i][j] = h.NameOf(id)
+		}
+		sort.Strings(perAttr[i])
 	}
 	out := Product(perAttr)
 	slices.SortFunc(out, CompareItems)
@@ -44,7 +60,13 @@ func (r *Relation) MinimalResolutionSet(a, b Item) []Item {
 // caps the number of items returned (0 means no cap), with ErrTooLarge when
 // exceeded.
 func (r *Relation) CompleteResolutionSet(a, b Item, limit int) ([]Item, error) {
-	perAttr, size := r.commonNodes(a, b)
+	var bufA, bufB [8]int32
+	ia, errA := r.validateItem(a, bufA[:0])
+	ib, errB := r.validateItem(b, bufB[:0])
+	if errA != nil || errB != nil {
+		return nil, nil
+	}
+	perAttr, size := r.commonNodes(ia, ib)
 	if perAttr == nil {
 		return nil, nil
 	}
@@ -56,15 +78,16 @@ func (r *Relation) CompleteResolutionSet(a, b Item, limit int) ([]Item, error) {
 	return out, nil
 }
 
-// commonNodes returns, per attribute and sorted, every node subsumed by both
-// coordinates — their meets and all below them — and how many items those
-// combine into (saturating). perAttr is nil when the items do not overlap.
-func (r *Relation) commonNodes(a, b Item) (perAttr [][]string, size int) {
+// commonNodes returns, per attribute and sorted, the name of every node
+// subsumed by both coordinates, given as node ids — their meets and all
+// below them — and how many items those combine into (saturating). perAttr
+// is nil when the items do not overlap.
+func (r *Relation) commonNodes(a, b []int32) (perAttr [][]string, size int) {
 	perAttr, size = make([][]string, len(a)), 1
 	for i := range a {
 		h := r.schema.attrs[i].Domain
-		below := h.Reach(h.IDOf(b[i]))
-		for _, id := range h.Reach(h.IDOf(a[i])).Members() {
+		below := h.Reach(int(b[i]))
+		for _, id := range h.Reach(int(a[i])).Members() {
 			if below.Has(id) {
 				perAttr[i] = append(perAttr[i], h.NameOf(id))
 			}
@@ -96,7 +119,7 @@ func (r *Relation) commonNodes(a, b Item) (perAttr [][]string, size int) {
 // maxProductNodes per pair.
 func (r *Relation) Conflicts() []*ConflictError {
 	metricChecksFull.Inc()
-	return r.conflictsAmong(r.Tuples())
+	return r.conflictsAmong(r.sortedRows())
 }
 
 // ConflictsUnder returns what Conflicts would, provided Conflicts was empty
@@ -112,13 +135,14 @@ func (r *Relation) Conflicts() []*ConflictError {
 // (docs/THEORY.md §4, locality corollary).
 func (r *Relation) ConflictsUnder(changed []Item) []*ConflictError {
 	metricChecksDelta.Inc()
-	return r.conflictsAmong(r.TuplesOverlapping(changed))
+	return r.conflictsAmong(r.overlapping(changed))
 }
 
-// conflictsAmong is the checker: it pairs the given tuples across signs and
+// conflictsAmong is the checker: it pairs the given rows across signs and
 // reports the conflicted items their pairs point at, sorted by item key.
-func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
-	metricCheckCandidates.Observe(int64(len(tuples)))
+func (r *Relation) conflictsAmong(rows []int32) []*ConflictError {
+	r.rebind()
+	metricCheckCandidates.Observe(int64(len(rows)))
 	exhaustive := r.mode != OffPath || !r.fastPathOK()
 
 	var out []*ConflictError
@@ -138,22 +162,20 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 	}
 
 	// Only opposite-sign pairs can conflict: pair positives with negatives,
-	// each interned once so a pair is tested on node ids.
-	var pos, neg []Tuple
-	for _, t := range tuples {
-		if t.Sign {
-			pos = append(pos, t)
+	// each pair tested on the rows' node ids.
+	var pos, neg []int32
+	for _, n := range rows {
+		if r.rows[n].Sign {
+			pos = append(pos, n)
 		} else {
-			neg = append(neg, t)
+			neg = append(neg, n)
 		}
 	}
-	k := r.schema.Arity()
-	posIDs, negIDs := r.internTuples(pos), r.internTuples(neg)
-	posReach, negReach := r.reachRows(posIDs), r.reachRows(negIDs)
-	for p, t1 := range pos {
-		a, ra := posIDs[p*k:(p+1)*k], posReach[p]
-		for q, t2 := range neg {
-			b, rb := negIDs[q*k:(q+1)*k], negReach[q]
+	posReach, negReach := r.reachRows(pos), r.reachRows(neg)
+	for p, n1 := range pos {
+		a, ra := r.rowIDs(n1), posReach[p]
+		for q, n2 := range neg {
+			b, rb := r.rowIDs(n2), negReach[q]
 			comparable := r.subsumesRows(ra, a, b) || r.subsumesRows(rb, b, a)
 			if comparable && !exhaustive {
 				continue // an exception, not a conflict, under off-path
@@ -164,7 +186,7 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 				continue
 			}
 			if !comparable {
-				for _, m := range r.MinimalResolutionSet(t1.Item, t2.Item) {
+				for _, m := range r.meets(a, b) {
 					record(m)
 				}
 			}
@@ -172,9 +194,11 @@ func (r *Relation) conflictsAmong(tuples []Tuple) []*ConflictError {
 				// Without full off-path preemption, conflicts can appear at
 				// any item of the shared region — including composite items
 				// and items under a comparable pair — so every common node
-				// combination is checked.
-				for _, it := range r.overlapItems(t1.Item, t2.Item) {
-					record(it)
+				// combination is checked, up to maxProductNodes of them.
+				if perAttr, size := r.commonNodes(a, b); perAttr != nil && size <= maxProductNodes {
+					for _, it := range Product(perAttr) {
+						record(it)
+					}
 				}
 			}
 		}
@@ -194,17 +218,6 @@ func (r *Relation) resolutionFor(ce *ConflictError) []Item {
 		}
 	}
 	return nil
-}
-
-// overlapItems enumerates every item (composite or atomic) in the
-// intersection of two items: the componentwise combinations of all nodes
-// subsumed by both coordinates. Nothing when that exceeds maxProductNodes.
-func (r *Relation) overlapItems(a, b Item) []Item {
-	perAttr, size := r.commonNodes(a, b)
-	if perAttr == nil || size > maxProductNodes {
-		return nil
-	}
-	return Product(perAttr)
 }
 
 // CheckConsistency returns nil when the relation satisfies the ambiguity

@@ -354,7 +354,8 @@ func conflictsAllPairs(r *Relation, tuples []Tuple) []*ConflictError {
 				}
 			}
 			if exhaustive {
-				for _, it := range r.overlapItems(t1.Item, t2.Item) {
+				common, _ := r.CompleteResolutionSet(t1.Item, t2.Item, maxProductNodes)
+				for _, it := range common {
 					record(it)
 				}
 			}
@@ -372,7 +373,7 @@ func TestConflictsSignPartitionMatchesAllPairs(t *testing.T) {
 	conflicted := 0
 	conflictCorpus(t, func(mode Preemption, trial int, r *Relation, changed []Item) {
 		for _, tuples := range [][]Tuple{r.Tuples(), r.TuplesOverlapping(changed)} {
-			got, want := r.conflictsAmong(tuples), conflictsAllPairs(r, tuples)
+			got, want := r.conflictsAmong(r.rowsOf(tuples)), conflictsAllPairs(r, tuples)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("mode %v trial %d: tuples %v\npartitioned %v\nall pairs   %v", mode, trial, tuples, got, want)
 			}

@@ -26,27 +26,29 @@ import (
 // can make another, previously irredundant tuple redundant — Consolidate
 // handles the cascade.
 func (r *Relation) RedundantTuples() []Tuple {
-	ts := r.Tuples()
-	sub := r.bindMatrix(ts)
+	r.rebind()
+	rows := r.sortedRows()
+	sub := r.bindMatrix(rows)
 	var out []Tuple
-	for i, t := range ts {
-		if redundantAt(ts, sub, i, nil) {
-			out = append(out, t)
+	for i, n := range rows {
+		if r.redundantAt(rows, sub, i, nil) {
+			out = append(out, r.rows[n])
 		}
 	}
 	return out
 }
 
-// redundantAt reports whether ts[i] has the sign of every immediate
-// predecessor it has in the subsumption graph sub among the tuples not gone
-// — of the universal negated tuple when it has none.
-func redundantAt(ts []Tuple, sub []dag.Bitset, i int, gone []bool) bool {
+// redundantAt reports whether rows[i] has the sign of every immediate
+// predecessor it has in the rows' subsumption graph sub among the rows not
+// gone — of the universal negated tuple when it has none.
+func (r *Relation) redundantAt(rows []int32, sub []dag.Bitset, i int, gone []bool) bool {
+	sign := r.rows[rows[i]].Sign
 	preds := predecessors(sub, i, gone)
 	if len(preds) == 0 {
-		return !ts[i].Sign
+		return !sign
 	}
 	for _, j := range preds {
-		if ts[j].Sign != ts[i].Sign {
+		if r.rows[rows[j]].Sign != sign {
 			return false
 		}
 	}
@@ -59,65 +61,69 @@ func redundantAt(ts []Tuple, sub []dag.Bitset, i int, gone []bool) bool {
 // that point (§3.3.1). The receiver is not modified. The result comes with
 // its binding order, the walk's restricted to the survivors (see kahn).
 func (r *Relation) Consolidate() *Relation {
-	tuples := r.Tuples()
-	order, sub := r.bindOrder(tuples)
-	removed := make([]bool, len(tuples))
+	r.rebind()
+	rows := r.sortedRows()
+	order, sub := r.bindOrder(rows)
+	removed := make([]bool, len(rows))
 	for _, i := range order {
-		removed[i] = redundantAt(tuples, sub, i, removed)
+		removed[i] = r.redundantAt(rows, sub, i, removed)
 	}
-	out := newRelation(r.name, r.schema, len(tuples))
+	out := newRelation(r.name, r.schema, len(rows))
 	out.mode, out.cacheOff = r.mode, r.cacheOff
-	for i, t := range tuples {
+	kept := make([]int32, len(rows)) // out's row of each survivor
+	for i, n := range rows {
 		if !removed[i] {
-			out.put(t.Item.Key(), t) // items are never written in place, so the two share them
+			kept[i] = out.put(r.rows[n], r.rowIDs(n)) // items are never written in place, so the two share them
 		}
 	}
-	if out.Len() == len(tuples) && r.VerifiedConsistent() {
+	if out.Len() == len(rows) && r.VerifiedConsistent() {
 		s := out.stamp() // nothing removed: the state r was verified at
 		out.verified.Store(&s)
 	}
 	if !out.cacheOff {
-		kept := kahn(sub, removed)
-		ts := make([]Tuple, len(kept))
-		for n, i := range kept {
-			ts[n] = tuples[i]
+		walk := kahn(sub, removed)
+		order := make([]int32, len(walk))
+		for n, i := range walk {
+			order[n] = kept[i]
 		}
-		out.order.Store(&memo[[]Tuple]{stamp: out.stamp(), v: ts})
+		out.order.Store(&memo[[]int32]{stamp: out.stamp(), v: order})
 	}
 	return out
 }
 
 // Reconsolidate brings c, which was r.Consolidate() before r's tuples on the
-// touched items (listed once each) were inserted, retracted or re-signed, up
-// to date in place. Whether a tuple survives consolidation is decided by the
-// survivors above it alone, so only tuples under a touched item can change.
+// touched items were inserted, retracted or re-signed, up to date in place.
+// Whether a tuple survives consolidation is decided by the survivors above
+// it alone, so only tuples under a touched item can change.
 // The caller guarantees that every such tuple of r is itself touched (true of
 // any down-closed rewrite) and that no attribute has preference edges, so the
-// tuples above one are its Applicable set.
-func (r *Relation) Reconsolidate(c *Relation, touched []Item) error {
-	var ts []Tuple
+// tuples above one are its applicable rows.
+func (r *Relation) Reconsolidate(c *Relation, touched []Item) {
+	r.rebind()
+	c.rebind()
+	var rows []int32
 	for _, d := range touched {
 		c.Retract(d)
-		if t, ok := r.Lookup(d); ok {
-			ts = append(ts, t)
+		if n, ok := r.find(d); ok {
+			rows = append(rows, n)
 		}
 	}
-	slices.SortFunc(ts, compareTuples)
-	for _, t := range r.sortGeneralFirst(ts) {
-		var group []Tuple
-		for _, u := range r.Applicable(t.Item) {
-			if _, live := c.Lookup(u.Item); live {
+	r.sortRows(rows)
+	rows = slices.Compact(rows)
+	order, _ := r.bindOrder(rows)
+	for _, i := range order {
+		n := rows[i]
+		var group []int32
+		for _, u := range r.applicable(r.rowIDs(n), nil) {
+			if _, live := c.rowOf(r.rowIDs(u)); live {
 				group = append(group, u)
 			}
 		}
-		group = append(group, t)
-		if !redundantAt(group, r.bindMatrix(group), len(group)-1, nil) {
-			if err := c.Insert(t.Item, t.Sign); err != nil {
-				return err
-			}
+		group = append(group, n)
+		if !r.redundantAt(group, r.bindMatrix(group), len(group)-1, nil) {
+			c.put(r.rows[n], r.rowIDs(n))
 		}
 	}
-	return nil
 }
 
 // SubsumptionEdge is an edge of the relation's subsumption graph. From is
@@ -153,8 +159,9 @@ func (r *Relation) SubsumptionDOT() string {
 // Fig. 6a): one node per tuple plus the implicit universal negated tuple,
 // with edges from each tuple's immediate predecessors.
 func (r *Relation) SubsumptionGraph() []SubsumptionEdge {
-	tuples := r.Tuples()
-	sub := r.bindMatrix(tuples)
+	r.rebind()
+	rows := r.sortedRows()
+	tuples, sub := r.tuplesOf(rows), r.bindMatrix(rows)
 	var out []SubsumptionEdge
 	for i, t := range tuples {
 		preds := predecessors(sub, i, nil)

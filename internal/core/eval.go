@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"hrdb/internal/dag"
@@ -75,15 +76,11 @@ type Verdict struct {
 // Evaluate calls on an unchanged relation are a map lookup. Any mutation of
 // the relation or of an attribute hierarchy invalidates them by changing
 // the table's stamp, never by relying on eviction.
+//
+// The table is probed before validation: a hit can only exist for an item
+// that validated at the same state, and the mode is part of that state, so
+// skipping re-validation is sound.
 func (r *Relation) Evaluate(item Item) (Verdict, error) {
-	return r.evaluate(item)
-}
-
-// evaluate is the keeping front of the evaluator. The table is probed
-// before validation: a hit can only exist for an item that validated at the
-// same state, and the mode is part of that state, so skipping
-// re-validation is sound.
-func (r *Relation) evaluate(item Item) (Verdict, error) {
 	if r.cacheOff {
 		return r.evaluateUncached(item)
 	}
@@ -125,46 +122,56 @@ func (r *Relation) evaluateUncached(item Item) (Verdict, error) {
 
 // evaluateBare runs the paper's evaluation procedure with no memo.
 func (r *Relation) evaluateBare(item Item) (Verdict, error) {
-	if err := r.validateItem(item); err != nil {
-		return Verdict{}, err
-	}
-	applicable := r.Applicable(item)
-
-	// A tuple on the item itself always binds strongest (§2.1).
-	if t, ok := r.Lookup(item); ok {
-		return Verdict{Value: t.Sign, Exact: true, Binders: []Tuple{t}, Applicable: applicable}, nil
-	}
-	if len(applicable) == 0 {
-		return Verdict{Value: false, Default: true, Applicable: applicable}, nil
-	}
-
-	binders, err := r.bindersFor(item, applicable)
+	r.rebind()
+	var idBuf [8]int32
+	ids, err := r.validateItem(item, idBuf[:0])
 	if err != nil {
 		return Verdict{}, err
 	}
-
-	value := binders[0].Sign
-	for _, b := range binders[1:] {
-		if b.Sign != value {
-			return Verdict{}, &ConflictError{Relation: r.name, Item: item.Clone(), Binders: binders}
+	var rowBuf [32]int32
+	rows := r.applicable(ids, rowBuf[:0])
+	if len(rows) == 0 {
+		return Verdict{Value: false, Default: true}, nil
+	}
+	var posBuf [8]int
+	at, err := r.binders(item, ids, rows, posBuf[:0])
+	if err != nil {
+		return Verdict{}, err
+	}
+	v := Verdict{Applicable: r.tuplesOf(rows), Binders: make([]Tuple, len(at))}
+	for n, p := range at {
+		v.Binders[n] = v.Applicable[p]
+	}
+	v.Value, v.Exact = v.Binders[0].Sign, slices.Equal(r.rowIDs(rows[at[0]]), ids)
+	for _, b := range v.Binders[1:] {
+		if b.Sign != v.Value {
+			return Verdict{}, &ConflictError{Relation: r.name, Item: item.Clone(), Binders: v.Binders}
 		}
 	}
-	return Verdict{Value: value, Binders: binders, Applicable: applicable}, nil
+	return v, nil
 }
 
-// bindersFor selects the strongest-binding tuples among the applicable ones
-// under the relation's preemption mode.
-func (r *Relation) bindersFor(item Item, applicable []Tuple) ([]Tuple, error) {
+// binders appends to dst the positions in rows — the applicable rows of the
+// item whose coordinates have the node ids ids, in item-key order — of the
+// strongest-binding tuples under the relation's preemption mode, ascending.
+func (r *Relation) binders(item Item, ids, rows []int32, dst []int) ([]int, error) {
+	if n, ok := r.rowOf(ids); ok {
+		// A tuple on the item itself always binds strongest (§2.1).
+		return append(dst, slices.Index(rows, n)), nil
+	}
 	switch r.mode {
 	case NoPreemption:
-		return applicable, nil
+		for p := range rows {
+			dst = append(dst, p)
+		}
+		return dst, nil
 	case OffPath:
 		if r.fastPathOK() {
-			return r.minimalTuples(applicable), nil
+			return r.minimal(rows, dst), nil
 		}
-		return r.bindersByElimination(item, applicable, false)
+		return r.eliminate(item, ids, rows, false)
 	case OnPath:
-		return r.bindersByElimination(item, applicable, true)
+		return r.eliminate(item, ids, rows, true)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownMode, int(r.mode))
 	}
@@ -173,10 +180,7 @@ func (r *Relation) bindersFor(item Item, applicable []Tuple) ([]Tuple, error) {
 // Holds is Evaluate reduced to the closed-world truth value.
 func (r *Relation) Holds(values ...string) (bool, error) {
 	v, err := r.Evaluate(Item(values))
-	if err != nil {
-		return false, err
-	}
-	return v.Value, nil
+	return v.Value, err // the verdict is zero beside an error
 }
 
 // fastPathOK reports whether the minimal-applicable shortcut coincides with
@@ -192,129 +196,121 @@ func (r *Relation) fastPathOK() bool {
 	return true
 }
 
-// minimalTuples returns the tuples of ts that are minimal under the strict
-// binding order (no other tuple in ts lies strictly below them). These are
-// the immediate predecessors of the item in its tuple-binding graph when
-// the hierarchies are irredundant.
-func (r *Relation) minimalTuples(ts []Tuple) []Tuple {
-	var out []Tuple
-	for i, t := range ts {
-		minimal := true
-		for j, u := range ts {
-			if i == j {
-				continue
-			}
-			if !u.Item.Equal(t.Item) && r.BindSubsumes(t.Item, u.Item) {
-				minimal = false
-				break
+// minimal appends to dst the positions of the rows that are minimal under
+// the strict binding order (no other of the rows lies strictly below them).
+// These are the immediate predecessors of the item in its tuple-binding
+// graph when the hierarchies are irredundant.
+func (r *Relation) minimal(rows []int32, dst []int) []int {
+next:
+	for i, a := range rows {
+		for j, b := range rows {
+			if i != j && r.bindSubsumes(a, b) {
+				continue next
 			}
 		}
-		if minimal {
-			out = append(out, t)
-		}
+		dst = append(dst, i)
 	}
-	return out
+	return dst
 }
 
-// bindersByElimination implements the paper's tuple-binding-graph
-// construction literally: materialize the relevant slice of the product
-// hierarchy (every product node that subsumes the item in the binding
-// graphs), then eliminate every node that carries no tuple — preserving
-// irredundancy for off-path preemption, or retaining redundant edges for
-// on-path preemption — and read off the immediate predecessors of the item.
-func (r *Relation) bindersByElimination(item Item, applicable []Tuple, keepRedundant bool) ([]Tuple, error) {
+// eliminate implements the paper's tuple-binding-graph construction
+// literally: materialize the relevant slice of the product hierarchy (every
+// product node that subsumes the item in the binding graphs), then
+// eliminate every node that carries no tuple — preserving irredundancy for
+// off-path preemption, or retaining redundant edges for on-path preemption
+// — and read off the immediate predecessors of the item, whose coordinates
+// have the node ids ids, as positions in rows, its applicable rows in
+// item-key order.
+func (r *Relation) eliminate(item Item, ids, rows []int32, keepRedundant bool) ([]int, error) {
+	// Per attribute, the item's coordinate and its binding-graph ancestors,
+	// ordered by name so that the graph, and the order its nodes are
+	// eliminated in, follows the names alone; and each one's position there.
+	// Product node n has the coordinates at the positions of n's mixed-radix
+	// digits, the last attribute's varying fastest.
 	k := r.schema.Arity()
-
-	// Per-attribute relevant nodes: binding-graph ancestors of the item's
-	// coordinate, plus the coordinate itself.
-	relevant := make([][]string, k)
+	relevant, pos, stride := make([][]int, k), make([]map[int]int, k), make([]int, k)
 	size := 1
-	for i := 0; i < k; i++ {
+	for i := k - 1; i >= 0; i-- {
 		h := r.schema.attrs[i].Domain
-		nodes := []string{item[i]}
-		for _, n := range h.Nodes() {
-			if n != item[i] && h.BindSubsumes(n, item[i]) {
-				nodes = append(nodes, n)
-			}
+		relevant[i] = append([]int{int(ids[i])}, h.BindAncestorIDs(int(ids[i]))...)
+		slices.SortFunc(relevant[i], func(a, b int) int { return strings.Compare(h.NameOf(a), h.NameOf(b)) })
+		pos[i] = make(map[int]int, len(relevant[i]))
+		for p, id := range relevant[i] {
+			pos[i][id] = p
 		}
-		sort.Strings(nodes)
-		relevant[i] = nodes
-		size *= len(nodes)
-		if size > maxProductNodes {
+		stride[i] = size
+		if size *= len(relevant[i]); size > maxProductNodes {
 			return nil, fmt.Errorf("%w: binding graph for %v needs more than %d product nodes",
 				ErrTooLarge, item, maxProductNodes)
 		}
 	}
-
-	// Enumerate product vectors and build the product graph: an edge per
-	// single-coordinate binding-graph edge.
-	g := dag.New()
-	index := map[string]int{}
-	vectors := Product(relevant)
-	for _, v := range vectors {
-		index[v.Key()] = g.AddNode()
+	node := func(ids []int32) (int, bool) {
+		n := 0
+		for i, id := range ids {
+			p, ok := pos[i][int(id)]
+			if !ok {
+				return 0, false
+			}
+			n += p * stride[i]
+		}
+		return n, true
 	}
-	for _, v := range vectors {
-		from := index[v.Key()]
-		for i := 0; i < k; i++ {
-			h := r.schema.attrs[i].Domain
-			for _, c := range h.BindChildren(v[i]) {
-				w := v.Clone()
-				w[i] = c
-				to, ok := index[w.Key()]
-				if !ok {
-					continue // child outside the relevant slice
-				}
-				if err := g.AddEdge(from, to); err != nil {
-					return nil, err
+
+	// The product graph: an edge per single-coordinate binding-graph edge.
+	g := dag.New()
+	for n := 0; n < size; n++ {
+		g.AddNode()
+	}
+	for n := 0; n < size; n++ {
+		for i, nodes := range relevant {
+			d := n / stride[i] % len(nodes)
+			for _, c := range r.schema.attrs[i].Domain.BindChildIDs(nodes[d]) {
+				if p, ok := pos[i][c]; ok {
+					if err := g.AddEdge(n, n+(p-d)*stride[i]); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
 	}
 
-	// Tuple nodes: vectors carrying an applicable tuple. Applicability is
-	// is-a subsumption; a vector reachable only through preference edges is
+	// Tuple nodes: product nodes carrying an applicable tuple. Applicability
+	// is is-a subsumption; a node reachable only through preference edges is
 	// treated as an intermediate (preferences order binding, they do not
 	// extend membership).
-	tupleAt := map[int]Tuple{}
-	for _, t := range applicable {
-		if id, ok := index[t.Item.Key()]; ok {
-			tupleAt[id] = t
+	tupleAt := map[int]int{}
+	for p, n := range rows {
+		if at, ok := node(r.rowIDs(n)); ok {
+			tupleAt[at] = p
 		}
 	}
-	itemID := index[item.Key()]
+	itemAt, _ := node(ids)
 
 	// Eliminate every non-tuple, non-item node in topological order.
 	order, err := g.Topo()
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range order {
-		if id == itemID {
+	for _, n := range order {
+		if _, isTuple := tupleAt[n]; isTuple || n == itemAt || !g.Has(n) {
 			continue
 		}
-		if _, isTuple := tupleAt[id]; isTuple {
-			continue
-		}
-		if !g.Has(id) {
-			continue
-		}
-		if err := g.Eliminate(id, keepRedundant); err != nil {
+		if err := g.Eliminate(n, keepRedundant); err != nil {
 			return nil, err
 		}
 	}
 
-	predIDs := g.Pred(itemID)
-	binders := make([]Tuple, 0, len(predIDs))
-	for _, p := range predIDs {
-		binders = append(binders, tupleAt[p])
+	preds := g.Pred(itemAt)
+	binders := make([]int, 0, len(preds))
+	for _, n := range preds {
+		binders = append(binders, tupleAt[n])
 	}
-	slices.SortFunc(binders, compareTuples)
+	slices.Sort(binders)
 	if len(binders) == 0 {
 		// All applicable tuples were cut off from the item by elimination;
 		// cannot happen for off-path (paths are preserved), but guard.
 		return nil, fmt.Errorf("core: internal: no binders for %v despite %d applicable tuples",
-			item, len(applicable))
+			item, len(rows))
 	}
 	return binders, nil
 }
@@ -335,44 +331,30 @@ type BindingGraph struct {
 // TupleBindingGraph computes the explicit tuple-binding graph for an item
 // under the relation's preemption mode.
 func (r *Relation) TupleBindingGraph(item Item) (*BindingGraph, error) {
-	if err := r.validateItem(item); err != nil {
+	r.rebind()
+	var buf [8]int32
+	ids, err := r.validateItem(item, buf[:0])
+	if err != nil {
 		return nil, err
 	}
-	applicable := r.Applicable(item)
-	bg := &BindingGraph{Item: item.Clone(), Nodes: applicable}
-
-	idx := map[string]int{}
-	for i, t := range applicable {
-		idx[t.Item.Key()] = i
-	}
-
-	// Determine binder indices via the same machinery as Evaluate.
-	var binders []Tuple
-	if t, ok := r.Lookup(item); ok {
-		binders = []Tuple{t}
-	} else if len(applicable) > 0 {
-		var err error
-		binders, err = r.bindersFor(item, applicable)
-		if err != nil {
+	rows := r.applicable(ids, nil)
+	bg := &BindingGraph{Item: item.Clone(), Nodes: r.tuplesOf(rows)}
+	if len(rows) > 0 {
+		// Determine binder indices via the same machinery as Evaluate.
+		if bg.Binders, err = r.binders(item, ids, rows, nil); err != nil {
 			return nil, err
 		}
-	}
-	for _, b := range binders {
-		bg.Binders = append(bg.Binders, idx[b.Item.Key()])
 	}
 
 	// Edges among tuples: the transitive reduction of the binding order on
 	// the applicable tuples, plus edges from each binder to the item (-1).
-	sub := r.bindMatrix(applicable)
-	for j := range applicable {
+	sub := r.bindMatrix(rows)
+	for j := range rows {
 		for _, i := range predecessors(sub, j, nil) {
 			bg.Edges = append(bg.Edges, [2]int{i, j})
 		}
 	}
-	sort.Slice(bg.Edges, func(x, y int) bool {
-		a, b := bg.Edges[x], bg.Edges[y]
-		return a[0] < b[0] || a[0] == b[0] && a[1] < b[1]
-	})
+	slices.SortFunc(bg.Edges, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
 	for _, b := range bg.Binders {
 		bg.Edges = append(bg.Edges, [2]int{b, -1})
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // This file implements the paper's second new relational operator,
@@ -22,33 +21,32 @@ import (
 // extension, which Extension, ExtensionSize and VisitExtension (and through
 // it the algebra's Count) read from a memo kept per relation state.
 
-// explicate is the explication kernel. It walks the tuples most specific
+// explicate is the explication kernel. It walks the rows most specific
 // first — the binding order backwards — and enumerates each one's product as
 // node ids, last column fastest: the leaves under the coordinate in an
 // explicated column (every column when explicated is nil), the coordinate
-// itself (-1 if its hierarchy no longer has it) in any other. An atom a more
-// specific tuple has decided is skipped; each other one is handed to visit
-// with the tuple that decides it, in a slice reused between calls. More than maxProductNodes decided atoms is ErrTooLarge, and
-// ctx is checked before each tuple.
-func (r *Relation) explicate(ctx context.Context, explicated []bool, visit func(t Tuple, atom []int) error) error {
-	ts := r.generalFirst()
+// itself in any other. An atom a more specific row has decided is skipped;
+// each other one is handed to visit with the row that decides it, in a
+// slice reused between calls. More than maxProductNodes decided atoms is
+// ErrTooLarge, and ctx is checked before each row.
+func (r *Relation) explicate(ctx context.Context, explicated []bool, visit func(row int32, atom []int) error) error {
+	rows := r.generalFirst()
 	k := r.schema.Arity()
 	decided := newAtomSet(r.schema)
 	values := make([][]int, k)
 	pos, atom := make([]int, k), make([]int, k)
 	n := 0
-	for o := len(ts) - 1; o >= 0; o-- {
+	for o := len(rows) - 1; o >= 0; o-- {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := ts[o]
+		row := rows[o]
 		empty := false
-		for i, v := range t.Item {
-			h := r.schema.attrs[i].Domain
+		for i, id := range r.rowIDs(row) {
 			if explicated == nil || explicated[i] {
-				values[i] = h.LeafIDs(h.IDOf(v), values[i][:0])
+				values[i] = r.schema.attrs[i].Domain.LeafIDs(int(id), values[i][:0])
 			} else {
-				values[i] = append(values[i][:0], h.IDOf(v))
+				values[i] = append(values[i][:0], int(id))
 			}
 			empty = empty || len(values[i]) == 0
 		}
@@ -65,7 +63,7 @@ func (r *Relation) explicate(ctx context.Context, explicated []bool, visit func(
 						ErrTooLarge, r.name, maxProductNodes)
 				}
 				n++
-				if err := visit(t, atom); err != nil {
+				if err := visit(row, atom); err != nil {
 					return err
 				}
 			}
@@ -82,12 +80,11 @@ func (r *Relation) explicate(ctx context.Context, explicated []bool, visit func(
 }
 
 // atomSet is the set of atoms the kernel has decided. An atom packs into one
-// uint64, mixed radix over the columns' id ranges (shifted by one, so -1
-// packs too), and the set is a sparse bitset over those numbers: one map
-// word per 64 of them, the word in use held aside so that a run of atoms
-// differing in the last column — the kernel's enumeration order — costs one
-// map read and one write. A schema whose ranges overflow 64 bits keys atoms
-// by their ids' bytes instead.
+// uint64, mixed radix over the columns' id ranges, and the set is a sparse
+// bitset over those numbers: one map word per 64 of them, the word in use
+// held aside so that a run of atoms differing in the last column — the
+// kernel's enumeration order — costs one map read and one write. A schema
+// whose ranges overflow 64 bits keys atoms by their ids' bytes instead.
 type atomSet struct {
 	radix []uint64
 	words map[uint64]uint64
@@ -102,7 +99,7 @@ func newAtomSet(s *Schema) *atomSet {
 	set := &atomSet{radix: make([]uint64, s.Arity())}
 	span := uint64(1)
 	for i, a := range s.attrs {
-		set.radix[i] = uint64(a.Domain.IDLimit()) + 1
+		set.radix[i] = uint64(a.Domain.IDLimit())
 		hi, lo := bits.Mul64(span, set.radix[i])
 		if hi != 0 {
 			set.wide = map[string]struct{}{}
@@ -119,7 +116,7 @@ func (s *atomSet) add(atom []int) bool {
 	if s.words != nil {
 		var key uint64
 		for i, id := range atom {
-			key = key*s.radix[i] + uint64(id+1)
+			key = key*s.radix[i] + uint64(id)
 		}
 		if at := key / 64; !s.held || at != s.at {
 			if s.held {
@@ -171,36 +168,40 @@ func (r *Relation) ExplicateContext(ctx context.Context, attrs ...string) (*Rela
 		}
 		explicated[i] = true
 	}
-	var ids []int
+	var ids []int32
 	var signs []bool
-	err := r.explicate(ctx, explicated, func(t Tuple, atom []int) error {
-		if slices.Contains(atom, -1) {
-			return r.validateItem(t.Item) // a kept coordinate names a removed node
+	err := r.explicate(ctx, explicated, func(row int32, atom []int) error {
+		for i, id := range atom {
+			if !r.schema.attrs[i].Domain.HasID(id) { // a kept coordinate names a removed node
+				return r.unknownValue(i, r.rows[row].Item[i])
+			}
+			ids = append(ids, int32(id))
 		}
-		ids, signs = append(ids, atom...), append(signs, t.Sign)
+		signs = append(signs, r.rows[row].Sign)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	k := r.schema.Arity()
 	out := newRelation(r.name, r.schema, len(signs))
 	out.mode = r.mode
-	for n, item := range r.itemsOf(ids) {
-		out.put(item.Key(), Tuple{Item: item, Sign: signs[n]})
+	for n, item := range itemsOf(r, ids) {
+		out.put(Tuple{Item: item, Sign: signs[n]}, ids[n*k:(n+1)*k])
 	}
 	return out, nil
 }
 
 // itemsOf names atoms given as node ids, k apiece, carving every item out of
 // one allocation; each is capped at the arity, so an append to it copies.
-func (r *Relation) itemsOf(ids []int) []Item {
+func itemsOf[ID int | int32](r *Relation, ids []ID) []Item {
 	k := r.schema.Arity()
 	names := make([]string, len(ids))
 	items := make([]Item, len(ids)/k)
 	for n := range items {
 		items[n] = names[n*k : (n+1)*k : (n+1)*k]
 		for i := range items[n] {
-			items[n][i] = r.schema.attrs[i].Domain.NameOf(ids[n*k+i])
+			items[n][i] = r.schema.attrs[i].Domain.NameOf(int(ids[n*k+i]))
 		}
 	}
 	return items
@@ -234,30 +235,14 @@ func (r *Relation) extension(ctx context.Context) ([]int, error) {
 	}
 	return memoized(r, &r.ext, func() ([]int, error) {
 		var ids []int
-		err := r.explicate(ctx, nil, func(t Tuple, atom []int) error {
-			if t.Sign {
+		err := r.explicate(ctx, nil, func(row int32, atom []int) error {
+			if r.rows[row].Sign {
 				ids = append(ids, atom...)
 			}
 			return nil
 		})
 		return ids, err
 	})
-}
-
-// sortAtoms returns atoms, given as node ids k apiece, in key order, in a
-// new slice.
-func (r *Relation) sortAtoms(ids []int) []int {
-	k, items := r.schema.Arity(), r.itemsOf(ids)
-	perm := make([]int, len(items))
-	for p := range perm {
-		perm[p] = p
-	}
-	slices.SortFunc(perm, func(a, b int) int { return CompareItems(items[a], items[b]) })
-	sorted := make([]int, 0, len(ids))
-	for _, p := range perm {
-		sorted = append(sorted, ids[p*k:(p+1)*k]...)
-	}
-	return sorted
 }
 
 // Extension returns the relation's unique flat extension — the sorted
@@ -269,29 +254,27 @@ func (r *Relation) Extension() ([]Item, error) {
 	return r.ExtensionContext(context.Background())
 }
 
-// ExtensionContext is Extension with cancellation. It sorts the
+// ExtensionContext is Extension with cancellation. It names and sorts the
 // kernel-order ids the relation memoizes per state.
 func (r *Relation) ExtensionContext(ctx context.Context) ([]Item, error) {
 	ids, err := r.extension(ctx)
 	if err != nil || len(ids) == 0 {
 		return nil, err
 	}
-	return r.itemsOf(r.sortAtoms(ids)), nil
+	items := itemsOf(r, ids)
+	slices.SortFunc(items, CompareItems)
+	return items, nil
 }
 
 // AtomicItems enumerates every atomic item of the relation's schema — the
 // full product of the attribute domains' leaves — in sorted order.
 // ErrTooLarge is returned if the product exceeds maxProductNodes.
 func (r *Relation) AtomicItems() ([]Item, error) {
-	k := r.schema.Arity()
-	perAttr := make([][]string, k)
+	perAttr := make([][]string, r.schema.Arity())
 	size := 1
-	for i := 0; i < k; i++ {
-		leaves := r.schema.attrs[i].Domain.AllLeaves()
-		sort.Strings(leaves)
-		perAttr[i] = leaves
-		size *= len(leaves)
-		if size > maxProductNodes {
+	for i, a := range r.schema.attrs {
+		perAttr[i] = a.Domain.AllLeaves() // sorted
+		if size *= len(perAttr[i]); size > maxProductNodes {
 			return nil, fmt.Errorf("%w: atomic-item space of %q exceeds %d items",
 				ErrTooLarge, r.name, maxProductNodes)
 		}

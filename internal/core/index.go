@@ -2,111 +2,118 @@ package core
 
 import "slices"
 
-// This file is the planner-facing surface of the secondary tuple indexes:
-// per-attribute posting lists (class → tuple keys) maintained by
-// Insert/Retract under the relation epoch. The algebra package's cost model
-// reads the statistics here to choose between a full scan and an index
-// probe, and OverlapCandidates is the probe itself.
+// This file is the planner-facing surface of the postings: per attribute,
+// node id → ascending rows, maintained by Insert/Retract under the relation
+// epoch. The algebra package's cost model reads the statistics here to
+// choose between a full scan and an index probe, and OverlapCandidates is
+// the probe itself.
 
 // DistinctValues returns the number of distinct values stored in column
 // attr across the relation's tuples — the number of posting lists an index
 // probe on that column has to consider.
 func (r *Relation) DistinctValues(attr int) int {
-	if attr < 0 || attr >= len(r.idx) {
+	r.rebind()
+	if attr < 0 || attr >= len(r.post) {
 		return 0
 	}
-	return len(r.idx[attr])
+	return len(r.post[attr])
 }
 
 // PostingCount returns how many stored tuples carry exactly value in column
 // attr.
 func (r *Relation) PostingCount(attr int, value string) int {
-	if attr < 0 || attr >= len(r.idx) {
+	r.rebind()
+	if attr < 0 || attr >= len(r.post) {
 		return 0
 	}
-	return len(r.idx[attr][value])
+	return len(r.post[attr][int32(r.schema.attrs[attr].Domain.IDOf(value))])
 }
 
 // OverlapCandidates returns the tuples whose attr-th coordinate overlaps
 // class (one subsumes the other, or they share a descendant), sorted by
-// item key. It probes the secondary index and returns exactly the tuples a
-// full scan filtered by Overlaps(t.Item[attr], class) would.
+// item key. It probes the postings and returns exactly the tuples a full
+// scan filtered by Overlaps(t.Item[attr], class) would.
 func (r *Relation) OverlapCandidates(attr int, class string) []Tuple {
-	var out []Tuple
-	for _, keys := range r.overlapPostings(attr, class) {
-		for _, k := range keys {
-			out = append(out, r.tuples[k])
-		}
+	r.rebind()
+	if attr < 0 || attr >= len(r.post) {
+		return nil
 	}
-	slices.SortFunc(out, compareTuples)
-	return out
+	id := r.schema.attrs[attr].Domain.IDOf(class)
+	if id < 0 {
+		return nil
+	}
+	var rows []int32
+	for _, list := range r.overlapPostings(attr, int32(id)) {
+		rows = append(rows, list...)
+	}
+	r.sortRows(rows)
+	return r.tuplesOf(rows)
 }
 
-// overlapPostings returns the posting lists of column attr whose value
-// overlaps class. When fewer nodes sit under class than the column has
-// posting lists, the overlapping values are enumerated from the hierarchy
-// and looked up; otherwise every stored value is tested with Overlaps. A
+// overlapPostings returns the posting lists of column attr whose node
+// overlaps the node id. When fewer nodes sit under id than the column has
+// posting lists, the overlapping nodes are enumerated from the hierarchy
+// and looked up; otherwise every stored node is tested with OverlapsID. A
 // write's delta consistency check on an instance-level item takes the first
 // route, so it costs the item's ancestor chain however many tuples are
 // stored.
-func (r *Relation) overlapPostings(attr int, class string) [][]string {
-	if attr < 0 || attr >= len(r.idx) {
-		return nil
-	}
-	h := r.schema.attrs[attr].Domain
-	if !h.Has(class) {
-		return nil
-	}
-	var out [][]string
-	if region, ok := h.OverlapRegion(class, len(r.idx[attr])); ok {
+func (r *Relation) overlapPostings(attr int, id int32) [][]int32 {
+	h, post := r.schema.attrs[attr].Domain, r.post[attr]
+	var out [][]int32
+	if region, ok := h.OverlapRegionIDs(int(id), len(post)); ok {
 		for _, v := range region {
-			if keys := r.idx[attr][v]; len(keys) > 0 {
-				out = append(out, keys)
+			if rows := post[int32(v)]; len(rows) > 0 {
+				out = append(out, rows)
 			}
 		}
 		return out
 	}
-	for v, keys := range r.idx[attr] {
-		if h.Overlaps(v, class) {
-			out = append(out, keys)
+	for v, rows := range post {
+		if h.OverlapsID(int(v), int(id)) {
+			out = append(out, rows)
 		}
 	}
 	return out
 }
 
 // TuplesOverlapping returns the stored tuples that overlap at least one of
-// the items, sorted by item key. Each item probes the column whose overlapping
-// posting lists are shortest and filters on the remaining coordinates.
-func (r *Relation) TuplesOverlapping(items []Item) []Tuple {
-	seen := map[string]bool{}
-	var out []Tuple
+// the items, sorted by item key.
+func (r *Relation) TuplesOverlapping(items []Item) []Tuple { return r.tuplesOf(r.overlapping(items)) }
+
+// overlapping returns, in item-key order, the rows that overlap at least one
+// of the items. Each item probes the column whose overlapping posting lists
+// are shortest and filters on the remaining coordinates.
+func (r *Relation) overlapping(items []Item) []int32 {
+	r.rebind()
+	var out []int32
+	var buf [8]int32
 	for _, it := range items {
-		if r.validateItem(it) != nil {
-			return r.Tuples() // no region to probe: every tuple is a candidate
+		ids, err := r.validateItem(it, buf[:0])
+		if err != nil {
+			return r.sortedRows() // no region to probe: every row is a candidate
 		}
-		var best [][]string
+		var best [][]int32
 		bestCost := -1
-		for i, v := range it {
-			lists := r.overlapPostings(i, v)
+		for i, id := range ids {
+			lists := r.overlapPostings(i, id)
 			cost := 0
-			for _, keys := range lists {
-				cost += len(keys)
+			for _, rows := range lists {
+				cost += len(rows)
 			}
 			if bestCost < 0 || cost < bestCost {
 				best, bestCost = lists, cost
 			}
 		}
-		for _, keys := range best {
-			for _, k := range keys {
-				if t := r.tuples[k]; !seen[k] && r.Overlapping(t.Item, it) {
-					seen[k] = true
-					out = append(out, t)
+		for _, rows := range best {
+			for _, n := range rows {
+				if r.overlapsRows(nil, nil, r.rowIDs(n), ids) {
+					out = append(out, n)
 				}
 			}
 		}
 	}
-	slices.SortFunc(out, compareTuples)
-	return out
+	r.sortRows(out)
+	return slices.Compact(out)
 }
 
 // IndexStats summarizes one relation column for the cost model.
@@ -119,12 +126,13 @@ type IndexStats struct {
 
 // Stats returns per-column index statistics in schema order.
 func (r *Relation) Stats() []IndexStats {
+	r.rebind()
 	out := make([]IndexStats, r.schema.Arity())
 	for i, a := range r.schema.attrs {
 		out[i] = IndexStats{
 			Attr:     a.Name,
-			Distinct: len(r.idx[i]),
-			Tuples:   len(r.tuples),
+			Distinct: len(r.post[i]),
+			Tuples:   r.Len(),
 			Warm:     a.Domain.IndexWarm(),
 		}
 	}

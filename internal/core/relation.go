@@ -14,11 +14,13 @@ package core
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"hrdb/internal/dag"
@@ -146,9 +148,6 @@ func keyGoesOn(more bool, c byte) int {
 	return cmp.Compare(0x1f, c)
 }
 
-// compareTuples is CompareItems on the tuples' items.
-func compareTuples(a, b Tuple) int { return CompareItems(a.Item, b.Item) }
-
 // Equal reports componentwise equality.
 func (it Item) Equal(o Item) bool {
 	if len(it) != len(o) {
@@ -208,15 +207,28 @@ func (t Tuple) String() string {
 type Relation struct {
 	name   string
 	schema *Schema
-	tuples map[string]Tuple
 	mode   Preemption
 
-	// idx[i] buckets tuple keys by their i-th attribute value (a posting
-	// list per stored class), so Applicable and the algebra planner can
-	// probe the buckets of a query coordinate's ancestors — or of the
-	// values overlapping a selection region — instead of scanning every
-	// tuple. Maintained by Insert/Retract under the relation epoch.
-	idx []map[string][]string
+	// Row n holds a tuple, as inserted, in rows[n] and its node ids in
+	// ids[n*k : n*k+k]; a retracted row's slot (Item nil) is listed in free
+	// for reuse. byIDs finds a row by its packed ids, and post[i] lists the
+	// ascending rows per node id of column i, so Applicable and the planner
+	// probe the postings of a coordinate's ancestors, or of the nodes that
+	// overlap a region, not every row. The id of a node removed since is
+	// dead to every id-level query, and a row keeps it until a node of that
+	// name is added again (rebind).
+	rows  []Tuple
+	ids   []int32
+	free  []int32
+	byIDs map[string]int32
+	post  []map[int32][]int32
+
+	// bound and removed are hgen's as of the last rebind, and dead lists
+	// the rows holding a dead id.
+	bound   atomic.Uint64
+	bindMu  sync.Mutex
+	removed int
+	dead    []int32
 
 	// epoch counts mutations (Insert/Retract/SetMode); what the relation
 	// keeps per state is stamped with it so no post-mutation read can be
@@ -226,10 +238,10 @@ type Relation struct {
 
 	// What the state determines, kept under its stamp (cache.go): verdicts
 	// and answers in the table, and memoized, the extension as ids in
-	// kernel order and the binding order.
+	// kernel order and the rows in binding order.
 	cache table
 	ext   atomic.Pointer[memo[[]int]]
-	order atomic.Pointer[memo[[]Tuple]]
+	order atomic.Pointer[memo[[]int32]]
 
 	// verified is the stamp of the last state a consistency check passed
 	// on; the catalog runs the delta check only from such a state. Atomic
@@ -242,18 +254,24 @@ func NewRelation(name string, schema *Schema) *Relation { return newRelation(nam
 
 // newRelation is NewRelation with room for n tuples.
 func newRelation(name string, schema *Schema, n int) *Relation {
-	idx := make([]map[string][]string, schema.Arity())
-	for i := range idx {
-		idx[i] = map[string][]string{}
+	post := make([]map[int32][]int32, schema.Arity())
+	for i := range post {
+		post[i] = map[int32][]int32{}
 	}
-	return &Relation{
+	r := &Relation{
 		name:   name,
 		schema: schema,
-		tuples: make(map[string]Tuple, n),
 		mode:   OffPath,
-		idx:    idx,
+		rows:   make([]Tuple, 0, n),
+		ids:    make([]int32, 0, n*schema.Arity()),
+		byIDs:  make(map[string]int32, n),
+		post:   post,
 		cache:  table{budget: cacheBudget},
 	}
+	gen, removed := r.hgen()
+	r.bound.Store(gen)
+	r.removed = removed
+	return r
 }
 
 // Name returns the relation's name.
@@ -263,7 +281,7 @@ func (r *Relation) Name() string { return r.name }
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of stored tuples (not the extension size).
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.rows) - len(r.free) }
 
 // Mode returns the preemption semantics in force (§appendix).
 func (r *Relation) Mode() Preemption { return r.mode }
@@ -297,56 +315,196 @@ func (r *Relation) CacheEnabled() bool { return !r.cacheOff }
 // the relation's epoch (which SetMode moves too) and the sum of the
 // attribute hierarchies' mutation generations.
 func (r *Relation) stamp() cacheStamp {
-	var hgen uint64
+	gen, _ := r.hgen()
+	return cacheStamp{epoch: r.epoch, hgen: gen}
+}
+
+// hgen returns the sum of the attribute hierarchies' mutation generations
+// and how many nodes they have lost, a domain once per column it serves.
+func (r *Relation) hgen() (gen uint64, removed int) {
 	for _, a := range r.schema.attrs {
-		hgen += a.Domain.Generation()
+		gen += a.Domain.Generation()
+		removed += a.Domain.IDLimit() - a.Domain.Len()
 	}
-	return cacheStamp{epoch: r.epoch, hgen: hgen}
+	return gen, removed
+}
+
+// rebind brings the rows up to their hierarchies' edits, so that each reads
+// by its names as a tuple keyed by them would: after a removal, the rows
+// holding a dead id are listed in dead, and such a coordinate takes the id
+// of a node of its name once one is added again. Every method reading the
+// ids, byIDs or the postings calls it first. It writes only after a
+// hierarchy edit, which no read runs beside; reads meeting one take turns.
+func (r *Relation) rebind() {
+	gen, removed := r.hgen()
+	if r.bound.Load() == gen {
+		return
+	}
+	r.bindMu.Lock()
+	defer r.bindMu.Unlock()
+	if r.bound.Load() != gen && (removed != r.removed || len(r.dead) > 0) {
+		r.removed, r.dead = removed, r.dead[:0]
+		for n, t := range r.rows {
+			if t.Item != nil && r.rekey(int32(n)) {
+				r.dead = append(r.dead, int32(n))
+			}
+		}
+	}
+	r.bound.Store(gen)
+}
+
+// rekey gives each dead coordinate of row n the id of the node now bearing
+// its name, if there is one, and reports whether one is still dead.
+func (r *Relation) rekey(n int32) (dead bool) {
+	ids, indexed := r.rowIDs(n), true
+	for i, id := range ids {
+		h := r.schema.attrs[i].Domain
+		if h.HasID(int(id)) {
+			continue
+		}
+		if v := h.IDOf(r.rows[n].Item[i]); v < 0 {
+			dead = true
+		} else {
+			if indexed {
+				r.unindex(n)
+				indexed = false
+			}
+			ids[i] = int32(v)
+		}
+	}
+	if !indexed {
+		r.index(n)
+	}
+	return dead
 }
 
 // validateItem checks arity and that every coordinate names a node of its
-// attribute's hierarchy.
-func (r *Relation) validateItem(item Item) error {
+// attribute's hierarchy, and appends the coordinates' node ids to dst.
+func (r *Relation) validateItem(item Item, dst []int32) ([]int32, error) {
 	if len(item) != r.schema.Arity() {
-		return fmt.Errorf("%w: item %v has arity %d, relation %q has %d",
+		return nil, fmt.Errorf("%w: item %v has arity %d, relation %q has %d",
 			ErrArity, item, len(item), r.name, r.schema.Arity())
 	}
 	for i, v := range item {
-		if !r.schema.attrs[i].Domain.Has(v) {
-			return fmt.Errorf("%w: %q is not in domain %q of attribute %q",
-				ErrUnknownValue, v, r.schema.attrs[i].Domain.Domain(), r.schema.attrs[i].Name)
+		id := r.schema.attrs[i].Domain.IDOf(v)
+		if id < 0 {
+			return nil, r.unknownValue(i, v)
+		}
+		dst = append(dst, int32(id))
+	}
+	return dst, nil
+}
+
+// unknownValue is the error for a coordinate v of attribute i naming no node.
+func (r *Relation) unknownValue(i int, v string) error {
+	a := r.schema.attrs[i]
+	return fmt.Errorf("%w: %q is not in domain %q of attribute %q",
+		ErrUnknownValue, v, a.Domain.Domain(), a.Name)
+}
+
+// packIDs appends ids to dst as a byIDs key.
+func packIDs(dst []byte, ids []int32) []byte {
+	for _, id := range ids {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
+	}
+	return dst
+}
+
+// rowIDs returns row n's node ids, capped so an append copies.
+func (r *Relation) rowIDs(n int32) []int32 {
+	k := r.schema.Arity()
+	return r.ids[int(n)*k : int(n)*k+k : int(n)*k+k]
+}
+
+// rowOf returns the row whose coordinates have exactly these node ids.
+func (r *Relation) rowOf(ids []int32) (int32, bool) {
+	var buf [32]byte
+	n, ok := r.byIDs[string(packIDs(buf[:0], ids))]
+	return n, ok
+}
+
+// find returns the row stored on exactly item. An item naming no node can
+// be stored only in a row holding a dead id, so those are searched by name.
+func (r *Relation) find(item Item) (int32, bool) {
+	var buf [8]int32
+	if ids, err := r.validateItem(item, buf[:0]); err == nil {
+		return r.rowOf(ids)
+	}
+	for _, n := range r.dead {
+		if r.rows[n].Item.Equal(item) {
+			return n, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
 // Insert stores a tuple. Re-inserting an identical tuple is a no-op;
 // inserting an item that is already present with the opposite sign returns
 // ErrContradiction (use Retract first to flip a tuple's sign).
 func (r *Relation) Insert(item Item, sign bool) error {
-	if err := r.validateItem(item); err != nil {
+	r.rebind()
+	var buf [8]int32
+	ids, err := r.validateItem(item, buf[:0])
+	if err != nil {
 		return err
 	}
-	k := item.Key()
-	if old, ok := r.tuples[k]; ok {
-		if old.Sign == sign {
-			return nil
+	if n, ok := r.rowOf(ids); ok {
+		if old := r.rows[n]; old.Sign != sign {
+			return fmt.Errorf("%w: item %v is already asserted with sign %v in %q",
+				ErrContradiction, item, old.Sign, r.name)
 		}
-		return fmt.Errorf("%w: item %v is already asserted with sign %v in %q",
-			ErrContradiction, item, old.Sign, r.name)
+		return nil
 	}
-	r.put(k, Tuple{Item: item.Clone(), Sign: sign})
+	r.put(Tuple{Item: item.Clone(), Sign: sign}, ids)
 	return nil
 }
 
-// put stores t under its item key k, which the relation must not hold yet.
-func (r *Relation) put(k string, t Tuple) {
-	r.tuples[k] = t
-	for i, v := range t.Item {
-		r.idx[i][v] = append(r.idx[i][v], k)
+// put stores t, whose coordinates have the node ids ids, in a free slot or
+// a new row, and returns the row. The relation must not hold ids yet.
+func (r *Relation) put(t Tuple, ids []int32) int32 {
+	n := int32(len(r.rows))
+	if last := len(r.free) - 1; last >= 0 {
+		n, r.free = r.free[last], r.free[:last]
+		r.rows[n] = t
+		copy(r.rowIDs(n), ids)
+	} else {
+		r.rows = append(r.rows, t)
+		r.ids = append(r.ids, ids...)
+	}
+	if r.index(n); r.rekey(n) {
+		r.dead = append(r.dead, n)
 	}
 	r.epoch++
 	r.dropMemos()
+	return n
+}
+
+// index enters row n under its ids in byIDs and the postings.
+func (r *Relation) index(n int32) {
+	ids := r.rowIDs(n)
+	var buf [32]byte
+	r.byIDs[string(packIDs(buf[:0], ids))] = n
+	for i, id := range ids {
+		post := r.post[i][id]
+		at, _ := slices.BinarySearch(post, n)
+		r.post[i][id] = slices.Insert(post, at, n)
+	}
+}
+
+// unindex is index undone.
+func (r *Relation) unindex(n int32) {
+	ids := r.rowIDs(n)
+	var buf [32]byte
+	delete(r.byIDs, string(packIDs(buf[:0], ids)))
+	for i, id := range ids {
+		post := r.post[i][id]
+		at, _ := slices.BinarySearch(post, n)
+		if post = slices.Delete(post, at, at+1); len(post) == 0 {
+			delete(r.post[i], id)
+		} else {
+			r.post[i][id] = post
+		}
+	}
 }
 
 // Assert inserts a positive tuple (the relation holds for every element of
@@ -360,24 +518,17 @@ func (r *Relation) Deny(values ...string) error { return r.Insert(Item(values), 
 // Retract removes the tuple on exactly this item, reporting whether one was
 // present.
 func (r *Relation) Retract(item Item) bool {
-	k := item.Key()
-	_, ok := r.tuples[k]
+	r.rebind()
+	n, ok := r.find(item)
 	if !ok {
 		return false
 	}
-	delete(r.tuples, k)
-	for i, v := range item {
-		bucket := r.idx[i][v]
-		for j, bk := range bucket {
-			if bk == k {
-				r.idx[i][v] = append(bucket[:j], bucket[j+1:]...)
-				break
-			}
-		}
-		if len(r.idx[i][v]) == 0 {
-			delete(r.idx[i], v)
-		}
+	r.unindex(n)
+	if d := slices.Index(r.dead, n); d >= 0 {
+		r.dead = slices.Delete(r.dead, d, d+1)
 	}
+	r.rows[n] = Tuple{}
+	r.free = append(r.free, n)
 	r.epoch++
 	r.dropMemos()
 	return true
@@ -385,51 +536,71 @@ func (r *Relation) Retract(item Item) bool {
 
 // Lookup returns the tuple stored on exactly this item, if any.
 func (r *Relation) Lookup(item Item) (Tuple, bool) {
-	t, ok := r.tuples[item.Key()]
-	return t, ok
+	r.rebind()
+	if n, ok := r.find(item); ok {
+		return r.rows[n], true
+	}
+	return Tuple{}, false
 }
 
 // VisitTuples calls visit with every stored tuple, in no particular order:
 // Tuples without the sort, for a caller that orders what it builds itself.
 func (r *Relation) VisitTuples(visit func(Tuple)) {
-	for _, t := range r.tuples {
-		visit(t)
+	for _, t := range r.rows {
+		if t.Item != nil {
+			visit(t)
+		}
 	}
 }
 
 // Tuples returns all tuples sorted by item key (deterministic).
-func (r *Relation) Tuples() []Tuple {
-	keys := make([]string, 0, len(r.tuples))
-	for k := range r.tuples {
-		keys = append(keys, k)
+func (r *Relation) Tuples() []Tuple { return r.tuplesOf(r.sortedRows()) }
+
+// tuplesOf returns the rows' tuples in a new slice, nil for no rows.
+func (r *Relation) tuplesOf(rows []int32) []Tuple {
+	if len(rows) == 0 {
+		return nil
 	}
-	sort.Strings(keys)
-	out := make([]Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = r.tuples[k]
+	out := make([]Tuple, len(rows))
+	for i, n := range rows {
+		out[i] = r.rows[n]
 	}
 	return out
 }
 
+// sortedRows returns every stored row, in item-key order.
+func (r *Relation) sortedRows() []int32 {
+	rows := make([]int32, 0, r.Len())
+	for n, t := range r.rows {
+		if t.Item != nil {
+			rows = append(rows, int32(n))
+		}
+	}
+	r.sortRows(rows)
+	return rows
+}
+
+// sortRows orders rows by their items' keys, and rows of equal items by row.
+func (r *Relation) sortRows(rows []int32) {
+	slices.SortFunc(rows, func(a, b int32) int {
+		return cmp.Or(CompareItems(r.rows[a].Item, r.rows[b].Item), cmp.Compare(a, b))
+	})
+}
+
 // Clone returns a deep copy of the relation (sharing the schema and
 // hierarchies, which are treated as immutable by convention once relations
-// are populated). The copy of a VerifiedConsistent relation is verified at
-// its own state.
+// are populated, and the tuples' items, which are never written in place).
+// The copy of a VerifiedConsistent relation is verified at its own state.
 func (r *Relation) Clone() *Relation {
-	c := newRelation(r.name, r.schema, len(r.tuples))
-	c.mode = r.mode
-	c.cacheOff = r.cacheOff
-	k := r.schema.Arity()
-	names := make([]string, 0, len(r.tuples)*k)
-	for key, t := range r.tuples {
-		names = append(names, t.Item...)
-		n := len(names)
-		c.tuples[key] = Tuple{Item: names[n-k : n : n], Sign: t.Sign}
-	}
-	for i, postings := range r.idx {
-		c.idx[i] = make(map[string][]string, len(postings))
-		for v, keys := range postings {
-			c.idx[i][v] = slices.Clone(keys)
+	r.rebind()
+	c := newRelation(r.name, r.schema, 0)
+	c.mode, c.cacheOff = r.mode, r.cacheOff
+	c.rows, c.ids, c.free, c.byIDs = slices.Clone(r.rows), slices.Clone(r.ids), slices.Clone(r.free), maps.Clone(r.byIDs)
+	c.dead = slices.Clone(r.dead)
+	for i, post := range r.post {
+		c.post[i] = maps.Clone(post)
+		for id, rows := range post {
+			c.post[i][id] = slices.Clone(rows)
 		}
 	}
 	if r.VerifiedConsistent() {
@@ -459,17 +630,12 @@ func (r *Relation) Subsumes(a, b Item) bool {
 	return true
 }
 
-// StrictlySubsumes reports a ⊐ b.
-func (r *Relation) StrictlySubsumes(a, b Item) bool {
-	return !a.Equal(b) && r.Subsumes(a, b)
-}
-
-// BindSubsumes is Subsumes over the binding graphs (is-a plus preference
-// edges); it orders tuples by binding strength but never defines
-// membership.
-func (r *Relation) BindSubsumes(a, b Item) bool {
-	for i := range a {
-		if !r.schema.attrs[i].Domain.BindSubsumes(a[i], b[i]) {
+// bindSubsumes is Subsumes on rows over the binding graphs (is-a plus
+// preference edges), which order tuples but never define membership.
+func (r *Relation) bindSubsumes(a, b int32) bool {
+	x, y := r.rowIDs(a), r.rowIDs(b)
+	for i, at := range r.schema.attrs {
+		if !at.Domain.BindSubsumesID(int(x[i]), int(y[i])) {
 			return false
 		}
 	}
@@ -489,137 +655,133 @@ func (r *Relation) IsAtomic(item Item) bool {
 // Applicable returns the tuples relevant to item: those whose items subsume
 // it (including a tuple exactly on the item), sorted by item key. These are
 // the nodes of the paper's tuple-binding graph for the item.
-//
-// A subsuming tuple's i-th coordinate is necessarily an ancestor of (or
-// equal to) item[i], so the ancestor buckets of the attribute with the
-// smallest ones yield a superset of the answer that holds on that column;
-// the other columns are checked per candidate by node id. (The ablation
-// BenchmarkAblationIndexVsScan measures the win; applicableByScan is the
-// reference implementation.)
 func (r *Relation) Applicable(item Item) []Tuple {
-	var buf [8]int
-	ids, bestAttr, bestCost := buf[:0], -1, len(r.tuples)+1
+	r.rebind()
+	var buf [8]int32
+	ids, err := r.validateItem(item, buf[:0])
+	if err != nil {
+		return nil
+	}
+	var rows [32]int32
+	return r.tuplesOf(r.applicable(ids, rows[:0]))
+}
+
+// applicable appends to dst, in item-key order, the rows whose items subsume
+// the item with node ids ids. Such a row's i-th id is ids[i] or an ancestor,
+// so the postings of the column whose ancestors' are shortest yield the
+// candidates, and the other columns are checked per candidate.
+// (BenchmarkAblationIndexVsScan measures the win; applicableByScan is the
+// reference.)
+func (r *Relation) applicable(ids, dst []int32) []int32 {
+	bestAttr, bestCost := 0, -1
 	for i, a := range r.schema.attrs {
-		if ids = append(ids, a.Domain.IDOf(item[i])); ids[i] < 0 {
-			return nil
+		post := r.post[i]
+		cost := len(post[ids[i]])
+		for _, p := range a.Domain.AncestorIDs(int(ids[i])) {
+			cost += len(post[int32(p)])
 		}
-		cost := len(r.idx[i][item[i]])
-		for _, p := range a.Domain.AncestorIDs(ids[i]) {
-			cost += len(r.idx[i][a.Domain.NameOf(p)])
-		}
-		if cost < bestCost {
+		if bestCost < 0 || cost < bestCost {
 			bestAttr, bestCost = i, cost
 		}
 	}
-	h, out := r.schema.attrs[bestAttr].Domain, make([]Tuple, 0, bestCost)
-	probe := func(v string) {
+	start := len(dst)
+	h, post := r.schema.attrs[bestAttr].Domain, r.post[bestAttr]
+	probe := func(v int32) {
 	candidates:
-		for _, k := range r.idx[bestAttr][v] {
-			t := r.tuples[k]
+		for _, n := range post[v] {
+			at := r.rowIDs(n)
 			for i, a := range r.schema.attrs {
-				if i != bestAttr && !a.Domain.SubsumesID(a.Domain.IDOf(t.Item[i]), ids[i]) {
+				if i != bestAttr && !a.Domain.SubsumesID(int(at[i]), int(ids[i])) {
 					continue candidates
 				}
 			}
-			out = append(out, t)
+			dst = append(dst, n)
 		}
 	}
-	probe(item[bestAttr])
-	for _, p := range h.AncestorIDs(ids[bestAttr]) {
-		probe(h.NameOf(p))
+	probe(ids[bestAttr])
+	for _, p := range h.AncestorIDs(int(ids[bestAttr])) {
+		probe(int32(p))
 	}
-	if len(out) == 0 {
-		return nil
+	r.sortRows(dst[start:])
+	return dst
+}
+
+// reachRows returns, per row, the is-a reach set of each coordinate, so
+// pair tests on the rows are set lookups. The sets are nil while some
+// column's reachability index is cold: a check leaves building it to
+// HasPath's own policy.
+func (r *Relation) reachRows(rows []int32) [][]dag.Set {
+	k := r.schema.Arity()
+	out := make([][]dag.Set, len(rows))
+	for _, a := range r.schema.attrs {
+		if !a.Domain.IndexWarm() {
+			return out
+		}
 	}
-	slices.SortFunc(out, compareTuples)
+	sets := make([]dag.Set, len(rows)*k)
+	for p, n := range rows {
+		for i, id := range r.rowIDs(n) {
+			sets[p*k+i] = r.schema.attrs[i].Domain.Reach(int(id))
+		}
+		out[p] = sets[p*k : (p+1)*k]
+	}
 	return out
 }
 
-// internTuples returns the node ids of the tuples' coordinates: ids[i*k+a]
-// for attribute a of tuple i, -1 where a hierarchy no longer has the name.
-func (r *Relation) internTuples(ts []Tuple) []int {
-	k := r.schema.Arity()
-	ids := make([]int, len(ts)*k)
-	for i, t := range ts {
-		for a, v := range t.Item {
-			ids[i*k+a] = r.schema.attrs[a].Domain.IDOf(v)
-		}
-	}
-	return ids
-}
-
-// reachRows returns, per interned item, the is-a reach set of each
-// coordinate, so pair tests on the items are set lookups. The rows are nil
-// while some column's reachability index is cold: a check leaves building
-// it to HasPath's own policy.
-func (r *Relation) reachRows(ids []int) [][]dag.Set {
-	k := r.schema.Arity()
-	rows := make([][]dag.Set, len(ids)/k)
-	for _, a := range r.schema.attrs {
-		if !a.Domain.IndexWarm() {
-			return rows
-		}
-	}
-	sets := make([]dag.Set, len(ids))
-	for j, id := range ids {
-		sets[j] = r.schema.attrs[j%k].Domain.Reach(id)
-		rows[j/k] = sets[j/k*k : j+1]
-	}
-	return rows
-}
-
-// subsumesRows is Subsumes on interned items, by a's reach rows ra when
-// there are any.
-func (r *Relation) subsumesRows(ra []dag.Set, a, b []int) bool {
+// subsumesRows is Subsumes on node ids, by a's reach sets ra when there are
+// any.
+func (r *Relation) subsumesRows(ra []dag.Set, a, b []int32) bool {
 	for i := range a {
-		if ra != nil && !ra[i].Has(b[i]) || ra == nil && !r.schema.attrs[i].Domain.SubsumesID(a[i], b[i]) {
+		if ra != nil && !ra[i].Has(int(b[i])) || ra == nil && !r.schema.attrs[i].Domain.SubsumesID(int(a[i]), int(b[i])) {
 			return false
 		}
 	}
 	return true
 }
 
-// overlapsRows is Overlaps on every coordinate pair of interned items, by
-// their reach rows when both have them.
-func (r *Relation) overlapsRows(ra, rb []dag.Set, a, b []int) bool {
+// overlapsRows is Overlaps on every coordinate pair of node ids, by their
+// reach sets when both have them.
+func (r *Relation) overlapsRows(ra, rb []dag.Set, a, b []int32) bool {
 	for i := range a {
-		if ra != nil && rb != nil && !ra[i].Overlaps(rb[i]) || (ra == nil || rb == nil) && !r.schema.attrs[i].Domain.OverlapsID(a[i], b[i]) {
+		if ra != nil && rb != nil && !ra[i].Overlaps(rb[i]) || (ra == nil || rb == nil) && !r.schema.attrs[i].Domain.OverlapsID(int(a[i]), int(b[i])) {
 			return false
 		}
 	}
 	return true
 }
 
-// bindMatrix returns the tuples' subsumption graph in the binding order
-// (is-a plus preference edges) as a bit matrix on interned node ids:
-// sub[i].Get(j) iff ts[i] strictly bind-subsumes ts[j]. The tuples above
-// ts[j] are looked up by the first coordinate among its own and its binding
-// ancestors, so the pairs tested follow the graph's edges, not n².
-func (r *Relation) bindMatrix(ts []Tuple) []dag.Bitset {
-	n, k := len(ts), r.schema.Arity()
-	ids := r.internTuples(ts)
+// bindMatrix returns the rows' subsumption graph in the binding order (is-a
+// plus preference edges) as a bit matrix over their positions:
+// sub[i].Get(j) iff rows[i] strictly bind-subsumes rows[j]. The rows above
+// rows[j] are looked up by the first coordinate among its own and its
+// binding ancestors, so the pairs tested follow the graph's edges, not n².
+func (r *Relation) bindMatrix(rows []int32) []dag.Bitset {
+	n, k := len(rows), r.schema.Arity()
+	first := func(p int) int32 { return r.ids[int(rows[p])*k] }
 	words := (n + 63) / 64
 	matrix := make([]uint64, n*words)
 	sub := make([]dag.Bitset, n)
 	byFirst := make([]int, n) // positions by first coordinate
-	for i := range ts {
+	for i := range rows {
 		sub[i] = matrix[i*words : (i+1)*words : (i+1)*words]
 		byFirst[i] = i
 	}
-	slices.SortFunc(byFirst, func(a, b int) int { return cmp.Compare(ids[a*k], ids[b*k]) })
-	above := func(x, j int) {
-		lo, _ := slices.BinarySearchFunc(byFirst, x, func(p, x int) int { return cmp.Compare(ids[p*k], x) })
+	slices.SortFunc(byFirst, func(a, b int) int { return cmp.Compare(first(a), first(b)) })
+	above := func(x int32, j int) {
+		lo, _ := slices.BinarySearchFunc(byFirst, x, func(p int, x int32) int { return cmp.Compare(first(p), x) })
+		below := r.rowIDs(rows[j])
 	next:
 		for _, i := range byFirst[lo:] {
-			if ids[i*k] != x {
+			if first(i) != x {
 				return
 			}
-			equal := x == ids[j*k]
+			at := r.rowIDs(rows[i])
+			equal := x == below[0]
 			for a := 1; a < k; a++ {
-				if !r.schema.attrs[a].Domain.BindSubsumesID(ids[i*k+a], ids[j*k+a]) {
+				if !r.schema.attrs[a].Domain.BindSubsumesID(int(at[a]), int(below[a])) {
 					continue next
 				}
-				equal = equal && ids[i*k+a] == ids[j*k+a]
+				equal = equal && at[a] == below[a]
 			}
 			if !equal {
 				sub[i].Set(j)
@@ -627,20 +789,20 @@ func (r *Relation) bindMatrix(ts []Tuple) []dag.Bitset {
 		}
 	}
 	h := r.schema.attrs[0].Domain
-	for j := range ts {
-		if x := ids[j*k]; x >= 0 { // -1: not a node, above nothing
+	for j := range rows {
+		if x := first(j); h.HasID(int(x)) { // a removed node is above nothing
 			above(x, j)
-			for _, y := range h.BindAncestorIDs(x) {
-				above(y, j)
+			for _, y := range h.BindAncestorIDs(int(x)) {
+				above(int32(y), j)
 			}
 		}
 	}
 	return sub
 }
 
-// predecessors returns, ascending, the immediate predecessors of tuple i in
-// the subsumption graph sub — the minimal tuples strictly above it — leaving
-// out every j with gone[j] (gone may be short or nil).
+// predecessors returns, ascending, the immediate predecessors of position i
+// in the subsumption graph sub — the minimal rows strictly above it —
+// leaving out every j with gone[j] (gone may be short or nil).
 func predecessors(sub []dag.Bitset, i int, gone []bool) []int {
 	var above, preds []int
 	for j := range sub {
@@ -660,16 +822,15 @@ next:
 	return preds
 }
 
-// bindOrder is Kahn's algorithm over the tuples' subsumption graph. It
-// returns the positions of ts, which must be sorted by item key, general
-// first — a tuple precedes every tuple it strictly bind-subsumes, so a
-// dispreferred tuple also precedes the one preferred to it, and among the
-// tuples free to go next the smallest key goes first — together with the
-// graph it ordered. Explicate walks the order backwards (most specific
-// first), Table and Reconsolidate forwards, and Consolidate also reads the
-// graph.
-func (r *Relation) bindOrder(ts []Tuple) (order []int, sub []dag.Bitset) {
-	sub = r.bindMatrix(ts)
+// bindOrder is Kahn's algorithm over the rows' subsumption graph. It returns
+// positions in rows, which must be in item-key order, general first — a row
+// precedes every row it strictly bind-subsumes, so a dispreferred tuple also
+// precedes the one preferred to it, and among the rows free to go next the
+// smallest key goes first — together with the graph it ordered. Explicate
+// walks the order backwards (most specific first), Table and Reconsolidate
+// forwards, and Consolidate also reads the graph.
+func (r *Relation) bindOrder(rows []int32) (order []int, sub []dag.Bitset) {
+	sub = r.bindMatrix(rows)
 	return kahn(sub, nil), sub
 }
 
@@ -709,7 +870,7 @@ func kahn(sub []dag.Bitset, gone []bool) []int {
 				}
 			}
 		}
-		sortInts(frontier)
+		slices.Sort(frontier) // sorted but for the few positions just appended
 	}
 	return order
 }
@@ -717,31 +878,20 @@ func kahn(sub []dag.Bitset, gone []bool) []int {
 // TuplesGeneralFirst returns the stored tuples in binding order: a tuple
 // precedes every tuple it strictly bind-subsumes. The order is memoized per
 // state; the slice is the caller's.
-func (r *Relation) TuplesGeneralFirst() []Tuple { return slices.Clone(r.generalFirst()) }
+func (r *Relation) TuplesGeneralFirst() []Tuple { return r.tuplesOf(r.generalFirst()) }
 
-// generalFirst is TuplesGeneralFirst's memoized slice, not to be modified.
-func (r *Relation) generalFirst() []Tuple {
-	ts, _ := memoized(r, &r.order, func() ([]Tuple, error) { return r.sortGeneralFirst(r.Tuples()), nil })
-	return ts
-}
-
-// sortGeneralFirst returns ts, which must be sorted by item key, in
-// bindOrder.
-func (r *Relation) sortGeneralFirst(ts []Tuple) []Tuple {
-	order, _ := r.bindOrder(ts)
-	out := make([]Tuple, len(order))
-	for n, i := range order {
-		out[n] = ts[i]
-	}
-	return out
-}
-
-// sortInts sorts a small int slice ascending (insertion sort: a Kahn
-// frontier is sorted but for the few ids just appended).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+// generalFirst is the stored rows in binding order, memoized per state; not
+// to be modified.
+func (r *Relation) generalFirst() []int32 {
+	r.rebind()
+	rows, _ := memoized(r, &r.order, func() ([]int32, error) {
+		rows := r.sortedRows()
+		order, _ := r.bindOrder(rows)
+		out := make([]int32, len(order))
+		for n, i := range order {
+			out[n] = rows[i]
 		}
-	}
+		return out, nil
+	})
+	return rows
 }

@@ -36,10 +36,19 @@ func TestChildren(t *testing.T) {
 	}
 }
 
+// bindChildren is BindChildIDs by name, sorted; nil for a name of no node.
+func bindChildren(h *Hierarchy, name string) []string {
+	id := h.IDOf(name)
+	if id < 0 {
+		return nil
+	}
+	return h.namesOf(h.BindChildIDs(id))
+}
+
 func TestBindChildrenAndParents(t *testing.T) {
 	h := animals(t)
 	// Without preferences the binding graph equals the is-a graph.
-	if got := h.BindChildren("Penguin"); !reflect.DeepEqual(got, h.Children("Penguin")) {
+	if got := bindChildren(h, "Penguin"); !reflect.DeepEqual(got, h.Children("Penguin")) {
 		t.Fatalf("BindChildren = %v", got)
 	}
 	if got := h.BindParents("Patricia"); !reflect.DeepEqual(got, h.Parents("Patricia")) {
@@ -50,20 +59,20 @@ func TestBindChildrenAndParents(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, c := range h.BindChildren("GalapagosPenguin") {
+	for _, c := range bindChildren(h, "GalapagosPenguin") {
 		if c == "AmazingFlyingPenguin" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("preference edge missing from BindChildren: %v", h.BindChildren("GalapagosPenguin"))
+		t.Fatalf("preference edge missing from BindChildren: %v", bindChildren(h, "GalapagosPenguin"))
 	}
 	for _, c := range h.Children("GalapagosPenguin") {
 		if c == "AmazingFlyingPenguin" {
 			t.Fatal("preference edge leaked into is-a Children")
 		}
 	}
-	if got := h.BindChildren("nope"); got != nil {
+	if got := bindChildren(h, "nope"); got != nil {
 		t.Fatalf("BindChildren(nope) = %v", got)
 	}
 	if got := h.BindParents("nope"); got != nil {
@@ -149,7 +158,7 @@ func TestPreferenceReductionKeepsDeliberateRedundancy(t *testing.T) {
 	}
 	// The deliberate redundant edge is still in the binding graph.
 	found := false
-	for _, c := range h.BindChildren("Penguin") {
+	for _, c := range bindChildren(h, "Penguin") {
 		if c == "Pamela" {
 			found = true
 		}

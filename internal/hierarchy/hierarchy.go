@@ -307,16 +307,6 @@ func (h *Hierarchy) bindGraph() *dag.Graph {
 	return bg
 }
 
-// BindChildren returns the direct successors of name in the binding graph
-// (is-a children plus nodes this one is dispreferred to), sorted.
-func (h *Hierarchy) BindChildren(name string) []string {
-	id, err := h.id(name)
-	if err != nil {
-		return nil
-	}
-	return h.namesOf(h.bindGraph().Succ(id))
-}
-
 // BindParents returns the direct predecessors of name in the binding graph,
 // sorted.
 func (h *Hierarchy) BindParents(name string) []string {
@@ -334,6 +324,10 @@ func (h *Hierarchy) BindReachSet(name string) (dag.Set, bool) {
 	set, err := h.bindGraph().Reach(h.IDOf(name))
 	return set, err == nil
 }
+
+// BindChildIDs returns the direct successors of node id in the binding
+// graph (is-a children plus nodes this one is dispreferred to), ascending.
+func (h *Hierarchy) BindChildIDs(id int) []int { return h.bindGraph().Succ(id) }
 
 // BindAncestorIDs is AncestorIDs over the binding graph.
 func (h *Hierarchy) BindAncestorIDs(id int) []int { return h.bindGraph().Ancestors(id) }
@@ -394,6 +388,10 @@ func (h *Hierarchy) IDOf(name string) int {
 	return -1
 }
 
+// HasID reports whether id names a live node: not negative, allocated, and
+// not removed since.
+func (h *Hierarchy) HasID(id int) bool { return h.isa.Has(id) }
+
 // IDLimit returns one more than the largest node id ever allocated.
 func (h *Hierarchy) IDLimit() int { return h.isa.MaxID() }
 
@@ -424,13 +422,8 @@ func (h *Hierarchy) StrictlySubsumes(ancestor, descendant string) bool {
 	return ancestor != descendant && h.Subsumes(ancestor, descendant)
 }
 
-// BindSubsumes is Subsumes computed over the binding graph (is-a plus
+// BindSubsumesID is SubsumesID computed over the binding graph (is-a plus
 // preference edges). Used for tuple binding, never for membership.
-func (h *Hierarchy) BindSubsumes(ancestor, descendant string) bool {
-	return h.BindSubsumesID(h.IDOf(ancestor), h.IDOf(descendant))
-}
-
-// BindSubsumesID is BindSubsumes by node id.
 func (h *Hierarchy) BindSubsumesID(ancestor, descendant int) bool {
 	return h.bindGraph().HasPath(ancestor, descendant)
 }
@@ -494,29 +487,18 @@ func (h *Hierarchy) Overlaps(a, b string) bool { return h.OverlapsID(h.IDOf(a), 
 // OverlapsID is Overlaps by node id.
 func (h *Hierarchy) OverlapsID(a, b int) bool { return h.isa.Overlap(a, b) }
 
-// OverlapRegion returns every node n with Overlaps(n, name): the nodes at or
-// below name, and every ancestor of one of those. It walks the hierarchy
-// from name instead of testing candidates, so its cost follows the region,
-// not the number of values a caller would otherwise test one by one.
+// OverlapRegionIDs returns the id of every node n with OverlapsID(n, id):
+// the nodes at or below id, and every ancestor of one of those. It walks
+// the hierarchy from id instead of testing candidates, so its cost follows
+// the region, not the number of values a caller would otherwise test one by
+// one.
 //
 // ok is false, with nothing enumerated, when more than maxBelow nodes sit at
-// or below name (or name is unknown): the region is at least that large, and
-// a caller holding fewer candidates than that does better calling Overlaps
-// on each.
-func (h *Hierarchy) OverlapRegion(name string, maxBelow int) (region []string, ok bool) {
-	id, err := h.id(name)
-	if err != nil {
-		return nil, false
-	}
-	ids, ok := h.isa.OverlapRegion(id, maxBelow)
-	if !ok {
-		return nil, false
-	}
-	region = make([]string, len(ids))
-	for i, n := range ids {
-		region[i] = h.names[n]
-	}
-	return region, true
+// or below id (or id names no live node): the region is at least that
+// large, and a caller holding fewer candidates than that does better
+// calling OverlapsID on each.
+func (h *Hierarchy) OverlapRegionIDs(id, maxBelow int) (region []int, ok bool) {
+	return h.isa.OverlapRegion(id, maxBelow)
 }
 
 // Meets returns the maximal common descendants of a and b: if one subsumes
@@ -525,25 +507,22 @@ func (h *Hierarchy) OverlapRegion(name string, maxBelow int) (region []string, o
 // the per-attribute building block of the paper's complete/minimal conflict
 // resolution sets (§3.1). The result is empty iff a and b do not overlap.
 func (h *Hierarchy) Meets(a, b string) []string {
-	if h.Subsumes(a, b) {
-		return []string{b}
-	}
-	if h.Subsumes(b, a) {
-		return []string{a}
-	}
-	aid, ok := h.ids[a]
-	if !ok {
-		return nil
-	}
-	bid, ok := h.ids[b]
-	if !ok {
-		return nil
-	}
-	common := h.isa.MaximalCommon(aid, bid)
+	common := h.MeetIDs(h.IDOf(a), h.IDOf(b), nil)
 	if len(common) == 0 {
 		return nil
 	}
 	return h.namesOf(common)
+}
+
+// MeetIDs appends Meets by node id to dst; none for an id of no node.
+func (h *Hierarchy) MeetIDs(a, b int, dst []int) []int {
+	switch {
+	case h.SubsumesID(a, b):
+		return append(dst, b)
+	case h.SubsumesID(b, a):
+		return append(dst, a)
+	}
+	return append(dst, h.isa.MaximalCommon(a, b)...)
 }
 
 // Irredundant reports whether the is-a graph is a transitive reduction

@@ -285,7 +285,7 @@ func TestPrefer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Binding subsumption now sees B above A…
-	if !h.BindSubsumes("B", "A") {
+	if !h.BindSubsumesID(h.IDOf("B"), h.IDOf("A")) {
 		t.Fatal("preference edge not visible to BindSubsumes")
 	}
 	// …but membership is unchanged.
@@ -445,14 +445,16 @@ func TestOverlapRegionMatchesOverlaps(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		h := randomHierarchy(rng, 14)
 		for _, name := range h.Nodes() {
-			below := h.Reach(h.IDOf(name)).Count()
-			if region, ok := h.OverlapRegion(name, below-1); ok || region != nil {
+			id := h.IDOf(name)
+			below := h.Reach(id).Count()
+			if region, ok := h.OverlapRegionIDs(id, below-1); ok || region != nil {
 				t.Fatalf("%q has %d nodes at or below it, yet maxBelow=%d enumerated %v", name, below, below-1, region)
 			}
-			region, ok := h.OverlapRegion(name, below)
+			ids, ok := h.OverlapRegionIDs(id, below)
 			if !ok {
-				t.Fatalf("OverlapRegion(%q, %d) refused", name, below)
+				t.Fatalf("OverlapRegionIDs(%q, %d) refused", name, below)
 			}
+			region := h.namesOf(ids)
 			sort.Strings(region)
 			var want []string
 			for _, n := range h.Nodes() {
@@ -461,10 +463,10 @@ func TestOverlapRegionMatchesOverlaps(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(region, want) {
-				t.Fatalf("OverlapRegion(%q) = %v, Overlaps accepts %v", name, region, want)
+				t.Fatalf("OverlapRegionIDs(%q) = %v, Overlaps accepts %v", name, region, want)
 			}
 		}
-		if _, ok := h.OverlapRegion("no-such-node", 100); ok {
+		if _, ok := h.OverlapRegionIDs(-1, 100); ok {
 			t.Fatal("unknown node enumerated a region")
 		}
 	}

@@ -127,7 +127,7 @@ func TestLabelIndexMatchesDFSProperty(t *testing.T) {
 					t.Fatalf("trial %d step %d: Subsumes(%q,%q) = %v, want %v (warm=%v)",
 						trial, step, a, b, got, want, h.IndexWarm())
 				}
-				if got, want := h.BindSubsumes(a, b), refSubsumes(h, h.BindChildren, a, b); got != want {
+				if got, want := h.BindSubsumesID(h.IDOf(a), h.IDOf(b)), refSubsumes(h, func(n string) []string { return bindChildren(h, n) }, a, b); got != want {
 					t.Fatalf("trial %d step %d: BindSubsumes(%q,%q) = %v, want %v",
 						trial, step, a, b, got, want)
 				}
@@ -168,7 +168,7 @@ func TestAddEdgeRejectsBindingCycle(t *testing.T) {
 	}
 	// The hierarchy must remain fully usable (no poisoned rebuild).
 	h.Warm()
-	if !h.BindSubsumes("a", "b") {
+	if !h.BindSubsumesID(h.IDOf("a"), h.IDOf("b")) {
 		t.Fatal("preference edge lost")
 	}
 	if h.Subsumes("b", "a") {
@@ -192,7 +192,7 @@ func TestSubsumesWarmNoAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		h.Subsumes("c03", "i03")
 		h.Subsumes("c03", "i07")
-		h.BindSubsumes("D", "i19")
+		h.BindSubsumesID(h.IDOf("D"), h.IDOf("i19"))
 	}); avg != 0 {
 		t.Fatalf("warm Subsumes allocates %.1f per run, want 0", avg)
 	}

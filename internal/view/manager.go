@@ -493,9 +493,7 @@ func (m *Manager) foldSelect(src *core.Relation, v *view, changed []core.Item) (
 		return out
 	}
 	removed = rows()
-	if err := v.pre.Reconsolidate(v.rel, touched); err != nil {
-		return rows(), removed, 0, false
-	}
+	v.pre.Reconsolidate(v.rel, touched)
 	return rows(), removed, len(touched), true
 }
 
