@@ -26,7 +26,8 @@ help:
 	@echo "  test-obs     race-mode pass over the observability layer"
 	@echo "               (metrics registry, histograms, slow-query log)"
 	@echo "  test-repl    race-mode pass over the replication subsystem"
-	@echo "               (WAL shipping, chaos severs, failover/promote)"
+	@echo "               (WAL shipping, chaos severs, failover/promote, and"
+	@echo "               the root package's end-to-end replication test)"
 	@echo "  test-failover race-mode pass over the self-healing failover"
 	@echo "               path (elections, fencing, deposed rejoin, router"
 	@echo "               re-discovery); CHAOS_ROUNDS=<n> soaks the chaos"
@@ -84,6 +85,7 @@ test-obs:
 test-repl:
 	$(GO) test -race -count=1 ./internal/repl/
 	$(GO) test -race -count=1 -run 'TestReplStreamSharesConnection|TestFeedEndsWithOneErr|TestIdleTimeoutSparesBusyConnections' ./internal/server/
+	$(GO) test -race -count=1 -run 'TestReplicationEndToEnd$$' .
 
 test-failover:
 	$(GO) test -race -count=1 -run 'TestAutoFailover|TestFencedPrimary|TestDeposedPrimary|TestBootstrapDuring|TestReplicaStateGauge|TestRouterFailsOver|TestRouterStale|TestRouterConcurrent|TestShutdownRefuses' ./internal/repl/ ./internal/server/

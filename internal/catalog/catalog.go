@@ -249,6 +249,26 @@ func (db *Database) Read(name string, fn func(r *core.Relation) error) error {
 	return fn(r)
 }
 
+// ReadAll calls fn under the database's read lock with the policy, every
+// hierarchy sorted by domain and every live relation sorted by name: one
+// consistent cut of the whole database, as a snapshot needs. fn is bound as
+// Read's is: it must not modify or keep what it is given, nor call back into
+// the database.
+func (db *Database) ReadAll(fn func(p ExceptionPolicy, hs []*hierarchy.Hierarchy, rs []*core.Relation)) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	hs := make([]*hierarchy.Hierarchy, 0, len(db.hierarchies))
+	for _, h := range db.hierarchies {
+		hs = append(hs, h)
+	}
+	sort.Slice(hs, func(i, j int) bool { return hs[i].Domain() < hs[j].Domain() })
+	rs := make([]*core.Relation, 0, len(db.relations))
+	for _, n := range db.relationNamesLocked() {
+		rs = append(rs, db.relations[n])
+	}
+	fn(db.policy, hs, rs)
+}
+
 // IndexStats returns the per-column secondary-index statistics of a
 // relation (cardinality, distinct stored values, label-index warmth) — the
 // inputs the algebra cost model plans from.

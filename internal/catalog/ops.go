@@ -184,9 +184,13 @@ func (db *Database) applyOne(o TxOp) ([]string, error) {
 		_, err := db.CreateHierarchy(o.Relation)
 		return nil, err
 	case KindAddClass, KindAddInstance, KindAddEdge, KindPrefer:
-		h, err := db.Hierarchy(o.Relation)
-		if err != nil {
-			return nil, err
+		// Under the write lock, as every hierarchy edit: readers such as
+		// ReadAll walk the hierarchies under the read lock.
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		h, ok := db.hierarchies[o.Relation]
+		if !ok {
+			return nil, fmt.Errorf("%w: hierarchy %q", ErrNotFound, o.Relation)
 		}
 		switch o.Kind {
 		case KindAddClass:

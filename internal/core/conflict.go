@@ -141,7 +141,6 @@ func (r *Relation) ConflictsUnder(changed []Item) []*ConflictError {
 // conflictsAmong is the checker: it pairs the given rows across signs and
 // reports the conflicted items their pairs point at, sorted by item key.
 func (r *Relation) conflictsAmong(rows []int32) []*ConflictError {
-	r.rebind()
 	metricCheckCandidates.Observe(int64(len(rows)))
 	exhaustive := r.mode != OffPath || !r.fastPathOK()
 

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"hrdb/internal/dag"
 )
@@ -26,7 +24,6 @@ import (
 // can make another, previously irredundant tuple redundant — Consolidate
 // handles the cascade.
 func (r *Relation) RedundantTuples() []Tuple {
-	r.rebind()
 	rows := r.sortedRows()
 	sub := r.bindMatrix(rows)
 	var out []Tuple
@@ -61,7 +58,6 @@ func (r *Relation) redundantAt(rows []int32, sub []dag.Bitset, i int, gone []boo
 // that point (§3.3.1). The receiver is not modified. The result comes with
 // its binding order, the walk's restricted to the survivors (see kahn).
 func (r *Relation) Consolidate() *Relation {
-	r.rebind()
 	rows := r.sortedRows()
 	order, sub := r.bindOrder(rows)
 	removed := make([]bool, len(rows))
@@ -99,8 +95,6 @@ func (r *Relation) Consolidate() *Relation {
 // any down-closed rewrite) and that no attribute has preference edges, so the
 // tuples above one are its applicable rows.
 func (r *Relation) Reconsolidate(c *Relation, touched []Item) {
-	r.rebind()
-	c.rebind()
 	var rows []int32
 	for _, d := range touched {
 		c.Retract(d)
@@ -133,33 +127,10 @@ type SubsumptionEdge struct {
 	To   Tuple
 }
 
-// SubsumptionDOT renders the relation's subsumption graph in Graphviz
-// syntax (Fig. 1c, Fig. 6a); the universal negated tuple appears as utop.
-func (r *Relation) SubsumptionDOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n", r.name)
-	b.WriteString("  utop [label=\"universal negated tuple\"];\n")
-	ids := map[string]int{}
-	for i, t := range r.Tuples() {
-		ids[t.Item.Key()] = i
-		fmt.Fprintf(&b, "  t%d [label=%q];\n", i, t.String())
-	}
-	for _, e := range r.SubsumptionGraph() {
-		from := "utop"
-		if e.From != nil {
-			from = fmt.Sprintf("t%d", ids[e.From.Item.Key()])
-		}
-		fmt.Fprintf(&b, "  %s -> t%d;\n", from, ids[e.To.Item.Key()])
-	}
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // SubsumptionGraph returns the relation's subsumption graph (Fig. 1c,
 // Fig. 6a): one node per tuple plus the implicit universal negated tuple,
 // with edges from each tuple's immediate predecessors.
 func (r *Relation) SubsumptionGraph() []SubsumptionEdge {
-	r.rebind()
 	rows := r.sortedRows()
 	tuples, sub := r.tuplesOf(rows), r.bindMatrix(rows)
 	var out []SubsumptionEdge

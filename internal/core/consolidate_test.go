@@ -178,20 +178,6 @@ func TestConsolidateIdempotent(t *testing.T) {
 	}
 }
 
-// TestSubsumptionDOT: the DOT rendering is stable and names all tuples.
-func TestSubsumptionDOT(t *testing.T) {
-	r := respectsRelation(t)
-	dot := r.SubsumptionDOT()
-	if dot != r.SubsumptionDOT() {
-		t.Fatal("SubsumptionDOT not deterministic")
-	}
-	for _, want := range []string{"digraph", "utop", "ObsequiousStudent", "->"} {
-		if !contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
-	}
-}
-
 // TestSubsumptionGraphFig6a checks the subsumption graph of the Respects
 // relation: the universal negated tuple points at the two top-level tuples;
 // the resolving tuple has BOTH broad tuples as immediate predecessors.

@@ -122,7 +122,6 @@ func (r *Relation) evaluateUncached(item Item) (Verdict, error) {
 
 // evaluateBare runs the paper's evaluation procedure with no memo.
 func (r *Relation) evaluateBare(item Item) (Verdict, error) {
-	r.rebind()
 	var idBuf [8]int32
 	ids, err := r.validateItem(item, idBuf[:0])
 	if err != nil {
@@ -331,7 +330,6 @@ type BindingGraph struct {
 // TupleBindingGraph computes the explicit tuple-binding graph for an item
 // under the relation's preemption mode.
 func (r *Relation) TupleBindingGraph(item Item) (*BindingGraph, error) {
-	r.rebind()
 	var buf [8]int32
 	ids, err := r.validateItem(item, buf[:0])
 	if err != nil {

@@ -29,10 +29,11 @@ func TestHoldsBatchReducesVerdicts(t *testing.T) {
 }
 
 // TestEpochAndCacheToggles pins the cache-coherence observables: the epoch
-// counter moves on every mutation, and SetCache flips CacheEnabled.
+// counter moves on every mutation, and SetCache flips what the relation
+// keeps per state.
 func TestEpochAndCacheToggles(t *testing.T) {
 	r := fliesRelation(t)
-	if !r.CacheEnabled() {
+	if r.cacheOff {
 		t.Fatal("cache must default on")
 	}
 	e0 := r.Epoch()
@@ -41,11 +42,11 @@ func TestEpochAndCacheToggles(t *testing.T) {
 		t.Fatal("SetMode must advance the epoch")
 	}
 	r.SetCache(false)
-	if r.CacheEnabled() {
+	if !r.cacheOff {
 		t.Fatal("SetCache(false) must report disabled")
 	}
 	r.SetCache(true)
-	if !r.CacheEnabled() {
+	if r.cacheOff {
 		t.Fatal("SetCache(true) must report enabled")
 	}
 }

@@ -12,7 +12,6 @@ import "slices"
 // attr across the relation's tuples — the number of posting lists an index
 // probe on that column has to consider.
 func (r *Relation) DistinctValues(attr int) int {
-	r.rebind()
 	if attr < 0 || attr >= len(r.post) {
 		return 0
 	}
@@ -22,7 +21,6 @@ func (r *Relation) DistinctValues(attr int) int {
 // PostingCount returns how many stored tuples carry exactly value in column
 // attr.
 func (r *Relation) PostingCount(attr int, value string) int {
-	r.rebind()
 	if attr < 0 || attr >= len(r.post) {
 		return 0
 	}
@@ -34,7 +32,6 @@ func (r *Relation) PostingCount(attr int, value string) int {
 // item key. It probes the postings and returns exactly the tuples a full
 // scan filtered by Overlaps(t.Item[attr], class) would.
 func (r *Relation) OverlapCandidates(attr int, class string) []Tuple {
-	r.rebind()
 	if attr < 0 || attr >= len(r.post) {
 		return nil
 	}
@@ -84,7 +81,6 @@ func (r *Relation) TuplesOverlapping(items []Item) []Tuple { return r.tuplesOf(r
 // of the items. Each item probes the column whose overlapping posting lists
 // are shortest and filters on the remaining coordinates.
 func (r *Relation) overlapping(items []Item) []int32 {
-	r.rebind()
 	var out []int32
 	var buf [8]int32
 	for _, it := range items {
@@ -126,7 +122,6 @@ type IndexStats struct {
 
 // Stats returns per-column index statistics in schema order.
 func (r *Relation) Stats() []IndexStats {
-	r.rebind()
 	out := make([]IndexStats, r.schema.Arity())
 	for i, a := range r.schema.attrs {
 		out[i] = IndexStats{

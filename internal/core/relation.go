@@ -14,13 +14,11 @@ package core
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"hrdb/internal/dag"
@@ -211,24 +209,16 @@ type Relation struct {
 
 	// Row n holds a tuple, as inserted, in rows[n] and its node ids in
 	// ids[n*k : n*k+k]; a retracted row's slot (Item nil) is listed in free
-	// for reuse. byIDs finds a row by its packed ids, and post[i] lists the
-	// ascending rows per node id of column i, so Applicable and the planner
-	// probe the postings of a coordinate's ancestors, or of the nodes that
-	// overlap a region, not every row. The id of a node removed since is
-	// dead to every id-level query, and a row keeps it until a node of that
-	// name is added again (rebind).
-	rows  []Tuple
-	ids   []int32
-	free  []int32
-	byIDs map[string]int32
-	post  []map[int32][]int32
-
-	// bound and removed are hgen's as of the last rebind, and dead lists
-	// the rows holding a dead id.
-	bound   atomic.Uint64
-	bindMu  sync.Mutex
-	removed int
-	dead    []int32
+	// for reuse. post[i] lists the ascending rows per node id of column i,
+	// so Applicable and the planner probe the postings of a coordinate's
+	// ancestors, or of the nodes that overlap a region, and rowOf those of
+	// the item's own ids, not every row. A name keeps its id in its
+	// hierarchy, so the id of a node removed since is dead to every
+	// id-level query until the name is added again, and then reads right.
+	rows []Tuple
+	ids  []int32
+	free []int32
+	post []map[int32][]int32
 
 	// epoch counts mutations (Insert/Retract/SetMode); what the relation
 	// keeps per state is stamped with it so no post-mutation read can be
@@ -258,20 +248,15 @@ func newRelation(name string, schema *Schema, n int) *Relation {
 	for i := range post {
 		post[i] = map[int32][]int32{}
 	}
-	r := &Relation{
+	return &Relation{
 		name:   name,
 		schema: schema,
 		mode:   OffPath,
 		rows:   make([]Tuple, 0, n),
 		ids:    make([]int32, 0, n*schema.Arity()),
-		byIDs:  make(map[string]int32, n),
 		post:   post,
 		cache:  table{budget: cacheBudget},
 	}
-	gen, removed := r.hgen()
-	r.bound.Store(gen)
-	r.removed = removed
-	return r
 }
 
 // Name returns the relation's name.
@@ -308,74 +293,15 @@ func (r *Relation) SetCache(enabled bool) {
 	}
 }
 
-// CacheEnabled reports whether the relation keeps anything per state.
-func (r *Relation) CacheEnabled() bool { return !r.cacheOff }
-
 // stamp captures the relation and hierarchy state a kept value depends on:
 // the relation's epoch (which SetMode moves too) and the sum of the
 // attribute hierarchies' mutation generations.
 func (r *Relation) stamp() cacheStamp {
-	gen, _ := r.hgen()
-	return cacheStamp{epoch: r.epoch, hgen: gen}
-}
-
-// hgen returns the sum of the attribute hierarchies' mutation generations
-// and how many nodes they have lost, a domain once per column it serves.
-func (r *Relation) hgen() (gen uint64, removed int) {
+	s := cacheStamp{epoch: r.epoch}
 	for _, a := range r.schema.attrs {
-		gen += a.Domain.Generation()
-		removed += a.Domain.IDLimit() - a.Domain.Len()
+		s.hgen += a.Domain.Generation()
 	}
-	return gen, removed
-}
-
-// rebind brings the rows up to their hierarchies' edits, so that each reads
-// by its names as a tuple keyed by them would: after a removal, the rows
-// holding a dead id are listed in dead, and such a coordinate takes the id
-// of a node of its name once one is added again. Every method reading the
-// ids, byIDs or the postings calls it first. It writes only after a
-// hierarchy edit, which no read runs beside; reads meeting one take turns.
-func (r *Relation) rebind() {
-	gen, removed := r.hgen()
-	if r.bound.Load() == gen {
-		return
-	}
-	r.bindMu.Lock()
-	defer r.bindMu.Unlock()
-	if r.bound.Load() != gen && (removed != r.removed || len(r.dead) > 0) {
-		r.removed, r.dead = removed, r.dead[:0]
-		for n, t := range r.rows {
-			if t.Item != nil && r.rekey(int32(n)) {
-				r.dead = append(r.dead, int32(n))
-			}
-		}
-	}
-	r.bound.Store(gen)
-}
-
-// rekey gives each dead coordinate of row n the id of the node now bearing
-// its name, if there is one, and reports whether one is still dead.
-func (r *Relation) rekey(n int32) (dead bool) {
-	ids, indexed := r.rowIDs(n), true
-	for i, id := range ids {
-		h := r.schema.attrs[i].Domain
-		if h.HasID(int(id)) {
-			continue
-		}
-		if v := h.IDOf(r.rows[n].Item[i]); v < 0 {
-			dead = true
-		} else {
-			if indexed {
-				r.unindex(n)
-				indexed = false
-			}
-			ids[i] = int32(v)
-		}
-	}
-	if !indexed {
-		r.index(n)
-	}
-	return dead
+	return s
 }
 
 // validateItem checks arity and that every coordinate names a node of its
@@ -402,47 +328,51 @@ func (r *Relation) unknownValue(i int, v string) error {
 		ErrUnknownValue, v, a.Domain.Domain(), a.Name)
 }
 
-// packIDs appends ids to dst as a byIDs key.
-func packIDs(dst []byte, ids []int32) []byte {
-	for _, id := range ids {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(id))
-	}
-	return dst
-}
-
 // rowIDs returns row n's node ids, capped so an append copies.
 func (r *Relation) rowIDs(n int32) []int32 {
 	k := r.schema.Arity()
 	return r.ids[int(n)*k : int(n)*k+k : int(n)*k+k]
 }
 
-// rowOf returns the row whose coordinates have exactly these node ids.
+// rowOf returns the row whose coordinates have exactly these node ids, from
+// the shortest of their posting lists.
 func (r *Relation) rowOf(ids []int32) (int32, bool) {
-	var buf [32]byte
-	n, ok := r.byIDs[string(packIDs(buf[:0], ids))]
-	return n, ok
-}
-
-// find returns the row stored on exactly item. An item naming no node can
-// be stored only in a row holding a dead id, so those are searched by name.
-func (r *Relation) find(item Item) (int32, bool) {
-	var buf [8]int32
-	if ids, err := r.validateItem(item, buf[:0]); err == nil {
-		return r.rowOf(ids)
+	rows := r.post[0][ids[0]]
+	for i, id := range ids[1:] {
+		if p := r.post[i+1][id]; len(p) < len(rows) {
+			rows = p
+		}
 	}
-	for _, n := range r.dead {
-		if r.rows[n].Item.Equal(item) {
+	for _, n := range rows {
+		if slices.Equal(r.rowIDs(n), ids) {
 			return n, true
 		}
 	}
 	return 0, false
 }
 
+// find returns the row stored on exactly item. A row may name a node
+// removed since, so the item's names are looked up by the ids they keep.
+func (r *Relation) find(item Item) (int32, bool) {
+	if len(item) != r.schema.Arity() {
+		return 0, false
+	}
+	var buf [8]int32
+	ids := buf[:0]
+	for i, v := range item {
+		id := r.schema.attrs[i].Domain.KeptID(v)
+		if id < 0 {
+			return 0, false
+		}
+		ids = append(ids, int32(id))
+	}
+	return r.rowOf(ids)
+}
+
 // Insert stores a tuple. Re-inserting an identical tuple is a no-op;
 // inserting an item that is already present with the opposite sign returns
 // ErrContradiction (use Retract first to flip a tuple's sign).
 func (r *Relation) Insert(item Item, sign bool) error {
-	r.rebind()
 	var buf [8]int32
 	ids, err := r.validateItem(item, buf[:0])
 	if err != nil {
@@ -471,20 +401,15 @@ func (r *Relation) put(t Tuple, ids []int32) int32 {
 		r.rows = append(r.rows, t)
 		r.ids = append(r.ids, ids...)
 	}
-	if r.index(n); r.rekey(n) {
-		r.dead = append(r.dead, n)
-	}
+	r.index(n)
 	r.epoch++
 	r.dropMemos()
 	return n
 }
 
-// index enters row n under its ids in byIDs and the postings.
+// index enters row n in the postings of its ids.
 func (r *Relation) index(n int32) {
-	ids := r.rowIDs(n)
-	var buf [32]byte
-	r.byIDs[string(packIDs(buf[:0], ids))] = n
-	for i, id := range ids {
+	for i, id := range r.rowIDs(n) {
 		post := r.post[i][id]
 		at, _ := slices.BinarySearch(post, n)
 		r.post[i][id] = slices.Insert(post, at, n)
@@ -493,10 +418,7 @@ func (r *Relation) index(n int32) {
 
 // unindex is index undone.
 func (r *Relation) unindex(n int32) {
-	ids := r.rowIDs(n)
-	var buf [32]byte
-	delete(r.byIDs, string(packIDs(buf[:0], ids)))
-	for i, id := range ids {
+	for i, id := range r.rowIDs(n) {
 		post := r.post[i][id]
 		at, _ := slices.BinarySearch(post, n)
 		if post = slices.Delete(post, at, at+1); len(post) == 0 {
@@ -518,15 +440,11 @@ func (r *Relation) Deny(values ...string) error { return r.Insert(Item(values), 
 // Retract removes the tuple on exactly this item, reporting whether one was
 // present.
 func (r *Relation) Retract(item Item) bool {
-	r.rebind()
 	n, ok := r.find(item)
 	if !ok {
 		return false
 	}
 	r.unindex(n)
-	if d := slices.Index(r.dead, n); d >= 0 {
-		r.dead = slices.Delete(r.dead, d, d+1)
-	}
 	r.rows[n] = Tuple{}
 	r.free = append(r.free, n)
 	r.epoch++
@@ -536,7 +454,6 @@ func (r *Relation) Retract(item Item) bool {
 
 // Lookup returns the tuple stored on exactly this item, if any.
 func (r *Relation) Lookup(item Item) (Tuple, bool) {
-	r.rebind()
 	if n, ok := r.find(item); ok {
 		return r.rows[n], true
 	}
@@ -592,11 +509,9 @@ func (r *Relation) sortRows(rows []int32) {
 // are populated, and the tuples' items, which are never written in place).
 // The copy of a VerifiedConsistent relation is verified at its own state.
 func (r *Relation) Clone() *Relation {
-	r.rebind()
 	c := newRelation(r.name, r.schema, 0)
 	c.mode, c.cacheOff = r.mode, r.cacheOff
-	c.rows, c.ids, c.free, c.byIDs = slices.Clone(r.rows), slices.Clone(r.ids), slices.Clone(r.free), maps.Clone(r.byIDs)
-	c.dead = slices.Clone(r.dead)
+	c.rows, c.ids, c.free = slices.Clone(r.rows), slices.Clone(r.ids), slices.Clone(r.free)
 	for i, post := range r.post {
 		c.post[i] = maps.Clone(post)
 		for id, rows := range post {
@@ -656,7 +571,6 @@ func (r *Relation) IsAtomic(item Item) bool {
 // it (including a tuple exactly on the item), sorted by item key. These are
 // the nodes of the paper's tuple-binding graph for the item.
 func (r *Relation) Applicable(item Item) []Tuple {
-	r.rebind()
 	var buf [8]int32
 	ids, err := r.validateItem(item, buf[:0])
 	if err != nil {
@@ -883,7 +797,6 @@ func (r *Relation) TuplesGeneralFirst() []Tuple { return r.tuplesOf(r.generalFir
 // generalFirst is the stored rows in binding order, memoized per state; not
 // to be modified.
 func (r *Relation) generalFirst() []int32 {
-	r.rebind()
 	rows, _ := memoized(r, &r.order, func() ([]int32, error) {
 		rows := r.sortedRows()
 		order, _ := r.bindOrder(rows)

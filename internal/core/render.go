@@ -6,33 +6,28 @@ import (
 	"unicode/utf8"
 )
 
-// DisplayValue renders one item coordinate the way the paper prints it:
-// classes get a "∀" prefix (universal quantification over the class),
-// instances and other leaves are printed bare.
-func (r *Relation) DisplayValue(attr int, v string) string {
-	h := r.schema.attrs[attr].Domain
-	if h.IsLeaf(v) {
-		return v
-	}
-	return "∀" + v
-}
-
 // Table renders the relation as an aligned text table in the style of the
 // paper's figures: a sign column followed by one column per attribute,
-// general tuples first. The output is deterministic.
+// general tuples first, classes marked ∀ (universal quantification over the
+// class) and leaves bare. The output is deterministic.
 func (r *Relation) Table() string {
-	tuples := r.TuplesGeneralFirst()
+	order := r.generalFirst()
 	headers := append([]string{""}, r.schema.Names()...)
-	rows := make([][]string, 0, len(tuples))
-	for _, t := range tuples {
+	rows := make([][]string, 0, len(order))
+	for _, n := range order {
+		t := r.rows[n]
 		row := make([]string, 0, 1+len(t.Item))
 		if t.Sign {
 			row = append(row, "+")
 		} else {
 			row = append(row, "-")
 		}
-		for i, v := range t.Item {
-			row = append(row, r.DisplayValue(i, v))
+		for i, id := range r.rowIDs(n) {
+			if v := t.Item[i]; r.schema.attrs[i].Domain.IsLeafID(int(id)) {
+				row = append(row, v)
+			} else {
+				row = append(row, "∀"+v)
+			}
 		}
 		rows = append(rows, row)
 	}

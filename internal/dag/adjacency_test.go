@@ -72,6 +72,14 @@ func (r *refGraph) addEdge(from, to int) error {
 	return nil
 }
 
+// revive mirrors Graph.Revive: an id handed out before and removed since
+// comes back with no edges.
+func (r *refGraph) revive(id int) {
+	if id >= 0 && id < r.next {
+		r.alive[id] = true
+	}
+}
+
 func (r *refGraph) removeNode(id int) {
 	if !r.alive[id] {
 		return
@@ -262,7 +270,8 @@ func checkAgainstRef(t *testing.T, g *Graph, r *refGraph, what string) {
 
 // TestPropertyAdjacencyMatchesReference drives seeded random sequences of
 // every mutation — duplicate edges, cycle attempts, edges to dead or
-// missing ids, removals, both elimination variants, reduction and clones —
+// missing ids, removals, a removal and Revive of one id, both elimination
+// variants, reduction and clones —
 // through the graph and a map-of-sets reference, and compares every
 // adjacency answer after each step. A cloned graph is set aside with a copy
 // of the reference and checked again at the end, while the sequence goes on
@@ -280,7 +289,7 @@ func TestPropertyAdjacencyMatchesReference(t *testing.T) {
 		pick := func() int { return rng.Intn(r.next+2) - 1 } // dead and missing ids too
 		for step := 0; step < 80; step++ {
 			what := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(21); {
 			case op < 4 || r.next < 2:
 				if got, want := g.AddNode(), r.addNode(); got != want {
 					t.Fatalf("%s: AddNode() = %d, want %d", what, got, want)
@@ -309,7 +318,14 @@ func TestPropertyAdjacencyMatchesReference(t *testing.T) {
 				id := pick()
 				g.RemoveNode(id)
 				r.removeNode(id)
-			case op < 17:
+			case op < 16:
+				id := pick()
+				g.RemoveNode(id)
+				r.removeNode(id)
+				checkAgainstRef(t, g, r, what+" before Revive")
+				g.Revive(id)
+				r.revive(id)
+			case op < 18:
 				id, keep := pick(), rng.Intn(2) == 0
 				err := g.Eliminate(id, keep)
 				if !r.alive[id] {
@@ -322,12 +338,12 @@ func TestPropertyAdjacencyMatchesReference(t *testing.T) {
 					t.Fatalf("%s: Eliminate(%d, %v): %v", what, id, keep, err)
 				}
 				r.eliminate(id, keep)
-			case op < 18:
+			case op < 19:
 				if err := g.TransitiveReduction(); err != nil {
 					t.Fatalf("%s: TransitiveReduction: %v", what, err)
 				}
 				r.reduce()
-			case op < 19:
+			case op < 20:
 				clones = append(clones, pair{g, r})
 				g, r = g.Clone(), r.clone()
 			default:

@@ -176,8 +176,9 @@ func common(a, b []int) []int {
 
 // TestPropertyClosureMatchesDFS checks the compressed closure against a DFS
 // reference on seeded random DAGs — forests, multi-parent nodes, redundant
-// edges, several roots — cold and warm, and again after RemoveNode and
-// Eliminate (both variants) move the graph to a new generation.
+// edges, several roots — cold and warm, and again after RemoveNode,
+// Eliminate (both variants), or a removal and Revive of a node under
+// parents of its own on a warm index, move the graph to a new generation.
 func TestPropertyClosureMatchesDFS(t *testing.T) {
 	rounds := closureRounds(t)
 	for seed := 0; seed < rounds; seed++ {
@@ -192,9 +193,20 @@ func TestPropertyClosureMatchesDFS(t *testing.T) {
 			gen := g.Generation()
 			nodes := g.Nodes()
 			victim := nodes[rng.Intn(len(nodes))]
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				g.RemoveNode(victim)
+			case 1:
+				g.Warm()
+				g.RemoveNode(victim)
+				g.Revive(victim)
+				for _, p := range g.Nodes() {
+					if p != victim && rng.Intn(4) == 0 {
+						if err := g.AddEdge(p, victim); err != nil { // victim has no successors
+							t.Fatalf("%s: AddEdge(%d, revived %d): %v", what, p, victim, err)
+						}
+					}
+				}
 			default:
 				if err := g.Eliminate(victim, rng.Intn(2) == 0); err != nil {
 					t.Fatalf("%s: Eliminate(%d): %v", what, victim, err)

@@ -34,8 +34,8 @@ var ErrNoNode = errors.New("dag: no such node")
 // enforced by AddEdge. The zero value is an empty graph ready for use.
 type Graph struct {
 	// succ[i] and pred[i] are the adjacency lists of node i: ascending,
-	// duplicate-free, nil when empty. A node exists iff alive[i]. Deleted
-	// ids are never reused.
+	// duplicate-free, nil when empty. A node exists iff alive[i]. AddNode
+	// never hands out a deleted id again; only Revive makes it live.
 	succ  [][]int32
 	pred  [][]int32
 	alive []bool
@@ -84,6 +84,17 @@ func (g *Graph) AddNode() int {
 	g.nodes++
 	g.invalidate()
 	return id
+}
+
+// Revive makes the removed node id live again, with no edges. It is a no-op
+// for a live id or one never allocated.
+func (g *Graph) Revive(id int) {
+	if id < 0 || id >= len(g.alive) || g.alive[id] {
+		return
+	}
+	g.alive[id] = true
+	g.nodes++
+	g.invalidate()
 }
 
 // Has reports whether id is a live node of the graph.

@@ -45,13 +45,23 @@ func bindChildren(h *Hierarchy, name string) []string {
 	return h.namesOf(h.BindChildIDs(id))
 }
 
+// bindParents is the binding graph's direct predecessors of name, sorted;
+// nil for a name of no node.
+func bindParents(h *Hierarchy, name string) []string {
+	id := h.IDOf(name)
+	if id < 0 {
+		return nil
+	}
+	return h.namesOf(h.bindGraph().Pred(id))
+}
+
 func TestBindChildrenAndParents(t *testing.T) {
 	h := animals(t)
 	// Without preferences the binding graph equals the is-a graph.
 	if got := bindChildren(h, "Penguin"); !reflect.DeepEqual(got, h.Children("Penguin")) {
 		t.Fatalf("BindChildren = %v", got)
 	}
-	if got := h.BindParents("Patricia"); !reflect.DeepEqual(got, h.Parents("Patricia")) {
+	if got := bindParents(h, "Patricia"); !reflect.DeepEqual(got, h.Parents("Patricia")) {
 		t.Fatalf("BindParents = %v", got)
 	}
 	// A preference edge appears in the binding adjacency only.
@@ -75,24 +85,24 @@ func TestBindChildrenAndParents(t *testing.T) {
 	if got := bindChildren(h, "nope"); got != nil {
 		t.Fatalf("BindChildren(nope) = %v", got)
 	}
-	if got := h.BindParents("nope"); got != nil {
+	if got := bindParents(h, "nope"); got != nil {
 		t.Fatalf("BindParents(nope) = %v", got)
 	}
 }
 
 func TestBindReachSet(t *testing.T) {
 	h := animals(t)
-	set, ok := h.BindReachSet("Penguin")
-	if !ok {
-		t.Fatal("BindReachSet failed")
+	set, err := h.bindGraph().Reach(h.IDOf("Penguin"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !set.Has(h.MustID("Patricia")) {
+	if !set.Has(h.IDOf("Patricia")) {
 		t.Fatal("Patricia not reachable from Penguin")
 	}
-	if set.Has(h.MustID("Canary")) {
+	if set.Has(h.IDOf("Canary")) {
 		t.Fatal("Canary reachable from Penguin")
 	}
-	if _, ok := h.BindReachSet("nope"); ok {
+	if _, err := h.bindGraph().Reach(h.IDOf("nope")); err == nil {
 		t.Fatal("unknown name accepted")
 	}
 }
@@ -126,9 +136,9 @@ func TestGraphAndBindingGraphClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, label := h.Graph()
-	bg, blabel := h.BindingGraphClone()
+	bg, blabel := h.bindGraph().Clone(), h.NameOf
 	// The binding graph has the preference edge; the is-a graph does not.
-	gp, afp := h.MustID("GalapagosPenguin"), h.MustID("AmazingFlyingPenguin")
+	gp, afp := h.IDOf("GalapagosPenguin"), h.IDOf("AmazingFlyingPenguin")
 	if g.HasEdge(gp, afp) {
 		t.Fatal("preference edge in is-a clone")
 	}

@@ -53,8 +53,12 @@ var (
 // flag) are published atomically and built under a mutex. Mutation is
 // single-writer with no concurrent readers, as with the dag package.
 type Hierarchy struct {
-	domain   string
-	isa      *dag.Graph
+	domain string
+	isa    *dag.Graph
+	// ids maps every name that has been a node to its id, a removed one's
+	// included: a name keeps its id for the hierarchy's life, so a row of a
+	// relation naming it reads right again once it is added back. A name is
+	// a node iff its id is live in isa (live).
 	ids      map[string]int
 	names    []string
 	instance []bool
@@ -120,15 +124,22 @@ func New(domain string) *Hierarchy {
 // Domain returns the domain (root class) name.
 func (h *Hierarchy) Domain() string { return h.domain }
 
+// live returns the id of name and whether name is a node now; every lookup
+// by name goes through it.
+func (h *Hierarchy) live(name string) (int, bool) {
+	id, ok := h.ids[name]
+	return id, ok && h.isa.Has(id)
+}
+
 // Has reports whether name is a node of the hierarchy.
 func (h *Hierarchy) Has(name string) bool {
-	_, ok := h.ids[name]
+	_, ok := h.live(name)
 	return ok
 }
 
 // IsInstance reports whether name is an instance (leaf by construction).
 func (h *Hierarchy) IsInstance(name string) bool {
-	id, ok := h.ids[name]
+	id, ok := h.live(name)
 	return ok && h.instance[id]
 }
 
@@ -137,20 +148,23 @@ func (h *Hierarchy) Len() int { return h.isa.Len() }
 
 // Nodes returns all node names, sorted.
 func (h *Hierarchy) Nodes() []string {
-	out := make([]string, 0, len(h.ids))
-	for name := range h.ids {
-		out = append(out, name)
+	out := make([]string, 0, h.Len())
+	for name, id := range h.ids {
+		if h.isa.Has(id) {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// addNode inserts a node under the given parents (default: the root).
+// addNode inserts a node under the given parents (default: the root). A
+// name removed before gets its old id back.
 func (h *Hierarchy) addNode(name string, isInstance bool, parents []string) error {
 	if name == "" {
 		return ErrEmptyName
 	}
-	if _, ok := h.ids[name]; ok {
+	if h.Has(name) {
 		return fmt.Errorf("%w: %q", ErrDuplicate, name)
 	}
 	pids := make([]int, 0, len(parents))
@@ -158,7 +172,7 @@ func (h *Hierarchy) addNode(name string, isInstance bool, parents []string) erro
 		pids = append(pids, h.root)
 	}
 	for _, p := range parents {
-		pid, ok := h.ids[p]
+		pid, ok := h.live(p)
 		if !ok {
 			return fmt.Errorf("%w: parent %q", ErrUnknown, p)
 		}
@@ -167,10 +181,16 @@ func (h *Hierarchy) addNode(name string, isInstance bool, parents []string) erro
 		}
 		pids = append(pids, pid)
 	}
-	id := h.isa.AddNode()
-	h.ids[name] = id
-	h.names = append(h.names, name)
-	h.instance = append(h.instance, isInstance)
+	id, kept := h.ids[name]
+	if kept {
+		h.isa.Revive(id)
+		h.instance[id] = isInstance
+	} else {
+		id = h.isa.AddNode()
+		h.ids[name] = id
+		h.names = append(h.names, name)
+		h.instance = append(h.instance, isInstance)
+	}
 	for _, pid := range pids {
 		if err := h.isa.AddEdge(pid, id); err != nil {
 			// Cannot happen: the new node has no outgoing edges.
@@ -198,11 +218,11 @@ func (h *Hierarchy) AddInstance(name string, parents ...string) error {
 // semantically meaningful under the paper's preemption rules — but can be
 // detected with Irredundant and removed with StripRedundant.
 func (h *Hierarchy) AddEdge(parent, child string) error {
-	pid, ok := h.ids[parent]
+	pid, ok := h.live(parent)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, parent)
 	}
-	cid, ok := h.ids[child]
+	cid, ok := h.live(child)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, child)
 	}
@@ -230,11 +250,11 @@ func (h *Hierarchy) AddEdge(parent, child string) error {
 // used only for tuple binding, never for membership. It must not create a
 // cycle in the binding graph.
 func (h *Hierarchy) Prefer(stronger, weaker string) error {
-	sid, ok := h.ids[stronger]
+	sid, ok := h.live(stronger)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, stronger)
 	}
-	wid, ok := h.ids[weaker]
+	wid, ok := h.live(weaker)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, weaker)
 	}
@@ -307,24 +327,6 @@ func (h *Hierarchy) bindGraph() *dag.Graph {
 	return bg
 }
 
-// BindParents returns the direct predecessors of name in the binding graph,
-// sorted.
-func (h *Hierarchy) BindParents(name string) []string {
-	id, err := h.id(name)
-	if err != nil {
-		return nil
-	}
-	return h.namesOf(h.bindGraph().Pred(id))
-}
-
-// BindReachSet returns the set of node ids reachable from name in the
-// binding graph (including name itself), for bulk subsumption checks. The
-// set describes the hierarchy as of the call.
-func (h *Hierarchy) BindReachSet(name string) (dag.Set, bool) {
-	set, err := h.bindGraph().Reach(h.IDOf(name))
-	return set, err == nil
-}
-
 // BindChildIDs returns the direct successors of node id in the binding
 // graph (is-a children plus nodes this one is dispreferred to), ascending.
 func (h *Hierarchy) BindChildIDs(id int) []int { return h.bindGraph().Succ(id) }
@@ -360,21 +362,11 @@ func (h *Hierarchy) BindingIrredundant() bool {
 
 // id returns the node id for name.
 func (h *Hierarchy) id(name string) (int, error) {
-	id, ok := h.ids[name]
+	id, ok := h.live(name)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
 	return id, nil
-}
-
-// MustID is like id but panics on unknown names; used by trusted internal
-// callers that have already validated the name.
-func (h *Hierarchy) MustID(name string) int {
-	id, ok := h.ids[name]
-	if !ok {
-		panic(fmt.Sprintf("hierarchy: unknown node %q", name))
-	}
-	return id
 }
 
 // IDOf returns the node id of name, or -1 when name is not a node. The
@@ -382,6 +374,15 @@ func (h *Hierarchy) MustID(name string) int {
 // -1 as the string methods treat an unknown name: it never subsumes,
 // overlaps or expands to anything.
 func (h *Hierarchy) IDOf(name string) int {
+	if id, ok := h.live(name); ok {
+		return id
+	}
+	return -1
+}
+
+// KeptID returns the id name has had, whether or not it is a node now, or
+// -1 when it has never been one.
+func (h *Hierarchy) KeptID(name string) int {
 	if id, ok := h.ids[name]; ok {
 		return id
 	}
@@ -395,7 +396,7 @@ func (h *Hierarchy) HasID(id int) bool { return h.isa.Has(id) }
 // IDLimit returns one more than the largest node id ever allocated.
 func (h *Hierarchy) IDLimit() int { return h.isa.MaxID() }
 
-// NameOf returns the name of a node id (inverse of MustID). Ids that do not
+// NameOf returns the name of a node id (inverse of IDOf). Ids that do not
 // name a live node — negative, never allocated, or removed — return "",
 // matching the "unknown names never subsume" convention used elsewhere.
 func (h *Hierarchy) NameOf(id int) string {
@@ -415,11 +416,6 @@ func (h *Hierarchy) Subsumes(ancestor, descendant string) bool {
 // SubsumesID is Subsumes by node id.
 func (h *Hierarchy) SubsumesID(ancestor, descendant int) bool {
 	return h.isa.HasPath(ancestor, descendant)
-}
-
-// StrictlySubsumes reports ancestor ⊐ descendant (subsumes and not equal).
-func (h *Hierarchy) StrictlySubsumes(ancestor, descendant string) bool {
-	return ancestor != descendant && h.Subsumes(ancestor, descendant)
 }
 
 // BindSubsumesID is SubsumesID computed over the binding graph (is-a plus
@@ -477,6 +473,9 @@ func (h *Hierarchy) AllLeaves() []string { return h.Leaves(h.domain) }
 
 // IsLeaf reports whether name has no is-a children.
 func (h *Hierarchy) IsLeaf(name string) bool { return h.isa.IsLeaf(h.IDOf(name)) }
+
+// IsLeafID is IsLeaf by node id.
+func (h *Hierarchy) IsLeafID(id int) bool { return h.isa.IsLeaf(id) }
 
 // Overlaps reports whether the classes a and b can share members: one
 // subsumes the other, or they have a common descendant. This is the
@@ -569,9 +568,10 @@ var ErrIsRoot = errors.New("hierarchy: cannot remove the domain root")
 // its incoming edges and any preference edges touching it. Nodes with
 // children must be emptied first; the root cannot be removed. The caller
 // (the catalog layer) is responsible for checking that no relation tuple
-// references the node.
+// references the node. The name keeps its id (KeptID), which adding it
+// again makes live.
 func (h *Hierarchy) RemoveLeaf(name string) error {
-	id, ok := h.ids[name]
+	id, ok := h.live(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
@@ -582,7 +582,6 @@ func (h *Hierarchy) RemoveLeaf(name string) error {
 		return fmt.Errorf("%w: %q", ErrHasChildren, name)
 	}
 	h.isa.RemoveNode(id)
-	delete(h.ids, name)
 	// Drop preference edges touching the node.
 	kept := h.prefs[:0]
 	for _, p := range h.prefs {
@@ -595,18 +594,18 @@ func (h *Hierarchy) RemoveLeaf(name string) error {
 	return nil
 }
 
-// TopoIndex returns a map from node name to its position in a deterministic
-// topological order of the binding graph (general classes first). Items can
-// be sorted most-specific-last using these indices.
-func (h *Hierarchy) TopoIndex() map[string]int {
+// TopoNodes returns the node names parents first: a deterministic
+// topological order of the binding graph, the root first. DUMP and the
+// snapshot list a hierarchy's nodes in this order.
+func (h *Hierarchy) TopoNodes() []string {
 	order, err := h.bindGraph().Topo()
 	if err != nil {
 		// The binding graph is acyclic by construction.
 		panic(err)
 	}
-	out := make(map[string]int, len(order))
+	out := make([]string, len(order))
 	for i, id := range order {
-		out[h.names[id]] = i
+		out[i] = h.names[id]
 	}
 	return out
 }
@@ -616,12 +615,6 @@ func (h *Hierarchy) TopoIndex() map[string]int {
 // the on-path evaluator) that need raw graph access.
 func (h *Hierarchy) Graph() (*dag.Graph, func(int) string) {
 	return h.isa.Clone(), func(id int) string { return h.names[id] }
-}
-
-// BindingGraphClone returns a clone of the binding graph (is-a plus
-// preference edges) with the id→name mapping.
-func (h *Hierarchy) BindingGraphClone() (*dag.Graph, func(int) string) {
-	return h.bindGraph().Clone(), func(id int) string { return h.names[id] }
 }
 
 // DOT renders the is-a graph in Graphviz syntax.

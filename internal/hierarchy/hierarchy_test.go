@@ -123,12 +123,6 @@ func TestSubsumesTransitive(t *testing.T) {
 			t.Errorf("Subsumes(%q,%q) = %v, want %v", c.anc, c.desc, got, c.want)
 		}
 	}
-	if h.StrictlySubsumes("Bird", "Bird") {
-		t.Error("StrictlySubsumes must be irreflexive")
-	}
-	if !h.StrictlySubsumes("Bird", "Paul") {
-		t.Error("StrictlySubsumes(Bird,Paul) = false")
-	}
 }
 
 func TestAddEdgeCycleRejected(t *testing.T) {
@@ -312,9 +306,16 @@ func TestPreferUnknown(t *testing.T) {
 	}
 }
 
-func TestTopoIndexRespectsSpecificity(t *testing.T) {
+func TestTopoNodesRespectsSpecificity(t *testing.T) {
 	h := animals(t)
-	idx := h.TopoIndex()
+	nodes := h.TopoNodes()
+	if len(nodes) != h.Len() || nodes[0] != h.Domain() {
+		t.Fatalf("TopoNodes = %v", nodes)
+	}
+	idx := map[string]int{}
+	for i, n := range nodes {
+		idx[n] = i
+	}
 	pairs := [][2]string{
 		{"Animal", "Bird"},
 		{"Bird", "Penguin"},
@@ -323,7 +324,7 @@ func TestTopoIndexRespectsSpecificity(t *testing.T) {
 	}
 	for _, p := range pairs {
 		if idx[p[0]] >= idx[p[1]] {
-			t.Errorf("TopoIndex: %q (%d) should precede %q (%d)", p[0], idx[p[0]], p[1], idx[p[1]])
+			t.Errorf("TopoNodes: %q (%d) should precede %q (%d)", p[0], idx[p[0]], p[1], idx[p[1]])
 		}
 	}
 }
@@ -348,23 +349,16 @@ func TestDOTStable(t *testing.T) {
 	}
 }
 
-func TestMustIDAndNameOfRoundTrip(t *testing.T) {
+func TestIDOfAndNameOfRoundTrip(t *testing.T) {
 	h := animals(t)
 	for _, n := range h.Nodes() {
-		if got := h.NameOf(h.MustID(n)); got != n {
+		if got := h.NameOf(h.IDOf(n)); got != n {
 			t.Fatalf("round trip %q → %q", n, got)
 		}
 	}
-}
-
-func TestMustIDPanics(t *testing.T) {
-	h := New("D")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustID on unknown name did not panic")
-		}
-	}()
-	h.MustID("nope")
+	if h.IDOf("nope") != -1 {
+		t.Fatal("IDOf of an unknown name is not -1")
+	}
 }
 
 // TestSubsumptionPartialOrderProperty checks that Subsumes is a partial

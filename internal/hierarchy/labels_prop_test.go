@@ -17,7 +17,7 @@ func TestNameOfUnknownIDs(t *testing.T) {
 	if err := h.AddInstance("gone", "c"); err != nil {
 		t.Fatal(err)
 	}
-	stale := h.MustID("gone")
+	stale := h.IDOf("gone")
 	if err := h.RemoveLeaf("gone"); err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ func TestNameOfUnknownIDs(t *testing.T) {
 		id   int
 		want string
 	}{
-		{"root", h.MustID("D"), "D"},
-		{"class", h.MustID("c"), "c"},
+		{"root", h.IDOf("D"), "D"},
+		{"class", h.IDOf("c"), "c"},
 		{"negative", -1, ""},
 		{"very negative", -99, ""},
 		{"stale (removed leaf)", stale, ""},

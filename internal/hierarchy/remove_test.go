@@ -2,16 +2,24 @@ package hierarchy
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 func TestRemoveLeafDirect(t *testing.T) {
 	h := animals(t)
+	tweety := h.IDOf("Tweety")
 	if err := h.RemoveLeaf("Tweety"); err != nil {
 		t.Fatal(err)
 	}
-	if h.Has("Tweety") {
+	if h.Has("Tweety") || h.IDOf("Tweety") != -1 || h.IsInstance("Tweety") || slices.Contains(h.Nodes(), "Tweety") {
 		t.Fatal("Tweety survived")
+	}
+	if h.KeptID("Tweety") != tweety || h.KeptID("Ghost") != -1 {
+		t.Fatalf("KeptID(Tweety) = %d, want %d; KeptID(Ghost) = %d", h.KeptID("Tweety"), tweety, h.KeptID("Ghost"))
+	}
+	if err := h.AddEdge("Bird", "Tweety"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("an edge to a removed name: %v", err)
 	}
 	// Canary is now childless: removable as well.
 	if err := h.RemoveLeaf("Canary"); err != nil {
@@ -32,6 +40,16 @@ func TestRemoveLeafDirect(t *testing.T) {
 	}
 	if !h.BindingIrredundant() {
 		t.Fatal("binding graph broken")
+	}
+	// A removed name comes back with its id, as whatever kind it is now.
+	if err := h.AddClass("Tweety", "Penguin"); err != nil {
+		t.Fatal(err)
+	}
+	if h.IDOf("Tweety") != tweety || h.IsInstance("Tweety") || !h.Subsumes("Penguin", "Tweety") {
+		t.Fatalf("re-added Tweety: id %d (was %d), parents %v", h.IDOf("Tweety"), tweety, h.Parents("Tweety"))
+	}
+	if err := h.AddInstance("Tweety"); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("adding a live name again: %v", err)
 	}
 }
 

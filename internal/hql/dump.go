@@ -2,12 +2,12 @@ package hql
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"unicode"
 
 	"hrdb/internal/catalog"
 	"hrdb/internal/core"
+	"hrdb/internal/hierarchy"
 )
 
 // Dump serializes a database to an HQL script that, executed against an
@@ -20,47 +20,38 @@ func Dump(db *catalog.Database, read func(name string) (*core.Relation, error)) 
 	var b strings.Builder
 	b.WriteString("-- hrdb dump\n")
 
-	switch db.Policy() {
-	case catalog.WarnExceptions:
-		b.WriteString("SET POLICY warn;\n")
-	case catalog.ForbidExceptions:
-		b.WriteString("SET POLICY forbid;\n")
-	}
-
-	for _, domain := range db.Hierarchies() {
-		h, err := db.Hierarchy(domain)
-		if err != nil {
-			return "", err
+	// The hierarchies are one cut, read under the catalog's lock; the
+	// relations come from read.
+	db.ReadAll(func(p catalog.ExceptionPolicy, hs []*hierarchy.Hierarchy, _ []*core.Relation) {
+		switch p {
+		case catalog.WarnExceptions:
+			b.WriteString("SET POLICY warn;\n")
+		case catalog.ForbidExceptions:
+			b.WriteString("SET POLICY forbid;\n")
 		}
-		fmt.Fprintf(&b, "\nCREATE HIERARCHY %s;\n", quote(domain))
-		// Emit nodes parents-first.
-		idx := h.TopoIndex()
-		nodes := h.Nodes()
-		sort.Slice(nodes, func(i, j int) bool {
-			if idx[nodes[i]] != idx[nodes[j]] {
-				return idx[nodes[i]] < idx[nodes[j]]
+		for _, h := range hs {
+			domain := h.Domain()
+			fmt.Fprintf(&b, "\nCREATE HIERARCHY %s;\n", quote(domain))
+			for _, n := range h.TopoNodes() { // parents first
+				if n == domain {
+					continue
+				}
+				kw := "CLASS"
+				if h.IsInstance(n) {
+					kw = "INSTANCE"
+				}
+				parents := h.Parents(n)
+				qp := make([]string, len(parents))
+				for i, p := range parents {
+					qp[i] = quote(p)
+				}
+				fmt.Fprintf(&b, "%s %s UNDER %s IN %s;\n", kw, quote(n), strings.Join(qp, ", "), quote(domain))
 			}
-			return nodes[i] < nodes[j]
-		})
-		for _, n := range nodes {
-			if n == domain {
-				continue
+			for _, pref := range h.Preferences() {
+				fmt.Fprintf(&b, "PREFER %s OVER %s IN %s;\n", quote(pref[0]), quote(pref[1]), quote(domain))
 			}
-			kw := "CLASS"
-			if h.IsInstance(n) {
-				kw = "INSTANCE"
-			}
-			parents := h.Parents(n)
-			qp := make([]string, len(parents))
-			for i, p := range parents {
-				qp[i] = quote(p)
-			}
-			fmt.Fprintf(&b, "%s %s UNDER %s IN %s;\n", kw, quote(n), strings.Join(qp, ", "), quote(domain))
 		}
-		for _, pref := range h.Preferences() {
-			fmt.Fprintf(&b, "PREFER %s OVER %s IN %s;\n", quote(pref[0]), quote(pref[1]), quote(domain))
-		}
-	}
+	})
 
 	for _, name := range db.Relations() {
 		r, err := read(name)

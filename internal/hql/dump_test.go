@@ -1,6 +1,7 @@
 package hql
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -165,5 +166,113 @@ func TestDumpSemantics(t *testing.T) {
 		if got != q.want {
 			t.Errorf("replayed Holds(%s) = %v", q.who, got)
 		}
+	}
+}
+
+// TestSnapshotAndDumpUnderConcurrentInstanceOps takes snapshots and DUMPs
+// while another goroutine adds instances through Apply, as a replica's
+// apply loop does. Run under -race, neither read meets a hierarchy being
+// edited, and each snapshot is one cut: it lists every node after its
+// parents, and never fewer instances than the one before.
+func TestSnapshotAndDumpUnderConcurrentInstanceOps(t *testing.T) {
+	db := catalog.New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(db.ApplyOps([]catalog.TxOp{
+		{Kind: catalog.KindCreateHierarchy, Relation: "A"},
+		{Kind: catalog.KindAddClass, Relation: "A", Values: []string{"C"}},
+		{Kind: catalog.KindCreateRelation, Relation: "R", Values: []string{"X", "A"}},
+		{Kind: catalog.KindAssert, Relation: "R", Values: []string{"C"}, Bare: true},
+	}))
+	const adds = 200
+	errs := make(chan error, 1)
+	go func() {
+		for i := 0; i < adds; i++ {
+			if err := db.ApplyOps([]catalog.TxOp{{Kind: catalog.KindAddInstance, Relation: "A", Values: []string{fmt.Sprintf("i%03d", i), "C"}}}); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- nil
+	}()
+	seen := 0
+	for done := false; !done; {
+		select {
+		case err := <-errs:
+			must(err)
+			done = true
+		default:
+		}
+		spec := storage.SnapshotDatabase(db)
+		nodes := spec.Hierarchies[0].Nodes
+		listed := map[string]bool{"A": true}
+		for _, n := range nodes {
+			for _, p := range n.Parents {
+				if !listed[p] {
+					t.Fatalf("snapshot lists %s before its parent %s", n.Name, p)
+				}
+			}
+			listed[n.Name] = true
+		}
+		if len(nodes) < seen {
+			t.Fatalf("snapshot lists %d nodes after one listed %d", len(nodes), seen)
+		}
+		seen = len(nodes)
+		_, err := Dump(db, db.Snapshot)
+		must(err)
+	}
+	if seen != adds+1 {
+		t.Fatalf("the last snapshot lists %d nodes, want %d", seen, adds+1)
+	}
+}
+
+// TestDumpAfterDropAndReAdd: a node dropped and added again, under a class
+// created after it first was, is listed once by SHOW HIERARCHY and Nodes,
+// reads as a tuple's value again, and DUMP lists it after its new parent,
+// so the script rebuilds a database with an equal Fingerprint.
+func TestDumpAfterDropAndReAdd(t *testing.T) {
+	s := setup(t)
+	if _, err := s.Exec(`RETRACT Flies (Peter); DROP NODE Peter IN Animal;
+CLASS Late UNDER Bird;
+INSTANCE Peter UNDER Late;
+DENY Flies (Late);
+ASSERT Flies (Peter);`); err != nil {
+		t.Fatal(err)
+	}
+	db := s.target.Database()
+	out, err := s.Exec("SHOW HIERARCHY Animal;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out, "Peter"); n != 1 {
+		t.Fatalf("SHOW HIERARCHY lists Peter %d times:\n%s", n, out)
+	}
+	h, err := db.Hierarchy("Animal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(strings.Join(h.Nodes(), " ")+" ", "Peter "); n != 1 {
+		t.Fatalf("Nodes lists Peter %d times: %v", n, h.Nodes())
+	}
+	if out, err := s.Exec("HOLDS Flies (Peter);"); err != nil || !strings.Contains(out, "true") {
+		t.Fatalf("HOLDS Flies (Peter) = %q, %v", out, err)
+	}
+	script, err := Dump(db, db.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Index(script, "CLASS Late ") > strings.Index(script, "INSTANCE Peter ") {
+		t.Fatalf("DUMP lists Peter before its parent Late:\n%s", script)
+	}
+	fresh := catalog.New()
+	if _, err := NewSession(MemTarget{DB: fresh}).Exec(script); err != nil {
+		t.Fatalf("replaying dump: %v\nscript:\n%s", err, script)
+	}
+	if got, want := storage.Fingerprint(fresh), storage.Fingerprint(db); got != want {
+		t.Fatalf("rebuilt fingerprint\n%s\nwant\n%s\nscript:\n%s", got, want, script)
 	}
 }

@@ -86,15 +86,7 @@ type DatabaseSpec struct {
 // SnapshotHierarchy converts a hierarchy to its spec.
 func SnapshotHierarchy(h *hierarchy.Hierarchy) HierarchySpec {
 	spec := HierarchySpec{Domain: h.Domain()}
-	idx := h.TopoIndex()
-	nodes := h.Nodes()
-	sort.Slice(nodes, func(i, j int) bool {
-		if idx[nodes[i]] != idx[nodes[j]] {
-			return idx[nodes[i]] < idx[nodes[j]]
-		}
-		return nodes[i] < nodes[j]
-	})
-	for _, n := range nodes {
+	for _, n := range h.TopoNodes() {
 		if n == h.Domain() {
 			continue
 		}
@@ -184,23 +176,19 @@ func Fingerprint(db *catalog.Database) string {
 	return fmt.Sprintf("%+v", spec)
 }
 
-// SnapshotDatabase converts a whole database to its spec.
+// SnapshotDatabase converts a whole database to its spec: one consistent
+// cut, taken under the catalog's read lock.
 func SnapshotDatabase(db *catalog.Database) DatabaseSpec {
-	spec := DatabaseSpec{Policy: int(db.Policy())}
-	for _, d := range db.Hierarchies() {
-		h, err := db.Hierarchy(d)
-		if err != nil {
-			continue
+	var spec DatabaseSpec
+	db.ReadAll(func(p catalog.ExceptionPolicy, hs []*hierarchy.Hierarchy, rs []*core.Relation) {
+		spec.Policy = int(p)
+		for _, h := range hs {
+			spec.Hierarchies = append(spec.Hierarchies, SnapshotHierarchy(h))
 		}
-		spec.Hierarchies = append(spec.Hierarchies, SnapshotHierarchy(h))
-	}
-	for _, n := range db.Relations() {
-		r, err := db.Snapshot(n)
-		if err != nil {
-			continue
+		for _, r := range rs {
+			spec.Relations = append(spec.Relations, SnapshotRelation(r))
 		}
-		spec.Relations = append(spec.Relations, SnapshotRelation(r))
-	}
+	})
 	return spec
 }
 
